@@ -18,6 +18,7 @@ import tempfile
 import time
 from pathlib import Path
 
+import pytest
 from conftest import merge_results, once
 
 import repro.experiments.evaluation as ev
@@ -127,14 +128,14 @@ def bench_kernel_comparison(benchmark, results_dir, emit):
 
     Both kernels replay the identical event sequence (the bit-identity
     contract), so ``events`` matches exactly and the rate ratio is a pure
-    kernel speedup.  The epoch side dispatches to the compiled core when
-    it is available (``REPRO_SIM_NATIVE=auto``); the build is warmed up
-    outside the timed region so first-run compilation does not skew
-    quick-mode numbers.
+    kernel speedup.  The epoch side is the compiled core; its build is
+    warmed up outside the timed region so first-run compilation does not
+    skew quick-mode numbers.  Without a compiler the epoch kernel *is*
+    the event loop, so the speedup bar is recorded as skipped instead.
     """
     from repro.cpu import epochnative
 
-    epochnative.available()  # compile outside the timed region
+    native = epochnative.available()  # compile outside the timed region
 
     def measure():
         return _best_rate("event"), _best_rate("epoch")
@@ -153,12 +154,13 @@ def bench_kernel_comparison(benchmark, results_dir, emit):
             "events": ep_events,
             "wall_s": round(ep_wall, 4),
             "events_per_sec": round(ep_rate),
-            "native_core": epochnative.available(),
+            "native_core": native,
             "quick_mode": QUICK_MODE,
         },
         kernel_speedup={
             "epoch_over_event": round(speedup, 2),
-            "minimum": MIN_KERNEL_SPEEDUP,
+            "minimum": MIN_KERNEL_SPEEDUP if native else None,
+            "native_core": native,
             "quick_mode": QUICK_MODE,
         },
     )
@@ -175,6 +177,11 @@ def bench_kernel_comparison(benchmark, results_dir, emit):
         ),
     )
     assert ev_events == ep_events, "kernels diverged: event counts differ"
+    if not native:
+        pytest.skip(
+            "native epoch core unavailable (no C compiler or cffi): the epoch "
+            f"kernel ran the event loop; {MIN_KERNEL_SPEEDUP}x speedup bar not enforced"
+        )
     assert speedup >= MIN_KERNEL_SPEEDUP, (
         f"epoch kernel speedup {speedup:.2f}x below the {MIN_KERNEL_SPEEDUP}x bar"
     )

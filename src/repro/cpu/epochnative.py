@@ -1,29 +1,29 @@
-"""Compiled core loop for the epoch kernel (``REPRO_SIM_NATIVE``).
+"""Compiled epoch kernel: the fast implementation of the timing simulator.
 
-The pure-Python epoch loop in :mod:`repro.cpu.batchkernel` executes the
-reference discrete-event semantics at roughly 2 microseconds per event -
-an op-for-op floor set by the interpreter, since every branch of the loop
-is already flat integer arithmetic over lists.  This module compiles the
-identical loop to machine code with :mod:`cffi` (the toolchain ships in
-the base image; nothing is downloaded) and runs it over flat int64 NumPy
-state, dropping per-event cost by more than an order of magnitude.
+The event-driven loop in :meth:`repro.cpu.system.SimSystem._run_reference`
+is the semantic definition of the simulator and costs a few microseconds
+per event in the interpreter.  This module re-executes exactly the same
+discrete-event semantics in C, compiled with :mod:`cffi` through
+:class:`repro.util.native.NativeCore`, over flat int64 NumPy state: the
+LLC slot arrays, per-bank timing, queue entries, and energy counters are
+staged in once, the loop runs, and the state is exported back into the
+object model - so post-run introspection, ``finalize()``, and the power
+integration see exactly what the reference loop would have left behind.
 
-Scope: the native loop covers the common simulation shapes including
-patrol scrubbing and degraded (faulty-bank) mode - excluded are one-shot
-bursts, per-window IPC tracking, uncached ECC state, and mappings whose
-geometry differs from the memory system.  Anything else falls back to
-the Python epoch loop, which handles every configuration.  Both paths
-are bit-identical to the event-driven reference;
-``tests/test_epoch_kernel.py`` pins each against the oracle.
+Scope: every configuration the paper's experiments build - patrol scrubbing,
+degraded (faulty-bank) mode, uncached ECC/XOR lines, one-shot bursts, and
+per-window IPC tracking included.  :func:`eligible` rejects only shapes
+no experiment builds: more than :data:`MAX_CORES` cores, 32 or more banks per
+rank, a mapping whose geometry differs from the memory system, and a
+system whose channel queues or event heap are already populated.  Those,
+and every run on a host without a compiler, take the event loop.
+``tests/test_epoch_kernel.py`` pins this core against the oracle on full
+post-run state.
 
 Build model: the C source below is compiled once per source hash into
 ``src/repro/cpu/_native/`` (gitignored) and memoized process-wide.
-Compilation failures (no compiler, sandboxed build dir) degrade silently
-to the Python loop - ``REPRO_SIM_NATIVE=on`` turns that into a hard
-error, ``off`` disables the native path outright, and the default
-``auto`` uses it when available and eligible.
 
-Identity-critical conventions shared with the Python loop:
+Identity-critical conventions shared with the reference loop:
 
 * events are ``(time, seq, kind, payload)`` with ``seq`` incremented at
   exactly the reference push sites, so heap order replays exactly;
@@ -31,12 +31,16 @@ Identity-critical conventions shared with the Python loop:
   division matches Python floor division);
 * pending-request counts are recounted from the queue at pick time,
   which equals the reference's incremental pending map for every key.
+
+Trace iterators are prefetched in chunks, so after an early stop (the
+instruction target hit) a shared iterator may have advanced further than
+the reference would have.  Nothing reads a trace iterator after ``run()``.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
+from collections import deque
 from itertools import islice
 from time import perf_counter
 
@@ -44,16 +48,11 @@ import numpy as np
 
 from repro import obs
 from repro.cpu.llc import LineKind
-from repro.cpu.system import (
-    TAG_FILL,
-    TAG_POSTFILL,
-    TAG_SHIFT,
-    AccessCounters,
-    SimResult,
-)
+from repro.cpu.system import EV_BURST, EV_CORE, EV_SCRUB, AccessCounters, SimResult
 from repro.dram.channel import MemRequest
 from repro.dram.power import RankEnergyCounters
 from repro.ecc.base import EccTraffic
+from repro.util.native import NativeCore
 
 #: Max cores the native loop supports (fixed-size trace-buffer slots).
 MAX_CORES = 64
@@ -63,7 +62,13 @@ MAX_CORES = 64
 #: peaks are in the hundreds; overflow raises rather than truncates.
 HEAP_CAP = 1 << 17
 
-_CDEF = """
+#: Queue entries carry a packed (rank, bank, row) key:
+#: ``(rank << 5 | bank) << 44 | row``.  Rows stay far below 2**44 (the
+#: largest mapped region base is 1 << 41) and banks below 32.
+_PK_ROW_BITS = 44
+_PK_BANK_BITS = 5
+
+_STRUCT = """
 typedef struct {
     /* geometry */
     int64_t C, R, B, MB, n_ranks, n_cores;
@@ -75,7 +80,7 @@ typedef struct {
     int64_t WRITE_DRAIN, WRITE_DRAIN_LOW, QUEUE_DEPTH;
     int64_t HIT, POSTED_CAP, load_mlp, units_64b;
     /* ecc: mode 0=inline (no state), 1=parity formula, 2=simple */
-    int64_t ecc_mode, ecc_insert_kind;
+    int64_t ecc_mode, ecc_insert_kind, ecc_uncached;
     int64_t eb, lpp_e, ppc, gpp, pc1, cov;
     /* llc flat state */
     int64_t set_mask, assoc, n_sets;
@@ -104,7 +109,7 @@ typedef struct {
     int64_t *h; int64_t h_len, h_cap, seq;
     /* run control */
     int64_t now, total, limit, target;
-    int64_t resume_cid, resume_now, refill_ok;
+    int64_t resume_cid, resume_now, resume_ok;
     int64_t snap_taken, error;
     int64_t *snap_cnt;            /* 6 * n_ranks */
     int64_t snap_scalars[9], end_scalars[9];
@@ -115,8 +120,15 @@ typedef struct {
     /* degraded mode: faulty-bank bitmap + materialized-ECC constants */
     int64_t mat_on, mat_cov, mat_base;
     uint8_t *faulty;
+    /* one-shot bursts: (cycle, reads, writes, base) per entry */
+    int64_t *bursts;
+    /* per-window instruction counts (grown by Python on request) */
+    int64_t ipc_window, win_len, win_cap, win_need;
+    int64_t *win;
 } KS;
+"""
 
+_CDEF = _STRUCT + """
 void push_event(KS *k, int64_t t, int64_t kind, int64_t payload);
 void wh_bulk(KS *k, int64_t *keys, int64_t *vals, int64_t n);
 int64_t epoch_run(KS *k);
@@ -125,48 +137,7 @@ int64_t epoch_run(KS *k);
 _CSRC = r"""
 #include <stdint.h>
 #include <string.h>
-
-typedef struct {
-    /* geometry */
-    int64_t C, R, B, MB, n_ranks, n_cores;
-    int64_t lpp, map_channels, map_ranks, seq_policy;
-    int64_t hot_base, hot_ranks;
-    /* timing */
-    int64_t trcd, tcl, tcwl, tburst, trrd, tfaw, twtr, trtrs, txp;
-    int64_t trfc, trefi, bb_read, bb_write, trcd_tcl, PD;
-    int64_t WRITE_DRAIN, WRITE_DRAIN_LOW, QUEUE_DEPTH;
-    int64_t HIT, POSTED_CAP, load_mlp, units_64b;
-    int64_t ecc_mode, ecc_insert_kind;
-    int64_t eb, lpp_e, ppc, gpp, pc1, cov;
-    int64_t set_mask, assoc, n_sets;
-    int64_t *l_tags; int64_t *l_lru; uint8_t *l_dirty; uint8_t *l_kind;
-    int64_t *l_fill;
-    int64_t clock, hits, misses, evictions_dirty;
-    int64_t *wh_keys; int64_t *wh_vals; int64_t wh_mask, wh_used, wh_tomb;
-    int64_t *bank_ready, *busy_until, *accounted_to, *next_refresh, *refreshes;
-    int64_t *c_act, *c_rd, *c_wr, *c_active, *c_standby, *c_pdown;
-    int64_t *act_ring, *act_len, *act_head;
-    int64_t *qes, *q_len;
-    int64_t *dem_cnt, *bg_cnt, *draining, *bus_free, *last_w;
-    int64_t *fast_picks, *issued, *refresh_due;
-    uint8_t *done, *waiting, *has_pend, *pend_wr;
-    int64_t *posted, *loads, *instr, *pend_addr;
-    int64_t done_cnt;
-    int64_t *buf_gap[64]; int64_t *buf_addr[64];
-    uint8_t *buf_wr[64]; int64_t *buf_dt[64];
-    int64_t buf_i[64], buf_n[64];
-    int64_t *h; int64_t h_len, h_cap, seq;
-    int64_t now, total, limit, target;
-    int64_t resume_cid, resume_now, refill_ok;
-    int64_t snap_taken, error;
-    int64_t *snap_cnt;
-    int64_t snap_scalars[9], end_scalars[9];
-    int64_t accesses_64b, n_data_r, n_data_w, n_ecc_r, n_ecc_w;
-    int64_t scrub_interval, scrub_region, scrub_cursor, scrub_reads;
-    int64_t mat_on, mat_cov, mat_base;
-    uint8_t *faulty;
-} KS;
-
+""" + _STRUCT + r"""
 /* tag codes (mirror repro.cpu.system) */
 #define TAG_SHIFT_   4
 #define TAG_MASK_    ((1 << TAG_SHIFT_) - 1)
@@ -179,17 +150,26 @@ typedef struct {
 #define TAG_ECCFILL_ 7
 #define TAG_SCRUB_   8
 
+/* event kinds (mirror repro.cpu.system) */
 #define EV_CORE_   0
 #define EV_ACCESS_ 1
+#define EV_BURST_  2
 #define EV_SCRUB_  3
 #define EV_CHAN_   4
 
 #define KIND_DATA_ 0
 #define KIND_ECC_  1
+#define KIND_XOR_  2
 
 #define ERR_QUEUE_   1
 #define ERR_CASCADE_ 2
 #define ERR_HEAP_    3
+
+/* epoch_run return codes; >= 0 asks for a trace refill of that core */
+#define RC_HEAP_EMPTY_  -1
+#define RC_TARGET_      -2
+#define RC_GROW_WINDOW_ -3
+#define RC_HANDLED_     -4   /* internal: event fully handled */
 
 /* -- event heap: (time, seq) ordered, 4 int64 per entry -------------------- */
 
@@ -254,15 +234,13 @@ static int64_t wh_get(KS *k, int64_t key) {
     }
 }
 
+/* Rebuild the map from the slot arrays (every live key is a cached line
+   tag), dropping all tombstones. */
 static void wh_rehash(KS *k) {
     int64_t cap = k->wh_mask + 1;
     int64_t *keys = k->wh_keys, *vals = k->wh_vals;
-    /* compact in place via a second pass buffer on the C stack is unsafe
-       for large caps; instead mark-and-reinsert using the slot arrays as
-       the source of truth (every live key is a cached line tag). */
     for (int64_t i = 0; i < cap; i++) keys[i] = -1;
     k->wh_used = 0; k->wh_tomb = 0;
-    int64_t slots = k->n_sets * k->assoc;
     for (int64_t s = 0; s < k->n_sets; s++) {
         int64_t fill = k->l_fill[s];
         for (int64_t w = 0; w < fill; w++) {
@@ -274,7 +252,6 @@ static void wh_rehash(KS *k) {
             k->wh_used++;
         }
     }
-    (void)slots;
 }
 
 static void wh_put(KS *k, int64_t key, int64_t val) {
@@ -466,7 +443,7 @@ static inline int is_faulty(KS *k, int64_t addr) {
 
 /* DegradedMode materialized-ECC line touch: LLC access (KIND_ECC) plus an
    ECCFILL memory read on miss; returns the llc_access result so the caller
-   can cascade the (dirty) victim exactly like the Python oracle. */
+   can cascade the (dirty) victim exactly like the reference. */
 static int64_t touch_mat(KS *k, int64_t addr, int64_t dirty, int64_t now,
                          int64_t *ev_a, int64_t *ev_k, int64_t *ev_d) {
     int64_t ea = k->mat_base + addr / k->mat_cov;
@@ -489,20 +466,27 @@ static void cascade(KS *k, int64_t va, int64_t vk, int64_t vd, int64_t now) {
         if (kk == KIND_DATA_) {
             enqueue(k, a, 1, TAG_WB_, now);
             if (k->error) return;
+            int64_t ev_a, ev_k, ev_d, r = 0;
             if (is_faulty(k, a)) {
-                int64_t ev_a, ev_k, ev_d;
-                int64_t r = touch_mat(k, a, 1, now, &ev_a, &ev_k, &ev_d);
-                if (k->error) return;
-                if (r == -1) {
-                    st_a[sp] = ev_a; st_k[sp] = ev_k; st_d[sp] = ev_d; sp++;
-                }
-            } else if (k->ecc_mode != 0) {
+                r = touch_mat(k, a, 1, now, &ev_a, &ev_k, &ev_d);
+            } else if (k->ecc_mode != 0 && k->ecc_uncached) {
+                /* Section III-D caching off: the ECC/XOR-line update hits
+                   memory at once (XOR lines first read the old data). */
                 int64_t ea = ecc_addr(k, a);
-                int64_t ev_a, ev_k, ev_d;
-                if (llc_access(k, ea, k->ecc_insert_kind, 1,
-                               &ev_a, &ev_k, &ev_d) == -1) {
-                    st_a[sp] = ev_a; st_k[sp] = ev_k; st_d[sp] = ev_d; sp++;
+                if (k->ecc_insert_kind == KIND_XOR_) {
+                    enqueue(k, a, 0, TAG_ECCFILL_, now);
+                    if (k->error) return;
                 }
+                enqueue(k, ea, 0, TAG_ECCRMW_, now);
+                if (k->error) return;
+                enqueue(k, ea, 1, TAG_ECCRMW_, now);
+            } else if (k->ecc_mode != 0) {
+                r = llc_access(k, ecc_addr(k, a), k->ecc_insert_kind, 1,
+                               &ev_a, &ev_k, &ev_d);
+            }
+            if (k->error) return;
+            if (r == -1) {
+                st_a[sp] = ev_a; st_k[sp] = ev_k; st_d[sp] = ev_d; sp++;
             }
         } else if (kk == KIND_ECC_) {
             enqueue(k, a, 1, TAG_ECCWB_, now);
@@ -551,16 +535,32 @@ static inline void act_append(KS *k, int64_t gr, int64_t v) {
 
 /* -- event handlers --------------------------------------------------------- */
 
-static void core_event(KS *k, int64_t now, int64_t cid) {
+/* SimSystem._step_core for a core that is not done: returns RC_HANDLED_,
+   or parks the event and asks Python for a trace refill (the core id) or a
+   larger IPC-window array (RC_GROW_WINDOW_). */
+static int64_t core_event(KS *k, int64_t now, int64_t cid) {
     int64_t bi = k->buf_i[cid];
+    int64_t w = k->ipc_window ? now / k->ipc_window : 0;
+    if (bi == k->buf_n[cid] || (k->ipc_window && w >= k->win_cap)) {
+        k->resume_cid = cid;
+        k->resume_now = now;
+        if (bi == k->buf_n[cid]) return cid;
+        k->win_need = w + 1;
+        return RC_GROW_WINDOW_;
+    }
     int64_t gap = k->buf_gap[cid][bi];
     k->buf_i[cid] = bi + 1;
     k->instr[cid] += gap;
     k->total += gap;
+    if (k->ipc_window) {
+        if (w >= k->win_len) k->win_len = w + 1;
+        k->win[w] += gap;
+    }
     k->pend_addr[cid] = k->buf_addr[cid][bi];
     k->pend_wr[cid] = k->buf_wr[cid][bi];
     k->has_pend[cid] = 1;
     hpush(k, now + k->buf_dt[cid][bi], EV_ACCESS_, cid);
+    return RC_HANDLED_;
 }
 
 static void access_event(KS *k, int64_t now, int64_t cid) {
@@ -689,6 +689,14 @@ static void chan_event(KS *k, int64_t now, int64_t ci) {
     }
 }
 
+static void burst_event(KS *k, int64_t now, int64_t i) {
+    int64_t *b = k->bursts + i * 4;
+    for (int64_t j = 0; j < b[1] && !k->error; j++)
+        enqueue(k, b[3] + j, 0, TAG_SCRUB_, now);
+    for (int64_t j = 0; j < b[2] && !k->error; j++)
+        enqueue(k, b[3] + j, 1, TAG_WB_, now);
+}
+
 static void scrub_event(KS *k, int64_t now) {
     if (k->done_cnt < k->n_cores) {
         int64_t addr = k->scrub_cursor % k->scrub_region;
@@ -702,10 +710,9 @@ static void scrub_event(KS *k, int64_t now) {
 
 /* -- snapshots -------------------------------------------------------------- */
 
-static void take_counts(KS *k, int64_t *dst, int64_t upto, int64_t do_account) {
+static void take_counts(KS *k, int64_t *dst, int64_t upto) {
     int64_t n = k->n_ranks;
-    if (do_account)
-        for (int64_t g = 0; g < n; g++) account(k, g, upto);
+    for (int64_t g = 0; g < n; g++) account(k, g, upto);
     memcpy(dst + 0 * n, k->c_act, n * sizeof(int64_t));
     memcpy(dst + 1 * n, k->c_rd, n * sizeof(int64_t));
     memcpy(dst + 2 * n, k->c_wr, n * sizeof(int64_t));
@@ -722,15 +729,18 @@ static void take_scalars(KS *k, int64_t *dst) {
 }
 
 /* -- main loop -------------------------------------------------------------- */
-/* returns: >=0 refill needed for that core, -1 heap empty, -2 target hit,
-   -10-err on internal error */
+/* returns: >=0 refill needed for that core, RC_HEAP_EMPTY_, RC_TARGET_,
+   RC_GROW_WINDOW_ (win_need entries required), or -10-err on error.  A
+   refill or window request parks the EV_CORE event being handled; the
+   next call resumes it (resume_ok = 0 reports an exhausted trace). */
 
 int64_t epoch_run(KS *k) {
     if (k->resume_cid >= 0) {
         int64_t cid = k->resume_cid;
         k->resume_cid = -1;
-        if (k->refill_ok) {
-            core_event(k, k->resume_now, cid);
+        if (k->resume_ok) {
+            int64_t rc = core_event(k, k->resume_now, cid);
+            if (rc != RC_HANDLED_) return rc;
         } else {
             k->done[cid] = 1;
             k->done_cnt++;
@@ -743,155 +753,90 @@ int64_t epoch_run(KS *k) {
         k->now = t;
         if (k->total >= k->limit) {
             if (!k->snap_taken) {
-                take_counts(k, k->snap_cnt, t, 1);
+                take_counts(k, k->snap_cnt, t);
                 take_scalars(k, k->snap_scalars);
                 k->snap_taken = 1;
                 k->limit = k->target;
             }
             if (k->total >= k->target) {
                 take_scalars(k, k->end_scalars);
-                return -2;
+                return RC_TARGET_;
             }
         }
         if (kind == EV_CHAN_) {
             chan_event(k, t, payload);
         } else if (kind == EV_CORE_) {
             if (k->done[payload]) continue;
-            if (k->buf_i[payload] == k->buf_n[payload]) {
-                k->resume_cid = payload;
-                k->resume_now = t;
-                return payload;
-            }
-            core_event(k, t, payload);
+            int64_t rc = core_event(k, t, payload);
+            if (rc != RC_HANDLED_) return rc;
         } else if (kind == EV_ACCESS_) {
             access_event(k, t, payload);
+        } else if (kind == EV_BURST_) {
+            burst_event(k, t, payload);
         } else {  /* EV_SCRUB_ */
             scrub_event(k, t);
         }
         if (k->error) return -10 - k->error;
     }
-    return -1;
+    return RC_HEAP_EMPTY_;
 }
 """
 
-_BUILD_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_native")
+_CORE = NativeCore(
+    "_epochcore", _CDEF, _CSRC,
+    os.path.join(os.path.dirname(os.path.abspath(__file__)), "_native"),
+)
+
+#: epoch_run return codes (see the C source).
+_RC_TARGET = -2
+_RC_GROW_WINDOW = -3
+_ERRORS = {
+    -11: "channel queue overflow; caller must respect can_accept()",
+    -12: "runaway eviction cascade",
+    -13: "epoch native event heap overflow",
+}
 
 #: LineKind values exported back as enum members (C stores raw ints).
 _KINDS = (LineKind.DATA, LineKind.ECC, LineKind.XOR)
 
-_lib = None
-_ffi = None
-_load_attempted = False
+#: Trace items pulled per refill from plain-iterator traces: the first
+#: pull is small and each refill doubles up to the cap, so short runs do
+#: not over-pull shared generators.
+_CHUNK_MIN = 512
+_CHUNK_MAX = 4096
 
 
-def _source_tag() -> str:
-    return hashlib.sha1((_CDEF + _CSRC).encode()).hexdigest()[:12]
-
-
-def _load():
-    """Compile (once) and import the native core; None when unavailable."""
-    global _lib, _ffi, _load_attempted
-    if _load_attempted:
-        return _lib
-    _load_attempted = True
-    try:
-        import importlib.util
-
-        from cffi import FFI
-
-        modname = f"_epochcore_{_source_tag()}"
-        sofile = None
-        if os.path.isdir(_BUILD_DIR):
-            for fn in os.listdir(_BUILD_DIR):
-                if fn.startswith(modname) and fn.endswith(".so"):
-                    sofile = os.path.join(_BUILD_DIR, fn)
-                    break
-        ffi = FFI()
-        ffi.cdef(_CDEF)
-        if sofile is None:
-            # Build in a per-process scratch dir, then publish atomically so
-            # concurrent workers never import a half-written extension.
-            tmpdir = os.path.join(_BUILD_DIR, f"build-{os.getpid()}")
-            os.makedirs(tmpdir, exist_ok=True)
-            ffi.set_source(modname, _CSRC, extra_compile_args=["-O2"])
-            built = ffi.compile(tmpdir=tmpdir)
-            final = os.path.join(_BUILD_DIR, os.path.basename(built))
-            os.replace(built, final)
-            sofile = final
-        spec = importlib.util.spec_from_file_location(modname, sofile)
-        mod = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(mod)
-        _ffi = mod.ffi
-        _lib = mod.lib
-    except Exception:  # no compiler / sandboxed build dir / import failure
-        _lib = None
-    return _lib
+def _unpack_key(pk: int) -> "tuple[int, int, int]":
+    """Packed queue key -> (rank, bank, row)."""
+    row = pk & ((1 << _PK_ROW_BITS) - 1)
+    bank = (pk >> _PK_ROW_BITS) & ((1 << _PK_BANK_BITS) - 1)
+    return pk >> (_PK_ROW_BITS + _PK_BANK_BITS), bank, row
 
 
 def available() -> bool:
     """True when the compiled core is importable (builds on first call)."""
-    return _load() is not None
-
-
-def native_mode() -> str:
-    from repro.util.envcfg import sim_native
-
-    return sim_native()
+    return _CORE.available()
 
 
 def eligible(sim) -> bool:
-    """True when *sim*'s configuration fits the native loop's scope."""
-    if sim._bursts or sim.ipc_window:
-        return False
-    eccm = sim.ecc_model
-    if eccm.kind != EccTraffic.INLINE and not eccm.cache_ecc_lines:
-        return False
-    mem = sim.mem
-    chans = mem.channels
-    C = len(chans)
-    R = len(chans[0].ranks)
-    B = chans[0].ranks[0].banks
-    mapping = mem.mapping
-    if mapping.channels != C or mapping.ranks_per_channel != R:
-        return False
-    if max(B, mapping.banks_per_rank) >= 32:
-        return False
-    if len(sim.cores) > MAX_CORES:
-        return False
-    for ch in chans:
-        for q in ch.queue:
-            if type(q.tag) is not int:
-                return False
-    return True
-
-
-def wants_native(sim) -> bool:
-    """Policy gate for :func:`repro.cpu.batchkernel.run_epoch`."""
-    mode = native_mode()
-    if mode == "off":
-        return False
-    if not eligible(sim):
-        if mode == "on":
-            raise RuntimeError(
-                "REPRO_SIM_NATIVE=on but this configuration needs the "
-                "Python epoch loop (bursts/uncached-ECC/ipc_window or "
-                "mismatched mapping geometry)"
-            )
-        return False
-    if not available():
-        if mode == "on":
-            raise RuntimeError(
-                "REPRO_SIM_NATIVE=on but the native core failed to build "
-                "(compiler or cffi unavailable)"
-            )
-        return False
-    return True
+    """True when *sim* fits the compiled core's fixed layout and starts
+    from a quiesced system (empty channel queues and event heap)."""
+    chans = sim.mem.channels
+    mapping = sim.mem.mapping
+    return (
+        len(sim.cores) <= MAX_CORES
+        and mapping.channels == len(chans)
+        and mapping.ranks_per_channel == len(chans[0].ranks)
+        and max(chans[0].ranks[0].banks, mapping.banks_per_rank) < (1 << _PK_BANK_BITS)
+        and not sim._heap
+        and not any(ch.queue for ch in chans)
+    )
 
 
 def run_native(sim, warmup_instructions: int, measure_instructions: int) -> SimResult:
-    """Run the compiled epoch loop; same contract as ``run_epoch``."""
-    lib = _load()
-    ffi = _ffi
+    """Run the compiled epoch loop; same contract as ``_run_reference``."""
+    mod = _CORE.load()
+    lib, ffi = mod.lib, mod.ffi
     obs_armed = obs.enabled("sim")
     wall0 = perf_counter() if obs_armed else 0.0
 
@@ -914,15 +859,17 @@ def run_native(sim, warmup_instructions: int, measure_instructions: int) -> SimR
     ks = ffi.new("KS *")
     hold = []  # keep every backing NumPy array alive for the run
 
-    def i64(arr):
-        a = np.ascontiguousarray(arr, dtype=np.int64)
+    def ptr(a):
         hold.append(a)
-        return a, ffi.cast("int64_t *", a.ctypes.data)
+        return ffi.cast("uint8_t *" if a.dtype == np.uint8 else "int64_t *", a.ctypes.data)
 
-    def u8(arr):
-        a = np.ascontiguousarray(arr, dtype=np.uint8)
-        hold.append(a)
-        return a, ffi.cast("uint8_t *", a.ctypes.data)
+    def i64(values):
+        a = np.ascontiguousarray(values, dtype=np.int64)
+        return a, ptr(a)
+
+    def u8(values):
+        a = np.ascontiguousarray(values, dtype=np.uint8)
+        return a, ptr(a)
 
     # -- geometry / timing / policy constants -------------------------------------------
     ks.C, ks.R, ks.B, ks.MB = C, R, B, mapping.banks_per_rank
@@ -970,8 +917,9 @@ def run_native(sim, warmup_instructions: int, measure_instructions: int) -> SimR
     ks.ecc_insert_kind = int(
         LineKind.ECC if eccm.kind == EccTraffic.ECC_LINE else LineKind.XOR
     )
+    ks.ecc_uncached = 0 if eccm.cache_ecc_lines else 1
 
-    # -- patrol scrub / degraded-mode state ---------------------------------------------
+    # -- patrol scrub / degraded-mode / burst state -------------------------------------
     scrub = sim.scrub
     if scrub is not None:
         ks.scrub_interval = scrub.interval_cycles
@@ -1002,10 +950,17 @@ def run_native(sim, warmup_instructions: int, measure_instructions: int) -> SimR
     # mapping's banks_per_rank) indexes in bounds, matching the oracle's
     # set-membership test over (c*R+r)*B+b ids.
     faulty_map = np.zeros(n_ranks * B + mapping.banks_per_rank + 1, dtype=np.uint8)
-    for gb in faulty_gb:
-        faulty_map[gb] = 1
-    hold.append(faulty_map)
-    ks.faulty = ffi.cast("uint8_t *", faulty_map.ctypes.data)
+    faulty_map[list(faulty_gb)] = 1
+    ks.faulty = ptr(faulty_map)
+    _, ks.bursts = i64(np.reshape(sim._bursts, -1) if sim._bursts else [0])
+
+    # -- per-window IPC timeline ---------------------------------------------------------
+    ks.ipc_window = sim.ipc_window or 0
+    ks.win_len = len(sim._window_instr)
+    win = np.zeros(max(64, ks.win_len), dtype=np.int64)
+    win[: ks.win_len] = sim._window_instr
+    ks.win_cap = len(win)
+    ks.win = ptr(win)
 
     # -- LLC flat state -----------------------------------------------------------------
     ks.set_mask = llc._set_mask
@@ -1020,168 +975,107 @@ def run_native(sim, warmup_instructions: int, measure_instructions: int) -> SimR
     ks.evictions_dirty = llc._evictions_dirty
     slots = llc.n_sets * llc.assoc
     wh_cap = 1 << max(6, (4 * slots - 1).bit_length())
-    wh_keys = np.full(wh_cap, -1, dtype=np.int64)
-    hold.append(wh_keys)
-    ks.wh_keys = ffi.cast("int64_t *", wh_keys.ctypes.data)
+    wh_keys, ks.wh_keys = i64(np.full(wh_cap, -1, dtype=np.int64))
     wh_vals, ks.wh_vals = i64(np.zeros(wh_cap, dtype=np.int64))
     ks.wh_mask = wh_cap - 1
     ks.wh_used = ks.wh_tomb = 0
     if llc._where:
         keys, ks_keys = i64(np.fromiter(llc._where.keys(), dtype=np.int64))
-        vals, ks_vals = i64(np.fromiter(llc._where.values(), dtype=np.int64))
+        _, ks_vals = i64(np.fromiter(llc._where.values(), dtype=np.int64))
         lib.wh_bulk(ks, ks_keys, ks_vals, len(keys))
 
     # -- rank state ---------------------------------------------------------------------
-    bank_ready = []
-    busy_until, accounted_to, next_refresh, refreshes = [], [], [], []
-    c_act, c_rd, c_wr, c_active, c_standby, c_pdown = [], [], [], [], [], []
+    ranks = [r for ch in chans for r in ch.ranks]
+    a_bank_ready, ks.bank_ready = i64([b for r in ranks for b in r.bank_ready])
+    a_busy, ks.busy_until = i64([r.busy_until for r in ranks])
+    a_acct, ks.accounted_to = i64([r.accounted_to for r in ranks])
+    a_nref, ks.next_refresh = i64([r.next_refresh for r in ranks])
+    a_refs, ks.refreshes = i64([r.refreshes for r in ranks])
+    a_cact, ks.c_act = i64([r.counters.activates for r in ranks])
+    a_crd, ks.c_rd = i64([r.counters.read_bursts for r in ranks])
+    a_cwr, ks.c_wr = i64([r.counters.write_bursts for r in ranks])
+    a_cactive, ks.c_active = i64([r.counters.cycles_active for r in ranks])
+    a_cstandby, ks.c_standby = i64([r.counters.cycles_precharge_standby for r in ranks])
+    a_cpdown, ks.c_pdown = i64([r.counters.cycles_powerdown for r in ranks])
     act_ring = np.zeros(n_ranks * 4, dtype=np.int64)
-    act_len = np.zeros(n_ranks, dtype=np.int64)
-    gr = 0
-    for ch in chans:
-        for r in ch.ranks:
-            bank_ready.extend(r.bank_ready)
-            for i, v in enumerate(r.act_times):
-                act_ring[gr * 4 + i] = v
-            act_len[gr] = len(r.act_times)
-            busy_until.append(r.busy_until)
-            accounted_to.append(r.accounted_to)
-            next_refresh.append(r.next_refresh)
-            refreshes.append(r.refreshes)
-            rc = r.counters
-            c_act.append(rc.activates)
-            c_rd.append(rc.read_bursts)
-            c_wr.append(rc.write_bursts)
-            c_active.append(rc.cycles_active)
-            c_standby.append(rc.cycles_precharge_standby)
-            c_pdown.append(rc.cycles_powerdown)
-            gr += 1
-    a_bank_ready, ks.bank_ready = i64(bank_ready)
-    a_busy, ks.busy_until = i64(busy_until)
-    a_acct, ks.accounted_to = i64(accounted_to)
-    a_nref, ks.next_refresh = i64(next_refresh)
-    a_refs, ks.refreshes = i64(refreshes)
-    a_cact, ks.c_act = i64(c_act)
-    a_crd, ks.c_rd = i64(c_rd)
-    a_cwr, ks.c_wr = i64(c_wr)
-    a_cactive, ks.c_active = i64(c_active)
-    a_cstandby, ks.c_standby = i64(c_standby)
-    a_cpdown, ks.c_pdown = i64(c_pdown)
-    hold.append(act_ring)
-    ks.act_ring = ffi.cast("int64_t *", act_ring.ctypes.data)
-    a_actlen, ks.act_len = i64(act_len)
-    a_acthead, ks.act_head = i64(np.zeros(n_ranks, dtype=np.int64))
+    for gr, r in enumerate(ranks):
+        act_ring[gr * 4 : gr * 4 + len(r.act_times)] = r.act_times
+    ks.act_ring = ptr(act_ring)
+    act_len, ks.act_len = i64([len(r.act_times) for r in ranks])
+    act_head, ks.act_head = i64(np.zeros(n_ranks, dtype=np.int64))
 
-    # -- channel state ------------------------------------------------------------------
-    qes = np.zeros(C * QUEUE_DEPTH * 7, dtype=np.int64)
-    q_len = np.zeros(C, dtype=np.int64)
-    dem_cnt, bg_cnt, draining = [], [], []
-    bus_free, last_w, fastp, issued, refresh_due = [], [], [], [], []
-    from repro.cpu.batchkernel import _pack_key, _unpack_key
-
-    for ci, ch in enumerate(chans):
-        for j, q in enumerate(ch.queue):
-            grq = ci * R + q.rank
-            base = (ci * QUEUE_DEPTH + j) * 7
-            qes[base + 0] = grq
-            qes[base + 1] = grq * B + q.bank
-            qes[base + 2] = _pack_key(q.rank, q.bank, q.row)
-            qes[base + 3] = 1 if q.is_write else 0
-            qes[base + 4] = q.arrive
-            qes[base + 5] = q.tag
-            qes[base + 6] = 1 if q.demand else 0
-        q_len[ci] = len(ch.queue)
-        dem_cnt.append(ch._demand_count)
-        bg_cnt.append(ch._background_count)
-        draining.append(1 if ch._draining else 0)
-        bus_free.append(ch.bus_free)
-        last_w.append(1 if ch.last_was_write else 0)
-        fastp.append(ch.fast_picks)
-        issued.append(ch.issued_requests)
-        refresh_due.append(ch._refresh_due)
-    hold.append(qes)
-    ks.qes = ffi.cast("int64_t *", qes.ctypes.data)
-    a_qlen, ks.q_len = i64(q_len)
-    a_dem, ks.dem_cnt = i64(dem_cnt)
-    a_bg, ks.bg_cnt = i64(bg_cnt)
-    a_drain, ks.draining = i64(draining)
-    a_busf, ks.bus_free = i64(bus_free)
-    a_lastw, ks.last_w = i64(last_w)
-    a_fastp, ks.fast_picks = i64(fastp)
-    a_issued, ks.issued = i64(issued)
-    a_rdue, ks.refresh_due = i64(refresh_due)
+    # -- channel state (queues start empty: see eligible()) -----------------------------
+    qes, ks.qes = i64(np.zeros(C * QUEUE_DEPTH * 7, dtype=np.int64))
+    a_qlen, ks.q_len = i64(np.zeros(C, dtype=np.int64))
+    a_dem, ks.dem_cnt = i64(np.zeros(C, dtype=np.int64))
+    a_bg, ks.bg_cnt = i64(np.zeros(C, dtype=np.int64))
+    a_drain, ks.draining = i64([ch._draining for ch in chans])
+    a_busf, ks.bus_free = i64([ch.bus_free for ch in chans])
+    a_lastw, ks.last_w = i64([ch.last_was_write for ch in chans])
+    a_fastp, ks.fast_picks = i64([ch.fast_picks for ch in chans])
+    a_issued, ks.issued = i64([ch.issued_requests for ch in chans])
+    a_rdue, ks.refresh_due = i64([ch._refresh_due for ch in chans])
 
     # -- core state ---------------------------------------------------------------------
-    a_done, ks.done = u8([1 if c.done else 0 for c in cores])
-    a_wait, ks.waiting = u8([1 if c.waiting else 0 for c in cores])
-    a_haspend, ks.has_pend = u8([1 if c.pending is not None else 0 for c in cores])
-    a_pendwr, ks.pend_wr = u8(
-        [1 if (c.pending is not None and c.pending[1]) else 0 for c in cores]
-    )
+    a_done, ks.done = u8([c.done for c in cores])
+    a_wait, ks.waiting = u8([c.waiting for c in cores])
+    a_haspend, ks.has_pend = u8([c.pending is not None for c in cores])
+    a_pendwr, ks.pend_wr = u8([c.pending is not None and c.pending[1] for c in cores])
     a_posted, ks.posted = i64([c.outstanding_posted for c in cores])
     a_loads, ks.loads = i64([c.outstanding_loads for c in cores])
     a_instr, ks.instr = i64([c.instructions for c in cores])
-    a_pendaddr, ks.pend_addr = i64(
-        [c.pending[0] if c.pending is not None else 0 for c in cores]
-    )
+    a_pendaddr, ks.pend_addr = i64([c.pending[0] if c.pending is not None else 0 for c in cores])
     ks.done_cnt = sum(1 for c in cores if c.done)
 
     # -- trace buffers ------------------------------------------------------------------
     traces = [c.trace for c in cores]
-    chunk = [512] * n_cores  # doubling prefetch for plain-iterator traces
+    chunk = [_CHUNK_MIN] * n_cores
+    hold_bufs = [None] * n_cores
 
-    def refill(cid):
+    def refill(cid) -> bool:
+        """Load the next trace batch of core *cid*; False when exhausted."""
         tr = traces[cid]
         tb = getattr(tr, "take_batch", None)
         if tb is not None:
             gaps, lines, writes = tb()
-            if not len(gaps):
-                return False
-            gaps = gaps.astype(np.int64, copy=False)
-            deltas = np.maximum(1, np.ceil(gaps / IPC)).astype(np.int64)
-            wr8 = np.ascontiguousarray(writes, dtype=np.uint8)
-            lines = np.ascontiguousarray(lines, dtype=np.int64)
         else:
             items = list(islice(tr, chunk[cid]))
-            if chunk[cid] < 4096:
-                chunk[cid] *= 2
-            if not items:
-                return False
-            g, a, w = zip(*items)
-            gaps = np.asarray(g, dtype=np.int64)
-            lines = np.asarray(a, dtype=np.int64)
-            wr8 = np.asarray(w, dtype=np.uint8)
-            deltas = np.maximum(1, np.ceil(gaps / IPC)).astype(np.int64)
-        hold_bufs[cid] = (gaps, lines, wr8, deltas)
-        ks.buf_gap[cid] = ffi.cast("int64_t *", gaps.ctypes.data)
-        ks.buf_addr[cid] = ffi.cast("int64_t *", lines.ctypes.data)
-        ks.buf_wr[cid] = ffi.cast("uint8_t *", wr8.ctypes.data)
-        ks.buf_dt[cid] = ffi.cast("int64_t *", deltas.ctypes.data)
+            chunk[cid] = min(2 * chunk[cid], _CHUNK_MAX)
+            gaps, lines, writes = zip(*items) if items else ((), (), ())
+        if not len(gaps):
+            return False
+        gaps = np.ascontiguousarray(gaps, dtype=np.int64)
+        bufs = (
+            gaps,
+            np.ascontiguousarray(lines, dtype=np.int64),
+            np.ascontiguousarray(writes, dtype=np.uint8),
+            np.maximum(1, np.ceil(gaps / IPC)).astype(np.int64),
+        )
+        hold_bufs[cid] = bufs
+        ks.buf_gap[cid] = ffi.cast("int64_t *", bufs[0].ctypes.data)
+        ks.buf_addr[cid] = ffi.cast("int64_t *", bufs[1].ctypes.data)
+        ks.buf_wr[cid] = ffi.cast("uint8_t *", bufs[2].ctypes.data)
+        ks.buf_dt[cid] = ffi.cast("int64_t *", bufs[3].ctypes.data)
         ks.buf_i[cid] = 0
         ks.buf_n[cid] = len(gaps)
         return True
 
-    hold_bufs = [None] * n_cores
     for cid in range(n_cores):
         ks.buf_i[cid] = 0
         ks.buf_n[cid] = 0
 
     # -- heap / snapshots / control -----------------------------------------------------
-    heap_arr = np.zeros(HEAP_CAP * 4, dtype=np.int64)
-    hold.append(heap_arr)
-    ks.h = ffi.cast("int64_t *", heap_arr.ctypes.data)
+    _, ks.h = i64(np.zeros(HEAP_CAP * 4, dtype=np.int64))
     ks.h_len, ks.h_cap = 0, HEAP_CAP
     ks.seq = sim._seq
-    snap_cnt = np.zeros(6 * n_ranks, dtype=np.int64)
-    hold.append(snap_cnt)
-    ks.snap_cnt = ffi.cast("int64_t *", snap_cnt.ctypes.data)
+    snap_cnt, ks.snap_cnt = i64(np.zeros(6 * n_ranks, dtype=np.int64))
     ks.now = sim.now
     ks.total = 0
     ks.limit = warmup_instructions
     ks.target = warmup_instructions + measure_instructions
     ks.resume_cid = -1
     ks.resume_now = 0
-    ks.refill_ok = 0
+    ks.resume_ok = 0
     ks.snap_taken = 0
     ks.error = 0
     ks.accesses_64b = mem.accesses_64b
@@ -1190,55 +1084,44 @@ def run_native(sim, warmup_instructions: int, measure_instructions: int) -> SimR
     ks.n_ecc_r = sim.counters.ecc_reads
     ks.n_ecc_w = sim.counters.ecc_writes
 
-    # Initial events: one EV_CORE per core, then the first scrub tick,
-    # in reference push order.
+    # Initial events in reference push order: one EV_CORE per core, the
+    # first scrub tick, then one EV_BURST per scheduled burst.
     for cid in range(n_cores):
-        lib.push_event(ks, 0, 0, cid)
+        lib.push_event(ks, 0, EV_CORE, cid)
     if scrub is not None:
-        lib.push_event(ks, scrub.interval_cycles, 3, 0)
+        lib.push_event(ks, scrub.interval_cycles, EV_SCRUB, 0)
+    for i, (cycle, _, _, _) in enumerate(sim._bursts):
+        lib.push_event(ks, cycle, EV_BURST, i)
 
-    # -- run, servicing refill requests -------------------------------------------------
+    # -- run, servicing refill and window-growth requests -------------------------------
     rc = lib.epoch_run(ks)
-    while rc >= 0:
-        ks.refill_ok = 1 if refill(int(rc)) else 0
+    while rc >= 0 or rc == _RC_GROW_WINDOW:
+        if rc == _RC_GROW_WINDOW:
+            grown = np.zeros(max(2 * len(win), ks.win_need), dtype=np.int64)
+            grown[: len(win)] = win
+            win = grown
+            ks.win_cap = len(win)
+            ks.win = ptr(win)
+            ks.resume_ok = 1
+        else:
+            ks.resume_ok = 1 if refill(int(rc)) else 0
         rc = lib.epoch_run(ks)
-    if rc == -11:
-        raise RuntimeError("channel queue overflow; caller must respect can_accept()")
-    if rc == -12:
-        raise RuntimeError("runaway eviction cascade")
-    if rc == -13:
-        raise RuntimeError("epoch native event heap overflow")
+    if rc in _ERRORS:
+        raise RuntimeError(_ERRORS[rc])
 
     # -- wind-down: mirror the reference's snapshot/finalize order ----------------------
     now = int(ks.now)
+    live = [
+        int(ks.total), now, int(ks.accesses_64b), int(ks.hits), int(ks.misses),
+        int(ks.n_data_r), int(ks.n_data_w), int(ks.n_ecc_r), int(ks.n_ecc_w),
+    ]
+    end = list(ks.end_scalars) if rc == _RC_TARGET else live
     if ks.snap_taken:
-        snap = [snap_cnt[i * n_ranks : (i + 1) * n_ranks].tolist() for i in range(6)]
-        ss = list(ks.snap_scalars)
-        snap_state = dict(
-            instructions=ss[0], cycles=ss[1], accesses=ss[2], hits=ss[3],
-            misses=ss[4], counters=(ss[5], ss[6], ss[7], ss[8]),
-        )
+        snap = snap_cnt.reshape(6, n_ranks).tolist()
+        start = list(ks.snap_scalars)
     else:  # trace shorter than warm-up: measure everything
-        snap = [
-            a_cact.tolist(), a_crd.tolist(), a_cwr.tolist(),
-            a_cactive.tolist(), a_cstandby.tolist(), a_cpdown.tolist(),
-        ]
-        snap_state = dict(
-            instructions=0, cycles=0, accesses=0, hits=0, misses=0,
-            counters=(0, 0, 0, 0),
-        )
-    if rc == -2:
-        es = list(ks.end_scalars)
-    else:
-        es = [
-            int(ks.total), now, int(ks.accesses_64b), int(ks.hits),
-            int(ks.misses), int(ks.n_data_r), int(ks.n_data_w),
-            int(ks.n_ecc_r), int(ks.n_ecc_w),
-        ]
-    end_state = dict(
-        instructions=es[0], cycles=es[1], accesses=es[2], hits=es[3],
-        misses=es[4], counters=(es[5], es[6], es[7], es[8]),
-    )
+        snap = [a.tolist() for a in (a_cact, a_crd, a_cwr, a_cactive, a_cstandby, a_cpdown)]
+        start = [0] * 9
 
     # -- export flat state back into the live objects -----------------------------------
     llc._clock = int(ks.clock)
@@ -1251,47 +1134,34 @@ def run_native(sim, warmup_instructions: int, measure_instructions: int) -> SimR
     llc._kind[:] = [_KINDS[v] for v in l_kind.tolist()]
     llc._fill[:] = l_fill.tolist()
     llc._where.clear()
-    live = wh_keys >= 0
-    llc._where.update(zip(wh_keys[live].tolist(), wh_vals[live].tolist()))
+    occupied = wh_keys >= 0
+    llc._where.update(zip(wh_keys[occupied].tolist(), wh_vals[occupied].tolist()))
 
-    from collections import deque
-
-    gr = 0
+    for gr, r in enumerate(ranks):
+        r.bank_ready[:] = a_bank_ready[gr * B : (gr + 1) * B].tolist()
+        al, head = int(act_len[gr]), int(act_head[gr])
+        r.act_times = deque(
+            (int(act_ring[gr * 4 + ((head + i) & 3)]) for i in range(al)), maxlen=4
+        )
+        r.busy_until = int(a_busy[gr])
+        r.accounted_to = int(a_acct[gr])
+        r.next_refresh = int(a_nref[gr])
+        r.refreshes = int(a_refs[gr])
+        rcnt = r.counters
+        rcnt.activates = int(a_cact[gr])
+        rcnt.read_bursts = int(a_crd[gr])
+        rcnt.write_bursts = int(a_cwr[gr])
+        rcnt.cycles_active = int(a_cactive[gr])
+        rcnt.cycles_precharge_standby = int(a_cstandby[gr])
+        rcnt.cycles_powerdown = int(a_cpdown[gr])
     for ci, ch in enumerate(chans):
-        for r in ch.ranks:
-            r.bank_ready[:] = a_bank_ready[gr * B : (gr + 1) * B].tolist()
-            al, head = int(act_len[gr]), int(a_acthead[gr])
-            r.act_times = deque(
-                (int(act_ring[gr * 4 + ((head + i) & 3)]) for i in range(al)),
-                maxlen=4,
-            )
-            r.busy_until = int(a_busy[gr])
-            r.accounted_to = int(a_acct[gr])
-            r.next_refresh = int(a_nref[gr])
-            r.refreshes = int(a_refs[gr])
-            rcnt = r.counters
-            rcnt.activates = int(a_cact[gr])
-            rcnt.read_bursts = int(a_crd[gr])
-            rcnt.write_bursts = int(a_cwr[gr])
-            rcnt.cycles_active = int(a_cactive[gr])
-            rcnt.cycles_precharge_standby = int(a_cstandby[gr])
-            rcnt.cycles_powerdown = int(a_cpdown[gr])
-            gr += 1
-        ql = int(a_qlen[ci])
+        entries = qes[ci * QUEUE_DEPTH * 7 : (ci * QUEUE_DEPTH + int(a_qlen[ci])) * 7]
         queue = []
         pend: "dict[tuple, int]" = {}
-        for j in range(ql):
-            base = (ci * QUEUE_DEPTH + j) * 7
-            rank, bank, row = _unpack_key(int(qes[base + 2]))
-            key = (rank, bank, row)
+        for _, _, pk, wr, arrive, tag, dem in entries.reshape(-1, 7).tolist():
+            key = _unpack_key(pk)
             queue.append(
-                MemRequest(
-                    rank=rank, bank=bank, row=row,
-                    is_write=bool(qes[base + 3]),
-                    arrive=int(qes[base + 4]),
-                    tag=int(qes[base + 5]),
-                    demand=bool(qes[base + 6]),
-                )
+                MemRequest(*key, is_write=bool(wr), arrive=arrive, tag=tag, demand=bool(dem))
             )
             pend[key] = pend.get(key, 0) + 1
         ch.queue = queue
@@ -1308,11 +1178,11 @@ def run_native(sim, warmup_instructions: int, measure_instructions: int) -> SimR
     sim.now = now
     sim._seq = int(ks.seq)
     sim.total_instructions = int(ks.total)
-    sim.counters = AccessCounters(
-        int(ks.n_data_r), int(ks.n_data_w), int(ks.n_ecc_r), int(ks.n_ecc_w)
-    )
+    sim.counters = AccessCounters(*live[5:])
     sim._scrub_cursor = int(ks.scrub_cursor)
     sim.scrub_reads = int(ks.scrub_reads)
+    if sim.ipc_window:
+        sim._window_instr[:] = win[: ks.win_len].tolist()
     for cid, core in enumerate(cores):
         core.done = bool(a_done[cid])
         core.waiting = bool(a_wait[cid])
@@ -1320,22 +1190,13 @@ def run_native(sim, warmup_instructions: int, measure_instructions: int) -> SimR
         core.outstanding_loads = int(a_loads[cid])
         core.instructions = int(a_instr[cid])
         core.pending = (
-            (int(a_pendaddr[cid]), bool(a_pendwr[cid]))
-            if a_haspend[cid]
-            else None
+            (int(a_pendaddr[cid]), bool(a_pendwr[cid])) if a_haspend[cid] else None
         )
 
     mem.finalize(now)
     baseline = [
         [
-            RankEnergyCounters(
-                activates=snap[0][ci * R + ri],
-                read_bursts=snap[1][ci * R + ri],
-                write_bursts=snap[2][ci * R + ri],
-                cycles_active=snap[3][ci * R + ri],
-                cycles_precharge_standby=snap[4][ci * R + ri],
-                cycles_powerdown=snap[5][ci * R + ri],
-            )
+            RankEnergyCounters(*(snap[f][ci * R + ri] for f in range(6)))
             for ri in range(R)
         ]
         for ci in range(C)
@@ -1343,19 +1204,12 @@ def run_native(sim, warmup_instructions: int, measure_instructions: int) -> SimR
     energy = mem.energy_since(baseline)
     if obs_armed:
         sim._emit_run_telemetry(perf_counter() - wall0, int(ks.seq) - seq0)
-    c0 = snap_state["counters"]
-    c1 = end_state["counters"]
     return SimResult(
-        instructions=end_state["instructions"] - snap_state["instructions"],
-        cycles=end_state["cycles"] - snap_state["cycles"],
+        instructions=end[0] - start[0],
+        cycles=end[1] - start[1],
         energy=energy,
-        accesses_64b=end_state["accesses"] - snap_state["accesses"],
-        counters=AccessCounters(
-            data_reads=c1[0] - c0[0],
-            data_writes=c1[1] - c0[1],
-            ecc_reads=c1[2] - c0[2],
-            ecc_writes=c1[3] - c0[3],
-        ),
-        llc_hits=end_state["hits"] - snap_state["hits"],
-        llc_misses=end_state["misses"] - snap_state["misses"],
+        accesses_64b=end[2] - start[2],
+        counters=AccessCounters(*(e - s for e, s in zip(end[5:], start[5:]))),
+        llc_hits=end[3] - start[3],
+        llc_misses=end[4] - start[4],
     )

@@ -371,20 +371,25 @@ class SimSystem:
     ) -> SimResult:
         """Simulate until the instruction budget is spent; return measured stats.
 
-        *kernel* selects the execution engine: ``"epoch"`` (the batched
-        kernel in :mod:`repro.cpu.batchkernel`, the default) or
+        *kernel* selects the execution engine: ``"epoch"`` (the compiled
+        kernel in :mod:`repro.cpu.epochnative`, the default) or
         ``"event"`` (the event-driven reference loop).  Unset, the
-        ``REPRO_SIM_KERNEL`` knob decides.  Both produce bit-identical
-        results; a system whose event heap is already populated (an
-        interrupted or resumed run) always takes the reference loop, the
-        one serialization the batched kernel does not model.
+        ``REPRO_SIM_KERNEL`` knob decides.  The two implementations are
+        bit-identical; the epoch kernel falls back to the reference loop
+        when no compiler is available or the system is outside its scope
+        (``epochnative.eligible``: e.g. a populated event heap from an
+        interrupted run).
         """
         kernel = envcfg.sim_kernel(kernel)
         with trace.span("sim.run", "sim", kernel=kernel):
-            if kernel == "epoch" and not self._heap:
-                from repro.cpu import batchkernel  # lazy: batchkernel imports this module
+            if kernel == "epoch":
+                from repro.cpu import epochnative  # lazy: epochnative imports this module
 
-                return batchkernel.run_epoch(self, warmup_instructions, measure_instructions)
+                if epochnative.eligible(self) and epochnative.available():
+                    with trace.span("sim.epoch", "sim"):
+                        return epochnative.run_native(
+                            self, warmup_instructions, measure_instructions
+                        )
             return self._run_reference(warmup_instructions, measure_instructions)
 
     def _run_reference(self, warmup_instructions: int, measure_instructions: int) -> SimResult:

@@ -15,11 +15,11 @@ can integrate them after the run.
 
 .. warning:: The scheduling rules in this module (earliest-start timing,
    Most_Pending pick order, write-drain hysteresis, refresh accounting)
-   are mirrored by the epoch-batched kernel in ``repro.cpu.batchkernel``
-   and its compiled core in ``repro.cpu.epochnative``, which are held to
-   *bit-identical* results by ``tests/test_epoch_kernel.py``.  Any change
-   here must be replicated in both mirrors or the identity tests will
-   fail.
+   have two implementations: this module (driven by the event-loop
+   oracle) and the compiled epoch kernel in ``repro.cpu.epochnative``,
+   held to *bit-identical* results by ``tests/test_epoch_kernel.py``.
+   Any change here must be replicated in the C core or the identity
+   tests will fail.
 """
 
 from __future__ import annotations

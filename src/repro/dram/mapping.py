@@ -29,12 +29,6 @@ class DramCoord(NamedTuple):
 #: workload footprint per config cell of an evaluation matrix.
 _SHARED_TABLES: "dict[tuple, dict]" = {}
 
-#: Same idea for the epoch kernel's packed-decode memo
-#: (addr -> (channel, global_rank, global_bank, packed_key)); keyed
-#: additionally by the channel bank count because the flat global-bank
-#: index depends on the memory system's geometry, not only the mapping's.
-_PACKED_TABLES: "dict[tuple, dict]" = {}
-
 
 @dataclass(frozen=True)
 class AddressMapping:
@@ -90,18 +84,6 @@ class AddressMapping:
             self.hot_arena_base_line,
             self.hot_ranks,
         )
-
-    def packed_cache(self, channel_banks: int) -> "dict[int, tuple]":
-        """The shared packed-decode memo used by ``repro.cpu.batchkernel``.
-
-        *channel_banks* (banks per rank of the owning memory system) is
-        part of the key because the packed global-bank index depends on it.
-        """
-        key = self._table_key() + (channel_banks,)
-        table = _PACKED_TABLES.get(key)
-        if table is None:
-            table = _PACKED_TABLES[key] = {}
-        return table
 
     @property
     def lines_per_page(self) -> int:

@@ -6,10 +6,10 @@ event loop, and per-rank command/residency counters are integrated into an
 :class:`~repro.dram.power.EnergyBreakdown` at the end of a run.
 
 .. warning:: Enqueue/decode behaviour here (address mapping dispatch,
-   64-byte access accounting, finalize-time residency flush) is mirrored
-   by ``repro.cpu.batchkernel`` and ``repro.cpu.epochnative`` under the
-   bit-identity contract enforced by ``tests/test_epoch_kernel.py``;
-   changes must land in all three places together.
+   64-byte access accounting, finalize-time residency flush) has a second
+   implementation in the compiled epoch kernel ``repro.cpu.epochnative``,
+   under the bit-identity contract enforced by
+   ``tests/test_epoch_kernel.py``; changes must land in both together.
 """
 
 from __future__ import annotations

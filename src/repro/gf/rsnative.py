@@ -18,12 +18,12 @@ handles every configuration.  Both paths are bit-identical to the scalar
 Sugiyama oracle (``ReedSolomon.decode_reference``);
 ``tests/test_rs_batched.py`` pins all three against each other.
 
-Build model mirrors :mod:`repro.cpu.epochnative`: the C source below is
-compiled once per source hash into ``src/repro/gf/_native/`` (gitignored)
-and memoized process-wide.  Compilation failures degrade silently to the
-NumPy path - ``REPRO_GF_NATIVE=on`` turns that into a hard error,
-``off`` disables the native path outright, and the default ``auto`` uses
-it when available and eligible.
+Build model (:class:`repro.util.native.NativeCore`): the C source below
+is compiled once per source hash into ``src/repro/gf/_native/``
+(gitignored) and memoized process-wide.  Compilation failures degrade
+silently to the NumPy path - ``REPRO_GF_NATIVE=on`` turns that into a
+hard error, ``off`` disables the native path outright, and the default
+``auto`` uses it when available and eligible.
 
 Identity-critical conventions shared with the NumPy batch kernel:
 
@@ -37,10 +37,11 @@ Identity-critical conventions shared with the NumPy batch kernel:
 
 from __future__ import annotations
 
-import hashlib
 import os
 
 import numpy as np
+
+from repro.util.native import NativeCore
 
 #: Max check symbols (2t) the fixed-size per-word stack buffers support.
 RS_MAXCHK = 64
@@ -230,60 +231,15 @@ void rs_decode_batch(const rs_ctx *rs, uint16_t *words, const uint16_t *synd,
 }
 """
 
-_BUILD_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_native")
-
-_lib = None
-_ffi = None
-_load_attempted = False
-
-
-def _source_tag() -> str:
-    return hashlib.sha1((_CDEF + _CSRC).encode()).hexdigest()[:12]
-
-
-def _load():
-    """Compile (once) and import the native core; None when unavailable."""
-    global _lib, _ffi, _load_attempted
-    if _load_attempted:
-        return _lib
-    _load_attempted = True
-    try:
-        import importlib.util
-
-        from cffi import FFI
-
-        modname = f"_rscore_{_source_tag()}"
-        sofile = None
-        if os.path.isdir(_BUILD_DIR):
-            for fn in os.listdir(_BUILD_DIR):
-                if fn.startswith(modname) and fn.endswith(".so"):
-                    sofile = os.path.join(_BUILD_DIR, fn)
-                    break
-        ffi = FFI()
-        ffi.cdef(_CDEF)
-        if sofile is None:
-            # Build in a per-process scratch dir, then publish atomically so
-            # concurrent workers never import a half-written extension.
-            tmpdir = os.path.join(_BUILD_DIR, f"build-{os.getpid()}")
-            os.makedirs(tmpdir, exist_ok=True)
-            ffi.set_source(modname, _CSRC, extra_compile_args=["-O2"])
-            built = ffi.compile(tmpdir=tmpdir)
-            final = os.path.join(_BUILD_DIR, os.path.basename(built))
-            os.replace(built, final)
-            sofile = final
-        spec = importlib.util.spec_from_file_location(modname, sofile)
-        mod = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(mod)
-        _ffi = mod.ffi
-        _lib = mod.lib
-    except Exception:  # no compiler / sandboxed build dir / import failure
-        _lib = None
-    return _lib
+_CORE = NativeCore(
+    "_rscore", _CDEF, _CSRC,
+    os.path.join(os.path.dirname(os.path.abspath(__file__)), "_native"),
+)
 
 
 def available() -> bool:
     """True when the compiled core is importable (builds on first call)."""
-    return _load() is not None
+    return _CORE.available()
 
 
 def native_mode() -> str:
@@ -358,15 +314,16 @@ def _ctx(ffi, rs, setup: "dict | None") -> "tuple[object, list]":
 
 def syndromes(rs, flat: np.ndarray) -> np.ndarray:
     """Batched syndromes over the compiled core: ``(W, n) -> (W, 2t)``."""
-    lib = _load()
+    mod = _CORE.load()
+    ffi = mod.ffi
     buf = np.ascontiguousarray(flat, dtype=np.uint16)
     out = np.empty((buf.shape[0], rs.num_check), dtype=np.uint16)
-    ctx, hold = _ctx(_ffi, rs, None)
-    lib.rs_syndromes(
+    ctx, hold = _ctx(ffi, rs, None)
+    mod.lib.rs_syndromes(
         ctx,
-        _ffi.cast("const uint16_t *", buf.ctypes.data),
+        ffi.cast("const uint16_t *", buf.ctypes.data),
         buf.shape[0],
-        _ffi.cast("uint16_t *", out.ctypes.data),
+        ffi.cast("uint16_t *", out.ctypes.data),
     )
     del hold
     return out.astype(rs.field.dtype)
@@ -380,19 +337,20 @@ def decode_batch(
     Same contract as ``ReedSolomon._decode_batch``: corrects ``flat`` rows
     in place for words that pass, returns per-dirty-word ``(ok, n_corrected)``.
     """
-    lib = _load()
+    mod = _CORE.load()
+    ffi = mod.ffi
     buf = np.ascontiguousarray(flat[didx], dtype=np.uint16)
     sd = np.ascontiguousarray(synd[didx], dtype=np.uint16)
     ok = np.zeros(didx.size, dtype=np.uint8)
     ncorr = np.zeros(didx.size, dtype=np.int64)
-    ctx, hold = _ctx(_ffi, rs, setup)
-    lib.rs_decode_batch(
+    ctx, hold = _ctx(ffi, rs, setup)
+    mod.lib.rs_decode_batch(
         ctx,
-        _ffi.cast("uint16_t *", buf.ctypes.data),
-        _ffi.cast("const uint16_t *", sd.ctypes.data),
+        ffi.cast("uint16_t *", buf.ctypes.data),
+        ffi.cast("const uint16_t *", sd.ctypes.data),
         didx.size,
-        _ffi.cast("uint8_t *", ok.ctypes.data),
-        _ffi.cast("int64_t *", ncorr.ctypes.data),
+        ffi.cast("uint8_t *", ok.ctypes.data),
+        ffi.cast("int64_t *", ncorr.ctypes.data),
     )
     del hold
     flat[didx] = buf.astype(rs.field.dtype)

@@ -274,8 +274,9 @@ def task_timeout(explicit: "float | None" = None) -> "float | None":
 
 
 def sim_kernel(explicit: "str | None" = None) -> str:
-    """Resolve the timing-simulation kernel: ``epoch`` (batched, default)
-    or ``event`` (the event-driven reference loop).
+    """Resolve the timing-simulation kernel: ``epoch`` (the compiled
+    core, default; the event loop on hosts without a compiler) or
+    ``event`` (the event-driven reference loop).
 
     An explicit caller argument wins; otherwise ``REPRO_SIM_KERNEL``
     applies.  Anything else raises eagerly.
@@ -284,19 +285,6 @@ def sim_kernel(explicit: "str | None" = None) -> str:
     value = value.strip() or "epoch"
     if value not in ("event", "epoch"):
         raise ValueError(f"REPRO_SIM_KERNEL must be 'event' or 'epoch', got {value!r}")
-    return value
-
-
-def sim_native(explicit: "str | None" = None) -> str:
-    """Resolve the epoch kernel's compiled-core policy: ``auto`` (default,
-    use the cffi core when the configuration is eligible and a compiler is
-    available), ``off`` (always the Python epoch loop), or ``on`` (require
-    the compiled core; error out rather than fall back).
-    """
-    value = explicit if explicit is not None else os.environ.get("REPRO_SIM_NATIVE", "")
-    value = value.strip() or "auto"
-    if value not in ("auto", "off", "on"):
-        raise ValueError(f"REPRO_SIM_NATIVE must be 'auto', 'off' or 'on', got {value!r}")
     return value
 
 
@@ -595,15 +583,8 @@ register(
     "REPRO_SIM_KERNEL",
     "event|epoch",
     "epoch",
-    "timing-simulation kernel: epoch-batched fast path or the event-driven reference",
+    "timing-simulation kernel: compiled epoch core (event loop without a compiler) or the event-driven reference",
     lambda: sim_kernel(),
-)
-register(
-    "REPRO_SIM_NATIVE",
-    "auto|off|on",
-    "auto",
-    "epoch kernel's compiled core: auto-detect, disable, or require (no fallback)",
-    lambda: sim_native(),
 )
 register(
     "REPRO_GF_NATIVE",
