@@ -42,9 +42,11 @@ coalesces small tasks into batched *super-tasks* (``REPRO_TASK_BATCH``:
 cost-calibrated ``auto``, ``off``, or a fixed size).  Inside a super-task
 every inner task keeps its own identity: per-inner chaos injection,
 retry/timeout attribution, and telemetry events are unchanged, and inner
-results stream back through a crash-safe spool file in a compact binary
-codec (:mod:`repro.experiments.resultcodec`) instead of pickled object
-graphs — a worker that dies mid-batch loses only its unfinished inners.
+results stream back through a crash-safe spool file of CRC-framed
+:mod:`repro.experiments.resultcodec` records — the record format of the
+supervisor's journal too — instead of pickled object graphs: a worker
+that dies mid-batch loses only its unfinished inners, and a damaged
+record is recomputed, never settled.
 Workers are kept *warm*: a pool initializer (re-applied on every rebuild)
 pre-imports the sim stack and primes per-process caches, so rebuilt pools
 do not pay cold-start per cell.
@@ -65,6 +67,7 @@ import math
 import os
 import pickle
 import shutil
+import signal
 import tempfile
 import time
 from collections import deque
@@ -231,14 +234,6 @@ def _obs_task(cfg, chaos, worker, index, attempt, payload):
     return _WorkerReport(os.getpid(), round(time.perf_counter() - t0, 6)), result
 
 
-#: Spool record kinds (aliases of the shared framed-record layer in
-#: :mod:`repro.experiments.resultcodec`): a codec-encoded result, a
-#: pickled worker exception, or a codec-encoded result that a ``corrupt``
-#: chaos fault wrapped.
-_REC_OK = resultcodec.KIND_OK
-_REC_EXC = resultcodec.KIND_EXC
-_REC_CORRUPT = resultcodec.KIND_CORRUPT
-
 #: Sentinel a super-task returns through the pool: the real results
 #: travelled through the spool file, not the pickled future.
 _SUPER_DONE = "__super_done__"
@@ -249,8 +244,9 @@ def _run_super(cfg, chaos, worker, tasks, spool):
 
     *tasks* is an ordered list of ``(index, attempt, payload)`` inner
     tasks.  Each inner task runs under its own chaos/attempt identity and
-    appends one self-delimiting record to *spool* with a single
-    ``os.write`` (O_APPEND), so a ``crash`` fault killing the process via
+    appends one :func:`resultcodec.frame` record ``(index, wall_s, pid,
+    span_id, kind, blob)`` to *spool* with a single ``os.write``
+    (O_APPEND), so a ``crash`` fault killing the process via
     ``os._exit`` mid-batch leaves every already-finished inner result
     durable on disk — the parent recovers them without recomputation.
     Inner exceptions are captured per record; only the whole-batch
@@ -264,7 +260,7 @@ def _run_super(cfg, chaos, worker, tasks, spool):
     try:
         for index, attempt, payload in tasks:
             t1 = time.perf_counter()
-            kind = _REC_OK
+            kind = resultcodec.KIND_OK
             task_span = trace.start_span("engine.task", "compute", index=index, attempt=attempt)
             try:
                 if chaos:
@@ -273,7 +269,7 @@ def _run_super(cfg, chaos, worker, tasks, spool):
                     result = worker(*payload)
             except Exception as exc:
                 task_span.end(error=repr(exc))
-                kind = _REC_EXC
+                kind = resultcodec.KIND_EXC
                 try:
                     blob = pickle.dumps(exc, protocol=pickle.HIGHEST_PROTOCOL)
                 except Exception:
@@ -281,44 +277,16 @@ def _run_super(cfg, chaos, worker, tasks, spool):
             else:
                 task_span.end()
                 if isinstance(result, chaos_mod.Corrupted):
-                    kind = _REC_CORRUPT
+                    kind = resultcodec.KIND_CORRUPT
                     result = result.original
                 with trace.span("engine.encode", "codec", index=index):
                     blob = resultcodec.encode(result)
             wall = round(time.perf_counter() - t1, 6)
-            os.write(
-                fd, resultcodec.pack_frame(index, wall, pid, kind, blob, task_span.span_id)
-            )
+            os.write(fd, resultcodec.frame((index, wall, pid, task_span.span_id, kind, blob)))
     finally:
         batch_span.end()
         os.close(fd)
     return _WorkerReport(pid, round(time.perf_counter() - t0, 6)), _SUPER_DONE
-
-
-def _read_spool_from(path, offset: int) -> "tuple[dict[int, resultcodec.Frame], int]":
-    """Parse complete spool records from byte *offset* on.
-
-    Returns ``({index: Frame}, new_offset)`` where *new_offset* is the end
-    of the last complete record.  Stops at the first truncated record:
-    each record is one ``os.write``, so a torn tail is either a write
-    still in flight (the next read picks it up from the same offset) or a
-    file that vanished mid-read — everything before it is trustworthy
-    either way.
-    """
-    try:
-        with open(path, "rb") as fh:
-            fh.seek(offset)
-            data = fh.read()
-    except OSError:
-        return {}, offset
-    frames, consumed = resultcodec.unpack_frames(data)
-    return {frame.index: frame for frame in frames}, offset + consumed
-
-
-def _read_spool(path) -> "dict[int, resultcodec.Frame]":
-    """Parse a whole super-task spool into ``{index: Frame}``."""
-    records, _ = _read_spool_from(path, 0)
-    return records
 
 
 def _apply_warm(warm) -> None:
@@ -338,8 +306,12 @@ def _pool_init(cfg, warm) -> None:
     Under the fork start method workers already inherit the parent's
     imports and caches (the parent runs the warm hint before building the
     first pool); this keeps spawned workers and post-rebuild pools equally
-    warm.
+    warm.  SIGTERM goes back to its default action: a forked worker
+    inherits the driver's handlers, and the supervisor's flag-only one
+    would turn :func:`_kill_pool`'s ``terminate()`` of a hung worker into
+    a no-op.
     """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     obs.ensure_worker(cfg)
     _apply_warm(warm)
 
@@ -448,7 +420,7 @@ class _Flight:
         self.entries = entries  #: ordered [(index, attempt)] unsettled inner tasks
         self.spool = spool  #: spool path for super-tasks, None for singles
         self.deadline = deadline  #: monotonic expiry, None when untimed
-        self.progress = 0  #: spool bytes already parsed and settled
+        self.progress = 0  #: spool offset after the last CRC-clean record read
 
 
 def _run_serial(worker, payloads, tasks, retries, backoff, validate, failures, fail_fast):
@@ -620,25 +592,62 @@ def _run_pooled(
             _backoff_sleep(backoff, attempt)
             pending.append((index, attempt + 1))
 
-    def _settle_record(index, attempt, rec):
-        """Decode one spool record (a :class:`resultcodec.Frame`);
-        returns (yieldable, value)."""
-        if rec.kind == _REC_EXC:
+    def _settle_record(attempt, record):
+        """Decode one spool record; returns (yieldable, value)."""
+        index, wall, pid, _span, kind, blob = record
+        if kind == resultcodec.KIND_EXC:
             try:
-                exc = pickle.loads(rec.blob)
+                exc = pickle.loads(blob)
             except Exception:
                 exc = RuntimeError("worker exception could not be decoded")
             _settle_error(index, attempt, exc)
             return False, None
         try:
             with trace.span("engine.decode", "codec", index=index):
-                value = resultcodec.decode(rec.blob)
+                value = resultcodec.decode(blob)
         except Exception as exc:
             _settle_error(index, attempt, RuntimeError(f"result decode failed: {exc}"))
             return False, None
-        if rec.kind == _REC_CORRUPT:
+        if kind == resultcodec.KIND_CORRUPT:
             value = chaos_mod.Corrupted(value)
-        return _settle_ok(index, attempt, value, rec.pid, rec.wall_s)
+        return _settle_ok(index, attempt, value, pid, wall)
+
+    def _drain(flight):
+        """Settle every inner result appended to *flight*'s spool since the
+        last read, leaving the unfinished inners in ``flight.entries``.
+
+        New records are progress and re-arm the flight's deadline.
+        """
+        records, end, _ = resultcodec.read_frames(flight.spool, flight.progress)
+        if end == flight.progress:
+            return
+        flight.progress = end
+        if timeout:
+            flight.deadline = time.monotonic() + timeout
+        finished = {record[0]: record for record in records}
+        remaining = []
+        for index, attempt in flight.entries:
+            record = finished.get(index)
+            if record is None:
+                remaining.append((index, attempt))
+                continue
+            yieldable, value = _settle_record(attempt, record)
+            if yieldable:
+                yield index, value
+        flight.entries = remaining
+
+    def _retire(flight, charge=None):
+        """Drain a super-task that left the pool, then hand back its
+        unfinished inners: the first to *charge* (the inner its worker
+        stopped in), the rest requeued uncharged."""
+        yield from _drain(flight)
+        entries = flight.entries
+        if charge is not None and entries:
+            charge(*entries[0])
+            entries = entries[1:]
+        for index, attempt in entries:
+            _requeue(index, attempt)
+        _drop_spool(flight.spool)
 
     def _charge_timeout(index, attempt):
         nonlocal consecutive_rebuilds
@@ -741,53 +750,23 @@ def _run_pooled(
                         if yieldable:
                             yield index, value
                 else:
-                    records = _read_spool(flight.spool)
                     if status == "broken":
                         broken = True
-                    first_unsettled = True
-                    for index, attempt in flight.entries:
-                        rec = records.get(index)
-                        if rec is not None:
-                            yieldable, value = _settle_record(index, attempt, rec)
-                            if yieldable:
-                                yield index, value
-                        elif status == "error" and first_unsettled:
-                            # The super-task envelope itself raised (spool
-                            # I/O, teardown): the first unfinished inner is
-                            # where it stopped; it is charged, the rest
-                            # never ran and are requeued uncharged.
-                            first_unsettled = False
-                            _settle_error(index, attempt, value)
-                        else:
-                            _requeue(index, attempt)
-                    _drop_spool(flight.spool)
+                    # The super-task envelope itself raised (spool I/O,
+                    # teardown): its first unfinished inner is charged.
+                    charge = None
+                    if status == "error":
+                        charge = lambda i, a: _settle_error(i, a, value)
+                    yield from _retire(flight, charge)
 
             # 4. Drain running super-tasks: an inner result that reached the
             #    spool settles immediately — its retry or its yield must not
             #    wait for siblings (a hang would delay it a full timeout and
-            #    skew the rebuild/degradation accounting vs singles).  New
-            #    records are also progress and re-arm the deadline.
+            #    skew the rebuild/degradation accounting vs singles).
             if not broken:
                 for flight in inflight.values():
-                    if flight.spool is None:
-                        continue
-                    records, offset = _read_spool_from(flight.spool, flight.progress)
-                    if offset <= flight.progress:
-                        continue
-                    flight.progress = offset
-                    if timeout:
-                        flight.deadline = time.monotonic() + timeout
-                    if records:
-                        remaining = []
-                        for index, attempt in flight.entries:
-                            rec = records.get(index)
-                            if rec is None:
-                                remaining.append((index, attempt))
-                                continue
-                            yieldable, value = _settle_record(index, attempt, rec)
-                            if yieldable:
-                                yield index, value
-                        flight.entries = remaining
+                    if flight.spool is not None:
+                        yield from _drain(flight)
 
             # 5. Expire deadlines: a hung worker never completes on its own,
             #    and the only way to reclaim it is to rebuild the pool.  A
@@ -806,25 +785,9 @@ def _run_pooled(
                     for fut in expired:
                         flight = inflight.pop(fut)
                         if flight.spool is None:
-                            (index, attempt) = flight.entries[0]
-                            _charge_timeout(index, attempt)
+                            _charge_timeout(*flight.entries[0])
                         else:
-                            records = _read_spool(flight.spool)
-                            hung_charged = False
-                            for index, attempt in flight.entries:
-                                rec = records.get(index)
-                                if rec is not None:
-                                    yieldable, value = _settle_record(index, attempt, rec)
-                                    if yieldable:
-                                        yield index, value
-                                elif not hung_charged:
-                                    # The first inner without a record is
-                                    # the one the worker is stuck inside.
-                                    hung_charged = True
-                                    _charge_timeout(index, attempt)
-                                else:
-                                    _requeue(index, attempt)
-                            _drop_spool(flight.spool)
+                            yield from _retire(flight, _charge_timeout)
 
             # 6. Rebuild the pool, or degrade to serial when it keeps dying.
             if broken:
@@ -849,16 +812,7 @@ def _run_pooled(
                     else:
                         # Whatever reached the spool is durable: settle the
                         # finished inners, requeue only the unfinished rest.
-                        records = _read_spool(flight.spool)
-                        for index, attempt in flight.entries:
-                            rec = records.get(index)
-                            if rec is not None:
-                                yieldable, value = _settle_record(index, attempt, rec)
-                                if yieldable:
-                                    yield index, value
-                            else:
-                                _requeue(index, attempt)
-                        _drop_spool(flight.spool)
+                        yield from _retire(flight)
                 inflight.clear()
                 rebuild_span = trace.start_span("engine.rebuild", "retry", pending=len(pending))
                 _kill_pool(pool)

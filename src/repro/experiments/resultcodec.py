@@ -17,20 +17,22 @@ Values the fast tags cannot represent exactly (arbitrary objects, huge
 ints, type subclasses) fall back to an embedded pickle frame, so the
 codec never rejects a result, it only stops being fast.
 
-On top of the value codec sits the **framed-record layer** used by the
-super-task spool (and salvaged by the campaign supervisor): fixed-header
-records carrying per-task attribution — index, wall seconds, worker pid,
-the emitting span id (:mod:`repro.obs.trace`; zero when tracing is off)
-— plus a kind tag and a length-prefixed payload blob.  Each frame is
-written with a single ``os.write`` on an O_APPEND descriptor, so a
-reader never sees an interleaved frame, only a truncated tail.
+On top of the value codec sits the one **framed record** both recovery
+logs store — the super-task spool and the supervisor's journal: a
+``<II>`` header (CRC32 of the payload, then its length) followed by one
+codec-encoded tuple.  :func:`frame` builds it; each frame is written
+with a single ``os.write`` on an O_APPEND descriptor, so a reader never
+sees an interleaved frame, only a torn tail.  :func:`read_frames` is the
+one reader: offset-resumable, and a record is trusted only after its
+CRC checks, so a flipped bit ends the readable prefix instead of
+becoming a result.
 """
 
 from __future__ import annotations
 
 import pickle
 import struct
-from typing import NamedTuple
+import zlib
 
 import numpy as np
 
@@ -200,71 +202,50 @@ def decode(data: "bytes | memoryview") -> object:
 
 
 # --------------------------------------------------------------------------
-# Framed-record layer (super-task spools, supervisor salvage)
+# Framed records: the one on-disk format of the spool and the journal
 
-#: Frame kinds: a codec-encoded result, a pickled worker exception, or a
-#: codec-encoded result that a ``corrupt`` chaos fault wrapped.
+#: Spool record kinds: a codec-encoded result, a pickled worker exception,
+#: or a codec-encoded result that a ``corrupt`` chaos fault wrapped.
 KIND_OK, KIND_EXC, KIND_CORRUPT = 0, 1, 2
 
-#: ``(index, wall_s, pid, span, kind, blob_len)`` then ``blob_len`` bytes.
-#: ``span`` is the emitting trace span id as a u64 (0 = tracing off).
-_FRAME_HEADER = struct.Struct("<qdqQBI")
-
-FRAME_HEADER_SIZE = _FRAME_HEADER.size
+#: Frame header: CRC32 of the payload, then its byte length.
+_FRAME = struct.Struct("<II")
 
 
-class Frame(NamedTuple):
-    """One decoded framed record (payload still an encoded blob)."""
-
-    index: int
-    wall_s: float
-    pid: int
-    span: "str | None"  #: emitting span id (16 hex) or None when untraced
-    kind: int
-    blob: bytes
+def frame(record: tuple) -> bytes:
+    """*record* as one CRC-framed blob, ready for a single append write."""
+    blob = encode(record)
+    return _FRAME.pack(zlib.crc32(blob), len(blob)) + blob
 
 
-def span_to_u64(span_id: "str | None") -> int:
-    """A 16-hex span id (:func:`repro.obs.trace.new_id`) as u64; None → 0."""
-    return int(span_id, 16) if span_id else 0
+def read_frames(path, offset: int = 0) -> "tuple[list[tuple], int, bool]":
+    """Decode the framed records of *path* from byte *offset* on.
 
-
-def u64_to_span(value: int) -> "str | None":
-    """Inverse of :func:`span_to_u64`; 0 → None."""
-    return format(value, "016x") if value else None
-
-
-def pack_frame(
-    index: int,
-    wall_s: float,
-    pid: int,
-    kind: int,
-    blob: bytes,
-    span_id: "str | None" = None,
-) -> bytes:
-    """One self-delimiting framed record, ready for a single append write."""
-    return (
-        _FRAME_HEADER.pack(index, wall_s, pid, span_to_u64(span_id), kind, len(blob))
-        + blob
-    )
-
-
-def unpack_frames(data: "bytes | memoryview") -> "tuple[list[Frame], int]":
-    """Parse complete frames from *data*; returns ``(frames, consumed)``.
-
-    Stops at the first truncated frame: each frame is one append write,
-    so a torn tail is a write still in flight — everything before it is
-    trustworthy, and *consumed* is where the next read should resume.
+    Returns ``(records, clean_end, torn)``: *clean_end* is the byte after
+    the last good record — where the next read resumes, or where a writer
+    truncates before appending — and *torn* says bytes follow it.  Reading
+    stops at the first short, CRC-mismatched or undecodable frame: each
+    frame is one append write, so damage is a write still in flight or
+    the last write of a killed writer, and nothing after it is trusted.
+    A missing or unreadable file reads as empty.
     """
-    frames: "list[Frame]" = []
+    try:
+        with open(path, "rb") as fh:
+            fh.seek(offset)
+            data = fh.read()
+    except OSError:
+        return [], offset, False
+    records: "list[tuple]" = []
     pos, end = 0, len(data)
-    while pos + FRAME_HEADER_SIZE <= end:
-        index, wall, pid, span, kind, blob_len = _FRAME_HEADER.unpack_from(data, pos)
-        if pos + FRAME_HEADER_SIZE + blob_len > end:
+    while pos + _FRAME.size <= end:
+        crc, size = _FRAME.unpack_from(data, pos)
+        start = pos + _FRAME.size
+        blob = data[start : start + size]
+        if len(blob) < size or zlib.crc32(blob) != crc:
             break
-        pos += FRAME_HEADER_SIZE
-        frames.append(
-            Frame(index, wall, pid, u64_to_span(span), kind, bytes(data[pos : pos + blob_len]))
-        )
-        pos += blob_len
-    return frames, pos
+        try:
+            records.append(decode(blob))
+        except Exception:
+            break
+        pos = start + size
+    return records, offset + pos, pos < end

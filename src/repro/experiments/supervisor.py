@@ -9,11 +9,12 @@ host-level half of the durability story, and the substrate the long-running
 campaign service builds on:
 
 * :func:`supervised_tasks` / :func:`run_campaign` wrap ``run_tasks`` in a
-  **write-ahead journal**: an ``O_APPEND`` file of CRC-framed
-  :mod:`repro.experiments.resultcodec` records (the same durability recipe
-  as the super-task spool) holding the campaign's spec hash, every *grant*
-  (the task indices handed to the engine) and every *settlement* (index +
-  result).  A driver killed at any instant — even mid-append — resumes by
+  **write-ahead journal**: an ``O_APPEND`` file of
+  :func:`repro.experiments.resultcodec.frame` records (the CRC-framed
+  format of the super-task spool too, read back by the same
+  :func:`~repro.experiments.resultcodec.read_frames`) holding the
+  campaign's spec hash, every *grant* (the task indices handed to the
+  engine) and every *settlement* (index + result).  A driver killed at any instant — even mid-append — resumes by
   replaying the journal: settled tasks are served from it byte-identically,
   and only unsettled work is recomputed.
 * **Spool salvage**: the engine is given a spool directory that survives
@@ -49,9 +50,7 @@ import hashlib
 import os
 import shutil
 import signal
-import struct
 import threading
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -62,9 +61,6 @@ from repro.experiments import parallel, resultcodec
 from repro.util import chaos as chaos_mod
 from repro.util import envcfg
 from repro.util.cachefile import quarantine_file
-
-#: Journal frame header: CRC32 of the payload, then its byte length.
-_FRAME = struct.Struct("<II")
 
 #: Journal record tags (first element of every record tuple).  Later PRs
 #: appended optional trailing elements (readers use ``len(rec) > n``):
@@ -132,13 +128,14 @@ def _emit(kind: str, **fields) -> None:
 
 
 class Journal:
-    """Append-only CRC-framed record log, torn-tail tolerant on replay.
+    """Append-only writer of the campaign's CRC-framed record log.
 
-    Every :meth:`append` is one ``os.write`` to an ``O_APPEND`` fd, so a
-    record is either fully present or is the torn final frame — the same
-    argument the super-task spool makes.  Payloads are
-    :mod:`repro.experiments.resultcodec` blobs, so settled results of any
-    codec-expressible type round-trip bit-exactly (ndarrays included).
+    Every :meth:`append` is one ``os.write`` of a
+    :func:`resultcodec.frame` to an ``O_APPEND`` fd, so a record is either
+    fully present or is the torn final frame — the same argument the
+    super-task spool makes.  Replay is :func:`resultcodec.read_frames`;
+    settled results of any codec-expressible type round-trip bit-exactly
+    (ndarrays included).
     """
 
     def __init__(self, path: "Path | str"):
@@ -161,8 +158,7 @@ class Journal:
         is testable without killing anything.
         """
         with trace.span("journal.append", "journal", rec=str(record[0])):
-            blob = resultcodec.encode(record)
-            frame = _FRAME.pack(zlib.crc32(blob) & 0xFFFFFFFF, len(blob)) + blob
+            frame = resultcodec.frame(record)
             fd = self._ensure_open()
             torn = chaos_mod.io_fire("journal.append", size=len(frame))
             if torn is not None and torn < len(frame):
@@ -177,48 +173,6 @@ class Journal:
             finally:
                 self._fd = None
 
-    @staticmethod
-    def read(path: "Path | str") -> "tuple[list[tuple], bool]":
-        """Replay a journal; returns ``(records, torn_tail)``.
-
-        Stops at the first incomplete or CRC-mismatched frame: appends are
-        atomic, so damage can only be the final frame of a killed writer.
-        Everything before it is trustworthy.
-        """
-        records, torn, _ = Journal.scan(path)
-        return records, torn
-
-    @staticmethod
-    def scan(path: "Path | str") -> "tuple[list[tuple], bool, int]":
-        """:meth:`read` plus the byte length of the clean prefix.
-
-        A resuming supervisor truncates a torn journal back to
-        ``clean_len`` before appending — an O_APPEND write after torn
-        trailing bytes would strand every later record behind an
-        undecodable frame.
-        """
-        try:
-            data = Path(path).read_bytes()
-        except OSError:
-            return [], False, 0
-        records: "list[tuple]" = []
-        pos, end = 0, len(data)
-        while pos + _FRAME.size <= end:
-            crc, blob_len = _FRAME.unpack_from(data, pos)
-            start = pos + _FRAME.size
-            if start + blob_len > end:
-                return records, True, pos
-            blob = data[start : start + blob_len]
-            if zlib.crc32(blob) & 0xFFFFFFFF != crc:
-                return records, True, pos
-            try:
-                record = resultcodec.decode(blob)
-            except Exception:
-                return records, True, pos
-            records.append(record)
-            pos = start + blob_len
-        return records, pos < end, pos
-
 
 def journal_stats(path: "Path | str") -> dict:
     """Task-count accounting straight from a journal file.
@@ -229,7 +183,7 @@ def journal_stats(path: "Path | str") -> dict:
     orphaned spools, ``granted`` sums the work handed to the engine per
     run, and ``settled`` is the number of distinct settled task indices.
     """
-    records, torn = Journal.read(path)
+    records, _, torn = resultcodec.read_frames(path)
     grants = [list(r[1]) for r in records if r[0] == REC_GRANT]
     settles = [r for r in records if r[0] == REC_SETTLE]
     distinct = {r[1] for r in settles}
@@ -404,23 +358,24 @@ def _salvage_spools(spool_dir: Path, grant: "list[int]", settled: "set[int]", va
 
     *grant* is the engine-order list of campaign indices from the journal's
     latest grant record: spool records carry engine-local indices, so
-    ``grant[local]`` is the campaign task the record settles.  Only clean
-    ``OK`` records count — exceptions and chaos-corrupted results are
-    recomputed, exactly as a live engine would have retried them.
+    ``grant[local]`` is the campaign task the record settles.  Only
+    CRC-clean ``OK`` records count — exceptions, chaos-corrupted results
+    and everything from a damaged frame on are recomputed, exactly as a
+    live engine would have retried them.
     """
     out: "dict[int, object]" = {}
     if not spool_dir.is_dir():
         return out
     for spool in sorted(spool_dir.iterdir()):
-        records = parallel._read_spool(spool)
-        for local, frame in records.items():
-            if frame.kind != parallel._REC_OK or local >= len(grant):
+        records, _, _ = resultcodec.read_frames(spool)
+        for local, _wall, _pid, _span, kind, blob in records:
+            if kind != resultcodec.KIND_OK or local >= len(grant):
                 continue
             index = grant[local]
             if index in settled or index in out:
                 continue
             try:
-                value = resultcodec.decode(frame.blob)
+                value = resultcodec.decode(blob)
             except Exception:
                 continue
             if isinstance(value, chaos_mod.Corrupted):
@@ -506,7 +461,7 @@ def supervised_tasks(
     validate = engine_options.get("validate")
 
     # -- replay -------------------------------------------------------------
-    records, torn, clean_len = Journal.scan(paths.journal)
+    records, clean_len, torn = resultcodec.read_frames(paths.journal)
     if records and not (records[0][0] == REC_BEGIN and records[0][1] == spec):
         quarantine_file(paths.journal, "journal spec hash does not match campaign")
         _clear_dir(paths.spool)

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
 from pathlib import Path
 
@@ -135,6 +136,37 @@ class _JsonlSink:
             except OSError:
                 pass
             self._fd = None
+
+
+def decode_line(line: bytes, path, lineno: int, what: str = "JSONL record"):
+    """One raw JSONL line as its object; ``None`` when blank or torn.
+
+    A torn line — not UTF-8, or not JSON: the half-written append of a
+    killed writer (ENOSPC, SIGKILL, power loss) or a record straddling an
+    I/O fault — is skipped with a one-line warning on stderr naming the
+    file and line number; one bad record must never cost the rest of the
+    stream.  Every JSONL reader (:mod:`~repro.obs.summarize`,
+    :mod:`~repro.obs.progress`, :mod:`~repro.obs.history`) decodes through
+    this.
+    """
+    if not line.strip():
+        return None
+    try:
+        return json.loads(line.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        print(f"warning: {path}:{lineno}: skipping torn {what}", file=sys.stderr)
+        return None
+
+
+def read_jsonl(path: "Path | str", what: str = "JSONL record") -> list:
+    """Every intact line of a JSONL file in order; ``[]`` when it is missing."""
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError:
+        return []
+    with fh:
+        lines = [decode_line(line, path, n, what) for n, line in enumerate(fh, 1)]
+    return [obj for obj in lines if obj is not None]
 
 
 #: The active sink; ``None`` is the no-op default (the whole off path).

@@ -19,9 +19,10 @@ from __future__ import annotations
 import hashlib
 import json
 import subprocess
-import sys
 from datetime import datetime, timezone
 from pathlib import Path
+
+from repro.obs import read_jsonl
 
 HISTORY_FILE = "PERF_HISTORY.jsonl"
 
@@ -117,23 +118,7 @@ def append(
 
 def load(history_path: "Path | str") -> "list[dict]":
     """Read the ledger oldest-first; torn/invalid lines are skipped loudly."""
-    history_path = Path(history_path)
-    if not history_path.exists():
-        return []
-    entries = []
-    with history_path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entries.append(json.loads(line))
-            except json.JSONDecodeError:
-                print(
-                    f"warning: {history_path}:{lineno}: skipping torn history record",
-                    file=sys.stderr,
-                )
-    return entries
+    return read_jsonl(history_path, "history record")
 
 
 def series(

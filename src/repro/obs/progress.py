@@ -35,7 +35,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro.obs import EVENTS_FILE
+from repro.obs import EVENTS_FILE, decode_line
 
 
 class Follower:
@@ -78,15 +78,9 @@ class Follower:
                 break  # partial trailing line: a write in flight, keep it
             line, self._buf = self._buf[:nl], self._buf[nl + 1 :]
             self._lineno += 1
-            if not line.strip():
-                continue
-            try:
-                events.append(json.loads(line))
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                print(
-                    f"warning: {self.path}:{self._lineno}: skipping torn JSONL record",
-                    file=sys.stderr,
-                )
+            event = decode_line(line, self.path, self._lineno)
+            if event is not None:
+                events.append(event)
         return events
 
     def poll(self) -> "list[dict]":

@@ -13,10 +13,9 @@ report.
 from __future__ import annotations
 
 import json
-import sys
 from pathlib import Path
 
-from repro.obs import EVENTS_FILE
+from repro.obs import EVENTS_FILE, read_jsonl
 from repro.obs.manifest import load_manifest
 
 #: Throughput-timeline resolution (equal wall-clock buckets over the run).
@@ -26,31 +25,15 @@ TIMELINE_BUCKETS = 10
 def read_events(run_dir: "Path | str") -> "list[dict]":
     """Parse ``events.jsonl`` (and a rotated ``events.jsonl.1`` before it).
 
-    A torn line *anywhere* — the half-written append of a killed writer
-    (ENOSPC, SIGKILL, power loss), or a record straddling an I/O fault —
-    is skipped with a one-line warning on stderr naming the file and line
-    number; one bad record must never cost the rest of the stream.  When
-    ``REPRO_OBS_MAX_BYTES`` rotation has produced an ``events.jsonl.1``,
-    that older generation is read first so the merged stream stays in
-    append order.
+    A torn line *anywhere* is skipped with a warning
+    (:func:`repro.obs.decode_line`).  When ``REPRO_OBS_MAX_BYTES``
+    rotation has produced an ``events.jsonl.1``, that older generation is
+    read first so the merged stream stays in append order.
     """
     run_dir = Path(run_dir)
     events = []
     for path in (run_dir / f"{EVENTS_FILE}.1", run_dir / EVENTS_FILE):
-        if not path.exists():
-            continue
-        with path.open("r", encoding="utf-8", errors="replace") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    events.append(json.loads(line))
-                except json.JSONDecodeError:
-                    print(
-                        f"warning: {path}:{lineno}: skipping torn JSONL record",
-                        file=sys.stderr,
-                    )
+        events += read_jsonl(path)
     events.sort(key=lambda e: e.get("ts", 0.0))
     return events
 

@@ -23,8 +23,9 @@ from repro.ecc import Chipkill18
 from repro.experiments import parallel
 from repro.faults.fit_rates import MemoryOrg
 from repro.faults.montecarlo import EolCapacitySim, _eol_cell
-from repro.obs import metrics
+from repro.obs import history, metrics
 from repro.obs.manifest import load_manifest, manifest_dict, write_manifest
+from repro.obs.progress import Follower
 from repro.obs.summarize import read_events, render, summarize
 from repro.util import envcfg
 
@@ -339,6 +340,24 @@ class TestTornLines:
     def _events_file(self, tmp_path, text):
         (tmp_path / "events.jsonl").write_text(text)
         return tmp_path
+
+    #: A torn line that is not even UTF-8, between two intact records.
+    NON_UTF8 = b'{"a":1}\n\xff\xfe{"b"\n{"c":3}\n'
+
+    @pytest.mark.parametrize("reader", ["read_events", "history.load", "Follower"])
+    def test_non_utf8_line_skipped_by_every_reader(self, tmp_path, capsys, reader):
+        path = tmp_path / "events.jsonl"
+        path.write_bytes(self.NON_UTF8)
+        if reader == "read_events":
+            got = read_events(tmp_path)
+        elif reader == "history.load":
+            got = history.load(path)
+        else:
+            follower = Follower(tmp_path)
+            got = follower.poll()
+            follower.close()
+        assert got == [{"a": 1}, {"c": 3}]
+        assert f"{path}:2: skipping torn" in capsys.readouterr().err
 
     def test_torn_trailing_line_skipped_with_warning(self, tmp_path, capsys):
         run = self._events_file(

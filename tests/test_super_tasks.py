@@ -10,6 +10,7 @@ by batched runs resume interchangeably with serial ones.
 """
 
 import json
+import multiprocessing
 import os
 
 import pytest
@@ -224,6 +225,46 @@ class TestCrashRecovery:
         oks = {e["index"]: e for e in events if e["kind"] == "engine.ok"}
         for i in finished_before_crash:
             assert oks[i]["attempt"] == 1
+
+
+    def test_flipped_spool_bit_is_recomputed_not_settled(self, tmp_path, armed, monkeypatch):
+        """A spool record that fails its CRC is never settled live.
+
+        Pool workers are forked from this process, so they inherit the
+        patched frame builder: it flips one payload bit of inner 2's record
+        exactly once (an O_EXCL marker file arbitrates between workers).
+        """
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("workers must inherit the patched frame builder")
+        counts = tmp_path / "exec"
+        counts.mkdir()
+        marker = str(tmp_path / "flipped")
+        real_frame = resultcodec.frame
+
+        def flipping_frame(record):
+            data = real_frame(record)
+            if record[0] != 2:
+                return data
+            try:
+                os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                return data
+            # Lowest byte of the encoded int 4: would settle as 5 unchecked.
+            return data[:-8] + bytes([data[-8] ^ 0x01]) + data[-7:]
+
+        monkeypatch.setattr(resultcodec, "frame", flipping_frame)
+        payloads = [(str(counts), i) for i in range(8)]
+        out = list(parallel.run_tasks(_traced_square, payloads, jobs=2, batch=4, backoff=0))
+        assert os.path.exists(marker)
+        assert sorted(out) == sorted(i * i for i in range(8))
+        # Reading stops at the damaged record: inner 2 and the batch-mate
+        # spooled after it are recomputed, everything else ran once.
+        assert _exec_counts(counts) == {f"c{i}": 2 if i in (2, 3) else 1 for i in range(8)}
+        events = read_events(armed)
+        oks = {e["index"]: e["attempt"] for e in events if e["kind"] == "engine.ok"}
+        assert oks[2] == 2 and oks[3] == 2
+        requeued = {e["index"] for e in events if e["kind"] == "engine.requeue"}
+        assert requeued == {2, 3}
 
 
 class TestMatrixBatching:

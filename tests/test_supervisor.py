@@ -8,20 +8,49 @@ journal never settled.  Economics are asserted from the journal itself
 via :func:`repro.experiments.supervisor.journal_stats`.
 """
 
+import multiprocessing
 import os
 import signal
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
 
-from repro.experiments import parallel, supervisor
+from repro.experiments import parallel, resultcodec, supervisor
 from repro.util import chaos, envcfg
 from tests._supervisor_worker import slow_square, square
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+#: A journal written by the pre-shared-reader supervisor: the five
+#: records of :data:`GOLDEN_RECORDS`, appended in order.  The shared
+#: framed-record layer must replay it unchanged and write it byte-for-byte.
+GOLDEN_JOURNAL = bytes.fromhex(
+    "441dd0a79700000074050000007305000000626567696e73400000006162616261626162"
+    "616261626162616261626162616261626162616261626162616261626162616261626162"
+    "61626162616261626162616261626162616261626903000000000000007306000000676f"
+    "6c64656e6c02000000731000000030303131323233333434353536366666731000000038"
+    "383939616162626363646465656666c11095052f00000074020000007305000000677261"
+    "6e746c03000000690000000000000000690100000000000000690200000000000000ea1c"
+    "ebeb4c00000074040000007306000000736574746c656901000000000000006402000000"
+    "73010000007866000000000000044073010000006e6c030000006901000000000000004e"
+    "5473040000006c6976651b08df524200000074040000007306000000736574746c656900"
+    "00000000000000740300000066000000000000084069f9ffffffffffffff730100000073"
+    "730700000073616c766167656fb012191700000074020000007304000000646f6e656902"
+    "00000000000000"
+)
+
+GOLDEN_RECORDS = [
+    ("begin", "ab" * 32, 3, "golden", ["00112233445566ff", "8899aabbccddeeff"]),
+    ("grant", [0, 1, 2]),
+    ("settle", 1, {"x": 2.5, "n": [1, None, True]}, "live"),
+    ("settle", 0, (3.0, -7, "s"), "salvage"),
+    ("done", 2),
+]
 
 
 @pytest.fixture(autouse=True)
@@ -45,13 +74,13 @@ class TestJournal:
         for rec in records:
             j.append(rec)
         j.close()
-        got, torn = supervisor.Journal.read(path)
+        got, _, torn = resultcodec.read_frames(path)
         assert torn is False
         assert [tuple(r[:2]) for r in got] == [tuple(r[:2]) for r in records]
         assert got[2][2] == {"x": 2.5}
 
     def test_missing_file_reads_empty(self, tmp_path):
-        assert supervisor.Journal.read(tmp_path / "nope") == ([], False)
+        assert resultcodec.read_frames(tmp_path / "nope") == ([], 0, False)
 
     def test_torn_tail_tolerated(self, tmp_path):
         path = tmp_path / "j.journal"
@@ -61,7 +90,7 @@ class TestJournal:
         j.close()
         clean = path.read_bytes()
         path.write_bytes(clean + b"\x07\x03partial-frame")
-        got, torn = supervisor.Journal.read(path)
+        got, _, torn = resultcodec.read_frames(path)
         assert torn is True and len(got) == 2
 
     def test_crc_mismatch_stops_replay(self, tmp_path):
@@ -73,7 +102,7 @@ class TestJournal:
         data = bytearray(path.read_bytes())
         data[-1] ^= 0xFF  # corrupt the last record's payload
         path.write_bytes(bytes(data))
-        got, torn = supervisor.Journal.read(path)
+        got, _, torn = resultcodec.read_frames(path)
         assert torn is True and len(got) == 1
 
     def test_scan_reports_clean_prefix_length(self, tmp_path):
@@ -83,8 +112,19 @@ class TestJournal:
         j.close()
         clean = path.read_bytes()
         path.write_bytes(clean + b"junk")
-        records, torn, clean_len = supervisor.Journal.scan(path)
+        records, clean_len, torn = resultcodec.read_frames(path)
         assert torn is True and clean_len == len(clean) and len(records) == 1
+
+    def test_on_disk_format_is_stable(self, tmp_path):
+        path = tmp_path / "golden.journal"
+        path.write_bytes(GOLDEN_JOURNAL)
+        assert resultcodec.read_frames(path) == (GOLDEN_RECORDS, len(GOLDEN_JOURNAL), False)
+        rewritten = tmp_path / "rewritten.journal"
+        j = supervisor.Journal(rewritten)
+        for rec in GOLDEN_RECORDS:
+            j.append(rec)
+        j.close()
+        assert rewritten.read_bytes() == GOLDEN_JOURNAL
 
     def test_stats_accounting(self, tmp_path):
         path = tmp_path / "j.journal"
@@ -109,6 +149,74 @@ class TestJournal:
             "done": True,
             "torn_tail": False,
         }
+
+
+class TestRecordLog:
+    """Properties of the one framed-record log the spool and journal share."""
+
+    RECORDS = [
+        ("begin", "x" * 40, 3, None),
+        (0, 0.125, 4242, "00112233445566ff", 0, b"\x00payload\xff"),
+        ("settle", 7, {"k": [1.5, -2, True]}, "live"),
+        ("done", 1),
+    ]
+
+    @pytest.fixture
+    def log(self, tmp_path):
+        """The log file plus every record boundary (0 … file size)."""
+        path = tmp_path / "records.log"
+        frames = [resultcodec.frame(rec) for rec in self.RECORDS]
+        path.write_bytes(b"".join(frames))
+        bounds = [0]
+        for f in frames:
+            bounds.append(bounds[-1] + len(f))
+        return path, bounds
+
+    def test_every_truncation_reads_the_complete_prefix(self, log, tmp_path):
+        path, bounds = log
+        data = path.read_bytes()
+        cut_path = tmp_path / "cut.log"
+        for cut in range(len(data) + 1):
+            cut_path.write_bytes(data[:cut])
+            n = max(k for k, b in enumerate(bounds) if b <= cut)
+            assert resultcodec.read_frames(cut_path) == (
+                self.RECORDS[:n], bounds[n], cut > bounds[n]
+            ), cut
+
+    def test_any_flipped_byte_of_last_record_ends_the_prefix(self, log, tmp_path):
+        path, bounds = log
+        data = path.read_bytes()
+        bad_path = tmp_path / "bad.log"
+        for pos in range(bounds[-2], bounds[-1]):
+            for mask in (0x01, 0x80, 0xFF):
+                bad = bytearray(data)
+                bad[pos] ^= mask
+                bad_path.write_bytes(bytes(bad))
+                records, clean_end, torn = resultcodec.read_frames(bad_path)
+                assert records == self.RECORDS[:-1], (pos, mask)
+                assert clean_end == bounds[-2] and torn
+
+    def test_resumed_reads_concatenate_to_one_whole_read(self, log, tmp_path):
+        path, bounds = log
+        data = path.read_bytes()
+        whole = resultcodec.read_frames(path)
+        assert whole == (self.RECORDS, bounds[-1], False)
+        for k, start in enumerate(bounds):
+            assert resultcodec.read_frames(path, start) == (
+                self.RECORDS[k:], bounds[-1], False
+            )
+        # A tailer of a growing log resumes each read at the last clean
+        # end; a frame caught mid-write is left for the next read.
+        grow = tmp_path / "grow.log"
+        pieces, offset = [], 0
+        for start, end in zip(bounds, bounds[1:]):
+            grow.write_bytes(data[: end - 3])
+            assert resultcodec.read_frames(grow, offset) == ([], start, True)
+            grow.write_bytes(data[:end])
+            chunk, offset, torn = resultcodec.read_frames(grow, offset)
+            assert offset == end and not torn
+            pieces += chunk
+        assert pieces == whole[0]
 
 
 class TestSpecHash:
@@ -340,6 +448,67 @@ class TestDriverKill:
         assert len(post["grants"]) == 2
         assert len(post["grants"][1]) == 12 - pre["settled_live"] - post["settled_salvage"]
         assert not (state / "killed.spool").exists()  # spent spools cleared
+
+
+class TestSpoolSalvage:
+    """Orphaned spools are salvaged only as far as their records pass the CRC."""
+
+    PAYLOADS = [(0.5,), (1.5,), (2.5,), (3.5,)]
+
+    def _orphan(self, directory, flip):
+        """A killed driver's leftovers: begin + grant journaled, nothing
+        settled, and one spool holding the finished inners 0-2."""
+        j = supervisor.Journal(directory / "orphan.journal")
+        j.append((supervisor.REC_BEGIN, supervisor.spec_hash(square, self.PAYLOADS), 4, "orphan"))
+        j.append((supervisor.REC_GRANT, [0, 1, 2, 3]))
+        j.close()
+        frames = [
+            resultcodec.frame((i, 0.001, 1, None, resultcodec.KIND_OK, resultcodec.encode(x * x)))
+            for i, (x,) in enumerate(self.PAYLOADS[:3])
+        ]
+        data = bytearray(b"".join(frames))
+        if flip:
+            # Lowest mantissa bit of inner 2's float: without the CRC this
+            # decodes to a plausible wrong result, not an error.
+            data[-8] ^= 0x01
+            record = resultcodec.decode(bytes(data[-(len(frames[2]) - 8) :]))
+            assert record[:2] == (2, 0.001)
+            assert resultcodec.decode(record[5]) == 6.250000000000001
+        spool = directory / "orphan.spool"
+        spool.mkdir()
+        (spool / "super-0.bin").write_bytes(bytes(data))
+        return spool
+
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_only_crc_clean_records_are_salvaged(self, tmp_path, flip):
+        spool = self._orphan(tmp_path, flip)
+        salvaged = supervisor._salvage_spools(spool, [0, 1, 2, 3], set(), None)
+        clean = {0: 0.25, 1: 2.25, 2: 6.25}
+        if flip:
+            del clean[2]
+        assert salvaged == clean
+
+        res = supervisor.run_campaign(
+            square, self.PAYLOADS, name="orphan", directory=tmp_path, jobs=1, watchdog=False
+        )
+        assert res == [0.25, 2.25, 6.25, 12.25]
+        stats = supervisor.journal_stats(tmp_path / "orphan.journal")
+        assert stats["settled_salvage"] == len(clean)
+        assert stats["settled_live"] == 4 - len(clean)
+
+
+class TestHungWorkerTeardown:
+    def test_hung_worker_is_killed_under_signal_supervision(self, tmp_path):
+        """The supervisor's flag-only SIGTERM handler must not reach the
+        pool workers it forks: a hung worker has to die on terminate()."""
+        t0 = time.monotonic()
+        res = supervisor.run_campaign(
+            square, [(i,) for i in range(4)], name="hung", directory=tmp_path, jobs=2,
+            watchdog=False, chaos="hang=60@1", timeout=0.5, retries=2, backoff=0, batch="off",
+        )
+        assert res == [0, 1, 4, 9]
+        assert multiprocessing.active_children() == []
+        assert time.monotonic() - t0 < 5.0  # the teardown join never timed out
 
 
 class TestWatchdog:

@@ -132,30 +132,46 @@ class TestCampaignForest:
 
     CHAOS = "crash@1,hang=30@2,corrupt@3"
 
-    @pytest.fixture
-    def campaign(self, traced, tmp_path):
-        results = supervisor.run_campaign(
-            _eol_cell,
-            PAYLOADS,
-            name="forest",
-            directory=tmp_path / "camp",
-            jobs=3,
-            watchdog=False,
-            chaos=self.CHAOS,
-            retries=2,
-            backoff=0,
-            timeout=0.75,
-            batch=2,  # force super-tasks so the codec spool path is exercised
-        )
-        return results, read_events(traced)
+    @pytest.fixture(scope="class")
+    def campaign(self, tmp_path_factory):
+        """Run the traced chaos campaign once for the whole class.
+
+        Returns ``(results, events, run_dir)``; the bus and span plane are
+        armed (as :func:`traced` does) only while the campaign runs.
+        """
+        base = tmp_path_factory.mktemp("forest")
+        run = base / "traced"
+        obs.configure(run, "engine,chaos,supervisor,mc,sim")
+        trace.arm(True)
+        try:
+            results = supervisor.run_campaign(
+                _eol_cell,
+                PAYLOADS,
+                name="forest",
+                directory=base / "camp",
+                jobs=3,
+                watchdog=False,
+                chaos=self.CHAOS,
+                retries=2,
+                backoff=0,
+                timeout=0.75,
+                batch=2,  # force super-tasks so the codec spool path is exercised
+            )
+        finally:
+            trace.adopt(None)
+            trace.arm(False)
+            trace.init_from_env()
+            obs.disarm()
+            obs.REGISTRY.reset()
+        return results, read_events(run), run
 
     def test_results_match_fault_free_serial(self, campaign):
-        results, _ = campaign
+        results, _, _ = campaign
         reference = list(parallel.run_tasks(_eol_cell, PAYLOADS, jobs=1))
         assert results == reference
 
     def test_every_stamped_event_resolves_to_campaign_root(self, campaign):
-        _, events = campaign
+        _, events, _ = campaign
         forest = build_forest(events)
         root = primary_root(forest)
         assert root is not None and root.name == "supervisor.campaign"
@@ -175,7 +191,7 @@ class TestCampaignForest:
             assert resolved is root, f"{e['kind']} did not resolve to campaign root"
 
     def test_all_span_kinds_present_and_rooted(self, campaign):
-        _, events = campaign
+        _, events, _ = campaign
         forest = build_forest(events)
         root = primary_root(forest)
         names = {n.name for n in root.walk()}
@@ -187,13 +203,14 @@ class TestCampaignForest:
             "engine.encode",
             "engine.decode",
             "journal.append",
+            "supervisor.salvage",
         ):
             assert expected in names, f"{expected} missing from forest"
         # The chaos storm forces retries: a backoff or rebuild span exists.
         assert {"engine.backoff", "engine.rebuild"} & names
 
     def test_crashed_parents_are_synthesized_not_lost(self, campaign):
-        _, events = campaign
+        _, events, _ = campaign
         forest = build_forest(events)
         root = primary_root(forest)
         all_nodes = list(root.walk())
@@ -205,7 +222,7 @@ class TestCampaignForest:
             assert n.name == "(lost)"
 
     def test_critical_path_and_attribution_cover_wall(self, campaign):
-        _, events = campaign
+        _, events, _ = campaign
         forest = build_forest(events)
         root = primary_root(forest)
         path = critical_path(root)
@@ -219,13 +236,13 @@ class TestCampaignForest:
         assert buckets["compute"] > 0  # the tasks actually ran somewhere
         assert buckets["journal"] > 0  # every settlement was journaled
 
-    def test_trace_summary_section_in_report(self, campaign, traced):
-        _, events = campaign
+    def test_trace_summary_section_in_report(self, campaign):
+        _, events, run = campaign
         section = trace_summary(events)
         assert section["spans"] > 0 and section["traces"] >= 1
         assert section["root"]["name"] == "supervisor.campaign"
         assert section["coverage"] >= 0.95
-        full = summarize(traced)
+        full = summarize(run)
         assert full["trace"]["root"]["name"] == "supervisor.campaign"
 
     def test_crash_resume_joins_the_same_forest(self, traced, tmp_path):
