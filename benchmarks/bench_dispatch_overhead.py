@@ -8,14 +8,15 @@ is almost purely engine overhead, reported as microseconds per task for
 the three dispatch paths:
 
 - ``serial``   - in-process loop, no executor;
-- ``pooled``   - process pool, one task per future (``batch="off"``);
+- ``pooled``   - process pool, one task per super-task (``batch=1``);
 - ``batched``  - process pool with super-task batching (fixed batch so
   quick-mode runs do not depend on the auto-calibration warm-up).
 
 Numbers land in ``results/BENCH_dispatch_overhead.json`` (plus a
 rendered table) so CI can archive them per commit.  Batching exists
-precisely to amortize the pooled fixed cost, so the batched figure must
-not be slower than the pooled one.
+precisely to amortize the pooled fixed cost (one spool file and one
+future per submission), so the batched figure must not be slower than
+the pooled one.
 
 ``REPRO_BENCH_QUICK=1`` (used by CI) shrinks the task count so the file
 finishes in seconds; the acceptance numbers come from an unloaded run
@@ -62,8 +63,8 @@ def bench_dispatch_overhead(benchmark, results_dir, emit):
     """Microseconds of engine overhead per no-op task, by dispatch path."""
 
     def measure():
-        serial = _campaign_wall(1, "off")
-        pooled = _campaign_wall(JOBS, "off")
+        serial = _campaign_wall(1, 1)
+        pooled = _campaign_wall(JOBS, 1)
         batched = _campaign_wall(JOBS, BATCH)
         return serial, pooled, batched
 
@@ -107,7 +108,7 @@ def bench_dispatch_overhead(benchmark, results_dir, emit):
         ),
     )
     assert serial > 0 and pooled > 0 and batched > 0
-    # Batching must amortize the per-future fixed cost, not add to it.
+    # Batching must amortize the per-submission fixed cost, not add to it.
     assert batched <= pooled * 1.10, (
         f"batched dispatch ({us_per_task(batched):.0f} us/task) slower than "
         f"pooled ({us_per_task(pooled):.0f} us/task)"

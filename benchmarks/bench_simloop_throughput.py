@@ -13,6 +13,7 @@ runner are then indicative only - the acceptance numbers come from an
 unloaded multi-core run without the flag.
 """
 
+import functools
 import os
 import tempfile
 import time
@@ -187,18 +188,17 @@ def bench_kernel_comparison(benchmark, results_dir, emit):
     )
 
 
-def _sweep_wall(jobs: int, batch: str = "auto") -> float:
+def _sweep_wall(jobs: int, batch: "str | int" = "auto") -> float:
     """Cold-cache wall-clock of the benchmark sub-matrix with *jobs* workers.
 
-    *batch* sets ``REPRO_TASK_BATCH`` for the sweep (the engine knob the
-    evaluation matrix reads), so the same helper times the batched and
-    unbatched dispatch paths.
+    *batch* is passed to every ``run_cells`` campaign of the sweep, so the
+    same helper times the batched and unbatched (``1``) dispatch paths.
     """
     saved = ev.CACHE_DIR
-    saved_batch = os.environ.get("REPRO_TASK_BATCH")
+    run_cells = parallel.run_cells
     with tempfile.TemporaryDirectory() as td:
         ev.CACHE_DIR = Path(td)
-        os.environ["REPRO_TASK_BATCH"] = batch
+        parallel.run_cells = functools.partial(run_cells, batch=batch)
         try:
             t0 = time.perf_counter()
             ev.evaluation_matrix(
@@ -211,17 +211,14 @@ def _sweep_wall(jobs: int, batch: str = "auto") -> float:
             return time.perf_counter() - t0
         finally:
             ev.CACHE_DIR = saved
-            if saved_batch is None:
-                os.environ.pop("REPRO_TASK_BATCH", None)
-            else:
-                os.environ["REPRO_TASK_BATCH"] = saved_batch
+            parallel.run_cells = run_cells
 
 
 def bench_matrix_parallel_speedup(benchmark, results_dir, emit):
     """Cold-cache sweep: serial vs REPRO_JOBS-parallel wall-clock.
 
     The parallel leg runs twice - once with super-task batching (the
-    ``auto`` default) and once with ``REPRO_TASK_BATCH=off`` - so the
+    ``auto`` default) and once with one task per submission - so the
     archived numbers separate the pool speedup from the batching gain.
     The ``matrix_sweep.speedup`` field is the batched one; perf_guard
     enforces an absolute >= 1.0 floor on it whenever the recorded
@@ -233,7 +230,7 @@ def bench_matrix_parallel_speedup(benchmark, results_dir, emit):
     def measure():
         serial = _sweep_wall(1)
         par = _sweep_wall(jobs, batch="auto")
-        par_unbatched = _sweep_wall(jobs, batch="off")
+        par_unbatched = _sweep_wall(jobs, batch=1)
         return serial, par, par_unbatched
 
     serial, par, par_unbatched = once(benchmark, measure)

@@ -20,11 +20,13 @@ resilience layer:
   task that produces no result within the window is presumed hung; the
   only way to reclaim a hung worker is to kill its pool, so the pool is
   torn down, the timed-out task is charged an attempt, and everything
-  in flight is requeued.
+  else in flight is requeued.
 * **Pool rebuild on ``BrokenProcessPool``** — an OOM-killed or crashed
   worker takes the whole executor down; the engine kills the broken pool,
-  requeues all in-flight tasks (the culprit is unknowable, so nobody's
-  retry budget is charged), and rebuilds.
+  requeues all in-flight tasks, and rebuilds.  The culprit is unknowable,
+  so a requeue never *fails* a task, but it re-enqueues at ``attempt + 1``
+  and so spends one of the task's ``retries + 1`` attempts (ROADMAP
+  *Requeue budget*).
 * **Graceful degradation to serial** — when the pool breaks
   :data:`REBUILD_LIMIT` times consecutively (no task resolved in between)
   or :data:`REBUILD_TOTAL_LIMIT` times overall, the engine stops fighting
@@ -35,18 +37,19 @@ resilience layer:
   :class:`TaskFailure` (payload identity, attempts, error) is raised, so a
   rerun recomputes only the failed cells.
 
-On top of the resilience layer sits **granularity-aware dispatch**: fast
+Every pool submission is one *super-task* of 1..N inner tasks.  Fast
 kernels made individual cells so cheap that per-task pickle + pool
 dispatch overhead can dominate (and even lose to serial), so the engine
-coalesces small tasks into batched *super-tasks* (``REPRO_TASK_BATCH``:
-cost-calibrated ``auto``, ``off``, or a fixed size).  Inside a super-task
+coalesces small tasks (the ``batch`` argument: cost-calibrated ``auto``
+or a fixed size, ``1`` = one task per submission).  Inside a super-task
 every inner task keeps its own identity: per-inner chaos injection,
-retry/timeout attribution, and telemetry events are unchanged, and inner
-results stream back through a crash-safe spool file of CRC-framed
+retry/timeout attribution, and telemetry events, and inner results
+stream back through a crash-safe spool file of CRC-framed
 :mod:`repro.experiments.resultcodec` records — the record format of the
 supervisor's journal too — instead of pickled object graphs: a worker
-that dies mid-batch loses only its unfinished inners, and a damaged
-record is recomputed, never settled.
+that dies mid-batch loses only its unfinished inners, a damaged record
+is recomputed, never settled, and a worker exception arrives with its
+formatted traceback chained as ``__cause__``.
 Workers are kept *warm*: a pool initializer (re-applied on every rebuild)
 pre-imports the sim stack and primes per-process caches, so rebuilt pools
 do not pay cold-start per cell.
@@ -72,7 +75,7 @@ import tempfile
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures.process import BrokenProcessPool, _ExceptionWithTraceback
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Iterator
 
@@ -134,9 +137,9 @@ def set_batch_cap(cap: "int | None") -> "int | None":
     _batch_cap = max(1, int(cap)) if cap is not None else None
     return previous
 
-#: Wait-loop cap while a super-task is in flight: the parent polls the
-#: batch spools at least this often so finished inners settle promptly
-#: even when no future completes and no deadline is near.
+#: Wait-loop cap: the parent polls the in-flight spools at least this
+#: often so finished inners settle promptly even when no future
+#: completes and no deadline is near.
 _SPOOL_POLL_S = 0.05
 
 
@@ -205,43 +208,12 @@ def _emit(kind: str, **fields) -> None:
     obs.emit(kind, **fields)
 
 
-@dataclass(frozen=True)
-class _WorkerReport:
-    """Worker-side attribution shipped back alongside every pooled result."""
-
-    pid: int
-    wall_s: float
-
-
-def _obs_task(cfg, chaos, worker, index, attempt, payload):
-    """Worker entry point for every individually-submitted pooled task.
+def _run_super(cfg, chaos, worker, tasks, spool):
+    """Worker entry point of every pool submission: one super-task.
 
     Arms the worker's telemetry to the parent's config (*cfg*, picklable;
     fork workers inherit the sink and this is a no-op; the shipped trace
-    context makes the task span a child of the dispatching campaign),
-    applies chaos when armed, and wraps the result in a
-    ``(_WorkerReport, result)`` envelope so per-worker attribution flows
-    back through the pool.  Exceptions (and ``crash`` faults) propagate
-    unwrapped, exactly as before.
-    """
-    obs.ensure_worker(cfg)
-    t0 = time.perf_counter()
-    with trace.span("engine.task", "compute", index=index, attempt=attempt):
-        if chaos:
-            result = chaos_mod.chaos_call(chaos, worker, index, attempt, payload)
-        else:
-            result = worker(*payload)
-    return _WorkerReport(os.getpid(), round(time.perf_counter() - t0, 6)), result
-
-
-#: Sentinel a super-task returns through the pool: the real results
-#: travelled through the spool file, not the pickled future.
-_SUPER_DONE = "__super_done__"
-
-
-def _run_super(cfg, chaos, worker, tasks, spool):
-    """Worker entry point for one batched super-task.
-
+    context makes the spans children of the dispatching campaign).
     *tasks* is an ordered list of ``(index, attempt, payload)`` inner
     tasks.  Each inner task runs under its own chaos/attempt identity and
     appends one :func:`resultcodec.frame` record ``(index, wall_s, pid,
@@ -249,11 +221,10 @@ def _run_super(cfg, chaos, worker, tasks, spool):
     (O_APPEND), so a ``crash`` fault killing the process via
     ``os._exit`` mid-batch leaves every already-finished inner result
     durable on disk — the parent recovers them without recomputation.
-    Inner exceptions are captured per record; only the whole-batch
-    envelope travels back through the pool.
+    Inner exceptions are captured per record, pickled with their formatted
+    traceback; nothing but completion travels back through the pool.
     """
     obs.ensure_worker(cfg)
-    t0 = time.perf_counter()
     pid = os.getpid()
     fd = os.open(spool, os.O_WRONLY | os.O_APPEND)
     batch_span = trace.start_span("engine.super", "compute", size=len(tasks))
@@ -270,10 +241,14 @@ def _run_super(cfg, chaos, worker, tasks, spool):
             except Exception as exc:
                 task_span.end(error=repr(exc))
                 kind = resultcodec.KIND_EXC
+                # Unpickles as *exc* chained to its worker traceback, the
+                # ``__cause__`` concurrent.futures attaches to task errors.
+                wrapped = _ExceptionWithTraceback(exc, exc.__traceback__)
                 try:
-                    blob = pickle.dumps(exc, protocol=pickle.HIGHEST_PROTOCOL)
+                    blob = pickle.dumps(wrapped, protocol=pickle.HIGHEST_PROTOCOL)
                 except Exception:
-                    blob = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+                    wrapped.exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+                    blob = pickle.dumps(wrapped, protocol=pickle.HIGHEST_PROTOCOL)
             else:
                 task_span.end()
                 if isinstance(result, chaos_mod.Corrupted):
@@ -286,7 +261,6 @@ def _run_super(cfg, chaos, worker, tasks, spool):
     finally:
         batch_span.end()
         os.close(fd)
-    return _WorkerReport(pid, round(time.perf_counter() - t0, 6)), _SUPER_DONE
 
 
 def _apply_warm(warm) -> None:
@@ -330,13 +304,6 @@ def _warm_cells(system_class, config_keys, scale) -> None:
     for key in config_keys:
         scheme = SYSTEM_CLASSES[system_class][key].make_scheme()
         runner._pooled_llc(runner.llc_size_bytes(scale), scheme.line_size)
-
-
-def _unwrap(value) -> "tuple[_WorkerReport | None, object]":
-    """Split a pooled result envelope; tolerate a bare value defensively."""
-    if type(value) is tuple and len(value) == 2 and isinstance(value[0], _WorkerReport):
-        return value
-    return None, value
 
 
 def _record(failures, index, payload, attempts, kind, exc, fail_fast):
@@ -388,16 +355,12 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
             pass
 
 
-def _submit(pool, worker, payload, index, attempt, chaos):
-    return pool.submit(_obs_task, obs.worker_config(), chaos, worker, index, attempt, payload)
-
-
 def _collect(fut) -> "tuple[str, object]":
     """Classify a future: ("ok", result) | ("error", exc) | ("broken", exc).
 
     "broken" means the pool died under the task (or cancelled it) — the
-    task itself is not at fault and is requeued without charging its retry
-    budget.
+    task itself is not at fault, so its unfinished inners are requeued:
+    never failed for it, though each requeue spends one attempt.
     """
     if not fut.done():
         return "broken", RuntimeError("worker still running when its pool died")
@@ -412,13 +375,13 @@ def _collect(fut) -> "tuple[str, object]":
 
 
 class _Flight:
-    """Parent-side state of one in-flight submission (single or batched)."""
+    """Parent-side state of one in-flight super-task."""
 
     __slots__ = ("entries", "spool", "deadline", "progress")
 
     def __init__(self, entries, spool, deadline):
         self.entries = entries  #: ordered [(index, attempt)] unsettled inner tasks
-        self.spool = spool  #: spool path for super-tasks, None for singles
+        self.spool = spool  #: path of the spool its inner results land in
         self.deadline = deadline  #: monotonic expiry, None when untimed
         self.progress = 0  #: spool offset after the last CRC-clean record read
 
@@ -494,10 +457,12 @@ def _run_pooled(
 ):
     """The pooled engine: batching, windowed submission, deadlines, rebuilds.
 
-    Yields ``(index, result)`` pairs.  With a caller-provided *spool_dir*
-    super-task spools live there and the directory survives this function
-    (the supervisor salvages finished inner results out of spools orphaned
-    by a killed driver); settled spools are still unlinked individually.
+    Every submission is one :func:`_run_super` super-task whose inner
+    results settle from its spool.  Yields ``(index, result)`` pairs.
+    With a caller-provided *spool_dir* the spools live there and the
+    directory survives this function (the supervisor salvages finished
+    inner results out of spools orphaned by a killed driver); settled
+    spools are still unlinked individually.
     """
     max_attempts = retries + 1
     pending = deque((i, 1) for i in range(len(payloads)))
@@ -518,25 +483,22 @@ def _run_pooled(
         return path
 
     def _drop_spool(path):
-        if path is not None:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
+        try:
+            os.unlink(path)
+        except OSError:
+            pass
 
     def _target_batch() -> int:
         """Inner tasks per submission right now.
 
-        ``off``/1 and fixed sizes are literal.  ``auto`` submits singles
+        A fixed size is literal.  ``auto`` submits singles
         until at least one task's wall has been measured (calibration),
         then sizes batches so :data:`DISPATCH_OVERHEAD_S` stays under
         :data:`TARGET_OVERHEAD_FRACTION` of the median measured task —
         capped at :data:`MAX_BATCH` and at an even split of the remaining
         queue over the whole pool, so one batch never starves the others.
         """
-        if batch == "off":
-            size = 1
-        elif batch != "auto":
+        if batch != "auto":
             size = batch
         elif not samples:
             return 1
@@ -639,7 +601,7 @@ def _run_pooled(
     def _retire(flight, charge=None):
         """Drain a super-task that left the pool, then hand back its
         unfinished inners: the first to *charge* (the inner its worker
-        stopped in), the rest requeued uncharged."""
+        stopped in), the rest to :func:`_requeue`."""
         yield from _drain(flight)
         entries = flight.entries
         if charge is not None and entries:
@@ -662,6 +624,9 @@ def _run_pooled(
             pending.append((index, attempt + 1))
 
     def _requeue(index, attempt):
+        """Re-enqueue a task its pool lost.  Never fails it, but the next
+        run is ``attempt + 1``: the requeue spends an attempt (ROADMAP
+        *Requeue budget*)."""
         _emit("engine.requeue", index=index, attempt=attempt)
         pending.append((index, attempt + 1))
 
@@ -685,88 +650,52 @@ def _run_pooled(
                     if attempt > 1:
                         break
                 deadline = (time.monotonic() + timeout) if timeout else None
-                if len(entries) == 1:
-                    index, attempt = entries[0]
-                    try:
-                        fut = _submit(pool, worker, payloads[index], index, attempt, chaos)
-                    except (BrokenProcessPool, RuntimeError):
-                        pending.appendleft(entries[0])
-                        broken = True
-                        break
-                    _emit("engine.submit", index=index, attempt=attempt, path="pooled")
-                    inflight[fut] = _Flight(entries, None, deadline)
-                else:
-                    spool = _new_spool()
-                    tasks = [(i, a, payloads[i]) for i, a in entries]
-                    try:
-                        fut = pool.submit(
-                            _run_super, obs.worker_config(), chaos, worker, tasks, spool
-                        )
-                    except (BrokenProcessPool, RuntimeError):
-                        _drop_spool(spool)
-                        for e in reversed(entries):
-                            pending.appendleft(e)
-                        broken = True
-                        break
-                    _emit("engine.batch", size=len(entries), indices=[i for i, _ in entries])
-                    for i, a in entries:
-                        _emit("engine.submit", index=i, attempt=a, path="batched")
-                    inflight[fut] = _Flight(entries, spool, deadline)
+                spool = _new_spool()
+                tasks = [(i, a, payloads[i]) for i, a in entries]
+                try:
+                    fut = pool.submit(_run_super, obs.worker_config(), chaos, worker, tasks, spool)
+                except (BrokenProcessPool, RuntimeError):
+                    _drop_spool(spool)
+                    for e in reversed(entries):
+                        pending.appendleft(e)
+                    broken = True
+                    break
+                _emit("engine.batch", size=len(entries), indices=[i for i, _ in entries])
+                for i, a in entries:
+                    _emit("engine.submit", index=i, attempt=a, path="pooled")
+                inflight[fut] = _Flight(entries, spool, deadline)
 
-            # 2. Wait for completions, bounded by the nearest deadline.
-            #    With a super-task in flight the wait is also capped so the
-            #    parent keeps draining its spool: a finished inner must
-            #    settle promptly even while a sibling hangs.
+            # 2. Wait for completions, bounded by the nearest deadline and
+            #    capped so the parent keeps draining the spools: a finished
+            #    inner must settle promptly even while a sibling hangs.
             done = ()
             if not broken and inflight:
-                wait_s = None
+                wait_s = _SPOOL_POLL_S
                 if timeout:
                     nearest = min(fl.deadline for fl in inflight.values())
-                    wait_s = max(0.0, nearest - time.monotonic())
-                if any(fl.spool is not None for fl in inflight.values()):
-                    wait_s = _SPOOL_POLL_S if wait_s is None else min(wait_s, _SPOOL_POLL_S)
+                    wait_s = max(0.0, min(wait_s, nearest - time.monotonic()))
                 done, _ = wait(list(inflight), timeout=wait_s, return_when=FIRST_COMPLETED)
 
             # 3. Settle finished futures.
             for fut in done:
                 flight = inflight.pop(fut)
                 status, value = _collect(fut)
-                if flight.spool is None:
-                    (index, attempt) = flight.entries[0]
-                    if status == "broken":
-                        broken = True
-                        _requeue(index, attempt)
-                    elif status == "error":
-                        _settle_error(index, attempt, value)
-                    else:
-                        report, value = _unwrap(value)
-                        yieldable, value = _settle_ok(
-                            index,
-                            attempt,
-                            value,
-                            report.pid if report else None,
-                            report.wall_s if report else None,
-                        )
-                        if yieldable:
-                            yield index, value
-                else:
-                    if status == "broken":
-                        broken = True
-                    # The super-task envelope itself raised (spool I/O,
-                    # teardown): its first unfinished inner is charged.
-                    charge = None
-                    if status == "error":
-                        charge = lambda i, a: _settle_error(i, a, value)
-                    yield from _retire(flight, charge)
+                if status == "broken":
+                    broken = True
+                # The super-task envelope itself raised (spool I/O,
+                # teardown): its first unfinished inner is charged.
+                charge = None
+                if status == "error":
+                    charge = lambda i, a: _settle_error(i, a, value)
+                yield from _retire(flight, charge)
 
             # 4. Drain running super-tasks: an inner result that reached the
             #    spool settles immediately — its retry or its yield must not
             #    wait for siblings (a hang would delay it a full timeout and
-            #    skew the rebuild/degradation accounting vs singles).
+            #    skew the rebuild/degradation accounting).
             if not broken:
                 for flight in inflight.values():
-                    if flight.spool is not None:
-                        yield from _drain(flight)
+                    yield from _drain(flight)
 
             # 5. Expire deadlines: a hung worker never completes on its own,
             #    and the only way to reclaim it is to rebuild the pool.  A
@@ -783,36 +712,14 @@ def _run_pooled(
                 if expired:
                     broken = True
                     for fut in expired:
-                        flight = inflight.pop(fut)
-                        if flight.spool is None:
-                            _charge_timeout(*flight.entries[0])
-                        else:
-                            yield from _retire(flight, _charge_timeout)
+                        yield from _retire(inflight.pop(fut), _charge_timeout)
 
             # 6. Rebuild the pool, or degrade to serial when it keeps dying.
+            #    Whatever reached a spool is durable: settle the finished
+            #    inners, requeue only the unfinished rest.
             if broken:
-                for fut, flight in list(inflight.items()):
-                    status, value = _collect(fut)
-                    if flight.spool is None:
-                        (index, attempt) = flight.entries[0]
-                        report, value = _unwrap(value)
-                        if status == "ok" and _result_ok(value, validate):
-                            # Completed in the teardown race window: don't redo it.
-                            consecutive_rebuilds = 0
-                            _emit(
-                                "engine.ok",
-                                index=index,
-                                attempt=attempt,
-                                worker_pid=report.pid if report else None,
-                                wall_s=report.wall_s if report else None,
-                            )
-                            yield index, value
-                        else:
-                            _requeue(index, attempt)
-                    else:
-                        # Whatever reached the spool is durable: settle the
-                        # finished inners, requeue only the unfinished rest.
-                        yield from _retire(flight)
+                for flight in inflight.values():
+                    yield from _retire(flight)
                 inflight.clear()
                 rebuild_span = trace.start_span("engine.rebuild", "retry", pending=len(pending))
                 _kill_pool(pool)
@@ -868,7 +775,7 @@ def run_tasks(
     validate: "Callable[[object], bool] | None" = None,
     chaos: "str | None" = None,
     fail_fast: bool = False,
-    batch: "str | int | None" = None,
+    batch: "str | int" = "auto",
     warm: "tuple | None" = None,
     yield_index: bool = False,
     spool_dir: "str | None" = None,
@@ -897,10 +804,10 @@ def run_tasks(
       ``REPRO_CHAOS``); injected into pool workers only, per inner task.
     * *fail_fast* — raise :class:`TaskError` on the first exhausted task
       instead of collecting failures into a :class:`CampaignError`.
-    * *batch* — super-task batching policy (default ``REPRO_TASK_BATCH``):
-      ``auto`` sizes batches from measured task cost, ``off`` submits every
-      task individually, an integer pins the size.  Retried tasks are
-      always submitted individually.
+    * *batch* — inner tasks per pool submission: ``auto`` (default) sizes
+      batches from measured task cost, an integer ``>= 1`` pins the size
+      (``1`` submits every task alone).  Anything else raises
+      :class:`ValueError`.  Retried tasks are always submitted alone.
     * *warm* — optional ``(function, args)`` warm hint, applied in the
       parent before the first pool (fork workers inherit it) and as the
       initializer of every built or rebuilt pool.
@@ -922,7 +829,8 @@ def run_tasks(
         jobs = default_jobs()
     timeout = envcfg.task_timeout(timeout)
     retries = envcfg.task_retries(retries)
-    batch = envcfg.task_batch(batch)
+    if batch != "auto" and (type(batch) is not int or batch < 1):
+        raise ValueError(f"batch must be 'auto' or an int >= 1, got {batch!r}")
     if backoff is None:
         backoff = BACKOFF_BASE
     if chaos is None:

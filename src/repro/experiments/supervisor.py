@@ -567,7 +567,7 @@ def supervised_tasks(
                     # a result the journal doesn't have.  ``kill`` chaos
                     # fires here — before the append — so the in-hand
                     # result is lost to the journal but its spool record
-                    # (batched runs) survives for salvage.
+                    # (every pooled run) survives for salvage.
                     chaos_mod.io_fire("supervisor.settle")
                     try:
                         journal.append((REC_SETTLE, index, result, "live"))

@@ -301,34 +301,6 @@ def gf_native(explicit: "str | None" = None) -> str:
     return value
 
 
-def task_batch(explicit: "str | int | None" = None) -> "str | int":
-    """Resolve the super-task batching policy of the campaign engine.
-
-    ``auto`` (default) sizes batches from measured per-task cost so
-    dispatch overhead stays a small fraction of work; ``off`` submits
-    every task individually (the pre-batching engine); an integer ``N >= 1``
-    pins the batch size.  An explicit caller argument wins over
-    ``REPRO_TASK_BATCH``.
-    """
-    value = explicit if explicit is not None else os.environ.get("REPRO_TASK_BATCH", "")
-    if isinstance(value, int):
-        if value < 1:
-            raise ValueError(f"task batch size must be >= 1, got {value}")
-        return value
-    value = value.strip() or "auto"
-    if value in ("auto", "off"):
-        return value
-    try:
-        size = int(value)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_TASK_BATCH must be 'auto', 'off' or an integer >= 1, got {value!r}"
-        ) from None
-    if size < 1:
-        raise ValueError(f"REPRO_TASK_BATCH must be >= 1, got {size}")
-    return size
-
-
 def mem_budget(explicit: "int | None" = None) -> "int | None":
     """Resolve the driver's RSS budget in bytes (``REPRO_MEM_BUDGET``).
 
@@ -501,13 +473,6 @@ register(
     str(DEFAULT_TASK_RETRIES),
     "retry budget per campaign task beyond the first attempt (0 = single attempt)",
     lambda: str(task_retries()),
-)
-register(
-    "REPRO_TASK_BATCH",
-    "auto|off|int >= 1",
-    "auto",
-    "super-task batching of small campaign tasks: cost-based auto, off, or a fixed size",
-    lambda: str(task_batch()),
 )
 register(
     "REPRO_CHAOS",

@@ -2,13 +2,14 @@
 
 The contract under test (ISSUE 6 tentpole): coalescing small campaign
 tasks into batched super-tasks must be *invisible* to every caller —
-``REPRO_TASK_BATCH`` in any mode yields bit-identical campaign results,
+the ``batch`` argument in any mode yields bit-identical campaign results,
 per-inner-task retry/timeout/chaos attribution matches the unbatched
 engine, a crash mid-batch recovers without recomputing the inner tasks
 whose results already reached the spool, and checkpointed caches written
 by batched runs resume interchangeably with serial ones.
 """
 
+import functools
 import json
 import multiprocessing
 import os
@@ -31,6 +32,12 @@ CELLS = dict(workloads=["streamcluster", "sjeng"], config_keys=["chipkill18", "l
 
 
 def _square(x):
+    return x * x
+
+
+def _raise_on_three(x):
+    if x == 3:
+        raise ValueError(f"bad cell {x}")
     return x * x
 
 
@@ -58,39 +65,39 @@ def armed(tmp_path):
 
 
 class TestBatchKnob:
-    def test_default_is_auto(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TASK_BATCH", raising=False)
-        assert envcfg.task_batch() == "auto"
+    """``batch`` is a ``run_tasks`` argument; no environment knob feeds it."""
 
-    @pytest.mark.parametrize("value,want", [("auto", "auto"), ("off", "off"), ("7", 7)])
-    def test_env_parsing(self, value, want, monkeypatch):
-        monkeypatch.setenv("REPRO_TASK_BATCH", value)
-        assert envcfg.task_batch() == want
+    def test_default_is_auto(self, armed):
+        assert list(parallel.run_tasks(_square, [(2,), (3,)], jobs=1)) == [4, 9]
+        (start,) = [e for e in read_events(armed) if e["kind"] == "engine.start"]
+        assert start["batch"] == "auto"
 
-    def test_explicit_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TASK_BATCH", "off")
-        assert envcfg.task_batch(4) == 4
-        assert envcfg.task_batch("auto") == "auto"
+    def test_explicit_wins_over_env(self, armed, monkeypatch):
+        monkeypatch.setenv("REPRO_TASK_BATCH", "huge")  # not a knob: ignored, never parsed
+        assert "REPRO_TASK_BATCH" not in envcfg.KNOBS
+        out = parallel.run_tasks(_square, [(i,) for i in range(8)], jobs=2, batch=4)
+        assert sorted(out) == [i * i for i in range(8)]
+        assert max(e["size"] for e in read_events(armed) if e["kind"] == "engine.batch") == 4
 
-    @pytest.mark.parametrize("bad", ["0", "-3", "3.5", "huge"])
-    def test_garbage_rejected(self, bad, monkeypatch):
-        monkeypatch.setenv("REPRO_TASK_BATCH", bad)
+    @pytest.mark.parametrize("bad", [0, -3, 3.5, "huge", "off"])
+    def test_garbage_rejected(self, bad):
         with pytest.raises(ValueError):
-            envcfg.task_batch()
+            list(parallel.run_tasks(_square, [(2,), (3,)], jobs=2, batch=bad))
 
     def test_explicit_zero_rejected(self):
+        # Checked before the serial/pooled split: a serial run rejects it too.
         with pytest.raises(ValueError):
-            envcfg.task_batch(0)
+            list(parallel.run_tasks(_square, [(2,), (3,)], jobs=1, batch=0))
 
 
 class TestBatchedBitIdentity:
-    """off == auto == fixed == serial, with and without chaos."""
+    """1 == auto == fixed == serial, with and without chaos."""
 
     @pytest.fixture(scope="class")
     def reference(self):
         return sorted(parallel.run_tasks(_eol_cell, PAYLOADS, jobs=1))
 
-    @pytest.mark.parametrize("batch", ["off", "auto", 3, len(PAYLOADS)])
+    @pytest.mark.parametrize("batch", [1, "auto", 3, len(PAYLOADS)])
     def test_modes_match_serial(self, batch, reference):
         out = parallel.run_tasks(_eol_cell, PAYLOADS, jobs=3, batch=batch)
         assert sorted(out) == reference
@@ -114,18 +121,17 @@ class TestBatchedBitIdentity:
         assert sorted(submitted) == list(range(24))
         # The bulk travels batched; the queue tail may drain as singles
         # (the fair-share cap keeps the last tasks spread over the pool).
-        batched = [e for e in events if e["kind"] == "engine.submit" and e["path"] == "batched"]
-        assert len(batched) >= 16
+        assert sum(e["size"] for e in batches if e["size"] > 1) >= 16
         oks = [e["index"] for e in events if e["kind"] == "engine.ok"]
         assert sorted(oks) == list(range(24))
 
     def test_auto_calibrates_up_from_singles(self, armed):
         list(parallel.run_tasks(_square, [(i,) for i in range(40)], jobs=2, batch="auto"))
         events = read_events(armed)
-        paths = {e["path"] for e in events if e["kind"] == "engine.submit"}
+        sizes = [e["size"] for e in events if e["kind"] == "engine.batch"]
         # Calibration singles first, then measured-cost batches.
-        assert paths == {"pooled", "batched"}
-        assert any(e["size"] > 1 for e in events if e["kind"] == "engine.batch")
+        assert sizes[0] == 1
+        assert any(size > 1 for size in sizes)
 
 
 class TestInnerTaskAttribution:
@@ -148,6 +154,19 @@ class TestInnerTaskAttribution:
         oks = sorted(e["index"] for e in events if e["kind"] == "engine.ok")
         assert oks == [0, 1, 3, 4, 5, 6, 7]
 
+    def test_worker_traceback_chained_as_cause(self):
+        with pytest.raises(parallel.CampaignError) as ei:
+            list(
+                parallel.run_tasks(
+                    _raise_on_three, [(i,) for i in range(8)], jobs=2, batch=4,
+                    retries=0, backoff=0,
+                )
+            )
+        (f,) = ei.value.failures
+        assert isinstance(f.cause, ValueError) and f.index == 3
+        # The worker's formatted traceback, as concurrent.futures chains it.
+        assert "_raise_on_three" in str(f.cause.__cause__)
+
     def test_hang_inside_batch_charges_hung_inner_only(self, armed):
         out = list(
             parallel.run_tasks(
@@ -159,7 +178,7 @@ class TestInnerTaskAttribution:
         events = read_events(armed)
         timeouts = [e["index"] for e in events if e["kind"] == "engine.timeout"]
         assert timeouts == [1]
-        # Batch-mates of the hung task were requeued without attempt charge.
+        # Batch-mates of the hung task were requeued, not timed out.
         assert any(e["kind"] == "engine.requeue" for e in events)
 
     def test_finished_sibling_settles_while_inner_hangs(self, armed):
@@ -193,11 +212,12 @@ class TestInnerTaskAttribution:
             )
         )
         events = read_events(armed)
-        retry_submits = [
-            e for e in events
-            if e["kind"] == "engine.submit" and e["attempt"] > 1
-        ]
-        assert retry_submits and all(e["path"] == "pooled" for e in retry_submits)
+        retried = {e["index"] for e in events if e["kind"] == "engine.submit" and e["attempt"] > 1}
+        assert retried
+        for index in retried:
+            sizes = [e["size"] for e in events if e["kind"] == "engine.batch" and index in e["indices"]]
+            # The first submission may share a batch; every retry goes alone.
+            assert len(sizes) > 1 and all(size == 1 for size in sizes[1:])
 
 
 class TestCrashRecovery:
@@ -267,21 +287,25 @@ class TestCrashRecovery:
         assert requeued == {2, 3}
 
 
+def _batch_cells(monkeypatch, batch):
+    """Pin the batch size of every evaluation-matrix campaign."""
+    monkeypatch.setattr(parallel, "run_cells", functools.partial(parallel.run_cells, batch=batch))
+
+
 class TestMatrixBatching:
     """The evaluation matrix is bit-identical across batching modes."""
 
-    @pytest.mark.parametrize("mode", ["off", "auto", "2"])
+    @pytest.mark.parametrize("mode", [1, "auto", 2])
     def test_matrix_modes_bit_identical(self, mode, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "4")
         monkeypatch.setattr(ev, "CACHE_DIR", tmp_path / "serial")
-        monkeypatch.setenv("REPRO_TASK_BATCH", "off")
         serial = evaluation_matrix("quad", fidelity=TINY, jobs=1, **CELLS)
         serial_cache = json.loads(next((tmp_path / "serial").glob("*.json")).read_text())
 
-        monkeypatch.setattr(ev, "CACHE_DIR", tmp_path / mode)
-        monkeypatch.setenv("REPRO_TASK_BATCH", mode)
+        monkeypatch.setattr(ev, "CACHE_DIR", tmp_path / str(mode))
+        _batch_cells(monkeypatch, mode)
         par = evaluation_matrix("quad", fidelity=TINY, **CELLS)
-        par_cache = json.loads(next((tmp_path / mode).glob("*.json")).read_text())
+        par_cache = json.loads(next((tmp_path / str(mode)).glob("*.json")).read_text())
 
         assert par == serial
         assert json.dumps(par_cache, sort_keys=True) == json.dumps(
@@ -292,7 +316,7 @@ class TestMatrixBatching:
         monkeypatch.setenv("REPRO_CHAOS", "crash@1,corrupt@2")
         monkeypatch.setenv("REPRO_TASK_RETRIES", "2")
         monkeypatch.setenv("REPRO_JOBS", "4")
-        monkeypatch.setenv("REPRO_TASK_BATCH", "2")
+        _batch_cells(monkeypatch, 2)
         monkeypatch.setattr(ev, "CACHE_DIR", tmp_path / "batched")
         par = evaluation_matrix("quad", fidelity=TINY, **CELLS)
 
@@ -313,7 +337,7 @@ class TestMatrixBatching:
         assert len(checkpointed) == 2
 
         monkeypatch.setenv("REPRO_JOBS", "4")
-        monkeypatch.setenv("REPRO_TASK_BATCH", "2")
+        _batch_cells(monkeypatch, 2)
         resumed = evaluation_matrix("quad", fidelity=TINY, **CELLS)
         # The checkpointed cells were reused verbatim, the rest computed.
         for key, cell in partial.items():
