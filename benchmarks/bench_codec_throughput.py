@@ -37,8 +37,9 @@ from repro.experiments.report import format_table
 from repro.faults.rareevent import run_is_coverage
 from repro.gf import GF256, ReedSolomon
 from repro.gf import rsnative
+from repro.util import envcfg
 
-QUICK_MODE = bool(os.environ.get("REPRO_BENCH_QUICK"))
+QUICK_MODE = envcfg.flag("REPRO_BENCH_QUICK")
 
 #: Words per decode batch (the dirty-heavy sections decode all of them).
 WORDS = 4096 if QUICK_MODE else 16384

@@ -23,15 +23,15 @@ finishes in seconds; the acceptance numbers come from an unloaded run
 without the flag.
 """
 
-import os
 import time
 
 from conftest import merge_results, once
 
 from repro.experiments import parallel
 from repro.experiments.report import format_table
+from repro.util import envcfg
 
-QUICK_MODE = bool(os.environ.get("REPRO_BENCH_QUICK"))
+QUICK_MODE = envcfg.flag("REPRO_BENCH_QUICK")
 
 TASKS = 200 if QUICK_MODE else 1_000
 JOBS = 2

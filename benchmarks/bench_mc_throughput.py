@@ -13,7 +13,6 @@ finishes in seconds; the acceptance numbers come from an unloaded run
 without the flag.
 """
 
-import os
 import time
 
 from conftest import merge_results, once
@@ -26,8 +25,9 @@ from repro.faults.fit_rates import FaultMode
 from repro.faults.injector import FaultInjector
 from repro.faults.montecarlo import EolCapacitySim, eol_fraction_by_channels
 from repro.faults.rareevent import Z95
+from repro.util import envcfg
 
-QUICK_MODE = bool(os.environ.get("REPRO_BENCH_QUICK"))
+QUICK_MODE = envcfg.flag("REPRO_BENCH_QUICK")
 
 #: Trial budgets for the batched-vs-reference Figure 8 MC measurement.
 #: The batched budget must be large enough to amortize per-chunk setup,

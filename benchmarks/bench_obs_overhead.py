@@ -13,12 +13,13 @@ way a sub-2% wall-clock A/B comparison would.
 
 The armed path is measured too (interleaved disarmed-vs-armed reps,
 best-of-reps rates) and recorded alongside, with a loose sanity bound:
-event volume on these kernels is one record per sim run and one per MC
-chunk, so even the enabled path should stay within a few percent.
+arming records events and spans together, and their volume on these
+kernels is a few records per sim run and per MC chunk, so even the
+enabled path should stay within a few percent.
 
-The span plane (``repro.obs.trace``) gets the same treatment: with
-``REPRO_TRACE`` unset every ``trace.span(...)`` site hands back a shared
-no-op singleton, so the disabled-path bound is again proven directly -
+The span plane (``repro.obs.trace``) gets the same treatment: with the
+bus disarmed every ``trace.span(...)`` site hands back a shared no-op
+singleton, so the disabled-path bound is again proven directly -
 per-site cost of a disarmed span gate times the span sites a kernel run
 touches (one ``sim.run`` per simulation, one ``sim.epoch`` per epoch
 dispatch, one ``mc.run`` per MC run), divided by the kernel wall.  The
@@ -29,7 +30,6 @@ Numbers land in ``results/BENCH_obs_overhead.json`` (plus a rendered
 table).  ``REPRO_BENCH_QUICK=1`` shrinks the budgets for CI.
 """
 
-import os
 import time
 from pathlib import Path
 
@@ -40,9 +40,10 @@ from repro.ecc.catalog import SYSTEM_CLASSES
 from repro.experiments.report import format_table
 from repro.experiments.runner import RunSpec, build_system
 from repro.faults.montecarlo import DEFAULT_CHUNK, EolCapacitySim
+from repro.util import envcfg
 from repro.workloads.profiles import WORKLOADS_BY_NAME
 
-QUICK_MODE = bool(os.environ.get("REPRO_BENCH_QUICK"))
+QUICK_MODE = envcfg.flag("REPRO_BENCH_QUICK")
 
 #: The acceptance bar: disabled-path telemetry overhead on either kernel.
 DISABLED_OVERHEAD_BUDGET_PCT = 2.0
@@ -105,18 +106,18 @@ def _disarmed_gate_cost_s() -> float:
     assert not obs.enabled()
     t0 = time.perf_counter()
     for _ in range(GATE_CALLS):
-        obs.enabled("sim")
+        obs.enabled()
         obs.emit("bench.noop")
     return (time.perf_counter() - t0) / (2 * GATE_CALLS)
 
 
-def _interleaved(kernel, modes: str, tmp: Path) -> "tuple[float, float]":
+def _interleaved(kernel, tmp: Path) -> "tuple[float, float]":
     """Best-of-REPS wall for *kernel* disarmed vs armed, interleaved."""
     best_off = best_on = float("inf")
     for rep in range(REPS):
         obs.disarm()
         best_off = min(best_off, kernel())
-        obs.configure(tmp / f"rep{rep}", modes)
+        obs.configure(tmp / f"rep{rep}")
         try:
             best_on = min(best_on, kernel())
         finally:
@@ -193,13 +194,13 @@ def bench_obs_disabled_path(benchmark, results_dir, emit):
 def _disarmed_span_cost_s() -> float:
     """Per-call wall cost of a disarmed span site (``with trace.span(...)``).
 
-    With ``REPRO_TRACE`` unset the call returns the shared no-op span, so
-    this times the entire per-site price: the gate branch, the singleton
+    With the bus disarmed the call returns the shared no-op span, so this
+    times the entire per-site price: the gate branch, the singleton
     return, and the context-manager enter/exit.
     """
     from repro.obs import trace
 
-    assert not trace.enabled()
+    assert not obs.enabled()
     t0 = time.perf_counter()
     for _ in range(GATE_CALLS):
         with trace.span("bench.noop", "compute"):
@@ -210,11 +211,9 @@ def _disarmed_span_cost_s() -> float:
 def bench_trace_disabled_path(benchmark, results_dir, emit):
     """Span-plane disabled-path overhead: span sites x gate cost vs wall."""
     from repro.cpu import epochnative
-    from repro.obs import trace
 
     epochnative.available()  # compile the epoch core outside timed regions
     obs.disarm()
-    trace.arm(False)
     obs.REGISTRY.reset()
 
     def measure():
@@ -272,9 +271,9 @@ def bench_obs_enabled_overhead(benchmark, results_dir, emit, tmp_path):
     obs.REGISTRY.reset()
 
     def measure():
-        sim = _interleaved(_sim_event, "sim", tmp_path / "sim")
-        epoch = _interleaved(_sim_epoch, "sim", tmp_path / "sim_epoch")
-        mc = _interleaved(_mc_kernel, "mc", tmp_path / "mc")
+        sim = _interleaved(_sim_event, tmp_path / "sim")
+        epoch = _interleaved(_sim_epoch, tmp_path / "sim_epoch")
+        mc = _interleaved(_mc_kernel, tmp_path / "mc")
         return sim, epoch, mc
 
     (sim_off, sim_on), (ep_off, ep_on), (mc_off, mc_on) = once(benchmark, measure)

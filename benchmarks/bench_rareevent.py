@@ -21,7 +21,6 @@ Numbers land in ``results/BENCH_rareevent.json``; ``REPRO_BENCH_QUICK=1``
 come from an unloaded full run.
 """
 
-import os
 import time
 
 import numpy as np
@@ -36,8 +35,9 @@ from repro.faults.rareevent import (
     run_plain,
     run_stratified,
 )
+from repro.util import envcfg
 
-QUICK_MODE = bool(os.environ.get("REPRO_BENCH_QUICK"))
+QUICK_MODE = envcfg.flag("REPRO_BENCH_QUICK")
 
 #: Plain-MC baseline budget: needs enough tail hits (~1e-3 of trials) to
 #: pin the p999 threshold and the reference variance.

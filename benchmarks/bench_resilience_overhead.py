@@ -13,7 +13,6 @@ file finishes in seconds; the acceptance numbers come from an unloaded run
 without the flag.
 """
 
-import os
 import time
 
 from conftest import merge_results, once
@@ -21,8 +20,9 @@ from conftest import merge_results, once
 from repro.experiments import parallel
 from repro.experiments.report import format_table
 from repro.faults.montecarlo import _eol_cell
+from repro.util import envcfg
 
-QUICK_MODE = bool(os.environ.get("REPRO_BENCH_QUICK"))
+QUICK_MODE = envcfg.flag("REPRO_BENCH_QUICK")
 
 #: Campaign shape: TASKS Figure 8 cells of TRIALS trials each.
 TASKS = 12 if QUICK_MODE else 32

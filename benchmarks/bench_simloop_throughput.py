@@ -29,8 +29,9 @@ from repro.experiments.evaluation import Fidelity
 from repro.experiments.report import format_table
 from repro.experiments.runner import RunSpec, build_system
 from repro.workloads.profiles import WORKLOADS_BY_NAME
+from repro.util import envcfg
 
-QUICK_MODE = bool(os.environ.get("REPRO_BENCH_QUICK"))
+QUICK_MODE = envcfg.flag("REPRO_BENCH_QUICK")
 
 #: Instructions per phase for the single-sim measurement.
 SIM_INSTRUCTIONS = 60_000 if QUICK_MODE else 400_000

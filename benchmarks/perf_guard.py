@@ -76,7 +76,7 @@ FLOORS = [
 ]
 
 #: (file, section, field, ceiling) absolute maximums - smaller is better,
-#: fresh run only.  The span plane's published claim: with ``REPRO_TRACE``
+#: fresh run only.  The span plane's published claim: with ``REPRO_OBS``
 #: unset, the per-site cost of a disarmed span gate amounts to < 2% of
 #: either kernel's wall-clock.
 CEILINGS = [

@@ -837,7 +837,7 @@ def run_native(sim, warmup_instructions: int, measure_instructions: int) -> SimR
     """Run the compiled epoch loop; same contract as ``_run_reference``."""
     mod = _CORE.load()
     lib, ffi = mod.lib, mod.ffi
-    obs_armed = obs.enabled("sim")
+    obs_armed = obs.enabled()
     wall0 = perf_counter() if obs_armed else 0.0
 
     mem = sim.mem

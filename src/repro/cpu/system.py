@@ -395,12 +395,12 @@ class SimSystem:
     def _run_reference(self, warmup_instructions: int, measure_instructions: int) -> SimResult:
         """The event-driven oracle loop (``REPRO_SIM_KERNEL=event``).
 
-        With ``REPRO_OBS=sim`` armed, one ``sim.run`` event (events/sec,
+        With ``REPRO_OBS`` armed, one ``sim.run`` event (events/sec,
         LLC hit/miss, channel fast-pick rate) is emitted per run — the
         gate is checked once here, so the event loop itself carries no
         telemetry cost.
         """
-        obs_armed = obs.enabled("sim")
+        obs_armed = obs.enabled()
         wall0 = perf_counter() if obs_armed else 0.0
         seq0 = self._seq
         self.total_instructions = 0

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.ecc.catalog import SYSTEM_CLASSES
+from repro.util import envcfg
 from repro.util.cachefile import load_json_cache, write_json_cache_atomic
 from repro.workloads.profiles import ALL_WORKLOADS, PROFILES_VERSION
 
@@ -76,8 +77,8 @@ FULL = Fidelity("full", scale=16, access_target=40_000)
 
 
 def current_fidelity() -> Fidelity:
-    """Preset selected by the ``REPRO_FULL`` environment variable."""
-    return FULL if os.environ.get("REPRO_FULL") else QUICK
+    """Preset selected by the ``REPRO_FULL`` flag."""
+    return FULL if envcfg.flag("REPRO_FULL") else QUICK
 
 
 def _cell_from_result(res) -> CellResult:
@@ -160,7 +161,7 @@ def evaluation_matrix(
         from repro import obs
         from repro.experiments import parallel
 
-        if obs.enabled("engine"):
+        if obs.enabled():
             # Campaign-level manifest facts: the config matrix and seeds
             # that produced this run directory's telemetry.
             obs.ensure_manifest(

@@ -200,9 +200,9 @@ def _emit(kind: str, **fields) -> None:
     """Engine telemetry: event + matching counter, no-op unless armed.
 
     All engine events are per-task (not per-simulated-event), so the
-    armed-path cost is irrelevant; the disarmed path is one mode check.
+    armed-path cost is irrelevant; the disarmed path is one sink check.
     """
-    if not obs.enabled("engine"):
+    if not obs.enabled():
         return
     obs.REGISTRY.counter(kind).inc()
     obs.emit(kind, **fields)
@@ -227,12 +227,12 @@ def _run_super(cfg, chaos, worker, tasks, spool):
     obs.ensure_worker(cfg)
     pid = os.getpid()
     fd = os.open(spool, os.O_WRONLY | os.O_APPEND)
-    batch_span = trace.start_span("engine.super", "compute", size=len(tasks))
+    batch_span = trace.span("engine.super", "compute", size=len(tasks))
     try:
         for index, attempt, payload in tasks:
             t1 = time.perf_counter()
             kind = resultcodec.KIND_OK
-            task_span = trace.start_span("engine.task", "compute", index=index, attempt=attempt)
+            task_span = trace.span("engine.task", "compute", index=index, attempt=attempt)
             try:
                 if chaos:
                     result = chaos_mod.chaos_call(chaos, worker, index, attempt, payload)
@@ -431,7 +431,7 @@ def _run_serial(worker, payloads, tasks, retries, backoff, validate, failures, f
                 attempt += 1
                 continue
             wall = round(time.perf_counter() - t0, 6)
-            if obs.enabled("engine"):
+            if obs.enabled():
                 obs.REGISTRY.timer("engine.task").observe(wall)
             _emit(
                 "engine.ok", index=index, attempt=attempt, worker_pid=os.getpid(), wall_s=wall
@@ -520,7 +520,7 @@ def _run_pooled(
             consecutive_rebuilds = 0
             if wall is not None:
                 samples.append(wall)
-                if obs.enabled("engine"):
+                if obs.enabled():
                     obs.REGISTRY.timer("engine.task").observe(wall)
             _emit("engine.ok", index=index, attempt=attempt, worker_pid=pid, wall_s=wall)
             return True, value
@@ -721,7 +721,7 @@ def _run_pooled(
                 for flight in inflight.values():
                     yield from _retire(flight)
                 inflight.clear()
-                rebuild_span = trace.start_span("engine.rebuild", "retry", pending=len(pending))
+                rebuild_span = trace.span("engine.rebuild", "retry", pending=len(pending))
                 _kill_pool(pool)
                 pool = None
                 consecutive_rebuilds += 1
@@ -837,9 +837,9 @@ def run_tasks(
         chaos = chaos_mod.from_env()
     failures: "list[TaskFailure]" = []
     serial = jobs == 1 or len(payloads) <= 1
-    if obs.enabled("engine"):
+    if obs.enabled():
         obs.ensure_manifest()
-    campaign_span = trace.start_span(
+    campaign_span = trace.span(
         "engine.campaign",
         "dispatch",
         tasks=len(payloads),

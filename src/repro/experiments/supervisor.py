@@ -116,7 +116,7 @@ def spec_hash(worker, payloads: "list[tuple]") -> str:
 
 
 def _emit(kind: str, **fields) -> None:
-    if not obs.enabled("supervisor"):
+    if not obs.enabled():
         return
     obs.REGISTRY.counter(kind).inc()
     obs.emit(kind, **fields)
@@ -273,7 +273,7 @@ class ResourceWatchdog:
         """One watchdog tick (called by the thread; tests call it directly)."""
         rss = self._rss()
         free = self._disk()
-        if obs.enabled("supervisor"):
+        if obs.enabled():
             obs.REGISTRY.gauge("supervisor.rss_bytes").set(rss)
             obs.REGISTRY.gauge("supervisor.disk_free_bytes").set(free)
         if self.mem_budget and rss > self.mem_budget:
@@ -493,7 +493,7 @@ def supervised_tasks(
 
     journal = Journal(paths.journal)
     fresh = not records
-    root_span = trace.start_span(
+    root_span = trace.span(
         "supervisor.campaign",
         parent=stored_ctx,
         campaign=name,

@@ -330,7 +330,7 @@ class EolCapacitySim:
         # so the instrumented loop stays bit-identical and all-but-free.
         # The convergence gauge keeps an incremental sum - an O(done) prefix
         # mean per chunk would dominate the vectorized kernel itself.
-        armed = obs.enabled("mc")
+        armed = obs.enabled()
         running_total = 0.0
         with trace.span("mc.run", "mc", trials=trials, channels=self.org.channels):
             while done < trials:

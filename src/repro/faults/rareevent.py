@@ -704,7 +704,7 @@ def _is_log_weights_reference(draws, lam: dict, tilts: dict) -> np.ndarray:
 
 
 def _emit_progress(mode: str, done: int, trials: int, tally_view, target, rci) -> None:
-    """Per-chunk telemetry (gated on ``REPRO_OBS=mc``): ESS + weight spread."""
+    """Per-chunk telemetry (gated on ``REPRO_OBS``): ESS + weight spread."""
     ess = round(tally_view.ess, 1)
     obs.REGISTRY.counter("mc.vr_trials").inc()
     obs.REGISTRY.gauge("mc.ess").set(ess)
@@ -765,7 +765,7 @@ def _run_weighted(sim, trials, chunk_size, target, target_rci, tilt, mode) -> We
     lam_q = {m: tilts[m] * lam[m] for m in _SAT_MODES}
     tally = WeightedTally()
     estimate = WeightedEstimate(mode=mode, tally=tally, tilt=tilt)
-    armed = obs.enabled("mc")
+    armed = obs.enabled()
     done = 0
     while done < trials:
         n = min(chunk_size, trials - done)
@@ -818,7 +818,7 @@ def run_is_coverage(
     rng = make_rng(seed)
     tally = WeightedTally()
     estimate = WeightedEstimate(mode=mode, tally=tally, tilt=tilt)
-    armed = obs.enabled("mc")
+    armed = obs.enabled()
     done = 0
     while done < trials:
         n = min(chunk_size, trials - done)
@@ -956,7 +956,7 @@ def run_stratified(
     states += [StratumState(k=k, prob=probs[k]) for k in range(1, kmax + 1)]
     estimate = StratifiedEstimate(mode="strat", strata=states, allocation=allocation)
     sampled = [s for s in states if s.exact is None and s.prob > 0]
-    armed = obs.enabled("mc")
+    armed = obs.enabled()
 
     # Pilot round: the variance source for Neyman shares, and the bias
     # guard that every positive-probability stratum is represented.
@@ -1218,7 +1218,7 @@ def sharded_estimate(
 
     t0 = time.perf_counter()
     early = False
-    armed = obs.enabled("mc")
+    armed = obs.enabled()
     if target_rci and results:
         current = merged(set(results))
         early = current.rci(threshold_t) <= target_rci

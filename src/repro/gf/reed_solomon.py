@@ -240,7 +240,7 @@ class ReedSolomon:
         setup = self._erasure_setup(erasures)
         rho = setup["rho"]
 
-        armed = obs.enabled("ecc")
+        armed = obs.enabled()
         t0 = perf_counter() if armed else 0.0
         synd = self.syndromes(flat)
         dirty = np.any(synd != 0, axis=-1)
@@ -398,7 +398,7 @@ class ReedSolomon:
         batch_shape = cw.shape[:-1]
         flat = cw.reshape(-1, self.n)
 
-        armed = obs.enabled("ecc")
+        armed = obs.enabled()
         t0 = perf_counter() if armed else 0.0
         synd = self.syndromes(flat)  # (W, 2t)
         dirty = np.any(synd != 0, axis=-1)
@@ -428,7 +428,7 @@ class ReedSolomon:
         )
 
     def _emit_decode(self, words: int, dirty: int, rho: int, native: bool, dt: float) -> None:
-        """``ecc.decode`` batch telemetry (gated on ``REPRO_OBS=ecc``)."""
+        """``ecc.decode`` batch telemetry (gated on ``REPRO_OBS``)."""
         obs.REGISTRY.counter("ecc.decode_batches").inc()
         obs.REGISTRY.counter("ecc.dirty_words").inc(dirty)
         if dirty and dt > 0:

@@ -26,18 +26,21 @@ observable without perturbing them:
 
 Arming
 ------
-``REPRO_OBS`` selects instrumented layers as a comma-separated mode list
-(``engine``, ``mc``, ``sim``, ``chaos``, ``supervisor``, ``ecc``;
-``all``/``1`` enables every mode); unset keeps telemetry off.  ``REPRO_OBS_DIR`` picks the run
-directory (default ``./.repro_obs``).  Both are read at import time, so
-spawn-started worker processes arm themselves; fork-started workers
-inherit the parent's armed sink (O_APPEND keeps their writes atomic).
-Tests and benchmarks arm programmatically via :func:`configure` and
-restore the environment-driven state with :func:`init_from_env`.
+``REPRO_OBS`` is one on/off flag (``1``/``true``/``on``/``yes``/``all``
+arms; blank, ``0``/``false``/``off``/``no`` or unset keeps telemetry
+off; anything else raises).  Armed, the bus records events *and* the
+span plane (:mod:`repro.obs.trace`) records spans.  ``REPRO_OBS_DIR``
+picks the run directory (default ``./.repro_obs``).  Both are read at
+import time, so spawn-started worker processes arm themselves;
+fork-started workers inherit the parent's armed sink (O_APPEND keeps
+their writes atomic).  Tests and benchmarks arm programmatically via
+:func:`configure` and restore the environment-driven state with
+:func:`init_from_env`.
 """
 
 from __future__ import annotations
 
+import contextvars
 import json
 import os
 import sys
@@ -45,19 +48,15 @@ import time
 from pathlib import Path
 
 from repro.obs.metrics import REGISTRY, MetricsRegistry  # noqa: F401 (re-export)
+from repro.util import envcfg
 
 #: Environment knobs (registered with repro.util.envcfg).
-ENV_MODES = "REPRO_OBS"
+ENV_FLAG = "REPRO_OBS"
 ENV_DIR = "REPRO_OBS_DIR"
 
 DEFAULT_DIR = ".repro_obs"
 EVENTS_FILE = "events.jsonl"
 MANIFEST_FILE = "manifest.json"
-
-#: Instrumented layers selectable in REPRO_OBS.
-MODES = ("engine", "mc", "sim", "chaos", "supervisor", "ecc")
-
-_ALL_TOKENS = frozenset({"1", "true", "on", "all"})
 
 
 class _JsonlSink:
@@ -171,81 +170,51 @@ def read_jsonl(path: "Path | str", what: str = "JSONL record") -> list:
 
 #: The active sink; ``None`` is the no-op default (the whole off path).
 _sink: "_JsonlSink | None" = None
-_modes: frozenset = frozenset()
 
-#: Ambient-span provider installed by :mod:`repro.obs.trace` while the
-#: span plane is armed; ``None`` (the default) keeps :func:`emit` free of
-#: any trace cost.  When set, it returns the current ``(trace_id,
-#: span_id)`` pair (or ``None`` outside any span) and every emitted event
-#: is stamped with it, so flat events resolve into the span forest.
-_span_provider = None
-
-
-def parse_modes(raw: "str | None") -> frozenset:
-    """Parse a REPRO_OBS value into a mode set; malformed raises eagerly."""
-    raw = (raw or "").strip()
-    if not raw:
-        return frozenset()
-    out = set()
-    for tok in raw.split(","):
-        tok = tok.strip().lower()
-        if not tok:
-            continue
-        if tok in _ALL_TOKENS:
-            out.update(MODES)
-        elif tok in MODES:
-            out.add(tok)
-        else:
-            raise ValueError(
-                f"{ENV_MODES} mode must be one of {MODES} or 'all', got {tok!r}"
-            )
-    return frozenset(out)
+#: Ambient span as a picklable ``(trace_id, span_id)`` pair, or ``None``
+#: outside any span.  :mod:`repro.obs.trace` nests spans through it and
+#: :func:`emit` stamps every event with it, so flat events resolve into
+#: the span forest.
+_current: "contextvars.ContextVar[tuple[str, str] | None]" = contextvars.ContextVar(
+    "repro_trace_span", default=None
+)
 
 
-def configure(run_dir: "Path | str | None" = None, modes: "str | object" = "all") -> "Path | None":
-    """Arm the bus programmatically; returns the run directory (or None).
+def configure(run_dir: "Path | str | None" = None) -> Path:
+    """Arm the bus programmatically; returns the run directory.
 
-    *modes* is a REPRO_OBS-style string or an iterable of mode names; an
-    empty set disarms.  The events file is opened lazily on first emit, so
-    arming never touches the filesystem by itself.
+    *run_dir* defaults to ``REPRO_OBS_DIR``, then ``./.repro_obs``.  The
+    events file is opened lazily on first emit, so arming never touches
+    the filesystem by itself.
     """
-    from repro.util import envcfg  # deferred: envcfg is import-light but cyclic
-
-    global _sink, _modes
-    parsed = parse_modes(modes) if isinstance(modes, str) else frozenset(modes)
-    if _sink is not None:
-        _sink.close()
-    if not parsed:
-        _sink = None
-        _modes = frozenset()
-        return None
+    global _sink
+    disarm()
     _sink = _JsonlSink(
         run_dir or os.environ.get(ENV_DIR) or DEFAULT_DIR,
         max_bytes=envcfg.obs_max_bytes(),
     )
-    _modes = parsed
     return _sink.run_dir
 
 
 def disarm() -> None:
     """Return to the no-op default sink."""
-    configure(modes=frozenset())
+    global _sink
+    if _sink is not None:
+        _sink.close()
+    _sink = None
 
 
 def init_from_env() -> "Path | None":
     """(Re)apply ``REPRO_OBS`` / ``REPRO_OBS_DIR``; unset disarms."""
-    modes = parse_modes(os.environ.get(ENV_MODES))
-    if not modes:
-        disarm()
-        return None
-    return configure(os.environ.get(ENV_DIR) or DEFAULT_DIR, modes)
+    if envcfg.flag(ENV_FLAG):
+        return configure()
+    disarm()
+    return None
 
 
-def enabled(mode: "str | None" = None) -> bool:
-    """Is the bus armed (and, if given, is *mode*'s layer instrumented)?"""
-    if _sink is None:
-        return False
-    return mode is None or mode in _modes
+def enabled() -> bool:
+    """Is the bus armed?"""
+    return _sink is not None
 
 
 def run_dir() -> "Path | None":
@@ -263,9 +232,8 @@ def emit(kind: str, **fields) -> None:
     if sink is None:
         return
     rec = dict(fields)
-    provider = _span_provider
-    if provider is not None and "span" not in rec:
-        ctx = provider()
+    if "span" not in rec:
+        ctx = _current.get()
         if ctx is not None:
             rec["trace"], rec["span"] = ctx
     rec["kind"] = kind
@@ -274,40 +242,30 @@ def emit(kind: str, **fields) -> None:
     sink.write_line(json.dumps(rec, separators=(",", ":"), sort_keys=True, default=repr) + "\n")
 
 
-def worker_config() -> "tuple[str, str, tuple | None] | None":
+def worker_config() -> "tuple[str, tuple[str, str] | None] | None":
     """Picklable arming state to ship to pool workers (None when off).
 
-    Third element: the parent's span-plane state — ``None`` when tracing
-    is off, else the ambient ``(trace_id, span_id)`` pair (itself possibly
-    ``None``) that worker-side spans should parent to.
+    ``(run_dir, span_ctx)``: *span_ctx* is the ambient ``(trace_id,
+    span_id)`` pair (or ``None``) that worker-side spans parent to.
     """
     if _sink is None:
         return None
-    from repro.obs import trace
-
-    tctx = (trace.ctx(),) if trace.armed() else None
-    return str(_sink.run_dir), ",".join(sorted(_modes)), tctx
+    return str(_sink.run_dir), _current.get()
 
 
 def ensure_worker(cfg: "tuple | None") -> None:
     """Arm a worker process to the parent's config (idempotent).
 
-    Fork-started workers inherit the parent's sink and return immediately;
-    spawn-started workers (or workers of a parent armed programmatically
-    after import) configure themselves here.  The span plane is (dis)armed
-    to match the parent either way.
+    Fork-started workers inherit the parent's sink and only adopt the
+    shipped span context; spawn-started workers (or workers of a parent
+    armed programmatically after import) configure themselves here.
     """
     if cfg is None:
         return
-    run_dir_s, modes_s, tctx = cfg
-    from repro.obs import trace
-
-    trace.arm(tctx is not None)
-    if tctx is not None:
-        trace.adopt(tctx[0])
-    if _sink is not None and str(_sink.run_dir) == run_dir_s and _modes == parse_modes(modes_s):
-        return
-    configure(run_dir_s, modes_s)
+    run_dir_s, span_ctx = cfg
+    _current.set(tuple(span_ctx) if span_ctx else None)
+    if _sink is None or str(_sink.run_dir) != run_dir_s:
+        configure(run_dir_s)
 
 
 def ensure_manifest(**extra) -> "Path | None":
@@ -329,7 +287,3 @@ def ensure_manifest(**extra) -> "Path | None":
 
 
 init_from_env()
-
-# Imported for its import-time REPRO_TRACE arming (installs _span_provider);
-# must come after init_from_env so the sink state it checks is settled.
-from repro.obs import trace as _trace  # noqa: E402,F401

@@ -11,29 +11,26 @@ rebuilds, worker retries, batched super-tasks, and crash/resume.
 
 Design constraints, in order:
 
-1. **Disarmed is free.**  ``REPRO_TRACE`` off (the default) keeps
-   :func:`span` at one global load and one branch, returning a shared
-   no-op singleton; :func:`repro.obs.emit` pays nothing because the
-   span-provider hook stays ``None``.  ``bench_obs_overhead.py`` holds
-   this to < 2% on both simulator kernels.
+1. **Disarmed is free.**  With the event bus disarmed (the default)
+   :func:`span` is one global load and one branch, returning a shared
+   no-op singleton.  ``bench_obs_overhead.py`` holds this to < 2% on
+   both simulator kernels.
 2. **Propagation is explicit and picklable.**  A span context crosses a
    process boundary as a plain ``(trace_id, span_id)`` tuple: the engine
    threads it through the task envelope (:func:`repro.obs.worker_config`),
    the supervisor persists it in journal ``begin`` records so a resumed
    campaign re-parents under the original root, and super-task spool
    frames carry the emitting span id (:mod:`repro.experiments.resultcodec`).
-3. **Ambient by default, explicit when needed.**  Spans nest through a
-   :class:`contextvars.ContextVar`; pass ``parent=`` to override (e.g.
-   worker-side spans parent to the dispatch-time context shipped in the
-   envelope, not to whatever the worker last ran).
+3. **Ambient by default, explicit when needed.**  Spans nest through the
+   bus's :class:`contextvars.ContextVar` (``repro.obs._current``), which
+   :func:`repro.obs.emit` also stamps onto every event; pass ``parent=``
+   to override (e.g. worker-side spans parent to the dispatch-time
+   context shipped in the envelope, not to whatever the worker last ran).
 
 Arming
 ------
-``REPRO_TRACE=1`` (any of 1/true/on/yes) arms the plane at import time;
-spans still only reach disk while the event bus itself is armed
-(``REPRO_OBS``).  Tests and benchmarks arm programmatically with
-:func:`arm` and restore the environment-driven state via
-:func:`init_from_env`.
+The plane has no switch of its own: spans are recorded exactly while the
+event bus is armed (``REPRO_OBS``, or :func:`repro.obs.configure`).
 
 Span event schema (``kind == "trace.span"``)::
 
@@ -49,49 +46,18 @@ plus any keyword fields given at start, :meth:`Span.annotate`, or end.
 
 from __future__ import annotations
 
-import contextvars
 import os
 import time
 
 from repro import obs
+from repro.obs import _current
 
 #: Attribution categories consumed by :mod:`repro.obs.spantree`.  Free-form
 #: strings are allowed; these are the ones the wall-time buckets know.
 CATEGORIES = ("dispatch", "compute", "codec", "retry", "journal", "mc", "sim")
 
-_armed = False
-_current: "contextvars.ContextVar[tuple[str, str] | None]" = contextvars.ContextVar(
-    "repro_trace_span", default=None
-)
-
-
-def _provider() -> "tuple[str, str] | None":
-    return _current.get()
-
-
-def armed() -> bool:
-    """Is the span plane armed (independent of the bus sink)?"""
-    return _armed
-
-
-def arm(on: bool = True) -> None:
-    """(Dis)arm the span plane and install/clear the bus span-provider."""
-    global _armed
-    _armed = bool(on)
-    obs._span_provider = _provider if _armed else None
-
-
-def init_from_env() -> bool:
-    """(Re)apply ``REPRO_TRACE``; returns the resulting armed state."""
-    from repro.util import envcfg
-
-    arm(envcfg.trace_enabled())
-    return _armed
-
-
-def enabled() -> bool:
-    """True when spans actually reach disk: armed AND the bus has a sink."""
-    return _armed and obs.enabled()
+#: Kept for callers that re-apply the environment through this module.
+init_from_env = obs.init_from_env
 
 
 def new_id() -> str:
@@ -114,7 +80,7 @@ def adopt(parent_ctx: "tuple[str, str] | None") -> None:
 
 
 class _NoopSpan:
-    """Shared do-nothing span returned while the plane is disarmed."""
+    """Shared do-nothing span returned while the bus is disarmed."""
 
     __slots__ = ()
     trace_id = None
@@ -231,18 +197,11 @@ def span(
     parent: "tuple[str, str] | None" = None,
     **fields,
 ) -> "Span | _NoopSpan":
-    """Open a span (the shared no-op singleton while disarmed/unsunk).
+    """Open a span (the shared no-op singleton while the bus is disarmed).
 
     *parent* overrides the ambient context; otherwise the span nests under
     the current one, or starts a new root trace.
     """
-    if not _armed or obs._sink is None:
+    if obs._sink is None:
         return NOOP
     return Span(name, cat, parent, fields)
-
-
-#: Alias for call sites that pair an explicit ``.end()`` (generators).
-start_span = span
-
-
-init_from_env()

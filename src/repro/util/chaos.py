@@ -200,7 +200,7 @@ def _emit_fire(fault: ChaosFault, index: int, attempt: int) -> None:
     """
     from repro import obs  # local: chaos is imported by envcfg's resolver
 
-    if obs.enabled("chaos"):
+    if obs.enabled():
         obs.REGISTRY.counter("chaos.fire").inc()
         obs.emit(
             "chaos.fire", mode=fault.mode, index=index, attempt=attempt, param=fault.param
@@ -374,7 +374,7 @@ def _emit_io_fire(fault: IOFault, op: str, count: int) -> None:
     """
     from repro import obs
 
-    if obs.enabled("chaos"):
+    if obs.enabled():
         obs.REGISTRY.counter("chaos.io_fire").inc()
         obs.emit(
             "chaos.io_fire", mode=fault.mode, op=op, occurrence=count, param=fault.param

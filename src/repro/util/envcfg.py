@@ -1,32 +1,26 @@
-"""Environment-variable knobs shared by the campaign drivers.
+"""Environment-variable knobs: every ``REPRO_*`` setting the package reads.
 
-One switch flips a whole plane of the reproduction between a quick CI pass
-and a full-scale run:
+Each knob has one resolver here, named after what it sets (:func:`jobs`,
+:func:`mc_trials`, :func:`task_timeout`, :func:`sim_kernel`, ...).  The
+resolvers share a few parsers by value type:
 
-* ``REPRO_MC_TRIALS`` — default trial count of every Monte Carlo driver
-  (Figure 8 end-of-life, the coverage study, the collision study), e.g.
-  ``REPRO_MC_TRIALS=1000000`` for converged tail statistics.
-* ``REPRO_JOBS`` — worker-process count of every campaign fan-out
-  (``repro.experiments.parallel``); ``1`` forces the serial reference path.
-* ``REPRO_TASK_TIMEOUT`` — per-task timeout in seconds for pooled campaign
-  tasks; a worker that produces no result within the window is presumed
-  hung, its pool is rebuilt, and the task is retried.  Unset (the default)
-  disables the timeout; ``0`` disables it explicitly.
-* ``REPRO_TASK_RETRIES`` — how many times a failing campaign task is
-  retried (with exponential backoff) before it is recorded as a structured
-  failure.  Default 2.
+* numbers - :func:`positive_int` / :func:`positive_float` (and the
+  byte-size parser :func:`parse_bytes` for ``64m``-style sizes);
+* on/off switches - :func:`flag` (``REPRO_OBS``, ``REPRO_FULL``,
+  ``REPRO_BENCH_QUICK``);
+* enumerations - a per-knob choice check (``REPRO_MC_VR``,
+  ``REPRO_SIM_KERNEL``, ``REPRO_GF_NATIVE``).
 
-All knobs share one parser (:func:`positive_int` / :func:`positive_float`):
-blank or unset falls back to the default, malformed or out-of-range values
+Blank or unset falls back to the default; malformed or out-of-range values
 raise ``ValueError`` eagerly in the parent process.  An explicit argument
 at a call site always wins over the environment.
 
-Every ``REPRO_*`` knob is additionally registered in :data:`KNOBS`, the
-single source of truth for documentation and telemetry: run
-``python -m repro.util.envcfg`` to print each knob's parser, default, and
-current effective value (``--markdown`` emits the README table), and
-:mod:`repro.obs.manifest` embeds the same registry into every run
-manifest so a campaign records exactly the knobs it ran under.
+Every knob is registered in :data:`KNOBS`, the single source of truth for
+documentation and telemetry: run ``python -m repro.util.envcfg`` to print
+each knob's parser, default, and current effective value (``--markdown``
+emits the README table), and :mod:`repro.obs.manifest` embeds the same
+registry into every run manifest so a campaign records exactly the knobs
+it ran under.
 """
 
 from __future__ import annotations
@@ -200,28 +194,26 @@ def mc_target_rci(explicit: "float | None" = None) -> "float | None":
     return value or None
 
 
-#: Truthy tokens accepted by flag-style knobs (``REPRO_TRACE``).
-_FLAG_ON = frozenset({"1", "true", "on", "yes"})
+#: Tokens accepted by on/off knobs; anything else raises.
+_FLAG_ON = frozenset({"1", "true", "on", "yes", "all"})
 _FLAG_OFF = frozenset({"", "0", "false", "off", "no"})
 
 
-def trace_enabled(explicit: "bool | None" = None) -> bool:
-    """Resolve the causal-trace knob (``REPRO_TRACE``).
+def flag(name: str) -> bool:
+    """Shared on/off knob: is env var *name* set to an on token?
 
-    When on (and the telemetry bus is armed), span records
-    (``trace.span``) are emitted on the JSONL event bus and every other
-    event is stamped with the enclosing span, so a campaign reconstructs
-    as a single span forest (:mod:`repro.obs.spantree`).  Off (the
-    default) keeps the span plane a no-op.
+    On is ``1``/``true``/``on``/``yes``/``all``; off is blank, unset, or
+    ``0``/``false``/``off``/``no`` (case-insensitive).  Anything else
+    raises ``ValueError``.
     """
-    if explicit is not None:
-        return bool(explicit)
-    raw = os.environ.get("REPRO_TRACE", "").strip().lower()
+    raw = os.environ.get(name, "").strip().lower()
     if raw in _FLAG_ON:
         return True
     if raw in _FLAG_OFF:
         return False
-    raise ValueError(f"REPRO_TRACE must be a flag (1/on/0/off), got {raw!r}")
+    raise ValueError(
+        f"{name} must be a flag (1/true/on/yes/all or 0/false/off/no), got {raw!r}"
+    )
 
 
 def obs_max_bytes(explicit: "int | None" = None) -> "int | None":
@@ -411,13 +403,6 @@ def _resolve_chaos() -> str:
     return chaos.from_env() or "(off)"
 
 
-def _resolve_obs_modes() -> str:
-    from repro.obs import parse_modes  # lazy: obs -> envcfg
-
-    modes = parse_modes(os.environ.get("REPRO_OBS"))
-    return ",".join(sorted(modes)) if modes else "(off)"
-
-
 register(
     "REPRO_JOBS",
     "int >= 1",
@@ -535,14 +520,14 @@ register(
     "flag",
     "unset (quick fidelity)",
     "select the full-fidelity evaluation preset used for EXPERIMENTS.md numbers",
-    lambda: "full" if os.environ.get("REPRO_FULL") else "quick",
+    lambda: "full" if flag("REPRO_FULL") else "quick",
 )
 register(
     "REPRO_BENCH_QUICK",
     "flag",
     "unset (full budgets)",
     "shrink benchmark budgets so benchmarks/ finishes in CI-scale time",
-    lambda: "quick" if os.environ.get("REPRO_BENCH_QUICK") else "full",
+    lambda: "quick" if flag("REPRO_BENCH_QUICK") else "full",
 )
 register(
     "REPRO_SIM_KERNEL",
@@ -560,10 +545,10 @@ register(
 )
 register(
     "REPRO_OBS",
-    "mode list",
-    "(telemetry off)",
-    "arm the telemetry plane: comma-separated modes engine,mc,sim,chaos,supervisor,ecc (or 'all')",
-    _resolve_obs_modes,
+    "flag",
+    "off",
+    "arm the telemetry plane: JSONL events and causal trace.span records together",
+    lambda: "on" if flag("REPRO_OBS") else "off",
 )
 register(
     "REPRO_OBS_DIR",
@@ -571,13 +556,6 @@ register(
     "./.repro_obs",
     "run directory for telemetry events.jsonl + manifest.json",
     lambda: os.environ.get("REPRO_OBS_DIR", "./.repro_obs"),
-)
-register(
-    "REPRO_TRACE",
-    "flag",
-    "off",
-    "causal span plane: emit trace.span records and stamp events with the enclosing span",
-    lambda: "on" if trace_enabled() else "off",
 )
 register(
     "REPRO_OBS_MAX_BYTES",

@@ -41,31 +41,43 @@ def _subprocess_env():
 
 @pytest.fixture
 def run_dir(tmp_path):
-    """Arm every mode against a temp run dir; disarm and reset afterwards."""
+    """Arm the bus against a temp run dir; disarm and reset afterwards."""
     run = tmp_path / "obs-run"
-    obs.configure(run, "all")
+    obs.configure(run)
     yield run
     obs.disarm()
     obs.REGISTRY.reset()
 
 
-class TestParseModes:
-    def test_tokens(self):
-        assert obs.parse_modes("engine") == {"engine"}
-        assert obs.parse_modes("engine, mc") == {"engine", "mc"}
-        assert obs.parse_modes(" SIM ") == {"sim"}
+class TestObsFlag:
+    @pytest.mark.parametrize(
+        "raw", ["1", "true", "on", "yes", "all", "ALL", pytest.param(" On ", id="padded")]
+    )
+    def test_on_tokens(self, raw, monkeypatch):
+        monkeypatch.setenv(obs.ENV_FLAG, raw)
+        assert envcfg.flag(obs.ENV_FLAG)
 
-    @pytest.mark.parametrize("raw", ["1", "true", "on", "all", "ALL"])
-    def test_all_tokens(self, raw):
-        assert obs.parse_modes(raw) == set(obs.MODES)
+    @pytest.mark.parametrize(
+        "raw",
+        [pytest.param("", id="empty"), pytest.param("  ", id="blank"), "0", "false", "off", "no", "NO"],
+    )
+    def test_off_tokens(self, raw, monkeypatch):
+        monkeypatch.setenv(obs.ENV_FLAG, raw)
+        assert not envcfg.flag(obs.ENV_FLAG)
 
-    def test_empty_disarms(self):
-        assert obs.parse_modes(None) == frozenset()
-        assert obs.parse_modes("  ") == frozenset()
+    def test_unset_is_off(self, monkeypatch):
+        monkeypatch.delenv(obs.ENV_FLAG, raising=False)
+        assert not envcfg.flag(obs.ENV_FLAG)
 
-    def test_unknown_mode_rejected(self):
+    @pytest.mark.parametrize("raw", ["engine", "engine,mc", "telepathy", "all,engine"])
+    def test_rejected(self, raw, monkeypatch):
+        obs.disarm()
+        monkeypatch.setenv(obs.ENV_FLAG, raw)
         with pytest.raises(ValueError):
-            obs.parse_modes("engine,telepathy")
+            envcfg.flag(obs.ENV_FLAG)
+        with pytest.raises(ValueError):
+            obs.init_from_env()
+        assert not obs.enabled()
 
 
 class TestEventBus:
@@ -83,27 +95,19 @@ class TestEventBus:
         assert isinstance(rec["ts"], float)
         assert isinstance(rec["pid"], int)
 
-    def test_mode_gating(self, tmp_path):
-        obs.configure(tmp_path, "mc")
-        try:
-            assert obs.enabled() and obs.enabled("mc")
-            assert not obs.enabled("engine")
-        finally:
-            obs.disarm()
-
     def test_non_json_values_rendered_with_repr(self, run_dir):
         obs.emit("test.obj", obj=Path("/x"))
         (rec,) = read_events(run_dir)
         assert "x" in rec["obj"]
 
     def test_init_from_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(obs.ENV_MODES, "engine,chaos")
+        monkeypatch.setenv(obs.ENV_FLAG, "1")
         monkeypatch.setenv(obs.ENV_DIR, str(tmp_path / "envrun"))
         try:
             assert obs.init_from_env() == tmp_path / "envrun"
-            assert obs.enabled("chaos") and not obs.enabled("sim")
+            assert obs.enabled()
         finally:
-            monkeypatch.delenv(obs.ENV_MODES)
+            monkeypatch.delenv(obs.ENV_FLAG)
             obs.init_from_env()
         assert not obs.enabled()
 
@@ -113,7 +117,7 @@ class TestEventBus:
         obs.ensure_worker(cfg)
         try:
             assert obs.run_dir() == run_dir
-            assert obs.enabled("sim")
+            assert obs.enabled()
         finally:
             obs.disarm()
         assert obs.worker_config() is None
@@ -252,14 +256,6 @@ class TestSimEvents:
         assert snap["counters"]["sim.runs"] == 1
         assert snap["counters"]["sim.events"] == ev["events_scheduled"]
 
-    def test_disarmed_sim_emits_nothing(self, tmp_path):
-        obs.configure(tmp_path, "engine")  # armed, but not for sim
-        try:
-            self._run_sim()
-        finally:
-            obs.disarm()
-        assert [e for e in read_events(tmp_path) if e["kind"].startswith("sim.")] == []
-
 
 class TestSummarizeChaosStorm:
     """Acceptance: reconstruct a chaos-storm campaign from JSONL alone."""
@@ -267,7 +263,7 @@ class TestSummarizeChaosStorm:
     @pytest.fixture(scope="class")
     def storm_summary(self, tmp_path_factory):
         run = tmp_path_factory.mktemp("storm") / "run"
-        obs.configure(run, "all")
+        obs.configure(run)
         try:
             out = list(
                 parallel.run_tasks(
@@ -421,7 +417,7 @@ class TestSupervisorSummary:
 
         run = tmp_path / "run"
         state = tmp_path / "state"
-        obs.configure(run, "supervisor")
+        obs.configure(run)
         try:
             chaos.arm_io("enospc@journal.append#4")
             with pytest.raises(supervisor.CampaignPaused):

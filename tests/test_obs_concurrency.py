@@ -38,11 +38,11 @@ def _emit_disarmed(_cfg, worker_id, barrier):
         obs.emit("test.noop", worker=worker_id, i=i)
 
 
-def _obs_state(run_dir_s, modes_s):
+def _obs_state(run_dir_s):
     """Worker probe used by the engine-integration test."""
     import os
 
-    return os.getpid(), str(obs.run_dir()), obs.enabled("engine")
+    return os.getpid(), str(obs.run_dir()), obs.enabled()
 
 
 def _hammer(ctx, target):
@@ -61,7 +61,7 @@ def _hammer(ctx, target):
 @pytest.fixture
 def run_dir(tmp_path):
     run = tmp_path / "run"
-    obs.configure(run, "all")
+    obs.configure(run)
     yield run
     obs.disarm()
 
@@ -102,10 +102,10 @@ def test_disarmed_children_emit_nothing(method, tmp_path):
 
 
 def test_engine_workers_self_arm(run_dir):
-    """Pool workers of an armed parent report the parent's run dir/modes."""
-    payloads = [(str(run_dir), "engine")] * 4
+    """Pool workers of an armed parent report the parent's run dir, armed."""
+    payloads = [(str(run_dir),)] * 4
     out = list(parallel.run_tasks(_obs_state, payloads, jobs=2, backoff=0))
     assert len(out) == 4
-    for pid, seen_dir, engine_on in out:
+    for pid, seen_dir, armed in out:
         assert seen_dir == str(run_dir)
-        assert engine_on
+        assert armed

@@ -37,7 +37,7 @@ def _subprocess_env():
 @pytest.fixture
 def armed(tmp_path):
     run = tmp_path / "progress"
-    obs.configure(run, "engine,supervisor")
+    obs.configure(run)
     yield run
     obs.disarm()
     obs.REGISTRY.reset()
@@ -102,7 +102,7 @@ class TestTrackerDeterminism:
 
     def _run(self, tmp_path, label, jobs):
         run = tmp_path / label
-        obs.configure(run, "engine")
+        obs.configure(run)
         try:
             list(parallel.run_tasks(_square, PAYLOADS, jobs=jobs, backoff=0))
         finally:
@@ -193,7 +193,7 @@ class TestLiveFollow:
             text=True,
             env=_subprocess_env(),
         )
-        obs.configure(run, "engine")
+        obs.configure(run)
         try:
             list(parallel.run_tasks(_square, PAYLOADS, jobs=2, backoff=0))
         finally:

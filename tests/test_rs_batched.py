@@ -182,10 +182,10 @@ def test_tilted_campaign_plain_mode_unit_weights():
 
 
 def test_decode_emits_ecc_events(tmp_path):
-    """``REPRO_OBS=ecc`` yields ecc.decode events + counters from one decode."""
+    """An armed bus yields ecc.decode events + counters from one decode."""
     from repro import obs
 
-    obs.configure(modes={"ecc"}, run_dir=tmp_path)
+    obs.configure(tmp_path)
     try:
         rs = ReedSolomon(GF256, 36, 32)
         rng = np.random.default_rng(1)
@@ -214,7 +214,7 @@ def test_summarize_attributes_codec_time(tmp_path):
     from repro import obs
     from repro.obs import summarize as sz
 
-    obs.configure(modes={"ecc"}, run_dir=tmp_path)
+    obs.configure(tmp_path)
     try:
         rs = ReedSolomon(GF256, 18, 16)
         rng = np.random.default_rng(3)

@@ -7,9 +7,12 @@ import pytest
 from repro.ecc.catalog import QUAD_EQUIVALENT
 from repro.experiments.ablation import xor_caching_ablation
 from repro.experiments.evaluation import (
+    FULL,
+    QUICK,
     CellResult,
     Fidelity,
     bins,
+    current_fidelity,
     evaluation_matrix,
     workload_order,
 )
@@ -37,6 +40,23 @@ class TestAdaptiveBudget:
         assert spec.resolved_warmup == adaptive_instructions(wl)
         explicit = RunSpec(wl, QUAD_EQUIVALENT["chipkill18"], warmup_instructions=123)
         assert explicit.resolved_warmup == 123
+
+
+class TestCurrentFidelity:
+    @pytest.mark.parametrize("raw", ["", "0", "false", "off", "no"])
+    def test_off_values_select_quick(self, raw, monkeypatch):
+        monkeypatch.setenv("REPRO_FULL", raw)
+        assert current_fidelity() is QUICK
+
+    @pytest.mark.parametrize("raw", ["1", "true", "yes"])
+    def test_on_values_select_full(self, raw, monkeypatch):
+        monkeypatch.setenv("REPRO_FULL", raw)
+        assert current_fidelity() is FULL
+
+    def test_malformed_value_rejected(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FULL", "quick")
+        with pytest.raises(ValueError):
+            current_fidelity()
 
 
 class TestBuildSystem:

@@ -58,7 +58,7 @@ def _exec_counts(dirpath):
 @pytest.fixture
 def armed(tmp_path):
     run = tmp_path / "super-obs"
-    obs.configure(run, "engine,chaos")
+    obs.configure(run)
     yield run
     obs.disarm()
     obs.REGISTRY.reset()

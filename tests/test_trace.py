@@ -45,36 +45,24 @@ def _subprocess_env():
 
 @pytest.fixture
 def traced(tmp_path):
-    """Arm the bus (all modes) and the span plane; restore on exit."""
+    """Arm the bus (events and spans); restore on exit."""
     run = tmp_path / "traced"
-    obs.configure(run, "engine,chaos,supervisor,mc,sim")
-    trace.arm(True)
+    obs.configure(run)
     yield run
     trace.adopt(None)  # drop any ambient context a test installed
-    trace.arm(False)
-    trace.init_from_env()
     obs.disarm()
     obs.REGISTRY.reset()
 
 
 class TestSpanPrimitives:
     def test_disarmed_span_is_shared_noop(self):
-        assert not trace.armed()
+        assert not obs.enabled()
         s1 = trace.span("x", "compute")
         s2 = trace.span("y")
         assert s1 is s2 is trace.NOOP
         with s1:
             s1.annotate(k=1)
         assert s1.span_id is None and s1.trace_id is None
-
-    def test_armed_without_sink_is_noop(self):
-        trace.arm(True)
-        try:
-            assert not obs.enabled()
-            assert trace.span("x") is trace.NOOP
-        finally:
-            trace.arm(False)
-            trace.init_from_env()
 
     def test_span_emits_ids_window_and_fields(self, traced):
         with trace.span("unit.outer", "compute", foo=1) as outer:
@@ -136,13 +124,12 @@ class TestCampaignForest:
     def campaign(self, tmp_path_factory):
         """Run the traced chaos campaign once for the whole class.
 
-        Returns ``(results, events, run_dir)``; the bus and span plane are
-        armed (as :func:`traced` does) only while the campaign runs.
+        Returns ``(results, events, run_dir)``; the bus is armed (as
+        :func:`traced` does) only while the campaign runs.
         """
         base = tmp_path_factory.mktemp("forest")
         run = base / "traced"
-        obs.configure(run, "engine,chaos,supervisor,mc,sim")
-        trace.arm(True)
+        obs.configure(run)
         try:
             results = supervisor.run_campaign(
                 _eol_cell,
@@ -159,8 +146,6 @@ class TestCampaignForest:
             )
         finally:
             trace.adopt(None)
-            trace.arm(False)
-            trace.init_from_env()
             obs.disarm()
             obs.REGISTRY.reset()
         return results, read_events(run), run
@@ -285,6 +270,31 @@ class TestCampaignForest:
         assert len(forest[roots[0]["trace"]]) == 1  # one tree, not two
 
 
+class TestEnvArming:
+    def test_repro_obs_alone_records_a_rooted_forest(self, tmp_path):
+        """``REPRO_OBS=1`` by itself arms spans, in the driver and its workers."""
+        run = tmp_path / "env"
+        env = {k: v for k, v in _subprocess_env().items() if not k.startswith("REPRO_")}
+        env.update(REPRO_OBS="1", REPRO_OBS_DIR=str(run))
+        code = (
+            "from repro.experiments import parallel\n"
+            "from repro.faults.montecarlo import _eol_cell\n"
+            f"list(parallel.run_tasks(_eol_cell, {PAYLOADS[:4]!r}, jobs=2, backoff=0))\n"
+        )
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+        events = read_events(run)
+        forest = build_forest(events)
+        assert [len(roots) for roots in forest.values()] == [1]
+        root = primary_root(forest)
+        assert root.name == "engine.campaign" and not root.synthetic
+        driver = {e["pid"] for e in events if e["kind"] == "engine.start"}
+        tasks = [e for e in events if e["kind"] == "trace.span" and e["name"] == "engine.task"]
+        assert len(tasks) == 4
+        for e in tasks:
+            assert e["pid"] not in driver
+            assert resolve_root(forest, e["trace"], e["span"]) is root
+
+
 class TestChromeExport:
     def _validate(self, doc):
         assert set(doc) == {"traceEvents", "displayTimeUnit"}
@@ -326,7 +336,7 @@ class TestChromeExport:
 
     def test_export_without_spans_still_valid(self, tmp_path):
         run = tmp_path / "plain"
-        obs.configure(run, "engine")
+        obs.configure(run)
         try:
             obs.emit("engine.start", mode="engine", tasks=1)
         finally:
@@ -341,7 +351,7 @@ class TestRotation:
         # so a single cut preserves the full stream for the loss check.
         monkeypatch.setenv("REPRO_OBS_MAX_BYTES", "20000")
         run = tmp_path / "rot"
-        obs.configure(run, "engine")
+        obs.configure(run)
         try:
             for i in range(200):
                 obs.emit("rot.fill", mode="engine", i=i, pad="x" * 64)
@@ -363,16 +373,13 @@ class TestRotation:
     def test_spans_survive_rotation(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_OBS_MAX_BYTES", "12000")
         run = tmp_path / "rotspan"
-        obs.configure(run, "engine")
-        trace.arm(True)
+        obs.configure(run)
         try:
             with trace.span("rot.root", "compute"):
                 for i in range(100):
                     with trace.span("rot.leaf", "compute", i=i):
                         pass
         finally:
-            trace.arm(False)
-            trace.init_from_env()
             obs.disarm()
             obs.REGISTRY.reset()
         forest = build_forest(read_events(run))
