@@ -15,7 +15,6 @@ Two fidelity presets:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,7 +35,7 @@ CONFIG_KEYS = [
     "raim_ep",
 ]
 
-CACHE_DIR = Path(os.environ.get("REPRO_CACHE_DIR", Path.cwd() / ".repro_cache"))
+CACHE_DIR = envcfg.path("REPRO_CACHE_DIR")
 
 
 @dataclass(frozen=True)
@@ -140,7 +139,7 @@ def evaluation_matrix(
     sweeps sharing the file keep each other's cells) after every finished
     cell, so an interrupted or crashed sweep resumes where it stopped.
     Worker crashes, hangs, and exceptions are retried by the resilient
-    engine (``REPRO_TASK_RETRIES`` / ``REPRO_TASK_TIMEOUT``); cells that
+    engine (its ``retries`` / ``timeout`` defaults); cells that
     exhaust their budget surface in a
     :class:`~repro.experiments.parallel.CampaignError` naming each failed
     ``(workload, config)`` payload, raised only after every other cell has

@@ -13,14 +13,14 @@ failure is the common case, so the engine wraps the fan-out in a
 resilience layer:
 
 * **Bounded retry with exponential backoff** — a worker exception consumes
-  one attempt; the task is resubmitted up to ``retries``
-  (``REPRO_TASK_RETRIES``, default 2) times before being recorded as a
+  one attempt; the task is resubmitted up to ``retries`` (default
+  :data:`DEFAULT_TASK_RETRIES`) times before being recorded as a
   structured :class:`TaskFailure`.
-* **Per-task timeout** — with ``timeout`` (``REPRO_TASK_TIMEOUT``) set, a
-  task that produces no result within the window is presumed hung; the
-  only way to reclaim a hung worker is to kill its pool, so the pool is
-  torn down, the timed-out task is charged an attempt, and everything
-  else in flight is requeued.
+* **Per-task timeout** — with ``timeout`` set, a task that produces no
+  result within the window is presumed hung; the only way to reclaim a
+  hung worker is to kill its pool, so the pool is torn down, the
+  timed-out task is charged an attempt, and everything else in flight is
+  requeued.
 * **Pool rebuild on ``BrokenProcessPool``** — an OOM-killed or crashed
   worker takes the whole executor down; the engine kills the broken pool,
   requeues all in-flight tasks, and rebuilds.  The culprit is unknowable,
@@ -58,10 +58,10 @@ Because workers are pure and retried/requeued tasks are simply re-executed
 from the same primitives, every recovery path yields the same bytes as a
 fault-free run — the serial == parallel == batched-parallel determinism
 contract survives retries, rebuilds, and degradation.  The deterministic
-fault injector in :mod:`repro.util.chaos` (armed via ``REPRO_CHAOS`` or
-the ``chaos`` argument) exists to prove exactly that in tests: faults are
-injected only into pool workers, never into the serial/degraded
-in-process path.
+fault injector in :mod:`repro.util.chaos` (the ``chaos`` argument, or
+:func:`repro.util.chaos.arm`) exists to prove exactly that in tests:
+faults are injected only into pool workers, never into the
+serial/degraded in-process path.
 """
 
 from __future__ import annotations
@@ -87,6 +87,14 @@ from repro.experiments.runner import RunSpec, run
 from repro.util import chaos as chaos_mod
 from repro.util import envcfg
 from repro.workloads.profiles import WORKLOADS_BY_NAME
+
+#: Retry budget per task beyond the first attempt when ``run_tasks`` gets
+#: no ``retries`` argument (attempts = retries + 1).
+DEFAULT_TASK_RETRIES = 2
+
+#: Per-task timeout in seconds when ``run_tasks`` gets no ``timeout``
+#: argument; ``None`` disables it.
+DEFAULT_TASK_TIMEOUT: "float | None" = None
 
 #: Base delay (seconds) of the exponential retry backoff; attempt *k*
 #: sleeps ``backoff * 2**(k-1)`` capped at :data:`BACKOFF_CAP`.
@@ -764,6 +772,19 @@ def _run_pooled(
         pool.shutdown()
 
 
+def _budget(timeout, retries) -> "tuple[float | None, int]":
+    """Resolve ``run_tasks``' timeout (``0`` disables) and retry budget."""
+    if timeout is None:
+        timeout = DEFAULT_TASK_TIMEOUT
+    timeout = float(timeout or 0)
+    if timeout < 0:
+        raise ValueError(f"task timeout must be >= 0, got {timeout}")
+    retries = int(DEFAULT_TASK_RETRIES if retries is None else retries)
+    if retries < 0:
+        raise ValueError(f"task retries must be >= 0, got {retries}")
+    return timeout or None, retries
+
+
 def run_tasks(
     worker,
     payloads: "Iterable[tuple]",
@@ -791,17 +812,18 @@ def run_tasks(
 
     Resilience knobs (see the module docstring for semantics):
 
-    * *timeout* — per-task seconds (default ``REPRO_TASK_TIMEOUT``; unset
-      disables; ``0`` disables explicitly).  Pool path only; inside a
+    * *timeout* — per-task seconds (default :data:`DEFAULT_TASK_TIMEOUT`,
+      i.e. none; ``0`` disables explicitly).  Pool path only; inside a
       super-task the window re-arms on every finished inner task.
     * *retries* — attempts beyond the first per task (default
-      ``REPRO_TASK_RETRIES``, else 2).
+      :data:`DEFAULT_TASK_RETRIES`).
     * *backoff* — base seconds of the exponential retry backoff (default
       :data:`BACKOFF_BASE`; pass ``0`` to disable sleeping in tests).
     * *validate* — optional predicate over results; a falsy verdict counts
       as a failed attempt (kind ``corrupt``).
-    * *chaos* — a :mod:`repro.util.chaos` spec string (default
-      ``REPRO_CHAOS``); injected into pool workers only, per inner task.
+    * *chaos* — a :mod:`repro.util.chaos` spec string (default: the spec
+      set by :func:`repro.util.chaos.arm`); injected into pool workers
+      only, per inner task.
     * *fail_fast* — raise :class:`TaskError` on the first exhausted task
       instead of collecting failures into a :class:`CampaignError`.
     * *batch* — inner tasks per pool submission: ``auto`` (default) sizes
@@ -827,14 +849,13 @@ def run_tasks(
     payloads = [tuple(p) for p in payloads]
     if jobs is None:
         jobs = default_jobs()
-    timeout = envcfg.task_timeout(timeout)
-    retries = envcfg.task_retries(retries)
+    timeout, retries = _budget(timeout, retries)
     if batch != "auto" and (type(batch) is not int or batch < 1):
         raise ValueError(f"batch must be 'auto' or an int >= 1, got {batch!r}")
     if backoff is None:
         backoff = BACKOFF_BASE
     if chaos is None:
-        chaos = chaos_mod.from_env()
+        chaos = chaos_mod.armed()
     failures: "list[TaskFailure]" = []
     serial = jobs == 1 or len(payloads) <= 1
     if obs.enabled():

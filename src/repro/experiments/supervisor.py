@@ -25,11 +25,11 @@ campaign service builds on:
   back to campaign indices.
 * A **resource watchdog** thread samples driver RSS and free disk into the
   obs metrics registry (``supervisor.rss_bytes`` /
-  ``supervisor.disk_free_bytes``) and degrades gracefully: above
-  ``REPRO_MEM_BUDGET`` it halves the engine's super-task batch cap and
-  shrinks ``REPRO_MC_CHUNK`` (future campaigns only — a running campaign's
+  ``supervisor.disk_free_bytes``) and degrades gracefully: above the
+  ``mem_budget`` argument it halves the engine's super-task batch cap and
+  the Monte Carlo chunk cap (future campaigns only — a running campaign's
   cache keys pin their chunk size, preserving determinism); below
-  ``REPRO_SUPERVISOR_MIN_DISK`` it pauses the campaign at the next
+  ``min_disk`` it pauses the campaign at the next
   settlement (:class:`CampaignPaused`) instead of letting the journal hit
   ENOSPC mid-record.  SIGTERM/SIGINT flush and raise
   :class:`CampaignInterrupted` — the journal *is* the resumable checkpoint.
@@ -37,7 +37,7 @@ campaign service builds on:
 Every recovery path converges on the bytes of a fault-free serial run:
 results replayed from the journal and salvaged from spools were produced
 by the same pure workers from the same primitives, and the chaos I/O plane
-(:mod:`repro.util.chaos`, ``REPRO_CHAOS_IO``) exists to prove it — tests
+(:func:`repro.util.chaos.arm_io`) exists to prove it — tests
 SIGKILL the driver between journal appends, storm ENOSPC at every write
 site, and tear the journal's tail, then assert bit-identical resumption
 with task-count accounting read back from the journal itself
@@ -58,8 +58,8 @@ from typing import Callable, Iterable, Iterator
 from repro import obs
 from repro.obs import trace
 from repro.experiments import parallel, resultcodec
+from repro.faults import montecarlo
 from repro.util import chaos as chaos_mod
-from repro.util import envcfg
 from repro.util.cachefile import quarantine_file
 
 #: Journal record tags (first element of every record tuple).  Later PRs
@@ -75,6 +75,18 @@ REC_DONE = "done"  #: ("done", settled_count)
 
 #: Extension of campaign journals under the supervisor directory.
 JOURNAL_SUFFIX = ".journal"
+
+#: Supervisor state directory (write-ahead journals and salvageable
+#: super-task spools) when a campaign gets no ``directory`` argument.
+DEFAULT_SUPERVISOR_DIR = "./.repro_supervisor"
+
+#: Resource-watchdog sampling period (seconds) when ``poll_s`` is unset.
+DEFAULT_SUPERVISOR_POLL = 0.5
+
+#: Free-disk floor (bytes) under which the watchdog pauses a campaign
+#: instead of letting the next checkpoint hit ENOSPC, when ``min_disk``
+#: is unset.
+DEFAULT_SUPERVISOR_MIN_DISK = 64 << 20
 
 
 class CampaignPaused(RuntimeError):
@@ -227,14 +239,20 @@ def process_rss() -> int:
 class ResourceWatchdog:
     """Daemon thread sampling RSS + free disk with graceful degradation.
 
-    * RSS above *mem_budget*: halve the engine's super-task batch cap
-      (down to 1) and halve ``REPRO_MC_CHUNK`` for campaigns resolved
-      after this point — both shrink peak memory without touching any
-      in-flight work's determinism.  Re-fires on every pressured sample
-      until the cap bottoms out; both knobs are restored on :meth:`stop`.
-    * Free disk below *min_disk*: set :attr:`pause` — the supervised loop
-      checkpoints and raises :class:`CampaignPaused` at the next
-      settlement, before writes start dying with ENOSPC.
+    * RSS above *mem_budget* (``None``/``0`` disables): halve the
+      engine's super-task batch cap (down to 1) and the Monte Carlo chunk
+      cap (down to 1024) for campaigns resolved after this point — both
+      shrink peak memory without touching any in-flight work's
+      determinism.  Re-fires on every pressured sample until the batch
+      cap bottoms out; both caps are restored on :meth:`stop`.
+    * Free disk below *min_disk* (default
+      :data:`DEFAULT_SUPERVISOR_MIN_DISK`; ``0`` disables): set
+      :attr:`pause` — the supervised loop checkpoints and raises
+      :class:`CampaignPaused` at the next settlement, before writes start
+      dying with ENOSPC.
+
+    *poll_s* is the sampling period (default
+    :data:`DEFAULT_SUPERVISOR_POLL`); it must be positive.
 
     Samplers are injectable for tests; the chaos ``rss@watchdog.rss``
     fault overrides the real sampler for exactly one (or every) sample.
@@ -243,14 +261,23 @@ class ResourceWatchdog:
     def __init__(
         self,
         disk_path: "Path | str",
-        mem_budget: "int | None",
-        min_disk: int,
-        poll_s: float,
+        mem_budget: "int | None" = None,
+        min_disk: "int | None" = None,
+        poll_s: "float | None" = None,
         rss_sampler: "Callable[[], int] | None" = None,
         disk_sampler: "Callable[[], int] | None" = None,
     ):
+        mem_budget = int(mem_budget or 0)
+        min_disk = int(DEFAULT_SUPERVISOR_MIN_DISK if min_disk is None else min_disk)
+        poll_s = float(DEFAULT_SUPERVISOR_POLL if poll_s is None else poll_s)
+        if mem_budget < 0:
+            raise ValueError(f"memory budget must be >= 0, got {mem_budget}")
+        if min_disk < 0:
+            raise ValueError(f"supervisor min disk must be >= 0, got {min_disk}")
+        if poll_s <= 0:
+            raise ValueError(f"supervisor poll period must be > 0, got {poll_s}")
         self.disk_path = str(disk_path)
-        self.mem_budget = mem_budget
+        self.mem_budget = mem_budget or None
         self.min_disk = min_disk
         self.poll_s = poll_s
         self._rss = rss_sampler or process_rss
@@ -260,7 +287,7 @@ class ResourceWatchdog:
         self._stop = threading.Event()
         self._thread: "threading.Thread | None" = None
         self._saved_batch_cap: "int | None | str" = "unset"
-        self._saved_chunk_env: "str | None" = None
+        self._saved_chunk_cap: "int | None | str" = "unset"
         self.degradations = 0
 
     def _free_disk(self) -> int:
@@ -293,15 +320,12 @@ class ResourceWatchdog:
         previous = parallel.set_batch_cap(new_cap)
         if self._saved_batch_cap == "unset":
             self._saved_batch_cap = previous
-        chunk = envcfg.mc_chunk()
+        chunk = montecarlo.resolve_chunk()
         new_chunk = max(1024, chunk // 2)
         if new_chunk < chunk:
-            if self._saved_chunk_env is None:
-                self._saved_chunk_env = os.environ.get("REPRO_MC_CHUNK", "")
-            # Future campaigns only: a running campaign resolved its chunk
-            # size at launch and keys its cache by it, so determinism of
-            # in-flight work is untouched.
-            os.environ["REPRO_MC_CHUNK"] = str(new_chunk)
+            previous = montecarlo.set_chunk_cap(new_chunk)
+            if self._saved_chunk_cap == "unset":
+                self._saved_chunk_cap = previous
         self.degradations += 1
         _emit(
             "supervisor.memory_pressure",
@@ -329,12 +353,9 @@ class ResourceWatchdog:
         if self._saved_batch_cap != "unset":
             parallel.set_batch_cap(self._saved_batch_cap)
             self._saved_batch_cap = "unset"
-        if self._saved_chunk_env is not None:
-            if self._saved_chunk_env:
-                os.environ["REPRO_MC_CHUNK"] = self._saved_chunk_env
-            else:
-                os.environ.pop("REPRO_MC_CHUNK", None)
-            self._saved_chunk_env = None
+        if self._saved_chunk_cap != "unset":
+            montecarlo.set_chunk_cap(self._saved_chunk_cap)
+            self._saved_chunk_cap = "unset"
 
 
 # --------------------------------------------------------------------------
@@ -349,7 +370,7 @@ class _Paths:
 
 
 def _campaign_paths(name: str, directory: "Path | str | None") -> _Paths:
-    base = Path(envcfg.supervisor_dir(str(directory) if directory else None))
+    base = Path(directory or DEFAULT_SUPERVISOR_DIR)
     return _Paths(base / f"{name}{JOURNAL_SUFFIX}", base / f"{name}.spool")
 
 
@@ -448,10 +469,12 @@ def supervised_tasks(
     Every live settlement is journaled *before* it is yielded, so a caller
     killed while consuming a result finds it in the journal on resume.
 
-    *name* keys the journal under *directory* (``REPRO_SUPERVISOR_DIR``);
-    a journal whose spec hash does not match this worker+payloads is
-    quarantined and the campaign starts fresh — a name collision never
-    silently serves foreign results.  Remaining keyword arguments go to
+    *name* keys the journal under *directory* (default
+    :data:`DEFAULT_SUPERVISOR_DIR`); a journal whose spec hash does not
+    match this worker+payloads is quarantined and the campaign starts
+    fresh — a name collision never silently serves foreign results.
+    *mem_budget*, *min_disk* and *poll_s* configure the
+    :class:`ResourceWatchdog`.  Remaining keyword arguments go to
     :func:`repro.experiments.parallel.run_tasks` unchanged.
     """
     payloads = [tuple(p) for p in payloads]
@@ -540,9 +563,9 @@ def supervised_tasks(
                 if watchdog:
                     watch = ResourceWatchdog(
                         paths.journal.parent,
-                        envcfg.mem_budget(mem_budget),
-                        envcfg.supervisor_min_disk(min_disk),
-                        envcfg.supervisor_poll(poll_s),
+                        mem_budget,
+                        min_disk,
+                        poll_s,
                         rss_sampler=rss_sampler,
                         disk_sampler=disk_sampler,
                     )

@@ -39,7 +39,7 @@ from repro.faults.fit_rates import (
     FaultMode,
     MemoryOrg,
 )
-from repro.util.envcfg import DEFAULT_MC_CHUNK, mc_chunk, mc_trials
+from repro.util.envcfg import mc_trials
 from repro.util.rng import make_rng
 from repro.util.units import YEARS
 
@@ -54,10 +54,45 @@ _BANKS_MATERIALIZED = {
 #: Saturating modes in enum order - the draw order of every chunk.
 _SAT_MODES = tuple(m for m in FaultMode if m in SATURATING_MODES)
 
-#: Default trials per chunk; the ``REPRO_MC_CHUNK`` knob overrides it
-#: (resolved through :func:`repro.util.envcfg.mc_chunk` wherever a caller
-#: leaves ``chunk_size`` unset).
-DEFAULT_CHUNK = DEFAULT_MC_CHUNK
+#: Default trials per whole-array chunk: bounds peak memory (a few MB of
+#: event arrays) while keeping array draws long enough to amortize NumPy
+#: dispatch.  An explicit ``chunk_size`` argument overrides it.
+DEFAULT_CHUNK = 1 << 16
+
+#: Process-wide ceiling on the default chunk size; ``None`` = uncapped.
+#: The supervisor's resource watchdog lowers it under memory pressure and
+#: restores it after.
+_chunk_cap: "int | None" = None
+
+
+def set_chunk_cap(cap: "int | None") -> "int | None":
+    """Set (or with ``None`` clear) the process-wide default-chunk cap.
+
+    Returns the previous value so callers can restore it.  Only campaigns
+    that resolve their chunk size afterwards see it: a running campaign
+    keyed its cache by the chunk it resolved at launch, so determinism of
+    in-flight work is untouched.
+    """
+    global _chunk_cap
+    previous = _chunk_cap
+    _chunk_cap = max(1, int(cap)) if cap is not None else None
+    return previous
+
+
+def resolve_chunk(chunk_size: "int | None" = None) -> int:
+    """Trials per chunk: an explicit *chunk_size* (``>= 1``), else
+    :data:`DEFAULT_CHUNK` lowered to the cap.
+
+    The chunk size slices the shared draw stream, so two runs agree
+    bit-for-bit only at a matched chunk size; campaign cache keys
+    therefore record the resolved value.
+    """
+    if chunk_size is None:
+        return min(DEFAULT_CHUNK, _chunk_cap or DEFAULT_CHUNK)
+    chunk_size = int(chunk_size)
+    if chunk_size < 1:
+        raise ValueError(f"mc chunk size must be >= 1, got {chunk_size}")
+    return chunk_size
 
 
 @dataclass
@@ -322,7 +357,7 @@ class EolCapacitySim:
         }
 
     def _run(self, trials: int, chunk_size: "int | None", chunk_fn) -> EolResult:
-        chunk_size = mc_chunk(chunk_size)
+        chunk_size = resolve_chunk(chunk_size)
         lam = self._lambdas()
         fractions = np.empty(trials)
         done = 0
@@ -362,9 +397,9 @@ class EolCapacitySim:
     def run(self, trials: int = 20000, chunk_size: "int | None" = None) -> EolResult:
         """Vectorized simulation (chunked so memory stays bounded).
 
-        *chunk_size* defaults to ``REPRO_MC_CHUNK`` (else
-        :data:`DEFAULT_CHUNK`); it slices the shared draw stream, so results
-        are bit-reproducible only at a matched chunk size.
+        *chunk_size* defaults as in :func:`resolve_chunk`; it slices the
+        shared draw stream, so results are bit-reproducible only at a
+        matched chunk size.
         """
         return self._run(trials, chunk_size, _chunk_batched)
 
@@ -412,8 +447,8 @@ def eol_fraction_by_channels(
     in-process) and, with ``use_cache=True``, finished cells are stored as
     exact histograms in the experiment cache directory so interrupted
     million-trial campaigns resume instead of restarting.  The resilient
-    engine retries crashed/hung/failed cells (``REPRO_TASK_RETRIES`` /
-    ``REPRO_TASK_TIMEOUT``); cells that exhaust their budget surface in a
+    engine retries crashed/hung/failed cells (its ``retries`` /
+    ``timeout`` defaults); cells that exhaust their budget surface in a
     :class:`~repro.experiments.parallel.CampaignError` *after* every other
     cell has completed and checkpointed, so a rerun recomputes only the
     failed cells.
@@ -421,7 +456,7 @@ def eol_fraction_by_channels(
     from repro.experiments import parallel
 
     trials = mc_trials(trials, 20000)
-    chunk_size = mc_chunk(chunk_size)
+    chunk_size = resolve_chunk(chunk_size)
     cache: "dict[str, object]" = {}
     cache_path = None
     if use_cache:

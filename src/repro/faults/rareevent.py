@@ -18,7 +18,7 @@ each trial is reweighted by the exact likelihood ratio
     w = prod_m  Poisson(k_m; lam_m) / Poisson(k_m; theta_m lam_m)
       = prod_m  exp((theta_m - 1) lam_m) * theta_m ** (-k_m)
 
-The per-mode tilts come from one scalar knob (``REPRO_MC_TILT``) scaled
+The per-mode tilts come from one scalar argument (``tilt``) scaled
 by each mode's blast radius: ``theta_m = 1 + (theta - 1) * b_m / 2``
 with ``b_m`` the banks one event of mode *m* materializes
 (:func:`_tilt_by_mode`).  This is the discrete analogue of exponentially
@@ -59,8 +59,8 @@ round-trip through JSON, which is what makes campaigns shardable: each
 shard of :func:`sharded_estimate` is an independent, deterministically
 seeded run fanned out through :func:`repro.experiments.parallel.run_tasks`,
 checkpointed into the experiment cache for resume, and merged in shard
-order so a parallel campaign is bit-identical to a serial one.  With
-``REPRO_MC_TARGET_RCI`` set, runs and campaigns stop early once the 95%
+order so a parallel campaign is bit-identical to a serial one.  With a
+``target_rci`` argument, runs and campaigns stop early once the 95%
 relative CI of the primary estimator is tight enough.
 
 Every weighted path retains a reference twin in the spirit of
@@ -92,16 +92,37 @@ from repro.faults.montecarlo import (
     _draw_chunk,
     _draw_chunk_conditional,
     _draw_scatter_chunk,
+    resolve_chunk,
 )
 from repro.util.rng import make_rng
-from repro.util.envcfg import (
-    mc_chunk,
-    mc_target_rci,
-    mc_tilt,
-    mc_trials,
-    mc_vr,
-)
+from repro.util.envcfg import mc_trials, mc_vr
 from repro.util.units import YEARS
+
+#: Default exponential-tilt factor of the importance sampler: the
+#: smallest-blast-radius fault modes' Poisson rates are multiplied by this
+#: factor (heavier modes tilt harder, scaled by banks materialized per
+#: event), pushing trials toward the fault-heavy trajectories that resolve
+#: the 99.9th-percentile tail.  Tuned on the fig8 default organization:
+#: effective speedup at the p999 tail peaks (and plateaus) around tilt 4-6.
+DEFAULT_MC_TILT = 6.0
+
+
+def _resolve_tilt(tilt: "float | None") -> float:
+    """Tilt factor (default :data:`DEFAULT_MC_TILT`); ``1`` is plain MC,
+    and values below 1 would tilt *away* from faults, so they raise."""
+    tilt = DEFAULT_MC_TILT if tilt is None else float(tilt)
+    if tilt < 1:
+        raise ValueError(f"mc tilt factor must be >= 1, got {tilt}")
+    return tilt
+
+
+def _resolve_target_rci(target_rci: "float | None") -> "float | None":
+    """Early-stop relative CI half-width; ``None`` or ``0`` disables it."""
+    target_rci = float(target_rci or 0)
+    if target_rci < 0:
+        raise ValueError(f"mc target rci must be >= 0, got {target_rci}")
+    return target_rci or None
+
 
 #: 95% two-sided normal quantile used by every CI in this module.
 Z95 = 1.959963984540054
@@ -748,18 +769,17 @@ def run_is(
 
     *target* selects the primary estimator for early stopping and
     telemetry: ``None``/``("mean",)`` for the mean, ``("tail", x)`` for
-    ``P(fraction >= x)``.  With ``target_rci`` (default
-    ``REPRO_MC_TARGET_RCI``) the run stops at the end of the first chunk
+    ``P(fraction >= x)``.  With a ``target_rci`` the run stops at the end of the first chunk
     whose 95% relative CI is below the target.
     """
-    tilt = mc_tilt(tilt)
+    tilt = _resolve_tilt(tilt)
     return _run_weighted(sim, trials, chunk_size, target, target_rci, tilt=tilt, mode="is")
 
 
 def _run_weighted(sim, trials, chunk_size, target, target_rci, tilt, mode) -> WeightedEstimate:
     trials = mc_trials(trials, 20000)
-    chunk_size = mc_chunk(chunk_size)
-    target_rci = mc_target_rci(target_rci)
+    chunk_size = resolve_chunk(chunk_size)
+    target_rci = _resolve_target_rci(target_rci)
     lam = sim._lambdas()
     tilts = _tilt_by_mode(sim.org, tilt)
     lam_q = {m: tilts[m] * lam[m] for m in _SAT_MODES}
@@ -811,9 +831,9 @@ def run_is_coverage(
     native decode paths because the decoders themselves are.
     """
     trials = mc_trials(trials, 20000)
-    chunk_size = mc_chunk(chunk_size)
-    target_rci = mc_target_rci(target_rci)
-    tilt = mc_tilt(tilt)
+    chunk_size = resolve_chunk(chunk_size)
+    target_rci = _resolve_target_rci(target_rci)
+    tilt = _resolve_tilt(tilt)
     mode = "off" if tilt == 1.0 else "is"
     rng = make_rng(seed)
     tally = WeightedTally()
@@ -944,8 +964,8 @@ def run_stratified(
     if allocation not in ("proportional", "neyman"):
         raise ValueError(f"allocation must be 'proportional' or 'neyman', got {allocation!r}")
     trials = mc_trials(trials, 20000)
-    chunk_size = mc_chunk(chunk_size)
-    target_rci = mc_target_rci(target_rci)
+    chunk_size = resolve_chunk(chunk_size)
+    target_rci = _resolve_target_rci(target_rci)
     kmax = DEFAULT_STRATA if strata is None else int(strata)
     if kmax < 2:
         raise ValueError(f"strata (kmax) must be >= 2, got {kmax}")
@@ -1147,7 +1167,7 @@ def sharded_estimate(
     ``mc_rareevent.json`` in the experiment cache directory, so an
     interrupted campaign resumes from the completed shards; the engine's
     retry/timeout/chaos machinery applies per shard.  With a target
-    relative CI (``target_rci`` / ``REPRO_MC_TARGET_RCI``) the campaign
+    relative CI (``target_rci``) the campaign
     stops consuming shards once the merged estimate is tight enough -
     pending shards are cancelled, and ``shards_used`` records the cut.
 
@@ -1159,9 +1179,9 @@ def sharded_estimate(
     threshold_t = None if threshold is None else ("tail", threshold)
     mode = resolve_mode(mode, threshold_t)
     trials = mc_trials(trials, 20000)
-    tilt = mc_tilt(tilt)
-    chunk_size = mc_chunk(chunk_size)
-    target_rci = mc_target_rci(target_rci)
+    tilt = _resolve_tilt(tilt)
+    chunk_size = resolve_chunk(chunk_size)
+    target_rci = _resolve_target_rci(target_rci)
     strata_n = DEFAULT_STRATA if strata is None else int(strata)
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")

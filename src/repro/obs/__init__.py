@@ -54,7 +54,6 @@ from repro.util import envcfg
 ENV_FLAG = "REPRO_OBS"
 ENV_DIR = "REPRO_OBS_DIR"
 
-DEFAULT_DIR = ".repro_obs"
 EVENTS_FILE = "events.jsonl"
 MANIFEST_FILE = "manifest.json"
 
@@ -62,7 +61,7 @@ MANIFEST_FILE = "manifest.json"
 class _JsonlSink:
     """Append-only JSONL writer; one atomic ``os.write`` per record.
 
-    With ``REPRO_OBS_MAX_BYTES`` set, a write that would push the stream
+    With a *max_bytes* cap, a write that would push the stream
     past the cap first rotates ``events.jsonl`` to ``events.jsonl.1``
     (replacing any previous rotation).  Every append is one whole-line
     write, so the rename always lands on a line boundary; concurrent
@@ -180,19 +179,22 @@ _current: "contextvars.ContextVar[tuple[str, str] | None]" = contextvars.Context
 )
 
 
-def configure(run_dir: "Path | str | None" = None) -> Path:
+def configure(run_dir: "Path | str | None" = None, max_bytes: "int | None" = None) -> Path:
     """Arm the bus programmatically; returns the run directory.
 
-    *run_dir* defaults to ``REPRO_OBS_DIR``, then ``./.repro_obs``.  The
-    events file is opened lazily on first emit, so arming never touches
-    the filesystem by itself.
+    *run_dir* defaults to ``REPRO_OBS_DIR``.  With *max_bytes*, the sink
+    rotates ``events.jsonl`` to ``events.jsonl.1`` on a line boundary once
+    the stream would pass that many bytes (``None``/``0`` never rotates);
+    fork-started workers inherit the cap with the sink.  The events file
+    is opened lazily on first emit, so arming never touches the filesystem
+    by itself.
     """
     global _sink
+    max_bytes = int(max_bytes or 0)
+    if max_bytes < 0:
+        raise ValueError(f"obs max bytes must be >= 0, got {max_bytes}")
     disarm()
-    _sink = _JsonlSink(
-        run_dir or os.environ.get(ENV_DIR) or DEFAULT_DIR,
-        max_bytes=envcfg.obs_max_bytes(),
-    )
+    _sink = _JsonlSink(run_dir or envcfg.path(ENV_DIR), max_bytes=max_bytes or None)
     return _sink.run_dir
 
 

@@ -23,8 +23,8 @@ completion.  Two output modes:
 The follower tolerates torn lines anywhere in the stream (a concurrent
 writer's in-flight append, a killed writer's half line) by buffering the
 trailing partial line and warning-and-skipping undecodable interior ones,
-and follows ``REPRO_OBS_MAX_BYTES`` rotations by detecting the inode
-change and reopening the fresh generation.
+and follows size-capped rotations (``obs.configure(max_bytes=...)``) by
+detecting the inode change and reopening the fresh generation.
 """
 
 from __future__ import annotations

@@ -26,9 +26,10 @@ def read_events(run_dir: "Path | str") -> "list[dict]":
     """Parse ``events.jsonl`` (and a rotated ``events.jsonl.1`` before it).
 
     A torn line *anywhere* is skipped with a warning
-    (:func:`repro.obs.decode_line`).  When ``REPRO_OBS_MAX_BYTES``
-    rotation has produced an ``events.jsonl.1``, that older generation is
-    read first so the merged stream stays in append order.
+    (:func:`repro.obs.decode_line`).  When a size-capped rotation
+    (``obs.configure(max_bytes=...)``) has produced an ``events.jsonl.1``,
+    that older generation is read first so the merged stream stays in
+    append order.
     """
     run_dir = Path(run_dir)
     events = []

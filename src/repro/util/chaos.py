@@ -28,9 +28,11 @@ Example: ``"crash@2,hang=30@5#1,corrupt@0#*"``.
 
 Specs travel to workers as plain strings (via the engine) and are parsed
 on both sides, so nothing unpicklable crosses the process boundary.  The
-``REPRO_CHAOS`` environment variable arms the engine globally; faults are
-injected **only into pool workers** — the serial in-process path (and the
-engine's degraded-to-serial recovery path) stays the fault-free reference.
+engine takes a spec as its ``chaos`` argument; :func:`arm` sets the
+process-wide default for campaigns that do not pass one (tests driving a
+whole campaign driver).  Faults are injected **only into pool workers** —
+the serial in-process path (and the engine's degraded-to-serial recovery
+path) stays the fault-free reference.
 
 Host/I-O chaos plane
 --------------------
@@ -38,8 +40,8 @@ Host/I-O chaos plane
 Worker faults exercise the *engine's* recovery paths; the supervisor layer
 (:mod:`repro.experiments.supervisor`) also has to survive faults of the
 *host* — a full disk, a dying filesystem, the driver itself being killed.
-A second spec, armed via ``REPRO_CHAOS_IO`` (or :func:`arm_io` in tests),
-injects those at named I/O sites::
+A second spec, armed via :func:`arm_io`, injects those at named I/O
+sites (every one runs in the driver process)::
 
     mode[=param]@op[#n]
 
@@ -69,12 +71,6 @@ import os
 import signal
 import time
 from dataclasses import dataclass
-
-#: Environment variable holding a chaos spec for the campaign engine.
-ENV_VAR = "REPRO_CHAOS"
-
-#: Environment variable holding a host/I-O chaos spec for the supervisor.
-IO_ENV_VAR = "REPRO_CHAOS_IO"
 
 #: Default byte cap for ``torn`` faults — small enough to guarantee the
 #: record/frame being written is visibly truncated.
@@ -159,13 +155,26 @@ def parse(spec: str) -> "tuple[ChaosFault, ...]":
     return tuple(faults)
 
 
-def from_env() -> "str | None":
-    """The ``REPRO_CHAOS`` spec, validated eagerly so typos fail in the
-    parent process rather than inside a worker; ``None`` when unset."""
-    raw = os.environ.get(ENV_VAR, "").strip()
-    if raw:
-        parse(raw)
-    return raw or None
+#: Process-wide default spec of the campaign engine; ``None`` = disarmed.
+_spec: "str | None" = None
+
+
+def arm(spec: "str | None") -> None:
+    """Arm (or, with ``None``/empty, disarm) the engine's default spec.
+
+    Validated eagerly so typos fail here rather than inside a worker;
+    :func:`repro.experiments.parallel.run_tasks` applies it whenever its
+    ``chaos`` argument is ``None``.
+    """
+    global _spec
+    if spec:
+        parse(spec)
+    _spec = spec or None
+
+
+def armed() -> "str | None":
+    """The spec set by :func:`arm`, or ``None`` when disarmed."""
+    return _spec
 
 
 def chaos_call(spec: str, worker, index: int, attempt: int, payload: tuple):
@@ -198,7 +207,7 @@ def _emit_fire(fault: ChaosFault, index: int, attempt: int) -> None:
     JSONL — tests and ``repro.obs.summarize`` correlate each firing with
     the recovery that follows it in the stream.
     """
-    from repro import obs  # local: chaos is imported by envcfg's resolver
+    from repro import obs
 
     if obs.enabled():
         obs.REGISTRY.counter("chaos.fire").inc()
@@ -273,17 +282,8 @@ def parse_io(spec: str) -> "tuple[IOFault, ...]":
     return tuple(faults)
 
 
-def io_from_env() -> "str | None":
-    """The ``REPRO_CHAOS_IO`` spec, validated eagerly; ``None`` when unset."""
-    raw = os.environ.get(IO_ENV_VAR, "").strip()
-    if raw:
-        parse_io(raw)
-    return raw or None
-
-
-# None = not yet initialised from the environment; () = armed with nothing
-# (disarmed).  Counters are per-process and per-site.
-_io_faults: "tuple[IOFault, ...] | None" = None
+# () = disarmed.  Counters are per-process and per-site.
+_io_faults: "tuple[IOFault, ...]" = ()
 _io_counts: "dict[str, int]" = {}
 
 
@@ -296,13 +296,6 @@ def arm_io(spec: "str | None") -> None:
     global _io_faults
     _io_faults = parse_io(spec) if spec else ()
     _io_counts.clear()
-
-
-def _io_active() -> "tuple[IOFault, ...]":
-    global _io_faults
-    if _io_faults is None:
-        _io_faults = parse_io(io_from_env() or "")
-    return _io_faults
 
 
 def io_counts() -> "dict[str, int]":
@@ -322,8 +315,6 @@ def io_fire(op: str, size: "int | None" = None) -> "int | None":
     mid-write.  ``rss`` faults are ignored here (see :func:`io_override`).
     """
     faults = _io_faults
-    if faults is None:
-        faults = _io_active()
     if not faults:
         return None
     count = _io_counts.get(op, 0) + 1
@@ -352,8 +343,6 @@ def io_override(op: str) -> "float | None":
     ``io_override``, write paths use ``io_fire``.
     """
     faults = _io_faults
-    if faults is None:
-        faults = _io_active()
     if not faults:
         return None
     count = _io_counts.get(op, 0) + 1

@@ -1,13 +1,22 @@
 """Environment-variable knobs: every ``REPRO_*`` setting the package reads.
 
-Each knob has one resolver here, named after what it sets (:func:`jobs`,
-:func:`mc_trials`, :func:`task_timeout`, :func:`sim_kernel`, ...).  The
-resolvers share a few parsers by value type:
+Ten knobs cover what the paper's results need: fidelity (``REPRO_FULL``),
+worker count (``REPRO_JOBS``), Monte Carlo trial budget and estimator
+(``REPRO_MC_TRIALS``, ``REPRO_MC_VR``), simulation and codec kernels
+(``REPRO_SIM_KERNEL``, ``REPRO_GF_NATIVE``), the result cache
+(``REPRO_CACHE_DIR``), telemetry (``REPRO_OBS``, ``REPRO_OBS_DIR``) and
+benchmark budgets (``REPRO_BENCH_QUICK``).  Every other setting is a call
+argument at the point of use (``timeout=``, ``retries=``, ``chaos=``,
+``chunk_size=``, ``tilt=``, ...).
 
-* numbers - :func:`positive_int` / :func:`positive_float` (and the
-  byte-size parser :func:`parse_bytes` for ``64m``-style sizes);
+Each knob has one resolver here, named after what it sets (:func:`jobs`,
+:func:`mc_trials`, :func:`sim_kernel`, ...).  The resolvers share a few
+parsers by value type:
+
+* numbers - :func:`positive_int`;
 * on/off switches - :func:`flag` (``REPRO_OBS``, ``REPRO_FULL``,
   ``REPRO_BENCH_QUICK``);
+* directories - :func:`path` (``REPRO_CACHE_DIR``, ``REPRO_OBS_DIR``);
 * enumerations - a per-knob choice check (``REPRO_MC_VR``,
   ``REPRO_SIM_KERNEL``, ``REPRO_GF_NATIVE``).
 
@@ -27,85 +36,24 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable
-
-#: Default retry budget per campaign task (attempts = retries + 1).
-DEFAULT_TASK_RETRIES = 2
-
-#: Default Monte Carlo chunk size (trials per whole-array chunk): bounds
-#: peak memory (a few MB of event arrays) while keeping array draws long
-#: enough to amortize NumPy dispatch.  ``repro.faults.montecarlo`` re-exports
-#: this as ``DEFAULT_CHUNK``.
-DEFAULT_MC_CHUNK = 1 << 16
-
-#: Default exponential-tilt factor of the importance-sampling estimator
-#: (``repro.faults.rareevent``): the smallest-blast-radius fault modes'
-#: Poisson rates are multiplied by this factor (heavier modes tilt harder,
-#: scaled by banks materialized per event), pushing trials toward the
-#: fault-heavy trajectories that resolve the 99.9th-percentile tail.
-#: Tuned on the fig8 default organization: effective speedup at the p999
-#: tail peaks (and plateaus) around tilt 4-6.
-DEFAULT_MC_TILT = 6.0
 
 #: Variance-reduction modes accepted by ``REPRO_MC_VR``.
 MC_VR_MODES = ("off", "is", "strat", "auto")
 
-#: Default supervisor journal directory (crash-safe campaign state).
-DEFAULT_SUPERVISOR_DIR = "./.repro_supervisor"
-
-#: Default resource-watchdog sampling period (seconds).
-DEFAULT_SUPERVISOR_POLL = 0.5
-
-#: Default free-disk floor (bytes) under which the watchdog pauses a
-#: campaign instead of letting the next checkpoint hit ENOSPC.
-DEFAULT_SUPERVISOR_MIN_DISK = 64 << 20
-
-_SIZE_SUFFIXES = {"k": 1 << 10, "m": 1 << 20, "g": 1 << 30, "t": 1 << 40}
-
-
-def parse_bytes(raw: str) -> int:
-    """Parse a byte size: a plain integer, or with a binary suffix
-    (``512m``, ``2g``, ``64k``; optional trailing ``b`` / ``ib``)."""
-    text = raw.strip().lower()
-    for tail in ("ib", "b"):
-        if text.endswith(tail) and text[: -len(tail)][-1:] in _SIZE_SUFFIXES:
-            text = text[: -len(tail)]
-            break
-    scale = 1
-    if text[-1:] in _SIZE_SUFFIXES:
-        scale = _SIZE_SUFFIXES[text[-1]]
-        text = text[:-1]
-    return int(float(text) * scale) if "." in text else int(text) * scale
-
-
-def _env_number(name: str, cast, kind: str):
-    """Parse ``os.environ[name]`` via *cast*; blank/unset returns ``None``."""
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return None
-    try:
-        return cast(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be {kind}, got {raw!r}") from None
-
 
 def positive_int(name: str, default: int, minimum: int = 1) -> int:
     """Shared positive-int knob: env var *name* if set, else *default*."""
-    value = _env_number(name, int, "an integer")
-    if value is None:
+    raw = os.environ.get(name, "").strip()
+    if not raw:
         return default
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
-    return value
-
-
-def positive_float(name: str, default: "float | None") -> "float | None":
-    """Shared positive-float knob: env var *name* if set, else *default*."""
-    value = _env_number(name, float, "a number")
-    if value is None:
-        return default
-    if value <= 0:
-        raise ValueError(f"{name} must be > 0, got {value}")
     return value
 
 
@@ -118,22 +66,6 @@ def mc_trials(explicit: "int | None", default: int) -> int:
     if explicit is not None:
         return explicit
     return positive_int("REPRO_MC_TRIALS", default)
-
-
-def mc_chunk(explicit: "int | None" = None) -> int:
-    """Resolve the Monte Carlo chunk size (trials per whole-array chunk).
-
-    Priority: an explicit caller argument, then ``REPRO_MC_CHUNK``, then
-    :data:`DEFAULT_MC_CHUNK`.  The chunk size slices the shared draw stream,
-    so two runs agree bit-for-bit only at a matched chunk size; campaign
-    cache keys therefore record the resolved value.
-    """
-    if explicit is not None:
-        explicit = int(explicit)
-        if explicit < 1:
-            raise ValueError(f"mc chunk size must be >= 1, got {explicit}")
-        return explicit
-    return positive_int("REPRO_MC_CHUNK", DEFAULT_MC_CHUNK)
 
 
 def mc_vr(explicit: "str | None" = None) -> str:
@@ -152,46 +84,6 @@ def mc_vr(explicit: "str | None" = None) -> str:
             f"REPRO_MC_VR must be one of {'|'.join(MC_VR_MODES)}, got {value!r}"
         )
     return value
-
-
-def mc_tilt(explicit: "float | None" = None) -> float:
-    """Resolve the importance-sampling tilt factor (``REPRO_MC_TILT``).
-
-    Saturating-mode Poisson rates are multiplied by this factor under the
-    proposal measure; ``1`` degenerates to plain MC (weights all one).
-    Values below 1 would tilt *away* from faults and are rejected.
-    """
-    if explicit is not None:
-        explicit = float(explicit)
-        if explicit < 1:
-            raise ValueError(f"mc tilt factor must be >= 1, got {explicit}")
-        return explicit
-    value = _env_number("REPRO_MC_TILT", float, "a number")
-    if value is None:
-        return DEFAULT_MC_TILT
-    if value < 1:
-        raise ValueError(f"REPRO_MC_TILT must be >= 1, got {value}")
-    return value
-
-
-def mc_target_rci(explicit: "float | None" = None) -> "float | None":
-    """Resolve the early-stop target relative CI (``REPRO_MC_TARGET_RCI``).
-
-    A rare-event campaign stops drawing once the 95% relative CI half-width
-    of its primary estimator falls to this fraction (e.g. ``0.05`` = ±5%).
-    ``None``/unset disables early stopping; ``0`` disables it explicitly.
-    """
-    if explicit is not None:
-        explicit = float(explicit)
-        if explicit < 0:
-            raise ValueError(f"mc target rci must be >= 0, got {explicit}")
-        return explicit or None
-    value = _env_number("REPRO_MC_TARGET_RCI", float, "a number")
-    if value is None:
-        return None
-    if value < 0:
-        raise ValueError(f"REPRO_MC_TARGET_RCI must be >= 0, got {value}")
-    return value or None
 
 
 #: Tokens accepted by on/off knobs; anything else raises.
@@ -216,53 +108,16 @@ def flag(name: str) -> bool:
     )
 
 
-def obs_max_bytes(explicit: "int | None" = None) -> "int | None":
-    """Resolve the telemetry-stream size cap (``REPRO_OBS_MAX_BYTES``).
-
-    When ``events.jsonl`` would exceed the cap, the sink rotates it to
-    ``events.jsonl.1`` on a line boundary (every append is one whole-line
-    write) and emits an ``obs.rotate`` event into the fresh stream, so
-    week-long campaigns cannot fill the disk.  ``None``/unset disables
-    rotation; ``0`` disables it explicitly.  Accepts byte-size suffixes
-    (``64m``, ``2g``).
-    """
-    if explicit is not None:
-        explicit = int(explicit)
-        if explicit < 0:
-            raise ValueError(f"obs max bytes must be >= 0, got {explicit}")
-        return explicit or None
-    value = _env_number("REPRO_OBS_MAX_BYTES", parse_bytes, "a byte size (e.g. 64m, 2g)")
-    if value is None:
-        return None
-    if value < 0:
-        raise ValueError(f"REPRO_OBS_MAX_BYTES must be >= 0, got {value}")
-    return value or None
-
-
 def jobs(default: int) -> int:
     """Resolve the campaign worker count: ``REPRO_JOBS`` if set, else
     *default* (callers pass the machine's CPU count)."""
     return positive_int("REPRO_JOBS", default)
 
 
-def task_timeout(explicit: "float | None" = None) -> "float | None":
-    """Resolve the per-task timeout in seconds; ``None`` means disabled.
-
-    An explicit argument wins (``0`` explicitly disables); otherwise
-    ``REPRO_TASK_TIMEOUT`` applies (``0`` disables there too); the default
-    is no timeout, preserving pre-resilience behaviour.
-    """
-    if explicit is not None:
-        explicit = float(explicit)
-        if explicit < 0:
-            raise ValueError(f"task timeout must be >= 0, got {explicit}")
-        return explicit or None
-    value = _env_number("REPRO_TASK_TIMEOUT", float, "a number")
-    if value is None:
-        return None
-    if value < 0:
-        raise ValueError(f"REPRO_TASK_TIMEOUT must be >= 0, got {value}")
-    return value or None
+def path(name: str) -> Path:
+    """Shared directory knob: env var *name* if set, else its registered
+    default (blank counts as unset, never as the working directory)."""
+    return Path(os.environ.get(name, "").strip() or KNOBS[name].default)
 
 
 def sim_kernel(explicit: "str | None" = None) -> str:
@@ -291,81 +146,6 @@ def gf_native(explicit: "str | None" = None) -> str:
     if value not in ("auto", "off", "on"):
         raise ValueError(f"REPRO_GF_NATIVE must be 'auto', 'off' or 'on', got {value!r}")
     return value
-
-
-def mem_budget(explicit: "int | None" = None) -> "int | None":
-    """Resolve the driver's RSS budget in bytes (``REPRO_MEM_BUDGET``).
-
-    When the supervisor's watchdog sees RSS above this budget it degrades
-    gracefully — halving the super-task batch cap and shrinking
-    ``REPRO_MC_CHUNK`` for campaigns not yet keyed — instead of letting
-    the OOM killer pick a victim.  Accepts byte-size suffixes (``512m``,
-    ``2g``).  ``None``/unset disables the memory watchdog; ``0`` disables
-    it explicitly.
-    """
-    if explicit is not None:
-        explicit = int(explicit)
-        if explicit < 0:
-            raise ValueError(f"memory budget must be >= 0, got {explicit}")
-        return explicit or None
-    value = _env_number("REPRO_MEM_BUDGET", parse_bytes, "a byte size (e.g. 512m, 2g)")
-    if value is None:
-        return None
-    if value < 0:
-        raise ValueError(f"REPRO_MEM_BUDGET must be >= 0, got {value}")
-    return value or None
-
-
-def supervisor_dir(explicit: "str | None" = None) -> str:
-    """Resolve the supervisor state directory (``REPRO_SUPERVISOR_DIR``):
-    write-ahead journals and salvageable super-task spools live here."""
-    if explicit:
-        return str(explicit)
-    return os.environ.get("REPRO_SUPERVISOR_DIR", "").strip() or DEFAULT_SUPERVISOR_DIR
-
-
-def supervisor_poll(explicit: "float | None" = None) -> float:
-    """Resolve the watchdog sampling period in seconds
-    (``REPRO_SUPERVISOR_POLL``, default :data:`DEFAULT_SUPERVISOR_POLL`)."""
-    if explicit is not None:
-        explicit = float(explicit)
-        if explicit <= 0:
-            raise ValueError(f"supervisor poll period must be > 0, got {explicit}")
-        return explicit
-    return positive_float("REPRO_SUPERVISOR_POLL", DEFAULT_SUPERVISOR_POLL)
-
-
-def supervisor_min_disk(explicit: "int | None" = None) -> int:
-    """Resolve the free-disk floor in bytes (``REPRO_SUPERVISOR_MIN_DISK``,
-    default :data:`DEFAULT_SUPERVISOR_MIN_DISK`; ``0`` disables the check).
-
-    Below the floor the supervisor pauses-and-checkpoints rather than
-    letting journal appends and cache renames start failing with ENOSPC.
-    """
-    if explicit is not None:
-        explicit = int(explicit)
-        if explicit < 0:
-            raise ValueError(f"supervisor min disk must be >= 0, got {explicit}")
-        return explicit
-    value = _env_number(
-        "REPRO_SUPERVISOR_MIN_DISK", parse_bytes, "a byte size (e.g. 64m, 1g)"
-    )
-    if value is None:
-        return DEFAULT_SUPERVISOR_MIN_DISK
-    if value < 0:
-        raise ValueError(f"REPRO_SUPERVISOR_MIN_DISK must be >= 0, got {value}")
-    return value
-
-
-def task_retries(explicit: "int | None" = None) -> int:
-    """Resolve the per-task retry budget (``REPRO_TASK_RETRIES``, default
-    :data:`DEFAULT_TASK_RETRIES`).  ``0`` means a single attempt."""
-    if explicit is not None:
-        explicit = int(explicit)
-        if explicit < 0:
-            raise ValueError(f"task retries must be >= 0, got {explicit}")
-        return explicit
-    return positive_int("REPRO_TASK_RETRIES", DEFAULT_TASK_RETRIES, minimum=0)
 
 
 # -- knob registry / introspection -----------------------------------------------------
@@ -397,12 +177,6 @@ def register(name, parser, default, description, resolve) -> None:
     KNOBS[name] = Knob(name, parser, default, description, resolve)
 
 
-def _resolve_chaos() -> str:
-    from repro.util import chaos  # lazy: chaos -> obs -> envcfg
-
-    return chaos.from_env() or "(off)"
-
-
 register(
     "REPRO_JOBS",
     "int >= 1",
@@ -418,13 +192,6 @@ register(
     lambda: str(positive_int("REPRO_MC_TRIALS", 0) or "(per-driver default)"),
 )
 register(
-    "REPRO_MC_CHUNK",
-    "int >= 1",
-    str(DEFAULT_MC_CHUNK),
-    "trials per whole-array Monte Carlo chunk; slices the draw stream, so cache keys record it",
-    lambda: str(mc_chunk()),
-)
-register(
     "REPRO_MC_VR",
     "off|is|strat|auto",
     "off",
@@ -432,88 +199,11 @@ register(
     lambda: mc_vr(),
 )
 register(
-    "REPRO_MC_TILT",
-    "float >= 1",
-    str(DEFAULT_MC_TILT),
-    "exponential-tilt factor of the importance sampler (1 = plain MC weights)",
-    lambda: f"{mc_tilt():g}",
-)
-register(
-    "REPRO_MC_TARGET_RCI",
-    "float >= 0",
-    "disabled",
-    "early-stop a rare-event campaign once the 95% relative CI reaches this fraction (0 = off)",
-    lambda: (lambda v: f"{v:g}" if v else "(disabled)")(mc_target_rci()),
-)
-register(
-    "REPRO_TASK_TIMEOUT",
-    "float >= 0 (s)",
-    "disabled",
-    "per-task timeout for pooled campaign tasks; hung workers trigger a pool rebuild",
-    lambda: (lambda v: f"{v:g}s" if v else "(disabled)")(task_timeout()),
-)
-register(
-    "REPRO_TASK_RETRIES",
-    "int >= 0",
-    str(DEFAULT_TASK_RETRIES),
-    "retry budget per campaign task beyond the first attempt (0 = single attempt)",
-    lambda: str(task_retries()),
-)
-register(
-    "REPRO_CHAOS",
-    "chaos spec",
-    "(off)",
-    "deterministic fault injection into pool workers: mode[=param]@index[#attempt],...",
-    _resolve_chaos,
-)
-def _resolve_chaos_io() -> str:
-    from repro.util import chaos  # lazy: chaos -> obs -> envcfg
-
-    return chaos.io_from_env() or "(off)"
-
-
-register(
-    "REPRO_CHAOS_IO",
-    "io chaos spec",
-    "(off)",
-    "host/I-O fault injection for the supervisor: mode[=param]@op[#n],... "
-    "(enospc|eio|torn|kill|rss)",
-    _resolve_chaos_io,
-)
-register(
-    "REPRO_MEM_BUDGET",
-    "bytes (512m, 2g)",
-    "disabled",
-    "driver RSS budget; above it the watchdog shrinks batch caps and MC chunks (0 = off)",
-    lambda: (lambda v: str(v) if v else "(disabled)")(mem_budget()),
-)
-register(
-    "REPRO_SUPERVISOR_DIR",
-    "path",
-    DEFAULT_SUPERVISOR_DIR,
-    "supervisor state directory: write-ahead campaign journals + salvageable spools",
-    lambda: supervisor_dir(),
-)
-register(
-    "REPRO_SUPERVISOR_POLL",
-    "float > 0 (s)",
-    str(DEFAULT_SUPERVISOR_POLL),
-    "resource-watchdog sampling period for RSS and free-disk gauges",
-    lambda: f"{supervisor_poll():g}s",
-)
-register(
-    "REPRO_SUPERVISOR_MIN_DISK",
-    "bytes (64m, 1g)",
-    "64m",
-    "free-disk floor under which a supervised campaign pauses-and-checkpoints (0 = off)",
-    lambda: str(supervisor_min_disk()),
-)
-register(
     "REPRO_CACHE_DIR",
     "path",
     "./.repro_cache",
     "directory of the evaluation-matrix and Monte Carlo checkpoint caches",
-    lambda: os.environ.get("REPRO_CACHE_DIR", "./.repro_cache"),
+    lambda: str(path("REPRO_CACHE_DIR")),
 )
 register(
     "REPRO_FULL",
@@ -555,14 +245,7 @@ register(
     "path",
     "./.repro_obs",
     "run directory for telemetry events.jsonl + manifest.json",
-    lambda: os.environ.get("REPRO_OBS_DIR", "./.repro_obs"),
-)
-register(
-    "REPRO_OBS_MAX_BYTES",
-    "bytes (64m, 2g)",
-    "disabled",
-    "rotate events.jsonl to events.jsonl.1 on a line boundary past this size (0 = off)",
-    lambda: (lambda v: str(v) if v else "(disabled)")(obs_max_bytes()),
+    lambda: str(path("REPRO_OBS_DIR")),
 )
 
 

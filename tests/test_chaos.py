@@ -61,16 +61,16 @@ class TestSpecParsing:
         with pytest.raises(ValueError):
             chaos.parse(bad)
 
-    def test_from_env_validates(self, monkeypatch):
-        monkeypatch.setenv(chaos.ENV_VAR, "crash@2")
-        assert chaos.from_env() == "crash@2"
-        monkeypatch.setenv(chaos.ENV_VAR, "explode@2")
-        with pytest.raises(ValueError):
-            chaos.from_env()
-        monkeypatch.setenv(chaos.ENV_VAR, "   ")
-        assert chaos.from_env() is None
-        monkeypatch.delenv(chaos.ENV_VAR, raising=False)
-        assert chaos.from_env() is None
+    def test_arm_validates(self):
+        try:
+            chaos.arm("crash@2")
+            assert chaos.armed() == "crash@2"
+            with pytest.raises(ValueError):
+                chaos.arm("explode@2")
+            assert chaos.armed() == "crash@2"  # a rejected spec changes nothing
+        finally:
+            chaos.arm(None)
+        assert chaos.armed() is None
 
 
 def _double(x):
@@ -135,13 +135,19 @@ TINY = Fidelity("tiny", scale=64, access_target=4000)
 
 
 class TestDriverChaos:
-    """End-to-end: every campaign driver survives an armed REPRO_CHAOS."""
+    """End-to-end: every campaign driver survives armed chaos.
+
+    The drivers do not thread ``chaos``/``timeout``/``retries`` through,
+    so the storm arms :func:`chaos.arm` and patches the engine defaults.
+    """
 
     @pytest.fixture
     def storm(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHAOS", "crash@1,hang=30@0")
-        monkeypatch.setenv("REPRO_TASK_TIMEOUT", "2")
-        monkeypatch.setenv("REPRO_TASK_RETRIES", "2")
+        monkeypatch.setattr(parallel, "DEFAULT_TASK_TIMEOUT", 2.0)
+        monkeypatch.setattr(parallel, "DEFAULT_TASK_RETRIES", 2)
+        chaos.arm("crash@1,hang=30@0")
+        yield
+        chaos.arm(None)
 
     def test_fig8_driver(self, storm):
         par = eol_fraction_by_channels([2, 4, 8], trials=800, seed=0, jobs=3)
@@ -166,15 +172,18 @@ class TestDriverChaos:
     def test_evaluation_matrix_driver(self, tmp_path, monkeypatch):
         # crash + corrupt only: evaluation cells are the slowest (~0.1s), so
         # no hang/timeout here to keep the test immune to CI load spikes.
-        monkeypatch.setenv("REPRO_CHAOS", "crash@1,corrupt@2")
-        monkeypatch.setenv("REPRO_TASK_RETRIES", "2")
+        monkeypatch.setattr(parallel, "DEFAULT_TASK_RETRIES", 2)
         monkeypatch.setenv("REPRO_JOBS", "4")
         cells = dict(
             workloads=["streamcluster", "sjeng"],
             config_keys=["chipkill18", "lot_ecc5_ep"],
         )
         monkeypatch.setattr(ev, "CACHE_DIR", tmp_path / "par")
-        par = evaluation_matrix("quad", fidelity=TINY, **cells)
+        chaos.arm("crash@1,corrupt@2")
+        try:
+            par = evaluation_matrix("quad", fidelity=TINY, **cells)
+        finally:
+            chaos.arm(None)
         par_cache = json.loads(next((tmp_path / "par").glob("*.json")).read_text())
 
         monkeypatch.setattr(ev, "CACHE_DIR", tmp_path / "serial")

@@ -1,6 +1,6 @@
 """Host/I-O chaos plane and the cachefile hardening it exercises.
 
-Covers the ``REPRO_CHAOS_IO`` grammar, the per-site occurrence counters,
+Covers the I/O chaos spec grammar, the per-site occurrence counters,
 each fault mode's mechanics at :func:`repro.util.chaos.io_fire`, and the
 cache-layer recovery contract: an injected ENOSPC/EIO/torn write at
 ``cache.write``/``cache.rename`` must leave the previous cache intact and
@@ -72,14 +72,10 @@ class TestIoSpecParsing:
     def test_empty_entries_skipped(self):
         assert chaos.parse_io(" , eio@a.b ,, ") == (chaos.IOFault("eio", "a.b", 1, 0.0),)
 
-    def test_io_from_env_validates(self, monkeypatch):
-        monkeypatch.setenv(chaos.IO_ENV_VAR, "eio@cache.write")
-        assert chaos.io_from_env() == "eio@cache.write"
-        monkeypatch.setenv(chaos.IO_ENV_VAR, "explode@cache.write")
+    def test_arm_io_validates(self):
         with pytest.raises(ValueError):
-            chaos.io_from_env()
-        monkeypatch.delenv(chaos.IO_ENV_VAR, raising=False)
-        assert chaos.io_from_env() is None
+            chaos.arm_io("explode@cache.write")
+        assert chaos.io_fire("cache.write") is None  # nothing was armed
 
 
 class TestIoFire:
@@ -127,13 +123,6 @@ class TestIoFire:
         chaos.arm_io("rss=5e9@watchdog.rss")
         assert chaos.io_override("watchdog.rss") == 5e9
         assert chaos.io_override("watchdog.rss") is None  # occurrence 1 spent
-
-    def test_lazy_env_arming(self, monkeypatch):
-        monkeypatch.setenv(chaos.IO_ENV_VAR, "eio@env.site")
-        chaos._io_faults = None  # simulate a fresh process
-        with pytest.raises(OSError):
-            chaos.io_fire("env.site")
-        chaos.arm_io(None)
 
 
 class TestCacheFaultRecovery:

@@ -411,9 +411,12 @@ class TestMatrixKernelIdentity:
         serial_epoch = evaluation_matrix("quad", fidelity=TINY, jobs=1, **CELLS)
 
         monkeypatch.setattr(ev, "CACHE_DIR", tmp_path / "par")
-        monkeypatch.setenv(chaos.ENV_VAR, "crash@1")
         monkeypatch.setenv("REPRO_JOBS", "2")
-        parallel_epoch = evaluation_matrix("quad", fidelity=TINY, **CELLS)
+        chaos.arm("crash@1")
+        try:
+            parallel_epoch = evaluation_matrix("quad", fidelity=TINY, **CELLS)
+        finally:
+            chaos.arm(None)
 
         assert serial_epoch == serial_event
         assert parallel_epoch == serial_event

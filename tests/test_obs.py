@@ -188,7 +188,7 @@ class TestEnvcfgIntrospection:
         assert set(rows) == set(envcfg.KNOBS)
         assert rows["REPRO_JOBS"]["current"] == "3"
         assert rows["REPRO_JOBS"]["source"] == "env"
-        assert rows["REPRO_TASK_RETRIES"]["source"] == "default"
+        assert rows["REPRO_MC_VR"]["source"] == "default"
 
     def test_invalid_env_renders_not_raises(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "zero")
@@ -211,6 +211,46 @@ class TestEnvcfgIntrospection:
             env=_subprocess_env(),
         )
         assert "REPRO_OBS" in out.stdout and "REPRO_JOBS" in out.stdout
+
+    def test_registry_guards_src(self):
+        """Every ``REPRO_*`` name under src/ is a registered knob, and no
+        code under src/ writes to ``os.environ``."""
+        import re
+
+        write = re.compile(
+            r"os\.environ\[[^]]*\]\s*=(?!=)|del os\.environ"
+            r"|os\.environ\.(pop|update|setdefault|clear)\(|os\.(putenv|unsetenv)\("
+        )
+        tokens, writes = set(), []
+        for path in Path(obs.__file__).resolve().parents[1].rglob("*.py"):
+            text = path.read_text()
+            tokens |= set(re.findall(r"\bREPRO_[A-Z_]+", text))
+            writes += [f"{path.name}: {m.group()}" for m in write.finditer(text)]
+        assert tokens and tokens <= set(envcfg.KNOBS), sorted(tokens - set(envcfg.KNOBS))
+        assert writes == []
+
+    def test_readme_table_is_current(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = envcfg.render_knobs(markdown=True, defaults_only=True)
+        assert "\n" + table + "\n" in readme, "regenerate: python -m repro.util.envcfg --markdown --defaults"
+
+    def test_blank_cache_dir_means_default(self, tmp_path):
+        """A blank ``REPRO_CACHE_DIR=`` / ``REPRO_OBS_DIR=`` is unset, not
+        the working directory."""
+        script = (
+            "from repro import obs\n"
+            "from repro.experiments import evaluation\n"
+            "from repro.util import envcfg\n"
+            "rows = {r['name']: r['current'] for r in envcfg.describe()}\n"
+            "print(evaluation.CACHE_DIR, obs.configure(), rows['REPRO_CACHE_DIR'])\n"
+        )
+        env = dict(_subprocess_env(), REPRO_CACHE_DIR="", REPRO_OBS_DIR="")
+        env.pop("REPRO_OBS", None)
+        out = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            check=True, env=env, cwd=tmp_path,
+        )
+        assert out.stdout.split() == [".repro_cache", ".repro_obs", ".repro_cache"]
 
 
 class TestMcEvents:

@@ -12,7 +12,7 @@ Three layers of guarantees:
   analytic CI bounds of plain MC.
 * **Campaign semantics** - sharded runs merge bit-identically serial vs
   parallel, resume from checkpoints recomputing only missing shards,
-  survive an armed ``REPRO_CHAOS`` storm, and stop early on a target
+  survive an armed chaos storm, and stop early on a target
   relative CI.
 """
 
@@ -22,8 +22,10 @@ import numpy as np
 import pytest
 
 from repro.faults.fit_rates import MemoryOrg
+from repro.faults import montecarlo
 from repro.faults.montecarlo import _SAT_MODES, EolCapacitySim, _draw_chunk
 from repro.faults.rareevent import (
+    DEFAULT_MC_TILT,
     MAX_TALLY_POINTS,
     StratifiedEstimate,
     WeightedEstimate,
@@ -42,6 +44,7 @@ from repro.faults.rareevent import (
     weighted_percentile,
 )
 from repro.util import envcfg
+from repro.util.cachefile import load_json_cache
 
 ORGS = [
     MemoryOrg(),
@@ -322,20 +325,24 @@ class TestShardedCampaigns:
         assert partial.estimate.to_dict() == first.estimate.to_dict()
 
     def test_chaos_storm_with_resume(self, tmp_path, monkeypatch):
-        """Armed REPRO_CHAOS + checkpointed shards == the serial answer."""
+        """Armed chaos + checkpointed shards == the serial answer."""
         from repro.experiments import evaluation as ev
+        from repro.experiments import parallel
+        from repro.util import chaos
 
         kw = dict(mode="is", trials=3_000, shards=3, seed=2)
         serial = sharded_estimate(jobs=1, **kw)
 
         monkeypatch.setattr(ev, "CACHE_DIR", tmp_path)
-        monkeypatch.setenv("REPRO_CHAOS", "crash@1,corrupt@0")
-        monkeypatch.setenv("REPRO_TASK_RETRIES", "2")
-        stormy = sharded_estimate(jobs=3, use_cache=True, **kw)
+        monkeypatch.setattr(parallel, "DEFAULT_TASK_RETRIES", 2)
+        chaos.arm("crash@1,corrupt@0")
+        try:
+            stormy = sharded_estimate(jobs=3, use_cache=True, **kw)
+        finally:
+            chaos.arm(None)
         assert stormy.estimate.to_dict() == serial.estimate.to_dict()
 
         # And the checkpoints written under fire resume cleanly.
-        monkeypatch.delenv("REPRO_CHAOS")
         resumed = sharded_estimate(jobs=1, use_cache=True, **kw)
         assert resumed.estimate.to_dict() == serial.estimate.to_dict()
 
@@ -354,19 +361,24 @@ class TestShardedCampaigns:
 
 
 class TestKnobs:
-    """Env knob resolution for the rare-event plane."""
+    """Rare-event settings: ``REPRO_MC_VR`` is an environment knob; chunk
+    size, tilt and target RCI are call arguments checked where used."""
 
-    def test_mc_chunk(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MC_CHUNK", "777")
-        assert envcfg.mc_chunk() == 777
-        assert envcfg.mc_chunk(123) == 123  # explicit wins
-        monkeypatch.delenv("REPRO_MC_CHUNK")
-        assert envcfg.mc_chunk() == envcfg.DEFAULT_MC_CHUNK
+    def test_mc_chunk(self, tmp_path, monkeypatch):
+        from repro.experiments import evaluation as ev
+
+        assert montecarlo.resolve_chunk() == montecarlo.DEFAULT_CHUNK
+        assert montecarlo.resolve_chunk(123) == 123
         with pytest.raises(ValueError):
-            envcfg.mc_chunk(0)
-        monkeypatch.setenv("REPRO_MC_CHUNK", "nope")
+            run_plain(_sim(3), trials=10, chunk_size=0)
         with pytest.raises(ValueError):
-            envcfg.mc_chunk()
+            EolCapacitySim(MemoryOrg()).run(trials=10, chunk_size=-1)
+        # The resolved chunk (here: the watchdog's cap) keys the cache.
+        monkeypatch.setattr(ev, "CACHE_DIR", tmp_path)
+        monkeypatch.setattr(montecarlo, "_chunk_cap", 777)
+        sharded_estimate(mode="off", trials=100, shards=1, jobs=1, use_cache=True)
+        (key,) = load_json_cache(tmp_path / "mc_rareevent.json")
+        assert "chunk=777" in key
 
     def test_mc_vr(self, monkeypatch):
         for value in ("off", "is", "strat", "auto"):
@@ -379,29 +391,24 @@ class TestKnobs:
         monkeypatch.delenv("REPRO_MC_VR")
         assert envcfg.mc_vr() == "off"
 
-    def test_mc_tilt(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MC_TILT", "3.5")
-        assert envcfg.mc_tilt() == 3.5
-        assert envcfg.mc_tilt(2.0) == 2.0
-        monkeypatch.setenv("REPRO_MC_TILT", "0.5")
+    def test_mc_tilt(self):
+        assert run_is(_sim(4), trials=50).tilt == DEFAULT_MC_TILT
+        assert run_is(_sim(4), trials=50, tilt=2.0).tilt == 2.0
         with pytest.raises(ValueError):
-            envcfg.mc_tilt()
+            run_is(_sim(4), trials=50, tilt=0.5)
         with pytest.raises(ValueError):
-            envcfg.mc_tilt(0.5)
-        monkeypatch.delenv("REPRO_MC_TILT")
-        assert envcfg.mc_tilt() == envcfg.DEFAULT_MC_TILT
+            sharded_estimate(mode="is", trials=50, shards=1, jobs=1, tilt=0.5)
 
-    def test_mc_target_rci(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MC_TARGET_RCI", "0.05")
-        assert envcfg.mc_target_rci() == 0.05
-        assert envcfg.mc_target_rci(0) is None  # explicit 0 disables
-        monkeypatch.setenv("REPRO_MC_TARGET_RCI", "0")
-        assert envcfg.mc_target_rci() is None
-        monkeypatch.setenv("REPRO_MC_TARGET_RCI", "-1")
+    def test_mc_target_rci(self):
+        loose = sharded_estimate(mode="is", trials=8_000, shards=4, jobs=1, target_rci=10.0)
+        assert loose.early_stopped
+        for off in (None, 0):
+            full = sharded_estimate(mode="is", trials=8_000, shards=4, jobs=1, target_rci=off)
+            assert not full.early_stopped
         with pytest.raises(ValueError):
-            envcfg.mc_target_rci()
-        monkeypatch.delenv("REPRO_MC_TARGET_RCI")
-        assert envcfg.mc_target_rci() is None
+            run_is(_sim(5), trials=50, target_rci=-1)
+        with pytest.raises(ValueError):
+            sharded_estimate(mode="is", trials=50, shards=1, jobs=1, target_rci=-1)
 
     def test_resolve_mode_auto(self, monkeypatch):
         monkeypatch.setenv("REPRO_MC_VR", "auto")

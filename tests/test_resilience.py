@@ -155,38 +155,41 @@ class TestTimeout:
 
 
 class TestEnvKnobs:
+    """Timeout and retry budgets are ``run_tasks`` arguments.  Its module
+    defaults are the only other source (tests of whole drivers patch
+    them); the environment reaches neither."""
+
     def test_task_timeout_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TASK_TIMEOUT", "2.5")
-        assert envcfg.task_timeout() == 2.5
-        monkeypatch.setenv("REPRO_TASK_TIMEOUT", "0")
-        assert envcfg.task_timeout() is None
-        monkeypatch.delenv("REPRO_TASK_TIMEOUT", raising=False)
-        assert envcfg.task_timeout() is None
+        monkeypatch.setenv("REPRO_TASK_TIMEOUT", "2.5")  # a deleted knob: inert
+        assert parallel._budget(None, None)[0] is None
+        monkeypatch.setattr(parallel, "DEFAULT_TASK_TIMEOUT", 2.5)
+        assert parallel._budget(None, None)[0] == 2.5
+        monkeypatch.setattr(parallel, "DEFAULT_TASK_TIMEOUT", 0)
+        assert parallel._budget(None, None)[0] is None
 
     def test_task_timeout_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TASK_TIMEOUT", "2.5")
-        assert envcfg.task_timeout(7) == 7.0
-        assert envcfg.task_timeout(0) is None  # explicit 0 disables
+        monkeypatch.setattr(parallel, "DEFAULT_TASK_TIMEOUT", 2.5)
+        assert parallel._budget(7, None)[0] == 7.0
+        assert parallel._budget(0, None)[0] is None  # explicit 0 disables
 
     @pytest.mark.parametrize("bad", ["soon", "-1"])
-    def test_task_timeout_invalid(self, monkeypatch, bad):
-        monkeypatch.setenv("REPRO_TASK_TIMEOUT", bad)
+    def test_task_timeout_invalid(self, bad):
         with pytest.raises(ValueError):
-            envcfg.task_timeout()
+            list(parallel.run_tasks(_square, [(1,)], jobs=1, timeout=bad))
 
     def test_task_retries_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TASK_RETRIES", "0")
-        assert envcfg.task_retries() == 0
-        monkeypatch.setenv("REPRO_TASK_RETRIES", "5")
-        assert envcfg.task_retries() == 5
-        monkeypatch.delenv("REPRO_TASK_RETRIES", raising=False)
-        assert envcfg.task_retries() == envcfg.DEFAULT_TASK_RETRIES
+        monkeypatch.setenv("REPRO_TASK_RETRIES", "0")  # a deleted knob: inert
+        assert parallel._budget(None, None)[1] == parallel.DEFAULT_TASK_RETRIES == 2
+        assert parallel._budget(None, 5)[1] == 5
+        monkeypatch.setattr(parallel, "DEFAULT_TASK_RETRIES", 0)
+        with pytest.raises(parallel.CampaignError) as ei:
+            list(parallel.run_tasks(_boom, [(1,)], jobs=1, backoff=0))
+        assert ei.value.failures[0].attempts == 1
 
     @pytest.mark.parametrize("bad", ["-1", "lots"])
-    def test_task_retries_invalid(self, monkeypatch, bad):
-        monkeypatch.setenv("REPRO_TASK_RETRIES", bad)
+    def test_task_retries_invalid(self, bad):
         with pytest.raises(ValueError):
-            envcfg.task_retries()
+            list(parallel.run_tasks(_square, [(1,)], jobs=1, retries=bad))
 
     def test_shared_parser_reaches_jobs_and_trials(self, monkeypatch):
         """REPRO_JOBS and REPRO_MC_TRIALS route through the same helper."""

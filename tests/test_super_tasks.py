@@ -22,7 +22,7 @@ from repro.experiments import parallel, resultcodec
 from repro.experiments.evaluation import Fidelity, evaluation_matrix
 from repro.faults.montecarlo import _eol_cell
 from repro.obs.summarize import read_events
-from repro.util import envcfg
+from repro.util import chaos, envcfg
 
 PAYLOADS = [(2, 400, s, 61320.0, 1 << 16) for s in range(8)]
 
@@ -313,12 +313,15 @@ class TestMatrixBatching:
         )
 
     def test_chaos_armed_batched_matrix_matches_serial(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CHAOS", "crash@1,corrupt@2")
-        monkeypatch.setenv("REPRO_TASK_RETRIES", "2")
+        monkeypatch.setattr(parallel, "DEFAULT_TASK_RETRIES", 2)
         monkeypatch.setenv("REPRO_JOBS", "4")
         _batch_cells(monkeypatch, 2)
         monkeypatch.setattr(ev, "CACHE_DIR", tmp_path / "batched")
-        par = evaluation_matrix("quad", fidelity=TINY, **CELLS)
+        chaos.arm("crash@1,corrupt@2")
+        try:
+            par = evaluation_matrix("quad", fidelity=TINY, **CELLS)
+        finally:
+            chaos.arm(None)
 
         monkeypatch.setattr(ev, "CACHE_DIR", tmp_path / "serial")
         serial = evaluation_matrix("quad", fidelity=TINY, jobs=1, **CELLS)

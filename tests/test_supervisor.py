@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import parallel, resultcodec, supervisor
+from repro.faults import montecarlo
 from repro.util import chaos, envcfg
 from tests._supervisor_worker import slow_square, square
 
@@ -397,6 +398,8 @@ class TestDriverKill:
             sys.path.insert(0, {str(REPO_ROOT)!r})
             from tests._supervisor_worker import slow_square
             from repro.experiments import supervisor
+            from repro.util import chaos
+            chaos.arm_io("kill@supervisor.settle#3")
             payloads = [(i, 0.05) for i in range(12)]
             supervisor.run_campaign(
                 slow_square, payloads, name="killed",
@@ -407,7 +410,6 @@ class TestDriverKill:
         )
         env = dict(os.environ)
         env["PYTHONPATH"] = str(REPO_ROOT / "src")
-        env["REPRO_CHAOS_IO"] = "kill@supervisor.settle#3"
         env.pop("REPRO_OBS", None)
         # start_new_session + DEVNULL: orphaned pool workers must neither
         # hold our pipes open nor survive the cleanup killpg below.
@@ -518,7 +520,8 @@ class TestHungWorkerTeardown:
 
 class TestWatchdog:
     def test_memory_pressure_halves_batch_cap_and_chunk(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_MC_CHUNK", "8192")
+        monkeypatch.setattr(montecarlo, "_chunk_cap", 8192)
+        env_before = dict(os.environ)
         wd = supervisor.ResourceWatchdog(
             tmp_path, mem_budget=100, min_disk=0, poll_s=60,
             rss_sampler=lambda: 200, disk_sampler=lambda: 1 << 40,
@@ -526,13 +529,27 @@ class TestWatchdog:
         assert parallel._batch_cap is None
         wd.sample()
         assert parallel._batch_cap == parallel.MAX_BATCH // 2
-        assert os.environ["REPRO_MC_CHUNK"] == "4096"
+        assert montecarlo.resolve_chunk() == 4096
+        assert montecarlo.resolve_chunk(50_000) == 50_000  # explicit sizes win
         wd.sample()
         assert parallel._batch_cap == parallel.MAX_BATCH // 4
+        assert montecarlo.resolve_chunk() == 2048
         assert wd.degradations == 2
+        assert dict(os.environ) == env_before
         wd.stop()
         assert parallel._batch_cap is None  # restored
-        assert os.environ["REPRO_MC_CHUNK"] == "8192"
+        assert montecarlo._chunk_cap == 8192
+        assert dict(os.environ) == env_before
+
+    def test_uncapped_chunk_is_capped_then_cleared(self, tmp_path):
+        wd = supervisor.ResourceWatchdog(
+            tmp_path, mem_budget=1, rss_sampler=lambda: 2, disk_sampler=lambda: 1 << 40
+        )
+        wd.sample()
+        assert montecarlo.resolve_chunk() == montecarlo.DEFAULT_CHUNK // 2
+        wd.stop()
+        assert montecarlo._chunk_cap is None
+        assert montecarlo.resolve_chunk() == montecarlo.DEFAULT_CHUNK
 
     def test_degradation_bottoms_out_at_one(self, tmp_path):
         wd = supervisor.ResourceWatchdog(
@@ -548,14 +565,15 @@ class TestWatchdog:
         wd.stop()
 
     def test_chunk_floor(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_MC_CHUNK", "1024")
+        monkeypatch.setattr(montecarlo, "_chunk_cap", 1024)
         wd = supervisor.ResourceWatchdog(
             tmp_path, mem_budget=1, min_disk=0, poll_s=60,
             rss_sampler=lambda: 2, disk_sampler=lambda: 1 << 40,
         )
         wd.sample()
-        assert os.environ["REPRO_MC_CHUNK"] == "1024"  # never below the floor
+        assert montecarlo.resolve_chunk() == 1024  # never below the floor
         wd.stop()
+        assert montecarlo._chunk_cap == 1024
 
     def test_low_disk_sets_pause(self, tmp_path):
         wd = supervisor.ResourceWatchdog(
@@ -621,48 +639,39 @@ class TestSignals:
 
 
 class TestEnvKnobs:
-    @pytest.mark.parametrize(
-        "raw,value",
-        [
-            ("1024", 1024),
-            ("64k", 64 << 10),
-            ("512M", 512 << 20),
-            ("2g", 2 << 30),
-            ("1.5g", (3 << 30) // 2),
-            ("2gb", 2 << 30),
-            ("2GiB", 2 << 30),
-        ],
-    )
-    def test_parse_bytes(self, raw, value):
-        assert envcfg.parse_bytes(raw) == value
+    """The supervisor's settings are call arguments, checked where used."""
 
-    def test_mem_budget_resolution(self, monkeypatch):
-        monkeypatch.delenv("REPRO_MEM_BUDGET", raising=False)
-        assert envcfg.mem_budget() is None
-        monkeypatch.setenv("REPRO_MEM_BUDGET", "512m")
-        assert envcfg.mem_budget() == 512 << 20
-        assert envcfg.mem_budget(0) is None  # explicit zero disables
-        monkeypatch.setenv("REPRO_MEM_BUDGET", "0")
-        assert envcfg.mem_budget() is None
+    def test_mem_budget_resolution(self, tmp_path):
+        assert supervisor.ResourceWatchdog(tmp_path).mem_budget is None
+        assert supervisor.ResourceWatchdog(tmp_path, mem_budget=512 << 20).mem_budget == 512 << 20
+        assert supervisor.ResourceWatchdog(tmp_path, mem_budget=0).mem_budget is None
+        with pytest.raises(ValueError):
+            supervisor.ResourceWatchdog(tmp_path, mem_budget=-1)
 
-    def test_supervisor_knobs(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SUPERVISOR_DIR", raising=False)
-        assert envcfg.supervisor_dir() == envcfg.DEFAULT_SUPERVISOR_DIR
-        monkeypatch.setenv("REPRO_SUPERVISOR_DIR", "/x/y")
-        assert envcfg.supervisor_dir() == "/x/y"
-        assert envcfg.supervisor_dir("/z") == "/z"
-        monkeypatch.setenv("REPRO_SUPERVISOR_POLL", "2.5")
-        assert envcfg.supervisor_poll() == 2.5
-        monkeypatch.setenv("REPRO_SUPERVISOR_MIN_DISK", "128m")
-        assert envcfg.supervisor_min_disk() == 128 << 20
-        assert envcfg.supervisor_min_disk(0) == 0
+    def test_supervisor_knobs(self, tmp_path):
+        wd = supervisor.ResourceWatchdog(tmp_path)
+        assert wd.poll_s == supervisor.DEFAULT_SUPERVISOR_POLL
+        assert wd.min_disk == supervisor.DEFAULT_SUPERVISOR_MIN_DISK
+        wd = supervisor.ResourceWatchdog(tmp_path, min_disk=0, poll_s=2.5)
+        assert wd.min_disk == 0 and wd.poll_s == 2.5
+        for bad in (dict(min_disk=-1), dict(poll_s=0), dict(poll_s=-1.0)):
+            with pytest.raises(ValueError):
+                supervisor.ResourceWatchdog(tmp_path, **bad)
+        default = supervisor._campaign_paths("c", None).journal
+        assert default == Path(supervisor.DEFAULT_SUPERVISOR_DIR) / "c.journal"
+        assert supervisor._campaign_paths("c", "/z").journal == Path("/z/c.journal")
 
-    def test_knobs_registered(self):
-        names = set(envcfg.KNOBS)
-        assert {
+    def test_knobs_registered(self, tmp_path):
+        """None of the supervisor's settings is an environment knob, and a
+        bad one reaches the watchdog through run_campaign."""
+        assert not {
             "REPRO_CHAOS_IO",
             "REPRO_MEM_BUDGET",
             "REPRO_SUPERVISOR_DIR",
             "REPRO_SUPERVISOR_POLL",
             "REPRO_SUPERVISOR_MIN_DISK",
-        } <= names
+        } & set(envcfg.KNOBS)
+        with pytest.raises(ValueError):
+            supervisor.run_campaign(
+                square, [(1,)], name="bad", directory=tmp_path, jobs=1, poll_s=0
+            )

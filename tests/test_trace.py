@@ -346,12 +346,11 @@ class TestChromeExport:
 
 
 class TestRotation:
-    def test_sink_rotates_on_line_boundary(self, tmp_path, monkeypatch):
+    def test_sink_rotates_on_line_boundary(self, tmp_path):
         # Sized for exactly one rotation: the sink keeps two generations,
         # so a single cut preserves the full stream for the loss check.
-        monkeypatch.setenv("REPRO_OBS_MAX_BYTES", "20000")
         run = tmp_path / "rot"
-        obs.configure(run)
+        obs.configure(run, max_bytes=20000)
         try:
             for i in range(200):
                 obs.emit("rot.fill", mode="engine", i=i, pad="x" * 64)
@@ -370,10 +369,9 @@ class TestRotation:
         fills = [e for e in events if e["kind"] == "rot.fill"]
         assert len(fills) == 200  # nothing lost across the rotation
 
-    def test_spans_survive_rotation(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_OBS_MAX_BYTES", "12000")
+    def test_spans_survive_rotation(self, tmp_path):
         run = tmp_path / "rotspan"
-        obs.configure(run)
+        obs.configure(run, max_bytes=12000)
         try:
             with trace.span("rot.root", "compute"):
                 for i in range(100):
@@ -386,3 +384,13 @@ class TestRotation:
         root = primary_root(forest)
         assert root.name == "rot.root"
         assert sum(1 for n in root.walk() if n.name == "rot.leaf") == 100
+
+    def test_cap_is_checked(self, tmp_path):
+        with pytest.raises(ValueError):
+            obs.configure(tmp_path, max_bytes=-1)
+        assert not obs.enabled()
+        try:
+            assert obs.configure(tmp_path, max_bytes=0) == tmp_path
+            assert obs._sink.max_bytes is None  # 0 never rotates
+        finally:
+            obs.disarm()
