@@ -15,8 +15,9 @@ is decoded here three ways against the same scalar baseline:
 * ``tilted_campaign``: ``run_is_coverage`` end to end, the consumer the
   kernel was built for.
 
-Clean-path sections (encode, syndromes, clean-batch decode, cached
-erasure decode) keep the common case honest.  Numbers land in
+Clean-path sections (encode through the compiled core and through
+NumPy, syndromes, clean-batch decode, cached erasure decode) keep the
+common case honest.  Numbers land in
 ``results/BENCH_codec_throughput.json`` and feed the perf-history
 ledger; ``perf_guard`` enforces the speedup floors on the committed
 full-mode numbers.  ``REPRO_BENCH_QUICK=1`` (CI) shrinks budgets.
@@ -92,7 +93,8 @@ def _rate_section(n_words: int, wall: float, **extra) -> dict:
 
 
 def bench_codec_clean_paths(benchmark, results_dir, emit):
-    """Encode, syndromes, and clean-batch decode rates for RS(36,32)."""
+    """Encode (native and ``REPRO_GF_NATIVE=off``), syndromes, and
+    clean-batch decode rates for RS(36,32)."""
     rs = ReedSolomon(GF256, 36, 32)
     rng = np.random.default_rng(1)
     data = rng.integers(0, 256, (CLEAN_WORDS, 32), dtype=np.uint8)
@@ -101,6 +103,11 @@ def bench_codec_clean_paths(benchmark, results_dir, emit):
         t0 = time.perf_counter()
         cw = rs.encode(data)
         enc_wall = time.perf_counter() - t0
+        with _gf_native("off"):
+            t0 = time.perf_counter()
+            ref = rs.encode(data)
+            enc_numpy_wall = time.perf_counter() - t0
+        assert np.array_equal(cw, ref)
         t0 = time.perf_counter()
         synd = rs.syndromes(cw)
         syn_wall = time.perf_counter() - t0
@@ -109,14 +116,16 @@ def bench_codec_clean_paths(benchmark, results_dir, emit):
         res = rs.decode(cw)
         dec_wall = time.perf_counter() - t0
         assert res.ok.all() and not res.had_errors.any()
-        return enc_wall, syn_wall, dec_wall
+        return enc_wall, enc_numpy_wall, syn_wall, dec_wall
 
-    enc_wall, syn_wall, dec_wall = once(benchmark, measure)
+    enc_wall, enc_numpy_wall, syn_wall, dec_wall = once(benchmark, measure)
+    native = rsnative.use_native(rs)
     merge_results(
         results_dir,
         "BENCH_codec_throughput.json",
         code="RS(36,32)/GF(2^8)",
-        encode=_rate_section(CLEAN_WORDS, enc_wall),
+        encode=_rate_section(CLEAN_WORDS, enc_wall, native=native),
+        encode_numpy=_rate_section(CLEAN_WORDS, enc_numpy_wall),
         syndromes=_rate_section(CLEAN_WORDS, syn_wall),
         clean_decode=_rate_section(CLEAN_WORDS, dec_wall),
     )
@@ -125,7 +134,12 @@ def bench_codec_clean_paths(benchmark, results_dir, emit):
         format_table(
             ["path", "words", "words/s"],
             [
-                ["encode", f"{CLEAN_WORDS:,}", f"{CLEAN_WORDS / enc_wall:,.0f}"],
+                [
+                    "encode (native)" if native else "encode",
+                    f"{CLEAN_WORDS:,}",
+                    f"{CLEAN_WORDS / enc_wall:,.0f}",
+                ],
+                ["encode (NumPy)", f"{CLEAN_WORDS:,}", f"{CLEAN_WORDS / enc_numpy_wall:,.0f}"],
                 ["syndromes", f"{CLEAN_WORDS:,}", f"{CLEAN_WORDS / syn_wall:,.0f}"],
                 ["clean decode", f"{CLEAN_WORDS:,}", f"{CLEAN_WORDS / dec_wall:,.0f}"],
             ],

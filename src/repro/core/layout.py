@@ -25,6 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class Geometry:
@@ -119,6 +121,21 @@ class ParityLayout:
             group_slot=block,
             members=members,
         )
+
+    def member_grid(
+        self, channels: np.ndarray, rows: np.ndarray
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """:meth:`location_of`'s members for a batch of data rows, as arrays.
+
+        Returns ``(member_channels, member_rows)``, each ``(D, N-1)``: member
+        ``j`` of a group with parity channel ``p`` in block ``b`` is row
+        ``b*(N-1) + j`` of channel ``(p + 1 + j) mod N``.
+        """
+        n = self.geometry.channels
+        block, rel = np.divmod(np.asarray(rows), n - 1)
+        parity_channel = (np.asarray(channels) - rel - 1) % n
+        j = np.arange(n - 1)
+        return (parity_channel[:, None] + 1 + j) % n, block[:, None] * (n - 1) + j
 
     def members_of_group(self, parity_channel: int, block: int) -> "tuple[tuple[int, int], ...]":
         """The (channel, row) members whose parity lives at (parity_channel, block)."""

@@ -481,11 +481,17 @@ class ECCParityMachine:
 
         Detection runs as one array program over all requested lines; runs
         of clean lines are accounted in bulk (their reads have no side
-        effects beyond counters), while each dirty line takes the normal
-        :meth:`_read_internal` path *in address order*, so page retirement
-        and materialization fire exactly as they would under sequential
-        reads - including changing the step-B accounting of clean lines
-        later in the batch.
+        effects beyond counters).  Each dirty line then takes the map-fed
+        per-line path the scrub uses (:meth:`_correct_known_dirty`) *in
+        address order*, so page retirement and materialization fire exactly
+        as they would under sequential reads - including changing the
+        step-B accounting of clean lines later in the batch.  Its mismatch
+        map comes from one batched detection pass over the parity-group
+        members of the dirty lines (:meth:`_group_mismatch`); the map stays
+        exact for the whole batch because reads never change ``data`` or
+        ``detection`` (retirement and materialization touch only health,
+        parity and materialized ECC).  :meth:`_read_internal` remains the
+        oracle.
         """
         size = self.scheme.line_size
         addrs = list(addrs)
@@ -518,13 +524,14 @@ class ECCParityMachine:
             self.stats.mem_reads += (stop - start) + n_faulty
             self.stats.ecc_line_reads += n_faulty
 
+        didx = np.flatnonzero(dirty)
+        if didx.size:
+            mismatch = self._group_mismatch(cs[didx], bs[didx], rs[didx], ls[didx])
         seg_start = 0
-        for p in np.flatnonzero(dirty):
-            p = int(p)
+        for p in didx.tolist():
             account_clean(seg_start, p)
-            res = self._read_internal(
-                Address(int(cs[p]), int(bs[p]), int(rs[p]), int(ls[p])), count_errors
-            )
+            addr = Address(int(cs[p]), int(bs[p]), int(rs[p]), int(ls[p]))
+            res = self._correct_known_dirty(addr, mismatch, count_errors)
             if res.data is not None:
                 data[p] = res.data
                 ok[p] = True
@@ -533,6 +540,25 @@ class ECCParityMachine:
             seg_start = p + 1
         account_clean(seg_start, total)
         return BatchReadResult(data, ok, detected, corrected, uncorrectable)
+
+    def _group_mismatch(self, cs, bs, rs, ls) -> np.ndarray:
+        """Detection mismatch map over the parity groups of the given lines.
+
+        A ``(channels, banks, rows, lines)`` bool map, set where a member of
+        one of these lines' parity groups (the lines themselves included)
+        fails detection, from one batched :meth:`compute_detection` over the
+        distinct members.  Entries outside those groups stay False and mean
+        nothing.
+        """
+        mc, mr = self.layout.member_grid(cs, rs)
+        mb, ml = (np.broadcast_to(v[:, None], mc.shape) for v in (bs, ls))
+        shape = self.data.shape[:4]
+        flat = np.unique(np.ravel_multi_index((mc, mb, mr, ml), shape))
+        where = np.unravel_index(flat, shape)
+        computed = self.scheme.compute_detection(self.data[where])
+        mismatch = np.zeros(shape, dtype=bool)
+        mismatch[where] = np.any(computed != self.detection[where], axis=-1)
+        return mismatch
 
     # -- scrubbing --------------------------------------------------------------------------
 
@@ -664,14 +690,18 @@ class ECCParityMachine:
             self.reapply_permanent_faults()
         return dirty
 
-    def _correct_known_dirty(self, addr: Address, mismatch: np.ndarray) -> ReadResult:
-        """:meth:`_read_internal` for a line the scrub already knows is dirty.
+    def _correct_known_dirty(
+        self, addr: Address, mismatch: np.ndarray, count_errors: bool = True
+    ) -> ReadResult:
+        """:meth:`_read_internal` for a line already known to be dirty.
 
-        *mismatch* is the scrub pass's live detection map; it stands in for
-        every ``detect_line`` recomputation (the line's own and each parity
-        member's), which is exact because ``detect_line(...).error`` is
-        defined as stored-vs-recomputed detection inequality for every
-        scheme.  Stats are counted in the same order as the reference path.
+        *mismatch* is the caller's live detection map (the scrub pass's, or
+        :meth:`read_lines`'s map over the batch's parity groups); it stands
+        in for every ``detect_line`` recomputation (the line's own and each
+        parity member's), which is exact because ``detect_line(...).error``
+        is defined as stored-vs-recomputed detection inequality for every
+        scheme.  Stats are counted in the same order as the reference path;
+        *count_errors* gates the error accounting as in :meth:`_read_internal`.
         """
         c, b, r, l = addr
         self.stats.mem_reads += 1
@@ -696,7 +726,8 @@ class ECCParityMachine:
                 return ReadResult(data=None, detected=True, uncorrectable=True)
 
         res = self.scheme.correct_line(chips, det, corr, erasures=known or None)
-        self._account_error(c, b, r)
+        if count_errors:
+            self._account_error(c, b, r)
         if res.data is None:
             self.stats.uncorrectable += 1
             return ReadResult(

@@ -18,12 +18,15 @@ the codec instance (``_erasure_setup``), since campaigns decode against the
 same health-table erasures for millions of lines.
 
 An optional cffi-compiled core (:mod:`repro.gf.rsnative`, knob
-``REPRO_GF_NATIVE``) runs the same per-word algorithm in C over
-pointer-shared NumPy state.  The scalar Sugiyama path survives verbatim as
-:meth:`ReedSolomon.decode_reference` / :meth:`ReedSolomon._decode_word`, the
-reference oracle ``tests/test_rs_batched.py`` pins both the NumPy batch and
-the native core against, mirroring the ``_run_reference`` /
-``_scrub_reference`` policy elsewhere in the codebase.
+``REPRO_GF_NATIVE``) runs the same per-word algorithms - encode,
+syndromes, decode - in C over pointer-shared NumPy state; the NumPy
+encoder stays as :meth:`ReedSolomon._encode_reference`, the ``off``
+fallback and the native encoder's oracle.  The scalar Sugiyama path
+survives verbatim as :meth:`ReedSolomon.decode_reference` /
+:meth:`ReedSolomon._decode_word`, the reference oracle
+``tests/test_rs_batched.py`` pins both the NumPy batch and the native core
+against, mirroring the ``_run_reference`` / ``_scrub_reference`` policy
+elsewhere in the codebase.
 
 Positions are array indices ``0..n-1``; index ``i`` holds the coefficient of
 ``x^(n-1-i)`` (highest degree first), with data symbols followed by check
@@ -117,6 +120,17 @@ class ReedSolomon:
 
     def encode(self, data: np.ndarray) -> np.ndarray:
         """Encode a batch of messages: shape ``(..., k)`` -> ``(..., n)``."""
+        data = np.asarray(data, dtype=self.field.dtype)
+        if data.shape[-1] != self.k:
+            raise ValueError(f"expected {self.k} data symbols, got {data.shape[-1]}")
+        if not rsnative.use_native(self):
+            return self._encode_reference(data)
+        out = rsnative.encode(self, data.reshape(-1, self.k))
+        return out.reshape(*data.shape[:-1], self.n)
+
+    def _encode_reference(self, data: np.ndarray) -> np.ndarray:
+        """The NumPy column-by-column LFSR: the ``REPRO_GF_NATIVE=off``
+        fallback and the oracle the compiled encode is tested against."""
         f = self.field
         data = np.asarray(data, dtype=f.dtype)
         if data.shape[-1] != self.k:
@@ -137,7 +151,9 @@ class ReedSolomon:
     def syndromes(self, codewords: np.ndarray) -> np.ndarray:
         """Syndrome batch: shape ``(..., n)`` -> ``(..., n-k)``; zero means clean."""
         f = self.field
-        cw = np.asarray(codewords, dtype=np.int64)
+        cw = np.asarray(codewords)
+        if cw.dtype != f.dtype:
+            cw = cw.astype(np.int64)
         if cw.shape[-1] != self.n:
             raise ValueError(f"expected {self.n} symbols, got {cw.shape[-1]}")
         if rsnative.use_native(self):

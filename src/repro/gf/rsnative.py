@@ -1,22 +1,30 @@
-"""Compiled GF/RS decode core (``REPRO_GF_NATIVE``).
+"""Compiled GF/RS encode, syndrome and decode core (``REPRO_GF_NATIVE``).
 
-The batched NumPy decoder in :mod:`repro.gf.reed_solomon` turned the
-per-dirty-word scalar loop into an array program, but each lock-step
-Berlekamp-Massey iteration still walks the whole batch through a handful
-of NumPy kernels.  This module compiles the identical per-word algorithm
-- modified-syndrome convolution, Berlekamp-Massey on the Forney-shifted
-sequence, combined-locator convolution, Chien scan over all ``n``
-positions, Forney magnitudes, and the final syndrome recheck - to machine
-code with :mod:`cffi` (the toolchain ships in the base image; nothing is
-downloaded) over pointer-shared NumPy buffers, plus a table-based batched
-syndrome kernel.
+The batched NumPy codec in :mod:`repro.gf.reed_solomon` turned the
+per-word scalar loops into array programs, but systematic encode still
+walks the ``k`` message columns through several NumPy kernels each, and
+every lock-step Berlekamp-Massey iteration walks the whole batch through
+a handful more.  This module compiles the identical per-word algorithms
+to machine code with :mod:`cffi` (the toolchain ships in the base image;
+nothing is downloaded) over pointer-shared NumPy buffers:
+
+* systematic encode - the generator-division LFSR.  When the whole
+  remainder fits one 64-bit word (``two_t * bits <= 64``: every code the
+  ECC catalog builds), each step is a shift plus one lookup in a
+  per-codec table of feedback times taps; wider codes walk exp/log;
+* a table-based batched syndrome kernel;
+* decode - modified-syndrome convolution, Berlekamp-Massey on the
+  Forney-shifted sequence, combined-locator convolution, Chien scan over
+  all ``n`` positions, Forney magnitudes, and the final syndrome recheck.
 
 Scope: any code whose field fits 16-bit symbols (``order <= 2^16``, i.e.
 every field in :mod:`repro.gf.field`) with at most ``RS_MAXCHK`` check
 symbols.  Everything else falls back to the NumPy batch path, which
-handles every configuration.  Both paths are bit-identical to the scalar
-Sugiyama oracle (``ReedSolomon.decode_reference``);
-``tests/test_rs_batched.py`` pins all three against each other.
+handles every configuration.  Both decode paths are bit-identical to the
+scalar Sugiyama oracle (``ReedSolomon.decode_reference``), and the
+compiled encoder to the NumPy column loop
+(``ReedSolomon._encode_reference``); ``tests/test_rs_batched.py`` pins
+them against each other.
 
 Build model (:class:`repro.util.native.NativeCore`): the C source below
 is compiled once per source hash into ``src/repro/gf/_native/``
@@ -55,6 +63,9 @@ typedef struct {
     const uint16_t *gamma;   /* rho + 1 coefficients, lowest first */
 } rs_ctx;
 
+void rs_encode(const rs_ctx *rs, const uint64_t *packed, int64_t bits,
+               const uint16_t *taps, const uint16_t *data, int64_t count,
+               uint16_t *out);
 void rs_syndromes(const rs_ctx *rs, const uint16_t *words, int64_t count,
                   uint16_t *out);
 void rs_decode_batch(const rs_ctx *rs, uint16_t *words, const uint16_t *synd,
@@ -83,6 +94,49 @@ static inline int32_t gmul(const rs_ctx *rs, int32_t a, int32_t b) {
 static inline int32_t gdiv(const rs_ctx *rs, int32_t a, int32_t b) {
     if (!a) return 0;
     return rs->exp_t[rs->log_t[a] - rs->log_t[b] + rs->order - 1];
+}
+
+/* Systematic encode: the generator-division LFSR over each message of k
+ * symbols; out rows are the message followed by its n-k check symbols.
+ * taps[j] multiplies the feedback into remainder cell j (g without its
+ * monic term, highest degree first).  When the whole remainder fits one
+ * 64-bit word (two_t * bits <= 64), packed[fb] holds fb * taps as packed
+ * bits-wide symbols, cell 0 highest, so each LFSR step is one shift and
+ * one lookup; otherwise (packed == NULL) the step walks exp/log. */
+void rs_encode(const rs_ctx *rs, const uint64_t *packed, int64_t bits,
+               const uint16_t *taps, const uint16_t *data, int64_t count,
+               uint16_t *out) {
+    int64_t n = rs->n, tt = rs->two_t, k = n - tt;
+    int32_t ltap[RS_MAXCHK], rem[RS_MAXCHK];
+    for (int64_t j = 0; j < tt; j++)
+        ltap[j] = taps[j] ? rs->log_t[taps[j]] : -1;
+    int64_t top = bits * (tt - 1);
+    uint64_t mask = tt * bits >= 64 ? ~(uint64_t)0 : (((uint64_t)1 << (tt * bits)) - 1);
+    uint64_t sym = ((uint64_t)1 << bits) - 1;
+    for (int64_t w = 0; w < count; w++) {
+        const uint16_t *d = data + w * k;
+        uint16_t *o = out + w * n;
+        for (int64_t i = 0; i < k; i++) o[i] = d[i];
+        if (packed) {
+            uint64_t r = 0;
+            for (int64_t i = 0; i < k; i++)
+                r = ((r << bits) & mask) ^ packed[(r >> top) ^ d[i]];
+            for (int64_t j = 0; j < tt; j++)
+                o[k + j] = (uint16_t)((r >> (top - bits * j)) & sym);
+            continue;
+        }
+        for (int64_t j = 0; j < tt; j++) rem[j] = 0;
+        for (int64_t i = 0; i < k; i++) {
+            int32_t fb = rem[0] ^ d[i];
+            for (int64_t j = 0; j < tt - 1; j++) rem[j] = rem[j + 1];
+            rem[tt - 1] = 0;
+            if (!fb) continue;
+            int32_t lfb = rs->log_t[fb];
+            for (int64_t j = 0; j < tt; j++)
+                if (ltap[j] >= 0) rem[j] ^= rs->exp_t[lfb + ltap[j]];
+        }
+        for (int64_t j = 0; j < tt; j++) o[k + j] = (uint16_t)rem[j];
+    }
 }
 
 static void word_syndromes(const rs_ctx *rs, const uint16_t *c, int32_t *s) {
@@ -254,7 +308,7 @@ def eligible(rs) -> bool:
 
 
 def use_native(rs) -> bool:
-    """Policy gate for :meth:`ReedSolomon.syndromes` / :meth:`decode`."""
+    """Policy gate for :meth:`ReedSolomon.encode` / :meth:`syndromes` / :meth:`decode`."""
     mode = native_mode()
     if mode == "off":
         return False
@@ -276,7 +330,7 @@ def use_native(rs) -> bool:
 
 
 def _tables(rs) -> dict:
-    """Per-codec int32 table block, built once and cached on the instance."""
+    """Per-codec table block, built once and cached on the instance."""
     tabs = rs._native_tables
     if tabs is None:
         f = rs.field
@@ -284,7 +338,15 @@ def _tables(rs) -> dict:
             "exp": np.ascontiguousarray(f._exp, dtype=np.int32),
             "log": np.ascontiguousarray(f._log, dtype=np.int32),
             "synd_log": np.ascontiguousarray(rs._synd_log, dtype=np.int32),
+            "taps": np.ascontiguousarray(rs._gen_taps, dtype=np.uint16),
+            "bits": 8 if f.order <= 256 else 16,
+            "packed": None,
         }
+        if rs.num_check * tabs["bits"] <= 64:
+            # packed[fb] = fb * taps as one word, remainder cell 0 highest.
+            prod = f.mul(np.arange(f.order)[:, None], rs._gen_taps[None, :]).astype(np.uint64)
+            shifts = tabs["bits"] * np.arange(rs.num_check - 1, -1, -1, dtype=np.uint64)
+            tabs["packed"] = np.bitwise_or.reduce(prod << shifts, axis=1)
         rs._native_tables = tabs
     return tabs
 
@@ -312,11 +374,42 @@ def _ctx(ffi, rs, setup: "dict | None") -> "tuple[object, list]":
     return ctx, hold
 
 
+def _symbols(rs, flat: np.ndarray) -> np.ndarray:
+    """*flat* as a contiguous ``uint16`` buffer, after checking that it holds
+    field symbols only: the C loops index the exp/log tables with them."""
+    if flat.size and np.iinfo(flat.dtype).max >= rs.field.order:
+        if flat.min() < 0 or flat.max() >= rs.field.order:
+            raise ValueError(f"symbol out of range for GF(2^{rs.field.m})")
+    return np.ascontiguousarray(flat, dtype=np.uint16)
+
+
+def encode(rs, flat: np.ndarray) -> np.ndarray:
+    """Batched systematic encode over the compiled core: ``(W, k) -> (W, n)``."""
+    mod = _CORE.load()
+    ffi = mod.ffi
+    buf = _symbols(rs, flat)
+    out = np.empty((buf.shape[0], rs.n), dtype=np.uint16)
+    ctx, hold = _ctx(ffi, rs, None)
+    tabs = _tables(rs)
+    packed = tabs["packed"]
+    mod.lib.rs_encode(
+        ctx,
+        ffi.NULL if packed is None else ffi.cast("const uint64_t *", packed.ctypes.data),
+        tabs["bits"],
+        ffi.cast("const uint16_t *", tabs["taps"].ctypes.data),
+        ffi.cast("const uint16_t *", buf.ctypes.data),
+        buf.shape[0],
+        ffi.cast("uint16_t *", out.ctypes.data),
+    )
+    del hold
+    return out.astype(rs.field.dtype)
+
+
 def syndromes(rs, flat: np.ndarray) -> np.ndarray:
     """Batched syndromes over the compiled core: ``(W, n) -> (W, 2t)``."""
     mod = _CORE.load()
     ffi = mod.ffi
-    buf = np.ascontiguousarray(flat, dtype=np.uint16)
+    buf = _symbols(rs, flat)
     out = np.empty((buf.shape[0], rs.num_check), dtype=np.uint16)
     ctx, hold = _ctx(ffi, rs, None)
     mod.lib.rs_syndromes(

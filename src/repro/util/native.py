@@ -1,10 +1,10 @@
 """Build-once loader for the cffi-compiled cores.
 
 :mod:`repro.cpu.epochnative` (the simulation core) and
-:mod:`repro.gf.rsnative` (the GF/RS decode core) each declare a C header
-(``cdef``) and a C source; :class:`NativeCore` turns that pair into an
-importable extension module.  The C toolchain ships in the base image;
-nothing is downloaded.
+:mod:`repro.gf.rsnative` (the GF/RS encode/syndrome/decode core) each
+declare a C header (``cdef``) and a C source; :class:`NativeCore` turns
+that pair into an importable extension module.  The C toolchain ships in
+the base image; nothing is downloaded.
 
 Build model: the module name carries a hash of the header and source, so
 an edited core never loads a stale build.  A missing build compiles in a

@@ -1,4 +1,4 @@
-"""Batched RS decode kernel vs the scalar oracle (and the native core).
+"""Batched RS codec kernels vs their oracles (and the native core).
 
 The lock-step Berlekamp-Massey kernel and the ``REPRO_GF_NATIVE`` compiled
 core must be **bit-identical** to the retained per-word Sugiyama decoder
@@ -7,15 +7,20 @@ bytes, ``ok``, ``had_errors``, ``n_corrected`` - across the full
 error/erasure mix: 0..t errors x 0..n-k erasures, beyond-budget patterns
 (where detect-vs-miscorrect behaviour must match exactly, not just the
 failure rate), and pure-garbage words.  A tilted rare-event campaign must
-produce bit-identical estimates whichever decode path runs.
+produce bit-identical estimates whichever decode path runs.  The compiled
+systematic encoder must match the NumPy LFSR (``_encode_reference``) on
+every RS code the ECC catalog builds.
 """
 
 import numpy as np
 import pytest
 
-from repro.ecc.chipkill import Chipkill36
+from repro.ecc.chipkill import Chipkill18, Chipkill36
+from repro.ecc.double_chipkill import DoubleChipkill40
+from repro.ecc.lot_ecc_rs import LotEcc5RS
+from repro.ecc.raim import Raim18EP
 from repro.faults.rareevent import run_is_coverage
-from repro.gf import GF256, GF65536, ReedSolomon
+from repro.gf import GF16, GF256, GF65536, ReedSolomon
 from repro.gf import rsnative
 from repro.util.envcfg import gf_native
 
@@ -110,6 +115,58 @@ def test_native_matches_numpy_batch(spec, monkeypatch):
             off_synd = rs.syndromes(bad)
             _assert_identical(on, off)
             assert np.array_equal(on_synd, off_synd)
+
+
+#: Every RS code the ECC catalog builds, plus a code too wide for the
+#: encoder's packed-remainder table (20 check symbols x 8 bits > 64), which
+#: takes the core's exp/log LFSR instead, and one over a field narrower
+#: than its byte storage.
+ENCODE_CODES = [
+    pytest.param(lambda: Chipkill36()._rs, id="chipkill36-rs36-32"),
+    pytest.param(lambda: Chipkill18()._rs, id="chipkill18-rs18-16"),
+    pytest.param(lambda: DoubleChipkill40()._rs, id="dck40-rs40-32"),
+    pytest.param(lambda: Raim18EP()._det_rs, id="raim-rs9-8"),
+    pytest.param(lambda: LotEcc5RS()._rs, id="lot5rs-rs10-8-gf65536"),
+    pytest.param(lambda: ReedSolomon(GF256, 60, 40), id="wide-rs60-40"),
+    pytest.param(lambda: ReedSolomon(GF16, 15, 11), id="rs15-11-gf16"),
+]
+
+
+@pytest.mark.parametrize("mode", ["on", "off"])
+@pytest.mark.parametrize("make", ENCODE_CODES)
+def test_encode_matches_reference(make, mode, monkeypatch):
+    """``encode`` == ``_encode_reference`` in value, dtype and shape, for
+    single messages, flat and nested batches, all-zero and max-symbol words."""
+    if mode == "on" and not rsnative.available():
+        pytest.skip("native GF core unavailable")
+    monkeypatch.setenv("REPRO_GF_NATIVE", mode)
+    rs = make()
+    assert rsnative.use_native(rs) == (mode == "on")
+    rng = np.random.default_rng(rs.n * 1000 + rs.k)
+    top = rs.field.order - 1
+    for shape in [(rs.k,), (0, rs.k), (64, rs.k), (2, 3, 5, rs.k)]:
+        data = rng.integers(0, top + 1, shape).astype(rs.field.dtype)
+        for msg in (data, np.zeros_like(data), np.full_like(data, top)):
+            got = rs.encode(msg)
+            ref = rs._encode_reference(msg)
+            assert got.dtype == ref.dtype == rs.field.dtype
+            assert got.shape == ref.shape == shape[:-1] + (rs.n,)
+            assert np.array_equal(got, ref)
+            assert np.array_equal(got[..., : rs.k], msg)
+            assert not rs.detect(got).any()  # every output is a codeword
+
+
+@pytest.mark.skipif(not rsnative.available(), reason="native GF core unavailable")
+def test_native_rejects_out_of_range_symbols(monkeypatch):
+    """Values that are not field symbols raise instead of indexing the C
+    core's exp/log tables out of bounds."""
+    monkeypatch.setenv("REPRO_GF_NATIVE", "on")
+    with pytest.raises(ValueError, match="out of range for GF"):
+        ReedSolomon(GF16, 15, 11).encode(np.full((2, 11), 16, dtype=np.uint8))
+    with pytest.raises(ValueError, match="out of range for GF"):
+        ReedSolomon(GF256, 36, 32).syndromes(np.full((2, 36), 300))
+    with pytest.raises(ValueError, match="out of range for GF"):
+        ReedSolomon(GF256, 36, 32).syndromes(np.full((2, 36), -1))
 
 
 def test_native_on_raises_when_ineligible(monkeypatch):

@@ -10,7 +10,7 @@ import pytest
 from repro.core.layout import Geometry
 from repro.core.machine import Address, ECCParityMachine
 from repro.ecc.lot_ecc import LotEcc5, LotEcc9
-from repro.faults.fit_rates import FaultMode
+from repro.faults.fit_rates import FIT_BY_MODE, FaultMode
 from repro.faults.injector import FaultInjector
 
 
@@ -26,6 +26,23 @@ def _faulted_machine(scheme_cls, seed=7):
     inj.inject(FaultMode.SINGLE_ROW, location=(1, 2, 0))
     inj.inject(FaultMode.SINGLE_COLUMN, location=(2, 3, 1))
     inj.inject(FaultMode.SINGLE_WORD, location=(3, 0, 3), transient=True)
+    return m
+
+
+def _collision_machine(seed: int) -> ECCParityMachine:
+    """Two field faults in distinct channels of one bank, drawn like
+    ``experiments/collision.py::_collision_trial`` (which lets the banks
+    differ): parity groups of that bank can hold two corrupted members."""
+    g = _geometry()
+    rng = np.random.default_rng(seed)
+    m = ECCParityMachine(LotEcc5(), g, seed=1000 + seed)
+    inj = FaultInjector(m, seed=2000 + seed)
+    modes = list(FIT_BY_MODE)
+    weights = np.array([FIT_BY_MODE[mode] for mode in modes])
+    bank = int(rng.integers(g.banks))
+    for chan in rng.choice(g.channels, size=2, replace=False):
+        mode = modes[int(rng.choice(len(modes), p=weights / weights.sum()))]
+        inj.inject(mode, location=(int(chan), bank, int(rng.integers(m.scheme.data_chips))))
     return m
 
 
@@ -131,6 +148,33 @@ class TestReadLinesMatchesSequentialRead:
             assert res.corrected[i] == r.corrected
             assert res.uncorrectable[i] == r.uncorrectable
         _assert_machines_equal(batched, seq)
+
+    @pytest.mark.parametrize("count_errors", [True, False])
+    def test_two_fault_collisions_equal_sequential(self, count_errors):
+        """Collision machines: dirty lines whose parity group holds a second
+        corrupted member must fail exactly as sequential reads fail."""
+        collided = 0
+        for seed in range(12):
+            batched = _collision_machine(seed)
+            seq = _collision_machine(seed)
+            addrs = self._all_addresses(batched.geom)
+            np.random.default_rng(seed).shuffle(addrs)
+            # Half the memory: some corrupted group members lie outside
+            # the batch, so the member map must come from their own bits.
+            addrs = addrs[: len(addrs) // 2]
+            res = batched.read_lines(addrs, count_errors=count_errors)
+            for i, addr in enumerate(addrs):
+                seq.stats.app_reads += 1  # what read() adds around the oracle
+                r = seq._read_internal(addr, count_errors=count_errors)
+                assert res.ok[i] == (r.data is not None)
+                if r.data is not None:
+                    assert np.array_equal(res.data[i], r.data)
+                assert res.detected[i] == r.detected
+                assert res.corrected[i] == r.corrected
+                assert res.uncorrectable[i] == r.uncorrectable
+            _assert_machines_equal(batched, seq)
+            collided += bool(res.uncorrectable.any())
+        assert collided >= 2  # the collision path really ran
 
     def test_empty_batch(self):
         m = ECCParityMachine(LotEcc5(), _geometry(), seed=0)
