@@ -30,6 +30,7 @@ from repro.core.machine import Address, ECCParityMachine
 from repro.ecc.lot_ecc import LotEcc5
 from repro.faults.fit_rates import FIT_BY_MODE, FaultMode
 from repro.faults.injector import FaultInjector
+from repro.util.cachefile import Checkpoint
 from repro.util.envcfg import mc_trials
 from repro.util.rng import make_rng
 
@@ -126,48 +127,31 @@ def two_fault_collision_mc(
     unfinished blocks recomputed (per-trial seeding keeps the resumed
     total bit-identical to an uninterrupted run).
     """
-    from repro.experiments import parallel
+    from repro.experiments import evaluation, parallel
 
     trials = mc_trials(trials, 60)
     geometry = geometry or Geometry(channels=4, banks=4, rows_per_bank=12, lines_per_row=8)
-    cache: "dict[str, object]" = {}
-    cache_path = None
-    if use_cache:
-        from repro.experiments import evaluation
-        from repro.util.cachefile import load_json_cache, write_json_cache_atomic
-
-        cache_path = evaluation.CACHE_DIR / "mc_collision.json"
-        cache = load_json_cache(cache_path)
+    g = geometry
 
     def key(start: int, stop: int) -> str:
-        g = geometry
         return (
             f"block={start}-{stop}:seed={seed}"
             f":geom={g.channels}x{g.banks}x{g.rows_per_bank}x{g.lines_per_row}"
         )
 
-    collisions = 0
-    payloads = []
+    ckpt = Checkpoint(
+        evaluation.CACHE_DIR / "mc_collision.json" if use_cache else None,
+        lambda e: isinstance(e, int),
+    )
+    blocks = {}
     for start in range(0, trials, BLOCK_TRIALS):
         stop = min(start + BLOCK_TRIALS, trials)
-        entry = cache.get(key(start, stop))
-        if isinstance(entry, int):
-            collisions += entry
-        else:
-            payloads.append(
-                (
-                    start,
-                    stop,
-                    seed,
-                    geometry.channels,
-                    geometry.banks,
-                    geometry.rows_per_bank,
-                    geometry.lines_per_row,
-                )
-            )
-    for start, stop, count in parallel.run_tasks(_collision_block, payloads, jobs=jobs):
-        collisions += count
-        if cache_path is not None:
-            cache[key(start, stop)] = count
-            write_json_cache_atomic(cache_path, cache)
-    return CollisionResult(trials, collisions, geometry)
+        blocks[key(start, stop)] = (start, stop)
+    payloads = [
+        (*blocks[k], seed, g.channels, g.banks, g.rows_per_bank, g.lines_per_row)
+        for k in ckpt.missing(blocks)
+    ]
+    if payloads:
+        for start, stop, count in parallel.run_tasks(_collision_block, payloads, jobs=jobs):
+            ckpt.save(key(start, stop), count)
+    return CollisionResult(trials, sum(ckpt.values[k] for k in blocks), geometry)

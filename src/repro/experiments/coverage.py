@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.ecc.base import ECCScheme
+from repro.util.cachefile import Checkpoint
 from repro.util.envcfg import mc_trials
 from repro.util.rng import make_rng
 
@@ -188,45 +189,32 @@ def coverage_study(
     class, pattern, and every sizing knob; schemes not rebuildable from a
     class name are never cached, since the key can't capture their state).
     """
-    from repro.experiments import parallel
+    from repro.experiments import evaluation, parallel
 
     trials = mc_trials(trials, 200)
     by_name = {type(s).__name__: s for s in schemes}
-    results = {}
-    compatible = all(_worker_compatible(s) for s in schemes)
-    cache: "dict[str, object]" = {}
-    cache_path = None
-    if use_cache and compatible:
-        from repro.experiments import evaluation
-        from repro.util.cachefile import load_json_cache, write_json_cache_atomic
-
-        cache_path = evaluation.CACHE_DIR / "mc_coverage.json"
-        cache = load_json_cache(cache_path)
 
     def key(cls_name: str, pname: str) -> str:
         return f"{cls_name}|{pname}|trials={trials}:seed={seed}:chunk={chunk_size}"
 
-    if compatible:
-        payloads = []
-        for s in schemes:
-            for pname in PATTERNS:
-                entry = cache.get(key(type(s).__name__, pname))
-                if isinstance(entry, list) and len(entry) == 3:
-                    results[(type(s).__name__, pname)] = [int(v) for v in entry]
-                else:
-                    payloads.append((type(s).__name__, pname, trials, seed, chunk_size))
-        for cls_name, pname, counts in parallel.run_tasks(_coverage_cell, payloads, jobs=jobs):
-            results[(cls_name, pname)] = counts
-            if cache_path is not None:
-                cache[key(cls_name, pname)] = counts
-                write_json_cache_atomic(cache_path, cache)
+    if all(_worker_compatible(s) for s in schemes):
+        ckpt = Checkpoint(
+            evaluation.CACHE_DIR / "mc_coverage.json" if use_cache else None,
+            lambda e: isinstance(e, list) and len(e) == 3,
+        )
+        cells = {key(c, p): (c, p) for c in by_name for p in PATTERNS}
+        payloads = [(*cells[k], trials, seed, chunk_size) for k in ckpt.missing(cells)]
+        if payloads:
+            for cls_name, pname, counts in parallel.run_tasks(_coverage_cell, payloads, jobs=jobs):
+                ckpt.save(key(cls_name, pname), counts)
+        results = {cell: [int(v) for v in ckpt.values[k]] for k, cell in cells.items()}
     else:
         # Schemes we can't rebuild from a class name don't cross processes.
-        for s in schemes:
-            for pname in PATTERNS:
-                results[(type(s).__name__, pname)] = _cell_counts(
-                    s, pname, trials, seed, chunk_size
-                )
+        results = {
+            (cls_name, pname): _cell_counts(s, pname, trials, seed, chunk_size)
+            for cls_name, s in by_name.items()
+            for pname in PATTERNS
+        }
     return [
         CoverageRow(
             by_name[cls_name].name,

@@ -3,7 +3,9 @@
 Figures 9-17 all consume the same workload x configuration sweep; running
 it once per system class and caching the scalar results lets every
 benchmark regenerate its table in milliseconds while `REPRO_FULL=1` (or a
-cold cache) triggers the real simulations.
+cold cache) triggers the real simulations.  The sweep resumes through the
+same :class:`~repro.util.cachefile.Checkpoint` as the Monte Carlo drivers,
+whose cache files also live in :data:`CACHE_DIR`.
 
 Two fidelity presets:
 
@@ -15,12 +17,12 @@ Two fidelity presets:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from repro.ecc.catalog import SYSTEM_CLASSES
 from repro.util import envcfg
-from repro.util.cachefile import load_json_cache, write_json_cache_atomic
+from repro.util.cachefile import Checkpoint
 from repro.workloads.profiles import ALL_WORKLOADS, PROFILES_VERSION
 
 #: All configuration keys evaluated in Figures 9-17.
@@ -56,6 +58,13 @@ class CellResult:
     ecc_writes: int
     llc_misses: int
     llc_hits: int
+
+
+_CELL_FIELDS = frozenset(f.name for f in fields(CellResult))
+
+
+def _valid_cell(entry: object) -> bool:
+    return isinstance(entry, dict) and entry.keys() == _CELL_FIELDS
 
 
 @dataclass(frozen=True)
@@ -114,12 +123,6 @@ def instruction_budget(access_target: int, wl) -> int:
     return int(access_target * 1000 / wl.apki)
 
 
-# Shared with the Monte Carlo fig8 cache; kept under the old names for
-# callers/tests that patch them here.
-_load_cache = load_json_cache
-_write_cache_atomic = write_json_cache_atomic
-
-
 def evaluation_matrix(
     system_class: str = "quad",
     fidelity: "Fidelity | None" = None,
@@ -131,7 +134,8 @@ def evaluation_matrix(
 ) -> "dict[tuple[str, str], CellResult]":
     """The workload x configuration sweep for one system class, cached.
 
-    Cells missing from the cache are simulated - in parallel across
+    Cells missing from the cache, or stored without exactly the
+    :class:`CellResult` fields, are simulated - in parallel across
     processes when *jobs* (default: ``REPRO_JOBS``, else CPU count) allows -
     and merged back under their ``workload|config`` key, so the returned
     matrix is independent of completion order and bit-identical to a serial
@@ -151,10 +155,9 @@ def evaluation_matrix(
     if system_class not in SYSTEM_CLASSES:
         raise KeyError(system_class)
 
-    path = _cache_path(system_class, fidelity, seed)
-    cache = _load_cache(path) if use_cache else {}
-
-    missing = [(w, k) for w in wl_names for k in keys if f"{w}|{k}" not in cache]
+    cells = {f"{w}|{k}": (w, k) for w in wl_names for k in keys}
+    ckpt = Checkpoint(_cache_path(system_class, fidelity, seed) if use_cache else None, _valid_cell)
+    missing = [cells[c] for c in ckpt.missing(cells)]
     if missing:
         # Deferred import: repro.experiments.parallel imports this module.
         from repro import obs
@@ -178,15 +181,9 @@ def evaluation_matrix(
         for wl_name, key, cell in parallel.run_cells(
             system_class, missing, fidelity, seed, jobs=jobs
         ):
-            cache[f"{wl_name}|{key}"] = cell
-            if use_cache:
-                _write_cache_atomic(path, cache)
+            ckpt.save(f"{wl_name}|{key}", cell)
 
-    return {
-        (wl_name, key): CellResult(**cache[f"{wl_name}|{key}"])
-        for wl_name in wl_names
-        for key in keys
-    }
+    return {wk: CellResult(**ckpt.values[c]) for c, wk in cells.items()}
 
 
 def workload_order(matrix: "dict[tuple[str, str], CellResult]", reference_key: str = "chipkill36") -> "list[str]":

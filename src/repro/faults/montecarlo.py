@@ -39,6 +39,7 @@ from repro.faults.fit_rates import (
     FaultMode,
     MemoryOrg,
 )
+from repro.util.cachefile import Checkpoint
 from repro.util.envcfg import mc_trials
 from repro.util.rng import make_rng
 from repro.util.units import YEARS
@@ -453,38 +454,29 @@ def eol_fraction_by_channels(
     cell has completed and checkpointed, so a rerun recomputes only the
     failed cells.
     """
-    from repro.experiments import parallel
+    from repro.experiments import evaluation, parallel
 
     trials = mc_trials(trials, 20000)
     chunk_size = resolve_chunk(chunk_size)
-    cache: "dict[str, object]" = {}
-    cache_path = None
-    if use_cache:
-        from repro.experiments import evaluation
-        from repro.util.cachefile import load_json_cache, write_json_cache_atomic
-
-        cache_path = evaluation.CACHE_DIR / "mc_fig8.json"
-        cache = load_json_cache(cache_path)
 
     def key(n: int) -> str:
         return f"ch={n}:trials={trials}:seed={seed}:life={lifetime_hours}:chunk={chunk_size}"
 
-    out: "dict[int, EolResult]" = {}
-    missing = []
-    for n in channel_counts:
-        entry = cache.get(key(n))
-        if isinstance(entry, dict) and "values" in entry and "counts" in entry:
-            out[n] = EolResult.from_histogram(entry["values"], entry["counts"])
-        else:
-            missing.append(n)
-
-    payloads = [(n, trials, seed, lifetime_hours, chunk_size) for n in missing]
-    for n, values, counts in parallel.run_tasks(_eol_cell, payloads, jobs=jobs):
-        out[n] = EolResult.from_histogram(values, counts)
-        if cache_path is not None:
-            cache[key(n)] = {"values": values, "counts": counts}
-            write_json_cache_atomic(cache_path, cache)
-    return out
+    ckpt = Checkpoint(
+        evaluation.CACHE_DIR / "mc_fig8.json" if use_cache else None,
+        lambda e: isinstance(e, dict) and "values" in e and "counts" in e,
+    )
+    channels = {key(n): n for n in channel_counts}
+    payloads = [
+        (channels[k], trials, seed, lifetime_hours, chunk_size) for k in ckpt.missing(channels)
+    ]
+    if payloads:
+        for n, values, counts in parallel.run_tasks(_eol_cell, payloads, jobs=jobs):
+            ckpt.save(key(n), {"values": values, "counts": counts})
+    return {
+        n: EolResult.from_histogram(ckpt.values[k]["values"], ckpt.values[k]["counts"])
+        for k, n in channels.items()
+    }
 
 
 @dataclass

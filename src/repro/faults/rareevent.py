@@ -94,6 +94,7 @@ from repro.faults.montecarlo import (
     _draw_scatter_chunk,
     resolve_chunk,
 )
+from repro.util.cachefile import Checkpoint
 from repro.util.rng import make_rng
 from repro.util.envcfg import mc_trials, mc_vr
 from repro.util.units import YEARS
@@ -1186,16 +1187,7 @@ def sharded_estimate(
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
 
-    from repro.experiments import parallel
-
-    cache: "dict[str, object]" = {}
-    cache_path = None
-    if use_cache:
-        from repro.experiments import evaluation
-        from repro.util.cachefile import load_json_cache, write_json_cache_atomic
-
-        cache_path = evaluation.CACHE_DIR / "mc_rareevent.json"
-        cache = load_json_cache(cache_path)
+    from repro.experiments import evaluation, parallel
 
     def key(shard: int, shard_trials: int) -> str:
         parts = [
@@ -1220,14 +1212,13 @@ def sharded_estimate(
     shard_trials = {s: base + (1 if s < extra else 0) for s in range(shards)}
     shard_trials = {s: n for s, n in shard_trials.items() if n > 0}
 
-    results: "dict[int, dict]" = {}
-    missing = []
-    for s, n in shard_trials.items():
-        entry = cache.get(key(s, n))
-        if isinstance(entry, dict) and "kind" in entry:
-            results[s] = entry
-        else:
-            missing.append(s)
+    ckpt = Checkpoint(
+        evaluation.CACHE_DIR / "mc_rareevent.json" if use_cache else None,
+        lambda e: isinstance(e, dict) and "kind" in e,
+    )
+    shard_of = {key(s, n): s for s, n in shard_trials.items()}
+    missing = [shard_of[k] for k in ckpt.missing(shard_of)]
+    results = {s: ckpt.values[k] for k, s in shard_of.items() if s not in missing}
 
     def merged(upto: "set[int]") -> "WeightedEstimate | StratifiedEstimate":
         est = None
@@ -1265,9 +1256,7 @@ def sharded_estimate(
         ]
         for s, est_dict in parallel.run_tasks(_shard_worker, payloads, jobs=jobs):
             results[s] = est_dict
-            if cache_path is not None:
-                cache[key(s, shard_trials[s])] = est_dict
-                write_json_cache_atomic(cache_path, cache)
+            ckpt.save(key(s, shard_trials[s]), est_dict)
             if armed:
                 obs.emit(
                     "mc.rareevent.shard",

@@ -21,9 +21,8 @@ import json
 import sys
 from pathlib import Path
 
+from repro.obs.spantree import _RESERVED
 from repro.obs.summarize import read_events
-
-_RESERVED = frozenset({"kind", "ts", "pid", "trace", "span", "parent", "name", "cat", "t0", "t1"})
 
 
 def _us(seconds: float) -> float:

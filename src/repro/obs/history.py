@@ -121,26 +121,6 @@ def load(history_path: "Path | str") -> "list[dict]":
     return read_jsonl(history_path, "history record")
 
 
-def series(
-    entries: "list[dict]", filename: str, metric: str, quick: "bool | None" = None
-) -> "list[float]":
-    """Oldest-first values of ``metric`` for ``filename`` entries.
-
-    *quick* filters to entries of one budget class (quick vs full runs
-    are not comparable); ``None`` keeps both.
-    """
-    out = []
-    for e in entries:
-        if e.get("file") != filename:
-            continue
-        if quick is not None and e.get("quick") != quick:
-            continue
-        value = (e.get("metrics") or {}).get(metric)
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            out.append(float(value))
-    return out
-
-
 def median(values: "list[float]") -> float:
     ordered = sorted(values)
     n = len(ordered)

@@ -38,8 +38,6 @@ causal structure of a campaign:
 
 from __future__ import annotations
 
-from pathlib import Path
-
 #: Category → attribution bucket (anything else falls into ``dispatch``).
 BUCKET_BY_CAT = {
     "codec": "codec",
@@ -287,10 +285,3 @@ def trace_summary(events: "list[dict]") -> "dict | None":
         }
     )
     return summary
-
-
-def load_forest(run_dir: "Path | str") -> "dict[str, list[SpanNode]]":
-    """Forest straight from a run directory (tolerant JSONL reader)."""
-    from repro.obs.summarize import read_events
-
-    return build_forest(read_events(Path(run_dir)))

@@ -1,10 +1,13 @@
 """Atomic, corruption-tolerant, merge-on-write JSON result caches.
 
-Shared by the evaluation-matrix sweep and the Monte Carlo campaign drivers:
-a cache is a flat ``{key: value}`` JSON object rewritten atomically (temp
+A cache is a flat ``{key: value}`` JSON object rewritten atomically (temp
 file + same-directory ``os.replace``) after every finished cell, so
 interrupted or crashed sweeps resume where they stopped and a
-corrupt/truncated cache is recomputed rather than crashing.
+corrupt/truncated cache is recomputed rather than crashing.  The
+evaluation-matrix sweep and the four Monte Carlo drivers (fig8, coverage,
+collision, sharded rare-event) all resume through one :class:`Checkpoint`;
+each keeps only its key format, the ``valid`` test for its stored values
+and its worker payloads.
 
 Hardening layers protecting concurrent and crashing campaigns:
 
@@ -43,6 +46,7 @@ import os
 import re
 import warnings
 from pathlib import Path
+from typing import Callable, Iterable
 
 from repro.util import chaos
 
@@ -224,3 +228,28 @@ def write_json_cache_atomic(
             os.close(dfd)
     except OSError:
         pass
+
+
+class Checkpoint:
+    """One campaign's resumable ``{key: value}`` results.
+
+    Loads the cache at *path* (``None`` keeps results in memory only, the
+    ``use_cache=False`` case); :meth:`missing` names the keys with no
+    stored value or one that fails *valid*, and :meth:`save` records a
+    result and rewrites the file through :func:`write_json_cache_atomic`
+    (merge-on-write) before the next result arrives.
+    """
+
+    def __init__(self, path: "Path | None", valid: "Callable[[object], bool]") -> None:
+        self.path = path
+        self.valid = valid
+        self.values: "dict[str, object]" = {} if path is None else load_json_cache(path)
+
+    def missing(self, keys: "Iterable[str]") -> "list[str]":
+        """The *keys* still to compute, in the given order."""
+        return [k for k in keys if k not in self.values or not self.valid(self.values[k])]
+
+    def save(self, key: str, value: object) -> None:
+        self.values[key] = value
+        if self.path is not None:
+            write_json_cache_atomic(self.path, self.values)

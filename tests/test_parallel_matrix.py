@@ -2,8 +2,8 @@
 
 The contract under test: a matrix swept with ``REPRO_JOBS=4`` worker
 processes is *bit-identical* to the serial sweep, a warm cache performs
-zero simulations, and corrupt or torn cache files are regenerated instead
-of crashing the sweep.
+zero simulations and never reaches the engine, and corrupt or torn cache
+files and malformed cells are regenerated instead of crashing the sweep.
 """
 
 import json
@@ -13,6 +13,7 @@ import pytest
 import repro.experiments.evaluation as ev
 from repro.experiments import parallel
 from repro.experiments.evaluation import Fidelity, evaluation_matrix
+from repro.util.cachefile import load_json_cache, write_json_cache_atomic
 
 TINY = Fidelity("tiny", scale=64, access_target=4000)
 CELLS = dict(
@@ -77,9 +78,9 @@ class TestCacheRobustness:
         first = evaluation_matrix("quad", **self.KW)
 
         def boom(*a, **k):
-            raise AssertionError("simulated a cell despite a warm cache")
+            raise AssertionError("reached the engine despite a warm cache")
 
-        monkeypatch.setattr(parallel, "_run_cell", boom)
+        monkeypatch.setattr(parallel, "run_tasks", boom)
         assert evaluation_matrix("quad", **self.KW) == first
 
     def test_corrupt_cache_regenerated(self, tmp_path, monkeypatch):
@@ -103,20 +104,38 @@ class TestCacheRobustness:
         names = [p.name for p in tmp_path.iterdir()]
         assert len(names) == 1 and names[0].endswith(".json")
 
-    def test_write_cache_atomic_merges(self, tmp_path):
-        """Merge-on-write: a second campaign's cells union with the first's."""
-        path = tmp_path / "m.json"
-        ev._write_cache_atomic(path, {"a": {"x": 1}})
-        ev._write_cache_atomic(path, {"b": {"y": 2}})
-        assert ev._load_cache(path) == {"a": {"x": 1}, "b": {"y": 2}}
-        assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
+    def test_golden_keys(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ev, "CACHE_DIR", tmp_path)
+        evaluation_matrix("quad", **self.KW)
+        path = tmp_path / "matrix-quad-tiny-s64-a4000-seed0-p3.json"
+        assert list(load_json_cache(path)) == ["streamcluster|chipkill18"]
 
-    def test_write_cache_atomic_replace_mode(self, tmp_path):
-        path = tmp_path / "m.json"
-        ev._write_cache_atomic(path, {"a": {"x": 1}})
-        ev._write_cache_atomic(path, {"b": {"y": 2}}, merge=False)
-        assert ev._load_cache(path) == {"b": {"y": 2}}
-        assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
+    @pytest.mark.parametrize(
+        "malform",
+        [
+            lambda cell: {"ipc": 1.0},
+            lambda cell: {**cell, "extra": 0},
+            lambda cell: list(cell.values()),
+        ],
+        ids=["missing-fields", "extra-field", "not-a-dict"],
+    )
+    def test_malformed_cell_recomputed_alone(self, tmp_path, monkeypatch, malform):
+        """A stored cell without exactly the CellResult fields is resimulated."""
+        monkeypatch.setattr(ev, "CACHE_DIR", tmp_path)
+        kw = dict(self.KW, config_keys=["chipkill18", "lot_ecc5_ep"])
+        first = evaluation_matrix("quad", **kw)
+        path = next(tmp_path.glob("matrix-*.json"))
+        cache = load_json_cache(path)
+        key = "streamcluster|chipkill18"
+        write_json_cache_atomic(path, {**cache, key: malform(cache[key])}, merge=False)
+        ran = []
+        original = parallel.run_tasks
 
-    def test_load_cache_missing_file(self, tmp_path):
-        assert ev._load_cache(tmp_path / "absent.json") == {}
+        def counting(fn, payloads, **k):
+            ran.extend(payloads)
+            return original(fn, payloads, **k)
+
+        monkeypatch.setattr(parallel, "run_tasks", counting)
+        assert evaluation_matrix("quad", **kw) == first
+        assert [p[1:3] for p in ran] == [("streamcluster", "chipkill18")]
+        assert load_json_cache(path) == cache

@@ -2,7 +2,9 @@
 
 Parallel runs must be bit-identical to serial ones (per-cell/per-trial
 seeding makes results independent of scheduling), the fig8 histogram cache
-must round-trip exactly, and ``REPRO_MC_TRIALS`` must reach every driver.
+must round-trip exactly, every checkpointed driver keeps its cache keys and
+resumes only what is missing or invalid, and ``REPRO_MC_TRIALS`` must reach
+every driver.
 """
 
 import numpy as np
@@ -16,6 +18,7 @@ from repro.experiments.collision import two_fault_collision_mc
 from repro.experiments.coverage import coverage_study
 from repro.experiments.reliability import figure8
 from repro.faults.montecarlo import eol_fraction_by_channels
+from repro.faults.rareevent import sharded_estimate
 from repro.util.cachefile import load_json_cache, write_json_cache_atomic
 from repro.util.envcfg import mc_trials
 
@@ -56,7 +59,68 @@ class TestFig8Parallel:
         assert all(0.0 <= r.mean_fraction < 0.05 for r in rows)
 
 
-class TestFig8Cache:
+class _CheckpointContract:
+    """The resume contract every checkpointed Monte Carlo driver keeps.
+
+    A subclass names the driver's cache file, the exact keys a tiny
+    campaign writes (literal strings: a changed key format would orphan
+    every cache on disk), one stored value the driver must reject, and a
+    ``run`` returning a comparable digest of the campaign's result.
+    """
+
+    FILE: str
+    KEYS: "list[str]"
+    BAD: object
+
+    def run(self):
+        raise NotImplementedError
+
+    def test_golden_keys(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(evaluation, "CACHE_DIR", tmp_path)
+        self.run()
+        assert list(load_json_cache(tmp_path / self.FILE)) == self.KEYS
+
+    def test_complete_cache_never_calls_engine(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(evaluation, "CACHE_DIR", tmp_path)
+        first = self.run()
+
+        def exploding(*a, **k):
+            raise AssertionError("run_tasks called despite a complete cache")
+
+        monkeypatch.setattr(parallel, "run_tasks", exploding)
+        assert self.run() == first
+
+    def test_invalid_entry_recomputed_alone(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(evaluation, "CACHE_DIR", tmp_path)
+        first = self.run()
+        path = tmp_path / self.FILE
+        cache = load_json_cache(path)
+        write_json_cache_atomic(path, {**cache, self.KEYS[0]: self.BAD}, merge=False)
+        ran = []
+        original = parallel.run_tasks
+
+        def counting(fn, payloads, **k):
+            ran.extend(payloads)
+            return original(fn, payloads, **k)
+
+        monkeypatch.setattr(parallel, "run_tasks", counting)
+        assert self.run() == first
+        assert len(ran) == 1
+        assert load_json_cache(path) == cache  # the bad entry was rewritten
+
+
+class TestFig8Cache(_CheckpointContract):
+    FILE = "mc_fig8.json"
+    KEYS = [
+        "ch=2:trials=1500:seed=0:life=61320.0:chunk=65536",
+        "ch=4:trials=1500:seed=0:life=61320.0:chunk=65536",
+    ]
+    BAD = {"values": [0.0]}  # no counts
+
+    def run(self):
+        res = eol_fraction_by_channels([2, 4], trials=1500, seed=0, jobs=1, use_cache=True)
+        return {n: r.histogram() for n, r in res.items()}
+
     def test_round_trip(self, tmp_path, monkeypatch):
         monkeypatch.setattr(evaluation, "CACHE_DIR", tmp_path)
         first = eol_fraction_by_channels([2, 4], trials=1500, seed=0, use_cache=True)
@@ -102,8 +166,22 @@ class TestCacheFile:
         path.write_text("[1, 2, 3]")
         assert load_json_cache(path) == {}
 
+    def test_missing_file_treated_empty(self, tmp_path):
+        assert load_json_cache(tmp_path / "absent.json") == {}
 
-class TestCoverageCache:
+
+class TestCoverageCache(_CheckpointContract):
+    FILE = "mc_coverage.json"
+    KEYS = [
+        "Chipkill36|single-chip kill|trials=40:seed=2:chunk=16384",
+        "Chipkill36|double-chip kill|trials=40:seed=2:chunk=16384",
+        "Chipkill36|8 scattered bit flips|trials=40:seed=2:chunk=16384",
+    ]
+    BAD = [40, 0]  # two of the three tallies
+
+    def run(self):
+        return coverage_study([Chipkill36()], trials=40, seed=2, jobs=1, use_cache=True)
+
     def test_round_trip_and_warm_cache(self, tmp_path, monkeypatch):
         import repro.experiments.coverage as coverage
 
@@ -128,7 +206,14 @@ class TestCoverageCache:
         assert len(cache) == 6  # 3 patterns x 2 seeds
 
 
-class TestCollisionCache:
+class TestCollisionCache(_CheckpointContract):
+    FILE = "mc_collision.json"
+    KEYS = ["block=0-16:seed=0:geom=4x4x12x8", "block=16-32:seed=0:geom=4x4x12x8"]
+    BAD = "3"  # a count must be an int
+
+    def run(self):
+        return two_fault_collision_mc(trials=32, seed=0, jobs=1, use_cache=True)
+
     def test_round_trip_and_warm_cache(self, tmp_path, monkeypatch):
         import repro.experiments.collision as collision
 
@@ -168,6 +253,19 @@ class TestCollisionCache:
         assert resumed.collisions == full.collisions
         assert len(computed) == 1
         assert load_json_cache(cache_path)[dropped_key] == dropped_val
+
+
+class TestRareEventCache(_CheckpointContract):
+    FILE = "mc_rareevent.json"
+    KEYS = [
+        f"org=8x4x9x8:life=61320.0:fit=1.0:mode=is:trials=1000:seed=1:shard={s}:chunk=65536:tilt=6.0"
+        for s in range(4)
+    ]
+    BAD = {"mean": 0.0}  # no estimate kind
+
+    def run(self):
+        out = sharded_estimate(mode="is", trials=4_000, shards=4, seed=1, jobs=1, use_cache=True)
+        return out.estimate.to_dict(), out.shards_used
 
 
 class TestCoverageParallel:
