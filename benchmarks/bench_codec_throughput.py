@@ -1,31 +1,27 @@
-"""Codec throughput: batched RS decode kernel vs the scalar oracle.
+"""Codec throughput: RS decode through the compiled GF core vs the scalar oracle.
 
-Not a paper figure - this guards the batched errors-and-erasures kernel
-(`repro.gf.reed_solomon`) and its compiled core (``REPRO_GF_NATIVE``).
+Not a paper figure - this guards the errors-and-erasures codec
+(`repro.gf.reed_solomon`) and its compiled core (`repro.gf.rsnative`).
 The scoreboard metric is **dirty words decoded per second**: the seed
 implementation looped a per-word Sugiyama/Chien/Forney solve in Python
 (retained verbatim as ``ReedSolomon.decode_reference``), so a
 dirty-heavy batch - exactly what tilted rare-event campaigns produce -
-is decoded here three ways against the same scalar baseline:
+is decoded here against that scalar baseline:
 
-* ``dirty_decode``: the pure-NumPy lock-step kernel (``REPRO_GF_NATIVE=off``),
-  acceptance bar >= 3x the scalar loop;
-* ``dirty_decode_native``: the cffi core (``REPRO_GF_NATIVE=on``),
-  acceptance bar >= 10x (section written only when the core builds);
+* ``dirty_decode``: production ``rs.decode`` (the cffi core wherever it
+  builds), acceptance bar >= 10x the scalar loop when the core runs;
 * ``tilted_campaign``: ``run_is_coverage`` end to end, the consumer the
-  kernel was built for.
+  core was built for.
 
-Clean-path sections (encode through the compiled core and through
-NumPy, syndromes, clean-batch decode, cached erasure decode) keep the
-common case honest.  Numbers land in
+Clean-path sections (encode through the compiled core and the NumPy
+``_encode_reference`` fallback, syndromes, clean-batch decode, cached
+erasure decode) keep the common case honest.  Numbers land in
 ``results/BENCH_codec_throughput.json`` and feed the perf-history
 ledger; ``perf_guard`` enforces the speedup floors on the committed
 full-mode numbers.  ``REPRO_BENCH_QUICK=1`` (CI) shrinks budgets.
 """
 
-import os
 import time
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -51,22 +47,7 @@ CLEAN_WORDS = 4 * WORDS
 #: Tilted-campaign budget (trials = lines; each line is 4 RS(36,32) words).
 CAMPAIGN_TRIALS = 2000 if QUICK_MODE else 10000
 
-NUMPY_SPEEDUP_BAR = 3.0
 NATIVE_SPEEDUP_BAR = 10.0
-
-
-@contextmanager
-def _gf_native(mode: str):
-    """Pin ``REPRO_GF_NATIVE`` for one measurement, then restore."""
-    prev = os.environ.get("REPRO_GF_NATIVE")
-    os.environ["REPRO_GF_NATIVE"] = mode
-    try:
-        yield
-    finally:
-        if prev is None:
-            os.environ.pop("REPRO_GF_NATIVE", None)
-        else:
-            os.environ["REPRO_GF_NATIVE"] = prev
 
 
 def _dirty_batch(rs: ReedSolomon, n_words: int, seed: int = 2):
@@ -93,8 +74,8 @@ def _rate_section(n_words: int, wall: float, **extra) -> dict:
 
 
 def bench_codec_clean_paths(benchmark, results_dir, emit):
-    """Encode (native and ``REPRO_GF_NATIVE=off``), syndromes, and
-    clean-batch decode rates for RS(36,32)."""
+    """Encode (production and the NumPy ``_encode_reference``), syndromes,
+    and clean-batch decode rates for RS(36,32)."""
     rs = ReedSolomon(GF256, 36, 32)
     rng = np.random.default_rng(1)
     data = rng.integers(0, 256, (CLEAN_WORDS, 32), dtype=np.uint8)
@@ -103,10 +84,9 @@ def bench_codec_clean_paths(benchmark, results_dir, emit):
         t0 = time.perf_counter()
         cw = rs.encode(data)
         enc_wall = time.perf_counter() - t0
-        with _gf_native("off"):
-            t0 = time.perf_counter()
-            ref = rs.encode(data)
-            enc_numpy_wall = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        ref = rs._encode_reference(data)
+        enc_numpy_wall = time.perf_counter() - t0
         assert np.array_equal(cw, ref)
         t0 = time.perf_counter()
         synd = rs.syndromes(cw)
@@ -149,90 +129,58 @@ def bench_codec_clean_paths(benchmark, results_dir, emit):
 
 
 def bench_codec_dirty_decode(benchmark, results_dir, emit):
-    """Dirty-heavy decode: scalar oracle vs NumPy batch vs native core."""
+    """Dirty-heavy decode: production ``rs.decode`` vs the scalar oracle."""
     rs = ReedSolomon(GF256, 36, 32)
     cw, bad = _dirty_batch(rs, WORDS)
+    native = rsnative.use_native(rs)
 
     def measure():
         t0 = time.perf_counter()
         ref = rs.decode_reference(bad)
         scalar_wall = time.perf_counter() - t0
-        with _gf_native("off"):
-            t0 = time.perf_counter()
-            batch = rs.decode(bad)
-            numpy_wall = time.perf_counter() - t0
-        native_wall = None
-        if rsnative.available():
-            with _gf_native("on"):
-                t0 = time.perf_counter()
-                nat = rs.decode(bad)
-                native_wall = time.perf_counter() - t0
-            assert np.array_equal(nat.corrected, ref.corrected)
-            assert np.array_equal(nat.ok, ref.ok)
-        assert np.array_equal(batch.corrected, ref.corrected)
-        assert np.array_equal(batch.ok, ref.ok)
-        assert np.array_equal(batch.n_corrected, ref.n_corrected)
-        assert batch.ok.all() and np.array_equal(batch.corrected, cw)
-        return scalar_wall, numpy_wall, native_wall
+        t0 = time.perf_counter()
+        res = rs.decode(bad)
+        wall = time.perf_counter() - t0
+        assert np.array_equal(res.corrected, ref.corrected)
+        assert np.array_equal(res.ok, ref.ok)
+        assert np.array_equal(res.n_corrected, ref.n_corrected)
+        assert res.ok.all() and np.array_equal(res.corrected, cw)
+        return scalar_wall, wall
 
-    scalar_wall, numpy_wall, native_wall = once(benchmark, measure)
+    scalar_wall, wall = once(benchmark, measure)
     scalar_rate = WORDS / scalar_wall
-    numpy_speedup = scalar_wall / numpy_wall
-    sections = {
-        "dirty_decode": _rate_section(
+    speedup = scalar_wall / wall
+    merge_results(
+        results_dir,
+        "BENCH_codec_throughput.json",
+        dirty_decode=_rate_section(
             WORDS,
-            numpy_wall,
+            wall,
+            native=native,
             scalar_wall_s=round(scalar_wall, 4),
             scalar_words_per_sec=round(scalar_rate),
-            speedup=round(numpy_speedup, 2),
-        )
-    }
-    rows = [
-        ["scalar oracle", f"{WORDS:,}", f"{scalar_rate:,.0f}", "1.0x"],
-        [
-            "numpy batch",
-            f"{WORDS:,}",
-            f"{WORDS / numpy_wall:,.0f}",
-            f"{numpy_speedup:.1f}x",
-        ],
-    ]
-    if native_wall is not None:
-        native_speedup = scalar_wall / native_wall
-        sections["dirty_decode_native"] = _rate_section(
-            WORDS,
-            native_wall,
-            scalar_wall_s=round(scalar_wall, 4),
-            scalar_words_per_sec=round(scalar_rate),
-            speedup=round(native_speedup, 2),
-        )
-        rows.append(
-            [
-                "native core",
-                f"{WORDS:,}",
-                f"{WORDS / native_wall:,.0f}",
-                f"{native_speedup:.1f}x",
-            ]
-        )
-    else:
-        sections["dirty_decode_native"] = {"available": False, "quick_mode": QUICK_MODE}
-    merge_results(results_dir, "BENCH_codec_throughput.json", **sections)
+            speedup=round(speedup, 2),
+        ),
+    )
     emit(
         "bench_codec_dirty",
         format_table(
             ["decoder", "dirty words", "words/s", "speedup"],
-            rows,
+            [
+                ["scalar oracle", f"{WORDS:,}", f"{scalar_rate:,.0f}", "1.0x"],
+                [
+                    "decode (native)" if native else "decode",
+                    f"{WORDS:,}",
+                    f"{WORDS / wall:,.0f}",
+                    f"{speedup:.1f}x",
+                ],
+            ],
             title="RS(36,32) dirty-heavy decode (t errors per word)",
         ),
     )
-    assert numpy_speedup >= NUMPY_SPEEDUP_BAR, (
-        f"NumPy batch kernel only {numpy_speedup:.1f}x the scalar loop "
-        f"(bar {NUMPY_SPEEDUP_BAR}x)"
-    )
-    if native_wall is not None:
-        native_speedup = scalar_wall / native_wall
-        assert native_speedup >= NATIVE_SPEEDUP_BAR, (
-            f"native core only {native_speedup:.1f}x the scalar loop "
-            f"(bar {NATIVE_SPEEDUP_BAR}x)"
+    if native:
+        assert speedup >= NATIVE_SPEEDUP_BAR, (
+            f"native core only {speedup:.1f}x the scalar loop (bar {NATIVE_SPEEDUP_BAR}x)"
         )
 
 

@@ -67,12 +67,10 @@ FLOORS = [
     # The supervisor tentpole claim: journaling every settlement costs <2%
     # of clean-path campaign wall-clock (ratio = raw_wall / supervised_wall).
     ("BENCH_supervisor.json", "overhead", "throughput_ratio", 0.98),
-    # The batched-codec tentpole claim: dirty-word decode beats the seed
-    # scalar loop >= 3x in pure NumPy and >= 10x with the compiled GF core
-    # (the native section omits `speedup` when no compiler is available,
-    # which reads as a loud skip rather than a failure).
-    ("BENCH_codec_throughput.json", "dirty_decode", "speedup", 3.0),
-    ("BENCH_codec_throughput.json", "dirty_decode_native", "speedup", 10.0),
+    # The codec claim: production dirty-word decode, which runs in the
+    # compiled GF core (CI asserts it builds), beats the seed scalar loop
+    # >= 10x.
+    ("BENCH_codec_throughput.json", "dirty_decode", "speedup", 10.0),
 ]
 
 #: (file, section, field, ceiling) absolute maximums - smaller is better,

@@ -211,7 +211,7 @@ class ECCScheme(abc.ABC):
         callers - a bank-sized batch shares its health-table erasures.  The
         base implementation loops :meth:`correct_line`; schemes override it
         with array programs that feed whole codeword batches to the RS
-        codec's lock-step decode kernel, and ``tests/test_correct_lines.py``
+        codec's compiled decode core, and ``tests/test_correct_lines.py``
         holds the two paths equal.  (The per-line loop doubles as the
         reference oracle, mirroring the scalar ``_decode_word`` retained
         inside the codec itself.)

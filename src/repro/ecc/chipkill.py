@@ -11,12 +11,11 @@ with a Reed-Solomon code over GF(2^8):
   correcting a chip erasure consumes the entire detection margin - the
   "slightly impacts error detection coverage" caveat in the paper.
 
-Both schemes decode entirely through the batched RS kernel: every
+Both schemes decode entirely through the batched RS codec: every
 ``ReedSolomon.decode`` / ``decode_erasures_batch`` call here hands the
 codec *all* codewords of the line batch at once, so dirty words run the
-lock-step solver (or the ``REPRO_GF_NATIVE`` compiled core) rather than
-a per-word Python loop, and the per-erasure-set solve matrices are cached
-on the codec across calls.
+compiled GF core in one call rather than a per-word Python loop, and the
+per-erasure-set solve state is cached on the codec across calls.
 """
 
 from __future__ import annotations

@@ -824,12 +824,12 @@ def run_is_coverage(
     needs multiple in-line flips, so its probability is deep in the tail;
     exponentially tilting the flip-count distribution to
     ``Poisson(tilt * rate)`` over-samples fault-heavy trials - exactly
-    the regime the batched kernel exists for, since most words arrive
-    dirty - and each trial carries the exact likelihood ratio
+    the regime the compiled decode core exists for, since most words
+    arrive dirty - and each trial carries the exact likelihood ratio
     ``exp((tilt - 1) rate) * tilt**(-k)`` (placements are uniform under
     both measures and cancel).  ``tilt=1.0`` degrades to plain MC with
-    unit weights; estimates are bit-identical across the NumPy batch and
-    native decode paths because the decoders themselves are.
+    unit weights; estimates are bit-identical across the native and
+    scalar-oracle decode paths because the decoders themselves are.
     """
     trials = mc_trials(trials, 20000)
     chunk_size = resolve_chunk(chunk_size)

@@ -1,32 +1,24 @@
 """Systematic Reed-Solomon codes with errors-and-erasures decoding.
 
-The encoder and syndrome computation are vectorized across arbitrarily large
-batches of codewords (the common case: every word of every cache line in a
-memory region).  Full decoding is batched too: all dirty words of a batch
-run the key-equation solver **lock-step** — a vectorized Berlekamp-Massey
-over the erasure-modified syndromes with per-word active masks, Chien search
-as one Vandermonde evaluation over all ``n`` positions x ``W`` words, and a
-vectorized Forney update.  The founding assumption of the old per-word loop
-("almost all words are clean, so the scalar path is cold") died with the
-tilted rare-event campaigns, which deliberately over-sample faulty trials;
-the batched kernel makes dirty-word decoding an array program.
+Encode, syndromes and decode take arbitrarily large batches of codewords
+(the common case: every word of every cache line in a memory region).
+Each runs in the cffi-compiled GF core (:mod:`repro.gf.rsnative`) when the
+code fits it and the core builds - the same policy ``SimSystem.run``
+applies to the timing simulator - and otherwise in the scalar oracles:
+:meth:`ReedSolomon._encode_reference` (the NumPy column LFSR),
+:meth:`ReedSolomon._syndromes_reference`, and the per-word Sugiyama
+decoder :meth:`ReedSolomon._decode_word` looped over the dirty words.
+:meth:`ReedSolomon.decode_reference` keeps that loop as the oracle
+``tests/test_rs_batched.py`` pins the compiled decode against, mirroring
+the ``_run_reference`` / ``_scrub_reference`` policy elsewhere in the
+codebase.  Both paths reject non-symbol input with the same
+``ValueError`` at the ``encode`` / ``syndromes`` entry.
 
-Everything derived from an erasure set — the erasure locator, the modified
-syndrome transform, the lock-step solve matrices, and the erasure-only
-Vandermonde solve — is built once per distinct position set and cached on
-the codec instance (``_erasure_setup``), since campaigns decode against the
-same health-table erasures for millions of lines.
-
-An optional cffi-compiled core (:mod:`repro.gf.rsnative`, knob
-``REPRO_GF_NATIVE``) runs the same per-word algorithms - encode,
-syndromes, decode - in C over pointer-shared NumPy state; the NumPy
-encoder stays as :meth:`ReedSolomon._encode_reference`, the ``off``
-fallback and the native encoder's oracle.  The scalar Sugiyama path
-survives verbatim as :meth:`ReedSolomon.decode_reference` /
-:meth:`ReedSolomon._decode_word`, the reference oracle
-``tests/test_rs_batched.py`` pins both the NumPy batch and the native core
-against, mirroring the ``_run_reference`` / ``_scrub_reference`` policy
-elsewhere in the codebase.
+Everything derived from an erasure set — the erasure locator, the error
+budget, and the erasure-only Vandermonde solve — is built once per
+distinct position set and cached on the codec instance
+(``_erasure_setup``), since campaigns decode against the same
+health-table erasures for millions of lines.
 
 Positions are array indices ``0..n-1``; index ``i`` holds the coefficient of
 ``x^(n-1-i)`` (highest degree first), with data symbols followed by check
@@ -43,10 +35,6 @@ import numpy as np
 from repro import obs
 from repro.gf import rsnative
 from repro.gf.field import GF2m
-
-#: Dirty words decoded per lock-step slice (bounds the (D, 2t+1, n)
-#: matmul temporaries at large tilted-campaign batch sizes).
-_BATCH_SLICE = 1 << 14
 
 
 @dataclass
@@ -101,14 +89,6 @@ class ReedSolomon:
         i = np.arange(n)
         self._synd_log = ((j[None, :] + 1) * (n - 1 - i[:, None])) % (f.order - 1)
 
-        # Chien/Forney evaluation matrix: row j, column p holds alpha^{-p*j},
-        # so a (W, deg+1) coefficient batch matmul'd against it evaluates
-        # every word's polynomial at every inverse position at once.
-        two_t = self.num_check
-        jj = np.arange(two_t + 1)
-        pp = np.arange(n)
-        self._chien_mat = f.alpha_pow((-(jj[:, None] * pp[None, :])) % (f.order - 1))
-
         #: Per-erasure-set solve state, keyed by the caller's literal
         #: position tuple *and* its sorted-unique canonical form (so the
         #: per-call ``sorted(set(...))`` normalization is paid once).
@@ -123,14 +103,15 @@ class ReedSolomon:
         data = np.asarray(data, dtype=self.field.dtype)
         if data.shape[-1] != self.k:
             raise ValueError(f"expected {self.k} data symbols, got {data.shape[-1]}")
+        rsnative.check_symbols(self.field, data)
         if not rsnative.use_native(self):
             return self._encode_reference(data)
         out = rsnative.encode(self, data.reshape(-1, self.k))
         return out.reshape(*data.shape[:-1], self.n)
 
     def _encode_reference(self, data: np.ndarray) -> np.ndarray:
-        """The NumPy column-by-column LFSR: the ``REPRO_GF_NATIVE=off``
-        fallback and the oracle the compiled encode is tested against."""
+        """The NumPy column-by-column LFSR: the fallback without the
+        compiled core and the oracle the compiled encode is tested against."""
         f = self.field
         data = np.asarray(data, dtype=f.dtype)
         if data.shape[-1] != self.k:
@@ -156,14 +137,11 @@ class ReedSolomon:
             cw = cw.astype(np.int64)
         if cw.shape[-1] != self.n:
             raise ValueError(f"expected {self.n} symbols, got {cw.shape[-1]}")
-        if rsnative.use_native(self):
-            batch_shape = cw.shape[:-1]
-            out = rsnative.syndromes(self, cw.reshape(-1, self.n))
-            return out.reshape(*batch_shape, self.num_check)
-        logs = f._log[cw]  # (..., n)
-        terms = f._exp[logs[..., :, None] + self._synd_log[None, :, :]]
-        terms = np.where(cw[..., :, None] == 0, 0, terms)
-        return np.bitwise_xor.reduce(terms, axis=-2).astype(f.dtype)
+        rsnative.check_symbols(f, cw)
+        if not rsnative.use_native(self):
+            return self._syndromes_reference(cw)
+        out = rsnative.syndromes(self, cw.reshape(-1, self.n))
+        return out.reshape(*cw.shape[:-1], self.num_check)
 
     def detect(self, codewords: np.ndarray) -> np.ndarray:
         """Per-word error flag (True where any syndrome is nonzero)."""
@@ -208,18 +186,6 @@ class ReedSolomon:
 
         if rho <= two_t:
             setup["e_max"] = (two_t - rho) // 2
-            # Xi = S * Gamma mod x^{2t} as one matmul: xi_mat[i, j] = gamma[j-i].
-            xi_mat = np.zeros((two_t, two_t), dtype=f.dtype)
-            for i in range(two_t):
-                hi = min(two_t - i, rho + 1)
-                xi_mat[i, i : i + hi] = gamma[:hi]
-            setup["xi_mat"] = xi_mat
-            # Psi = Lambda * Gamma as one matmul: conv[i, i+l] = gamma[l].
-            width = two_t - rho + 1  # lock-step Lambda storage width
-            conv = np.zeros((width, two_t + 1), dtype=f.dtype)
-            for i in range(width):
-                conv[i, i : i + rho + 1] = gamma
-            setup["conv"] = conv
         if 1 <= rho <= two_t:
             # Erasure-only Vandermonde solve: A[j, e] = X_e^(j+1); the f x f
             # inverse is applied to whole batches as S[:, :rho] @ inv(A).T.
@@ -271,14 +237,12 @@ class ReedSolomon:
             didx = np.flatnonzero(dirty)
             if didx.size:
                 native_used = rsnative.use_native(self)
-                for lo in range(0, didx.size, _BATCH_SLICE):
-                    sl = didx[lo : lo + _BATCH_SLICE]
-                    if native_used:
-                        ok_d, nc_d = rsnative.decode_batch(self, flat, synd, sl, setup)
-                    else:
-                        ok_d, nc_d = self._decode_batch(flat, synd, sl, setup)
-                    ok[sl] = ok_d
-                    n_corrected[sl] = nc_d
+                if native_used:
+                    ok_d, nc_d = rsnative.decode_batch(self, flat, synd, didx, setup)
+                else:
+                    ok_d, nc_d = self._decode_words(flat, synd, didx, setup["pos"])
+                ok[didx] = ok_d
+                n_corrected[didx] = nc_d
 
         if armed:
             self._emit_decode(n_words, int(dirty.sum()), rho, native_used, perf_counter() - t0)
@@ -289,103 +253,6 @@ class ReedSolomon:
             had.reshape(batch_shape),
             n_corrected.reshape(batch_shape),
         )
-
-    def _decode_batch(
-        self, flat: np.ndarray, synd: np.ndarray, didx: np.ndarray, setup: dict
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        """Lock-step errors-and-erasures decode of the dirty word subset.
-
-        Vectorized Berlekamp-Massey over the erasure-modified syndromes
-        ``Xi = S*Gamma mod x^{2t}`` (per-word masks replace the data-dependent
-        branches), Chien search as one matmul against the inverse-position
-        Vandermonde, and a vectorized Forney update.  Every failure gate of
-        the scalar oracle is mirrored — locator length above the erasure
-        budget, trivial/deficient locator, missing Chien roots, a vanishing
-        Forney denominator, and the final syndrome recheck — so the observable
-        outcome (corrected bytes, ``ok``, ``n_corrected``) is bit-identical
-        to :meth:`_decode_word` for every word: within the unique decoding
-        sphere both solvers find the same minimal key-equation solution, and
-        outside it both land in a failure gate.
-
-        Corrects ``flat`` rows in place for words that pass; returns the
-        per-dirty-word ``(ok, n_corrected)`` pair.
-        """
-        f = self.field
-        two_t = self.num_check
-        rho = setup["rho"]
-        e_max = setup["e_max"]
-        d_count = didx.size
-
-        s = synd[didx]
-        xi = f.matmul(s, setup["xi_mat"]) if rho else s
-        y = xi[:, rho:]  # Forney-shifted sequence: errors-only BM applies
-        n_iter = two_t - rho
-        width = n_iter + 1
-
-        # -- Berlekamp-Massey, all words lock-step -------------------------------
-        lam = np.zeros((d_count, width), dtype=f.dtype)
-        lam[:, 0] = 1
-        bpoly = np.zeros_like(lam)
-        bpoly[:, 0] = 1
-        big_l = np.zeros(d_count, dtype=np.int64)
-        bb = np.ones(d_count, dtype=f.dtype)
-        m = np.ones(d_count, dtype=np.int64)
-        y_ext = np.concatenate([np.zeros((d_count, width - 1), dtype=f.dtype), y], axis=1)
-        col = np.arange(width)
-        for r in range(n_iter):
-            window = y_ext[:, r : r + width][:, ::-1]  # y[r], y[r-1], ...
-            delta = np.bitwise_xor.reduce(f.mul(lam, window), axis=1)
-            nz = delta != 0
-            grow = nz & (2 * big_l <= r)
-            coef = f.div(delta, bb)  # bb is always a past nonzero discrepancy
-            idx = col[None, :] - m[:, None]
-            shifted = np.where(
-                idx >= 0, np.take_along_axis(bpoly, np.clip(idx, 0, width - 1), axis=1), 0
-            ).astype(f.dtype)
-            lam_new = f.add(lam, f.mul(coef[:, None], shifted))
-            prev = lam
-            lam = np.where(nz[:, None], lam_new, lam)
-            bpoly = np.where(grow[:, None], prev, bpoly)
-            bb = np.where(grow, delta, bb)
-            big_l = np.where(grow, r + 1 - big_l, big_l)
-            m = np.where(grow, 1, m + 1)
-
-        fail = big_l > e_max  # beyond the (2t - rho)/2 error budget
-
-        # -- combined locator, Chien search as one Vandermonde evaluation --------
-        psi = f.matmul(lam, setup["conv"])  # (D, 2t+1)
-        nzm = psi != 0
-        deg_psi = np.where(
-            nzm.any(axis=1), psi.shape[1] - 1 - np.argmax(nzm[:, ::-1], axis=1), 0
-        )
-        fail |= deg_psi == 0
-        vals = f.matmul(psi, self._chien_mat)  # psi(alpha^{-p}) for all p
-        roots = vals == 0
-        fail |= roots.sum(axis=1) != deg_psi
-
-        # -- vectorized Forney ----------------------------------------------------
-        # omega = S * psi mod x^{2t}, per word (psi differs per word).
-        omega = np.zeros((d_count, two_t), dtype=f.dtype)
-        for low in range(min(psi.shape[1], two_t)):
-            omega[:, low:] = f.add(
-                omega[:, low:], f.mul(psi[:, low : low + 1], s[:, : two_t - low])
-            )
-        deriv = psi[:, 1:].copy()
-        deriv[:, 1::2] = 0  # formal derivative in characteristic 2
-        num_vals = f.matmul(omega, self._chien_mat[:two_t])
-        den_vals = f.matmul(deriv, self._chien_mat[:two_t])
-        fail |= (roots & (den_vals == 0)).any(axis=1)
-        mag = f.div(num_vals, np.where(den_vals == 0, 1, den_vals))
-        mag = np.where(roots, mag, 0)
-        n_corr = (mag != 0).sum(axis=1)
-
-        # Root power p names position n-1-p: scatter = reverse the last axis.
-        cand = f.add(flat[didx], mag[:, ::-1])
-        cand = np.where(fail[:, None], flat[didx], cand)
-        fail |= np.any(self.syndromes(cand) != 0, axis=1)  # final recheck
-        okd = ~fail
-        flat[didx[okd]] = cand[okd]
-        return okd, np.where(okd, n_corr, 0)
 
     def decode_erasures_batch(
         self, codewords: np.ndarray, erasures: "list[int] | np.ndarray"
@@ -430,10 +297,8 @@ class ReedSolomon:
             flat[np.ix_(bad_idx, positions)] ^= magnitudes[bad_idx]
         n_corrected = np.where(ok, (magnitudes != 0).sum(axis=-1), 0)
         if armed:
-            self._emit_decode(
-                flat.shape[0], int(dirty.sum()), rho, rsnative.use_native(self),
-                perf_counter() - t0,
-            )
+            # The Vandermonde solve is NumPy whether or not the core runs.
+            self._emit_decode(flat.shape[0], int(dirty.sum()), rho, False, perf_counter() - t0)
         # Declared erasures make every word "suspected" regardless of dirt.
         had = np.ones_like(dirty)
         return RSDecodeResult(
@@ -497,13 +362,8 @@ class ReedSolomon:
         if erasure_pos.size > self.num_check:
             ok = ~dirty
         else:
-            for w in np.nonzero(dirty)[0]:
-                fixed, count = self._decode_word(flat[w], synd[w], erasure_pos)
-                if fixed is None:
-                    ok[w] = False
-                else:
-                    flat[w] = fixed
-                    n_corrected[w] = count
+            didx = np.flatnonzero(dirty)
+            ok[didx], n_corrected[didx] = self._decode_words(flat, synd, didx, erasure_pos)
 
         had = dirty | bool(erasure_pos.size)
         return RSDecodeResult(
@@ -521,6 +381,23 @@ class ReedSolomon:
         terms = f._exp[logs[..., :, None] + self._synd_log[None, :, :]]
         terms = np.where(cw[..., :, None] == 0, 0, terms)
         return np.bitwise_xor.reduce(terms, axis=-2).astype(f.dtype)
+
+    def _decode_words(
+        self, flat: np.ndarray, synd: np.ndarray, didx: np.ndarray, erasure_pos: np.ndarray
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """:meth:`_decode_word` over rows ``flat[didx]``, corrected in place;
+        returns the per-row ``(ok, n_corrected)`` pair, the contract of
+        :func:`repro.gf.rsnative.decode_batch`."""
+        ok = np.ones(didx.size, dtype=bool)
+        n_corrected = np.zeros(didx.size, dtype=np.int64)
+        for i, w in enumerate(didx):
+            fixed, count = self._decode_word(flat[w], synd[w], erasure_pos)
+            if fixed is None:
+                ok[i] = False
+            else:
+                flat[w] = fixed
+                n_corrected[i] = count
+        return ok, n_corrected
 
     def _decode_word(
         self, word: np.ndarray, synd: np.ndarray, erasure_pos: np.ndarray

@@ -1,12 +1,11 @@
-"""Compiled GF/RS encode, syndrome and decode core (``REPRO_GF_NATIVE``).
+"""Compiled GF/RS encode, syndrome and decode core.
 
-The batched NumPy codec in :mod:`repro.gf.reed_solomon` turned the
-per-word scalar loops into array programs, but systematic encode still
-walks the ``k`` message columns through several NumPy kernels each, and
-every lock-step Berlekamp-Massey iteration walks the whole batch through
-a handful more.  This module compiles the identical per-word algorithms
-to machine code with :mod:`cffi` (the toolchain ships in the base image;
-nothing is downloaded) over pointer-shared NumPy buffers:
+The NumPy encoder in :mod:`repro.gf.reed_solomon` walks the ``k``
+message columns through several NumPy kernels each, and the scalar
+decoder solves one word at a time in Python.  This module compiles the
+per-word algorithms to machine code with :mod:`cffi` (the toolchain
+ships in the base image; nothing is downloaded) over pointer-shared
+NumPy buffers:
 
 * systematic encode - the generator-division LFSR.  When the whole
   remainder fits one 64-bit word (``two_t * bits <= 64``: every code the
@@ -19,21 +18,20 @@ nothing is downloaded) over pointer-shared NumPy buffers:
 
 Scope: any code whose field fits 16-bit symbols (``order <= 2^16``, i.e.
 every field in :mod:`repro.gf.field`) with at most ``RS_MAXCHK`` check
-symbols.  Everything else falls back to the NumPy batch path, which
-handles every configuration.  Both decode paths are bit-identical to the
-scalar Sugiyama oracle (``ReedSolomon.decode_reference``), and the
-compiled encoder to the NumPy column loop
+symbols.  :meth:`ReedSolomon.encode` / :meth:`syndromes` / :meth:`decode`
+run here when :func:`use_native` holds and otherwise fall back to the
+scalar oracles, which handle every configuration.  The compiled decode is
+bit-identical to the Sugiyama oracle (``ReedSolomon.decode_reference``),
+and the compiled encoder to the NumPy column loop
 (``ReedSolomon._encode_reference``); ``tests/test_rs_batched.py`` pins
 them against each other.
 
 Build model (:class:`repro.util.native.NativeCore`): the C source below
 is compiled once per source hash into ``src/repro/gf/_native/``
 (gitignored) and memoized process-wide.  Compilation failures degrade
-silently to the NumPy path - ``REPRO_GF_NATIVE=on`` turns that into a
-hard error, ``off`` disables the native path outright, and the default
-``auto`` uses it when available and eligible.
+silently to the oracle path.
 
-Identity-critical conventions shared with the NumPy batch kernel:
+Identity-critical conventions shared with the scalar oracle:
 
 * the exponent table is doubled (length ``2*(order-1)`` + slack) so any
   two-log sum indexes it without a modulo, exactly like ``GF2m._exp``;
@@ -68,8 +66,8 @@ void rs_encode(const rs_ctx *rs, const uint64_t *packed, int64_t bits,
                uint16_t *out);
 void rs_syndromes(const rs_ctx *rs, const uint16_t *words, int64_t count,
                   uint16_t *out);
-void rs_decode_batch(const rs_ctx *rs, uint16_t *words, const uint16_t *synd,
-                     int64_t count, uint8_t *ok, int64_t *ncorr);
+void rs_decode(const rs_ctx *rs, uint16_t *words, const uint16_t *synd,
+               int64_t count, uint8_t *ok, int64_t *ncorr);
 """
 
 _CSRC = """
@@ -162,8 +160,8 @@ void rs_syndromes(const rs_ctx *rs, const uint16_t *words, int64_t count,
     }
 }
 
-void rs_decode_batch(const rs_ctx *rs, uint16_t *words, const uint16_t *synd,
-                     int64_t count, uint8_t *ok, int64_t *ncorr) {
+void rs_decode(const rs_ctx *rs, uint16_t *words, const uint16_t *synd,
+               int64_t count, uint8_t *ok, int64_t *ncorr) {
     int64_t n = rs->n, tt = rs->two_t, rho = rs->rho;
     int32_t q1 = (int32_t)(rs->order - 1);
     int64_t n_iter = tt - rho;      /* Forney-shifted BM iterations */
@@ -296,12 +294,6 @@ def available() -> bool:
     return _CORE.available()
 
 
-def native_mode() -> str:
-    from repro.util.envcfg import gf_native
-
-    return gf_native()
-
-
 def eligible(rs) -> bool:
     """True when *rs*'s code fits the native core's fixed-width buffers."""
     return rs.field.order <= (1 << 16) and rs.num_check <= RS_MAXCHK
@@ -309,24 +301,7 @@ def eligible(rs) -> bool:
 
 def use_native(rs) -> bool:
     """Policy gate for :meth:`ReedSolomon.encode` / :meth:`syndromes` / :meth:`decode`."""
-    mode = native_mode()
-    if mode == "off":
-        return False
-    if not eligible(rs):
-        if mode == "on":
-            raise RuntimeError(
-                "REPRO_GF_NATIVE=on but this code exceeds the native core's "
-                f"scope (order <= 2^16, num_check <= {RS_MAXCHK})"
-            )
-        return False
-    if not available():
-        if mode == "on":
-            raise RuntimeError(
-                "REPRO_GF_NATIVE=on but the native core failed to build "
-                "(compiler or cffi unavailable)"
-            )
-        return False
-    return True
+    return eligible(rs) and available()
 
 
 def _tables(rs) -> dict:
@@ -374,20 +349,21 @@ def _ctx(ffi, rs, setup: "dict | None") -> "tuple[object, list]":
     return ctx, hold
 
 
-def _symbols(rs, flat: np.ndarray) -> np.ndarray:
-    """*flat* as a contiguous ``uint16`` buffer, after checking that it holds
-    field symbols only: the C loops index the exp/log tables with them."""
-    if flat.size and np.iinfo(flat.dtype).max >= rs.field.order:
-        if flat.min() < 0 or flat.max() >= rs.field.order:
-            raise ValueError(f"symbol out of range for GF(2^{rs.field.m})")
-    return np.ascontiguousarray(flat, dtype=np.uint16)
+def check_symbols(field, arr: np.ndarray) -> None:
+    """Raise ``ValueError`` unless integer array *arr* holds *field*
+    symbols only: the C loops and the NumPy oracles both index the exp/log
+    tables with them.  The codec runs this once at the ``encode`` /
+    ``syndromes`` entry, so both paths reject the same inputs."""
+    if arr.size and np.iinfo(arr.dtype).max >= field.order:
+        if arr.min() < 0 or arr.max() >= field.order:
+            raise ValueError(f"symbol out of range for GF(2^{field.m})")
 
 
 def encode(rs, flat: np.ndarray) -> np.ndarray:
     """Batched systematic encode over the compiled core: ``(W, k) -> (W, n)``."""
     mod = _CORE.load()
     ffi = mod.ffi
-    buf = _symbols(rs, flat)
+    buf = np.ascontiguousarray(flat, dtype=np.uint16)
     out = np.empty((buf.shape[0], rs.n), dtype=np.uint16)
     ctx, hold = _ctx(ffi, rs, None)
     tabs = _tables(rs)
@@ -409,7 +385,7 @@ def syndromes(rs, flat: np.ndarray) -> np.ndarray:
     """Batched syndromes over the compiled core: ``(W, n) -> (W, 2t)``."""
     mod = _CORE.load()
     ffi = mod.ffi
-    buf = _symbols(rs, flat)
+    buf = np.ascontiguousarray(flat, dtype=np.uint16)
     out = np.empty((buf.shape[0], rs.num_check), dtype=np.uint16)
     ctx, hold = _ctx(ffi, rs, None)
     mod.lib.rs_syndromes(
@@ -427,7 +403,7 @@ def decode_batch(
 ) -> "tuple[np.ndarray, np.ndarray]":
     """Decode the dirty rows ``flat[didx]`` in the compiled core.
 
-    Same contract as ``ReedSolomon._decode_batch``: corrects ``flat`` rows
+    Same contract as ``ReedSolomon._decode_words``: corrects ``flat`` rows
     in place for words that pass, returns per-dirty-word ``(ok, n_corrected)``.
     """
     mod = _CORE.load()
@@ -437,7 +413,7 @@ def decode_batch(
     ok = np.zeros(didx.size, dtype=np.uint8)
     ncorr = np.zeros(didx.size, dtype=np.int64)
     ctx, hold = _ctx(ffi, rs, setup)
-    mod.lib.rs_decode_batch(
+    mod.lib.rs_decode(
         ctx,
         ffi.cast("uint16_t *", buf.ctypes.data),
         ffi.cast("const uint16_t *", sd.ctypes.data),

@@ -1,13 +1,13 @@
 """Environment-variable knobs: every ``REPRO_*`` setting the package reads.
 
-Ten knobs cover what the paper's results need: fidelity (``REPRO_FULL``),
+Nine knobs cover what the paper's results need: fidelity (``REPRO_FULL``),
 worker count (``REPRO_JOBS``), Monte Carlo trial budget and estimator
-(``REPRO_MC_TRIALS``, ``REPRO_MC_VR``), simulation and codec kernels
-(``REPRO_SIM_KERNEL``, ``REPRO_GF_NATIVE``), the result cache
-(``REPRO_CACHE_DIR``), telemetry (``REPRO_OBS``, ``REPRO_OBS_DIR``) and
-benchmark budgets (``REPRO_BENCH_QUICK``).  Every other setting is a call
-argument at the point of use (``timeout=``, ``retries=``, ``chaos=``,
-``chunk_size=``, ``tilt=``, ...).
+(``REPRO_MC_TRIALS``, ``REPRO_MC_VR``), the simulation kernel
+(``REPRO_SIM_KERNEL``), the result cache (``REPRO_CACHE_DIR``), telemetry
+(``REPRO_OBS``, ``REPRO_OBS_DIR``) and benchmark budgets
+(``REPRO_BENCH_QUICK``).  Every other setting is a call argument at the
+point of use (``timeout=``, ``retries=``, ``chaos=``, ``chunk_size=``,
+``tilt=``, ...).
 
 Each knob has one resolver here, named after what it sets (:func:`jobs`,
 :func:`mc_trials`, :func:`sim_kernel`, ...).  The resolvers share a few
@@ -18,7 +18,7 @@ parsers by value type:
   ``REPRO_BENCH_QUICK``);
 * directories - :func:`path` (``REPRO_CACHE_DIR``, ``REPRO_OBS_DIR``);
 * enumerations - a per-knob choice check (``REPRO_MC_VR``,
-  ``REPRO_SIM_KERNEL``, ``REPRO_GF_NATIVE``).
+  ``REPRO_SIM_KERNEL``).
 
 Blank or unset falls back to the default; malformed or out-of-range values
 raise ``ValueError`` eagerly in the parent process.  An explicit argument
@@ -135,19 +135,6 @@ def sim_kernel(explicit: "str | None" = None) -> str:
     return value
 
 
-def gf_native(explicit: "str | None" = None) -> str:
-    """Resolve the RS codec's compiled-core policy: ``auto`` (default, use
-    the cffi GF core when the code is eligible and a compiler is
-    available), ``off`` (always the NumPy batch kernel), or ``on``
-    (require the compiled core; error out rather than fall back).
-    """
-    value = explicit if explicit is not None else os.environ.get("REPRO_GF_NATIVE", "")
-    value = value.strip() or "auto"
-    if value not in ("auto", "off", "on"):
-        raise ValueError(f"REPRO_GF_NATIVE must be 'auto', 'off' or 'on', got {value!r}")
-    return value
-
-
 # -- knob registry / introspection -----------------------------------------------------
 
 
@@ -225,13 +212,6 @@ register(
     "epoch",
     "timing-simulation kernel: compiled epoch core (event loop without a compiler) or the event-driven reference",
     lambda: sim_kernel(),
-)
-register(
-    "REPRO_GF_NATIVE",
-    "auto|off|on",
-    "auto",
-    "RS codec's compiled GF core: auto-detect, disable, or require (no fallback)",
-    lambda: gf_native(),
 )
 register(
     "REPRO_OBS",

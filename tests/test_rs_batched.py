@@ -1,15 +1,16 @@
-"""Batched RS codec kernels vs their oracles (and the native core).
+"""The RS codec's compiled GF core vs its scalar oracles.
 
-The lock-step Berlekamp-Massey kernel and the ``REPRO_GF_NATIVE`` compiled
-core must be **bit-identical** to the retained per-word Sugiyama decoder
+Production ``ReedSolomon.decode`` (the compiled core wherever it builds)
+must be **bit-identical** to the retained per-word Sugiyama decoder
 (``ReedSolomon.decode_reference``) in every observable field - corrected
 bytes, ``ok``, ``had_errors``, ``n_corrected`` - across the full
 error/erasure mix: 0..t errors x 0..n-k erasures, beyond-budget patterns
 (where detect-vs-miscorrect behaviour must match exactly, not just the
-failure rate), and pure-garbage words.  A tilted rare-event campaign must
-produce bit-identical estimates whichever decode path runs.  The compiled
-systematic encoder must match the NumPy LFSR (``_encode_reference``) on
-every RS code the ECC catalog builds.
+failure rate), and pure-garbage words.  The ``no_core`` fixture masks the
+core so the same codec runs its fallback: encode, syndromes, decode and a
+tilted rare-event campaign must give identical results either way.  The
+compiled systematic encoder must match the NumPy LFSR
+(``_encode_reference``) on every RS code the ECC catalog builds.
 """
 
 import numpy as np
@@ -22,7 +23,6 @@ from repro.ecc.raim import Raim18EP
 from repro.faults.rareevent import run_is_coverage
 from repro.gf import GF16, GF256, GF65536, ReedSolomon
 from repro.gf import rsnative
-from repro.util.envcfg import gf_native
 
 CODES = [
     pytest.param((GF256, 36, 32), id="rs36-32"),
@@ -38,6 +38,12 @@ def _rs(spec):
     if spec not in _RS_CACHE:
         _RS_CACHE[spec] = ReedSolomon(*spec)
     return _RS_CACHE[spec]
+
+
+@pytest.fixture
+def no_core(monkeypatch):
+    """Mask the compiled GF core, as on a host without a compiler."""
+    monkeypatch.setattr(rsnative, "available", lambda: False)
 
 
 def _assert_identical(res, ref):
@@ -64,9 +70,8 @@ def _mixed_batch(rs, rng, n_errors: int, erasures: "list[int]", n_words: int = 6
 
 
 @pytest.mark.parametrize("spec", CODES)
-def test_batched_matches_oracle_across_mix(spec, monkeypatch):
-    """Property sweep: every (errors, erasures) cell, NumPy kernel vs oracle."""
-    monkeypatch.setenv("REPRO_GF_NATIVE", "off")
+def test_batched_matches_oracle_across_mix(spec):
+    """Property sweep: every (errors, erasures) cell, production decode vs oracle."""
     rs = _rs(spec)
     rng = np.random.default_rng(hash(spec[1:]) % (2**32))
     t = rs.num_check // 2
@@ -83,9 +88,8 @@ def test_batched_matches_oracle_across_mix(spec, monkeypatch):
 
 
 @pytest.mark.parametrize("spec", CODES)
-def test_batched_matches_oracle_on_garbage(spec, monkeypatch):
+def test_batched_matches_oracle_on_garbage(spec):
     """Uniformly random words: failure gates must fire identically."""
-    monkeypatch.setenv("REPRO_GF_NATIVE", "off")
     rs = _rs(spec)
     rng = np.random.default_rng(99)
     garbage = rng.integers(0, rs.field.order, (256, rs.n), dtype=np.int64)
@@ -98,8 +102,9 @@ def test_batched_matches_oracle_on_garbage(spec, monkeypatch):
 
 @pytest.mark.skipif(not rsnative.available(), reason="native GF core unavailable")
 @pytest.mark.parametrize("spec", CODES)
-def test_native_matches_numpy_batch(spec, monkeypatch):
-    """``REPRO_GF_NATIVE=on`` and ``off`` are bit-identical everywhere."""
+def test_native_matches_masked_core(spec, monkeypatch):
+    """The codec with its core masked gives the native path's syndromes
+    and decodes, cell for cell."""
     rs = _rs(spec)
     rng = np.random.default_rng(7)
     t = rs.num_check // 2
@@ -107,12 +112,13 @@ def test_native_matches_numpy_batch(spec, monkeypatch):
         erasures = sorted(rng.choice(rs.n, size=rho, replace=False).tolist()) or None
         for e in (0, t, t + 1):
             _, bad = _mixed_batch(rs, rng, e, erasures or [])
-            monkeypatch.setenv("REPRO_GF_NATIVE", "on")
-            on = rs.decode(bad, erasures=erasures)
-            on_synd = rs.syndromes(bad)
-            monkeypatch.setenv("REPRO_GF_NATIVE", "off")
-            off = rs.decode(bad, erasures=erasures)
-            off_synd = rs.syndromes(bad)
+            with monkeypatch.context() as m:
+                assert rsnative.use_native(rs)
+                on = rs.decode(bad, erasures=erasures)
+                on_synd = rs.syndromes(bad)
+                m.setattr(rsnative, "available", lambda: False)
+                off = rs.decode(bad, erasures=erasures)
+                off_synd = rs.syndromes(bad)
             _assert_identical(on, off)
             assert np.array_equal(on_synd, off_synd)
 
@@ -134,12 +140,14 @@ ENCODE_CODES = [
 
 @pytest.mark.parametrize("mode", ["on", "off"])
 @pytest.mark.parametrize("make", ENCODE_CODES)
-def test_encode_matches_reference(make, mode, monkeypatch):
+def test_encode_matches_reference(make, mode, request):
     """``encode`` == ``_encode_reference`` in value, dtype and shape, for
-    single messages, flat and nested batches, all-zero and max-symbol words."""
+    single messages, flat and nested batches, all-zero and max-symbol
+    words, with the core on and masked (``off``)."""
     if mode == "on" and not rsnative.available():
         pytest.skip("native GF core unavailable")
-    monkeypatch.setenv("REPRO_GF_NATIVE", mode)
+    if mode == "off":
+        request.getfixturevalue("no_core")
     rs = make()
     assert rsnative.use_native(rs) == (mode == "on")
     rng = np.random.default_rng(rs.n * 1000 + rs.k)
@@ -156,47 +164,24 @@ def test_encode_matches_reference(make, mode, monkeypatch):
             assert not rs.detect(got).any()  # every output is a codeword
 
 
-@pytest.mark.skipif(not rsnative.available(), reason="native GF core unavailable")
 def test_native_rejects_out_of_range_symbols(monkeypatch):
-    """Values that are not field symbols raise instead of indexing the C
-    core's exp/log tables out of bounds."""
-    monkeypatch.setenv("REPRO_GF_NATIVE", "on")
-    with pytest.raises(ValueError, match="out of range for GF"):
-        ReedSolomon(GF16, 15, 11).encode(np.full((2, 11), 16, dtype=np.uint8))
-    with pytest.raises(ValueError, match="out of range for GF"):
-        ReedSolomon(GF256, 36, 32).syndromes(np.full((2, 36), 300))
-    with pytest.raises(ValueError, match="out of range for GF"):
-        ReedSolomon(GF256, 36, 32).syndromes(np.full((2, 36), -1))
+    """Values that are not field symbols raise the same ``ValueError`` with
+    the core available and masked, instead of indexing the C core's
+    exp/log tables out of bounds or wrapping silently in the NumPy oracles."""
+    for masked in (False, True):
+        with monkeypatch.context() as m:
+            if masked:
+                m.setattr(rsnative, "available", lambda: False)
+            with pytest.raises(ValueError, match="out of range for GF"):
+                ReedSolomon(GF16, 15, 11).encode(np.full((2, 11), 16, dtype=np.uint8))
+            with pytest.raises(ValueError, match="out of range for GF"):
+                ReedSolomon(GF256, 36, 32).syndromes(np.full((2, 36), 300))
+            with pytest.raises(ValueError, match="out of range for GF"):
+                ReedSolomon(GF256, 36, 32).syndromes(np.full((2, 36), -1))
 
 
-def test_native_on_raises_when_ineligible(monkeypatch):
-    """``on`` is a hard requirement: ineligible codes must error, not fall back."""
-    monkeypatch.setenv("REPRO_GF_NATIVE", "on")
-    rs = ReedSolomon(GF256, 36, 32)
-    ineligible = ReedSolomon.__new__(ReedSolomon)
-    ineligible.__dict__.update(rs.__dict__)
-    ineligible.num_check = rsnative.RS_MAXCHK + 2  # out of native scope
-    assert not rsnative.eligible(ineligible)
-    with pytest.raises(RuntimeError, match="REPRO_GF_NATIVE=on"):
-        rsnative.use_native(ineligible)
-
-
-def test_gf_native_knob_validation(monkeypatch):
-    monkeypatch.setenv("REPRO_GF_NATIVE", "auto")
-    assert gf_native() == "auto"
-    monkeypatch.delenv("REPRO_GF_NATIVE", raising=False)
-    assert gf_native() == "auto"
-    assert gf_native("off") == "off"
-    with pytest.raises(ValueError, match="REPRO_GF_NATIVE"):
-        gf_native("sometimes")
-    monkeypatch.setenv("REPRO_GF_NATIVE", "never")
-    with pytest.raises(ValueError, match="REPRO_GF_NATIVE"):
-        gf_native()
-
-
-def test_erasure_setup_cache_reused(monkeypatch):
+def test_erasure_setup_cache_reused(no_core):
     """The per-erasure-set solve state is built once, keyed by position set."""
-    monkeypatch.setenv("REPRO_GF_NATIVE", "off")
     rs = ReedSolomon(GF256, 36, 32)
     s1 = rs._erasure_setup([7, 3])
     s2 = rs._erasure_setup([3, 7])
@@ -221,10 +206,9 @@ def test_tilted_campaign_bit_identical_across_kernels(monkeypatch):
     """run_is_coverage estimates are invariant to the decode implementation."""
     scheme = Chipkill36()
     kw = dict(trials=1500, rate=0.5, tilt=8.0, chunk_size=500, seed=11)
-    monkeypatch.setenv("REPRO_GF_NATIVE", "off")
-    off = run_is_coverage(scheme, **kw)
-    monkeypatch.setenv("REPRO_GF_NATIVE", "on")
     on = run_is_coverage(scheme, **kw)
+    monkeypatch.setattr(rsnative, "available", lambda: False)
+    off = run_is_coverage(scheme, **kw)
     assert on.mean == off.mean
     assert on.se_mean == off.se_mean
     assert on.trials == off.trials
@@ -264,6 +248,31 @@ def test_decode_emits_ecc_events(tmp_path):
     decodes = [e for e in events if e["kind"] == "ecc.decode"]
     assert decodes and decodes[-1]["dirty"] == 32
     assert decodes[-1]["code"] == "rs36_32"
+
+
+def test_erasure_only_decode_event_is_not_native(tmp_path):
+    """``decode_erasures_batch`` solves in NumPy whatever core is built, so
+    its ``ecc.decode`` event must say ``native: false``; ``decode`` on
+    the same codec reports the core it actually ran."""
+    import json
+
+    from repro import obs
+
+    obs.configure(tmp_path)
+    try:
+        rs = ReedSolomon(GF256, 36, 32)
+        rng = np.random.default_rng(5)
+        cw = rs.encode(rng.integers(0, 256, (16, 32), dtype=np.uint8))
+        bad = cw.copy()
+        bad[:, 7] ^= 0x33
+        assert rs.decode_erasures_batch(bad, [7]).ok.all()
+        assert rs.decode(bad).ok.all()
+    finally:
+        obs.init_from_env()
+    events = [json.loads(line) for line in (tmp_path / "events.jsonl").read_text().splitlines()]
+    erasure_only, full = [e for e in events if e["kind"] == "ecc.decode"]
+    assert erasure_only["rho"] == 1 and erasure_only["native"] is False
+    assert full["native"] is rsnative.available()
 
 
 def test_summarize_attributes_codec_time(tmp_path):
