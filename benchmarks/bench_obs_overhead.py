@@ -122,7 +122,6 @@ def _interleaved(kernel, tmp: Path) -> "tuple[float, float]":
             best_on = min(best_on, kernel())
         finally:
             obs.disarm()
-            obs.REGISTRY.reset()
     return best_off, best_on
 
 
@@ -132,7 +131,6 @@ def bench_obs_disabled_path(benchmark, results_dir, emit):
 
     epochnative.available()  # compile the epoch core outside timed regions
     obs.disarm()
-    obs.REGISTRY.reset()
 
     def measure():
         gate_s = _disarmed_gate_cost_s()
@@ -214,7 +212,6 @@ def bench_trace_disabled_path(benchmark, results_dir, emit):
 
     epochnative.available()  # compile the epoch core outside timed regions
     obs.disarm()
-    obs.REGISTRY.reset()
 
     def measure():
         gate_s = _disarmed_span_cost_s()
@@ -268,7 +265,6 @@ def bench_obs_enabled_overhead(benchmark, results_dir, emit, tmp_path):
 
     epochnative.available()  # compile the epoch core outside timed regions
     obs.disarm()
-    obs.REGISTRY.reset()
 
     def measure():
         sim = _interleaved(_sim_event, tmp_path / "sim")

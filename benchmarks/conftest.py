@@ -6,9 +6,9 @@ artifacts.  The timing-plane benches share the cached evaluation matrix
 (``.repro_cache/``); the first cold run simulates, later runs re-render.
 
 Each ``BENCH_*.json`` also carries a ``provenance`` block - the run
-manifest (knobs, seeds, package version, host) plus the telemetry metric
-snapshot - so an archived number can always be traced back to the exact
-configuration that produced it.
+manifest (knobs, seeds, package version, host) plus the git commit - so
+an archived number can always be traced back to the exact configuration
+that produced it.
 """
 
 import json
@@ -26,7 +26,6 @@ def results_dir():
 
 def merge_results(results_dir, filename, **fields):
     """Read-update-write a ``BENCH_*.json``, stamping run provenance."""
-    from repro.obs import REGISTRY
     from repro.obs.history import git_info
     from repro.obs.manifest import manifest_dict
 
@@ -35,7 +34,6 @@ def merge_results(results_dir, filename, **fields):
     data.update(fields)
     data["provenance"] = {
         "manifest": manifest_dict(),
-        "metrics": REGISTRY.snapshot(),
         "git": git_info(results_dir.parent),
     }
     path.write_text(json.dumps(data, indent=2, sort_keys=True, default=repr) + "\n")

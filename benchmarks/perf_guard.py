@@ -33,6 +33,7 @@ mask a slow bleed; the windowed median cannot.
 
 import argparse
 import json
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -228,7 +229,7 @@ def check_trends(
         if len(values) < 2:
             print(f"SKIP {label}: {len(values)} comparable prior entries, trend needs >= 2")
             continue
-        med = hist.median(values)
+        med = statistics.median(values)
         floor = med * (1 - tolerance_pct / 100.0)
         fresh = float(latest["metrics"][metric])
         verdict = "FAIL" if fresh < floor else "ok"

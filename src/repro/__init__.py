@@ -23,7 +23,7 @@ Subpackages
 ``repro.experiments``
     One driver per paper table/figure (see DESIGN.md's index).
 ``repro.obs``
-    Zero-dependency telemetry plane: JSONL event bus, metrics registry,
+    Zero-dependency telemetry plane: JSONL event bus, causal spans,
     run manifests, and the ``repro.obs.summarize`` campaign reporter.
 """
 

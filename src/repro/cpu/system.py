@@ -493,14 +493,10 @@ class SimSystem:
         )
 
     def _emit_run_telemetry(self, wall_s: float, events: int) -> None:
-        """One ``sim.run`` event + registry update per completed run."""
+        """One ``sim.run`` event per completed run."""
         issued = sum(ch.issued_requests for ch in self.mem.channels)
         fast = sum(ch.fast_picks for ch in self.mem.channels)
         events_per_sec = round(events / wall_s, 1) if wall_s > 0 else None
-        reg = obs.REGISTRY
-        reg.counter("sim.runs").inc()
-        reg.counter("sim.events").inc(events)
-        reg.gauge("sim.events_per_sec").set(events_per_sec)
         stats = self.llc.stats
         obs.emit(
             "sim.run",

@@ -204,18 +204,6 @@ class CampaignError(RuntimeError):
         )
 
 
-def _emit(kind: str, **fields) -> None:
-    """Engine telemetry: event + matching counter, no-op unless armed.
-
-    All engine events are per-task (not per-simulated-event), so the
-    armed-path cost is irrelevant; the disarmed path is one sink check.
-    """
-    if not obs.enabled():
-        return
-    obs.REGISTRY.counter(kind).inc()
-    obs.emit(kind, **fields)
-
-
 def _run_super(cfg, chaos, worker, tasks, spool):
     """Worker entry point of every pool submission: one super-task.
 
@@ -407,41 +395,39 @@ def _run_serial(worker, payloads, tasks, retries, backoff, validate, failures, f
     for index, attempt in tasks:
         payload = payloads[index]
         while True:
-            _emit("engine.submit", index=index, attempt=attempt, path="serial")
+            obs.emit("engine.submit", index=index, attempt=attempt, path="serial")
             t0 = time.perf_counter()
             try:
                 with trace.span("engine.task", "compute", index=index, attempt=attempt):
                     result = worker(*payload)
             except Exception as exc:
-                _emit(
+                obs.emit(
                     "engine.error",
                     index=index,
                     attempt=attempt,
                     error=f"{type(exc).__name__}: {exc}",
                 )
                 if attempt >= max_attempts:
-                    _emit("engine.fail", index=index, attempts=attempt, reason="exception")
+                    obs.emit("engine.fail", index=index, attempts=attempt, reason="exception")
                     _record(failures, index, payload, attempt, "exception", exc, fail_fast)
                     break
-                _emit("engine.retry", index=index, attempt=attempt + 1, reason="exception")
+                obs.emit("engine.retry", index=index, attempt=attempt + 1, reason="exception")
                 _backoff_sleep(backoff, attempt)
                 attempt += 1
                 continue
             if not _result_ok(result, validate):
-                _emit("engine.error", index=index, attempt=attempt, error="invalid result")
+                obs.emit("engine.error", index=index, attempt=attempt, error="invalid result")
                 if attempt >= max_attempts:
                     exc = ValueError(f"invalid result: {result!r}")
-                    _emit("engine.fail", index=index, attempts=attempt, reason="corrupt")
+                    obs.emit("engine.fail", index=index, attempts=attempt, reason="corrupt")
                     _record(failures, index, payload, attempt, "corrupt", exc, fail_fast)
                     break
-                _emit("engine.retry", index=index, attempt=attempt + 1, reason="corrupt")
+                obs.emit("engine.retry", index=index, attempt=attempt + 1, reason="corrupt")
                 _backoff_sleep(backoff, attempt)
                 attempt += 1
                 continue
             wall = round(time.perf_counter() - t0, 6)
-            if obs.enabled():
-                obs.REGISTRY.timer("engine.task").observe(wall)
-            _emit(
+            obs.emit(
                 "engine.ok", index=index, attempt=attempt, worker_pid=os.getpid(), wall_s=wall
             )
             yield index, result
@@ -528,18 +514,16 @@ def _run_pooled(
             consecutive_rebuilds = 0
             if wall is not None:
                 samples.append(wall)
-                if obs.enabled():
-                    obs.REGISTRY.timer("engine.task").observe(wall)
-            _emit("engine.ok", index=index, attempt=attempt, worker_pid=pid, wall_s=wall)
+            obs.emit("engine.ok", index=index, attempt=attempt, worker_pid=pid, wall_s=wall)
             return True, value
-        _emit("engine.error", index=index, attempt=attempt, error="invalid result")
+        obs.emit("engine.error", index=index, attempt=attempt, error="invalid result")
         if attempt >= max_attempts:
             exc = ValueError(f"invalid result: {value!r}")
-            _emit("engine.fail", index=index, attempts=attempt, reason="corrupt")
+            obs.emit("engine.fail", index=index, attempts=attempt, reason="corrupt")
             _record(failures, index, payloads[index], attempt, "corrupt", exc, fail_fast)
             consecutive_rebuilds = 0
         else:
-            _emit("engine.retry", index=index, attempt=attempt + 1, reason="corrupt")
+            obs.emit("engine.retry", index=index, attempt=attempt + 1, reason="corrupt")
             _backoff_sleep(backoff, attempt)
             pending.append((index, attempt + 1))
         return False, None
@@ -547,18 +531,18 @@ def _run_pooled(
     def _settle_error(index, attempt, exc):
         """One inner task raised: charge an attempt, retry or record."""
         nonlocal consecutive_rebuilds
-        _emit(
+        obs.emit(
             "engine.error",
             index=index,
             attempt=attempt,
             error=f"{type(exc).__name__}: {exc}",
         )
         if attempt >= max_attempts:
-            _emit("engine.fail", index=index, attempts=attempt, reason="exception")
+            obs.emit("engine.fail", index=index, attempts=attempt, reason="exception")
             _record(failures, index, payloads[index], attempt, "exception", exc, fail_fast)
             consecutive_rebuilds = 0
         else:
-            _emit("engine.retry", index=index, attempt=attempt + 1, reason="exception")
+            obs.emit("engine.retry", index=index, attempt=attempt + 1, reason="exception")
             _backoff_sleep(backoff, attempt)
             pending.append((index, attempt + 1))
 
@@ -621,21 +605,21 @@ def _run_pooled(
 
     def _charge_timeout(index, attempt):
         nonlocal consecutive_rebuilds
-        _emit("engine.timeout", index=index, attempt=attempt, timeout_s=timeout)
+        obs.emit("engine.timeout", index=index, attempt=attempt, timeout_s=timeout)
         if attempt >= max_attempts:
             exc = TimeoutError(f"no result within {timeout:g}s")
-            _emit("engine.fail", index=index, attempts=attempt, reason="timeout")
+            obs.emit("engine.fail", index=index, attempts=attempt, reason="timeout")
             _record(failures, index, payloads[index], attempt, "timeout", exc, fail_fast)
             consecutive_rebuilds = 0
         else:
-            _emit("engine.retry", index=index, attempt=attempt + 1, reason="timeout")
+            obs.emit("engine.retry", index=index, attempt=attempt + 1, reason="timeout")
             pending.append((index, attempt + 1))
 
     def _requeue(index, attempt):
         """Re-enqueue a task its pool lost.  Never fails it, but the next
         run is ``attempt + 1``: the requeue spends an attempt (ROADMAP
         *Requeue budget*)."""
-        _emit("engine.requeue", index=index, attempt=attempt)
+        obs.emit("engine.requeue", index=index, attempt=attempt)
         pending.append((index, attempt + 1))
 
     _apply_warm(warm)  # under fork, workers inherit the warmed parent
@@ -668,9 +652,9 @@ def _run_pooled(
                         pending.appendleft(e)
                     broken = True
                     break
-                _emit("engine.batch", size=len(entries), indices=[i for i, _ in entries])
+                obs.emit("engine.batch", size=len(entries), indices=[i for i, _ in entries])
                 for i, a in entries:
-                    _emit("engine.submit", index=i, attempt=a, path="pooled")
+                    obs.emit("engine.submit", index=i, attempt=a, path="pooled")
                 inflight[fut] = _Flight(entries, spool, deadline)
 
             # 2. Wait for completions, bounded by the nearest deadline and
@@ -734,7 +718,7 @@ def _run_pooled(
                 pool = None
                 consecutive_rebuilds += 1
                 total_rebuilds += 1
-                _emit(
+                obs.emit(
                     "engine.rebuild",
                     consecutive=consecutive_rebuilds,
                     total=total_rebuilds,
@@ -747,7 +731,7 @@ def _run_pooled(
                     tasks = list(pending)
                     pending.clear()
                     rebuild_span.end(degraded=True)
-                    _emit("engine.degrade", remaining=len(tasks), rebuilds=total_rebuilds)
+                    obs.emit("engine.degrade", remaining=len(tasks), rebuilds=total_rebuilds)
                     yield from _run_serial(
                         worker, payloads, tasks, retries, backoff, validate, failures, fail_fast
                     )
@@ -867,7 +851,7 @@ def run_tasks(
         jobs=jobs,
         path="serial" if serial else "pooled",
     )
-    _emit(
+    obs.emit(
         "engine.start",
         tasks=len(payloads),
         jobs=jobs,
@@ -910,7 +894,7 @@ def run_tasks(
         for index, result in inner:
             ok += 1
             yield (index, result) if yield_index else result
-        _emit(
+        obs.emit(
             "engine.done",
             tasks=len(payloads),
             ok=ok,

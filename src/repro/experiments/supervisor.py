@@ -23,9 +23,9 @@ campaign service builds on:
   decoded on resume, journaled as salvaged settlements, and *not*
   recomputed.  The latest grant record maps engine-local spool indices
   back to campaign indices.
-* A **resource watchdog** thread samples driver RSS and free disk into the
-  obs metrics registry (``supervisor.rss_bytes`` /
-  ``supervisor.disk_free_bytes``) and degrades gracefully: above the
+* A **resource watchdog** thread samples driver RSS and free disk and
+  degrades gracefully (the sample that crosses a threshold is the
+  ``rss_bytes`` / ``free_bytes`` field of the event it emits): above the
   ``mem_budget`` argument it halves the engine's super-task batch cap and
   the Monte Carlo chunk cap (future campaigns only — a running campaign's
   cache keys pin their chunk size, preserving determinism); below
@@ -125,13 +125,6 @@ def spec_hash(worker, payloads: "list[tuple]") -> str:
     for p in payloads:
         h.update(repr(p).encode())
     return h.hexdigest()
-
-
-def _emit(kind: str, **fields) -> None:
-    if not obs.enabled():
-        return
-    obs.REGISTRY.counter(kind).inc()
-    obs.emit(kind, **fields)
 
 
 # --------------------------------------------------------------------------
@@ -300,16 +293,13 @@ class ResourceWatchdog:
         """One watchdog tick (called by the thread; tests call it directly)."""
         rss = self._rss()
         free = self._disk()
-        if obs.enabled():
-            obs.REGISTRY.gauge("supervisor.rss_bytes").set(rss)
-            obs.REGISTRY.gauge("supervisor.disk_free_bytes").set(free)
         if self.mem_budget and rss > self.mem_budget:
             self._degrade_memory(rss)
         if self.min_disk and free < self.min_disk and not self.pause.is_set():
             self.pause_reason = (
                 f"free disk {free} below floor {self.min_disk} on {self.disk_path}"
             )
-            _emit("supervisor.low_disk", free_bytes=free, floor_bytes=self.min_disk)
+            obs.emit("supervisor.low_disk", free_bytes=free, floor_bytes=self.min_disk)
             self.pause.set()
 
     def _degrade_memory(self, rss: int) -> None:
@@ -327,7 +317,7 @@ class ResourceWatchdog:
             if self._saved_chunk_cap == "unset":
                 self._saved_chunk_cap = previous
         self.degradations += 1
-        _emit(
+        obs.emit(
             "supervisor.memory_pressure",
             rss_bytes=rss,
             budget_bytes=self.mem_budget,
@@ -523,7 +513,7 @@ def supervised_tasks(
         total=total,
         resumed=len(settled),
     )
-    _emit(
+    obs.emit(
         "supervisor.begin",
         name=name,
         total=total,
@@ -541,7 +531,7 @@ def supervised_tasks(
                 begin += ([root_span.trace_id, root_span.span_id],)
             journal.append(begin)
         if settled:
-            _emit("supervisor.replay", settled=len(settled))
+            obs.emit("supervisor.replay", settled=len(settled))
 
         # -- salvage orphaned spools -------------------------------------
         with trace.span("supervisor.salvage", "codec", grant=len(last_grant)):
@@ -552,7 +542,7 @@ def supervised_tasks(
             settled[index] = salvaged[index]
         if salvaged:
             stats["salvaged"] = len(salvaged)
-            _emit("supervisor.salvage", count=len(salvaged))
+            obs.emit("supervisor.salvage", count=len(salvaged))
 
         with _SignalFlag(handle_signals) as flag:
             for index in sorted(settled):
@@ -596,26 +586,26 @@ def supervised_tasks(
                         journal.append((REC_SETTLE, index, result, "live"))
                     except OSError as exc:
                         engine.close()
-                        _emit("supervisor.pause", settled=len(settled), error=str(exc))
+                        obs.emit("supervisor.pause", settled=len(settled), error=str(exc))
                         raise CampaignPaused(
                             name, len(settled), total, f"journal append failed: {exc}"
                         ) from exc
                     settled[index] = result
                     stats["live"] += 1
-                    _emit("supervisor.settle", index=index, origin="live")
+                    obs.emit("supervisor.settle", index=index, origin="live")
                     yield index, result
                     if flag.fired is not None:
                         engine.close()
-                        _emit("supervisor.interrupt", signum=flag.fired, settled=len(settled))
+                        obs.emit("supervisor.interrupt", signum=flag.fired, settled=len(settled))
                         raise CampaignInterrupted(
                             name, len(settled), total, f"signal {flag.fired}"
                         )
                     if watch is not None and watch.pause.is_set():
                         engine.close()
-                        _emit("supervisor.pause", settled=len(settled))
+                        obs.emit("supervisor.pause", settled=len(settled))
                         raise CampaignPaused(name, len(settled), total, watch.pause_reason)
                 if flag.fired is not None:
-                    _emit("supervisor.interrupt", signum=flag.fired, settled=len(settled))
+                    obs.emit("supervisor.interrupt", signum=flag.fired, settled=len(settled))
                     raise CampaignInterrupted(
                         name, len(settled), total, f"signal {flag.fired}"
                     )
@@ -627,12 +617,12 @@ def supervised_tasks(
                 # Every settlement is already durable; only the completion
                 # marker is missing.  Pause like any other append failure —
                 # the rerun replays everything and re-attempts the marker.
-                _emit("supervisor.pause", settled=len(settled), error=str(exc))
+                obs.emit("supervisor.pause", settled=len(settled), error=str(exc))
                 raise CampaignPaused(
                     name, len(settled), total, f"journal append failed: {exc}"
                 ) from exc
         _clear_dir(paths.spool)
-        _emit(
+        obs.emit(
             "supervisor.done",
             name=name,
             total=total,

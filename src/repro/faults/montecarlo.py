@@ -364,7 +364,7 @@ class EolCapacitySim:
         done = 0
         # Telemetry is gated once per *chunk* (tens of thousands of trials),
         # so the instrumented loop stays bit-identical and all-but-free.
-        # The convergence gauge keeps an incremental sum - an O(done) prefix
+        # The running mean keeps an incremental sum - an O(done) prefix
         # mean per chunk would dominate the vectorized kernel itself.
         armed = obs.enabled()
         running_total = 0.0
@@ -380,10 +380,6 @@ class EolCapacitySim:
                     rate = round(n / wall, 1) if wall > 0 else None
                     running_total += float(fractions[done - n : done].sum())
                     running_mean = round(running_total / done, 9)
-                    obs.REGISTRY.counter("mc.trials").inc(n)
-                    obs.REGISTRY.counter("mc.chunks").inc()
-                    obs.REGISTRY.gauge("mc.trials_per_sec").set(rate)
-                    obs.REGISTRY.gauge("mc.running_mean").set(running_mean)
                     obs.emit(
                         "mc.chunk",
                         done=done,

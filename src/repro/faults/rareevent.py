@@ -726,17 +726,17 @@ def _is_log_weights_reference(draws, lam: dict, tilts: dict) -> np.ndarray:
 
 
 def _emit_progress(mode: str, done: int, trials: int, tally_view, target, rci) -> None:
-    """Per-chunk telemetry (gated on ``REPRO_OBS``): ESS + weight spread."""
-    ess = round(tally_view.ess, 1)
-    obs.REGISTRY.counter("mc.vr_trials").inc()
-    obs.REGISTRY.gauge("mc.ess").set(ess)
-    obs.REGISTRY.gauge("mc.weight_cv_sq").set(round(tally_view.weight_cv_sq, 6))
+    """Per-chunk telemetry (gated on ``REPRO_OBS``): ESS and RCI so far.
+
+    The weight spread needs no field of its own: for a plain or IS run
+    its squared coefficient of variation is ``done / ess - 1``.
+    """
     obs.emit(
         "mc.rareevent",
         mode=mode,
         done=done,
         trials=trials,
-        ess=ess,
+        ess=round(tally_view.ess, 1),
         rci=None if rci is None or not math.isfinite(rci) else round(rci, 6),
         target=list(target) if target else None,
     )
@@ -1283,7 +1283,6 @@ def sharded_estimate(
         wall_s=wall,
     )
     if armed:
-        obs.REGISTRY.gauge("mc.ess").set(round(out.ess, 1))
         obs.emit(
             "mc.rareevent.campaign",
             mode=mode,

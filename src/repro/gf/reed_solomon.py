@@ -310,10 +310,6 @@ class ReedSolomon:
 
     def _emit_decode(self, words: int, dirty: int, rho: int, native: bool, dt: float) -> None:
         """``ecc.decode`` batch telemetry (gated on ``REPRO_OBS``)."""
-        obs.REGISTRY.counter("ecc.decode_batches").inc()
-        obs.REGISTRY.counter("ecc.dirty_words").inc(dirty)
-        if dirty and dt > 0:
-            obs.REGISTRY.gauge("ecc.dirty_words_per_sec").set(round(dirty / dt))
         obs.emit(
             "ecc.decode",
             words=words,

@@ -1,4 +1,4 @@
-"""Zero-dependency telemetry plane: structured events, metrics, manifests.
+"""Zero-dependency telemetry plane: structured events, spans, manifests.
 
 The reproduction's campaign stack (resilient engine, Monte Carlo plane,
 timing simulator) runs production-scale workloads but was previously
@@ -15,14 +15,15 @@ observable without perturbing them:
   default sink is ``None`` and :func:`emit` returns after **one global
   load and one identity check** - the disabled path adds no measurable
   cost to any hot loop (``benchmarks/bench_obs_overhead.py`` proves it).
-* **Metrics registry** - :data:`REGISTRY` (see :mod:`repro.obs.metrics`):
-  counters, gauges, timers with ``snapshot()``/``reset()``.
 * **Run manifest** - :func:`ensure_manifest` captures the reproducibility
   envelope (every registered ``REPRO_*`` knob via
   :mod:`repro.util.envcfg`, package version, hostname, interpreter,
   argv) into ``<run-dir>/manifest.json``.
 * **Summaries** - ``python -m repro.obs.summarize <run-dir>`` renders a
-  human-readable campaign report from the JSONL + manifest alone.
+  human-readable campaign report from the JSONL + manifest alone.  It is
+  the one reader that turns events into totals: pool workers append to
+  the same stream, so their counts add up where an in-process aggregate
+  would only see the parent's.
 
 Arming
 ------
@@ -47,7 +48,6 @@ import sys
 import time
 from pathlib import Path
 
-from repro.obs.metrics import REGISTRY, MetricsRegistry  # noqa: F401 (re-export)
 from repro.util import envcfg
 
 #: Environment knobs (registered with repro.util.envcfg).

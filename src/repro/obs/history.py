@@ -121,15 +121,6 @@ def load(history_path: "Path | str") -> "list[dict]":
     return read_jsonl(history_path, "history record")
 
 
-def median(values: "list[float]") -> float:
-    ordered = sorted(values)
-    n = len(ordered)
-    if n == 0:
-        raise ValueError("median of empty series")
-    mid = n // 2
-    return ordered[mid] if n % 2 else (ordered[mid - 1] + ordered[mid]) / 2.0
-
-
 def main(argv: "list[str] | None" = None) -> int:
     import argparse
 

@@ -124,8 +124,8 @@ def _ecc_summary(events: "list[dict]") -> "dict | None":
 
     Answers "where did the campaign's decode time go": total words and
     dirty words pushed through the RS kernel, how much of the batch volume
-    hit the compiled core versus the NumPy fallback, and the aggregate
-    dirty-word decode rate.
+    hit the compiled core versus the scalar-oracle fallback, and the
+    aggregate dirty-word decode rate.
     """
     batches = [e for e in events if e.get("kind") == "ecc.decode"]
     if not batches:
@@ -159,7 +159,10 @@ def _chaos_summary(events: "list[dict]") -> "list[dict]":
 
     A firing against task *index* is recovered when a later ``engine.ok``
     for the same index appears in the stream; the recovery record carries
-    how the engine got there (which attempt succeeded).
+    how the engine got there (which attempt succeeded).  When both events
+    carry a ``trace`` id the match stays within the firing's campaign, and
+    an ``engine.fail`` for the index there ends the search unrecovered —
+    another campaign sharing the run dir never lends its success.
     """
     out = []
     for i, e in enumerate(events):
@@ -167,9 +170,18 @@ def _chaos_summary(events: "list[dict]") -> "list[dict]":
             continue
         fire = {k: e[k] for k in ("mode", "index", "attempt", "param") if k in e}
         fire["ts"] = e.get("ts")
+        trace_id = e.get("trace")
         recovery = None
         for later in events[i + 1:]:
-            if later.get("kind") == "engine.ok" and later.get("index") == e.get("index"):
+            if later.get("index") != e.get("index"):
+                continue
+            other = later.get("trace")
+            if trace_id is not None and other is not None:
+                if other != trace_id:
+                    continue  # another campaign sharing the run dir
+                if later.get("kind") == "engine.fail":
+                    break
+            if later.get("kind") == "engine.ok":
                 recovery = {
                     "attempt": later.get("attempt"),
                     "worker_pid": later.get("worker_pid"),

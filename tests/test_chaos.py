@@ -217,7 +217,6 @@ class TestChaosEventStream:
         obs.configure(run)
         yield run
         obs.disarm()
-        obs.REGISTRY.reset()
 
     @staticmethod
     def _assert_recovered(events, fires):

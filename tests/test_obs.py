@@ -1,4 +1,4 @@
-"""Telemetry plane: event bus, metrics, manifests, and the summarizer.
+"""Telemetry plane: event bus, manifests, and the summarizer.
 
 The acceptance bar for the observability layer (mirroring the chaos
 suite's bit-identity bar): a chaos-storm campaign must be fully
@@ -7,6 +7,7 @@ outcome, every injected fault, and the recovery that followed it.
 """
 
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -22,8 +23,8 @@ from repro.dram.system import MemorySystem, MemorySystemConfig
 from repro.ecc import Chipkill18
 from repro.experiments import parallel
 from repro.faults.fit_rates import MemoryOrg
-from repro.faults.montecarlo import EolCapacitySim, _eol_cell
-from repro.obs import history, metrics
+from repro.faults.montecarlo import EolCapacitySim, _eol_cell, eol_fraction_by_channels
+from repro.obs import history
 from repro.obs.manifest import load_manifest, manifest_dict, write_manifest
 from repro.obs.progress import Follower
 from repro.obs.summarize import read_events, render, summarize
@@ -41,12 +42,11 @@ def _subprocess_env():
 
 @pytest.fixture
 def run_dir(tmp_path):
-    """Arm the bus against a temp run dir; disarm and reset afterwards."""
+    """Arm the bus against a temp run dir; disarm afterwards."""
     run = tmp_path / "obs-run"
     obs.configure(run)
     yield run
     obs.disarm()
-    obs.REGISTRY.reset()
 
 
 class TestObsFlag:
@@ -123,34 +123,6 @@ class TestEventBus:
         assert obs.worker_config() is None
         obs.ensure_worker(None)  # no-op
         assert not obs.enabled()
-
-
-class TestMetrics:
-    def test_counter_gauge_timer(self):
-        reg = metrics.MetricsRegistry()
-        reg.counter("c").inc()
-        reg.counter("c").inc(4)
-        reg.gauge("g").set(2.5)
-        reg.timer("t").observe(0.5)
-        reg.timer("t").observe(1.5)
-        snap = reg.snapshot()
-        assert snap["counters"]["c"] == 5
-        assert snap["gauges"]["g"] == 2.5
-        t = snap["timers"]["t"]
-        assert t["count"] == 2 and t["total_s"] == 2.0
-        assert t["min_s"] == 0.5 and t["max_s"] == 1.5 and t["mean_s"] == 1.0
-
-    def test_timer_context_manager(self):
-        reg = metrics.MetricsRegistry()
-        with reg.timer("t").time():
-            pass
-        assert reg.timer("t").count == 1
-
-    def test_reset(self):
-        reg = metrics.MetricsRegistry()
-        reg.counter("c").inc()
-        reg.reset()
-        assert reg.snapshot() == {"counters": {}, "gauges": {}, "timers": {}}
 
 
 class TestManifest:
@@ -265,6 +237,19 @@ class TestMcEvents:
         assert chunks[-1]["done"] == 600
         assert chunks[-1]["running_mean"] == pytest.approx(armed.fractions.mean())
 
+    def test_pooled_totals_match_serial(self, tmp_path):
+        """Pool workers' chunks reach the stream: totals do not depend on jobs."""
+        totals = {}
+        for jobs in (1, 2):
+            run = obs.configure(tmp_path / f"jobs{jobs}")
+            try:
+                eol_fraction_by_channels([2, 4], trials=4000, jobs=jobs, use_cache=False)
+            finally:
+                obs.disarm()
+            summary = summarize(run)
+            totals[jobs] = (summary["mc"]["trials"], summary["kinds"]["engine.ok"])
+        assert totals[1] == totals[2] == (8000, 2)
+
 
 class TestSimEvents:
     def _run_sim(self):
@@ -283,18 +268,17 @@ class TestSimEvents:
             EccTrafficModel.for_scheme(scheme),
             llc=LLC(size_bytes=64 * 1024, line_size=scheme.line_size),
         )
-        return sys_.run(0, 10_000)
+        sys_.run(0, 10_000)
+        return sys_
 
     def test_sim_run_event(self, run_dir):
-        self._run_sim()
+        sys_ = self._run_sim()
         (ev,) = [e for e in read_events(run_dir) if e["kind"] == "sim.run"]
-        assert ev["events_scheduled"] > 0
+        assert ev["events_scheduled"] == sys_.events_scheduled > 0
         assert ev["llc_misses"] > 0
         assert ev["issued_requests"] >= ev["fast_picks"] > 0
         assert 0 < ev["fast_pick_rate"] <= 1
-        snap = obs.REGISTRY.snapshot()
-        assert snap["counters"]["sim.runs"] == 1
-        assert snap["counters"]["sim.events"] == ev["events_scheduled"]
+        assert summarize(run_dir)["sim"]["runs"] == 1
 
 
 class TestSummarizeChaosStorm:
@@ -324,7 +308,6 @@ class TestSummarizeChaosStorm:
             )
         finally:
             obs.disarm()
-            obs.REGISTRY.reset()
         assert len(out) == len(PAYLOADS)
         return summarize(run)
 
@@ -368,6 +351,25 @@ class TestSummarizeChaosStorm:
         )
         parsed = json.loads(out.stdout)
         assert parsed["engine"]["totals"]["ok"] == len(PAYLOADS)
+
+
+class TestChaosRecoveryScope:
+    def test_recovery_is_not_borrowed_from_another_campaign(self, run_dir):
+        """A firing whose task failed stays unrecovered even when a later
+        campaign in the same run dir succeeds on the same task index."""
+        payloads = [(1, 2), (3, 4)]
+        with pytest.raises(parallel.CampaignError):
+            list(
+                parallel.run_tasks(
+                    operator.add, payloads, jobs=2, chaos="corrupt@0#*",
+                    retries=0, backoff=0, batch=1,
+                )
+            )
+        clean = parallel.run_tasks(operator.add, payloads, jobs=2, backoff=0, batch=1)
+        assert sorted(clean) == [3, 7]
+        (fire,) = summarize(run_dir)["chaos"]
+        assert (fire["mode"], fire["index"]) == ("corrupt", 0)
+        assert fire["recovered"] is False and fire["recovery"] is None
 
 
 class TestTornLines:
@@ -473,7 +475,6 @@ class TestSupervisorSummary:
         finally:
             chaos.arm_io(None)
             obs.disarm()
-            obs.REGISTRY.reset()
         return run
 
     def test_pause_resume_reconstructed(self, paused_run):

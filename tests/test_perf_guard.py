@@ -252,12 +252,6 @@ class TestHistoryLedger:
         entry = history.entry_for(p, repo=repo)
         assert entry["git_sha"] and len(entry["git_sha"]) == 40
 
-    def test_median(self):
-        assert history.median([3.0, 1.0, 2.0]) == 2.0
-        assert history.median([1.0, 2.0, 3.0, 4.0]) == 2.5
-        with pytest.raises(ValueError):
-            history.median([])
-
     def test_cli_append(self, tmp_path):
         import os
         import subprocess as sp

@@ -40,7 +40,6 @@ def armed(tmp_path):
     obs.configure(run)
     yield run
     obs.disarm()
-    obs.REGISTRY.reset()
 
 
 class TestFollower:
@@ -107,7 +106,6 @@ class TestTrackerDeterminism:
             list(parallel.run_tasks(_square, PAYLOADS, jobs=jobs, backoff=0))
         finally:
             obs.disarm()
-            obs.REGISTRY.reset()
         return run
 
     def test_serial_and_parallel_streams_bit_identical(self, tmp_path):
@@ -198,7 +196,6 @@ class TestLiveFollow:
             list(parallel.run_tasks(_square, PAYLOADS, jobs=2, backoff=0))
         finally:
             obs.disarm()
-            obs.REGISTRY.reset()
         out, err = follower.communicate(timeout=60)
         assert follower.returncode == 0, err
         lines = [json.loads(l) for l in out.splitlines()]

@@ -61,7 +61,6 @@ def armed(tmp_path):
     obs.configure(run)
     yield run
     obs.disarm()
-    obs.REGISTRY.reset()
 
 
 class TestBatchKnob:

@@ -51,7 +51,6 @@ def traced(tmp_path):
     yield run
     trace.adopt(None)  # drop any ambient context a test installed
     obs.disarm()
-    obs.REGISTRY.reset()
 
 
 class TestSpanPrimitives:
@@ -147,7 +146,6 @@ class TestCampaignForest:
         finally:
             trace.adopt(None)
             obs.disarm()
-            obs.REGISTRY.reset()
         return results, read_events(run), run
 
     def test_results_match_fault_free_serial(self, campaign):
@@ -341,7 +339,6 @@ class TestChromeExport:
             obs.emit("engine.start", mode="engine", tasks=1)
         finally:
             obs.disarm()
-            obs.REGISTRY.reset()
         self._validate(export_events(read_events(run)))
 
 
@@ -356,7 +353,6 @@ class TestRotation:
                 obs.emit("rot.fill", mode="engine", i=i, pad="x" * 64)
         finally:
             obs.disarm()
-            obs.REGISTRY.reset()
         rotated = run / (obs.EVENTS_FILE + ".1")
         assert rotated.exists()
         # Every line in both generations parses: rotation cut on a boundary.
@@ -379,7 +375,6 @@ class TestRotation:
                         pass
         finally:
             obs.disarm()
-            obs.REGISTRY.reset()
         forest = build_forest(read_events(run))
         root = primary_root(forest)
         assert root.name == "rot.root"
