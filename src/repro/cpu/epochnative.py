@@ -53,6 +53,7 @@ from repro.dram.channel import MemRequest
 from repro.dram.power import RankEnergyCounters
 from repro.ecc.base import EccTraffic
 from repro.util.native import NativeCore
+from repro.workloads.generator import TraceStream
 
 #: Max cores the native loop supports (fixed-size trace-buffer slots).
 MAX_CORES = 64
@@ -102,9 +103,9 @@ typedef struct {
     int64_t *posted, *loads, *instr, *pend_addr;
     int64_t done_cnt;
     /* trace buffers (per-core pointers owned by Python) */
-    int64_t *buf_gap[64]; int64_t *buf_addr[64];
-    uint8_t *buf_wr[64]; int64_t *buf_dt[64];
+    int64_t *buf_gap[64]; int64_t *buf_addr[64]; uint8_t *buf_wr[64];
     int64_t buf_i[64], buf_n[64];
+    double ipc;
     /* event heap: 4 int64 per entry */
     int64_t *h; int64_t h_len, h_cap, seq;
     /* run control */
@@ -559,7 +560,12 @@ static int64_t core_event(KS *k, int64_t now, int64_t cid) {
     k->pend_addr[cid] = k->buf_addr[cid][bi];
     k->pend_wr[cid] = k->buf_wr[cid][bi];
     k->has_pend[cid] = 1;
-    hpush(k, now + k->buf_dt[cid][bi], EV_ACCESS_, cid);
+    /* max(1, ceil(gap / IPC)) in float64, as the reference computes it */
+    double q = (double)gap / k->ipc;
+    int64_t dt = (int64_t)q;
+    if ((double)dt < q) dt += 1;
+    if (dt < 1) dt = 1;
+    hpush(k, now + dt, EV_ACCESS_, cid);
     return RC_HANDLED_;
 }
 
@@ -1028,34 +1034,34 @@ def run_native(sim, warmup_instructions: int, measure_instructions: int) -> SimR
     ks.done_cnt = sum(1 for c in cores if c.done)
 
     # -- trace buffers ------------------------------------------------------------------
+    ks.ipc = IPC
     traces = [c.trace for c in cores]
     chunk = [_CHUNK_MIN] * n_cores
     hold_bufs = [None] * n_cores
 
     def refill(cid) -> bool:
-        """Load the next trace batch of core *cid*; False when exhausted."""
+        """Point core *cid* at its next trace batch; False when exhausted.
+
+        ``TraceStream.take_batch`` hands over its stored contiguous
+        int64/int64/bool blocks, so this only swaps pointers (bool is one
+        byte, 0 or 1); other iterators are staged into such arrays.
+        """
         tr = traces[cid]
-        tb = getattr(tr, "take_batch", None)
-        if tb is not None:
-            gaps, lines, writes = tb()
+        if isinstance(tr, TraceStream):
+            gaps, lines, writes = tr.take_batch()
         else:
             items = list(islice(tr, chunk[cid]))
             chunk[cid] = min(2 * chunk[cid], _CHUNK_MAX)
             gaps, lines, writes = zip(*items) if items else ((), (), ())
+            gaps = np.array(gaps, dtype=np.int64)
+            lines = np.array(lines, dtype=np.int64)
+            writes = np.array(writes, dtype=np.bool_)
         if not len(gaps):
             return False
-        gaps = np.ascontiguousarray(gaps, dtype=np.int64)
-        bufs = (
-            gaps,
-            np.ascontiguousarray(lines, dtype=np.int64),
-            np.ascontiguousarray(writes, dtype=np.uint8),
-            np.maximum(1, np.ceil(gaps / IPC)).astype(np.int64),
-        )
-        hold_bufs[cid] = bufs
-        ks.buf_gap[cid] = ffi.cast("int64_t *", bufs[0].ctypes.data)
-        ks.buf_addr[cid] = ffi.cast("int64_t *", bufs[1].ctypes.data)
-        ks.buf_wr[cid] = ffi.cast("uint8_t *", bufs[2].ctypes.data)
-        ks.buf_dt[cid] = ffi.cast("int64_t *", bufs[3].ctypes.data)
+        hold_bufs[cid] = (gaps, lines, writes)
+        ks.buf_gap[cid] = ffi.cast("int64_t *", gaps.ctypes.data)
+        ks.buf_addr[cid] = ffi.cast("int64_t *", lines.ctypes.data)
+        ks.buf_wr[cid] = ffi.cast("uint8_t *", writes.ctypes.data)
         ks.buf_i[cid] = 0
         ks.buf_n[cid] = len(gaps)
         return True

@@ -73,7 +73,7 @@ import shutil
 import signal
 import tempfile
 import time
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool, _ExceptionWithTraceback
 from dataclasses import asdict, dataclass, field
@@ -86,6 +86,7 @@ from repro.experiments import evaluation, resultcodec
 from repro.experiments.runner import RunSpec, run
 from repro.util import chaos as chaos_mod
 from repro.util import envcfg
+from repro.workloads import generator
 from repro.workloads.profiles import WORKLOADS_BY_NAME
 
 #: Retry budget per task beyond the first attempt when ``run_tasks`` gets
@@ -957,6 +958,15 @@ def run_cells(
     :class:`CampaignError` / :class:`TaskError` with its ``(system_class,
     workload, config_key, ...)`` payload attached, so it is identifiable
     without rerunning the sweep.
+
+    The sweep shares each workload's drawn trace blocks across its
+    configs (see :mod:`repro.workloads.generator`): the memo is dropped
+    before the first cell and after the last (errors included), and pool
+    workers die with the pool, so no sweep reads blocks drawn before it.
+    Each pool worker keeps its own memo, so ``batch="auto"`` (the
+    default) submits one workload's cells per super-task: cells arrive
+    workload-major, and a worker then replays one set of blocks across
+    the configs, as the serial path does.
     """
     cells = list(cells)
     payloads = [
@@ -967,4 +977,10 @@ def run_cells(
         "warm",
         (_warm_cells, (system_class, tuple(sorted({key for _, key in cells})), fidelity.scale)),
     )
-    return run_tasks(_run_cell, payloads, jobs=jobs, **options)
+    if options.get("batch", "auto") == "auto":
+        options["batch"] = max(Counter(wl for wl, _ in cells).values(), default=1)
+    generator.drop_shared_blocks()
+    try:
+        yield from run_tasks(_run_cell, payloads, jobs=jobs, **options)
+    finally:
+        generator.drop_shared_blocks()

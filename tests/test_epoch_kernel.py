@@ -158,6 +158,18 @@ class TestKernelIdentityScenarios:
                           [iter([(10, 5, False), (8, 6, True), (4, 999, False)])]),
             0, 1000, monkeypatch)
 
+    @pytest.mark.parametrize("ipc", [1.5, 3.0, 0.7])
+    def test_core_event_gap_cycles(self, ipc, monkeypatch):
+        """The C core's max(1, ceil(gap / IPC)) matches the reference's."""
+
+        def mk():
+            sim = build(Chipkill18(), wl_traces("gcc", 9)
+                        + [iter([(0, 7, False), (1, 8, True), (5, 9, False)] * 50)])
+            sim.IPC = ipc
+            return sim
+
+        assert_identical(mk, 1000, 5000, monkeypatch)
+
     @pytest.mark.parametrize("tag", sorted(SCHEMES))
     def test_scheme_sweep(self, tag, monkeypatch):
         scheme = SCHEMES[tag]()

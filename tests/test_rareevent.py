@@ -212,6 +212,43 @@ class TestWeightedTally:
         assert tally.mean == pytest.approx(tally.sum_wv / tally.n, rel=1e-12)
         assert tally.n == 3 * MAX_TALLY_POINTS
 
+    @staticmethod
+    def _compare_compaction(values, weights):
+        """Heap compaction == the quadratic oracle: same items, same order."""
+        uniq, inverse = np.unique(values, return_inverse=True)
+        w = np.bincount(inverse, weights=weights)
+        q = np.bincount(inverse, weights=weights * weights)
+        hist = dict(zip(uniq.tolist(), zip(w.tolist(), q.tolist())))
+        fast, ref = WeightedTally(), WeightedTally()
+        fast._hist = {v: list(c) for v, c in hist.items()}
+        ref._hist = {v: list(c) for v, c in hist.items()}
+        fast._compact()
+        ref._compact_reference()
+        assert fast.compacted == ref.compacted > 0
+        got, want = list(fast._hist.items()), list(ref._hist.items())
+        assert got == want
+        assert np.array([v for v, _ in got]).tobytes() == np.array([v for v, _ in want]).tobytes()
+
+    @pytest.mark.parametrize("case", ["normal", "equal_gaps", "grid_ties", "zero_weights"])
+    def test_compaction_matches_reference(self, case, rng, monkeypatch):
+        from repro.faults import rareevent
+
+        monkeypatch.setattr(rareevent, "MAX_TALLY_POINTS", 64)
+        n = 300
+        if case == "normal":
+            values, weights = rng.normal(size=n), rng.random(n) + 0.1
+        elif case == "equal_gaps":  # every neighbour gap ties at first
+            values, weights = np.arange(n) * 0.5, np.ones(n)
+        elif case == "grid_ties":  # repeated values on a coarse grid, uneven weights
+            values, weights = np.round(rng.normal(size=4 * n), 2), rng.integers(1, 4, 4 * n) * 1.0
+        else:  # zero-weight pairs merge at the plain midpoint
+            values, weights = rng.random(n), rng.integers(0, 2, n) * 1.0
+        self._compare_compaction(values, weights)
+
+    def test_compaction_matches_reference_at_cap(self, rng):
+        values = np.round(rng.normal(size=MAX_TALLY_POINTS + 500), 4)
+        self._compare_compaction(values, np.ones_like(values))
+
     def test_scaled_preserves_values_and_ess(self, rng):
         tally = WeightedTally()
         tally.add(rng.random(100), rng.random(100) + 0.5)
