@@ -25,8 +25,13 @@ Build model: the C source below is compiled once per source hash into
 
 Identity-critical conventions shared with the reference loop:
 
-* events are ``(time, seq, kind, payload)`` with ``seq`` incremented at
-  exactly the reference push sites, so heap order replays exactly;
+* events pop in the reference heap's ``(time, seq)`` order, with ``seq``
+  incremented at exactly the reference push sites.  The queue is a timing
+  wheel of 4096 one-cycle FIFO buckets ahead of the current cycle, plus a
+  ``(time, seq)`` overflow heap for events pushed further ahead (scrub
+  ticks, bursts).  An overflow event moves into its bucket as soon as the
+  wheel reaches it, before any handler at the new cycle runs, so every
+  bucket fills in push order and FIFO order within a cycle is seq order;
 * DRAM decode is recomputed arithmetically per address (positive int64
   division matches Python floor division);
 * pending-request counts are recounted from the queue at pick time,
@@ -39,6 +44,7 @@ the reference would have.  Nothing reads a trace iterator after ``run()``.
 
 from __future__ import annotations
 
+import mmap
 import os
 from collections import deque
 from itertools import islice
@@ -58,9 +64,10 @@ from repro.workloads.generator import TraceStream
 #: Max cores the native loop supports (fixed-size trace-buffer slots).
 MAX_CORES = 64
 
-#: Event-heap capacity (entries).  Live events are bounded by a few per
-#: core plus queue occupancy and in-flight channel wakeups - observed
-#: peaks are in the hundreds; overflow raises rather than truncates.
+#: Event-queue capacity: live events in the wheel and the overflow heap
+#: together.  They are bounded by a few per core plus queue occupancy and
+#: in-flight channel wakeups - observed peaks are in the hundreds;
+#: overflow raises rather than truncates.
 HEAP_CAP = 1 << 17
 
 #: Queue entries carry a packed (rank, bank, row) key:
@@ -106,8 +113,14 @@ typedef struct {
     int64_t *buf_gap[64]; int64_t *buf_addr[64]; uint8_t *buf_wr[64];
     int64_t buf_i[64], buf_n[64];
     double ipc;
-    /* event heap: 4 int64 per entry */
+    /* event queue: a timing wheel of 4096 one-cycle FIFO buckets covering
+       [w_base, w_base + 4096), nodes (kind | payload << 3, next) bump-
+       allocated from w_node, plus an overflow heap of far events (4 int64
+       per entry: time, seq, kind, payload); h_cap bounds all live events */
     int64_t *h; int64_t h_len, h_cap, seq;
+    int64_t *w_node; int64_t w_base, w_cnt, w_used, w_free;
+    int32_t w_head[4096], w_tail[4096];
+    uint64_t w_occ[64], w_sum;
     /* run control */
     int64_t now, total, limit, target;
     int64_t resume_cid, resume_now, resume_ok;
@@ -172,14 +185,21 @@ _CSRC = r"""
 #define RC_GROW_WINDOW_ -3
 #define RC_HANDLED_     -4   /* internal: event fully handled */
 
-/* -- event heap: (time, seq) ordered, 4 int64 per entry -------------------- */
+/* -- event queue: pops in (time, seq) order ---------------------------------
+   Events less than WHEEL_ cycles past w_base sit in the wheel bucket of
+   their cycle; later ones wait in the overflow heap.  w_base only moves
+   forward, to each popped time, and every move first pulls the overflow
+   events that now fall inside the wheel, in heap order.  So a bucket's
+   far events enter it before any handler at the new time can push to it,
+   and FIFO order within a cycle is seq order. */
 
-static void hpush(KS *k, int64_t t, int64_t kind, int64_t payload) {
+#define WHEEL_ 4096
+#define WMASK_ (WHEEL_ - 1)
+
+/* overflow heap: (time, seq) ordered, 4 int64 per entry */
+static void o_push(KS *k, int64_t t, int64_t s, int64_t kind, int64_t payload) {
     int64_t *h = k->h;
-    int64_t i = k->h_len;
-    if (i >= k->h_cap) { k->error = ERR_HEAP_; return; }
-    k->h_len = i + 1;
-    int64_t s = k->seq++;
+    int64_t i = k->h_len++;
     while (i > 0) {
         int64_t par = (i - 1) >> 1;
         int64_t *pe = h + par * 4;
@@ -192,7 +212,7 @@ static void hpush(KS *k, int64_t t, int64_t kind, int64_t payload) {
     ie[0] = t; ie[1] = s; ie[2] = kind; ie[3] = payload;
 }
 
-static void hpop(KS *k, int64_t *t, int64_t *kind, int64_t *payload) {
+static void o_pop(KS *k, int64_t *t, int64_t *kind, int64_t *payload) {
     int64_t *h = k->h;
     *t = h[0]; *kind = h[2]; *payload = h[3];
     int64_t n = --k->h_len;
@@ -212,6 +232,77 @@ static void hpop(KS *k, int64_t *t, int64_t *kind, int64_t *payload) {
     }
     int64_t *ie = h + i * 4;
     ie[0] = lt; ie[1] = ls; ie[2] = lk; ie[3] = lp;
+}
+
+/* append to the tail of cycle t's bucket (w_base <= t < w_base + WHEEL_) */
+static void w_append(KS *k, int64_t t, int64_t kind, int64_t payload) {
+    int64_t n = k->w_free;
+    if (n >= 0) k->w_free = k->w_node[n * 2 + 1];
+    else n = k->w_used++;
+    k->w_node[n * 2] = payload << 3 | kind;
+    int64_t b = t & WMASK_, w = b >> 6;
+    if (k->w_occ[w] >> (b & 63) & 1) {
+        k->w_node[k->w_tail[b] * 2 + 1] = n;
+    } else {
+        k->w_head[b] = (int32_t)n;
+        k->w_occ[w] |= 1ull << (b & 63);
+        k->w_sum |= 1ull << w;
+    }
+    k->w_tail[b] = (int32_t)n;
+    k->w_cnt++;
+}
+
+/* move the overflow events that now fall inside the wheel */
+static void w_pull(KS *k) {
+    int64_t lim = k->w_base + WHEEL_;
+    while (k->h_len && k->h[0] < lim) {
+        int64_t t, kind, payload;
+        o_pop(k, &t, &kind, &payload);
+        w_append(k, t, kind, payload);
+    }
+}
+
+static void hpush(KS *k, int64_t t, int64_t kind, int64_t payload) {
+    if (k->w_cnt + k->h_len >= k->h_cap) { k->error = ERR_HEAP_; return; }
+    int64_t s = k->seq++;
+    if (t - k->w_base < WHEEL_) w_append(k, t, kind, payload);
+    else o_push(k, t, s, kind, payload);
+}
+
+/* pop the earliest event; the queue must not be empty */
+static void hpop(KS *k, int64_t *t, int64_t *kind, int64_t *payload) {
+    if (!k->w_cnt) {  /* only far events left: jump to the earliest */
+        k->w_base = k->h[0];
+        w_pull(k);
+    }
+    /* first occupied bucket at or after w_base's, wrapping around */
+    int64_t b0 = k->w_base & WMASK_, w = b0 >> 6, b;
+    uint64_t bits = k->w_occ[w] & (~0ull << (b0 & 63));
+    if (bits) {
+        b = w << 6 | __builtin_ctzll(bits);
+    } else {
+        uint64_t s = w < 63 ? k->w_sum & (~0ull << (w + 1)) : 0;
+        if (!s) s = k->w_sum;
+        w = __builtin_ctzll(s);
+        b = w << 6 | __builtin_ctzll(k->w_occ[w]);
+    }
+    int64_t now = k->w_base + ((b - b0) & WMASK_);
+    if (now != k->w_base) {
+        k->w_base = now;
+        w_pull(k);
+    }
+    int64_t n = k->w_head[b];
+    int64_t *nd = k->w_node + n * 2;
+    *t = now; *kind = nd[0] & 7; *payload = nd[0] >> 3;
+    if (n == k->w_tail[b]) {
+        k->w_occ[w] &= ~(1ull << (b & 63));
+        if (!k->w_occ[w]) k->w_sum &= ~(1ull << w);
+    } else {
+        k->w_head[b] = (int32_t)nd[1];
+    }
+    nd[1] = k->w_free;
+    k->w_free = n;
+    k->w_cnt--;
 }
 
 void push_event(KS *k, int64_t t, int64_t kind, int64_t payload) {
@@ -753,7 +844,7 @@ int64_t epoch_run(KS *k) {
         }
         if (k->error) return -10 - k->error;
     }
-    while (k->h_len) {
+    while (k->w_cnt + k->h_len) {
         int64_t t, kind, payload;
         hpop(k, &t, &kind, &payload);
         k->now = t;
@@ -817,6 +908,18 @@ def _unpack_key(pk: int) -> "tuple[int, int, int]":
     row = pk & ((1 << _PK_ROW_BITS) - 1)
     bank = (pk >> _PK_ROW_BITS) & ((1 << _PK_BANK_BITS) - 1)
     return pk >> (_PK_ROW_BITS + _PK_BANK_BITS), bank, row
+
+
+def _anon_i64(n: int) -> np.ndarray:
+    """*n* int64 slots on an anonymous mapping of their own.
+
+    Pages the core never touches never become resident, and the mapping
+    goes back to the OS when the array dies.  A malloc'd block of this
+    size would instead raise glibc's dynamic mmap threshold when freed, so
+    later multi-MiB allocations would stay resident in the heap (measured:
+    +1-7 MB peak RSS across the e2e simulation workloads).
+    """
+    return np.frombuffer(mmap.mmap(-1, n * 8), dtype=np.int64)
 
 
 def available() -> bool:
@@ -975,7 +1078,7 @@ def run_native(sim, warmup_instructions: int, measure_instructions: int) -> SimR
     l_tags, ks.l_tags = i64(llc._tags)
     l_lru, ks.l_lru = i64(llc._lru)
     l_dirty, ks.l_dirty = u8(llc._dirty)
-    l_kind, ks.l_kind = u8([int(v) for v in llc._kind])
+    l_kind, ks.l_kind = u8(np.fromiter(llc._kind, np.uint8, count=len(llc._kind)))
     l_fill, ks.l_fill = i64(llc._fill)
     ks.clock, ks.hits, ks.misses = llc._clock, llc._hits, llc._misses
     ks.evictions_dirty = llc._evictions_dirty
@@ -1070,9 +1173,13 @@ def run_native(sim, warmup_instructions: int, measure_instructions: int) -> SimR
         ks.buf_i[cid] = 0
         ks.buf_n[cid] = 0
 
-    # -- heap / snapshots / control -----------------------------------------------------
-    _, ks.h = i64(np.zeros(HEAP_CAP * 4, dtype=np.int64))
+    # -- event queue / snapshots / control ----------------------------------------------
+    # The core writes every overflow-heap entry and wheel node before it
+    # reads one, and bump-allocates nodes, so only the pages in use fault in.
+    _, ks.h = i64(_anon_i64(HEAP_CAP * 4))
+    _, ks.w_node = i64(_anon_i64(HEAP_CAP * 2))
     ks.h_len, ks.h_cap = 0, HEAP_CAP
+    ks.w_free = -1
     ks.seq = sim._seq
     snap_cnt, ks.snap_cnt = i64(np.zeros(6 * n_ranks, dtype=np.int64))
     ks.now = sim.now
@@ -1091,13 +1198,15 @@ def run_native(sim, warmup_instructions: int, measure_instructions: int) -> SimR
     ks.n_ecc_w = sim.counters.ecc_writes
 
     # Initial events in reference push order: one EV_CORE per core, the
-    # first scrub tick, then one EV_BURST per scheduled burst.
-    for cid in range(n_cores):
-        lib.push_event(ks, 0, EV_CORE, cid)
+    # first scrub tick, then one EV_BURST per scheduled burst.  The wheel
+    # starts at the earliest of them.
+    initial = [(0, EV_CORE, cid) for cid in range(n_cores)]
     if scrub is not None:
-        lib.push_event(ks, scrub.interval_cycles, EV_SCRUB, 0)
-    for i, (cycle, _, _, _) in enumerate(sim._bursts):
-        lib.push_event(ks, cycle, EV_BURST, i)
+        initial.append((scrub.interval_cycles, EV_SCRUB, 0))
+    initial += [(cycle, EV_BURST, i) for i, (cycle, _, _, _) in enumerate(sim._bursts)]
+    ks.w_base = min((ev[0] for ev in initial), default=0)
+    for ev in initial:
+        lib.push_event(ks, *ev)
 
     # -- run, servicing refill and window-growth requests -------------------------------
     rc = lib.epoch_run(ks)

@@ -1,5 +1,6 @@
 """DRAM substrate tests: timing, power model, channel scheduling, mapping."""
 
+import dataclasses
 import heapq
 
 import pytest
@@ -332,11 +333,14 @@ class TestRefresh:
 
     def test_throughput_dip_is_bounded(self):
         """Refresh costs roughly tRFC per tREFI, no more."""
+        # A short tREFI lets a few hundred requests cross several refreshes
+        # (the channel scans its whole queue for every request it starts).
+        t = dataclasses.replace(DDR3Timing(), trefi=700)
 
         def span_with(first_deadline):
-            ch = Channel(ranks=1)
+            ch = Channel(ranks=1, timing=t)
             ch.ranks[0].next_refresh = first_deadline
-            for i in range(3000):
+            for i in range(300):
                 ch.enqueue(MemRequest(rank=0, bank=i % 8, row=0, is_write=False, arrive=0))
             done = drain(ch, 0)
             return max(r.complete for r in done), ch.ranks[0].refreshes
@@ -344,6 +348,5 @@ class TestRefresh:
         base, _ = span_with(1 << 40)  # refresh effectively disabled
         with_ref, n_ref = span_with(1000)
         assert n_ref >= 1
-        t = Channel(ranks=1).timing
         overhead = with_ref - base
         assert 0 <= overhead <= (n_ref + 1) * t.trfc

@@ -26,7 +26,7 @@ from repro.cpu import epochnative
 from repro.cpu.degraded import DegradedMode
 from repro.cpu.ecc_traffic import EccTrafficModel
 from repro.cpu.llc import LLC
-from repro.cpu.system import ScrubConfig, SimSystem
+from repro.cpu.system import EV_CORE, ScrubConfig, SimSystem
 from repro.dram.system import MemorySystem, MemorySystemConfig
 from repro.ecc import Chipkill18, Chipkill36, LotEcc5, LotEcc9, MultiEcc
 from repro.ecc.catalog import QUAD_EQUIVALENT
@@ -122,7 +122,10 @@ def res_of(res):
 
 
 def assert_identical(mk, warmup, measure, monkeypatch, bursts=(), ipc_window=None):
-    """Reference vs ``run`` on the epoch kernel - full-state bit identity."""
+    """Reference vs ``run`` on the epoch kernel - full-state bit identity.
+
+    Returns the reference system, for checks on what the run reached.
+    """
 
     def prepared():
         sim = mk()
@@ -144,6 +147,7 @@ def assert_identical(mk, warmup, measure, monkeypatch, bursts=(), ipc_window=Non
     got = state_of(epo)
     for key in want_state:
         assert got[key] == want_state[key], f"state[{key}] diverged"
+    return ref
 
 
 def wl_traces(wl_name, seed, cores=4, scale=64, line=64):
@@ -301,6 +305,93 @@ class TestKernelIdentityProperty:
             lambda: build(scheme, wl_traces(profile, seed, cores=cores,
                                             line=scheme.line_size), **kw),
             warmup, measure, monkeypatch)
+
+
+def record_pushes(sim):
+    """Log every reference-loop push on *sim* as ``(now, time, kind)``."""
+    log = []
+    push = sim._push
+
+    def recording(time, kind, payload):
+        log.append((sim.now, time, kind))
+        push(time, kind, payload)
+
+    sim._push = recording
+    return log
+
+
+class TestEventQueueEdges:
+    """The core's event queue is a 4096-cycle timing wheel plus an overflow
+    heap for events pushed further ahead; these runs cross its edges."""
+
+    WHEEL = 4096
+
+    def test_far_bursts_several_turns_apart(self, monkeypatch):
+        bursts = [(self.WHEEL, 64, 32, 1 << 30), (3 * self.WHEEL + 1, 32, 64, 1 << 31),
+                  (9 * self.WHEEL - 1, 16, 16, 0)]
+        ref = assert_identical(lambda: build(Chipkill18(), wl_traces("mcf", 11)),
+                               2000, 70000, monkeypatch, bursts=bursts)
+        assert ref.now > bursts[-1][0]
+
+    def test_far_bursts_after_traces_end(self, monkeypatch):
+        """Only far events are left: the wheel empties and jumps ahead."""
+        trace = [(4, 64 * i, i % 4 == 0) for i in range(40)]
+        bursts = [(50_000, 8, 8, 0), (50_000 + 2 * self.WHEEL, 4, 4, 1 << 20),
+                  (50_000 + 2 * self.WHEEL, 2, 0, 1 << 21), (10 ** 6, 1, 1, 0)]
+        ref = assert_identical(lambda: build(Chipkill18(), [iter(trace)]),
+                               0, 10 ** 6, monkeypatch, bursts=bursts)
+        assert ref.now > 10 ** 6
+
+    @pytest.mark.parametrize("interval", [4096, 6000])
+    def test_scrub_interval_beyond_wheel(self, interval, monkeypatch):
+        """Every scrub tick is pushed into the overflow heap."""
+        ref = assert_identical(
+            lambda: build(LotEcc5(), wl_traces("omnetpp", 12, line=LotEcc5().line_size),
+                          scrub=ScrubConfig(interval_cycles=interval, region_lines=4096)),
+            1000, 120_000, monkeypatch)
+        assert ref.scrub_reads >= 3
+
+    def test_burst_on_cycle_of_later_wheel_push(self, monkeypatch):
+        """A far burst shares its cycle with an event pushed from inside
+        the wheel by the very first handler after the burst came within
+        reach.  The burst (lower seq) must run first: the core step after
+        it crosses the stop target, so run second it would never run."""
+        # One core: a miss, a 4095-cycle gap to a hit on the same line,
+        # then a step HIT_LATENCY after that hit.
+        trace = [(2, 5, False), (2 * 4095, 5, False), (2, 9, False)]
+        measure = sum(gap for gap, _, _ in trace)
+
+        def mk():
+            return build(Chipkill18(), [iter(list(trace))])
+
+        probe = mk()
+        log = record_pushes(probe)
+        probe._run_reference(0, measure)
+        hit_at, cycle, _ = [p for p in log if p[2] == EV_CORE][2]
+        # The pop before the hit is a full wheel turn before `cycle`, so a
+        # burst there waits in the overflow heap until the hit's pop.
+        prev_pop = max(t for _, t, _ in log if t < hit_at)
+        assert prev_pop + self.WHEEL <= cycle < hit_at + self.WHEEL
+
+        ref = assert_identical(mk, 0, measure, monkeypatch,
+                               bursts=[(cycle, 8, 4, 1 << 24)])
+        assert ref.counters.data_reads > 1  # the burst ran before the stop
+
+    @pytest.mark.parametrize("cap", [6, 16])
+    def test_heap_cap_counts_wheel_and_overflow(self, cap, monkeypatch):
+        """HEAP_CAP bounds the live events of the wheel and the overflow
+        heap together: cap 6 is hit while the 11 initial events are pushed,
+        cap 16 once the burst at cycle 0 floods the wheel with channel
+        wakeups while six far bursts wait in the overflow heap."""
+        if not epochnative.available():
+            pytest.skip("compiled core unavailable")
+        monkeypatch.setattr(epochnative, "HEAP_CAP", cap)
+        sim = build(Chipkill18(), wl_traces("mcf", 13))
+        for i in range(6):
+            sim.schedule_burst(self.WHEEL * (i + 2), 1, 0, 0)
+        sim.schedule_burst(0, 40, 40, 1 << 30)
+        with pytest.raises(RuntimeError, match="epoch native event heap overflow"):
+            epochnative.run_native(sim, 1000, 5000)
 
 
 class TestNativeCore:
