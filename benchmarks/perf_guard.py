@@ -11,7 +11,10 @@ field in the committed baseline (``git show REF:results/...``, default
 regression and the guard exits non-zero.  A metric is skipped - loudly,
 not silently - when either side is missing or when ``quick_mode``
 differs between the fresh run and the baseline, since quick and full
-budgets are not comparable.
+budgets are not comparable.  A fresh file whose bytes equal its baseline
+is skipped in every table below: no bench rewrote it, so checking it
+would compare the baseline with itself.  The guard ends with a count of
+compared and skipped checks, and says ``checked nothing`` when none ran.
 
 A second table, ``FLOORS``, holds absolute minimums (currently: the
 parallel evaluation sweep must beat the serial one).  Those are checked
@@ -99,16 +102,31 @@ def _history_mod():
     return history
 
 
-def _baseline(ref: str, filename: str, repo: "Path | None" = None) -> "dict | None":
+class Tally:
+    """Counts of compared and skipped checks, for the closing line."""
+
+    def __init__(self) -> None:
+        self.compared = 0
+        self.skipped = 0
+
+    def skip(self, label: str, why: str) -> None:
+        print(f"SKIP {label}: {why}")
+        self.skipped += 1
+
+    def summary(self) -> str:
+        line = f"perf_guard: {self.compared} compared, {self.skipped} skipped"
+        return line + (" - checked nothing" if self.compared == 0 else "")
+
+
+def _baseline(ref: str, filename: str, repo: "Path | None" = None) -> "bytes | None":
     proc = subprocess.run(
         ["git", "show", f"{ref}:results/{filename}"],
         cwd=repo or REPO,
         capture_output=True,
-        text=True,
     )
     if proc.returncode != 0:
         return None
-    return json.loads(proc.stdout)
+    return proc.stdout
 
 
 def check(
@@ -116,34 +134,50 @@ def check(
     tolerance_pct: float = DEFAULT_TOLERANCE_PCT,
     results_dir: "Path | None" = None,
     repo: "Path | None" = None,
+    tally: "Tally | None" = None,
 ) -> "list[str]":
     """Return a list of regression messages (empty = pass)."""
     results_dir = results_dir or RESULTS
+    tally = Tally() if tally is None else tally
     failures = []
-    for filename, section, field in GUARDED:
-        label = f"{filename}:{section}.{field}"
+    baselines: "dict[str, bytes | None]" = {}
+
+    def fresh_doc(filename: str, label: str) -> "dict | None":
         fresh_path = results_dir / filename
         if not fresh_path.exists():
-            print(f"SKIP {label}: no fresh results file")
+            tally.skip(label, "no fresh results file")
+            return None
+        raw = fresh_path.read_bytes()
+        if filename not in baselines:
+            baselines[filename] = _baseline(ref, filename, repo)
+        if raw == baselines[filename]:
+            tally.skip(label, "fresh file is the committed baseline (no bench ran)")
+            return None
+        return json.loads(raw)
+
+    for filename, section, field in GUARDED:
+        label = f"{filename}:{section}.{field}"
+        doc = fresh_doc(filename, label)
+        if doc is None:
             continue
-        fresh_doc = json.loads(fresh_path.read_text())
-        base_doc = _baseline(ref, filename, repo)
-        if base_doc is None:
-            print(f"SKIP {label}: no committed baseline at {ref}")
+        if baselines[filename] is None:
+            tally.skip(label, f"no committed baseline at {ref}")
             continue
-        fresh = fresh_doc.get(section, {})
-        base = base_doc.get(section, {})
+        fresh = doc.get(section, {})
+        base = json.loads(baselines[filename]).get(section, {})
         if field not in fresh or field not in base:
-            print(f"SKIP {label}: field missing ({'fresh' if field not in fresh else 'baseline'})")
+            tally.skip(label, f"field missing ({'fresh' if field not in fresh else 'baseline'})")
             continue
         if fresh.get("quick_mode") != base.get("quick_mode"):
-            print(
-                f"SKIP {label}: quick_mode mismatch "
-                f"(fresh={fresh.get('quick_mode')}, baseline={base.get('quick_mode')})"
+            tally.skip(
+                label,
+                f"quick_mode mismatch "
+                f"(fresh={fresh.get('quick_mode')}, baseline={base.get('quick_mode')})",
             )
             continue
         floor = base[field] * (1 - tolerance_pct / 100.0)
         verdict = "FAIL" if fresh[field] < floor else "ok"
+        tally.compared += 1
         print(
             f"{verdict:>4} {label}: fresh={fresh[field]:,} baseline={base[field]:,} "
             f"floor={floor:,.0f} (-{tolerance_pct:g}%)"
@@ -155,19 +189,19 @@ def check(
             )
     for filename, section, field, floor in FLOORS:
         label = f"{filename}:{section}.{field}"
-        fresh_path = results_dir / filename
-        if not fresh_path.exists():
-            print(f"SKIP {label}: no fresh results file")
+        doc = fresh_doc(filename, label)
+        if doc is None:
             continue
-        fresh = json.loads(fresh_path.read_text()).get(section, {})
+        fresh = doc.get(section, {})
         if field not in fresh:
-            print(f"SKIP {label}: field missing (fresh)")
+            tally.skip(label, "field missing (fresh)")
             continue
         cpus, jobs = fresh.get("cpus"), fresh.get("jobs")
         if cpus is not None and jobs is not None and cpus < jobs:
-            print(f"SKIP {label}: {jobs} workers on {cpus} cpu(s), floor not meaningful")
+            tally.skip(label, f"{jobs} workers on {cpus} cpu(s), floor not meaningful")
             continue
         verdict = "FAIL" if fresh[field] < floor else "ok"
+        tally.compared += 1
         print(f"{verdict:>4} {label}: fresh={fresh[field]} absolute floor={floor}")
         if fresh[field] < floor:
             failures.append(
@@ -175,15 +209,15 @@ def check(
             )
     for filename, section, field, ceiling in CEILINGS:
         label = f"{filename}:{section}.{field}"
-        fresh_path = results_dir / filename
-        if not fresh_path.exists():
-            print(f"SKIP {label}: no fresh results file")
+        doc = fresh_doc(filename, label)
+        if doc is None:
             continue
-        fresh = json.loads(fresh_path.read_text()).get(section, {})
+        fresh = doc.get(section, {})
         if field not in fresh:
-            print(f"SKIP {label}: field missing (fresh)")
+            tally.skip(label, "field missing (fresh)")
             continue
         verdict = "FAIL" if fresh[field] > ceiling else "ok"
+        tally.compared += 1
         print(f"{verdict:>4} {label}: fresh={fresh[field]} absolute ceiling={ceiling}")
         if fresh[field] > ceiling:
             failures.append(
@@ -196,6 +230,7 @@ def check_trends(
     history_path: "Path | None" = None,
     window: int = TREND_WINDOW,
     tolerance_pct: float = DEFAULT_TOLERANCE_PCT,
+    tally: "Tally | None" = None,
 ) -> "list[str]":
     """Compare each guarded rate's newest ledger entry to its windowed median.
 
@@ -207,11 +242,12 @@ def check_trends(
     skip - a trend needs history.
     """
     hist = _history_mod()
+    tally = Tally() if tally is None else tally
     history_path = Path(history_path) if history_path else RESULTS / hist.HISTORY_FILE
     failures = []
     entries = hist.load(history_path)
     if not entries:
-        print(f"SKIP trends: no history ledger at {history_path}")
+        tally.skip("trends", f"no history ledger at {history_path}")
         return failures
     for filename, section, field in GUARDED:
         metric = f"{section}.{field}"
@@ -221,18 +257,19 @@ def check_trends(
             if e.get("file") == filename and metric in (e.get("metrics") or {})
         ]
         if not relevant:
-            print(f"SKIP {label}: metric absent from history")
+            tally.skip(label, "metric absent from history")
             continue
         latest = relevant[-1]
         prior = [e for e in relevant[:-1] if e.get("quick") == latest.get("quick")]
         values = [float(e["metrics"][metric]) for e in prior[-window:]]
         if len(values) < 2:
-            print(f"SKIP {label}: {len(values)} comparable prior entries, trend needs >= 2")
+            tally.skip(label, f"{len(values)} comparable prior entries, trend needs >= 2")
             continue
         med = statistics.median(values)
         floor = med * (1 - tolerance_pct / 100.0)
         fresh = float(latest["metrics"][metric])
         verdict = "FAIL" if fresh < floor else "ok"
+        tally.compared += 1
         print(
             f"{verdict:>4} {label}: fresh={fresh:,.0f} median[{len(values)}]={med:,.0f} "
             f"floor={floor:,.0f} (-{tolerance_pct:g}%)"
@@ -269,8 +306,10 @@ def main(argv: "list[str] | None" = None) -> int:
         help=f"prior history entries the trend median spans (default {TREND_WINDOW})",
     )
     args = parser.parse_args(argv)
-    failures = check(args.baseline, args.tolerance)
-    failures += check_trends(args.history, args.trend_window, args.tolerance)
+    tally = Tally()
+    failures = check(args.baseline, args.tolerance, tally=tally)
+    failures += check_trends(args.history, args.trend_window, args.tolerance, tally=tally)
+    print(tally.summary())
     for f in failures:
         print(f"REGRESSION: {f}", file=sys.stderr)
     return 1 if failures else 0

@@ -152,6 +152,7 @@ def two_fault_collision_mc(
         for k in ckpt.missing(blocks)
     ]
     if payloads:
-        for start, stop, count in parallel.run_tasks(_collision_block, payloads, jobs=jobs):
-            ckpt.save(key(start, stop), count)
+        with ckpt:
+            for start, stop, count in parallel.run_tasks(_collision_block, payloads, jobs=jobs):
+                ckpt.save(key(start, stop), count)
     return CollisionResult(trials, sum(ckpt.values[k] for k in blocks), geometry)

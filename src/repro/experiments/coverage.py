@@ -183,8 +183,9 @@ def coverage_study(
     independent (each reseeds from *seed*) and fan out over processes;
     schemes that are not rebuildable from their class name force the
     in-process path.  With ``use_cache=True``, finished cells checkpoint
-    to ``mc_coverage.json`` in the experiment cache directory after each
-    completion, so an interrupted or partially-failed campaign resumes
+    to ``mc_coverage.json`` in the experiment cache directory (appended
+    to its log after each completion, compacted when the campaign ends),
+    so an interrupted or partially-failed campaign resumes
     with only the missing cells recomputed (cells are keyed by scheme
     class, pattern, and every sizing knob; schemes not rebuildable from a
     class name are never cached, since the key can't capture their state).
@@ -205,8 +206,11 @@ def coverage_study(
         cells = {key(c, p): (c, p) for c in by_name for p in PATTERNS}
         payloads = [(*cells[k], trials, seed, chunk_size) for k in ckpt.missing(cells)]
         if payloads:
-            for cls_name, pname, counts in parallel.run_tasks(_coverage_cell, payloads, jobs=jobs):
-                ckpt.save(key(cls_name, pname), counts)
+            with ckpt:
+                for cls_name, pname, counts in parallel.run_tasks(
+                    _coverage_cell, payloads, jobs=jobs
+                ):
+                    ckpt.save(key(cls_name, pname), counts)
         results = {cell: [int(v) for v in ckpt.values[k]] for k, cell in cells.items()}
     else:
         # Schemes we can't rebuild from a class name don't cross processes.

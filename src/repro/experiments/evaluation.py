@@ -141,9 +141,11 @@ def evaluation_matrix(
     processes when *jobs* (default: ``REPRO_JOBS``, else CPU count) allows -
     and merged back under their ``workload|config`` key, so the returned
     matrix is independent of completion order and bit-identical to a serial
-    sweep.  The cache is flushed atomically (merge-on-write, so concurrent
-    sweeps sharing the file keep each other's cells) after every finished
-    cell, so an interrupted or crashed sweep resumes where it stopped.
+    sweep.  Every finished cell is appended to the cache's checkpoint log
+    at once, so an interrupted or crashed sweep resumes where it stopped;
+    the sweep compacts the log into the cache file atomically when it
+    ends, on success or error (merge-on-write, so concurrent sweeps
+    sharing the file keep each other's cells).
     Worker crashes, hangs, and exceptions are retried by the resilient
     engine (its ``retries`` / ``timeout`` defaults); cells that
     exhaust their budget surface in a
@@ -180,10 +182,11 @@ def evaluation_matrix(
                     "missing_cells": len(missing),
                 }
             )
-        for wl_name, key, cell in parallel.run_cells(
-            system_class, missing, fidelity, seed, jobs=jobs
-        ):
-            ckpt.save(f"{wl_name}|{key}", cell)
+        with ckpt:
+            for wl_name, key, cell in parallel.run_cells(
+                system_class, missing, fidelity, seed, jobs=jobs
+            ):
+                ckpt.save(f"{wl_name}|{key}", cell)
 
     return {wk: CellResult(**ckpt.values[c]) for c, wk in cells.items()}
 

@@ -467,8 +467,9 @@ def eol_fraction_by_channels(
         (channels[k], trials, seed, lifetime_hours, chunk_size) for k in ckpt.missing(channels)
     ]
     if payloads:
-        for n, values, counts in parallel.run_tasks(_eol_cell, payloads, jobs=jobs):
-            ckpt.save(key(n), {"values": values, "counts": counts})
+        with ckpt:
+            for n, values, counts in parallel.run_tasks(_eol_cell, payloads, jobs=jobs):
+                ckpt.save(key(n), {"values": values, "counts": counts})
     return {
         n: EolResult.from_histogram(ckpt.values[k]["values"], ckpt.values[k]["counts"])
         for k, n in channels.items()

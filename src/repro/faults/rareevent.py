@@ -1299,22 +1299,23 @@ def sharded_estimate(
             )
             for s in missing
         ]
-        for s, est_dict in parallel.run_tasks(_shard_worker, payloads, jobs=jobs):
-            results[s] = est_dict
-            ckpt.save(key(s, shard_trials[s]), est_dict)
-            if armed:
-                obs.emit(
-                    "mc.rareevent.shard",
-                    mode=mode,
-                    shard=s,
-                    shards=shards,
-                    done=len(results),
-                )
-            if target_rci:
-                current = merged(set(results))
-                if current.rci(threshold_t) <= target_rci:
-                    early = True
-                    break  # abandoning the generator cancels pending shards
+        with ckpt:
+            for s, est_dict in parallel.run_tasks(_shard_worker, payloads, jobs=jobs):
+                ckpt.save(key(s, shard_trials[s]), est_dict)
+                results[s] = est_dict
+                if armed:
+                    obs.emit(
+                        "mc.rareevent.shard",
+                        mode=mode,
+                        shard=s,
+                        shards=shards,
+                        done=len(results),
+                    )
+                if target_rci:
+                    current = merged(set(results))
+                    if current.rci(threshold_t) <= target_rci:
+                        early = True
+                        break  # abandoning the generator cancels pending shards
 
     estimate = merged(set(results))
     wall = time.perf_counter() - t0

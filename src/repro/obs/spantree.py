@@ -20,17 +20,19 @@ causal structure of a campaign:
   ========  ==========================================================
   codec     a ``codec`` span (result encode/decode, spool salvage)
   journal   a ``journal`` span (write-ahead journal appends)
-  compute   a ``compute``/``mc``/``sim`` span (worker task bodies,
-            MC chunk loops, simulator kernels)
+  sim       a ``sim`` span (timing-simulator runs and epochs)
+  mc        an ``mc`` span (Monte Carlo chunk loops and shards)
+  compute   a ``compute`` span (worker task bodies outside sim/mc)
   retry     a ``retry`` span (backoff sleeps, pool rebuilds)
   dispatch  any other span (queueing, submission, envelope overhead)
   idle      no descendant span at all is active
   ========  ==========================================================
 
-  Precedence (codec > journal > compute > retry > dispatch) charges an
-  instant to the most specific work happening anywhere in the campaign:
-  a journal append racing a worker's compute charges to journal only
-  for the microseconds it actually takes.
+  Precedence (codec > journal > sim > mc > compute > retry > dispatch)
+  charges an instant to the most specific work happening anywhere in
+  the campaign: a journal append racing a worker's compute charges to
+  journal only for the microseconds it actually takes, and a task body
+  charges to ``compute`` only where no simulator or MC span runs.
 
 :func:`trace_summary` packages forest + critical path + buckets as the
 ``trace`` section of :func:`repro.obs.summarize.summarize`.
@@ -42,14 +44,14 @@ from __future__ import annotations
 BUCKET_BY_CAT = {
     "codec": "codec",
     "journal": "journal",
+    "sim": "sim",
+    "mc": "mc",
     "compute": "compute",
-    "mc": "compute",
-    "sim": "compute",
     "retry": "retry",
 }
 
 #: Sweep precedence, most specific first; ``idle`` is the absence of all.
-BUCKET_PRECEDENCE = ("codec", "journal", "compute", "retry", "dispatch")
+BUCKET_PRECEDENCE = ("codec", "journal", "sim", "mc", "compute", "retry", "dispatch")
 
 BUCKETS = BUCKET_PRECEDENCE + ("idle",)
 

@@ -1,16 +1,26 @@
 """Atomic, corruption-tolerant, merge-on-write JSON result caches.
 
-A cache is a flat ``{key: value}`` JSON object rewritten atomically (temp
-file + same-directory ``os.replace``) after every finished cell, so
-interrupted or crashed sweeps resume where they stopped and a
-corrupt/truncated cache is recomputed rather than crashing.  The
-evaluation-matrix sweep and the four Monte Carlo drivers (fig8, coverage,
-collision, sharded rare-event) all resume through one :class:`Checkpoint`;
-each keeps only its key format, the ``valid`` test for its stored values
-and its worker payloads.
+A cache is a flat ``{key: value}`` JSON object plus, while a sweep runs,
+a sibling ``<name>.log`` of results appended since the JSON was last
+written.  The evaluation-matrix sweep and the four Monte Carlo drivers
+(fig8, coverage, collision, sharded rare-event) all resume through one
+:class:`Checkpoint`; each keeps only its key format, the ``valid`` test
+for its stored values and its worker payloads.  A finished cell costs
+one append; the JSON file is rewritten atomically (temp file +
+same-directory ``os.replace``) once, when the sweep leaves its
+``with ckpt:`` block, so interrupted or crashed sweeps resume where they
+stopped and a corrupt/truncated cache is recomputed rather than crashing.
 
 Hardening layers protecting concurrent and crashing campaigns:
 
+* **CRC-framed log instead of per-result fsync** — each log record is
+  one :func:`repro.experiments.resultcodec.frame` written by a single
+  ``os.write`` on an ``O_APPEND`` descriptor, and
+  :func:`~repro.experiments.resultcodec.read_frames` trusts a record only
+  once its CRC checks.  A machine crash can lose tail records but never
+  serve a wrong one; a killed process loses nothing (its writes already
+  sit in the page cache).  Rewriting and fsyncing the whole file after
+  every result instead would make a sweep quadratic in its cell count.
 * **fsync before rename** — the temp file is flushed and fsynced (and the
   directory entry synced, best-effort) before ``os.replace``, so a machine
   crash immediately after a checkpoint cannot leave a zero-length or
@@ -31,15 +41,16 @@ Hardening layers protecting concurrent and crashing campaigns:
   dead (an ENOSPC or SIGKILL mid-write strands them), and every failed
   write unlinks its own temp file on the way out.
 
-Chaos instrumentation: the write path calls
-:func:`repro.util.chaos.io_fire` at the ``cache.write`` (temp-file write,
-torn-capable) and ``cache.rename`` (atomic replace) sites, so the
-supervisor test-suite can inject ENOSPC/EIO/torn-write faults here and
-assert the recovery contract.  Disarmed, the hooks are early-return no-ops.
+Chaos instrumentation: the write paths call
+:func:`repro.util.chaos.io_fire` at the ``cache.write`` (log append or
+temp-file write, both torn-capable) and ``cache.rename`` (atomic
+replace) sites, so the supervisor test-suite can inject
+ENOSPC/EIO/torn-write faults here and assert the recovery contract.  Disarmed, the hooks are early-return no-ops.
 """
 
 from __future__ import annotations
 
+import errno
 import itertools
 import json
 import os
@@ -60,6 +71,14 @@ META_KEY = "__meta__"
 _TMP_RE = re.compile(r"\.tmp(\d+)$")
 _swept_dirs: "set[str]" = set()
 _quarantine_seq = itertools.count()
+
+
+def _codec():
+    # Deferred: importing repro.experiments at module load would cycle
+    # back into this module through the drivers.
+    from repro.experiments import resultcodec
+
+    return resultcodec
 
 
 def _pid_alive(pid: int) -> bool:
@@ -234,22 +253,80 @@ class Checkpoint:
     """One campaign's resumable ``{key: value}`` results.
 
     Loads the cache at *path* (``None`` keeps results in memory only, the
-    ``use_cache=False`` case); :meth:`missing` names the keys with no
-    stored value or one that fails *valid*, and :meth:`save` records a
-    result and rewrites the file through :func:`write_json_cache_atomic`
-    (merge-on-write) before the next result arrives.
+    ``use_cache=False`` case), then replays the sibling ``<name>.log`` a
+    killed run left behind; :meth:`missing` names the keys with no stored
+    value or one that fails *valid*.  :meth:`save` appends one
+    :func:`~repro.experiments.resultcodec.frame` record (the JSON text of
+    ``[key, value]``) to the log: a single ``os.write`` on an ``O_APPEND``
+    descriptor, with no reload, rename or fsync.  Leaving a ``with ckpt:``
+    block, on success or error, compacts: one
+    :func:`write_json_cache_atomic` (merge-on-write, fsync before rename)
+    of every value, then the log is unlinked.
+
+    The log needs no per-record fsync because a record is trusted only
+    after its CRC checks: a machine crash can lose tail records, never
+    serve a wrong one, and a killed process loses nothing, since its
+    writes already sit in the page cache.  A value enters :attr:`values`
+    only once its append succeeded, so a compaction after a failed append
+    never persists the result whose write failed.  Campaigns sharing a
+    cache also share its log; each compacts its own values (merge-on-write
+    keeps the other's); a compaction that unlinks the log under a live
+    campaign costs that campaign, if it is killed before its own
+    compaction, only the recomputation of the cells it had appended.
     """
 
     def __init__(self, path: "Path | None", valid: "Callable[[object], bool]") -> None:
         self.path = path
         self.valid = valid
-        self.values: "dict[str, object]" = {} if path is None else load_json_cache(path)
+        self.values: "dict[str, object]" = {}
+        self._tail_cut = False
+        if path is not None:
+            self.log = path.with_name(f"{path.name}.log")
+            self.values = load_json_cache(path)
+            records, _, _ = _codec().read_frames(self.log)
+            for (text,) in records:
+                key, value = json.loads(text)
+                self.values[key] = value
 
     def missing(self, keys: "Iterable[str]") -> "list[str]":
         """The *keys* still to compute, in the given order."""
         return [k for k in keys if k not in self.values or not self.valid(self.values[k])]
 
     def save(self, key: str, value: object) -> None:
-        self.values[key] = value
         if self.path is not None:
+            self._append(_codec().frame((json.dumps([key, value]),)))
+        self.values[key] = value
+
+    def _append(self, data: bytes) -> None:
+        """One framed record onto the log (chaos site ``cache.write``)."""
+        if not self._tail_cut:
+            # A torn tail (a killed writer, a failed append) ends what
+            # read_frames trusts: cut it, or every later record is lost.
+            _, clean_end, torn = _codec().read_frames(self.log)
+            if torn:
+                os.truncate(self.log, clean_end)
+            self.log.parent.mkdir(parents=True, exist_ok=True)
+            self._tail_cut = True
+        # Opened per append: a log another campaign's compaction unlinked
+        # is recreated instead of written to an inode nobody reads.
+        fd = os.open(self.log, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+        try:
+            torn = chaos.io_fire("cache.write", size=len(data))
+            if torn is not None and torn < len(data):
+                os.write(fd, data[:torn])
+                raise OSError(errno.EIO, f"chaos: torn write after {torn} bytes [{self.log}]")
+            if os.write(fd, data) != len(data):
+                raise OSError(errno.ENOSPC, f"short write [{self.log}]")
+        except BaseException:
+            self._tail_cut = False  # the next append re-reads and cuts the tail
+            raise
+        finally:
+            os.close(fd)
+
+    def __enter__(self) -> "Checkpoint":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self.path is not None and self.log.exists():
             write_json_cache_atomic(self.path, self.values)
+            self.log.unlink(missing_ok=True)

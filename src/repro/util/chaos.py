@@ -53,7 +53,8 @@ sites (every one runs in the driver process)::
   journal record), or ``rss`` (the watchdog's next RSS sample reads
   *param* bytes instead of the real value).
 * ``op`` — the dotted site name instrumented with :func:`io_fire` /
-  :func:`io_override`: ``cache.write``, ``cache.rename``,
+  :func:`io_override`: ``cache.write`` (a checkpoint-log append, or the
+  temp-file write of an atomic cache rewrite), ``cache.rename``,
   ``journal.append``, ``supervisor.settle``, ``watchdog.rss``.
 * ``n`` — which occurrence of the site fires the fault (1-based, counted
   per process; default ``1``; ``*`` = every occurrence).

@@ -82,6 +82,51 @@ class TestBaselineRegression:
         assert "SKIP" in capsys.readouterr().out
 
 
+class TestUnchangedBaseline:
+    """A fresh file no bench rewrote is the baseline: say so, check nothing."""
+
+    def test_committed_file_skips_and_checks_nothing(self, git_repo, capsys):
+        tally = perf_guard.Tally()
+        failures = perf_guard.check(results_dir=git_repo / "results", repo=git_repo, tally=tally)
+        assert failures == []
+        out = capsys.readouterr().out
+        assert "fresh file is the committed baseline (no bench ran)" in out
+        assert " ok " not in out
+        assert tally.compared == 0
+        assert tally.summary().endswith("checked nothing")
+
+    def test_committed_file_below_floor_is_not_checked(self, git_repo, capsys):
+        doc = {"matrix_sweep": {"speedup": 0.8, "cpus": 8, "jobs": 4}}
+        _write_bench(git_repo / "results", "BENCH_simloop_throughput.json", doc)
+        subprocess.run(
+            ["git", "-c", "user.email=t@t", "-c", "user.name=t", "commit", "-qam", "floor"],
+            cwd=git_repo,
+            check=True,
+        )
+        tally = perf_guard.Tally()
+        assert perf_guard.check(results_dir=git_repo / "results", repo=git_repo, tally=tally) == []
+        assert "matrix_sweep.speedup: fresh file is the committed baseline" in capsys.readouterr().out
+        assert tally.compared == 0
+
+    def test_rewritten_file_is_compared(self, git_repo):
+        # Same numbers, new bytes: a bench ran and reproduced the baseline.
+        _write_bench(
+            git_repo / "results",
+            "BENCH_simloop_throughput.json",
+            {"single_sim": {"quick_mode": False, "events_per_sec": 1000}},
+        )
+        tally = perf_guard.Tally()
+        assert perf_guard.check(results_dir=git_repo / "results", repo=git_repo, tally=tally) == []
+        assert tally.compared == 1
+        assert "checked nothing" not in tally.summary()
+
+    def test_summary_counts_trend_checks(self, tmp_path):
+        tally = perf_guard.Tally()
+        perf_guard.check_trends(history_path=_ledger(tmp_path, [1000, 1050], latest=990), tally=tally)
+        assert tally.compared == 1
+        assert tally.summary().startswith("perf_guard: 1 compared, ")
+
+
 class TestFloors:
     def test_parallel_slower_than_serial_fails(self, tmp_path):
         _write_bench(

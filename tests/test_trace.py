@@ -17,6 +17,7 @@ import pytest
 
 from repro import obs
 from repro.experiments import parallel, supervisor
+from repro.experiments.evaluation import Fidelity, evaluation_matrix
 from repro.faults.montecarlo import _eol_cell
 from repro.obs import trace
 from repro.obs.export import export_events, export_run
@@ -217,6 +218,7 @@ class TestCampaignForest:
         coverage = sum(buckets.values()) / root.wall_s
         assert coverage >= 0.95  # acceptance bar (sums exactly by construction)
         assert buckets["compute"] > 0  # the tasks actually ran somewhere
+        assert buckets["mc"] > 0  # the MC chunk loops inside them
         assert buckets["journal"] > 0  # every settlement was journaled
 
     def test_trace_summary_section_in_report(self, campaign):
@@ -340,6 +342,43 @@ class TestChromeExport:
         finally:
             obs.disarm()
         self._validate(export_events(read_events(run)))
+
+
+class TestLayerBuckets:
+    """Simulator and MC spans get their own buckets above ``compute``."""
+
+    def test_traced_sweep_charges_sim(self, traced):
+        evaluation_matrix(
+            "quad",
+            fidelity=Fidelity("tiny", scale=64, access_target=4000),
+            workloads=["streamcluster"],
+            config_keys=["chipkill18", "lot_ecc5_ep"],
+            jobs=1,
+            use_cache=False,
+        )
+        section = trace_summary(read_events(traced))
+        assert section["root"]["name"] == "engine.campaign"
+        assert section["buckets"]["sim"] > 0
+        assert section["buckets"]["mc"] == 0
+
+    def test_sim_outranks_compute(self):
+        def node(span, parent, cat, t0, t1):
+            return {
+                "kind": "trace.span", "trace": "t", "span": span, "parent": parent,
+                "name": span, "cat": cat, "t0": t0, "t1": t1, "pid": 1,
+            }
+
+        events = [
+            node("root", None, "dispatch", 0.0, 4.0),
+            node("task", "root", "compute", 0.0, 3.0),
+            node("sim", "task", "sim", 1.0, 2.0),
+            node("mc", "task", "mc", 1.5, 2.5),
+        ]
+        buckets = attribute(primary_root(build_forest(events)))
+        assert buckets == {
+            "codec": 0.0, "journal": 0.0, "sim": 1.0, "mc": 0.5,
+            "compute": 1.5, "retry": 0.0, "dispatch": 0.0, "idle": 1.0,
+        }
 
 
 class TestRotation:
