@@ -68,9 +68,6 @@ FLOORS = [
     # clears a lower bar - its strength is means, not deep tails).
     ("BENCH_rareevent.json", "importance_sampling", "effective_speedup", 20.0),
     ("BENCH_rareevent.json", "stratified", "effective_speedup", 3.0),
-    # The supervisor tentpole claim: journaling every settlement costs <2%
-    # of clean-path campaign wall-clock (ratio = raw_wall / supervised_wall).
-    ("BENCH_supervisor.json", "overhead", "throughput_ratio", 0.98),
     # The codec claim: production dirty-word decode, which runs in the
     # compiled GF core (CI asserts it builds), beats the seed scalar loop
     # >= 10x.

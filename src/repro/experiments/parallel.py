@@ -46,7 +46,7 @@ every inner task keeps its own identity: per-inner chaos injection,
 retry/timeout attribution, and telemetry events, and inner results
 stream back through a crash-safe spool file of CRC-framed
 :mod:`repro.experiments.resultcodec` records — the record format of the
-supervisor's journal too — instead of pickled object graphs: a worker
+checkpoint log too — instead of pickled object graphs: a worker
 that dies mid-batch loses only its unfinished inners, a damaged record
 is recomputed, never settled, and a worker exception arrives with its
 formatted traceback chained as ``__cause__``.
@@ -126,25 +126,6 @@ MAX_BATCH = 32
 
 #: Recent per-task wall samples kept for the auto-batching estimate.
 _CALIBRATION_WINDOW = 64
-
-#: Process-wide ceiling on inner tasks per super-task, below
-#: :data:`MAX_BATCH`; ``None`` = uncapped.  The supervisor's resource
-#: watchdog lowers it under memory pressure (smaller batches mean fewer
-#: concurrently-materialized results per worker) and restores it after.
-_batch_cap: "int | None" = None
-
-
-def set_batch_cap(cap: "int | None") -> "int | None":
-    """Set (or with ``None`` clear) the process-wide super-task batch cap.
-
-    Returns the previous value so callers can restore it.  Takes effect on
-    the next submission of every running campaign — in-flight batches are
-    not recalled.
-    """
-    global _batch_cap
-    previous = _batch_cap
-    _batch_cap = max(1, int(cap)) if cap is not None else None
-    return previous
 
 #: Wait-loop cap: the parent polls the in-flight spools at least this
 #: often so finished inners settle promptly even when no future
@@ -278,9 +259,9 @@ def _pool_init(cfg, warm) -> None:
     imports and caches (the parent runs the warm hint before building the
     first pool); this keeps spawned workers and post-rebuild pools equally
     warm.  SIGTERM goes back to its default action: a forked worker
-    inherits the driver's handlers, and the supervisor's flag-only one
-    would turn :func:`_kill_pool`'s ``terminate()`` of a hung worker into
-    a no-op.
+    inherits the driver's handlers, and a driver's flag-only one would
+    turn :func:`_kill_pool`'s ``terminate()`` of a hung worker into a
+    no-op.
     """
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     obs.ensure_worker(cfg)
@@ -390,7 +371,6 @@ def _run_serial(worker, payloads, tasks, retries, backoff, validate, failures, f
     path hands over tasks mid-campaign with their attempt count intact.
     Every task is executed at least once regardless of the attempt it
     arrives with.  No chaos, no timeout: this is the reference path.
-    Yields ``(index, result)`` pairs like every engine path.
     """
     max_attempts = retries + 1
     for index, attempt in tasks:
@@ -431,7 +411,7 @@ def _run_serial(worker, payloads, tasks, retries, backoff, validate, failures, f
             obs.emit(
                 "engine.ok", index=index, attempt=attempt, worker_pid=os.getpid(), wall_s=wall
             )
-            yield index, result
+            yield result
             break
 
 
@@ -448,25 +428,19 @@ def _run_pooled(
     fail_fast,
     batch,
     warm,
-    spool_dir=None,
 ):
     """The pooled engine: batching, windowed submission, deadlines, rebuilds.
 
     Every submission is one :func:`_run_super` super-task whose inner
-    results settle from its spool.  Yields ``(index, result)`` pairs.
-    With a caller-provided *spool_dir* the spools live there and the
-    directory survives this function (the supervisor salvages finished
-    inner results out of spools orphaned by a killed driver); settled
-    spools are still unlinked individually.
+    results settle from its spool, a file in a private temp dir removed
+    on exit.
     """
     max_attempts = retries + 1
     pending = deque((i, 1) for i in range(len(payloads)))
     inflight: "dict[object, _Flight]" = {}
     consecutive_rebuilds = 0
     total_rebuilds = 0
-    owns_spool_dir = spool_dir is None
-    if spool_dir is not None:
-        os.makedirs(spool_dir, exist_ok=True)
+    spool_dir = None
     samples: "deque[float]" = deque(maxlen=_CALIBRATION_WINDOW)
 
     def _new_spool():
@@ -504,8 +478,6 @@ def _run_pooled(
             else:
                 size = math.ceil(DISPATCH_OVERHEAD_S / (TARGET_OVERHEAD_FRACTION * med))
             size = min(MAX_BATCH, size)
-        if _batch_cap is not None:
-            size = min(size, _batch_cap)
         return max(1, min(size, math.ceil(len(pending) / jobs)))
 
     def _settle_ok(index, attempt, value, pid, wall):
@@ -588,7 +560,7 @@ def _run_pooled(
                 continue
             yieldable, value = _settle_record(attempt, record)
             if yieldable:
-                yield index, value
+                yield value
         flight.entries = remaining
 
     def _retire(flight, charge=None):
@@ -749,9 +721,7 @@ def _run_pooled(
             _kill_pool(pool)
         raise
     finally:
-        # A caller-provided spool dir outlives the engine: whatever a killed
-        # driver left there is exactly what the supervisor salvages.
-        if owns_spool_dir and spool_dir is not None:
+        if spool_dir is not None:
             shutil.rmtree(spool_dir, ignore_errors=True)
     if pool is not None:
         pool.shutdown()
@@ -783,8 +753,6 @@ def run_tasks(
     fail_fast: bool = False,
     batch: "str | int" = "auto",
     warm: "tuple | None" = None,
-    yield_index: bool = False,
-    spool_dir: "str | None" = None,
 ) -> "Iterator":
     """Fan *worker(*payload)* over processes, yielding results as they finish.
 
@@ -818,13 +786,6 @@ def run_tasks(
     * *warm* — optional ``(function, args)`` warm hint, applied in the
       parent before the first pool (fork workers inherit it) and as the
       initializer of every built or rebuilt pool.
-    * *yield_index* — yield ``(payload_index, result)`` pairs instead of
-      bare results, so a caller journaling settlements (the supervisor)
-      can attribute each completion-ordered result to its task.
-    * *spool_dir* — directory for super-task spool files.  By default the
-      engine owns a private temp dir and removes it on exit; a
-      caller-provided directory is created if needed and left in place, so
-      spools orphaned by a killed driver survive for salvage.
 
     Tasks that exhaust their budget are reported in one
     :class:`CampaignError` raised *after* every other task has been
@@ -888,13 +849,12 @@ def run_tasks(
             fail_fast,
             batch,
             warm,
-            spool_dir,
         )
     ok = 0
     try:
-        for index, result in inner:
+        for result in inner:
             ok += 1
-            yield (index, result) if yield_index else result
+            yield result
         obs.emit(
             "engine.done",
             tasks=len(payloads),

@@ -17,9 +17,9 @@ Values the fast tags cannot represent exactly (arbitrary objects, huge
 ints, type subclasses) fall back to an embedded pickle frame, so the
 codec never rejects a result, it only stops being fast.
 
-On top of the value codec sits the one **framed record** all three
-recovery logs store — the super-task spool, the supervisor's journal and
-the result-cache checkpoint log (:class:`repro.util.cachefile.Checkpoint`): a
+On top of the value codec sits the one **framed record** both
+recovery logs store — the super-task spool and the result-cache
+checkpoint log (:class:`repro.util.cachefile.Checkpoint`): a
 ``<II>`` header (CRC32 of the payload, then its length) followed by one
 codec-encoded tuple.  :func:`frame` builds it; each frame is written
 with a single ``os.write`` on an O_APPEND descriptor, so a reader never
@@ -203,8 +203,7 @@ def decode(data: "bytes | memoryview") -> object:
 
 
 # --------------------------------------------------------------------------
-# Framed records: the one on-disk format of the spool, the journal and the
-# checkpoint log
+# Framed records: the one on-disk format of the spool and the checkpoint log
 
 #: Spool record kinds: a codec-encoded result, a pickled worker exception,
 #: or a codec-encoded result that a ``corrupt`` chaos fault wrapped.

@@ -60,36 +60,16 @@ _SAT_MODES = tuple(m for m in FaultMode if m in SATURATING_MODES)
 #: dispatch.  An explicit ``chunk_size`` argument overrides it.
 DEFAULT_CHUNK = 1 << 16
 
-#: Process-wide ceiling on the default chunk size; ``None`` = uncapped.
-#: The supervisor's resource watchdog lowers it under memory pressure and
-#: restores it after.
-_chunk_cap: "int | None" = None
-
-
-def set_chunk_cap(cap: "int | None") -> "int | None":
-    """Set (or with ``None`` clear) the process-wide default-chunk cap.
-
-    Returns the previous value so callers can restore it.  Only campaigns
-    that resolve their chunk size afterwards see it: a running campaign
-    keyed its cache by the chunk it resolved at launch, so determinism of
-    in-flight work is untouched.
-    """
-    global _chunk_cap
-    previous = _chunk_cap
-    _chunk_cap = max(1, int(cap)) if cap is not None else None
-    return previous
-
-
 def resolve_chunk(chunk_size: "int | None" = None) -> int:
     """Trials per chunk: an explicit *chunk_size* (``>= 1``), else
-    :data:`DEFAULT_CHUNK` lowered to the cap.
+    :data:`DEFAULT_CHUNK`.
 
     The chunk size slices the shared draw stream, so two runs agree
     bit-for-bit only at a matched chunk size; campaign cache keys
     therefore record the resolved value.
     """
     if chunk_size is None:
-        return min(DEFAULT_CHUNK, _chunk_cap or DEFAULT_CHUNK)
+        return DEFAULT_CHUNK
     chunk_size = int(chunk_size)
     if chunk_size < 1:
         raise ValueError(f"mc chunk size must be >= 1, got {chunk_size}")

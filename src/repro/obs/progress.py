@@ -10,10 +10,10 @@ completion.  Two output modes:
 * **``--json``**: one machine-readable line per settlement, the contract
   the future campaign service streams to clients::
 
-      {"campaign":"fig8","done":3,"failed":0,"total":24}
+      {"campaign":"campaign-1","done":3,"failed":0,"total":24}
 
-  Lines carry **only deterministic fields**: the campaign label (the
-  supervisor's name, else ``campaign-<ordinal>`` in stream order), the
+  Lines carry **only deterministic fields**: the campaign label
+  (``campaign-<ordinal>`` in stream order), the
   running settled/failed counters, and the task total.  ``done`` counts
   settlements ``1..N`` in arrival order, so the byte stream is identical
   for serial and parallel runs of the same campaign even though tasks
@@ -114,7 +114,6 @@ class Tracker:
     def __init__(self):
         self.campaigns: "list[dict]" = []
         self._by_trace: "dict[str, dict]" = {}
-        self._pending_name: "str | None" = None
 
     def _campaign_for(self, event: "dict") -> "dict | None":
         trace = event.get("trace")
@@ -128,15 +127,9 @@ class Tracker:
     def feed(self, event: dict) -> "list[dict]":
         kind = event.get("kind", "")
         ts = event.get("ts")
-        if kind == "supervisor.begin":
-            # The next engine.start under this supervisor inherits its name.
-            self._pending_name = event.get("name")
-            return []
         if kind == "engine.start":
-            label = self._pending_name or f"campaign-{len(self.campaigns) + 1}"
-            self._pending_name = None
             c = {
-                "campaign": label,
+                "campaign": f"campaign-{len(self.campaigns) + 1}",
                 "total": int(event.get("tasks", 0)),
                 "done": 0,
                 "failed": 0,

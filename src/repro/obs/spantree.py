@@ -18,8 +18,7 @@ causal structure of a campaign:
   ========  ==========================================================
   bucket    instants where the highest-precedence active descendant is
   ========  ==========================================================
-  codec     a ``codec`` span (result encode/decode, spool salvage)
-  journal   a ``journal`` span (write-ahead journal appends)
+  codec     a ``codec`` span (result encode/decode)
   sim       a ``sim`` span (timing-simulator runs and epochs)
   mc        an ``mc`` span (Monte Carlo chunk loops and shards)
   compute   a ``compute`` span (worker task bodies outside sim/mc)
@@ -28,11 +27,11 @@ causal structure of a campaign:
   idle      no descendant span at all is active
   ========  ==========================================================
 
-  Precedence (codec > journal > sim > mc > compute > retry > dispatch)
-  charges an instant to the most specific work happening anywhere in
-  the campaign: a journal append racing a worker's compute charges to
-  journal only for the microseconds it actually takes, and a task body
-  charges to ``compute`` only where no simulator or MC span runs.
+  Precedence (codec > sim > mc > compute > retry > dispatch) charges an
+  instant to the most specific work happening anywhere in the campaign:
+  a spool decode racing a worker's compute charges to codec only for
+  the microseconds it actually takes, and a task body charges to
+  ``compute`` only where no simulator or MC span runs.
 
 :func:`trace_summary` packages forest + critical path + buckets as the
 ``trace`` section of :func:`repro.obs.summarize.summarize`.
@@ -43,7 +42,6 @@ from __future__ import annotations
 #: Category → attribution bucket (anything else falls into ``dispatch``).
 BUCKET_BY_CAT = {
     "codec": "codec",
-    "journal": "journal",
     "sim": "sim",
     "mc": "mc",
     "compute": "compute",
@@ -51,7 +49,7 @@ BUCKET_BY_CAT = {
 }
 
 #: Sweep precedence, most specific first; ``idle`` is the absence of all.
-BUCKET_PRECEDENCE = ("codec", "journal", "sim", "mc", "compute", "retry", "dispatch")
+BUCKET_PRECEDENCE = ("codec", "sim", "mc", "compute", "retry", "dispatch")
 
 BUCKETS = BUCKET_PRECEDENCE + ("idle",)
 

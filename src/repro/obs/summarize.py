@@ -198,39 +198,6 @@ def _chaos_summary(events: "list[dict]") -> "list[dict]":
     return out
 
 
-def _supervisor_summary(events: "list[dict]") -> "dict | None":
-    """Durability accounting from supervisor.* events.
-
-    Answers the resume question directly from telemetry: how much of the
-    campaign was replayed from the journal or salvaged from orphaned
-    spools versus recomputed, and what the watchdog did about resources.
-    """
-    sup = [e for e in events if e.get("kind", "").startswith("supervisor.")]
-    if not sup:
-        return None
-
-    def count(kind):
-        return sum(1 for e in sup if e["kind"] == kind)
-
-    begins = [e for e in sup if e["kind"] == "supervisor.begin"]
-    return {
-        "campaigns": len(begins),
-        "last_begin": begins[-1] if begins else None,
-        "replayed": sum(
-            int(e.get("settled", 0)) for e in sup if e["kind"] == "supervisor.replay"
-        ),
-        "salvaged": sum(
-            int(e.get("count", 0)) for e in sup if e["kind"] == "supervisor.salvage"
-        ),
-        "settled": count("supervisor.settle"),
-        "memory_pressure": count("supervisor.memory_pressure"),
-        "low_disk": count("supervisor.low_disk"),
-        "pauses": count("supervisor.pause"),
-        "interrupts": count("supervisor.interrupt"),
-        "done": next((e for e in reversed(sup) if e["kind"] == "supervisor.done"), None),
-    }
-
-
 def _timeline(events: "list[dict]") -> "list[dict]":
     """Bucketed progress: completions and MC trials per wall-clock slice."""
     marks = [e for e in events if e.get("kind") in ("engine.ok", "mc.chunk") and "ts" in e]
@@ -270,7 +237,6 @@ def summarize(run_dir: "Path | str") -> dict:
         "mc": _mc_summary(events),
         "ecc": _ecc_summary(events),
         "sim": _sim_summary(events),
-        "supervisor": _supervisor_summary(events),
         "chaos": _chaos_summary(events),
         "timeline": _timeline(events),
         "trace": trace_summary(events),
@@ -363,34 +329,6 @@ def render(summary: dict) -> str:
             f"llc {last.get('llc_hits')}/{last.get('llc_misses')} hit/miss, "
             f"{last.get('fast_picks')} fast picks / {last.get('issued_requests')} issues"
         )
-        lines.append("")
-
-    if summary.get("supervisor"):
-        sup = summary["supervisor"]
-        begin = sup["last_begin"] or {}
-        done = sup["done"] or {}
-        lines.append(
-            f"supervisor: {sup['campaigns']} campaign(s), last "
-            f"{begin.get('name', '?')!r}: {begin.get('total', '?')} tasks, "
-            f"{sup['replayed']} replayed from journal, {sup['salvaged']} salvaged "
-            f"from spools, {sup['settled']} settled live"
-        )
-        if done:
-            lines.append(
-                f"  finished: {done.get('settled', '?')} settled / "
-                f"{done.get('total', '?')} total (recomputed {done.get('computed', '?')})"
-            )
-        watch = []
-        if sup["memory_pressure"]:
-            watch.append(f"{sup['memory_pressure']} memory-pressure degradation(s)")
-        if sup["low_disk"]:
-            watch.append(f"{sup['low_disk']} low-disk sample(s)")
-        if sup["pauses"]:
-            watch.append(f"{sup['pauses']} pause(s)")
-        if sup["interrupts"]:
-            watch.append(f"{sup['interrupts']} signal interrupt(s)")
-        if watch:
-            lines.append("  watchdog: " + ", ".join(watch))
         lines.append("")
 
     if summary["chaos"]:

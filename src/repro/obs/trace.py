@@ -18,9 +18,8 @@ Design constraints, in order:
 2. **Propagation is explicit and picklable.**  A span context crosses a
    process boundary as a plain ``(trace_id, span_id)`` tuple: the engine
    threads it through the task envelope (:func:`repro.obs.worker_config`),
-   the supervisor persists it in journal ``begin`` records so a resumed
-   campaign re-parents under the original root, and super-task spool
-   frames carry the emitting span id (:mod:`repro.experiments.resultcodec`).
+   and super-task spool frames carry the emitting span id
+   (:mod:`repro.experiments.resultcodec`).
 3. **Ambient by default, explicit when needed.**  Spans nest through the
    bus's :class:`contextvars.ContextVar` (``repro.obs._current``), which
    :func:`repro.obs.emit` also stamps onto every event; pass ``parent=``
@@ -38,7 +37,7 @@ Span event schema (``kind == "trace.span"``)::
     span    16-hex span id (unique per span)
     parent  16-hex parent span id, or null for a root
     name    operation name, e.g. "engine.task"
-    cat     attribution bucket: dispatch|compute|codec|retry|journal|...
+    cat     attribution bucket: dispatch|compute|codec|retry|mc|sim
     t0, t1  monotonic start/end seconds (same axis as event ``ts``)
 
 plus any keyword fields given at start, :meth:`Span.annotate`, or end.
@@ -54,7 +53,7 @@ from repro.obs import _current
 
 #: Attribution categories consumed by :mod:`repro.obs.spantree`.  Free-form
 #: strings are allowed; these are the ones the wall-time buckets know.
-CATEGORIES = ("dispatch", "compute", "codec", "retry", "journal", "mc", "sim")
+CATEGORIES = ("dispatch", "compute", "codec", "retry", "mc", "sim")
 
 #: Kept for callers that re-apply the environment through this module.
 init_from_env = obs.init_from_env

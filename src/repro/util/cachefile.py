@@ -44,8 +44,9 @@ Hardening layers protecting concurrent and crashing campaigns:
 Chaos instrumentation: the write paths call
 :func:`repro.util.chaos.io_fire` at the ``cache.write`` (log append or
 temp-file write, both torn-capable) and ``cache.rename`` (atomic
-replace) sites, so the supervisor test-suite can inject
-ENOSPC/EIO/torn-write faults here and assert the recovery contract.  Disarmed, the hooks are early-return no-ops.
+replace) sites, so tests can inject ENOSPC/EIO/torn-write faults
+here and assert the recovery contract.  Disarmed, the hooks are
+early-return no-ops.
 """
 
 from __future__ import annotations
@@ -139,8 +140,7 @@ def quarantine_file(path: Path, reason: str) -> "Path | None":
 
     Best-effort (a read-only tree just leaves the file in place); returns
     the new location or ``None``.  The move uses ``os.replace`` so a
-    concurrent quarantine of the same file cannot duplicate it.  Shared by
-    the JSON caches here and the supervisor's binary journals.
+    concurrent quarantine of the same file cannot duplicate it.
     """
     qdir = quarantine_path(path)
     dest = qdir / f"{path.name}.{os.getpid()}.{next(_quarantine_seq)}"

@@ -37,29 +37,30 @@ path) stays the fault-free reference.
 Host/I-O chaos plane
 --------------------
 
-Worker faults exercise the *engine's* recovery paths; the supervisor layer
-(:mod:`repro.experiments.supervisor`) also has to survive faults of the
-*host* — a full disk, a dying filesystem, the driver itself being killed.
-A second spec, armed via :func:`arm_io`, injects those at named I/O
-sites (every one runs in the driver process)::
+Worker faults exercise the *engine's* recovery paths; the checkpointed
+result store (:class:`repro.util.cachefile.Checkpoint`) also has to
+survive faults of the *host* — a full disk, a dying filesystem, the
+driver itself being killed.  A second spec, armed via :func:`arm_io`,
+injects those at named I/O sites (every one runs in the driver
+process)::
 
     mode[=param]@op[#n]
 
 * ``mode`` — ``enospc`` (the site raises ``OSError(ENOSPC)``), ``eio``
   (``OSError(EIO)``), ``torn`` (the site writes only the first *param*
   bytes — default :data:`DEFAULT_TORN_BYTES` — then fails, simulating a
-  crash mid-write), ``kill`` (the *current process* dies via ``SIGKILL``
-  — used with a subprocess harness to kill the driver at an exact
-  journal record), or ``rss`` (the watchdog's next RSS sample reads
-  *param* bytes instead of the real value).
-* ``op`` — the dotted site name instrumented with :func:`io_fire` /
-  :func:`io_override`: ``cache.write`` (a checkpoint-log append, or the
-  temp-file write of an atomic cache rewrite), ``cache.rename``,
-  ``journal.append``, ``supervisor.settle``, ``watchdog.rss``.
+  crash mid-write), or ``kill`` (the *current process* dies via
+  ``SIGKILL`` — used with a subprocess harness to kill the driver at an
+  exact checkpoint-log record).
+* ``op`` — one of :data:`IO_SITES`, the sites instrumented with
+  :func:`io_fire`: ``cache.write`` (a checkpoint-log append, or the
+  temp-file write of an atomic cache rewrite) and ``cache.rename``.
+  Any other name is rejected, so a spec cannot arm a fault that never
+  fires.
 * ``n`` — which occurrence of the site fires the fault (1-based, counted
   per process; default ``1``; ``*`` = every occurrence).
 
-Example: ``"enospc@journal.append#3,kill@supervisor.settle#2"``.
+Example: ``"enospc@cache.write#3,kill@cache.rename#2"``.
 
 Sites call ``io_fire(op)`` which is a no-op (fast early return) unless a
 spec is armed, so production code pays nothing.
@@ -217,17 +218,20 @@ def _emit_fire(fault: ChaosFault, index: int, attempt: int) -> None:
 # Host/I-O chaos plane
 # --------------------------------------------------------------------------
 
-_IO_MODES = ("enospc", "eio", "torn", "kill", "rss")
+_IO_MODES = ("enospc", "eio", "torn", "kill")
+
+#: Every instrumented I/O site; :func:`parse_io` rejects any other op.
+IO_SITES = ("cache.write", "cache.rename")
 
 
 @dataclass(frozen=True)
 class IOFault:
     """One parsed host/I-O fault entry."""
 
-    mode: str  #: "enospc" | "eio" | "torn" | "kill" | "rss"
-    op: str  #: dotted site name, e.g. "journal.append"
+    mode: str  #: "enospc" | "eio" | "torn" | "kill"
+    op: str  #: one of IO_SITES, e.g. "cache.write"
     occurrence: "int | None"  #: 1-based occurrence to hit; None = every
-    param: float  #: byte cap (torn) or simulated RSS bytes (rss)
+    param: float  #: byte cap (torn)
 
     def matches(self, op: str, count: int) -> bool:
         return self.op == op and self.occurrence in (None, count)
@@ -247,12 +251,12 @@ def parse_io(spec: str) -> "tuple[IOFault, ...]":
         mode = mode.strip()
         if mode not in _IO_MODES:
             raise ValueError(f"io chaos mode must be one of {_IO_MODES}, got {mode!r}")
-        if param and mode not in ("torn", "rss"):
+        if param and mode != "torn":
             raise ValueError(f"io chaos mode {mode!r} takes no parameter: {entry!r}")
         op, _, occ_s = tail.partition("#")
         op = op.strip()
-        if not op or any(not part for part in op.split(".")):
-            raise ValueError(f"io chaos op must be a dotted site name: {entry!r}")
+        if op not in IO_SITES:
+            raise ValueError(f"io chaos op must be one of {IO_SITES}: {entry!r}")
         occ_s = occ_s.strip()
         if occ_s == "*":
             occurrence = None
@@ -269,10 +273,6 @@ def parse_io(spec: str) -> "tuple[IOFault, ...]":
             value = float(param) if param else DEFAULT_TORN_BYTES
             if value < 0:
                 raise ValueError(f"io chaos torn byte cap must be >= 0: {entry!r}")
-        elif mode == "rss":
-            if not param:
-                raise ValueError(f"io chaos mode 'rss' needs a byte value: {entry!r}")
-            value = float(param)
         else:
             value = 0.0
         faults.append(IOFault(mode, op, occurrence, value))
@@ -309,7 +309,7 @@ def io_fire(op: str, size: "int | None" = None) -> "int | None":
     ``kill`` SIGKILLs the current process (never returns), and ``torn``
     returns the byte cap — the caller writes only that prefix of its
     *size*-byte payload and then fails its write, simulating a crash
-    mid-write.  ``rss`` faults are ignored here (see :func:`io_override`).
+    mid-write.
     """
     faults = _io_faults
     if not faults:
@@ -317,7 +317,7 @@ def io_fire(op: str, size: "int | None" = None) -> "int | None":
     count = _io_counts.get(op, 0) + 1
     _io_counts[op] = count
     for fault in faults:
-        if fault.mode != "rss" and fault.matches(op, count):
+        if fault.matches(op, count):
             _emit_io_fire(fault, op, count)
             if fault.mode == "enospc":
                 raise OSError(errno.ENOSPC, f"chaos: no space left on device [{op}]")
@@ -329,25 +329,6 @@ def io_fire(op: str, size: "int | None" = None) -> "int | None":
             if fault.mode == "torn":
                 cap = int(fault.param)
                 return cap if size is None else min(cap, size)
-    return None
-
-
-def io_override(op: str) -> "float | None":
-    """Armed ``rss`` override for a sampling site; ``None`` when clean.
-
-    Counted separately from :func:`io_fire` faults only in the sense that
-    a site is instrumented with exactly one of the two — samplers use
-    ``io_override``, write paths use ``io_fire``.
-    """
-    faults = _io_faults
-    if not faults:
-        return None
-    count = _io_counts.get(op, 0) + 1
-    _io_counts[op] = count
-    for fault in faults:
-        if fault.mode == "rss" and fault.matches(op, count):
-            _emit_io_fire(fault, op, count)
-            return fault.param
     return None
 
 

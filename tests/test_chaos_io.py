@@ -33,21 +33,21 @@ def _disarmed():
 
 class TestIoSpecParsing:
     def test_defaults(self):
-        (f,) = chaos.parse_io("enospc@journal.append")
-        assert f == chaos.IOFault("enospc", "journal.append", 1, 0.0)
+        (f,) = chaos.parse_io("enospc@cache.write")
+        assert f == chaos.IOFault("enospc", "cache.write", 1, 0.0)
 
     def test_params_occurrences_and_star(self):
         faults = chaos.parse_io(
-            "torn=7@cache.write#2, rss=2e9@watchdog.rss#*, eio@cache.rename"
+            "torn=7@cache.write#2, kill@cache.rename#*, eio@cache.rename"
         )
         assert faults == (
             chaos.IOFault("torn", "cache.write", 2, 7.0),
-            chaos.IOFault("rss", "watchdog.rss", None, 2e9),
+            chaos.IOFault("kill", "cache.rename", None, 0.0),
             chaos.IOFault("eio", "cache.rename", 1, 0.0),
         )
 
     def test_torn_default_cap(self):
-        (f,) = chaos.parse_io("torn@journal.append")
+        (f,) = chaos.parse_io("torn@cache.write")
         assert f.param == chaos.DEFAULT_TORN_BYTES
 
     def test_matches(self):
@@ -68,7 +68,8 @@ class TestIoSpecParsing:
             "eio@cache.write#0",  # occurrence below 1
             "eio@cache.write#x",  # non-integer occurrence
             "torn=-1@cache.write",  # negative byte cap
-            "rss@watchdog.rss",  # rss requires a value
+            "rss=2e9@cache.write",  # removed mode
+            "eio@cache.wirte",  # misspelt site: would arm and never fire
         ],
     )
     def test_malformed_rejected(self, bad):
@@ -76,7 +77,9 @@ class TestIoSpecParsing:
             chaos.parse_io(bad)
 
     def test_empty_entries_skipped(self):
-        assert chaos.parse_io(" , eio@a.b ,, ") == (chaos.IOFault("eio", "a.b", 1, 0.0),)
+        assert chaos.parse_io(" , eio@cache.rename ,, ") == (
+            chaos.IOFault("eio", "cache.rename", 1, 0.0),
+        )
 
     def test_arm_io_validates(self):
         with pytest.raises(ValueError):
@@ -102,16 +105,16 @@ class TestIoFire:
         assert chaos.io_fire("cache.write") is None
 
     def test_enospc_raises(self):
-        chaos.arm_io("enospc@journal.append")
+        chaos.arm_io("enospc@cache.rename")
         with pytest.raises(OSError) as exc:
-            chaos.io_fire("journal.append")
+            chaos.io_fire("cache.rename")
         assert exc.value.errno == errno.ENOSPC
 
     def test_star_fires_every_time(self):
-        chaos.arm_io("eio@a.b#*")
+        chaos.arm_io("eio@cache.write#*")
         for _ in range(3):
             with pytest.raises(OSError):
-                chaos.io_fire("a.b")
+                chaos.io_fire("cache.write")
 
     def test_torn_returns_byte_cap(self):
         chaos.arm_io("torn=10@cache.write")
@@ -122,13 +125,6 @@ class TestIoFire:
     def test_other_sites_untouched(self):
         chaos.arm_io("eio@cache.write")
         assert chaos.io_fire("cache.rename") is None
-
-    def test_rss_mode_only_overrides(self):
-        chaos.arm_io("rss=5e9@watchdog.rss")
-        assert chaos.io_fire("watchdog.rss") is None  # rss never fires here
-        chaos.arm_io("rss=5e9@watchdog.rss")
-        assert chaos.io_override("watchdog.rss") == 5e9
-        assert chaos.io_override("watchdog.rss") is None  # occurrence 1 spent
 
 
 class TestCacheFaultRecovery:

@@ -18,7 +18,6 @@ from repro.faults.analysis import (
     mean_time_between_channel_faults_days,
 )
 from repro.faults.fit_rates import FaultMode, MemoryOrg
-from repro.faults import montecarlo
 from repro.faults.montecarlo import (
     _SAT_MODES,
     EolCapacitySim,
@@ -231,19 +230,3 @@ class TestChannelGapClosedForm:
         assert stats.runs_counted == 0
         assert stats.censored_tail_events == 99
         assert stats.mean_days == 0.0
-
-
-class TestChunkKnobDoesNotTouchScalarMc:
-    """The §VI-B and Figure 2 MCs draw whole sample arrays in one shot;
-    the chunk cap the supervisor's watchdog lowers must never reach them."""
-
-    def test_outputs_bitwise_stable_under_chunk_knob(self, monkeypatch):
-        base_stall = hpc_stall_mc(trials=40, seed=2)
-        base_gap = channel_fault_gap_stats(44.0, trials=500, seed=2)
-        base_mean = mean_time_between_channel_faults_mc(44.0, trials=500, seed=2)
-        monkeypatch.setattr(montecarlo, "_chunk_cap", None)
-        montecarlo.set_chunk_cap(7)
-        assert montecarlo.resolve_chunk() == 7
-        assert hpc_stall_mc(trials=40, seed=2) == base_stall
-        assert channel_fault_gap_stats(44.0, trials=500, seed=2) == base_gap
-        assert mean_time_between_channel_faults_mc(44.0, trials=500, seed=2) == base_mean

@@ -446,51 +446,3 @@ class TestTornLines:
         )
         assert "torn JSONL record" in out.stderr
         assert "events: 1" in out.stdout
-
-
-class TestSupervisorSummary:
-    """supervisor.* events reconstruct the durability accounting."""
-
-    @pytest.fixture
-    def paused_run(self, tmp_path):
-        from repro.experiments import supervisor
-        from repro.util import chaos
-        from tests._supervisor_worker import square
-
-        run = tmp_path / "run"
-        state = tmp_path / "state"
-        obs.configure(run)
-        try:
-            chaos.arm_io("enospc@journal.append#4")
-            with pytest.raises(supervisor.CampaignPaused):
-                supervisor.run_campaign(
-                    square, [(i,) for i in range(4)], name="obs",
-                    directory=state, jobs=1, watchdog=False,
-                )
-            chaos.arm_io(None)
-            supervisor.run_campaign(
-                square, [(i,) for i in range(4)], name="obs",
-                directory=state, jobs=1, watchdog=False,
-            )
-        finally:
-            chaos.arm_io(None)
-            obs.disarm()
-        return run
-
-    def test_pause_resume_reconstructed(self, paused_run):
-        summary = summarize(paused_run)
-        sup = summary["supervisor"]
-        assert sup["campaigns"] == 2
-        assert sup["pauses"] == 1
-        assert sup["replayed"] == 1  # one settle survived the first run
-        assert sup["settled"] == 4  # live settles across both runs
-        assert sup["done"]["settled"] == 4
-        assert sup["done"]["computed"] == 3
-        assert sup["last_begin"]["resumed"] == 1
-
-    def test_render_has_supervisor_section(self, paused_run):
-        text = render(summarize(paused_run))
-        assert "supervisor: 2 campaign(s)" in text
-        assert "1 replayed from journal" in text
-        assert "finished: 4 settled / 4 total (recomputed 3)" in text
-        assert "1 pause(s)" in text

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro import obs
-from repro.experiments import parallel, supervisor
+from repro.experiments import parallel
 from repro.obs.progress import Follower, Tracker, json_lines
 from repro.obs.summarize import read_events
 
@@ -129,20 +129,6 @@ class TestTrackerDeterminism:
             )
             outs.append(proc.stdout)
         assert outs[0] == outs[1] and outs[0].strip()
-
-    def test_supervised_campaign_uses_journal_name(self, armed, tmp_path):
-        supervisor.run_campaign(
-            _square,
-            PAYLOADS,
-            name="fig8",
-            directory=tmp_path / "camp",
-            jobs=2,
-            watchdog=False,
-            backoff=0,
-        )
-        lines = [json.loads(l) for l in json_lines(read_events(armed))]
-        assert lines and all(l["campaign"] == "fig8" for l in lines)
-        assert lines[-1]["done"] == len(PAYLOADS)
 
     def test_failed_tasks_counted_separately(self):
         events = [

@@ -410,10 +410,11 @@ class TestKnobs:
             run_plain(_sim(3), trials=10, chunk_size=0)
         with pytest.raises(ValueError):
             EolCapacitySim(MemoryOrg()).run(trials=10, chunk_size=-1)
-        # The resolved chunk (here: the watchdog's cap) keys the cache.
+        # The resolved chunk keys the cache.
         monkeypatch.setattr(ev, "CACHE_DIR", tmp_path)
-        monkeypatch.setattr(montecarlo, "_chunk_cap", 777)
-        sharded_estimate(mode="off", trials=100, shards=1, jobs=1, use_cache=True)
+        sharded_estimate(
+            mode="off", trials=100, shards=1, jobs=1, use_cache=True, chunk_size=777
+        )
         (key,) = load_json_cache(tmp_path / "mc_rareevent.json")
         assert "chunk=777" in key
 

@@ -10,7 +10,9 @@ cache recomputing only the unfinished cells.
 """
 
 import json
+import multiprocessing
 import os
+import signal
 import time
 
 import pytest
@@ -152,6 +154,27 @@ class TestTimeout:
         # a 0.7s task survives with no timeout configured
         out = list(parallel.run_tasks(_slow_touch, [(str(tmp_path), 0, 0.7), (str(tmp_path), 1, 0.0)], jobs=2))
         assert sorted(out) == [0, 1]
+
+
+class TestHungWorkerTeardown:
+    def test_hung_worker_is_killed_under_flag_only_sigterm_handler(self):
+        """A driver's flag-only SIGTERM handler must not reach the pool
+        workers it forks: a hung worker has to die on terminate()."""
+        previous = signal.signal(signal.SIGTERM, lambda signum, frame: None)
+        try:
+            t0 = time.monotonic()
+            res = list(
+                parallel.run_tasks(
+                    _square, [(i,) for i in range(4)], jobs=2, chaos="hang=60@1",
+                    timeout=0.5, retries=2, backoff=0, batch=1,
+                )
+            )
+            elapsed = time.monotonic() - t0
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert sorted(res) == [0, 1, 4, 9]
+        assert multiprocessing.active_children() == []
+        assert elapsed < 5.0  # the teardown join never timed out
 
 
 class TestEnvKnobs:

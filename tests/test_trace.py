@@ -1,8 +1,8 @@
 """Causal trace plane: spans, cross-process forests, attribution, export.
 
 The acceptance bar for the span plane: a chaos-armed (crash + hang +
-corrupt) *supervised* campaign yields one complete span forest — every
-stamped engine/super/journal event resolves to the campaign root through
+corrupt) engine campaign yields one complete span forest — every
+stamped engine/super/chaos event resolves to the campaign root through
 worker rebuilds, retries, batches, and crashed parents — with
 critical-path and wall-time bucket attribution covering >= 95% of the
 campaign's wall-clock, and the Chrome trace-event export validating
@@ -16,7 +16,7 @@ import sys
 import pytest
 
 from repro import obs
-from repro.experiments import parallel, supervisor
+from repro.experiments import parallel
 from repro.experiments.evaluation import Fidelity, evaluation_matrix
 from repro.faults.montecarlo import _eol_cell
 from repro.obs import trace
@@ -131,18 +131,17 @@ class TestCampaignForest:
         run = base / "traced"
         obs.configure(run)
         try:
-            results = supervisor.run_campaign(
-                _eol_cell,
-                PAYLOADS,
-                name="forest",
-                directory=base / "camp",
-                jobs=3,
-                watchdog=False,
-                chaos=self.CHAOS,
-                retries=2,
-                backoff=0,
-                timeout=0.75,
-                batch=2,  # force super-tasks so the codec spool path is exercised
+            results = list(
+                parallel.run_tasks(
+                    _eol_cell,
+                    PAYLOADS,
+                    jobs=3,
+                    chaos=self.CHAOS,
+                    retries=2,
+                    backoff=0,
+                    timeout=0.75,
+                    batch=2,  # force super-tasks so the codec spool path is exercised
+                )
             )
         finally:
             trace.adopt(None)
@@ -152,24 +151,22 @@ class TestCampaignForest:
     def test_results_match_fault_free_serial(self, campaign):
         results, _, _ = campaign
         reference = list(parallel.run_tasks(_eol_cell, PAYLOADS, jobs=1))
-        assert results == reference
+        # Pooled results arrive in completion order; every cell's seed
+        # gives a distinct output, so the multiset still pins each one.
+        assert sorted(results) == sorted(reference)
 
     def test_every_stamped_event_resolves_to_campaign_root(self, campaign):
         _, events, _ = campaign
         forest = build_forest(events)
         root = primary_root(forest)
-        assert root is not None and root.name == "supervisor.campaign"
+        assert root is not None and root.name == "engine.campaign"
         stamped = [
             e for e in events
             if e.get("span") is not None
             and e["kind"] != "trace.span"
-            and (
-                e["kind"].startswith("engine.")
-                or e["kind"].startswith("supervisor.")
-                or e["kind"].startswith("chaos.")
-            )
+            and (e["kind"].startswith("engine.") or e["kind"].startswith("chaos."))
         ]
-        assert stamped, "no stamped engine/supervisor events in the stream"
+        assert stamped, "no stamped engine/chaos events in the stream"
         for e in stamped:
             resolved = resolve_root(forest, e["trace"], e["span"])
             assert resolved is root, f"{e['kind']} did not resolve to campaign root"
@@ -179,15 +176,13 @@ class TestCampaignForest:
         forest = build_forest(events)
         root = primary_root(forest)
         names = {n.name for n in root.walk()}
-        # Dispatch, compute, codec, retry, and journal layers all appear
-        # under the single campaign root.
+        # Dispatch, compute, codec and retry layers all appear under the
+        # single campaign root.
         for expected in (
             "engine.campaign",
             "engine.task",
             "engine.encode",
             "engine.decode",
-            "journal.append",
-            "supervisor.salvage",
         ):
             assert expected in names, f"{expected} missing from forest"
         # The chaos storm forces retries: a backoff or rebuild span exists.
@@ -219,55 +214,15 @@ class TestCampaignForest:
         assert coverage >= 0.95  # acceptance bar (sums exactly by construction)
         assert buckets["compute"] > 0  # the tasks actually ran somewhere
         assert buckets["mc"] > 0  # the MC chunk loops inside them
-        assert buckets["journal"] > 0  # every settlement was journaled
 
     def test_trace_summary_section_in_report(self, campaign):
         _, events, run = campaign
         section = trace_summary(events)
         assert section["spans"] > 0 and section["traces"] >= 1
-        assert section["root"]["name"] == "supervisor.campaign"
+        assert section["root"]["name"] == "engine.campaign"
         assert section["coverage"] >= 0.95
         full = summarize(run)
-        assert full["trace"]["root"]["name"] == "supervisor.campaign"
-
-    def test_crash_resume_joins_the_same_forest(self, traced, tmp_path):
-        # First attempt dies mid-campaign (the supervisor process itself is
-        # fine; a persistent worker crash degrades, so instead interrupt by
-        # consuming only part of the stream).
-        stream = supervisor.supervised_tasks(
-            _eol_cell,
-            PAYLOADS,
-            name="resume",
-            directory=tmp_path / "camp2",
-            jobs=2,
-            watchdog=False,
-            backoff=0,
-        )
-        for _ in range(2):
-            next(stream)
-        stream.close()  # abandon mid-campaign; journal holds partial settles
-        results = supervisor.run_campaign(
-            _eol_cell,
-            PAYLOADS,
-            name="resume",
-            directory=tmp_path / "camp2",
-            jobs=2,
-            watchdog=False,
-            backoff=0,
-        )
-        assert results == list(parallel.run_tasks(_eol_cell, PAYLOADS, jobs=1))
-        events = read_events(traced)
-        roots = [
-            e for e in events
-            if e["kind"] == "trace.span" and e["name"] == "supervisor.campaign"
-        ]
-        assert len(roots) == 2
-        # The resumed campaign's root parents to the first run's root: the
-        # journal's begin record carried the trace context across the gap.
-        assert roots[1]["trace"] == roots[0]["trace"]
-        assert roots[1]["parent"] == roots[0]["span"]
-        forest = build_forest(events)
-        assert len(forest[roots[0]["trace"]]) == 1  # one tree, not two
+        assert full["trace"]["root"]["name"] == "engine.campaign"
 
 
 class TestEnvArming:
@@ -376,7 +331,7 @@ class TestLayerBuckets:
         ]
         buckets = attribute(primary_root(build_forest(events)))
         assert buckets == {
-            "codec": 0.0, "journal": 0.0, "sim": 1.0, "mc": 0.5,
+            "codec": 0.0, "sim": 1.0, "mc": 0.5,
             "compute": 1.5, "retry": 0.0, "dispatch": 0.0, "idle": 1.0,
         }
 
