@@ -19,7 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ecc.base import (
-    BatchCorrectResult,
     CorrectResult,
     DetectResult,
     ECCScheme,
@@ -119,67 +118,6 @@ class _RaimBase(ECCScheme):
         if still_bad - {victim}:
             return CorrectResult(data=None, corrected=False, detected=True)
         return CorrectResult(data=self.merge_from_chips(fixed_chips), corrected=True, detected=True)
-
-    def correct_lines(
-        self,
-        chips: np.ndarray,
-        detection: np.ndarray,
-        correction: np.ndarray,
-        erasures: "set[int] | None" = None,
-    ) -> BatchCorrectResult:
-        """Batched erase-and-rebuild: :meth:`_correct_via_dimm_parity` as an
-        array program (one batched detection pass localizes every line's bad
-        DIMM; single-victim rows rebuild via one XOR; the surviving-DIMM
-        recheck runs batched too).  ``tests/test_correct_lines.py`` holds
-        this equal to the base per-line loop.
-        """
-        chips = np.asarray(chips, dtype=np.uint8)
-        total = chips.shape[0]
-        n_dimms = self.n_data_dimms
-        data = self.merge_from_chips(chips)
-        stored = np.asarray(detection, dtype=np.uint8).reshape(total, n_dimms, self._words)
-        computed = np.asarray(self.compute_detection(data), dtype=np.uint8).reshape(
-            total, n_dimms, self._words
-        )
-        bad = np.any(computed != stored, axis=2)  # (T, dimms)
-        if erasures:
-            era = sorted({int(c) // self.data_chips_per_dimm for c in erasures})
-            bad[:, era] = True
-        nbad = bad.sum(axis=1)
-
-        out = np.zeros((total, self.line_size), dtype=np.uint8)
-        ok = np.zeros(total, dtype=bool)
-        corrected = np.zeros(total, dtype=bool)
-        detected = nbad > 0
-
-        clean = nbad == 0
-        out[clean] = data[clean]
-        ok[clean] = True
-
-        rows = np.flatnonzero(nbad == 1)
-        if rows.size:
-            ar = np.arange(rows.size)
-            victim = np.argmax(bad[rows], axis=1)
-            segs = self.split_to_chips(data[rows]).reshape(
-                rows.size, n_dimms, self.dimm_data_bytes
-            )
-            others = np.bitwise_xor.reduce(segs, axis=1) ^ segs[ar, victim]
-            parity = np.asarray(correction, dtype=np.uint8).reshape(total, -1)[rows]
-            segs[ar, victim] = parity ^ others
-            fixed_chips = segs.reshape(rows.size, self.data_chips, self._chip_bytes)
-            fixed = self.merge_from_chips(fixed_chips)
-            recheck = np.asarray(self.compute_detection(fixed), dtype=np.uint8).reshape(
-                rows.size, n_dimms, self._words
-            )
-            still_bad = np.any(recheck != stored[rows], axis=2)
-            # The victim's stored detection bytes died with it.
-            still_bad[ar, victim] = False
-            good = ~still_bad.any(axis=1)
-            sel = rows[good]
-            out[sel] = fixed[good]
-            ok[sel] = True
-            corrected[sel] = True
-        return BatchCorrectResult(data=out, ok=ok, corrected=corrected, detected=detected)
 
 
 class Raim45(_RaimBase):

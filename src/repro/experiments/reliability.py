@@ -79,7 +79,7 @@ def figure8_tail(
     trials: "int | None" = None,
     seed: int = 0,
     jobs: "int | None" = None,
-    mode: "str | None" = None,
+    mode: str = "off",
     thresholds: "dict[int, float] | None" = None,
     use_cache: bool = False,
     target_rci: "float | None" = None,
@@ -87,13 +87,12 @@ def figure8_tail(
     """Figure 8's 99.9th percentile via the rare-event estimators.
 
     For each channel count, runs a sharded campaign
-    (:func:`repro.faults.rareevent.sharded_estimate`) under the resolved
-    ``REPRO_MC_VR`` mode and reports the weighted 99.9th percentile plus a
+    (:func:`repro.faults.rareevent.sharded_estimate`) with estimator
+    *mode* (``off`` plain MC, ``is`` importance sampling, ``strat`` count
+    stratification) and reports the weighted 99.9th percentile plus a
     tail probability with analytic CI.  *thresholds* optionally pins the
     tail threshold per channel count (e.g. a materialization budget) -
-    with a pinned threshold the campaign targets that tail directly, and
-    ``auto`` mode resolves to importance sampling, whose tilt pays
-    exactly there (:func:`repro.faults.rareevent.resolve_mode`).
+    with a pinned threshold the campaign targets that tail directly.
     Without one, each row's threshold is the campaign's own estimated
     p999, so the quoted CI is the resolution of the percentile itself.
     """

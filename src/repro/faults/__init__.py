@@ -18,13 +18,6 @@ from repro.faults.fit_rates import (
     FaultMode,
     MemoryOrg,
 )
-from repro.faults.fleet import (
-    PRESET_MIXES,
-    FleetMix,
-    FleetReport,
-    FleetSegment,
-    fleet_failure_probability,
-)
 from repro.faults.injector import FaultInjector, InjectedFault
 from repro.faults.montecarlo import (
     ChannelGapStats,
@@ -78,9 +71,4 @@ __all__ = [
     "run_estimate",
     "sharded_estimate",
     "weighted_percentile",
-    "PRESET_MIXES",
-    "FleetMix",
-    "FleetReport",
-    "FleetSegment",
-    "fleet_failure_probability",
 ]

@@ -320,20 +320,16 @@ class EolCapacitySim:
         org: "MemoryOrg | None" = None,
         lifetime_hours: float = 7 * YEARS,
         seed: "int | None" = 0,
-        fit_scale: float = 1.0,
     ):
-        if fit_scale <= 0:
-            raise ValueError(f"fit_scale must be > 0, got {fit_scale}")
         self.org = org or MemoryOrg()
         self.lifetime_hours = lifetime_hours
-        self.fit_scale = fit_scale  #: vendor/age FIT multiplier (fleet mixes)
         self.rng = make_rng(seed)
 
     def _lambdas(self) -> "dict[FaultMode, float]":
         # Expected saturating events per system lifetime, per mode.
         org = self.org
         return {
-            m: FIT_BY_MODE[m] * self.fit_scale * 1e-9 * org.total_chips * self.lifetime_hours
+            m: FIT_BY_MODE[m] * 1e-9 * org.total_chips * self.lifetime_hours
             for m in _SAT_MODES
         }
 

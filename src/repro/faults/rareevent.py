@@ -3,12 +3,11 @@
 The chunked whole-array Monte Carlo (:mod:`repro.faults.montecarlo`) runs
 millions of trials per second, but the paper's headline reliability claims
 live in the *tails*: the 99.9th percentile of the end-of-life materialized
-fraction, and fleet-level questions like "P(any node materializes across a
-million machines over seven years)".  Those events have probability 1e-3
-and below, so plain MC needs billions of trials for a tight confidence
-interval.  This module trades trials for *variance reduction* - orders of
-magnitude fewer trials at the same CI width - with two estimators that
-both remain provably unbiased:
+fraction and the probability of exceeding a materialization budget.  Those
+events have probability 1e-3 and below, so plain MC needs billions of
+trials for a tight confidence interval.  This module trades trials for
+*variance reduction* - orders of magnitude fewer trials at the same CI
+width - with two estimators that both remain provably unbiased:
 
 **Importance sampling (exponential tilting).**  The saturating-fault count
 of each mode is Poisson; sampling from a *tilted* proposal with rates
@@ -42,9 +41,9 @@ conditioned on ``K = k`` the mode split is multinomial
 CDF over the truncated Poisson); stratum probabilities are analytic, so
 ``E[f] = sum_h P(h) E[f | h]`` holds exactly.  The zero-event stratum -
 over 80% of the probability mass at paper FIT rates - is *exact*: no
-events means fraction 0, zero variance, zero samples spent.  Allocation of
-the trial budget over the remaining strata is proportional (``n_h ~ p_h``)
-or Neyman (``n_h ~ p_h sigma_h`` from a pilot round).
+events means fraction 0, zero variance, zero samples spent.  The trial
+budget over the remaining strata follows Neyman allocation
+(``n_h ~ p_h sigma_h`` from a pilot round).
 
 Both estimators emit ``(value, weight)`` streams into one aggregation
 type, :class:`WeightedTally`: a streaming weighted mean, an exact
@@ -83,6 +82,7 @@ import numpy as np
 
 from repro import obs
 from repro.obs import trace
+from repro.faults.analysis import LIFETIME_HOURS
 from repro.faults.fit_rates import MemoryOrg
 from repro.faults.montecarlo import (
     _BANKS_MATERIALIZED,
@@ -97,8 +97,7 @@ from repro.faults.montecarlo import (
 )
 from repro.util.cachefile import Checkpoint
 from repro.util.rng import make_rng
-from repro.util.envcfg import mc_trials, mc_vr
-from repro.util.units import YEARS
+from repro.util.envcfg import mc_trials
 
 #: Default exponential-tilt factor of the importance sampler: the
 #: smallest-blast-radius fault modes' Poisson rates are multiplied by this
@@ -141,6 +140,10 @@ DEFAULT_STRATA = 6
 #: Minimum samples a sampled stratum receives, so no stratum with positive
 #: probability is left unestimated (which would bias the estimator).
 MIN_PER_STRATUM = 32
+
+#: Estimators of :func:`run_estimate` and :func:`sharded_estimate`: plain
+#: Monte Carlo, importance sampling, count stratification.
+MODES = ("off", "is", "strat")
 
 #: Default shard count of :func:`sharded_estimate` - fixed rather than
 #: CPU-derived so shard seeding (and therefore the merged estimate) does
@@ -564,7 +567,6 @@ class StratifiedEstimate:
 
     mode: str  #: always "strat"
     strata: "list[StratumState]"
-    allocation: str = "neyman"
 
     @property
     def trials(self) -> int:
@@ -681,7 +683,6 @@ class StratifiedEstimate:
         return {
             "kind": "stratified",
             "mode": self.mode,
-            "allocation": self.allocation,
             "strata": [s.to_dict() for s in self.strata],
         }
 
@@ -689,7 +690,6 @@ class StratifiedEstimate:
     def from_dict(cls, d: dict) -> "StratifiedEstimate":
         return cls(
             mode=str(d["mode"]),
-            allocation=str(d.get("allocation", "neyman")),
             strata=[StratumState.from_dict(s) for s in d["strata"]],
         )
 
@@ -796,7 +796,7 @@ def run_plain(
 ) -> WeightedEstimate:
     """Plain MC through the weighted pipeline (all weights one).
 
-    The ``REPRO_MC_VR=off`` leg of every campaign: identical draws to
+    The ``mode="off"`` leg of every campaign: identical draws to
     :meth:`EolCapacitySim.run`, aggregated into a :class:`WeightedTally`
     so plain runs, IS runs, and stratified runs are directly comparable.
     """
@@ -959,7 +959,7 @@ def _sample_stratum(sim, lam, kmax: int, k: int, n: int) -> np.ndarray:
 
 
 def _allocate(budget: int, shares: "list[float]", minimum: int) -> "list[int]":
-    """Integer allocation of *budget* proportional to *shares* with a floor.
+    """Integer split of *budget* in the ratio of *shares*, with a floor.
 
     Every stratum with positive share receives at least *minimum* samples
     (bias guard); the remainder is split largest-share-first.
@@ -990,7 +990,6 @@ def run_stratified(
     sim: EolCapacitySim,
     trials: "int | None" = None,
     strata: "int | None" = None,
-    allocation: str = "neyman",
     chunk_size: "int | None" = None,
     target: "tuple | None" = None,
     target_rci: "float | None" = None,
@@ -999,16 +998,14 @@ def run_stratified(
 
     *strata* is ``kmax``: exact strata ``K = 1 .. kmax-1`` plus the
     ``K >= kmax`` tail (default :data:`DEFAULT_STRATA`); ``K = 0`` is
-    analytic and consumes no samples.  *allocation* is ``"proportional"``
-    (``n_h ~ p_h``) or ``"neyman"`` (``n_h ~ p_h sigma_h``, with
-    ``sigma_h`` estimated from a pilot round of :data:`MIN_PER_STRATUM`
-    samples per stratum; the pilot samples count toward the budget).
+    analytic and consumes no samples.  The budget follows Neyman
+    allocation (``n_h ~ p_h sigma_h``, with ``sigma_h`` estimated from a
+    pilot round of :data:`MIN_PER_STRATUM` samples per stratum; the pilot
+    samples count toward the budget).
     *trials* is the total *sampled* budget.  Early stopping mirrors
     :func:`run_is`: once the pilot is in, sampling proceeds in chunks and
     stops when the target relative CI is met.
     """
-    if allocation not in ("proportional", "neyman"):
-        raise ValueError(f"allocation must be 'proportional' or 'neyman', got {allocation!r}")
     trials = mc_trials(trials, 20000)
     chunk_size = resolve_chunk(chunk_size)
     target_rci = _resolve_target_rci(target_rci)
@@ -1020,7 +1017,7 @@ def run_stratified(
     probs = _stratum_probs(lam_total, kmax)
     states = [StratumState(k=0, prob=probs[0], exact=0.0)]
     states += [StratumState(k=k, prob=probs[k]) for k in range(1, kmax + 1)]
-    estimate = StratifiedEstimate(mode="strat", strata=states, allocation=allocation)
+    estimate = StratifiedEstimate(mode="strat", strata=states)
     sampled = [s for s in states if s.exact is None and s.prob > 0]
     armed = obs.enabled()
 
@@ -1031,21 +1028,18 @@ def run_stratified(
         s.tally.add(_sample_stratum(sim, lam, kmax, s.k, pilot))
     done = sum(s.tally.n for s in sampled)
 
-    if allocation == "neyman":
-        indicator = target is not None and target[0] == "tail"
+    indicator = target is not None and target[0] == "tail"
 
-        def sigma(s: StratumState) -> float:
-            t = s.tally
-            if indicator:
-                p_h = t.tail_stats(target[1])[0] / t.n
-                return math.sqrt(p_h * (1.0 - p_h))
-            mean_h = t.sum_wv / t.n
-            return math.sqrt(max(0.0, t.sum_wv_sq / t.n - mean_h**2))
+    def sigma(s: StratumState) -> float:
+        t = s.tally
+        if indicator:
+            p_h = t.tail_stats(target[1])[0] / t.n
+            return math.sqrt(p_h * (1.0 - p_h))
+        mean_h = t.sum_wv / t.n
+        return math.sqrt(max(0.0, t.sum_wv_sq / t.n - mean_h**2))
 
-        shares = [s.prob * sigma(s) for s in sampled]
-        if not any(shares):  # a pilot too small to see any variance
-            shares = [s.prob for s in sampled]
-    else:
+    shares = [s.prob * sigma(s) for s in sampled]
+    if not any(shares):  # a pilot too small to see any variance
         shares = [s.prob for s in sampled]
 
     plan = _allocate(max(0, trials - done), shares, MIN_PER_STRATUM)
@@ -1071,39 +1065,31 @@ def run_stratified(
 # -- front door + sharded campaigns ----------------------------------------------------
 
 
-def resolve_mode(mode: "str | None" = None, target: "tuple | None" = None) -> str:
-    """Resolve ``REPRO_MC_VR`` to a concrete estimator.
-
-    ``auto`` picks importance sampling for tail/threshold targets (the
-    tilt concentrates trials exactly where the indicator lives) and
-    stratification otherwise (the zero-variance ``K=0`` stratum does the
-    heavy lifting for means).
-    """
-    mode = mc_vr(mode)
-    if mode == "auto":
-        return "is" if (target is not None and target[0] == "tail") else "strat"
+def _check_mode(mode: str) -> str:
+    """*mode* itself if it names an estimator in :data:`MODES`, else raise."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {'|'.join(MODES)}, got {mode!r}")
     return mode
 
 
 def run_estimate(
     sim: EolCapacitySim,
-    mode: "str | None" = None,
+    mode: str = "off",
     trials: "int | None" = None,
     *,
     tilt: "float | None" = None,
     strata: "int | None" = None,
-    allocation: str = "neyman",
     chunk_size: "int | None" = None,
     target: "tuple | None" = None,
     target_rci: "float | None" = None,
 ) -> "WeightedEstimate | StratifiedEstimate":
-    """One-process front door: dispatch on the resolved VR mode."""
-    mode = resolve_mode(mode, target)
+    """One-process front door: dispatch on the estimator *mode*."""
+    mode = _check_mode(mode)
     if mode == "off":
         return run_plain(sim, trials, chunk_size, target, target_rci)
     if mode == "is":
         return run_is(sim, trials, tilt, chunk_size, target, target_rci)
-    return run_stratified(sim, trials, strata, allocation, chunk_size, target, target_rci)
+    return run_stratified(sim, trials, strata, chunk_size, target, target_rci)
 
 
 def _shard_worker(
@@ -1111,15 +1097,12 @@ def _shard_worker(
     ranks_per_channel: int,
     chips_per_rank: int,
     banks_per_rank: int,
-    lifetime_hours: float,
-    fit_scale: float,
     mode: str,
     trials: int,
     seed: int,
     shard: int,
     tilt: float,
     strata: int,
-    allocation: str,
     chunk_size: int,
     threshold: "float | None",
 ) -> "tuple[int, dict]":
@@ -1135,10 +1118,7 @@ def _shard_worker(
         banks_per_rank=banks_per_rank,
     )
     sim = EolCapacitySim(
-        org,
-        lifetime_hours=lifetime_hours,
-        seed=np.random.default_rng(np.random.SeedSequence((seed, shard))),
-        fit_scale=fit_scale,
+        org, seed=np.random.default_rng(np.random.SeedSequence((seed, shard)))
     )
     target = None if threshold is None else ("tail", threshold)
     with trace.span("mc.shard", "mc", shard=shard, mode=mode, trials=trials):
@@ -1148,7 +1128,6 @@ def _shard_worker(
             trials,
             tilt=tilt,
             strata=strata,
-            allocation=allocation,
             chunk_size=chunk_size,
             target=target,
             target_rci=0,  # shards never self-truncate; the driver stops globally
@@ -1188,16 +1167,13 @@ class CampaignResult:
 def sharded_estimate(
     org: "MemoryOrg | None" = None,
     *,
-    mode: "str | None" = None,
+    mode: str = "off",
     trials: "int | None" = None,
     shards: int = DEFAULT_SHARDS,
     seed: int = 0,
-    lifetime_hours: float = 7 * YEARS,
-    fit_scale: float = 1.0,
     threshold: "float | None" = None,
     tilt: "float | None" = None,
     strata: "int | None" = None,
-    allocation: str = "neyman",
     chunk_size: "int | None" = None,
     jobs: "int | None" = None,
     use_cache: bool = False,
@@ -1205,8 +1181,10 @@ def sharded_estimate(
 ) -> CampaignResult:
     """Sharded rare-event campaign through the resilient engine.
 
-    The trial budget splits over *shards* independent, deterministically
-    seeded shard runs fanned out via
+    *mode* picks the estimator (:data:`MODES`: ``off`` plain MC, ``is``
+    importance sampling, ``strat`` count stratification; anything else
+    raises ``ValueError``).  The trial budget splits over *shards*
+    independent, deterministically seeded shard runs fanned out via
     :func:`repro.experiments.parallel.run_tasks` (``jobs``;
     ``REPRO_JOBS``/cpu count by default, 1 = in-process).  With
     ``use_cache=True`` finished shards checkpoint into
@@ -1223,7 +1201,7 @@ def sharded_estimate(
     """
     org = org or MemoryOrg()
     threshold_t = None if threshold is None else ("tail", threshold)
-    mode = resolve_mode(mode, threshold_t)
+    mode = _check_mode(mode)
     trials = mc_trials(trials, 20000)
     tilt = _resolve_tilt(tilt)
     chunk_size = resolve_chunk(chunk_size)
@@ -1237,8 +1215,7 @@ def sharded_estimate(
     def key(shard: int, shard_trials: int) -> str:
         parts = [
             f"org={org.channels}x{org.ranks_per_channel}x{org.chips_per_rank}x{org.banks_per_rank}",
-            f"life={lifetime_hours}",
-            f"fit={fit_scale}",
+            f"life={LIFETIME_HOURS}",
             f"mode={mode}",
             f"trials={shard_trials}",
             f"seed={seed}",
@@ -1248,7 +1225,7 @@ def sharded_estimate(
         if mode == "is":
             parts.append(f"tilt={tilt}")
         if mode == "strat":
-            parts.append(f"strata={strata_n}:alloc={allocation}")
+            parts.append(f"strata={strata_n}")
             if threshold is not None:
                 parts.append(f"thr={threshold}")
         return ":".join(parts)
@@ -1285,15 +1262,12 @@ def sharded_estimate(
                 org.ranks_per_channel,
                 org.chips_per_rank,
                 org.banks_per_rank,
-                lifetime_hours,
-                fit_scale,
                 mode,
                 shard_trials[s],
                 seed,
                 s,
                 tilt,
                 strata_n,
-                allocation,
                 chunk_size,
                 threshold,
             )

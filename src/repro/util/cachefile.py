@@ -261,7 +261,10 @@ class Checkpoint:
     descriptor, with no reload, rename or fsync.  Leaving a ``with ckpt:``
     block, on success or error, compacts: one
     :func:`write_json_cache_atomic` (merge-on-write, fsync before rename)
-    of every value, then the log is unlinked.
+    of every value, then the log is unlinked.  Compaction writes new
+    values in the key order last passed to :meth:`missing` (task order),
+    not the order they were saved in, so a pooled sweep that finishes
+    cells in completion order writes the serial sweep's bytes.
 
     The log needs no per-record fsync because a record is trusted only
     after its CRC checks: a machine crash can lose tail records, never
@@ -279,6 +282,7 @@ class Checkpoint:
         self.path = path
         self.valid = valid
         self.values: "dict[str, object]" = {}
+        self._order: "dict[str, int]" = {}
         self._tail_cut = False
         if path is not None:
             self.log = path.with_name(f"{path.name}.log")
@@ -290,6 +294,8 @@ class Checkpoint:
 
     def missing(self, keys: "Iterable[str]") -> "list[str]":
         """The *keys* still to compute, in the given order."""
+        keys = list(keys)
+        self._order = {k: i for i, k in enumerate(keys)}
         return [k for k in keys if k not in self.values or not self.valid(self.values[k])]
 
     def save(self, key: str, value: object) -> None:
@@ -328,5 +334,7 @@ class Checkpoint:
 
     def __exit__(self, *exc_info) -> None:
         if self.path is not None and self.log.exists():
-            write_json_cache_atomic(self.path, self.values)
+            rank = self._order.get
+            ordered = sorted(self.values.items(), key=lambda kv: rank(kv[0], -1))
+            write_json_cache_atomic(self.path, dict(ordered))
             self.log.unlink(missing_ok=True)

@@ -1,13 +1,13 @@
 """Environment-variable knobs: every ``REPRO_*`` setting the package reads.
 
-Nine knobs cover what the paper's results need: fidelity (``REPRO_FULL``),
-worker count (``REPRO_JOBS``), Monte Carlo trial budget and estimator
-(``REPRO_MC_TRIALS``, ``REPRO_MC_VR``), the simulation kernel
-(``REPRO_SIM_KERNEL``), the result cache (``REPRO_CACHE_DIR``), telemetry
-(``REPRO_OBS``, ``REPRO_OBS_DIR``) and benchmark budgets
-(``REPRO_BENCH_QUICK``).  Every other setting is a call argument at the
-point of use (``timeout=``, ``retries=``, ``chaos=``, ``chunk_size=``,
-``tilt=``, ...).
+Eight knobs cover what the paper's results need: fidelity (``REPRO_FULL``),
+worker count (``REPRO_JOBS``), Monte Carlo trial budget
+(``REPRO_MC_TRIALS``), the simulation kernel (``REPRO_SIM_KERNEL``), the
+result cache (``REPRO_CACHE_DIR``), telemetry (``REPRO_OBS``,
+``REPRO_OBS_DIR``) and benchmark budgets (``REPRO_BENCH_QUICK``).  Every
+other setting is a call argument at the point of use (``timeout=``,
+``retries=``, ``chaos=``, ``chunk_size=``, ``tilt=``, the rare-event
+estimator ``mode=``, ...).
 
 Each knob has one resolver here, named after what it sets (:func:`jobs`,
 :func:`mc_trials`, :func:`sim_kernel`, ...).  The resolvers share a few
@@ -17,8 +17,7 @@ parsers by value type:
 * on/off switches - :func:`flag` (``REPRO_OBS``, ``REPRO_FULL``,
   ``REPRO_BENCH_QUICK``);
 * directories - :func:`path` (``REPRO_CACHE_DIR``, ``REPRO_OBS_DIR``);
-* enumerations - a per-knob choice check (``REPRO_MC_VR``,
-  ``REPRO_SIM_KERNEL``).
+* enumerations - a per-knob choice check (``REPRO_SIM_KERNEL``).
 
 Blank or unset falls back to the default; malformed or out-of-range values
 raise ``ValueError`` eagerly in the parent process.  An explicit argument
@@ -38,10 +37,6 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
-
-#: Variance-reduction modes accepted by ``REPRO_MC_VR``.
-MC_VR_MODES = ("off", "is", "strat", "auto")
-
 
 def positive_int(name: str, default: int, minimum: int = 1) -> int:
     """Shared positive-int knob: env var *name* if set, else *default*."""
@@ -66,24 +61,6 @@ def mc_trials(explicit: "int | None", default: int) -> int:
     if explicit is not None:
         return explicit
     return positive_int("REPRO_MC_TRIALS", default)
-
-
-def mc_vr(explicit: "str | None" = None) -> str:
-    """Resolve the rare-event variance-reduction mode of the MC plane.
-
-    ``off`` (default) keeps plain Monte Carlo; ``is`` arms the
-    exponential-tilt importance sampler; ``strat`` arms fault-count
-    stratification; ``auto`` lets the driver pick per target (importance
-    sampling for tail/threshold targets, stratification for means).  An
-    explicit caller argument wins over ``REPRO_MC_VR``.
-    """
-    value = explicit if explicit is not None else os.environ.get("REPRO_MC_VR", "")
-    value = value.strip() or "off"
-    if value not in MC_VR_MODES:
-        raise ValueError(
-            f"REPRO_MC_VR must be one of {'|'.join(MC_VR_MODES)}, got {value!r}"
-        )
-    return value
 
 
 #: Tokens accepted by on/off knobs; anything else raises.
@@ -177,13 +154,6 @@ register(
     "per driver (fig8: 20000)",
     "default trial count of every Monte Carlo driver; explicit trials= wins",
     lambda: str(positive_int("REPRO_MC_TRIALS", 0) or "(per-driver default)"),
-)
-register(
-    "REPRO_MC_VR",
-    "off|is|strat|auto",
-    "off",
-    "rare-event variance reduction: importance sampling, count stratification, or per-target auto",
-    lambda: mc_vr(),
 )
 register(
     "REPRO_CACHE_DIR",

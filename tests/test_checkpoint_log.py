@@ -206,6 +206,19 @@ class TestByteIdentity:
         new = self._logged(tmp_path / "new.json", start, self.SAVES, kill_after)
         assert new == old
 
+    def test_compaction_ignores_save_order(self, tmp_path):
+        # A pooled sweep saves in completion order; compaction writes the
+        # task order the driver passed to missing(), as a serial sweep does.
+        keys = [k for k, _ in self.SAVES]
+        written = []
+        for name, saves in (("a.json", self.SAVES), ("b.json", self.SAVES[::-1])):
+            with Checkpoint(tmp_path / name, lambda v: True) as ckpt:
+                assert ckpt.missing(keys) == keys
+                for key, value in saves:
+                    ckpt.save(key, value)
+            written.append((tmp_path / name).read_bytes())
+        assert written[0] == written[1] == self._per_save(tmp_path / "old.json", None, self.SAVES)
+
     def test_driver_cache_matches_per_save_rewrites(self, tmp_path, monkeypatch):
         monkeypatch.setattr(ev, "CACHE_DIR", tmp_path / "new")
         evaluation_matrix("quad", fidelity=TINY, jobs=1, **CELLS)

@@ -14,7 +14,6 @@ from repro.ecc.chipkill import Chipkill18, Chipkill36
 from repro.ecc.double_chipkill import DoubleChipkill40
 from repro.ecc.lot_ecc import LotEcc5, LotEcc9
 from repro.ecc.lot_ecc_rs import LotEcc5RS
-from repro.ecc.raim import Raim18EP, Raim45
 
 SCHEMES = [
     Chipkill36,
@@ -23,8 +22,6 @@ SCHEMES = [
     LotEcc5,
     LotEcc5RS,
     LotEcc9,
-    Raim45,
-    Raim18EP,
 ]
 
 

@@ -156,11 +156,12 @@ class TestManifest:
 class TestEnvcfgIntrospection:
     def test_describe_covers_every_knob(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "3")
+        monkeypatch.delenv("REPRO_SIM_KERNEL", raising=False)
         rows = {r["name"]: r for r in envcfg.describe()}
         assert set(rows) == set(envcfg.KNOBS)
         assert rows["REPRO_JOBS"]["current"] == "3"
         assert rows["REPRO_JOBS"]["source"] == "env"
-        assert rows["REPRO_MC_VR"]["source"] == "default"
+        assert rows["REPRO_SIM_KERNEL"]["source"] == "default"
 
     def test_invalid_env_renders_not_raises(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "zero")

@@ -258,7 +258,7 @@ class TestCollisionCache(_CheckpointContract):
 class TestRareEventCache(_CheckpointContract):
     FILE = "mc_rareevent.json"
     KEYS = [
-        f"org=8x4x9x8:life=61320.0:fit=1.0:mode=is:trials=1000:seed=1:shard={s}:chunk=65536:tilt=6.0"
+        f"org=8x4x9x8:life=61320.0:mode=is:trials=1000:seed=1:shard={s}:chunk=65536:tilt=6.0"
         for s in range(4)
     ]
     BAD = {"mean": 0.0}  # no estimate kind

@@ -35,7 +35,6 @@ from repro.faults.rareevent import (
     _tilt_by_mode,
     estimate_from_dict,
     oracle_compare,
-    resolve_mode,
     run_estimate,
     run_is,
     run_plain,
@@ -43,7 +42,7 @@ from repro.faults.rareevent import (
     sharded_estimate,
     weighted_percentile,
 )
-from repro.util import envcfg
+from repro.experiments.reliability import figure8_tail
 from repro.util.cachefile import load_json_cache
 
 ORGS = [
@@ -269,8 +268,6 @@ class TestStratified:
     def test_validation(self):
         with pytest.raises(ValueError):
             run_stratified(_sim(1), trials=100, strata=1)
-        with pytest.raises(ValueError):
-            run_stratified(_sim(1), trials=100, allocation="bogus")
 
     def test_merge_rejects_mismatched_strata(self):
         a = run_stratified(_sim(1), trials=500, strata=4)
@@ -398,8 +395,8 @@ class TestShardedCampaigns:
 
 
 class TestKnobs:
-    """Rare-event settings: ``REPRO_MC_VR`` is an environment knob; chunk
-    size, tilt and target RCI are call arguments checked where used."""
+    """Rare-event settings: estimator mode, chunk size, tilt and target
+    RCI are call arguments checked where used."""
 
     def test_mc_chunk(self, tmp_path, monkeypatch):
         from repro.experiments import evaluation as ev
@@ -418,16 +415,36 @@ class TestKnobs:
         (key,) = load_json_cache(tmp_path / "mc_rareevent.json")
         assert "chunk=777" in key
 
-    def test_mc_vr(self, monkeypatch):
-        for value in ("off", "is", "strat", "auto"):
-            monkeypatch.setenv("REPRO_MC_VR", value)
-            assert envcfg.mc_vr() == value
-        assert envcfg.mc_vr("off") == "off"  # explicit wins
-        monkeypatch.setenv("REPRO_MC_VR", "bogus")
+    def test_mc_vr(self):
+        """The estimator mode is validated where used; the default is off."""
+        for mode in ("off", "is", "strat"):
+            assert run_estimate(_sim(13), mode, trials=100).mode == mode
         with pytest.raises(ValueError):
-            envcfg.mc_vr()
-        monkeypatch.delenv("REPRO_MC_VR")
-        assert envcfg.mc_vr() == "off"
+            run_estimate(_sim(13), "bogus", trials=100)
+        with pytest.raises(ValueError):
+            sharded_estimate(mode="bogus", trials=100, shards=1, jobs=1)
+        with pytest.raises(ValueError):
+            figure8_tail(trials=100, mode="bogus", jobs=1)
+        assert run_estimate(_sim(13), trials=100).mode == "off"
+        assert sharded_estimate(trials=100, shards=1, jobs=1).mode == "off"
+        assert {row.mode for row in figure8_tail(trials=100, jobs=1)} == {"off"}
+
+    def test_resolve_mode_auto(self):
+        """There is no ``auto`` policy: every entry point rejects it."""
+        with pytest.raises(ValueError):
+            run_estimate(_sim(13), "auto", trials=100)
+        with pytest.raises(ValueError):
+            sharded_estimate(mode="auto", trials=100, shards=1, jobs=1)
+        with pytest.raises(ValueError):
+            figure8_tail(trials=100, mode="auto", jobs=1)
+
+    def test_env_mode_steers_run_estimate(self, monkeypatch):
+        """Only the ``mode`` argument steers the estimator, not the environment."""
+        monkeypatch.setenv("REPRO_MC_VR", "is")
+        assert run_estimate(_sim(13), trials=1_000).mode == "off"
+        est = run_estimate(_sim(13), "is", trials=1_000)
+        assert isinstance(est, WeightedEstimate)
+        assert est.mode == "is" and est.tilt > 1.0
 
     def test_mc_tilt(self):
         assert run_is(_sim(4), trials=50).tilt == DEFAULT_MC_TILT
@@ -447,17 +464,3 @@ class TestKnobs:
             run_is(_sim(5), trials=50, target_rci=-1)
         with pytest.raises(ValueError):
             sharded_estimate(mode="is", trials=50, shards=1, jobs=1, target_rci=-1)
-
-    def test_resolve_mode_auto(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MC_VR", "auto")
-        assert resolve_mode(target=("tail", 0.05)) == "is"
-        assert resolve_mode(target=None) == "strat"
-        assert resolve_mode(target=("mean",)) == "strat"
-        monkeypatch.delenv("REPRO_MC_VR")
-        assert resolve_mode() == "off"
-
-    def test_env_mode_steers_run_estimate(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MC_VR", "is")
-        est = run_estimate(_sim(13), trials=1_000)
-        assert isinstance(est, WeightedEstimate)
-        assert est.mode == "is" and est.tilt > 1.0
