@@ -5,10 +5,15 @@ is the semantic definition of the simulator and costs a few microseconds
 per event in the interpreter.  This module re-executes exactly the same
 discrete-event semantics in C, compiled with :mod:`cffi` through
 :class:`repro.util.native.NativeCore`, over flat int64 NumPy state: the
-LLC slot arrays, per-bank timing, queue entries, and energy counters are
-staged in once, the loop runs, and the state is exported back into the
-object model - so post-run introspection, ``finalize()``, and the power
-integration see exactly what the reference loop would have left behind.
+LLC slot arrays, per-bank timing, queue entries, and energy counters.
+That state stays resident per process, one set per system geometry; each
+run resets it in C and copies in only the Python-side state that is not
+fresh, so a sweep's cells stage nothing.  A run writes back only what
+drivers, telemetry and the power model read (time, counters, per-rank
+energy counters finalized through the last cycle); the rest of the
+post-run state - LLC slots, channel queues, bank timing, core state -
+reaches the object model only through :func:`readback`, which the
+identity tests call and ``SimSystem.run`` calls before a second run.
 
 Scope: every configuration the paper's experiments build - patrol scrubbing,
 degraded (faulty-bank) mode, uncached ECC/XOR lines, one-shot bursts, and
@@ -53,6 +58,8 @@ from time import perf_counter
 import numpy as np
 
 from repro import obs
+from repro.cpu.degraded import MATERIALIZED_BASE
+from repro.cpu.ecc_traffic import ECC_REGION_BASE
 from repro.cpu.llc import LineKind
 from repro.cpu.system import EV_BURST, EV_CORE, EV_SCRUB, AccessCounters, SimResult
 from repro.dram.channel import MemRequest
@@ -145,6 +152,8 @@ typedef struct {
 _CDEF = _STRUCT + """
 void push_event(KS *k, int64_t t, int64_t kind, int64_t payload);
 void wh_bulk(KS *k, int64_t *keys, int64_t *vals, int64_t n);
+void ks_reset(KS *k);
+void ks_finish(KS *k, int64_t reached);
 int64_t epoch_run(KS *k);
 """
 
@@ -825,6 +834,65 @@ static void take_scalars(KS *k, int64_t *dst) {
     dst[7] = k->n_ecc_r; dst[8] = k->n_ecc_w;
 }
 
+/* -- per-run reset and wind-down ------------------------------------------- */
+
+/* Put every state array into the state a freshly built system has: an
+   empty LLC, idle ranks with staggered refresh deadlines, idle channels
+   and cores, an empty event queue.  Geometry and timing fields must be
+   set.  Heap entries, wheel nodes and queue entries are written before
+   they are read, so only their counts reset. */
+void ks_reset(KS *k) {
+    int64_t slots = k->n_sets * k->assoc, n = k->n_ranks, C = k->C;
+    int64_t nc = k->n_cores;
+    for (int64_t i = 0; i < slots; i++) k->l_tags[i] = -1;
+    memset(k->l_lru, 0, slots * sizeof(int64_t));
+    memset(k->l_dirty, 0, slots);
+    memset(k->l_kind, 0, slots);
+    memset(k->l_fill, 0, k->n_sets * sizeof(int64_t));
+    for (int64_t i = 0; i <= k->wh_mask; i++) k->wh_keys[i] = -1;
+    k->wh_used = k->wh_tomb = 0;
+    k->clock = k->hits = k->misses = k->evictions_dirty = 0;
+    memset(k->bank_ready, 0, n * k->B * sizeof(int64_t));
+    memset(k->faulty, 0, n * k->B + k->MB + 1);
+    int64_t *rank_rows[] = {k->busy_until, k->accounted_to, k->refreshes,
+                            k->c_act, k->c_rd, k->c_wr, k->c_active,
+                            k->c_standby, k->c_pdown, k->act_len, k->act_head};
+    for (int r = 0; r < 11; r++) memset(rank_rows[r], 0, n * sizeof(int64_t));
+    for (int64_t g = 0; g < n; g++)  /* Channel.__init__'s stagger */
+        k->next_refresh[g] = (g % k->R + 1) * k->trefi / k->R;
+    int64_t *chan_rows[] = {k->q_len, k->dem_cnt, k->bg_cnt, k->draining,
+                            k->bus_free, k->last_w, k->fast_picks, k->issued,
+                            k->refresh_due};
+    for (int r = 0; r < 9; r++) memset(chan_rows[r], 0, C * sizeof(int64_t));
+    memset(k->done, 0, nc); memset(k->waiting, 0, nc);
+    memset(k->has_pend, 0, nc); memset(k->pend_wr, 0, nc);
+    memset(k->posted, 0, nc * sizeof(int64_t));
+    memset(k->loads, 0, nc * sizeof(int64_t));
+    memset(k->instr, 0, nc * sizeof(int64_t));
+    memset(k->pend_addr, 0, nc * sizeof(int64_t));
+    k->done_cnt = 0;
+    memset(k->buf_i, 0, sizeof k->buf_i);
+    memset(k->buf_n, 0, sizeof k->buf_n);
+    k->h_len = 0; k->w_cnt = 0; k->w_used = 0; k->w_free = -1;
+    memset(k->w_occ, 0, sizeof k->w_occ); k->w_sum = 0;
+    k->total = 0; k->error = 0; k->snap_taken = 0;
+    k->resume_cid = -1; k->resume_now = 0; k->resume_ok = 0;
+}
+
+/* After the last epoch_run: the reference's wind-down.  A run that never
+   reached the warm-up snapshots its counters now (as of cycle 0, so no
+   residency is accounted) and measures from zero; a run that did not stop
+   at the target ends with the live scalars.  Then every rank accounts its
+   residency through the final cycle (MemorySystem.finalize). */
+void ks_finish(KS *k, int64_t reached) {
+    if (!k->snap_taken) {
+        take_counts(k, k->snap_cnt, 0);
+        memset(k->snap_scalars, 0, sizeof k->snap_scalars);
+    }
+    if (!reached) take_scalars(k, k->end_scalars);
+    for (int64_t g = 0; g < k->n_ranks; g++) account(k, g, k->now);
+}
+
 /* -- main loop -------------------------------------------------------------- */
 /* returns: >=0 refill needed for that core, RC_HEAP_EMPTY_, RC_TARGET_,
    RC_GROW_WINDOW_ (win_need entries required), or -10-err on error.  A
@@ -893,7 +961,7 @@ _ERRORS = {
     -13: "epoch native event heap overflow",
 }
 
-#: LineKind values exported back as enum members (C stores raw ints).
+#: LineKind values read back as enum members (C stores raw ints).
 _KINDS = (LineKind.DATA, LineKind.ECC, LineKind.XOR)
 
 #: Trace items pulled per refill from plain-iterator traces: the first
@@ -901,6 +969,20 @@ _KINDS = (LineKind.DATA, LineKind.ECC, LineKind.XOR)
 #: not over-pull shared generators.
 _CHUNK_MIN = 512
 _CHUNK_MAX = 4096
+
+#: Rows of the resident per-rank, per-channel and per-core blocks; each
+#: row backs the ``KS`` field of the same name.
+_RANK_ROWS = ("busy_until", "accounted_to", "next_refresh", "refreshes",
+              "c_act", "c_rd", "c_wr", "c_active", "c_standby", "c_pdown",
+              "act_len", "act_head")
+_CHAN_ROWS = ("q_len", "dem_cnt", "bg_cnt", "draining", "bus_free", "last_w",
+              "fast_picks", "issued", "refresh_due")
+#: The energy-counter rows, in RankEnergyCounters field order.
+_COUNTER_ROWS = _RANK_ROWS[4:10]
+_CORE_ROWS = ("posted", "loads", "instr", "pend_addr")
+_FLAG_ROWS = ("done", "waiting", "has_pend", "pend_wr")
+
+_FRESH_COUNTERS = RankEnergyCounters()
 
 
 def _unpack_key(pk: int) -> "tuple[int, int, int]":
@@ -913,13 +995,101 @@ def _unpack_key(pk: int) -> "tuple[int, int, int]":
 def _anon_i64(n: int) -> np.ndarray:
     """*n* int64 slots on an anonymous mapping of their own.
 
-    Pages the core never touches never become resident, and the mapping
-    goes back to the OS when the array dies.  A malloc'd block of this
-    size would instead raise glibc's dynamic mmap threshold when freed, so
-    later multi-MiB allocations would stay resident in the heap (measured:
-    +1-7 MB peak RSS across the e2e simulation workloads).
+    Pages the core never touches never become resident: the event queue
+    and the channel queues are sized for the worst case but use a few
+    pages.  Private, so forked pool workers do not share the parent's.
     """
-    return np.frombuffer(mmap.mmap(-1, n * 8), dtype=np.int64)
+    return np.frombuffer(mmap.mmap(-1, n * 8, flags=mmap.MAP_PRIVATE), dtype=np.int64)
+
+
+class _Resident:
+    """One geometry's ``KS`` struct and every array behind it.
+
+    Built once per process per :func:`_resident` key, with its pointers
+    cast once, and reused by every run of that shape: ``ks_reset`` puts
+    the arrays into a fresh system's state and :func:`_stage` copies in
+    whatever Python-side state is not fresh.  ``gen`` counts the runs
+    staged here; a run's full state stays readable (:func:`readback`)
+    until the next run of the same geometry.
+    """
+
+    def __init__(self, ffi, key):
+        C, R, B, MB, n_sets, assoc, n_cores, depth, cap = key
+        n_ranks = C * R
+        slots = n_sets * assoc
+        wh_cap = 1 << max(6, (4 * slots - 1).bit_length())
+        self.ffi = ffi
+        self.gen = 0
+        self.ks = ks = ffi.new("KS *")
+        ks.C, ks.R, ks.B, ks.MB = C, R, B, MB
+        ks.n_ranks, ks.n_cores = n_ranks, n_cores
+        ks.QUEUE_DEPTH = depth
+        ks.n_sets, ks.assoc, ks.set_mask = n_sets, assoc, n_sets - 1
+        ks.wh_mask = wh_cap - 1
+        ks.h_cap = cap
+        self.l_tags = np.zeros(slots, np.int64)
+        self.l_lru = np.zeros(slots, np.int64)
+        self.l_dirty = np.zeros(slots, np.uint8)
+        self.l_kind = np.zeros(slots, np.uint8)
+        self.l_fill = np.zeros(n_sets, np.int64)
+        self.wh_keys = np.zeros(wh_cap, np.int64)
+        self.wh_vals = np.zeros(wh_cap, np.int64)
+        self.bank_ready = np.zeros(n_ranks * B, np.int64)
+        self.act_ring = np.zeros(n_ranks * 4, np.int64)
+        self.rank = np.zeros((len(_RANK_ROWS), n_ranks), np.int64)
+        self.chan = np.zeros((len(_CHAN_ROWS), C), np.int64)
+        self.core = np.zeros((len(_CORE_ROWS), n_cores), np.int64)
+        self.flags = np.zeros((len(_FLAG_ROWS), n_cores), np.uint8)
+        self.snap_cnt = np.zeros((6, n_ranks), np.int64)
+        # Sized so every decodable global-bank id (gr * B + bank, bank < the
+        # mapping's banks_per_rank) indexes in bounds, matching the oracle's
+        # set-membership test over (c*R+r)*B+b ids.
+        self.faulty = np.zeros(n_ranks * B + MB + 1, np.uint8)
+        self.qes = _anon_i64(C * depth * 7)
+        self.h = _anon_i64(cap * 4)
+        self.w_node = _anon_i64(cap * 2)
+        self.no_bursts = np.zeros(4, np.int64)
+        self.no_bursts_ptr = self.ptr(self.no_bursts)
+        self.bursts = None  # this run's burst table, alive while it runs
+        self.win = np.zeros(64, np.int64)
+        for name in ("l_tags", "l_lru", "l_dirty", "l_kind", "l_fill", "wh_keys",
+                     "wh_vals", "bank_ready", "act_ring", "snap_cnt", "faulty", "qes",
+                     "h", "w_node"):
+            setattr(ks, name, self.ptr(getattr(self, name)))
+        for block, rows in ((self.rank, _RANK_ROWS), (self.chan, _CHAN_ROWS),
+                            (self.core, _CORE_ROWS), (self.flags, _FLAG_ROWS)):
+            for row, name in zip(block, rows):
+                setattr(ks, name, self.ptr(row))
+        ks.bursts = self.no_bursts_ptr
+        ks.win, ks.win_cap = self.ptr(self.win), len(self.win)
+
+    def ptr(self, a: np.ndarray):
+        """Raw pointer to *a*'s data; the caller keeps *a* alive."""
+        return self.ffi.cast("uint8_t *" if a.dtype == np.uint8 else "int64_t *", a.ctypes.data)
+
+    def grow_window(self, need: int) -> None:
+        grown = np.zeros(max(2 * len(self.win), need), dtype=np.int64)
+        grown[: len(self.win)] = self.win
+        self.win = grown
+        self.ks.win, self.ks.win_cap = self.ptr(grown), len(grown)
+
+
+#: Resident state per geometry, for this process.
+_RESIDENT: "dict[tuple, _Resident]" = {}
+
+
+def _resident(ffi, sim) -> _Resident:
+    chans = sim.mem.channels
+    llc = sim.llc
+    key = (
+        len(chans), len(chans[0].ranks), chans[0].ranks[0].banks,
+        sim.mem.mapping.banks_per_rank, llc.n_sets, llc.assoc, len(sim.cores),
+        type(chans[0]).QUEUE_DEPTH, HEAP_CAP,
+    )
+    res = _RESIDENT.get(key)
+    if res is None:
+        res = _RESIDENT[key] = _Resident(ffi, key)
+    return res
 
 
 def available() -> bool:
@@ -942,47 +1112,27 @@ def eligible(sim) -> bool:
     )
 
 
-def run_native(sim, warmup_instructions: int, measure_instructions: int) -> SimResult:
-    """Run the compiled epoch loop; same contract as ``_run_reference``."""
-    mod = _CORE.load()
-    lib, ffi = mod.lib, mod.ffi
-    obs_armed = obs.enabled()
-    wall0 = perf_counter() if obs_armed else 0.0
+def _stage(lib, res, sim, warmup_instructions: int, measure_instructions: int) -> None:
+    """Load *sim* into *res* for one run.
 
+    Sets every per-run field, resets the arrays to a fresh system in C,
+    then copies in only the Python-side state that is not fresh: a used
+    LLC, a rank or channel that has seen traffic or accounting, a core
+    with progress.  The systems a sweep builds are fresh, so they copy
+    nothing.
+    """
+    ks = res.ks
     mem = sim.mem
     llc = sim.llc
     eccm = sim.ecc_model
     mapping = mem.mapping
     t = mem.timing
     chans = mem.channels
-    C = len(chans)
-    R = len(chans[0].ranks)
-    B = chans[0].ranks[0].banks
-    n_ranks = C * R
-    cores = sim.cores
-    n_cores = len(cores)
-    QUEUE_DEPTH = type(chans[0]).QUEUE_DEPTH
-    IPC = sim.IPC
-    seq0 = sim._seq
+    Ch = type(chans[0])
+    R = ks.R
+    B = ks.B
 
-    ks = ffi.new("KS *")
-    hold = []  # keep every backing NumPy array alive for the run
-
-    def ptr(a):
-        hold.append(a)
-        return ffi.cast("uint8_t *" if a.dtype == np.uint8 else "int64_t *", a.ctypes.data)
-
-    def i64(values):
-        a = np.ascontiguousarray(values, dtype=np.int64)
-        return a, ptr(a)
-
-    def u8(values):
-        a = np.ascontiguousarray(values, dtype=np.uint8)
-        return a, ptr(a)
-
-    # -- geometry / timing / policy constants -------------------------------------------
-    ks.C, ks.R, ks.B, ks.MB = C, R, B, mapping.banks_per_rank
-    ks.n_ranks, ks.n_cores = n_ranks, n_cores
+    # -- mapping / timing / policy constants --------------------------------------------
     ks.lpp = mapping.lines_per_page
     ks.map_channels = mapping.channels
     ks.map_ranks = mapping.ranks_per_channel
@@ -994,18 +1144,16 @@ def run_native(sim, warmup_instructions: int, measure_instructions: int) -> SimR
     ks.trfc, ks.trefi = t.trfc, t.trefi
     ks.bb_read, ks.bb_write = t.bank_busy_read, t.bank_busy_write
     ks.trcd_tcl = t.trcd + t.tcl
-    ks.PD = type(chans[0]).POWERDOWN_DELAY
-    ks.WRITE_DRAIN = type(chans[0]).WRITE_DRAIN
-    ks.WRITE_DRAIN_LOW = type(chans[0]).WRITE_DRAIN_LOW
-    ks.QUEUE_DEPTH = QUEUE_DEPTH
+    ks.PD = Ch.POWERDOWN_DELAY
+    ks.WRITE_DRAIN = Ch.WRITE_DRAIN
+    ks.WRITE_DRAIN_LOW = Ch.WRITE_DRAIN_LOW
     ks.HIT = sim.HIT_LATENCY
     ks.POSTED_CAP = sim.POSTED_CAP
     ks.load_mlp = sim.load_mlp
     ks.units_64b = mem._units_64b
+    ks.ipc = sim.IPC
 
     # -- ECC formula constants ----------------------------------------------------------
-    from repro.cpu.ecc_traffic import ECC_REGION_BASE
-
     if eccm.kind == EccTraffic.INLINE:
         ks.ecc_mode = 0
         ks.lpp_e = ks.ppc = ks.gpp = ks.pc1 = ks.cov = 1
@@ -1028,6 +1176,8 @@ def run_native(sim, warmup_instructions: int, measure_instructions: int) -> SimR
     )
     ks.ecc_uncached = 0 if eccm.cache_ecc_lines else 1
 
+    lib.ks_reset(ks)
+
     # -- patrol scrub / degraded-mode / burst state -------------------------------------
     scrub = sim.scrub
     if scrub is not None:
@@ -1038,16 +1188,15 @@ def run_native(sim, warmup_instructions: int, measure_instructions: int) -> SimR
     ks.scrub_cursor = sim._scrub_cursor
     ks.scrub_reads = sim.scrub_reads
     degraded = sim.degraded
-    faulty_gb = set()
+    faulty_gb = ()
     if degraded is not None:
-        faulty_gb = {
+        faulty_gb = [
             (c * R + r) * B + b
             for (c, r, b) in degraded.faulty_banks
-            if c < C and r < R and b < B
-        }
+            if c < ks.C and r < R and b < B
+        ]
     if faulty_gb:
-        from repro.cpu.degraded import MATERIALIZED_BASE
-
+        res.faulty[faulty_gb] = 1
         ks.mat_on = 1
         ks.mat_cov = degraded.ecc_line_coverage
         ks.mat_base = MATERIALIZED_BASE
@@ -1055,92 +1204,98 @@ def run_native(sim, warmup_instructions: int, measure_instructions: int) -> SimR
         ks.mat_on = 0
         ks.mat_cov = 1
         ks.mat_base = 0
-    # Sized so every decodable global-bank id (gr * B + bank, bank < the
-    # mapping's banks_per_rank) indexes in bounds, matching the oracle's
-    # set-membership test over (c*R+r)*B+b ids.
-    faulty_map = np.zeros(n_ranks * B + mapping.banks_per_rank + 1, dtype=np.uint8)
-    faulty_map[list(faulty_gb)] = 1
-    ks.faulty = ptr(faulty_map)
-    _, ks.bursts = i64(np.reshape(sim._bursts, -1) if sim._bursts else [0])
+    if sim._bursts:
+        res.bursts = np.array(sim._bursts, dtype=np.int64).reshape(-1)
+        ks.bursts = res.ptr(res.bursts)
+    else:
+        ks.bursts = res.no_bursts_ptr
 
     # -- per-window IPC timeline ---------------------------------------------------------
     ks.ipc_window = sim.ipc_window or 0
     ks.win_len = len(sim._window_instr)
-    win = np.zeros(max(64, ks.win_len), dtype=np.int64)
-    win[: ks.win_len] = sim._window_instr
-    ks.win_cap = len(win)
-    ks.win = ptr(win)
+    if ks.ipc_window:
+        if ks.win_len > len(res.win):
+            res.grow_window(ks.win_len)
+        res.win[:] = 0
+        res.win[: ks.win_len] = sim._window_instr
 
-    # -- LLC flat state -----------------------------------------------------------------
-    ks.set_mask = llc._set_mask
-    ks.assoc = llc.assoc
-    ks.n_sets = llc.n_sets
-    l_tags, ks.l_tags = i64(llc._tags)
-    l_lru, ks.l_lru = i64(llc._lru)
-    l_dirty, ks.l_dirty = u8(llc._dirty)
-    l_kind, ks.l_kind = u8(np.fromiter(llc._kind, np.uint8, count=len(llc._kind)))
-    l_fill, ks.l_fill = i64(llc._fill)
+    # -- LLC: fresh (never accessed since construction or reset) or copied ---------------
     ks.clock, ks.hits, ks.misses = llc._clock, llc._hits, llc._misses
     ks.evictions_dirty = llc._evictions_dirty
-    slots = llc.n_sets * llc.assoc
-    wh_cap = 1 << max(6, (4 * slots - 1).bit_length())
-    wh_keys, ks.wh_keys = i64(np.full(wh_cap, -1, dtype=np.int64))
-    wh_vals, ks.wh_vals = i64(np.zeros(wh_cap, dtype=np.int64))
-    ks.wh_mask = wh_cap - 1
-    ks.wh_used = ks.wh_tomb = 0
-    if llc._where:
-        keys, ks_keys = i64(np.fromiter(llc._where.keys(), dtype=np.int64))
-        _, ks_vals = i64(np.fromiter(llc._where.values(), dtype=np.int64))
-        lib.wh_bulk(ks, ks_keys, ks_vals, len(keys))
+    if llc._where or llc._clock:
+        res.l_tags[:] = llc._tags
+        res.l_lru[:] = llc._lru
+        res.l_dirty[:] = llc._dirty
+        res.l_kind[:] = llc._kind
+        res.l_fill[:] = llc._fill
+        n = len(llc._where)
+        keys = np.fromiter(llc._where.keys(), dtype=np.int64, count=n)
+        vals = np.fromiter(llc._where.values(), dtype=np.int64, count=n)
+        lib.wh_bulk(ks, res.ptr(keys), res.ptr(vals), n)
 
-    # -- rank state ---------------------------------------------------------------------
-    ranks = [r for ch in chans for r in ch.ranks]
-    a_bank_ready, ks.bank_ready = i64([b for r in ranks for b in r.bank_ready])
-    a_busy, ks.busy_until = i64([r.busy_until for r in ranks])
-    a_acct, ks.accounted_to = i64([r.accounted_to for r in ranks])
-    a_nref, ks.next_refresh = i64([r.next_refresh for r in ranks])
-    a_refs, ks.refreshes = i64([r.refreshes for r in ranks])
-    a_cact, ks.c_act = i64([r.counters.activates for r in ranks])
-    a_crd, ks.c_rd = i64([r.counters.read_bursts for r in ranks])
-    a_cwr, ks.c_wr = i64([r.counters.write_bursts for r in ranks])
-    a_cactive, ks.c_active = i64([r.counters.cycles_active for r in ranks])
-    a_cstandby, ks.c_standby = i64([r.counters.cycles_precharge_standby for r in ranks])
-    a_cpdown, ks.c_pdown = i64([r.counters.cycles_powerdown for r in ranks])
-    act_ring = np.zeros(n_ranks * 4, dtype=np.int64)
-    for gr, r in enumerate(ranks):
-        act_ring[gr * 4 : gr * 4 + len(r.act_times)] = r.act_times
-    ks.act_ring = ptr(act_ring)
-    act_len, ks.act_len = i64([len(r.act_times) for r in ranks])
-    act_head, ks.act_head = i64(np.zeros(n_ranks, dtype=np.int64))
+    # -- ranks and channels (queues start empty: see eligible()) ------------------------
+    nr0 = [(i + 1) * t.trefi // max(1, R) for i in range(R)]
+    rank, chan = res.rank, res.chan
+    for ci, ch in enumerate(chans):
+        if (ch._draining or ch.bus_free or ch.last_was_write or ch.fast_picks
+                or ch.issued_requests or ch._refresh_due):
+            chan[3:, ci] = (ch._draining, ch.bus_free, ch.last_was_write,
+                            ch.fast_picks, ch.issued_requests, ch._refresh_due)
+        for ri, r in enumerate(ch.ranks):
+            if (r.refreshes or r.accounted_to or r.busy_until or r.act_times
+                    or r.next_refresh != nr0[ri] or any(r.bank_ready)
+                    or r.counters != _FRESH_COUNTERS):
+                gr = ci * R + ri
+                c = r.counters
+                rank[:10, gr] = (r.busy_until, r.accounted_to, r.next_refresh, r.refreshes,
+                                 c.activates, c.read_bursts, c.write_bursts, c.cycles_active,
+                                 c.cycles_precharge_standby, c.cycles_powerdown)
+                rank[10, gr] = len(r.act_times)
+                res.act_ring[gr * 4 : gr * 4 + len(r.act_times)] = r.act_times
+                res.bank_ready[gr * B : (gr + 1) * B] = r.bank_ready
 
-    # -- channel state (queues start empty: see eligible()) -----------------------------
-    qes, ks.qes = i64(np.zeros(C * QUEUE_DEPTH * 7, dtype=np.int64))
-    a_qlen, ks.q_len = i64(np.zeros(C, dtype=np.int64))
-    a_dem, ks.dem_cnt = i64(np.zeros(C, dtype=np.int64))
-    a_bg, ks.bg_cnt = i64(np.zeros(C, dtype=np.int64))
-    a_drain, ks.draining = i64([ch._draining for ch in chans])
-    a_busf, ks.bus_free = i64([ch.bus_free for ch in chans])
-    a_lastw, ks.last_w = i64([ch.last_was_write for ch in chans])
-    a_fastp, ks.fast_picks = i64([ch.fast_picks for ch in chans])
-    a_issued, ks.issued = i64([ch.issued_requests for ch in chans])
-    a_rdue, ks.refresh_due = i64([ch._refresh_due for ch in chans])
+    # -- cores ----------------------------------------------------------------------------
+    for cid, c in enumerate(sim.cores):
+        pend = c.pending
+        if (c.done or c.waiting or pend is not None or c.instructions
+                or c.outstanding_posted or c.outstanding_loads):
+            res.core[:, cid] = (c.outstanding_posted, c.outstanding_loads, c.instructions,
+                                pend[0] if pend is not None else 0)
+            res.flags[:, cid] = (c.done, c.waiting, pend is not None,
+                                 pend is not None and pend[1])
+            ks.done_cnt += c.done
 
-    # -- core state ---------------------------------------------------------------------
-    a_done, ks.done = u8([c.done for c in cores])
-    a_wait, ks.waiting = u8([c.waiting for c in cores])
-    a_haspend, ks.has_pend = u8([c.pending is not None for c in cores])
-    a_pendwr, ks.pend_wr = u8([c.pending is not None and c.pending[1] for c in cores])
-    a_posted, ks.posted = i64([c.outstanding_posted for c in cores])
-    a_loads, ks.loads = i64([c.outstanding_loads for c in cores])
-    a_instr, ks.instr = i64([c.instructions for c in cores])
-    a_pendaddr, ks.pend_addr = i64([c.pending[0] if c.pending is not None else 0 for c in cores])
-    ks.done_cnt = sum(1 for c in cores if c.done)
+    # -- run control and counters ---------------------------------------------------------
+    ks.seq = sim._seq
+    ks.now = sim.now
+    ks.limit = warmup_instructions
+    ks.target = warmup_instructions + measure_instructions
+    ks.accesses_64b = mem.accesses_64b
+    counters = sim.counters
+    ks.n_data_r = counters.data_reads
+    ks.n_data_w = counters.data_writes
+    ks.n_ecc_r = counters.ecc_reads
+    ks.n_ecc_w = counters.ecc_writes
 
-    # -- trace buffers ------------------------------------------------------------------
-    ks.ipc = IPC
-    traces = [c.trace for c in cores]
+    # Initial events in reference push order: one EV_CORE per core, the
+    # first scrub tick, then one EV_BURST per scheduled burst.  The wheel
+    # starts at the earliest of them.
+    initial = [(0, EV_CORE, cid) for cid in range(len(sim.cores))]
+    if scrub is not None:
+        initial.append((scrub.interval_cycles, EV_SCRUB, 0))
+    initial += [(cycle, EV_BURST, i) for i, (cycle, _, _, _) in enumerate(sim._bursts)]
+    ks.w_base = min((ev[0] for ev in initial), default=0)
+    for ev in initial:
+        lib.push_event(ks, *ev)
+
+
+def _execute(lib, ffi, res, traces) -> int:
+    """Run the loop to its end, servicing refill and window-growth requests;
+    returns the final ``epoch_run`` code."""
+    ks = res.ks
+    n_cores = len(traces)
     chunk = [_CHUNK_MIN] * n_cores
-    hold_bufs = [None] * n_cores
+    hold = [None] * n_cores  # each core's current batch, alive while it is read
 
     def refill(cid) -> bool:
         """Point core *cid* at its next trace batch; False when exhausted.
@@ -1159,166 +1314,101 @@ def run_native(sim, warmup_instructions: int, measure_instructions: int) -> SimR
             gaps = np.array(gaps, dtype=np.int64)
             lines = np.array(lines, dtype=np.int64)
             writes = np.array(writes, dtype=np.bool_)
-        if not len(gaps):
+        n = len(gaps)
+        if not n:
             return False
-        hold_bufs[cid] = (gaps, lines, writes)
-        ks.buf_gap[cid] = ffi.cast("int64_t *", gaps.ctypes.data)
-        ks.buf_addr[cid] = ffi.cast("int64_t *", lines.ctypes.data)
-        ks.buf_wr[cid] = ffi.cast("uint8_t *", writes.ctypes.data)
+        hold[cid] = (gaps, lines, writes)
+        ks.buf_gap[cid] = ffi.from_buffer("int64_t[]", gaps)
+        ks.buf_addr[cid] = ffi.from_buffer("int64_t[]", lines)
+        ks.buf_wr[cid] = ffi.from_buffer("uint8_t[]", writes)
         ks.buf_i[cid] = 0
-        ks.buf_n[cid] = len(gaps)
+        ks.buf_n[cid] = n
         return True
 
-    for cid in range(n_cores):
-        ks.buf_i[cid] = 0
-        ks.buf_n[cid] = 0
-
-    # -- event queue / snapshots / control ----------------------------------------------
-    # The core writes every overflow-heap entry and wheel node before it
-    # reads one, and bump-allocates nodes, so only the pages in use fault in.
-    _, ks.h = i64(_anon_i64(HEAP_CAP * 4))
-    _, ks.w_node = i64(_anon_i64(HEAP_CAP * 2))
-    ks.h_len, ks.h_cap = 0, HEAP_CAP
-    ks.w_free = -1
-    ks.seq = sim._seq
-    snap_cnt, ks.snap_cnt = i64(np.zeros(6 * n_ranks, dtype=np.int64))
-    ks.now = sim.now
-    ks.total = 0
-    ks.limit = warmup_instructions
-    ks.target = warmup_instructions + measure_instructions
-    ks.resume_cid = -1
-    ks.resume_now = 0
-    ks.resume_ok = 0
-    ks.snap_taken = 0
-    ks.error = 0
-    ks.accesses_64b = mem.accesses_64b
-    ks.n_data_r = sim.counters.data_reads
-    ks.n_data_w = sim.counters.data_writes
-    ks.n_ecc_r = sim.counters.ecc_reads
-    ks.n_ecc_w = sim.counters.ecc_writes
-
-    # Initial events in reference push order: one EV_CORE per core, the
-    # first scrub tick, then one EV_BURST per scheduled burst.  The wheel
-    # starts at the earliest of them.
-    initial = [(0, EV_CORE, cid) for cid in range(n_cores)]
-    if scrub is not None:
-        initial.append((scrub.interval_cycles, EV_SCRUB, 0))
-    initial += [(cycle, EV_BURST, i) for i, (cycle, _, _, _) in enumerate(sim._bursts)]
-    ks.w_base = min((ev[0] for ev in initial), default=0)
-    for ev in initial:
-        lib.push_event(ks, *ev)
-
-    # -- run, servicing refill and window-growth requests -------------------------------
     rc = lib.epoch_run(ks)
     while rc >= 0 or rc == _RC_GROW_WINDOW:
         if rc == _RC_GROW_WINDOW:
-            grown = np.zeros(max(2 * len(win), ks.win_need), dtype=np.int64)
-            grown[: len(win)] = win
-            win = grown
-            ks.win_cap = len(win)
-            ks.win = ptr(win)
+            res.grow_window(ks.win_need)
             ks.resume_ok = 1
         else:
-            ks.resume_ok = 1 if refill(int(rc)) else 0
+            ks.resume_ok = 1 if refill(rc) else 0
         rc = lib.epoch_run(ks)
     if rc in _ERRORS:
         raise RuntimeError(_ERRORS[rc])
+    return rc
 
-    # -- wind-down: mirror the reference's snapshot/finalize order ----------------------
-    now = int(ks.now)
-    live = [
-        int(ks.total), now, int(ks.accesses_64b), int(ks.hits), int(ks.misses),
-        int(ks.n_data_r), int(ks.n_data_w), int(ks.n_ecc_r), int(ks.n_ecc_w),
-    ]
-    end = list(ks.end_scalars) if rc == _RC_TARGET else live
-    if ks.snap_taken:
-        snap = snap_cnt.reshape(6, n_ranks).tolist()
-        start = list(ks.snap_scalars)
-    else:  # trace shorter than warm-up: measure everything
-        snap = [a.tolist() for a in (a_cact, a_crd, a_cwr, a_cactive, a_cstandby, a_cpdown)]
-        start = [0] * 9
 
-    # -- export flat state back into the live objects -----------------------------------
-    llc._clock = int(ks.clock)
-    llc._hits = int(ks.hits)
-    llc._misses = int(ks.misses)
-    llc._evictions_dirty = int(ks.evictions_dirty)
-    llc._tags[:] = l_tags.tolist()
-    llc._lru[:] = l_lru.tolist()
-    llc._dirty[:] = l_dirty.view(bool).tolist()
-    llc._kind[:] = [_KINDS[v] for v in l_kind.tolist()]
-    llc._fill[:] = l_fill.tolist()
-    llc._where.clear()
-    occupied = wh_keys >= 0
-    llc._where.update(zip(wh_keys[occupied].tolist(), wh_vals[occupied].tolist()))
+def run_native(sim, warmup_instructions: int, measure_instructions: int) -> SimResult:
+    """Run the compiled epoch loop; same contract as ``_run_reference``.
 
-    for gr, r in enumerate(ranks):
-        r.bank_ready[:] = a_bank_ready[gr * B : (gr + 1) * B].tolist()
-        al, head = int(act_len[gr]), int(act_head[gr])
-        r.act_times = deque(
-            (int(act_ring[gr * 4 + ((head + i) & 3)]) for i in range(al)), maxlen=4
+    Writes back only what drivers, telemetry and the power model read:
+    time, event sequence, instruction and access counters, LLC counters,
+    per-channel issue counts, per-rank energy counters and residency
+    (finalized through the last cycle), scrub progress and the IPC
+    window.  The rest of the post-run state stays in the resident arrays
+    until :func:`readback`.
+    """
+    mod = _CORE.load()
+    lib, ffi = mod.lib, mod.ffi
+    obs_armed = obs.enabled()
+    wall0 = perf_counter() if obs_armed else 0.0
+    readback(sim)
+    mem = sim.mem
+    llc = sim.llc
+    if llc._native is not None or mem._native is not None:
+        raise RuntimeError(
+            "LLC or memory system holds another system's unread native state; "
+            "call epochnative.readback() on that system (or LLC.reset()) first"
         )
-        r.busy_until = int(a_busy[gr])
-        r.accounted_to = int(a_acct[gr])
-        r.next_refresh = int(a_nref[gr])
-        r.refreshes = int(a_refs[gr])
-        rcnt = r.counters
-        rcnt.activates = int(a_cact[gr])
-        rcnt.read_bursts = int(a_crd[gr])
-        rcnt.write_bursts = int(a_cwr[gr])
-        rcnt.cycles_active = int(a_cactive[gr])
-        rcnt.cycles_precharge_standby = int(a_cstandby[gr])
-        rcnt.cycles_powerdown = int(a_cpdown[gr])
-    for ci, ch in enumerate(chans):
-        entries = qes[ci * QUEUE_DEPTH * 7 : (ci * QUEUE_DEPTH + int(a_qlen[ci])) * 7]
-        queue = []
-        pend: "dict[tuple, int]" = {}
-        for _, _, pk, wr, arrive, tag, dem in entries.reshape(-1, 7).tolist():
-            key = _unpack_key(pk)
-            queue.append(
-                MemRequest(*key, is_write=bool(wr), arrive=arrive, tag=tag, demand=bool(dem))
-            )
-            pend[key] = pend.get(key, 0) + 1
-        ch.queue = queue
-        ch._pending_counts = pend
-        ch._demand_count = int(a_dem[ci])
-        ch._background_count = int(a_bg[ci])
-        ch._draining = bool(a_drain[ci])
-        ch.bus_free = int(a_busf[ci])
-        ch.last_was_write = bool(a_lastw[ci])
-        ch.fast_picks = int(a_fastp[ci])
-        ch.issued_requests = int(a_issued[ci])
-        ch._refresh_due = int(a_rdue[ci])
-    mem.accesses_64b = int(ks.accesses_64b)
-    sim.now = now
-    sim._seq = int(ks.seq)
-    sim.total_instructions = int(ks.total)
-    sim.counters = AccessCounters(*live[5:])
-    sim._scrub_cursor = int(ks.scrub_cursor)
-    sim.scrub_reads = int(ks.scrub_reads)
+    seq0 = sim._seq
+    res = _resident(ffi, sim)
+    res.gen += 1
+    ks = res.ks
+    _stage(lib, res, sim, warmup_instructions, measure_instructions)
+    rc = _execute(lib, ffi, res, [c.trace for c in sim.cores])
+    lib.ks_finish(ks, rc == _RC_TARGET)
+    res.bursts = None
+
+    # -- write back what is read ------------------------------------------------------------
+    end = list(ks.end_scalars)
+    start = list(ks.snap_scalars)
+    sim.now = end[1]
+    sim._seq = ks.seq
+    sim.total_instructions = end[0]
+    sim.counters = AccessCounters(*end[5:])
+    mem.accesses_64b = end[2]
+    llc._clock = ks.clock
+    llc._hits = end[3]
+    llc._misses = end[4]
+    llc._evictions_dirty = ks.evictions_dirty
+    sim._scrub_cursor = ks.scrub_cursor
+    sim.scrub_reads = ks.scrub_reads
     if sim.ipc_window:
-        sim._window_instr[:] = win[: ks.win_len].tolist()
-    for cid, core in enumerate(cores):
-        core.done = bool(a_done[cid])
-        core.waiting = bool(a_wait[cid])
-        core.outstanding_posted = int(a_posted[cid])
-        core.outstanding_loads = int(a_loads[cid])
-        core.instructions = int(a_instr[cid])
-        core.pending = (
-            (int(a_pendaddr[cid]), bool(a_pendwr[cid])) if a_haspend[cid] else None
-        )
+        sim._window_instr[:] = res.win[: ks.win_len].tolist()
+    chans = mem.channels
+    chan = dict(zip(_CHAN_ROWS, res.chan.tolist()))
+    for ch, fast, issued in zip(chans, chan["fast_picks"], chan["issued"]):
+        ch.fast_picks = fast
+        ch.issued_requests = issued
+    rank = dict(zip(_RANK_ROWS, res.rank.tolist()))
+    counts = zip(*(rank[row] for row in _COUNTER_ROWS))
+    ranks = [r for ch in chans for r in ch.ranks]
+    for r, busy, acct, cnt in zip(ranks, rank["busy_until"], rank["accounted_to"], counts):
+        r.busy_until = busy
+        r.accounted_to = acct
+        r.counters = RankEnergyCounters(*cnt)
+    run = (res, res.gen)
+    sim._native = llc._native = mem._native = run
 
-    mem.finalize(now)
+    R = ks.R
+    snap = list(zip(*res.snap_cnt.tolist()))
     baseline = [
-        [
-            RankEnergyCounters(*(snap[f][ci * R + ri] for f in range(6)))
-            for ri in range(R)
-        ]
-        for ci in range(C)
+        [RankEnergyCounters(*snap[ci * R + ri]) for ri in range(R)]
+        for ci in range(len(chans))
     ]
     energy = mem.energy_since(baseline)
     if obs_armed:
-        sim._emit_run_telemetry(perf_counter() - wall0, int(ks.seq) - seq0)
+        sim._emit_run_telemetry(perf_counter() - wall0, sim._seq - seq0)
     return SimResult(
         instructions=end[0] - start[0],
         cycles=end[1] - start[1],
@@ -1328,3 +1418,81 @@ def run_native(sim, warmup_instructions: int, measure_instructions: int) -> SimR
         llc_hits=end[3] - start[3],
         llc_misses=end[4] - start[4],
     )
+
+
+def readback(sim) -> None:
+    """Copy the full post-run state of *sim*'s last native run into its
+    object model: LLC slots and address map, channel queues and scheduler
+    state, rank timing, core state.
+
+    A no-op when *sim* has no unread native run.  The state lives in the
+    resident arrays of the run's geometry, so it must be read before
+    another run of that geometry starts; after that this raises.
+    ``SimSystem.run`` calls it before a second run of the same system.
+    """
+    run = sim._native
+    if run is None:
+        return
+    res, gen = run
+    if res.gen != gen:
+        raise RuntimeError(
+            "native run state was overwritten by a later run of the same geometry; "
+            "call epochnative.readback() before running another system"
+        )
+    ks = res.ks
+    llc = sim.llc
+    mem = sim.mem
+    if llc._native is run:
+        llc._tags[:] = res.l_tags.tolist()
+        llc._lru[:] = res.l_lru.tolist()
+        llc._dirty[:] = res.l_dirty.view(bool).tolist()
+        llc._kind[:] = [_KINDS[v] for v in res.l_kind.tolist()]
+        llc._fill[:] = res.l_fill.tolist()
+        llc._where.clear()
+        occupied = res.wh_keys >= 0
+        llc._where.update(zip(res.wh_keys[occupied].tolist(), res.wh_vals[occupied].tolist()))
+        llc._native = None
+    if mem._native is run:
+        B = ks.B
+        depth = ks.QUEUE_DEPTH
+        rank = dict(zip(_RANK_ROWS, res.rank.tolist()))
+        chan = dict(zip(_CHAN_ROWS, res.chan.tolist()))
+        ranks = [r for ch in mem.channels for r in ch.ranks]
+        for gr, r in enumerate(ranks):
+            r.bank_ready[:] = res.bank_ready[gr * B : (gr + 1) * B].tolist()
+            al, head = rank["act_len"][gr], rank["act_head"][gr]
+            r.act_times = deque(
+                (int(res.act_ring[gr * 4 + ((head + i) & 3)]) for i in range(al)), maxlen=4
+            )
+            r.next_refresh = rank["next_refresh"][gr]
+            r.refreshes = rank["refreshes"][gr]
+        for ci, ch in enumerate(mem.channels):
+            entries = res.qes[ci * depth * 7 : (ci * depth + chan["q_len"][ci]) * 7]
+            queue = []
+            pend: "dict[tuple, int]" = {}
+            for _, _, pk, wr, arrive, tag, dem in entries.reshape(-1, 7).tolist():
+                key = _unpack_key(pk)
+                queue.append(
+                    MemRequest(*key, is_write=bool(wr), arrive=arrive, tag=tag, demand=bool(dem))
+                )
+                pend[key] = pend.get(key, 0) + 1
+            ch.queue = queue
+            ch._pending_counts = pend
+            ch._demand_count = chan["dem_cnt"][ci]
+            ch._background_count = chan["bg_cnt"][ci]
+            ch._draining = bool(chan["draining"][ci])
+            ch.bus_free = chan["bus_free"][ci]
+            ch.last_was_write = bool(chan["last_w"][ci])
+            ch._refresh_due = chan["refresh_due"][ci]
+        mem._native = None
+    core = res.core.tolist()
+    flags = res.flags.tolist()
+    for cid, c in enumerate(sim.cores):
+        c.outstanding_posted, c.outstanding_loads, c.instructions, addr = (
+            row[cid] for row in core
+        )
+        done, waiting, has_pend, pend_wr = (row[cid] for row in flags)
+        c.done = bool(done)
+        c.waiting = bool(waiting)
+        c.pending = (addr, bool(pend_wr)) if has_pend else None
+    sim._native = None

@@ -82,30 +82,39 @@ class LLC:
         #: Pristine copies of the flat arrays, built lazily on first reset
         #: so repeated resets slice-assign instead of reallocating.
         self._reset_templates: "tuple | None" = None
+        #: Set by a run of the compiled core that started from this cache:
+        #: the slot state then lives in the core until it is read back
+        #: (``repro.cpu.epochnative.readback``) or the cache is reset.
+        self._native = None
 
     def reset(self) -> None:
         """Return to the post-construction state, reusing the flat arrays.
 
         Lets an evaluation-matrix cell recycle one LLC across the
         ``SimSystem`` instances it builds instead of reallocating the
-        ~0.5M-element slot arrays per config.
+        slot arrays per config.  Any access leaves a line in ``_where``,
+        so an empty map means the slot lists are still pristine and only
+        the counters reset (a compiled-core run counts but leaves the
+        lists as it found them).
         """
-        tmpl = self._reset_templates
-        if tmpl is None:
-            slots = self.n_sets * self.assoc
-            tmpl = self._reset_templates = (
-                [-1] * slots,
-                [0] * slots,
-                [False] * slots,
-                [LineKind.DATA] * slots,
-                [0] * self.n_sets,
-            )
-        self._tags[:] = tmpl[0]
-        self._lru[:] = tmpl[1]
-        self._dirty[:] = tmpl[2]
-        self._kind[:] = tmpl[3]
-        self._fill[:] = tmpl[4]
-        self._where.clear()
+        if self._where:
+            tmpl = self._reset_templates
+            if tmpl is None:
+                slots = self.n_sets * self.assoc
+                tmpl = self._reset_templates = (
+                    [-1] * slots,
+                    [0] * slots,
+                    [False] * slots,
+                    [LineKind.DATA] * slots,
+                    [0] * self.n_sets,
+                )
+            self._tags[:] = tmpl[0]
+            self._lru[:] = tmpl[1]
+            self._dirty[:] = tmpl[2]
+            self._kind[:] = tmpl[3]
+            self._fill[:] = tmpl[4]
+            self._where.clear()
+        self._native = None
         self._clock = 0
         self._hits = 0
         self._misses = 0

@@ -192,6 +192,9 @@ class SimSystem:
         self._window_instr: "list[int]" = []
         #: One-shot background bursts: (cycle, n_reads, n_writes, base_addr).
         self._bursts: "list[tuple[int, int, int, int]]" = []
+        #: Set by a run of the compiled core until its full state is read
+        #: back (``epochnative.readback``); the object model is stale then.
+        self._native = None
 
     def schedule_burst(self, cycle: int, reads: int, writes: int, base_addr: int = 0) -> None:
         """Inject a one-shot background traffic burst at *cycle*.
@@ -381,6 +384,7 @@ class SimSystem:
         interrupted run).
         """
         kernel = envcfg.sim_kernel(kernel)
+        self._read_back_native()
         with trace.span("sim.run", "sim", kernel=kernel):
             if kernel == "epoch":
                 from repro.cpu import epochnative  # lazy: epochnative imports this module
@@ -392,6 +396,14 @@ class SimSystem:
                         )
             return self._run_reference(warmup_instructions, measure_instructions)
 
+    def _read_back_native(self) -> None:
+        """Before a second run: pull the full state of a compiled-core run
+        into the object model (raises if that state is already gone)."""
+        if self._native is not None:
+            from repro.cpu import epochnative
+
+            epochnative.readback(self)
+
     def _run_reference(self, warmup_instructions: int, measure_instructions: int) -> SimResult:
         """The event-driven oracle loop (``REPRO_SIM_KERNEL=event``).
 
@@ -400,6 +412,7 @@ class SimSystem:
         gate is checked once here, so the event loop itself carries no
         telemetry cost.
         """
+        self._read_back_native()
         obs_armed = obs.enabled()
         wall0 = perf_counter() if obs_armed else 0.0
         seq0 = self._seq

@@ -65,6 +65,12 @@ class EnergyBreakdown:
         )
 
 
+#: Per-chip integration coefficients by (chip widths, timing), shared by
+#: every model of that rank shape: a sweep builds a memory system per
+#: cell, and the coefficients are pure functions of the key.
+_COEFFS: "dict[tuple, tuple]" = {}
+
+
 @dataclass
 class RankPowerModel:
     """Energy integration for one rank of (possibly mixed-width) chips."""
@@ -75,6 +81,28 @@ class RankPowerModel:
 
     def __post_init__(self):
         self._chips = [chip_power_for_width(w) for w in self.chip_widths]
+        key = (tuple(self.chip_widths), self.timing)
+        coeffs = _COEFFS.get(key)
+        if coeffs is None:
+            coeffs = _COEFFS[key] = self._coefficients()
+        self._coeffs = coeffs
+
+    def _coefficients(self) -> "tuple[tuple, ...]":
+        """Per chip: (ACT energy, read-burst energy, write-burst energy,
+        refresh power, IDD3N, IDD2N, IDD2P, VDD), from the primitives below."""
+        return tuple(
+            (
+                self._act_energy_chip(p),
+                self._burst_energy_chip(p, write=False),
+                self._burst_energy_chip(p, write=True),
+                self._refresh_power_chip(p),
+                p.idd3n,
+                p.idd2n,
+                p.idd2p,
+                p.vdd,
+            )
+            for p in self._chips
+        )
 
     # -- per-chip primitives (nJ) ---------------------------------------------------------
 
@@ -102,26 +130,27 @@ class RankPowerModel:
     # -- rank-level integration -------------------------------------------------------------
 
     def integrate(self, counters: RankEnergyCounters) -> EnergyBreakdown:
-        """Total rank energy for the recorded events and residencies."""
-        t = self.timing
-        out = EnergyBreakdown()
-        ns = t.tck_ns
-        for p in self._chips:
-            out.activate += counters.activates * self._act_energy_chip(p)
-            out.read += counters.read_bursts * self._burst_energy_chip(p, write=False)
-            out.write += counters.write_bursts * self._burst_energy_chip(p, write=True)
-            total_cycles = (
-                counters.cycles_active
-                + counters.cycles_precharge_standby
-                + counters.cycles_powerdown
-            )
-            out.refresh += self._refresh_power_chip(p) * total_cycles * ns * 1e-3  # mW*ns -> nJ
-            out.background += (
-                p.idd3n * counters.cycles_active
-                + p.idd2n * counters.cycles_precharge_standby
-                + p.idd2p * counters.cycles_powerdown
-            ) * p.vdd * ns * 1e-3
-        return out
+        """Total rank energy for the recorded events and residencies.
+
+        Sums chip by chip, in chip order, with each term's expression as
+        written over the primitives, so results are bit-stable.
+        """
+        ns = self.timing.tck_ns
+        acts = counters.activates
+        reads = counters.read_bursts
+        writes = counters.write_bursts
+        active = counters.cycles_active
+        standby = counters.cycles_precharge_standby
+        powerdown = counters.cycles_powerdown
+        total_cycles = active + standby + powerdown
+        activate = read = write = refresh = background = 0.0
+        for act, rd, wr, ref, idd3n, idd2n, idd2p, vdd in self._coeffs:
+            activate += acts * act
+            read += reads * rd
+            write += writes * wr
+            refresh += ref * total_cycles * ns * 1e-3  # mW*ns -> nJ
+            background += (idd3n * active + idd2n * standby + idd2p * powerdown) * vdd * ns * 1e-3
+        return EnergyBreakdown(activate, read, write, refresh, background)
 
     def energy_per_read(self) -> float:
         """Dynamic energy of one isolated close-page read (nJ), for quick math."""

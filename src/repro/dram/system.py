@@ -10,6 +10,11 @@ event loop, and per-rank command/residency counters are integrated into an
    implementation in the compiled epoch kernel ``repro.cpu.epochnative``,
    under the bit-identity contract enforced by
    ``tests/test_epoch_kernel.py``; changes must land in both together.
+   After a compiled-core run only ``accesses_64b``, the channels' issue
+   counters and the ranks' energy counters, ``busy_until`` and
+   ``accounted_to`` (finalized through the last cycle) are current; the
+   channel queues and bank timing stay in the core until
+   ``epochnative.readback`` is called (``_native`` is set until then).
 """
 
 from __future__ import annotations
@@ -75,6 +80,9 @@ class MemorySystem:
         #: transfer counts as two accesses).
         self.accesses_64b = 0
         self._units_64b = max(1, config.line_size // 64)
+        #: Set by a run of the compiled core until its full channel and
+        #: rank state is read back (``repro.cpu.epochnative.readback``).
+        self._native = None
 
     # -- request interface ------------------------------------------------------------------
 

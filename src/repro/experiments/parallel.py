@@ -23,10 +23,12 @@ resilience layer:
   requeued.
 * **Pool rebuild on ``BrokenProcessPool``** — an OOM-killed or crashed
   worker takes the whole executor down; the engine kills the broken pool,
-  requeues all in-flight tasks, and rebuilds.  The culprit is unknowable,
-  so a requeue never *fails* a task, but it re-enqueues at ``attempt + 1``
-  and so spends one of the task's ``retries + 1`` attempts (ROADMAP
-  *Requeue budget*).
+  requeues all in-flight tasks, and rebuilds.  A requeue never *fails* a
+  task.  Only the inner task a worker was running when that worker died
+  on its own (its first spool record names the worker) spends an attempt
+  and is re-enqueued at ``attempt + 1``; every sibling that was merely in
+  flight keeps its attempt number, so a pool break never charges an
+  innocent task.  The rebuild limits below bound requeue loops.
 * **Graceful degradation to serial** — when the pool breaks
   :data:`REBUILD_LIMIT` times consecutively (no task resolved in between)
   or :data:`REBUILD_TOTAL_LIMIT` times overall, the engine stops fighting
@@ -186,6 +188,34 @@ class CampaignError(RuntimeError):
         )
 
 
+#: Bound on the wait for a broken pool's executor to reap its workers.
+_REAP_WAIT_S = 5.0
+
+#: Index of the record a super-task writes to its spool before its first
+#: inner task: its pid field names the worker, so after a pool break the
+#: engine knows which flight's worker died.
+_WORKER_RECORD = -1
+
+
+def _crashed_pids(pool) -> "set[int]":
+    """Pids of *pool*'s workers that died on their own.
+
+    Only a broken pool has them.  Its executor's manager thread saw the
+    death, terminates the survivors (SIGTERM) and reaps every worker;
+    once it is done, the dead worker is the one that exited otherwise.
+    """
+    if not getattr(pool, "_broken", False):
+        return set()
+    manager = getattr(pool, "_executor_manager_thread", None)
+    if manager is not None:
+        manager.join(_REAP_WAIT_S)
+    procs = getattr(pool, "_processes", None) or {}
+    return {
+        pid for pid, p in list(procs.items())
+        if p.exitcode is not None and p.exitcode != -signal.SIGTERM
+    }
+
+
 def _run_super(cfg, chaos, worker, tasks, spool):
     """Worker entry point of every pool submission: one super-task.
 
@@ -193,9 +223,10 @@ def _run_super(cfg, chaos, worker, tasks, spool):
     fork workers inherit the sink and this is a no-op; the shipped trace
     context makes the spans children of the dispatching campaign).
     *tasks* is an ordered list of ``(index, attempt, payload)`` inner
-    tasks.  Each inner task runs under its own chaos/attempt identity and
-    appends one :func:`resultcodec.frame` record ``(index, wall_s, pid,
-    span_id, kind, blob)`` to *spool* with a single ``os.write``
+    tasks.  A first record with index :data:`_WORKER_RECORD` names the
+    worker's pid.  Each inner task runs under its own chaos/attempt
+    identity and appends one :func:`resultcodec.frame` record ``(index,
+    wall_s, pid, span_id, kind, blob)`` to *spool* with a single ``os.write``
     (O_APPEND), so a ``crash`` fault killing the process via
     ``os._exit`` mid-batch leaves every already-finished inner result
     durable on disk — the parent recovers them without recomputation.
@@ -207,6 +238,7 @@ def _run_super(cfg, chaos, worker, tasks, spool):
     fd = os.open(spool, os.O_WRONLY | os.O_APPEND)
     batch_span = trace.span("engine.super", "compute", size=len(tasks))
     try:
+        os.write(fd, resultcodec.frame((_WORKER_RECORD, 0.0, pid, 0, resultcodec.KIND_OK, b"")))
         for index, attempt, payload in tasks:
             t1 = time.perf_counter()
             kind = resultcodec.KIND_OK
@@ -336,9 +368,9 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
 def _collect(fut) -> "tuple[str, object]":
     """Classify a future: ("ok", result) | ("error", exc) | ("broken", exc).
 
-    "broken" means the pool died under the task (or cancelled it) — the
-    task itself is not at fault, so its unfinished inners are requeued:
-    never failed for it, though each requeue spends one attempt.
+    "broken" means the pool died under the task (or cancelled it); its
+    unfinished inners are requeued, never failed for it, and only the one
+    whose own worker died spends an attempt.
     """
     if not fut.done():
         return "broken", RuntimeError("worker still running when its pool died")
@@ -355,13 +387,14 @@ def _collect(fut) -> "tuple[str, object]":
 class _Flight:
     """Parent-side state of one in-flight super-task."""
 
-    __slots__ = ("entries", "spool", "deadline", "progress")
+    __slots__ = ("entries", "spool", "deadline", "progress", "pid")
 
     def __init__(self, entries, spool, deadline):
         self.entries = entries  #: ordered [(index, attempt)] unsettled inner tasks
         self.spool = spool  #: path of the spool its inner results land in
         self.deadline = deadline  #: monotonic expiry, None when untimed
         self.progress = 0  #: spool offset after the last CRC-clean record read
+        self.pid = None  #: the worker running it, once its first record is read
 
 
 def _run_serial(worker, payloads, tasks, retries, backoff, validate, failures, fail_fast):
@@ -549,9 +582,12 @@ def _run_pooled(
         if end == flight.progress:
             return
         flight.progress = end
-        if timeout:
-            flight.deadline = time.monotonic() + timeout
         finished = {record[0]: record for record in records}
+        worker = finished.pop(_WORKER_RECORD, None)
+        if worker is not None:
+            flight.pid = worker[2]
+        if timeout and finished:
+            flight.deadline = time.monotonic() + timeout
         remaining = []
         for index, attempt in flight.entries:
             record = finished.get(index)
@@ -563,11 +599,14 @@ def _run_pooled(
                 yield value
         flight.entries = remaining
 
-    def _retire(flight, charge=None):
+    def _retire(flight, charge=None, crashed=()):
         """Drain a super-task that left the pool, then hand back its
         unfinished inners: the first to *charge* (the inner its worker
-        stopped in), the rest to :func:`_requeue`."""
+        stopped in; :func:`_requeue_charged` when that worker is among
+        the *crashed* pids), the rest to :func:`_requeue`."""
         yield from _drain(flight)
+        if charge is None and flight.pid in crashed:
+            charge = _requeue_charged
         entries = flight.entries
         if charge is not None and entries:
             charge(*entries[0])
@@ -589,10 +628,20 @@ def _run_pooled(
             pending.append((index, attempt + 1))
 
     def _requeue(index, attempt):
-        """Re-enqueue a task its pool lost.  Never fails it, but the next
-        run is ``attempt + 1``: the requeue spends an attempt (ROADMAP
-        *Requeue budget*)."""
+        """Re-enqueue a task that was only in flight when its pool broke.
+
+        The task did nothing wrong, so its next run keeps *attempt*: it
+        spends none of its ``retries + 1`` attempts, and a chaos fault
+        pinned to ``@index#attempt`` matches that rerun again.
+        """
         obs.emit("engine.requeue", index=index, attempt=attempt)
+        pending.append((index, attempt))
+
+    def _requeue_charged(index, attempt):
+        """Re-enqueue the task whose worker died running it, at
+        ``attempt + 1``.  Never fails it: the rebuild limits bound a
+        task that keeps killing its worker."""
+        obs.emit("engine.requeue", index=index, attempt=attempt, charged=True)
         pending.append((index, attempt + 1))
 
     _apply_warm(warm)  # under fork, workers inherit the warmed parent
@@ -641,12 +690,14 @@ def _run_pooled(
                     wait_s = max(0.0, min(wait_s, nearest - time.monotonic()))
                 done, _ = wait(list(inflight), timeout=wait_s, return_when=FIRST_COMPLETED)
 
-            # 3. Settle finished futures.
+            # 3. Settle finished futures.  A broken one stays in flight:
+            #    step 6 retires every flight of the broken pool together.
             for fut in done:
-                flight = inflight.pop(fut)
                 status, value = _collect(fut)
                 if status == "broken":
                     broken = True
+                    continue
+                flight = inflight.pop(fut)
                 # The super-task envelope itself raised (spool I/O,
                 # teardown): its first unfinished inner is charged.
                 charge = None
@@ -681,10 +732,12 @@ def _run_pooled(
 
             # 6. Rebuild the pool, or degrade to serial when it keeps dying.
             #    Whatever reached a spool is durable: settle the finished
-            #    inners, requeue only the unfinished rest.
+            #    inners, requeue only the unfinished rest, charging only
+            #    the inner whose worker crashed.
             if broken:
+                crashed = _crashed_pids(pool)
                 for flight in inflight.values():
-                    yield from _retire(flight)
+                    yield from _retire(flight, crashed=crashed)
                 inflight.clear()
                 rebuild_span = trace.span("engine.rebuild", "retry", pending=len(pending))
                 _kill_pool(pool)

@@ -23,6 +23,11 @@ A chaos spec is a comma-separated list of fault entries::
 * ``attempt`` — which attempt the fault hits: an integer, or ``*`` for
   every attempt.  Default ``1``, so a retried task succeeds — the shape
   chaos tests use to prove recovery converges on the fault-free result.
+  The engine's attempt number counts the runs *charged* to a task: one
+  that raised, returned a corrupt result, timed out, or killed its
+  worker.  A task merely in flight when a sibling broke the pool is
+  requeued under the same number, so a fault pinned to ``#1`` fires
+  again on that rerun.
 
 Example: ``"crash@2,hang=30@5#1,corrupt@0#*"``.
 

@@ -77,6 +77,11 @@ def _double(x):
     return 2 * x
 
 
+def _nap_then(seconds, value):
+    time.sleep(seconds)
+    return value
+
+
 class TestChaosCall:
     def test_no_match_is_transparent(self):
         assert chaos.chaos_call("crash@5", _double, 0, 1, (21,)) == 42
@@ -258,3 +263,28 @@ class TestChaosEventStream:
         self._assert_recovered(events, fires)
         assert any(e["kind"] == "engine.rebuild" for e in events)
         assert any(e["kind"] == "engine.requeue" for e in events)
+
+    def test_crash_requeues_in_flight_sibling_at_same_attempt(self, armed):
+        """Task 1 kills its worker while task 0 naps on the other one: the
+        pool break charges task 1 an attempt and requeues task 0 under
+        the attempt number it already had."""
+        from repro.obs.summarize import read_events
+
+        out = list(
+            parallel.run_tasks(
+                _nap_then, [(2.0, 0), (0.0, 1)], jobs=2, batch=1,
+                chaos="crash@1", retries=2, backoff=0,
+            )
+        )
+        assert sorted(out) == [0, 1]
+        events = read_events(armed)
+        fires = [(e["mode"], e["index"]) for e in events if e["kind"] == "chaos.fire"]
+        assert fires == [("crash", 1)]
+        requeues = {e["index"]: e for e in events if e["kind"] == "engine.requeue"}
+        assert requeues[0]["attempt"] == 1 and not requeues[0].get("charged")
+        assert requeues[1]["attempt"] == 1 and requeues[1]["charged"]
+        submits = [(e["index"], e["attempt"]) for e in events if e["kind"] == "engine.submit"]
+        assert [a for i, a in submits if i == 0] == [1, 1]
+        assert [a for i, a in submits if i == 1] == [1, 2]
+        oks = {e["index"]: e["attempt"] for e in events if e["kind"] == "engine.ok"}
+        assert oks == {0: 1, 1: 2}

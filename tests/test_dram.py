@@ -2,6 +2,7 @@
 
 import dataclasses
 import heapq
+import random
 
 import pytest
 
@@ -10,6 +11,7 @@ from repro.dram import (
     AddressMapping,
     Channel,
     DDR3Timing,
+    EnergyBreakdown,
     MemorySystem,
     MemorySystemConfig,
     MemRequest,
@@ -105,6 +107,105 @@ class TestPowerModel:
         s = a + b
         assert s.activate == a.activate and s.read == b.read
         assert s.total == pytest.approx(a.total + b.total)
+
+
+def integrate_unmemoized(model, counters):
+    """RankPowerModel.integrate as it read before the coefficient memo:
+    every primitive evaluated per chip per call."""
+    t = model.timing
+    out = EnergyBreakdown()
+    ns = t.tck_ns
+    for p in model._chips:
+        out.activate += counters.activates * model._act_energy_chip(p)
+        out.read += counters.read_bursts * model._burst_energy_chip(p, write=False)
+        out.write += counters.write_bursts * model._burst_energy_chip(p, write=True)
+        total_cycles = (
+            counters.cycles_active + counters.cycles_precharge_standby + counters.cycles_powerdown
+        )
+        out.refresh += model._refresh_power_chip(p) * total_cycles * ns * 1e-3
+        out.background += (
+            p.idd3n * counters.cycles_active
+            + p.idd2n * counters.cycles_precharge_standby
+            + p.idd2p * counters.cycles_powerdown
+        ) * p.vdd * ns * 1e-3
+    return out
+
+
+class _Captured(Exception):
+    pass
+
+
+def built_power_models():
+    """Every rank power model the experiments build: each catalog scheme's
+    chip widths, and each rank of the mixed-rank channel of Section VI-A."""
+    from repro.ecc.catalog import SYSTEM_CLASSES
+    from repro.experiments import mixed_ranks
+    from repro.workloads.profiles import WORKLOADS_BY_NAME
+
+    widths = {
+        tuple(cfg.make_scheme().chip_widths())
+        for configs in SYSTEM_CLASSES.values()
+        for cfg in configs.values()
+    }
+    models = [RankPowerModel(list(w)) for w in sorted(widths)]
+    mems = []
+
+    class Capture:
+        def __init__(self, mem, *args, **kwargs):
+            mems.append(mem)
+            raise _Captured
+
+    real = mixed_ranks.SimSystem
+    mixed_ranks.SimSystem = Capture
+    try:
+        with pytest.raises(_Captured):
+            mixed_ranks.mixed_channel_simulation(WORKLOADS_BY_NAME["mcf"])
+    finally:
+        mixed_ranks.SimSystem = real
+    (mem,) = mems
+    assert mem.config.rank_chip_widths is not None
+    models += mem._power_models
+    return models
+
+
+class TestPowerCoefficientMemo:
+    """integrate reads per-chip coefficients memoized per (widths, timing)."""
+
+    @pytest.fixture(scope="class")
+    def models(self):
+        return built_power_models()
+
+    def test_coefficients_equal_primitives(self, models):
+        assert {w for m in models for w in m.chip_widths} == set(CHIP_POWER)
+        for m in models:
+            assert len(m._coeffs) == len(m._chips)
+            for (act, rd, wr, ref, *_), p in zip(m._coeffs, m._chips):
+                assert act == m._act_energy_chip(p)
+                assert rd == m._burst_energy_chip(p, write=False)
+                assert wr == m._burst_energy_chip(p, write=True)
+                assert ref == m._refresh_power_chip(p)
+
+    def test_memo_shared_across_models(self, models):
+        for m in models:
+            again = RankPowerModel(list(m.chip_widths), m.timing, m.line_bytes)
+            assert again._coeffs is m._coeffs
+        slow = DDR3Timing(tck_ns=1.25)
+        assert RankPowerModel([4] * 18, slow)._coeffs != RankPowerModel([4] * 18)._coeffs
+
+    def test_integrate_equals_unmemoized_loop(self, models):
+        rng = random.Random(0xE7)
+        for m in models:
+            for _ in range(50):
+                c = RankEnergyCounters(
+                    activates=rng.randrange(10**7),
+                    read_bursts=rng.randrange(10**7),
+                    write_bursts=rng.randrange(10**7),
+                    cycles_active=rng.choice([rng.randrange(10**9), rng.random() * 1e9]),
+                    cycles_precharge_standby=rng.randrange(10**9),
+                    cycles_powerdown=float(rng.randrange(10**9)),
+                )
+                got = dataclasses.astuple(m.integrate(c))
+                assert got == dataclasses.astuple(integrate_unmemoized(m, c))
 
 
 def drain(channel, last_arrival):

@@ -16,6 +16,7 @@ without a compiler the epoch kernel is the event loop itself, so these
 tests then compare the oracle with itself; CI asserts the core builds.
 """
 
+import copy
 import dataclasses
 import random
 
@@ -25,11 +26,11 @@ import repro.experiments.evaluation as ev
 from repro.cpu import epochnative
 from repro.cpu.degraded import DegradedMode
 from repro.cpu.ecc_traffic import EccTrafficModel
-from repro.cpu.llc import LLC
+from repro.cpu.llc import LLC, LineKind
 from repro.cpu.system import EV_CORE, ScrubConfig, SimSystem
 from repro.dram.system import MemorySystem, MemorySystemConfig
 from repro.ecc import Chipkill18, Chipkill36, LotEcc5, LotEcc9, MultiEcc
-from repro.ecc.catalog import QUAD_EQUIVALENT
+from repro.ecc.catalog import QUAD_EQUIVALENT, SYSTEM_CLASSES
 from repro.experiments import runner
 from repro.experiments.ablation import xor_caching_ablation
 from repro.experiments.evaluation import Fidelity, evaluation_matrix
@@ -144,6 +145,7 @@ def assert_identical(mk, warmup, measure, monkeypatch, bursts=(), ipc_window=Non
     assert epochnative.eligible(epo), "config would silently take the event loop"
     r_epo = epo.run(warmup, measure)
     assert res_of(r_epo) == want_res, "SimResult diverged"
+    epochnative.readback(epo)
     got = state_of(epo)
     for key in want_state:
         assert got[key] == want_state[key], f"state[{key}] diverged"
@@ -392,6 +394,11 @@ class TestEventQueueEdges:
         sim.schedule_burst(0, 40, 40, 1 << 30)
         with pytest.raises(RuntimeError, match="epoch native event heap overflow"):
             epochnative.run_native(sim, 1000, 5000)
+        # The capped state is its own resident geometry: the same shape at
+        # the default cap still runs to the oracle's result.
+        monkeypatch.undo()
+        assert_identical(lambda: build(Chipkill18(), wl_traces("mcf", 13)), 1000, 5000,
+                         monkeypatch)
 
 
 class TestNativeCore:
@@ -434,6 +441,139 @@ class TestNativeCore:
         monkeypatch.setenv("REPRO_SIM_KERNEL", bad)
         with pytest.raises(ValueError):
             envcfg.sim_kernel()
+
+
+class StopAfterReadback(Exception):
+    pass
+
+
+class TestResidentState:
+    """The core keeps its state arrays resident per geometry, resets them
+    in C per run, and reads the full post-run state back on request."""
+
+    @staticmethod
+    def spec(system_class, key, seed=0):
+        return runner.RunSpec(WORKLOADS_BY_NAME["mcf"], SYSTEM_CLASSES[system_class][key],
+                              seed=seed, scale=256)
+
+    def test_geometries_back_to_back(self, monkeypatch):
+        """quad -> dual -> quad, 64 B and 128 B lines, in one process: every
+        cell equals the oracle, and a geometry's state is reused."""
+        if not epochnative.available():
+            pytest.skip("compiled core unavailable")
+        cells = [("quad", "chipkill36"), ("dual", "chipkill18"), ("quad", "chipkill36"),
+                 ("dual", "chipkill36"), ("quad", "chipkill18"), ("dual", "chipkill18")]
+        residents = []
+        for seed, (system_class, key) in enumerate(cells):
+            spec = self.spec(system_class, key, seed)
+            assert_identical(lambda: runner.build_system(spec), 2000, 6000, monkeypatch)
+            residents.append(epochnative._resident(epochnative._CORE.load().ffi,
+                                                   runner.build_system(spec)))
+        assert residents[0] is residents[2] and residents[1] is residents[5]
+        assert len({id(r) for r in residents}) == 4
+
+    def test_dirty_run_then_fresh_run_same_geometry(self, monkeypatch):
+        """A run that leaves faults, bursts, a scrub cursor, an IPC window
+        and a full LLC behind does not leak into the next run of its shape."""
+        deg = DegradedMode(frozenset({(0, 0, 0), (1, 0, 3)}), ecc_line_coverage=2)
+        assert_identical(
+            lambda: build(MultiEcc(), wl_traces("milc", 3), degraded=deg, cache_ecc_lines=False,
+                          scrub=ScrubConfig(interval_cycles=500, region_lines=4096)),
+            1000, 8000, monkeypatch, bursts=[(100, 64, 64, 1 << 30)], ipc_window=50)
+        assert_identical(lambda: build(MultiEcc(), wl_traces("milc", 4)), 1000, 8000,
+                         monkeypatch)
+
+    def test_warmed_state_is_staged(self, monkeypatch):
+        """A used LLC, accounted and refreshed ranks, a channel that has
+        scheduled and a core with progress are copied into the core."""
+
+        def mk():
+            sim = build(LotEcc5(), wl_traces("lbm", 5, line=LotEcc5().line_size),
+                        channels=2, ranks=2)
+            for i in range(3000):
+                sim.llc.access(i * 7, LineKind(i % 3), make_dirty=i % 2 == 0)
+            sim.mem.finalize(9000)
+            sim.mem.channels[1]._service_refresh(20000)
+            sim.mem.channels[0].bus_free = 40
+            sim.cores[2].instructions = 17
+            return sim
+
+        assert mk().llc._where
+        assert_identical(mk, 1000, 6000, monkeypatch)
+
+    def test_second_run_reads_back_first(self, monkeypatch):
+        """A second run() of a natively run system first reads its full
+        post-run state back, whichever kernel it asks for.  (What the
+        second run then does is out of scope: the oracle itself cannot
+        resume a finished run.)"""
+        if not epochnative.available():
+            pytest.skip("compiled core unavailable")
+
+        def mk():
+            return build(Chipkill18(), wl_traces("mcf", 3))
+
+        ref = mk()
+        ref._run_reference(1000, 3000)
+        want = state_of(ref)
+        seen = []
+        real = epochnative.readback
+
+        def spy(sim):
+            pending = sim._native is not None
+            real(sim)
+            if pending:
+                seen.append(state_of(sim))
+                raise StopAfterReadback
+
+        monkeypatch.setattr(epochnative, "readback", spy)
+        for kernel in ("epoch", "event"):
+            sim = mk()
+            sim.run(1000, 3000, kernel="epoch")
+            assert sim._native is not None
+            assert not seen
+            with pytest.raises(StopAfterReadback):
+                sim.run(1000, 3000, kernel=kernel)
+            assert seen == [want]
+            seen.clear()
+
+    def test_overwritten_state_raises(self):
+        """Once a later run of the same geometry reused the arrays, the
+        first system can neither be read back nor run again."""
+        if not epochnative.available():
+            pytest.skip("compiled core unavailable")
+        first = build(Chipkill18(), wl_traces("mcf", 3))
+        first.run(1000, 3000, kernel="epoch")
+        second = build(Chipkill18(), wl_traces("mcf", 4))
+        second.run(1000, 3000, kernel="epoch")
+        with pytest.raises(RuntimeError, match="overwritten"):
+            epochnative.readback(first)
+        for kernel in ("epoch", "event"):
+            with pytest.raises(RuntimeError, match="overwritten"):
+                first.run(1000, 3000, kernel=kernel)
+        epochnative.readback(second)
+        assert second._native is None and second.llc._where
+
+    def test_shared_llc_needs_read_back_or_reset(self):
+        """An LLC whose slots a native run left in the core is not staged
+        from its stale lists: a system sharing it raises until it is read
+        back, and then runs from the read-back state."""
+        if not epochnative.available():
+            pytest.skip("compiled core unavailable")
+        first = build(Chipkill18(), wl_traces("mcf", 3))
+        first.run(1000, 3000, kernel="epoch")
+
+        def sharing(llc):
+            return SimSystem(MemorySystem(first.mem.config), wl_traces("mcf", 4),
+                             first.ecc_model, llc=llc)
+
+        with pytest.raises(RuntimeError, match="unread native state"):
+            sharing(first.llc).run(1000, 3000, kernel="epoch")
+        epochnative.readback(first)
+        assert first.llc._where
+        want = res_of(sharing(copy.deepcopy(first.llc))._run_reference(1000, 3000))
+        assert res_of(sharing(first.llc).run(1000, 3000, kernel="epoch")) == want
+        first.llc.reset()
+        assert not first.llc._where and first.llc._native is None
 
 
 class TestPaperExperiments:
