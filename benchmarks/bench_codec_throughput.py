@@ -16,9 +16,9 @@ is decoded here against that scalar baseline:
 Clean-path sections (encode through the compiled core and the NumPy
 ``_encode_reference`` fallback, syndromes, clean-batch decode, cached
 erasure decode) keep the common case honest.  Numbers land in
-``results/BENCH_codec_throughput.json`` and feed the perf-history
-ledger; ``perf_guard`` enforces the speedup floors on the committed
-full-mode numbers.  ``REPRO_BENCH_QUICK=1`` (CI) shrinks budgets.
+``results/BENCH_codec_throughput.json``; ``perf_guard`` guards the
+decode rate against the committed baseline and enforces the speedup
+floor on every fresh run.  ``REPRO_BENCH_QUICK=1`` (CI) shrinks budgets.
 """
 
 import time

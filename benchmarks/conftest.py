@@ -12,6 +12,7 @@ that produced it.
 """
 
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -24,9 +25,27 @@ def results_dir():
     return d
 
 
+def git_info(repo) -> dict:
+    """``{"sha": ..., "dirty": ...}`` of *repo* (None fields off-git)."""
+    try:
+        sha = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=repo, capture_output=True, text=True
+        )
+        status = subprocess.run(
+            ["git", "status", "--porcelain"], cwd=repo, capture_output=True, text=True
+        )
+    except OSError:
+        return {"sha": None, "dirty": None}
+    if sha.returncode != 0:
+        return {"sha": None, "dirty": None}
+    return {
+        "sha": sha.stdout.strip(),
+        "dirty": bool(status.stdout.strip()) if status.returncode == 0 else None,
+    }
+
+
 def merge_results(results_dir, filename, **fields):
     """Read-update-write a ``BENCH_*.json``, stamping run provenance."""
-    from repro.obs.history import git_info
     from repro.obs.manifest import manifest_dict
 
     path = results_dir / filename

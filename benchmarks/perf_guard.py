@@ -25,18 +25,10 @@ exemption - loud, like every other skip - is a run whose recorded
 A third table, ``CEILINGS``, holds absolute maximums for costs where
 *smaller* is better - the telemetry/trace disabled-path overheads, which
 must stay under their published budget on every run, quick or full.
-
-Beyond the single committed baseline, the guard also checks the
-**perf-history ledger** (``results/PERF_HISTORY.jsonl``, written by
-``python -m repro.obs.history append``): each guarded rate's newest entry
-is compared against the median of up to ``--trend-window`` preceding
-entries of the same budget class.  A single noisy baseline commit can
-mask a slow bleed; the windowed median cannot.
 """
 
 import argparse
 import json
-import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -85,18 +77,6 @@ CEILINGS = [
 ]
 
 DEFAULT_TOLERANCE_PCT = 15.0
-
-#: Preceding history entries the trend median is taken over.
-TREND_WINDOW = 5
-
-
-def _history_mod():
-    try:
-        from repro.obs import history
-    except ImportError:
-        sys.path.insert(0, str(REPO / "src"))
-        from repro.obs import history
-    return history
 
 
 class Tally:
@@ -223,62 +203,6 @@ def check(
     return failures
 
 
-def check_trends(
-    history_path: "Path | None" = None,
-    window: int = TREND_WINDOW,
-    tolerance_pct: float = DEFAULT_TOLERANCE_PCT,
-    tally: "Tally | None" = None,
-) -> "list[str]":
-    """Compare each guarded rate's newest ledger entry to its windowed median.
-
-    For every ``GUARDED`` metric: take the most recent
-    ``results/PERF_HISTORY.jsonl`` entry carrying it, gather up to
-    *window* preceding entries of the same budget class (quick vs full),
-    and fail when the newest value sits more than *tolerance_pct* below
-    their median.  Fewer than two comparable prior entries is a loud
-    skip - a trend needs history.
-    """
-    hist = _history_mod()
-    tally = Tally() if tally is None else tally
-    history_path = Path(history_path) if history_path else RESULTS / hist.HISTORY_FILE
-    failures = []
-    entries = hist.load(history_path)
-    if not entries:
-        tally.skip("trends", f"no history ledger at {history_path}")
-        return failures
-    for filename, section, field in GUARDED:
-        metric = f"{section}.{field}"
-        label = f"{filename}:{metric} (trend)"
-        relevant = [
-            e for e in entries
-            if e.get("file") == filename and metric in (e.get("metrics") or {})
-        ]
-        if not relevant:
-            tally.skip(label, "metric absent from history")
-            continue
-        latest = relevant[-1]
-        prior = [e for e in relevant[:-1] if e.get("quick") == latest.get("quick")]
-        values = [float(e["metrics"][metric]) for e in prior[-window:]]
-        if len(values) < 2:
-            tally.skip(label, f"{len(values)} comparable prior entries, trend needs >= 2")
-            continue
-        med = statistics.median(values)
-        floor = med * (1 - tolerance_pct / 100.0)
-        fresh = float(latest["metrics"][metric])
-        verdict = "FAIL" if fresh < floor else "ok"
-        tally.compared += 1
-        print(
-            f"{verdict:>4} {label}: fresh={fresh:,.0f} median[{len(values)}]={med:,.0f} "
-            f"floor={floor:,.0f} (-{tolerance_pct:g}%)"
-        )
-        if fresh < floor:
-            failures.append(
-                f"{label} below trend floor: {fresh:,.0f} < {floor:,.0f} "
-                f"(median of last {len(values)} comparable entries = {med:,.0f})"
-            )
-    return failures
-
-
 def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python benchmarks/perf_guard.py",
@@ -291,21 +215,9 @@ def main(argv: "list[str] | None" = None) -> int:
         default=DEFAULT_TOLERANCE_PCT,
         help="allowed drop in percent before failing (default 15)",
     )
-    parser.add_argument(
-        "--history",
-        default=None,
-        help="perf-history ledger path (default: results/PERF_HISTORY.jsonl)",
-    )
-    parser.add_argument(
-        "--trend-window",
-        type=int,
-        default=TREND_WINDOW,
-        help=f"prior history entries the trend median spans (default {TREND_WINDOW})",
-    )
     args = parser.parse_args(argv)
     tally = Tally()
     failures = check(args.baseline, args.tolerance, tally=tally)
-    failures += check_trends(args.history, args.trend_window, args.tolerance, tally=tally)
     print(tally.summary())
     for f in failures:
         print(f"REGRESSION: {f}", file=sys.stderr)

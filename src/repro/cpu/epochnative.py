@@ -1352,7 +1352,6 @@ def run_native(sim, warmup_instructions: int, measure_instructions: int) -> SimR
     lib, ffi = mod.lib, mod.ffi
     obs_armed = obs.enabled()
     wall0 = perf_counter() if obs_armed else 0.0
-    readback(sim)
     mem = sim.mem
     llc = sim.llc
     if llc._native is not None or mem._native is not None:
@@ -1428,7 +1427,6 @@ def readback(sim) -> None:
     A no-op when *sim* has no unread native run.  The state lives in the
     resident arrays of the run's geometry, so it must be read before
     another run of that geometry starts; after that this raises.
-    ``SimSystem.run`` calls it before a second run of the same system.
     """
     run = sim._native
     if run is None:

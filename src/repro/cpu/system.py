@@ -195,6 +195,8 @@ class SimSystem:
         #: Set by a run of the compiled core until its full state is read
         #: back (``epochnative.readback``); the object model is stale then.
         self._native = None
+        #: Set by :meth:`run`, which refuses a second call.
+        self._ran = False
 
     def schedule_burst(self, cycle: int, reads: int, writes: int, base_addr: int = 0) -> None:
         """Inject a one-shot background traffic burst at *cycle*.
@@ -382,9 +384,15 @@ class SimSystem:
         when no compiler is available or the system is outside its scope
         (``epochnative.eligible``: e.g. a populated event heap from an
         interrupted run).
+
+        A system runs once: a second call raises :class:`RuntimeError`
+        whichever kernels the two calls ask for, because neither kernel
+        can resume a finished run.  Build a new system to run again.
         """
+        if self._ran:
+            raise RuntimeError("SimSystem.run() is single-shot; build a new system to run again")
+        self._ran = True
         kernel = envcfg.sim_kernel(kernel)
-        self._read_back_native()
         with trace.span("sim.run", "sim", kernel=kernel):
             if kernel == "epoch":
                 from repro.cpu import epochnative  # lazy: epochnative imports this module
@@ -396,14 +404,6 @@ class SimSystem:
                         )
             return self._run_reference(warmup_instructions, measure_instructions)
 
-    def _read_back_native(self) -> None:
-        """Before a second run: pull the full state of a compiled-core run
-        into the object model (raises if that state is already gone)."""
-        if self._native is not None:
-            from repro.cpu import epochnative
-
-            epochnative.readback(self)
-
     def _run_reference(self, warmup_instructions: int, measure_instructions: int) -> SimResult:
         """The event-driven oracle loop (``REPRO_SIM_KERNEL=event``).
 
@@ -412,7 +412,6 @@ class SimSystem:
         gate is checked once here, so the event loop itself carries no
         telemetry cost.
         """
-        self._read_back_native()
         obs_armed = obs.enabled()
         wall0 = perf_counter() if obs_armed else 0.0
         seq0 = self._seq

@@ -79,7 +79,7 @@ from collections import Counter, deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool, _ExceptionWithTraceback
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from repro import obs
 from repro.obs import trace
@@ -150,21 +150,6 @@ class TaskFailure:
     kind: str  #: "exception" | "timeout" | "corrupt"
     error: str  #: rendered final error
     cause: "BaseException | None" = field(default=None, repr=False, compare=False)
-
-
-class TaskError(RuntimeError):
-    """A worker failure wrapped with the identity of the task that raised it.
-
-    Raised immediately (``fail_fast=True``) instead of being collected, so
-    the failing cell is identifiable without rerunning the sweep.
-    """
-
-    def __init__(self, failure: TaskFailure):
-        self.failure = failure
-        super().__init__(
-            f"task #{failure.index} {failure.payload!r} failed after "
-            f"{failure.attempts} attempt(s) [{failure.kind}]: {failure.error}"
-        )
 
 
 class CampaignError(RuntimeError):
@@ -316,24 +301,17 @@ def _warm_cells(system_class, config_keys, scale) -> None:
         runner._pooled_llc(runner.llc_size_bytes(scale), scheme.line_size)
 
 
-def _record(failures, index, payload, attempts, kind, exc, fail_fast):
-    failure = TaskFailure(
-        index=index,
-        payload=payload,
-        attempts=attempts,
-        kind=kind,
-        error=f"{type(exc).__name__}: {exc}",
-        cause=exc,
+def _record(failures, index, payload, attempts, kind, exc):
+    failures.append(
+        TaskFailure(
+            index=index,
+            payload=payload,
+            attempts=attempts,
+            kind=kind,
+            error=f"{type(exc).__name__}: {exc}",
+            cause=exc,
+        )
     )
-    if fail_fast:
-        raise TaskError(failure) from exc
-    failures.append(failure)
-
-
-def _result_ok(result, validate) -> bool:
-    if isinstance(result, chaos_mod.Corrupted):
-        return False
-    return validate is None or bool(validate(result))
 
 
 def _backoff_sleep(backoff: float, attempt: int) -> None:
@@ -397,8 +375,8 @@ class _Flight:
         self.pid = None  #: the worker running it, once its first record is read
 
 
-def _run_serial(worker, payloads, tasks, retries, backoff, validate, failures, fail_fast):
-    """In-process execution with the same retry/validation contract.
+def _run_serial(worker, payloads, tasks, retries, backoff, failures):
+    """In-process execution with the same retry contract.
 
     *tasks* is a list of ``(index, first_attempt)`` pairs — the degraded
     path hands over tasks mid-campaign with their attempt count intact.
@@ -423,20 +401,9 @@ def _run_serial(worker, payloads, tasks, retries, backoff, validate, failures, f
                 )
                 if attempt >= max_attempts:
                     obs.emit("engine.fail", index=index, attempts=attempt, reason="exception")
-                    _record(failures, index, payload, attempt, "exception", exc, fail_fast)
+                    _record(failures, index, payload, attempt, "exception", exc)
                     break
                 obs.emit("engine.retry", index=index, attempt=attempt + 1, reason="exception")
-                _backoff_sleep(backoff, attempt)
-                attempt += 1
-                continue
-            if not _result_ok(result, validate):
-                obs.emit("engine.error", index=index, attempt=attempt, error="invalid result")
-                if attempt >= max_attempts:
-                    exc = ValueError(f"invalid result: {result!r}")
-                    obs.emit("engine.fail", index=index, attempts=attempt, reason="corrupt")
-                    _record(failures, index, payload, attempt, "corrupt", exc, fail_fast)
-                    break
-                obs.emit("engine.retry", index=index, attempt=attempt + 1, reason="corrupt")
                 _backoff_sleep(backoff, attempt)
                 attempt += 1
                 continue
@@ -455,10 +422,8 @@ def _run_pooled(
     timeout,
     retries,
     backoff,
-    validate,
     chaos,
     failures,
-    fail_fast,
     batch,
     warm,
 ):
@@ -514,9 +479,11 @@ def _run_pooled(
         return max(1, min(size, math.ceil(len(pending) / jobs)))
 
     def _settle_ok(index, attempt, value, pid, wall):
-        """One inner result arrived: validate, account, return (yieldable, value)."""
+        """One inner result arrived: account it, return (yieldable, value).
+
+        A chaos-corrupted result counts as a failed attempt."""
         nonlocal consecutive_rebuilds
-        if _result_ok(value, validate):
+        if not isinstance(value, chaos_mod.Corrupted):
             consecutive_rebuilds = 0
             if wall is not None:
                 samples.append(wall)
@@ -526,7 +493,7 @@ def _run_pooled(
         if attempt >= max_attempts:
             exc = ValueError(f"invalid result: {value!r}")
             obs.emit("engine.fail", index=index, attempts=attempt, reason="corrupt")
-            _record(failures, index, payloads[index], attempt, "corrupt", exc, fail_fast)
+            _record(failures, index, payloads[index], attempt, "corrupt", exc)
             consecutive_rebuilds = 0
         else:
             obs.emit("engine.retry", index=index, attempt=attempt + 1, reason="corrupt")
@@ -545,7 +512,7 @@ def _run_pooled(
         )
         if attempt >= max_attempts:
             obs.emit("engine.fail", index=index, attempts=attempt, reason="exception")
-            _record(failures, index, payloads[index], attempt, "exception", exc, fail_fast)
+            _record(failures, index, payloads[index], attempt, "exception", exc)
             consecutive_rebuilds = 0
         else:
             obs.emit("engine.retry", index=index, attempt=attempt + 1, reason="exception")
@@ -621,7 +588,7 @@ def _run_pooled(
         if attempt >= max_attempts:
             exc = TimeoutError(f"no result within {timeout:g}s")
             obs.emit("engine.fail", index=index, attempts=attempt, reason="timeout")
-            _record(failures, index, payloads[index], attempt, "timeout", exc, fail_fast)
+            _record(failures, index, payloads[index], attempt, "timeout", exc)
             consecutive_rebuilds = 0
         else:
             obs.emit("engine.retry", index=index, attempt=attempt + 1, reason="timeout")
@@ -758,9 +725,7 @@ def _run_pooled(
                     pending.clear()
                     rebuild_span.end(degraded=True)
                     obs.emit("engine.degrade", remaining=len(tasks), rebuilds=total_rebuilds)
-                    yield from _run_serial(
-                        worker, payloads, tasks, retries, backoff, validate, failures, fail_fast
-                    )
+                    yield from _run_serial(worker, payloads, tasks, retries, backoff, failures)
                     return
                 if pending:
                     pool = ProcessPoolExecutor(max_workers=min(jobs, len(pending)), **pool_args)
@@ -801,9 +766,7 @@ def run_tasks(
     timeout: "float | None" = None,
     retries: "int | None" = None,
     backoff: "float | None" = None,
-    validate: "Callable[[object], bool] | None" = None,
     chaos: "str | None" = None,
-    fail_fast: bool = False,
     batch: "str | int" = "auto",
     warm: "tuple | None" = None,
 ) -> "Iterator":
@@ -825,13 +788,10 @@ def run_tasks(
       :data:`DEFAULT_TASK_RETRIES`).
     * *backoff* — base seconds of the exponential retry backoff (default
       :data:`BACKOFF_BASE`; pass ``0`` to disable sleeping in tests).
-    * *validate* — optional predicate over results; a falsy verdict counts
-      as a failed attempt (kind ``corrupt``).
     * *chaos* — a :mod:`repro.util.chaos` spec string (default: the spec
       set by :func:`repro.util.chaos.arm`); injected into pool workers
-      only, per inner task.
-    * *fail_fast* — raise :class:`TaskError` on the first exhausted task
-      instead of collecting failures into a :class:`CampaignError`.
+      only, per inner task; a result it corrupts counts as a failed
+      attempt (kind ``corrupt``).
     * *batch* — inner tasks per pool submission: ``auto`` (default) sizes
       batches from measured task cost, an integer ``>= 1`` pins the size
       (``1`` submits every task alone).  Anything else raises
@@ -884,9 +844,7 @@ def run_tasks(
             [(i, 1) for i in range(len(payloads))],
             retries,
             backoff,
-            validate,
             failures,
-            fail_fast,
         )
     else:
         inner = _run_pooled(
@@ -896,10 +854,8 @@ def run_tasks(
             timeout,
             retries,
             backoff,
-            validate,
             chaos,
             failures,
-            fail_fast,
             batch,
             warm,
         )
@@ -916,7 +872,7 @@ def run_tasks(
             wall_s=round(time.perf_counter() - t0, 6),
         )
     finally:
-        # Generators may be abandoned mid-campaign (Ctrl-C, fail_fast):
+        # Generators may be abandoned mid-campaign (Ctrl-C, a caller's break):
         # the span must still close so the forest stays complete.
         campaign_span.end(ok=ok, failed=len(failures))
     if failures:
@@ -968,7 +924,7 @@ def run_cells(
     reference behaviour.  Pooled workers get a warm hint that pre-imports
     the sim stack, pre-compiles the native core, and primes the LLC pool
     for every cache geometry in the sweep.  A failing cell surfaces in
-    :class:`CampaignError` / :class:`TaskError` with its ``(system_class,
+    :class:`CampaignError` with its ``(system_class,
     workload, config_key, ...)`` payload attached, so it is identifiable
     without rerunning the sweep.
 

@@ -11,8 +11,9 @@ observable without perturbing them:
   (``CLOCK_MONOTONIC`` is system-wide on Linux, so worker and parent
   events sort on one axis) and the emitting ``pid``.  Each line is written
   with a single ``os.write`` on an ``O_APPEND`` descriptor, so concurrent
-  pool workers appending to the same file never interleave lines.  The
-  default sink is ``None`` and :func:`emit` returns after **one global
+  pool workers appending to the same file never interleave lines.  A run
+  directory holds one uncapped stream; give each run its own directory.
+  The default sink is ``None`` and :func:`emit` returns after **one global
   load and one identity check** - the disabled path adds no measurable
   cost to any hot loop (``benchmarks/bench_obs_overhead.py`` proves it).
 * **Run manifest** - :func:`ensure_manifest` captures the reproducibility
@@ -59,73 +60,21 @@ MANIFEST_FILE = "manifest.json"
 
 
 class _JsonlSink:
-    """Append-only JSONL writer; one atomic ``os.write`` per record.
+    """Append-only JSONL writer; one atomic ``os.write`` per record."""
 
-    With a *max_bytes* cap, a write that would push the stream
-    past the cap first rotates ``events.jsonl`` to ``events.jsonl.1``
-    (replacing any previous rotation).  Every append is one whole-line
-    write, so the rename always lands on a line boundary; concurrent
-    writers holding the old descriptor keep appending to the rotated
-    file — never torn, only filed under the previous generation.
-    """
+    __slots__ = ("run_dir", "path", "_fd")
 
-    __slots__ = ("run_dir", "path", "_fd", "max_bytes")
-
-    def __init__(self, run_dir: "Path | str", max_bytes: "int | None" = None):
+    def __init__(self, run_dir: "Path | str"):
         self.run_dir = Path(run_dir)
         self.path = self.run_dir / EVENTS_FILE
         self._fd = None
-        self.max_bytes = max_bytes
-
-    def _open(self) -> int:
-        self.run_dir.mkdir(parents=True, exist_ok=True)
-        self._fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-        return self._fd
 
     def write_line(self, text: str) -> None:
         fd = self._fd
         if fd is None:
-            fd = self._open()
-        data = text.encode("utf-8")
-        if self.max_bytes:
-            fd = self._maybe_rotate(fd, len(data))
-        os.write(fd, data)
-
-    def _maybe_rotate(self, fd: int, incoming: int) -> int:
-        """Rotate when the stream would exceed the cap; returns a live fd.
-
-        Another process may have rotated already (the descriptor no longer
-        names ``events.jsonl``): then this writer just reopens the fresh
-        stream instead of rotating the new generation straight out again.
-        """
-        try:
-            size = os.fstat(fd).st_size
-        except OSError:
-            return fd
-        if size == 0 or size + incoming <= self.max_bytes:
-            return fd
-        rotated = size
-        try:
-            current = os.stat(self.path)
-            stale = current.st_ino != os.fstat(fd).st_ino
-        except OSError:
-            stale = False
-        if not stale:
-            try:
-                os.replace(self.path, self.path.with_name(EVENTS_FILE + ".1"))
-            except OSError:
-                return fd
-        self.close()
-        fd = self._open()
-        rec = {
-            "kind": "obs.rotate",
-            "ts": round(time.monotonic(), 6),
-            "pid": os.getpid(),
-            "rotated_bytes": rotated,
-            "max_bytes": self.max_bytes,
-        }
-        os.write(fd, (json.dumps(rec, separators=(",", ":"), sort_keys=True) + "\n").encode())
-        return fd
+            self.run_dir.mkdir(parents=True, exist_ok=True)
+            fd = self._fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+        os.write(fd, text.encode("utf-8"))
 
     def close(self) -> None:
         if self._fd is not None:
@@ -136,34 +85,33 @@ class _JsonlSink:
             self._fd = None
 
 
-def decode_line(line: bytes, path, lineno: int, what: str = "JSONL record"):
+def decode_line(line: bytes, path, lineno: int):
     """One raw JSONL line as its object; ``None`` when blank or torn.
 
     A torn line — not UTF-8, or not JSON: the half-written append of a
     killed writer (ENOSPC, SIGKILL, power loss) or a record straddling an
     I/O fault — is skipped with a one-line warning on stderr naming the
     file and line number; one bad record must never cost the rest of the
-    stream.  Every JSONL reader (:mod:`~repro.obs.summarize`,
-    :mod:`~repro.obs.progress`, :mod:`~repro.obs.history`) decodes through
-    this.
+    stream.  Both JSONL readers (:mod:`~repro.obs.summarize` and
+    :mod:`~repro.obs.progress`) decode through this.
     """
     if not line.strip():
         return None
     try:
         return json.loads(line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError):
-        print(f"warning: {path}:{lineno}: skipping torn {what}", file=sys.stderr)
+        print(f"warning: {path}:{lineno}: skipping torn JSONL record", file=sys.stderr)
         return None
 
 
-def read_jsonl(path: "Path | str", what: str = "JSONL record") -> list:
+def read_jsonl(path: "Path | str") -> list:
     """Every intact line of a JSONL file in order; ``[]`` when it is missing."""
     try:
         fh = open(path, "rb")
     except FileNotFoundError:
         return []
     with fh:
-        lines = [decode_line(line, path, n, what) for n, line in enumerate(fh, 1)]
+        lines = [decode_line(line, path, n) for n, line in enumerate(fh, 1)]
     return [obj for obj in lines if obj is not None]
 
 
@@ -179,22 +127,16 @@ _current: "contextvars.ContextVar[tuple[str, str] | None]" = contextvars.Context
 )
 
 
-def configure(run_dir: "Path | str | None" = None, max_bytes: "int | None" = None) -> Path:
+def configure(run_dir: "Path | str | None" = None) -> Path:
     """Arm the bus programmatically; returns the run directory.
 
-    *run_dir* defaults to ``REPRO_OBS_DIR``.  With *max_bytes*, the sink
-    rotates ``events.jsonl`` to ``events.jsonl.1`` on a line boundary once
-    the stream would pass that many bytes (``None``/``0`` never rotates);
-    fork-started workers inherit the cap with the sink.  The events file
-    is opened lazily on first emit, so arming never touches the filesystem
-    by itself.
+    *run_dir* defaults to ``REPRO_OBS_DIR``.  The events file is opened
+    lazily on first emit, so arming never touches the filesystem by
+    itself.
     """
     global _sink
-    max_bytes = int(max_bytes or 0)
-    if max_bytes < 0:
-        raise ValueError(f"obs max bytes must be >= 0, got {max_bytes}")
     disarm()
-    _sink = _JsonlSink(run_dir or envcfg.path(ENV_DIR), max_bytes=max_bytes or None)
+    _sink = _JsonlSink(run_dir or envcfg.path(ENV_DIR))
     return _sink.run_dir
 
 

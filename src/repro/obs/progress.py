@@ -22,15 +22,12 @@ completion.  Two output modes:
 
 The follower tolerates torn lines anywhere in the stream (a concurrent
 writer's in-flight append, a killed writer's half line) by buffering the
-trailing partial line and warning-and-skipping undecodable interior ones,
-and follows size-capped rotations (``obs.configure(max_bytes=...)``) by
-detecting the inode change and reopening the fresh generation.
+trailing partial line and warning-and-skipping undecodable interior ones.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -39,34 +36,21 @@ from repro.obs import EVENTS_FILE, decode_line
 
 
 class Follower:
-    """Incremental, rotation-aware, torn-line-tolerant events.jsonl tailer."""
+    """Incremental, torn-line-tolerant events.jsonl tailer."""
 
     def __init__(self, run_dir: "Path | str"):
         self.path = Path(run_dir) / EVENTS_FILE
         self._fh = None
-        self._ino: "int | None" = None
         self._buf = b""
-        self._lineno = 0  #: complete lines consumed in the current generation
+        self._lineno = 0  #: complete lines consumed so far
 
-    def _open(self) -> bool:
-        try:
-            fh = open(self.path, "rb")
-        except OSError:
-            return False
-        self._fh = fh
-        self._ino = os.fstat(fh.fileno()).st_ino
-        self._buf = b""
-        self._lineno = 0
-        return True
-
-    def _rotated(self) -> bool:
-        try:
-            return os.stat(self.path).st_ino != self._ino
-        except OSError:
-            return False
-
-    def _drain(self) -> "list[dict]":
-        assert self._fh is not None
+    def poll(self) -> "list[dict]":
+        """Every complete event appended since the last poll."""
+        if self._fh is None:
+            try:
+                self._fh = open(self.path, "rb")
+            except OSError:
+                return []
         data = self._fh.read()
         if not data:
             return []
@@ -81,20 +65,6 @@ class Follower:
             event = decode_line(line, self.path, self._lineno)
             if event is not None:
                 events.append(event)
-        return events
-
-    def poll(self) -> "list[dict]":
-        """Every complete event appended since the last poll."""
-        if self._fh is None and not self._open():
-            return []
-        events = self._drain()
-        if self._rotated():
-            # Finish the old generation, then switch to the fresh file.
-            events += self._drain()
-            self._fh.close()
-            self._fh = None
-            if self._open():
-                events += self._drain()
         return events
 
     def close(self) -> None:

@@ -23,18 +23,12 @@ TIMELINE_BUCKETS = 10
 
 
 def read_events(run_dir: "Path | str") -> "list[dict]":
-    """Parse ``events.jsonl`` (and a rotated ``events.jsonl.1`` before it).
+    """Parse ``events.jsonl``, ordered by timestamp.
 
     A torn line *anywhere* is skipped with a warning
-    (:func:`repro.obs.decode_line`).  When a size-capped rotation
-    (``obs.configure(max_bytes=...)``) has produced an ``events.jsonl.1``,
-    that older generation is read first so the merged stream stays in
-    append order.
+    (:func:`repro.obs.decode_line`).
     """
-    run_dir = Path(run_dir)
-    events = []
-    for path in (run_dir / f"{EVENTS_FILE}.1", run_dir / EVENTS_FILE):
-        events += read_jsonl(path)
+    events = read_jsonl(Path(run_dir) / EVENTS_FILE)
     events.sort(key=lambda e: e.get("ts", 0.0))
     return events
 

@@ -18,7 +18,11 @@ tests then compare the oracle with itself; CI asserts the core builds.
 
 import copy
 import dataclasses
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -443,8 +447,49 @@ class TestNativeCore:
             envcfg.sim_kernel()
 
 
-class StopAfterReadback(Exception):
-    pass
+KERNEL_PAIRS = [(a, b) for a in ("epoch", "event") for b in ("epoch", "event")]
+
+#: The four kernel pairs again, in a ``python -O`` child: the refusal must
+#: not rest on an assert.
+SINGLE_SHOT_UNDER_O = """
+import test_epoch_kernel as t
+from repro.ecc import Chipkill18
+for first, second in t.KERNEL_PAIRS:
+    sim = t.build(Chipkill18(), t.wl_traces("mcf", 3))
+    sim.run(1000, 3000, kernel=first)
+    try:
+        sim.run(1000, 3000, kernel=second)
+    except RuntimeError as exc:
+        assert "single-shot" in str(exc), exc
+    else:
+        raise SystemExit(f"{first} then {second}: second run returned")
+print("refused", len(t.KERNEL_PAIRS))
+"""
+
+
+class TestSingleShot:
+    """A system runs once; a second run() raises on either kernel."""
+
+    @pytest.mark.parametrize("first,second", KERNEL_PAIRS)
+    def test_second_run_refused(self, first, second):
+        sim = build(Chipkill18(), wl_traces("mcf", 3))
+        sim.run(1000, 3000, kernel=first)
+        after = (sim.now, sim._seq, sim.total_instructions, sim.counters)
+        with pytest.raises(RuntimeError, match="single-shot"):
+            sim.run(1000, 3000, kernel=second)
+        assert (sim.now, sim._seq, sim.total_instructions, sim.counters) == after
+
+    def test_second_run_refused_under_optimize(self):
+        tests = Path(__file__).resolve().parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(tests.parent / "src"), str(tests)]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", SINGLE_SHOT_UNDER_O],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "refused 4" in proc.stdout
 
 
 class TestResidentState:
@@ -501,11 +546,10 @@ class TestResidentState:
         assert mk().llc._where
         assert_identical(mk, 1000, 6000, monkeypatch)
 
-    def test_second_run_reads_back_first(self, monkeypatch):
-        """A second run() of a natively run system first reads its full
-        post-run state back, whichever kernel it asks for.  (What the
-        second run then does is out of scope: the oracle itself cannot
-        resume a finished run.)"""
+    def test_refused_second_run_leaves_state_unread(self, monkeypatch):
+        """A refused second run() of a natively run system neither reads
+        its state back nor stages it, whichever kernel it asks for: an
+        explicit readback afterwards still yields the oracle's state."""
         if not epochnative.available():
             pytest.skip("compiled core unavailable")
 
@@ -514,31 +558,24 @@ class TestResidentState:
 
         ref = mk()
         ref._run_reference(1000, 3000)
-        want = state_of(ref)
-        seen = []
-        real = epochnative.readback
-
-        def spy(sim):
-            pending = sim._native is not None
-            real(sim)
-            if pending:
-                seen.append(state_of(sim))
-                raise StopAfterReadback
-
-        monkeypatch.setattr(epochnative, "readback", spy)
+        sim = mk()
+        sim.run(1000, 3000, kernel="epoch")
+        touched = []
+        monkeypatch.setattr(epochnative, "readback", lambda sim: touched.append("readback"))
+        monkeypatch.setattr(epochnative, "_stage", lambda *a: touched.append("stage"))
+        monkeypatch.setattr(SimSystem, "_run_reference", lambda *a: touched.append("event"))
         for kernel in ("epoch", "event"):
-            sim = mk()
-            sim.run(1000, 3000, kernel="epoch")
-            assert sim._native is not None
-            assert not seen
-            with pytest.raises(StopAfterReadback):
+            with pytest.raises(RuntimeError, match="single-shot"):
                 sim.run(1000, 3000, kernel=kernel)
-            assert seen == [want]
-            seen.clear()
+        assert touched == []
+        monkeypatch.undo()
+        epochnative.readback(sim)
+        assert state_of(sim) == state_of(ref)
 
     def test_overwritten_state_raises(self):
         """Once a later run of the same geometry reused the arrays, the
-        first system can neither be read back nor run again."""
+        first system can no longer be read back (nor, single-shot, run
+        again)."""
         if not epochnative.available():
             pytest.skip("compiled core unavailable")
         first = build(Chipkill18(), wl_traces("mcf", 3))
@@ -548,7 +585,7 @@ class TestResidentState:
         with pytest.raises(RuntimeError, match="overwritten"):
             epochnative.readback(first)
         for kernel in ("epoch", "event"):
-            with pytest.raises(RuntimeError, match="overwritten"):
+            with pytest.raises(RuntimeError, match="single-shot"):
                 first.run(1000, 3000, kernel=kernel)
         epochnative.readback(second)
         assert second._native is None and second.llc._where

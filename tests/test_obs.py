@@ -24,7 +24,6 @@ from repro.ecc import Chipkill18
 from repro.experiments import parallel
 from repro.faults.fit_rates import MemoryOrg
 from repro.faults.montecarlo import EolCapacitySim, _eol_cell, eol_fraction_by_channels
-from repro.obs import history
 from repro.obs.manifest import load_manifest, manifest_dict, write_manifest
 from repro.obs.progress import Follower
 from repro.obs.summarize import read_events, render, summarize
@@ -374,7 +373,7 @@ class TestChaosRecoveryScope:
 
 
 class TestTornLines:
-    """read_events skips torn lines anywhere, loudly, and follows rotation."""
+    """read_events skips torn lines anywhere, loudly."""
 
     def _events_file(self, tmp_path, text):
         (tmp_path / "events.jsonl").write_text(text)
@@ -383,14 +382,12 @@ class TestTornLines:
     #: A torn line that is not even UTF-8, between two intact records.
     NON_UTF8 = b'{"a":1}\n\xff\xfe{"b"\n{"c":3}\n'
 
-    @pytest.mark.parametrize("reader", ["read_events", "history.load", "Follower"])
+    @pytest.mark.parametrize("reader", ["read_events", "Follower"])
     def test_non_utf8_line_skipped_by_every_reader(self, tmp_path, capsys, reader):
         path = tmp_path / "events.jsonl"
         path.write_bytes(self.NON_UTF8)
         if reader == "read_events":
             got = read_events(tmp_path)
-        elif reader == "history.load":
-            got = history.load(path)
         else:
             follower = Follower(tmp_path)
             got = follower.poll()
@@ -428,11 +425,6 @@ class TestTornLines:
         run = self._events_file(tmp_path, '{"kind":"a"')
         assert read_events(run) == []
         assert "torn JSONL record" in capsys.readouterr().err
-
-    def test_rotated_generation_read_first(self, tmp_path):
-        (tmp_path / "events.jsonl.1").write_text('{"kind":"old","ts":1}\n')
-        run = self._events_file(tmp_path, '{"kind":"new","ts":2}\n')
-        assert [e["kind"] for e in read_events(run)] == ["old", "new"]
 
     def test_cli_tolerates_torn_tail(self, tmp_path):
         self._events_file(

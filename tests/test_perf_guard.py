@@ -1,9 +1,9 @@
-"""Perf guard: baseline regression, floors, ceilings, history trends.
+"""Perf guard: baseline regression, floors, ceilings; bench provenance.
 
-``benchmarks/perf_guard.py`` is plain tooling, not a package module, so
-it is loaded by path; its ``check``/``check_trends`` take injectable
-results/repo/history paths exactly so these tests can drive them against
-synthetic fixtures instead of the real committed baselines.
+``benchmarks/perf_guard.py`` and ``benchmarks/conftest.py`` are plain
+tooling, not package modules, so they are loaded by path; ``check``
+takes injectable results/repo paths exactly so these tests can drive it
+against synthetic fixtures instead of the real committed baselines.
 """
 
 import importlib.util
@@ -13,13 +13,18 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs import history
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
-_SPEC = importlib.util.spec_from_file_location(
-    "perf_guard", Path(__file__).resolve().parent.parent / "benchmarks" / "perf_guard.py"
-)
-perf_guard = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(perf_guard)
+
+def _load(name: str, filename: str):
+    spec = importlib.util.spec_from_file_location(name, BENCHMARKS / filename)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+perf_guard = _load("perf_guard", "perf_guard.py")
+bench_conftest = _load("bench_conftest", "conftest.py")
 
 
 def _write_bench(results: Path, filename: str, doc: dict):
@@ -120,12 +125,6 @@ class TestUnchangedBaseline:
         assert tally.compared == 1
         assert "checked nothing" not in tally.summary()
 
-    def test_summary_counts_trend_checks(self, tmp_path):
-        tally = perf_guard.Tally()
-        perf_guard.check_trends(history_path=_ledger(tmp_path, [1000, 1050], latest=990), tally=tally)
-        assert tally.compared == 1
-        assert tally.summary().startswith("perf_guard: 1 compared, ")
-
 
 class TestFloors:
     def test_parallel_slower_than_serial_fails(self, tmp_path):
@@ -179,151 +178,22 @@ class TestCeilings:
         assert perf_guard.check(results_dir=tmp_path, repo=tmp_path) == []
 
 
-def _ledger(tmp_path, values, quick=False, latest=None, filename="BENCH_mc_throughput.json"):
-    path = tmp_path / "PERF_HISTORY.jsonl"
-    entries = [
-        {
-            "file": filename,
-            "quick": quick,
-            "metrics": {"fig8_mc.batched_trials_per_sec": v},
-        }
-        for v in values
-    ]
-    if latest is not None:
-        entries.append(
-            {
-                "file": filename,
-                "quick": quick,
-                "metrics": {"fig8_mc.batched_trials_per_sec": latest},
-            }
-        )
-    with path.open("w") as fh:
-        for e in entries:
-            fh.write(json.dumps(e) + "\n")
-    return path
+class TestProvenance:
+    """Every BENCH_*.json a bench writes names the commit it ran at."""
 
+    def test_merge_results_stamps_git_sha_and_dirty(self, git_repo):
+        head = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=git_repo, capture_output=True, text=True
+        ).stdout.strip()
+        path = git_repo / "results" / "BENCH_new.json"
+        # Stamped before the write: the first call sees a clean tree, the
+        # second sees the untracked file the first one wrote.
+        for v, dirty in ((1, False), (2, True)):
+            bench_conftest.merge_results(git_repo / "results", "BENCH_new.json", s={"v": v})
+            doc = json.loads(path.read_text())
+            assert doc["s"] == {"v": v}
+            assert doc["provenance"]["git"] == {"sha": head, "dirty": dirty}
+        assert "knobs" in doc["provenance"]["manifest"]
 
-class TestTrends:
-    def test_drop_below_windowed_median_fails(self, tmp_path):
-        path = _ledger(tmp_path, [1000, 1050, 950, 1020], latest=500)
-        failures = perf_guard.check_trends(history_path=path)
-        assert any("below trend floor" in f for f in failures)
-
-    def test_steady_rate_passes(self, tmp_path):
-        path = _ledger(tmp_path, [1000, 1050, 950, 1020], latest=990)
-        assert perf_guard.check_trends(history_path=path) == []
-
-    def test_window_limits_how_far_back_the_median_reaches(self, tmp_path):
-        # Ancient glory days fall outside the window; only the recent
-        # (already degraded) plateau sets the bar.
-        path = _ledger(tmp_path, [10_000, 10_000, 10_000, 10_000, 10_000, 500, 500], latest=480)
-        assert perf_guard.check_trends(history_path=path, window=2) == []
-        assert perf_guard.check_trends(history_path=path, window=7) != []
-
-    def test_too_little_history_skips_loudly(self, tmp_path, capsys):
-        path = _ledger(tmp_path, [1000], latest=10)
-        assert perf_guard.check_trends(history_path=path) == []
-        assert "trend needs >= 2" in capsys.readouterr().out
-
-    def test_quick_entries_not_compared_to_full(self, tmp_path, capsys):
-        # Prior entries are quick runs; the latest is a full run - no
-        # comparable history, so the trend must skip, not fail.
-        path = tmp_path / "PERF_HISTORY.jsonl"
-        rows = [
-            {"file": "BENCH_mc_throughput.json", "quick": True,
-             "metrics": {"fig8_mc.batched_trials_per_sec": v}}
-            for v in (1000, 1000, 1000)
-        ]
-        rows.append(
-            {"file": "BENCH_mc_throughput.json", "quick": False,
-             "metrics": {"fig8_mc.batched_trials_per_sec": 10}}
-        )
-        with path.open("w") as fh:
-            for r in rows:
-                fh.write(json.dumps(r) + "\n")
-        assert perf_guard.check_trends(history_path=path) == []
-        assert "trend needs >= 2" in capsys.readouterr().out
-
-    def test_missing_ledger_skips_loudly(self, tmp_path, capsys):
-        assert perf_guard.check_trends(history_path=tmp_path / "none.jsonl") == []
-        assert "no history ledger" in capsys.readouterr().out
-
-
-class TestHistoryLedger:
-    DOC = {
-        "fig8_mc": {"batched_trials_per_sec": 1234.5, "quick_mode": False, "label": "x"},
-        "other": {"n": 7},
-        "provenance": {
-            "manifest": {"knobs": {"REPRO_JOBS": 4}},
-            "git": {"sha": "abc123", "dirty": False},
-        },
-    }
-
-    def test_flatten_skips_provenance_bools_and_strings(self):
-        flat = history.flatten_metrics(self.DOC)
-        assert flat == {"fig8_mc.batched_trials_per_sec": 1234.5, "other.n": 7}
-
-    def test_entry_prefers_stamped_git_provenance(self, tmp_path):
-        p = tmp_path / "BENCH_x.json"
-        p.write_text(json.dumps(self.DOC))
-        entry = history.entry_for(p)
-        assert entry["git_sha"] == "abc123" and entry["git_dirty"] is False
-        assert entry["manifest"] is not None
-        assert entry["quick"] is False
-
-    def test_append_and_load_roundtrip(self, tmp_path):
-        p = tmp_path / "BENCH_x.json"
-        p.write_text(json.dumps(self.DOC))
-        ledger = tmp_path / "PERF_HISTORY.jsonl"
-        history.append([p], ledger)
-        history.append([p], ledger)
-        entries = history.load(ledger)
-        assert len(entries) == 2
-        assert all(e["file"] == "BENCH_x.json" for e in entries)
-
-    def test_torn_ledger_line_skipped_loudly(self, tmp_path, capsys):
-        ledger = tmp_path / "PERF_HISTORY.jsonl"
-        ledger.write_text('{"file":"a","metrics":{}}\n{"torn...\n{"file":"b","metrics":{}}\n')
-        entries = history.load(ledger)
-        assert [e["file"] for e in entries] == ["a", "b"]
-        assert "skipping torn history record" in capsys.readouterr().err
-
-    def test_live_repo_fallback_stamps_sha(self, tmp_path):
-        doc = {"s": {"v": 1}}
-        p = tmp_path / "results" / "BENCH_y.json"
-        p.parent.mkdir()
-        p.write_text(json.dumps(doc))
-        repo = Path(__file__).resolve().parent.parent
-        entry = history.entry_for(p, repo=repo)
-        assert entry["git_sha"] and len(entry["git_sha"]) == 40
-
-    def test_cli_append(self, tmp_path):
-        import os
-        import subprocess as sp
-        import sys
-
-        p = tmp_path / "BENCH_x.json"
-        p.write_text(json.dumps(self.DOC))
-        ledger = tmp_path / "PERF_HISTORY.jsonl"
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env["PYTHONPATH"] = src + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-        )
-        out = sp.run(
-            [
-                sys.executable,
-                "-m",
-                "repro.obs.history",
-                "append",
-                str(p),
-                "--history",
-                str(ledger),
-            ],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        assert out.returncode == 0, out.stderr
-        assert "recorded BENCH_x.json" in out.stdout
-        assert len(history.load(ledger)) == 1
+    def test_off_git_fields_are_none(self, tmp_path):
+        assert bench_conftest.git_info(tmp_path) == {"sha": None, "dirty": None}

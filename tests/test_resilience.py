@@ -101,36 +101,10 @@ class TestRetries:
         (f,) = ei.value.failures
         assert f.payload == (3,) and f.index == 3 and f.kind == "exception"
 
-    def test_fail_fast_raises_task_error_with_payload(self):
-        with pytest.raises(parallel.TaskError) as ei:
-            list(parallel.run_tasks(_boom, [(7,)], jobs=1, retries=0, fail_fast=True))
-        assert ei.value.failure.payload == (7,)
-        assert "(7,)" in str(ei.value)
-        assert isinstance(ei.value.__cause__, ValueError)
-
     def test_zero_retries_single_attempt(self):
         with pytest.raises(parallel.CampaignError) as ei:
             list(parallel.run_tasks(_boom, [(0,), (1,)], jobs=1, retries=0, backoff=0))
         assert all(f.attempts == 1 for f in ei.value.failures)
-
-
-class TestValidate:
-    def test_invalid_result_retried_then_recorded(self):
-        with pytest.raises(parallel.CampaignError) as ei:
-            list(
-                parallel.run_tasks(
-                    _square, [(2,), (3,)], jobs=1, retries=1, backoff=0,
-                    validate=lambda r: r != 9,
-                )
-            )
-        (f,) = ei.value.failures
-        assert f.kind == "corrupt" and f.payload == (3,) and f.attempts == 2
-
-    def test_valid_results_pass_through(self):
-        out = list(
-            parallel.run_tasks(_square, [(i,) for i in range(4)], jobs=1, validate=lambda r: True)
-        )
-        assert out == [0, 1, 4, 9]
 
 
 class TestTimeout:

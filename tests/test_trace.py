@@ -334,52 +334,3 @@ class TestLayerBuckets:
             "codec": 0.0, "sim": 1.0, "mc": 0.5,
             "compute": 1.5, "retry": 0.0, "dispatch": 0.0, "idle": 1.0,
         }
-
-
-class TestRotation:
-    def test_sink_rotates_on_line_boundary(self, tmp_path):
-        # Sized for exactly one rotation: the sink keeps two generations,
-        # so a single cut preserves the full stream for the loss check.
-        run = tmp_path / "rot"
-        obs.configure(run, max_bytes=20000)
-        try:
-            for i in range(200):
-                obs.emit("rot.fill", mode="engine", i=i, pad="x" * 64)
-        finally:
-            obs.disarm()
-        rotated = run / (obs.EVENTS_FILE + ".1")
-        assert rotated.exists()
-        # Every line in both generations parses: rotation cut on a boundary.
-        for path in (rotated, run / obs.EVENTS_FILE):
-            for line in path.read_text().splitlines():
-                json.loads(line)
-        events = read_events(run)
-        kinds = {e["kind"] for e in events}
-        assert "obs.rotate" in kinds
-        fills = [e for e in events if e["kind"] == "rot.fill"]
-        assert len(fills) == 200  # nothing lost across the rotation
-
-    def test_spans_survive_rotation(self, tmp_path):
-        run = tmp_path / "rotspan"
-        obs.configure(run, max_bytes=12000)
-        try:
-            with trace.span("rot.root", "compute"):
-                for i in range(100):
-                    with trace.span("rot.leaf", "compute", i=i):
-                        pass
-        finally:
-            obs.disarm()
-        forest = build_forest(read_events(run))
-        root = primary_root(forest)
-        assert root.name == "rot.root"
-        assert sum(1 for n in root.walk() if n.name == "rot.leaf") == 100
-
-    def test_cap_is_checked(self, tmp_path):
-        with pytest.raises(ValueError):
-            obs.configure(tmp_path, max_bytes=-1)
-        assert not obs.enabled()
-        try:
-            assert obs.configure(tmp_path, max_bytes=0) == tmp_path
-            assert obs._sink.max_bytes is None  # 0 never rotates
-        finally:
-            obs.disarm()
