@@ -469,96 +469,112 @@ class ECCParityMachine:
 
     # -- batched reads -----------------------------------------------------------------------
 
-    def _faulty_bank_grid(self) -> np.ndarray:
-        """(channels, banks) bool grid of the health table's faulty pairs."""
-        grid = np.zeros((self.geom.channels, self.geom.banks), dtype=bool)
-        for channel, pair in self.health.faulty_pairs:
-            grid[channel, 2 * pair] = grid[channel, 2 * pair + 1] = True
-        return grid
+    def read_lines(self, addrs) -> BatchReadResult:
+        """Batched application read that accounts no errors.
 
-    def read_lines(self, addrs, count_errors: bool = True) -> BatchReadResult:
-        """Batched application read: equivalent to :meth:`read` per address.
+        The recoverability read of the collision sweep: every line's
+        outcome and the summed stats equal :meth:`_read_internal` with
+        ``count_errors=False`` run address by address (plus ``app_reads``),
+        which remains the oracle.  Nothing is counted against the health
+        table, so health is frozen for the whole batch and every dirty line
+        corrects at once:
 
-        Detection runs as one array program over all requested lines; runs
-        of clean lines are accounted in bulk (their reads have no side
-        effects beyond counters).  Each dirty line then takes the map-fed
-        per-line path the scrub uses (:meth:`_correct_known_dirty`) *in
-        address order*, so page retirement and materialization fire exactly
-        as they would under sequential reads - including changing the
-        step-B accounting of clean lines later in the batch.  Its mismatch
-        map comes from one batched detection pass over the parity-group
-        members of the dirty lines (:meth:`_group_mismatch`); the map stays
-        exact for the whole batch because reads never change ``data`` or
-        ``detection`` (retirement and materialization touch only health,
-        parity and materialized ECC).  :meth:`_read_internal` remains the
-        oracle.
+        * detection runs as one array program over all requested lines;
+        * a dirty line of a faulty bank reads its materialized ECC line
+          (step B);
+        * every other dirty line rebuilds its correction bits in one
+          vectorized step C (:meth:`_reconstruct_corrections`);
+        * one :meth:`ECCScheme.correct_lines` call per distinct erasure set
+          (:meth:`_known_bad_chips`) corrects them all.
+
+        *addrs* is a sequence of :class:`Address` or a ``(T, 4)`` integer
+        array of ``(channel, bank, row, line)``.
         """
-        size = self.scheme.line_size
-        addrs = list(addrs)
-        if not addrs:
-            empty = np.zeros(0, dtype=bool)
-            return BatchReadResult(
-                np.zeros((0, size), np.uint8), empty, empty.copy(), empty.copy(), empty.copy()
-            )
-        idx = np.asarray([tuple(a) for a in addrs], dtype=np.intp)
+        idx = np.asarray(addrs, dtype=np.intp).reshape(-1, 4)
         total = idx.shape[0]
         cs, bs, rs, ls = idx.T
+        pairs = self.health.faulty_pairs
+        faulty = self._bank_grid((c, b) for c, p in pairs for b in (2 * p, 2 * p + 1))[cs, bs]  # A1
+        n_faulty = int(faulty.sum())
         self.stats.app_reads += total
+        self.stats.mem_reads += total + n_faulty  # step B: ECC line read in parallel
+        self.stats.ecc_line_reads += n_faulty
         lines = self.data[cs, bs, rs, ls]
         stored = self.detection[cs, bs, rs, ls]
         dirty = np.any(self.scheme.compute_detection(lines) != stored, axis=-1)
-
-        data = np.zeros((total, size), dtype=np.uint8)
-        data[~dirty] = lines[~dirty]  # reads don't mutate data, gather is safe
+        data = lines.copy()
+        data[dirty] = 0
         ok = ~dirty
-        detected = dirty.copy()
-        corrected = np.zeros(total, dtype=bool)
-        uncorrectable = np.zeros(total, dtype=bool)
-
-        def account_clean(start: int, stop: int) -> None:
-            # Health is constant across a clean run (only dirty-line error
-            # accounting mutates it), so step A1/B counters vectorize.
-            if stop <= start:
-                return
-            n_faulty = int(self._faulty_bank_grid()[cs[start:stop], bs[start:stop]].sum())
-            self.stats.mem_reads += (stop - start) + n_faulty
-            self.stats.ecc_line_reads += n_faulty
-
         didx = np.flatnonzero(dirty)
-        if didx.size:
-            mismatch = self._group_mismatch(cs[didx], bs[didx], rs[didx], ls[didx])
-        seg_start = 0
-        for p in didx.tolist():
-            account_clean(seg_start, p)
-            addr = Address(int(cs[p]), int(bs[p]), int(rs[p]), int(ls[p]))
-            res = self._correct_known_dirty(addr, mismatch, count_errors)
-            if res.data is not None:
-                data[p] = res.data
-                ok[p] = True
-            corrected[p] = res.corrected
-            uncorrectable[p] = res.uncorrectable
-            seg_start = p + 1
-        account_clean(seg_start, total)
-        return BatchReadResult(data, ok, detected, corrected, uncorrectable)
+        self.stats.detected_errors += didx.size
+        dc, db, dr, dl = cs[didx], bs[didx], rs[didx], ls[didx]
+        dfaulty = faulty[didx]
+        corr = np.zeros((didx.size, self.scheme.correction_bytes_per_line), np.uint8)
+        for c, b in set(zip(dc[dfaulty].tolist(), db[dfaulty].tolist())):
+            sel = dfaulty & (dc == c) & (db == b)
+            corr[sel] = self.materialized[(c, b)][dr[sel], dl[sel]]
+        # A line of an excluded (but not faulty) bank has no parity group.
+        usable = dfaulty.copy()
+        rebuild = np.flatnonzero(~dfaulty & ~self._bank_grid(self.excluded)[dc, db])
+        corr[rebuild], usable[rebuild] = self._reconstruct_corrections(
+            dc[rebuild], db[rebuild], dr[rebuild], dl[rebuild]
+        )
+        fix = np.flatnonzero(usable)
+        bank_of = dc[fix] * self.geom.banks + db[fix]
+        by_erasures: "dict[frozenset, list[int]]" = {}
+        for key in np.unique(bank_of).tolist():
+            known = frozenset(self._known_bad_chips(*divmod(key, self.geom.banks)))
+            by_erasures.setdefault(known, []).append(key)
+        for known, keys in by_erasures.items():
+            sel = fix[np.isin(bank_of, keys)]
+            res = self.scheme.correct_lines(
+                self.scheme.split_to_chips(lines[didx[sel]]),
+                stored[didx[sel]],
+                corr[sel],
+                erasures=set(known) or None,
+            )
+            data[didx[sel]] = res.data
+            ok[didx[sel]] = res.ok
+        n_ok = int(ok[didx].sum())
+        self.stats.corrected += n_ok
+        self.stats.uncorrectable += didx.size - n_ok
+        return BatchReadResult(data, ok, dirty, dirty & ok, dirty & ~ok)
 
-    def _group_mismatch(self, cs, bs, rs, ls) -> np.ndarray:
-        """Detection mismatch map over the parity groups of the given lines.
+    def _bank_grid(self, pairs) -> np.ndarray:
+        """(channels, banks) bool grid, set at each (channel, bank) of *pairs*."""
+        grid = np.zeros((self.geom.channels, self.geom.banks), dtype=bool)
+        for channel, bank in pairs:
+            grid[channel, bank] = True
+        return grid
 
-        A ``(channels, banks, rows, lines)`` bool map, set where a member of
-        one of these lines' parity groups (the lines themselves included)
-        fails detection, from one batched :meth:`compute_detection` over the
-        distinct members.  Entries outside those groups stay False and mean
-        nothing.
+    def _reconstruct_corrections(self, cs, bs, rs, ls) -> "tuple[np.ndarray, np.ndarray]":
+        """Step C for a batch of dirty lines of non-excluded banks.
+
+        Returns ``(corr, ok)``: each line's parity line XOR the correction
+        bits of its group's other non-excluded members, and False where
+        such a member fails detection too (a second channel faulty at the
+        same location).  Stats equal :meth:`_reconstruct_correction` per
+        line, which reads members by ascending channel and stops at the
+        first dirty one; :meth:`ParityLayout.member_grid` lists them
+        rotated, so the reads are counted up to the lowest dirty channel.
         """
-        mc, mr = self.layout.member_grid(cs, rs)
-        mb, ml = (np.broadcast_to(v[:, None], mc.shape) for v in (bs, ls))
-        shape = self.data.shape[:4]
-        flat = np.unique(np.ravel_multi_index((mc, mb, mr, ml), shape))
-        where = np.unravel_index(flat, shape)
-        computed = self.scheme.compute_detection(self.data[where])
-        mismatch = np.zeros(shape, dtype=bool)
-        mismatch[where] = np.any(computed != self.detection[where], axis=-1)
-        return mismatch
+        n = self.geom.channels
+        mc, mr = self.layout.member_grid(cs, rs)  # (D, N-1)
+        mb, ml = bs[:, None], ls[:, None]
+        other = (mc != cs[:, None]) & ~self._bank_grid(self.excluded)[mc, mb]
+        members = self.data[mc, mb, mr, ml]
+        bad = other & np.any(
+            self.scheme.compute_detection(members) != self.detection[mc, mb, mr, ml], axis=-1
+        )
+        first_bad = np.where(bad, mc, n).min(axis=1)
+        self.stats.parity_reconstructions += cs.size
+        self.stats.mem_reads += cs.size + int((other & (mc <= first_bad[:, None])).sum())
+        parity_channel, block = self.layout.group_of(cs, rs)
+        corr = self.parity[parity_channel, bs, block, ls]
+        bits = self.scheme.compute_correction(members)
+        bits[~other] = 0
+        corr ^= np.bitwise_xor.reduce(bits, axis=1)
+        return corr, ~bad.any(axis=1)
 
     # -- scrubbing --------------------------------------------------------------------------
 
@@ -690,18 +706,15 @@ class ECCParityMachine:
             self.reapply_permanent_faults()
         return dirty
 
-    def _correct_known_dirty(
-        self, addr: Address, mismatch: np.ndarray, count_errors: bool = True
-    ) -> ReadResult:
-        """:meth:`_read_internal` for a line already known to be dirty.
+    def _correct_known_dirty(self, addr: Address, mismatch: np.ndarray) -> ReadResult:
+        """The scrub's :meth:`_read_internal` for a line already known dirty.
 
-        *mismatch* is the caller's live detection map (the scrub pass's, or
-        :meth:`read_lines`'s map over the batch's parity groups); it stands
-        in for every ``detect_line`` recomputation (the line's own and each
-        parity member's), which is exact because ``detect_line(...).error``
-        is defined as stored-vs-recomputed detection inequality for every
-        scheme.  Stats are counted in the same order as the reference path;
-        *count_errors* gates the error accounting as in :meth:`_read_internal`.
+        *mismatch* is the scrub pass's live detection map; it stands in for
+        every ``detect_line`` recomputation (the line's own and each parity
+        member's), which is exact because ``detect_line(...).error`` is
+        defined as stored-vs-recomputed detection inequality for every
+        scheme.  Stats and error accounting happen in the same order as the
+        reference path, so retirement and materialization fire line by line.
         """
         c, b, r, l = addr
         self.stats.mem_reads += 1
@@ -726,8 +739,7 @@ class ECCParityMachine:
                 return ReadResult(data=None, detected=True, uncorrectable=True)
 
         res = self.scheme.correct_line(chips, det, corr, erasures=known or None)
-        if count_errors:
-            self._account_error(c, b, r)
+        self._account_error(c, b, r)
         if res.data is None:
             self.stats.uncorrectable += 1
             return ReadResult(

@@ -72,7 +72,7 @@ class _LotEcc(ECCScheme):
             out = ones_complement_checksum16(segments)
         else:
             out = xor_checksum8(segments)
-        return out.reshape(*out.shape[:-2], -1)
+        return out.reshape(*out.shape[:-2], out.shape[-2] * out.shape[-1])
 
     def compute_detection(self, data: np.ndarray) -> np.ndarray:
         return self._checksum(self.split_to_chips(data))

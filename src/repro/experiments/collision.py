@@ -15,8 +15,12 @@ Every trial seeds its own generator from ``SeedSequence((seed, trial))``,
 so trials are independent of execution order and the campaign partitions
 into process-parallel blocks (via
 :func:`repro.experiments.parallel.run_tasks`) with bit-identical totals.
-The per-trial recoverability sweep runs through the machine's batched
-:meth:`~repro.core.machine.ECCParityMachine.read_lines` path.
+The per-trial recoverability sweep reads every dirty line through the
+machine's batched
+:meth:`~repro.core.machine.ECCParityMachine.read_lines`, which accounts
+no errors: health stays frozen during the sweep, so no read retires a
+page or materializes a bank pair that a later read of the same trial would
+then see.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.layout import Geometry
-from repro.core.machine import Address, ECCParityMachine
+from repro.core.machine import ECCParityMachine
 from repro.ecc.lot_ecc import LotEcc5
 from repro.faults.fit_rates import FIT_BY_MODE, FaultMode
 from repro.faults.injector import FaultInjector
@@ -58,8 +62,7 @@ def _machine_fully_recoverable(machine: ECCParityMachine) -> bool:
     coords = np.argwhere(mismatch)
     if coords.size == 0:
         return True
-    addrs = [Address(int(c), int(b), int(r), int(l)) for c, b, r, l in coords]
-    res = machine.read_lines(addrs, count_errors=False)
+    res = machine.read_lines(coords)
     if not res.ok.all():
         return False
     cs, bs, rs, ls = coords.T

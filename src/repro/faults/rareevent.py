@@ -929,6 +929,13 @@ def _sample_tail_counts(
     the residual mass is negligible relative to the tail, then uniforms
     are mapped through ``searchsorted`` (the final cell absorbs the
     clipped residual, keeping the distribution proper).
+
+    ``tail_mass`` is ``1 - fsum(head)``, which cancels at small rates (at
+    ``lam_total = 0.0518, kmax = 6`` it overstates the tail by ~1.4e-6
+    relative), so the residual test alone may never pass.  The table also
+    stops once past the mode (``k > lam_total``) a term no longer changes
+    the running sum: every later term is smaller still, so the cumulative
+    sums, and hence the draws, are those of the longer table.
     """
     tail_mass = 1.0 - math.fsum(_poisson_pmf(k, lam_total) for k in range(kmax))
     tail_mass = max(tail_mass, 1e-300)
@@ -937,10 +944,12 @@ def _sample_tail_counts(
     acc = 0.0
     while acc < tail_mass * (1.0 - 1e-12) or len(pmf) < 2:
         p = _poisson_pmf(k, lam_total)
+        if k > lam_total and len(pmf) >= 2 and acc + p == acc:
+            break  # converged: the sum can no longer change
         pmf.append(p)
         acc += p
         k += 1
-        if k > kmax + 10_000:  # unreachable for sane rates; hard stop
+        if k > kmax + 10_000:  # rates of ~10,000 and up outgrow the table; hard stop
             break
     cdf = np.cumsum(pmf) / acc
     u = rng.random(n)

@@ -284,6 +284,11 @@ class TestCollisionParallel:
         assert serial.collisions == par.collisions
         assert serial.trials == par.trials == 48
 
+    def test_published_count(self):
+        """The "measured collision fraction 0.07" of
+        ``results/collision_pessimism.txt``: 4 collisions in 60 trials."""
+        assert two_fault_collision_mc(trials=60, seed=0, jobs=1).collisions == 4
+
 
 class TestMcTrialsEnv:
     def test_explicit_wins(self, monkeypatch):

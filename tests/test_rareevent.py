@@ -17,15 +17,17 @@ Three layers of guarantees:
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from repro.faults.fit_rates import MemoryOrg
-from repro.faults import montecarlo
+from repro.faults import montecarlo, rareevent
 from repro.faults.montecarlo import _SAT_MODES, EolCapacitySim, _draw_chunk
 from repro.faults.rareevent import (
     DEFAULT_MC_TILT,
+    DEFAULT_STRATA,
     MAX_TALLY_POINTS,
     StratifiedEstimate,
     WeightedEstimate,
@@ -42,7 +44,7 @@ from repro.faults.rareevent import (
     sharded_estimate,
     weighted_percentile,
 )
-from repro.experiments.reliability import figure8_tail
+from repro.experiments.reliability import FIG8_CHANNELS, figure8_tail
 from repro.util.cachefile import load_json_cache
 
 ORGS = [
@@ -283,6 +285,97 @@ class TestStratified:
         assert back.se_mean == est.se_mean
         assert back.trials == est.trials
         assert back.percentile(99.9) == est.percentile(99.9)
+
+
+def _sample_tail_counts_oracle(rng, lam_total, kmax, n):
+    """The tail sampler before its convergence stop: the pmf table grows
+    until the (cancelled) residual test passes or 10,001 terms."""
+    tail_mass = 1.0 - math.fsum(rareevent._poisson_pmf(k, lam_total) for k in range(kmax))
+    tail_mass = max(tail_mass, 1e-300)
+    pmf = []
+    k = kmax
+    acc = 0.0
+    while acc < tail_mass * (1.0 - 1e-12) or len(pmf) < 2:
+        p = rareevent._poisson_pmf(k, lam_total)
+        pmf.append(p)
+        acc += p
+        k += 1
+        if k > kmax + 10_000:
+            break
+    cdf = np.cumsum(pmf) / acc
+    u = rng.random(n)
+    return kmax + np.searchsorted(cdf, u, side="left").astype(np.int64)
+
+
+def _fig8_rates():
+    """``figure8_tail``'s total Poisson rate per channel count."""
+    out = []
+    for n in FIG8_CHANNELS:
+        lam = EolCapacitySim(MemoryOrg(channels=n), seed=0)._lambdas()
+        out.append(sum(lam[m] for m in _SAT_MODES))
+    return out
+
+
+class TestTailSampler:
+    """``_sample_tail_counts`` draws exactly what the unbounded table drew."""
+
+    @staticmethod
+    def _assert_same_draws(lam, kmax, n=2000):
+        for seed in (0, 1, 7, 123):
+            got = rareevent._sample_tail_counts(np.random.default_rng(seed), lam, kmax, n)
+            ref = _sample_tail_counts_oracle(np.random.default_rng(seed), lam, kmax, n)
+            assert np.array_equal(got, ref), (lam, kmax, seed)
+
+    def test_fig8_rates_bit_identical(self):
+        for lam in _fig8_rates():
+            self._assert_same_draws(lam, DEFAULT_STRATA)
+
+    @pytest.mark.parametrize("lam", [0.3, 1.0, 3.0, 8.0])
+    @pytest.mark.parametrize("kmax", [2, 4, 6, 10])
+    def test_grid_bit_identical(self, lam, kmax):
+        self._assert_same_draws(lam, kmax)
+
+    @pytest.mark.parametrize(
+        "lam,kmax",
+        [pytest.param(lam, 6, id=f"fig8-{i}") for i, lam in enumerate(_fig8_rates())]
+        + [(3.0, 2), (8.0, 10)],
+    )
+    def test_table_is_a_prefix(self, monkeypatch, lam, kmax):
+        """The shorter table is a prefix of the unbounded one, and every
+        entry it drops equals its last: the searched CDFs agree bit for bit."""
+        search = np.searchsorted
+
+        def cdf_of(sampler):
+            seen = []
+
+            def spy(cdf, u, side):
+                seen.append(cdf)
+                return search(cdf, u, side=side)
+
+            with monkeypatch.context() as mp:
+                mp.setattr(np, "searchsorted", spy)
+                sampler(np.random.default_rng(0), lam, kmax, 1)
+            return seen[0]
+
+        got = cdf_of(rareevent._sample_tail_counts)
+        ref = cdf_of(_sample_tail_counts_oracle)
+        assert np.array_equal(got, ref[: got.size])
+        assert np.all(ref[got.size :] == got[-1])
+
+    def test_table_bounded_at_fig8_rates(self, monkeypatch):
+        calls = []
+        pmf = rareevent._poisson_pmf
+
+        def spy(k, lam):
+            calls.append(k)
+            return pmf(k, lam)
+
+        monkeypatch.setattr(rareevent, "_poisson_pmf", spy)
+        for lam in _fig8_rates():
+            calls.clear()
+            rareevent._sample_tail_counts(np.random.default_rng(0), lam, DEFAULT_STRATA, 10)
+            # The first kmax calls are the head mass, the rest the table.
+            assert len(calls) - DEFAULT_STRATA < 200, lam
 
 
 class TestOracle:

@@ -1,6 +1,7 @@
 """Property tests holding the batched machine hot paths equal to their
 per-line references: scrub vs ``_scrub_reference``, ``read_lines`` vs
-sequential ``read``, and the vectorized parity rebuild invariant."""
+``_read_internal(addr, count_errors=False)`` address by address, and the
+vectorized parity rebuild invariant."""
 
 from dataclasses import asdict
 
@@ -29,13 +30,13 @@ def _faulted_machine(scheme_cls, seed=7):
     return m
 
 
-def _collision_machine(seed: int) -> ECCParityMachine:
+def _collision_machine(seed: int, scheme_cls=LotEcc5) -> ECCParityMachine:
     """Two field faults in distinct channels of one bank, drawn like
     ``experiments/collision.py::_collision_trial`` (which lets the banks
     differ): parity groups of that bank can hold two corrupted members."""
     g = _geometry()
     rng = np.random.default_rng(seed)
-    m = ECCParityMachine(LotEcc5(), g, seed=1000 + seed)
+    m = ECCParityMachine(scheme_cls(), g, seed=1000 + seed)
     inj = FaultInjector(m, seed=2000 + seed)
     modes = list(FIT_BY_MODE)
     weights = np.array([FIT_BY_MODE[mode] for mode in modes])
@@ -122,6 +123,9 @@ class TestScrubRepairSemantics:
 
 
 class TestReadLinesMatchesSequentialRead:
+    """``read_lines`` accounts no errors, so its oracle is
+    ``_read_internal(addr, count_errors=False)`` run address by address."""
+
     def _all_addresses(self, g):
         return [
             Address(c, b, r, l)
@@ -131,48 +135,93 @@ class TestReadLinesMatchesSequentialRead:
             for l in range(g.lines_per_row)
         ]
 
-    @pytest.mark.parametrize("scheme_cls", [LotEcc5, LotEcc9])
-    def test_batched_equals_sequential(self, scheme_cls):
-        batched = _faulted_machine(scheme_cls, seed=13)
-        seq = _faulted_machine(scheme_cls, seed=13)
-        addrs = self._all_addresses(batched.geom)[:256]
+    def _assert_matches_oracle(self, batched, oracle, addrs):
         res = batched.read_lines(addrs)
         for i, addr in enumerate(addrs):
-            r = seq.read(addr)
-            if r.data is None:
-                assert not res.ok[i]
-            else:
-                assert res.ok[i]
+            oracle.stats.app_reads += 1  # what read() adds around the oracle
+            r = oracle._read_internal(addr, count_errors=False)
+            assert res.ok[i] == (r.data is not None)
+            if r.data is not None:
                 assert np.array_equal(res.data[i], r.data)
+            else:
+                assert not res.data[i].any()
             assert res.detected[i] == r.detected
             assert res.corrected[i] == r.corrected
             assert res.uncorrectable[i] == r.uncorrectable
-        _assert_machines_equal(batched, seq)
+        _assert_machines_equal(batched, oracle)
+        return res
 
-    @pytest.mark.parametrize("count_errors", [True, False])
-    def test_two_fault_collisions_equal_sequential(self, count_errors):
+    @staticmethod
+    def _dirty(m, addrs):
+        chips = m.scheme.split_to_chips
+        return [a for a in addrs if m.scheme.detect_line(chips(m.data[a]), m.detection[a]).error]
+
+    @pytest.mark.parametrize("scheme_cls", [LotEcc5, LotEcc9])
+    def test_batched_equals_sequential(self, scheme_cls):
+        """Permanent faults in three banks: the dirty lines fall into more
+        than one erasure set, so more than one ``correct_lines`` call runs."""
+        batched = _faulted_machine(scheme_cls, seed=13)
+        oracle = _faulted_machine(scheme_cls, seed=13)
+        addrs = self._all_addresses(batched.geom)
+        dirty = self._dirty(batched, addrs)
+        assert len({frozenset(batched._known_bad_chips(a.channel, a.bank)) for a in dirty}) >= 3
+        res = self._assert_matches_oracle(batched, oracle, addrs)
+        assert res.corrected.sum() > 0
+
+    @pytest.mark.parametrize("scheme_cls", [LotEcc5, LotEcc9])
+    def test_materialized_pairs_equal_oracle(self, scheme_cls):
+        """After a counting scrub has materialized the faulted bank pairs,
+        their dirty lines read the stored ECC lines (step B) and the other
+        channels' step C skips the excluded members."""
+        batched = _faulted_machine(scheme_cls, seed=13)
+        oracle = _faulted_machine(scheme_cls, seed=13)
+        batched.scrub()
+        oracle.scrub()
+        assert batched.materialized
+        addrs = self._all_addresses(batched.geom)
+        dirty = self._dirty(batched, addrs)
+        assert any(batched.health.is_faulty(a.channel, a.bank) for a in dirty)
+        # Transient faults elsewhere keep some step-C reads in the batch.
+        for m in (batched, oracle):
+            inj = FaultInjector(m, seed=40)
+            inj.inject(FaultMode.SINGLE_ROW, location=(3, 1, 0), transient=True)
+        rebuilt = batched.stats.parity_reconstructions
+        res = self._assert_matches_oracle(batched, oracle, addrs)
+        assert batched.stats.parity_reconstructions > rebuilt and res.corrected.any()
+
+    @pytest.mark.parametrize("scheme_cls", [LotEcc5, LotEcc9])
+    def test_excluded_banks_equal_oracle(self, scheme_cls):
+        """A dirty line of an excluded bank that is not faulty has no parity
+        group and fails; lines of other channels skip an excluded member."""
+        batched = _faulted_machine(scheme_cls, seed=13)
+        oracle = _faulted_machine(scheme_cls, seed=13)
+        for m in (batched, oracle):
+            m.excluded.update({(1, 2), (3, 2)})
+            m._rebuild_all_parity()
+            inj = FaultInjector(m, seed=41)
+            inj.inject(FaultMode.SINGLE_BANK, location=(2, 2, 1), transient=True)
+        addrs = self._all_addresses(batched.geom)
+        res = self._assert_matches_oracle(batched, oracle, addrs)
+        bank12 = [i for i, a in enumerate(addrs) if (a.channel, a.bank) == (1, 2)]
+        assert res.detected[bank12].any() and not res.ok[bank12][res.detected[bank12]].any()
+        bank22 = [i for i, a in enumerate(addrs) if (a.channel, a.bank) == (2, 2)]
+        assert res.corrected[bank22].any()
+
+    @pytest.mark.parametrize("scheme_cls", [LotEcc5, LotEcc9])
+    def test_two_fault_collisions_equal_sequential(self, scheme_cls):
         """Collision machines: dirty lines whose parity group holds a second
-        corrupted member must fail exactly as sequential reads fail."""
+        corrupted member must fail exactly as sequential reads fail, after
+        the same count of member reads."""
         collided = 0
         for seed in range(12):
-            batched = _collision_machine(seed)
-            seq = _collision_machine(seed)
+            batched = _collision_machine(seed, scheme_cls)
+            oracle = _collision_machine(seed, scheme_cls)
             addrs = self._all_addresses(batched.geom)
             np.random.default_rng(seed).shuffle(addrs)
             # Half the memory: some corrupted group members lie outside
-            # the batch, so the member map must come from their own bits.
+            # the batch, so member dirtiness must come from their own bits.
             addrs = addrs[: len(addrs) // 2]
-            res = batched.read_lines(addrs, count_errors=count_errors)
-            for i, addr in enumerate(addrs):
-                seq.stats.app_reads += 1  # what read() adds around the oracle
-                r = seq._read_internal(addr, count_errors=count_errors)
-                assert res.ok[i] == (r.data is not None)
-                if r.data is not None:
-                    assert np.array_equal(res.data[i], r.data)
-                assert res.detected[i] == r.detected
-                assert res.corrected[i] == r.corrected
-                assert res.uncorrectable[i] == r.uncorrectable
-            _assert_machines_equal(batched, seq)
+            res = self._assert_matches_oracle(batched, oracle, addrs)
             collided += bool(res.uncorrectable.any())
         assert collided >= 2  # the collision path really ran
 
@@ -182,10 +231,19 @@ class TestReadLinesMatchesSequentialRead:
         assert res.data.shape == (0, m.scheme.line_size)
         assert m.stats.app_reads == 0
 
+    def test_array_batch_equals_address_list(self):
+        a = _faulted_machine(LotEcc5, seed=13)
+        b = _faulted_machine(LotEcc5, seed=13)
+        addrs = self._all_addresses(a.geom)
+        ra, rb = a.read_lines(addrs), b.read_lines(np.array(addrs))
+        assert np.array_equal(ra.data, rb.data) and np.array_equal(ra.ok, rb.ok)
+        _assert_machines_equal(a, b)
+
     def test_count_errors_false_leaves_health_alone(self):
+        """``read_lines`` counts no errors: no page retires, no pair turns faulty."""
         m = _faulted_machine(LotEcc5, seed=13)
         addrs = self._all_addresses(m.geom)
-        m.read_lines(addrs, count_errors=False)
+        assert m.read_lines(addrs).detected.any()
         assert not m.health._faulty_pairs
         assert not m.health._retired_pages
 
