@@ -127,9 +127,6 @@ class LLC:
             hits=self._hits, misses=self._misses, evictions_dirty=self._evictions_dirty
         )
 
-    def _set_of(self, line_addr: int) -> int:
-        return line_addr & self._set_mask
-
     def probe(self, line_addr: int) -> bool:
         """Presence check without any state change."""
         return line_addr in self._where

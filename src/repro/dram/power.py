@@ -151,9 +151,3 @@ class RankPowerModel:
             refresh += ref * total_cycles * ns * 1e-3  # mW*ns -> nJ
             background += (idd3n * active + idd2n * standby + idd2p * powerdown) * vdd * ns * 1e-3
         return EnergyBreakdown(activate, read, write, refresh, background)
-
-    def energy_per_read(self) -> float:
-        """Dynamic energy of one isolated close-page read (nJ), for quick math."""
-        c = RankEnergyCounters(activates=1, read_bursts=1)
-        e = self.integrate(c)
-        return e.dynamic

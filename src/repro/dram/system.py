@@ -86,30 +86,10 @@ class MemorySystem:
 
     # -- request interface ------------------------------------------------------------------
 
-    def build_request(
-        self, line_addr: int, is_write: bool, now: int, tag: object, demand: bool = False
-    ) -> "tuple[int, MemRequest]":
-        """Map an address and construct the channel request (not yet queued)."""
-        coord = self.mapping.map_line(line_addr)
-        req = MemRequest(
-            rank=coord.rank,
-            bank=coord.bank,
-            row=coord.row,
-            is_write=is_write,
-            arrive=now,
-            tag=tag,
-            demand=demand,
-        )
-        return coord.channel, req
-
     def enqueue(
         self, line_addr: int, is_write: bool, now: int, tag: object, demand: bool = False
     ) -> int:
-        """Queue a line request; returns the channel index it landed on.
-
-        Open-codes :meth:`build_request` - this is the timing plane's
-        request hot path (millions of calls per sweep).
-        """
+        """Queue a line request; returns the channel index it landed on."""
         coord = self.mapping.map_line(line_addr)
         ch = coord[0]
         self.channels[ch].enqueue(

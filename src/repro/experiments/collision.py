@@ -34,12 +34,15 @@ from repro.core.machine import ECCParityMachine
 from repro.ecc.lot_ecc import LotEcc5
 from repro.faults.fit_rates import FIT_BY_MODE, FaultMode
 from repro.faults.injector import FaultInjector
-from repro.util.cachefile import Checkpoint
 from repro.util.envcfg import mc_trials
 from repro.util.rng import make_rng
 
 #: Trials per process-parallel block.
 BLOCK_TRIALS = 16
+
+#: The machine every trial builds: small enough that a trial's full
+#: recoverability sweep stays cheap.
+GEOMETRY = Geometry(channels=4, banks=4, rows_per_bank=12, lines_per_row=8)
 
 
 @dataclass
@@ -86,76 +89,34 @@ def _collision_trial(trial: int, seed: int, geometry: Geometry) -> bool:
     return not _machine_fully_recoverable(m)
 
 
-def _collision_block(
-    start: int,
-    stop: int,
-    seed: int,
-    channels: int,
-    banks: int,
-    rows_per_bank: int,
-    lines_per_row: int,
-) -> "tuple[int, int, int]":
-    """Worker entry point: ``(start, stop, collisions)`` for trials
-    ``[start, stop)``.
+def _collision_block(start: int, stop: int, seed: int) -> int:
+    """Worker entry point: collisions among trials ``[start, stop)``.
 
-    Rebuilds the geometry from primitives; per-trial seeding makes the
-    block total independent of how trials are partitioned.  The block
-    bounds ride along so the caller can checkpoint each block under its
-    own cache key.
+    Per-trial seeding makes the block total independent of how trials
+    are partitioned.
     """
-    geometry = Geometry(
-        channels=channels,
-        banks=banks,
-        rows_per_bank=rows_per_bank,
-        lines_per_row=lines_per_row,
-    )
-    return start, stop, sum(_collision_trial(t, seed, geometry) for t in range(start, stop))
+    return sum(_collision_trial(t, seed, GEOMETRY) for t in range(start, stop))
 
 
 def two_fault_collision_mc(
     trials: "int | None" = None,
-    geometry: "Geometry | None" = None,
     seed: int = 0,
     jobs: "int | None" = None,
-    use_cache: bool = False,
 ) -> CollisionResult:
     """Inject two field faults in distinct channels per trial, no scrub.
 
     Uses the Sridharan mode mix for both faults.  A "collision" is any line
     the machine can no longer recover - exactly the event the paper's
     pessimistic bound counts at probability 1.  *trials* defaults to
-    ``REPRO_MC_TRIALS`` (else 60).  With ``use_cache=True``, each finished
-    trial block checkpoints to ``mc_collision.json`` in the experiment
-    cache directory, so an interrupted campaign resumes with only the
-    unfinished blocks recomputed (per-trial seeding keeps the resumed
-    total bit-identical to an uninterrupted run).
+    ``REPRO_MC_TRIALS`` (else 60).  Trial blocks of
+    :data:`BLOCK_TRIALS` fan out over processes (``jobs``).
     """
-    from repro.experiments import evaluation, parallel
+    from repro.experiments import parallel
 
     trials = mc_trials(trials, 60)
-    geometry = geometry or Geometry(channels=4, banks=4, rows_per_bank=12, lines_per_row=8)
-    g = geometry
-
-    def key(start: int, stop: int) -> str:
-        return (
-            f"block={start}-{stop}:seed={seed}"
-            f":geom={g.channels}x{g.banks}x{g.rows_per_bank}x{g.lines_per_row}"
-        )
-
-    ckpt = Checkpoint(
-        evaluation.CACHE_DIR / "mc_collision.json" if use_cache else None,
-        lambda e: isinstance(e, int),
-    )
-    blocks = {}
-    for start in range(0, trials, BLOCK_TRIALS):
-        stop = min(start + BLOCK_TRIALS, trials)
-        blocks[key(start, stop)] = (start, stop)
     payloads = [
-        (*blocks[k], seed, g.channels, g.banks, g.rows_per_bank, g.lines_per_row)
-        for k in ckpt.missing(blocks)
+        (start, min(start + BLOCK_TRIALS, trials), seed)
+        for start in range(0, trials, BLOCK_TRIALS)
     ]
-    if payloads:
-        with ckpt:
-            for start, stop, count in parallel.run_tasks(_collision_block, payloads, jobs=jobs):
-                ckpt.save(key(start, stop), count)
-    return CollisionResult(trials, sum(ckpt.values[k] for k in blocks), geometry)
+    collisions = sum(parallel.run_tasks(_collision_block, payloads, jobs=jobs))
+    return CollisionResult(trials, collisions, GEOMETRY)

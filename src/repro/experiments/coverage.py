@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.ecc.base import ECCScheme
-from repro.util.cachefile import Checkpoint
 from repro.util.envcfg import mc_trials
 from repro.util.rng import make_rng
 
@@ -41,7 +40,7 @@ PATTERNS = {
 }
 
 #: Trials per draw/decode batch (bounds peak memory at large trial counts).
-DEFAULT_CHUNK = 1 << 14
+CHUNK = 1 << 14
 
 
 @dataclass
@@ -54,10 +53,6 @@ class CoverageRow:
     corrected: int = 0  #: returned the original data
     detected_uncorrectable: int = 0  #: flagged, no data (safe)
     silent_or_wrong: int = 0  #: undetected or miscorrected (the bad case)
-
-    @property
-    def safe_rate(self) -> float:
-        return (self.corrected + self.detected_uncorrectable) / self.trials
 
     @property
     def silent_rate(self) -> float:
@@ -174,48 +169,28 @@ def coverage_study(
     trials: "int | None" = None,
     seed: int = 0,
     jobs: "int | None" = None,
-    chunk_size: int = DEFAULT_CHUNK,
-    use_cache: bool = False,
 ) -> "list[CoverageRow]":
     """Run the fault-pattern grid over *schemes*.
 
     *trials* defaults to ``REPRO_MC_TRIALS`` (else 200).  Cells are
     independent (each reseeds from *seed*) and fan out over processes;
     schemes that are not rebuildable from their class name force the
-    in-process path.  With ``use_cache=True``, finished cells checkpoint
-    to ``mc_coverage.json`` in the experiment cache directory (appended
-    to its log after each completion, compacted when the campaign ends),
-    so an interrupted or partially-failed campaign resumes
-    with only the missing cells recomputed (cells are keyed by scheme
-    class, pattern, and every sizing knob; schemes not rebuildable from a
-    class name are never cached, since the key can't capture their state).
+    in-process path.
     """
-    from repro.experiments import evaluation, parallel
+    from repro.experiments import parallel
 
     trials = mc_trials(trials, 200)
     by_name = {type(s).__name__: s for s in schemes}
-
-    def key(cls_name: str, pname: str) -> str:
-        return f"{cls_name}|{pname}|trials={trials}:seed={seed}:chunk={chunk_size}"
-
     if all(_worker_compatible(s) for s in schemes):
-        ckpt = Checkpoint(
-            evaluation.CACHE_DIR / "mc_coverage.json" if use_cache else None,
-            lambda e: isinstance(e, list) and len(e) == 3,
-        )
-        cells = {key(c, p): (c, p) for c in by_name for p in PATTERNS}
-        payloads = [(*cells[k], trials, seed, chunk_size) for k in ckpt.missing(cells)]
-        if payloads:
-            with ckpt:
-                for cls_name, pname, counts in parallel.run_tasks(
-                    _coverage_cell, payloads, jobs=jobs
-                ):
-                    ckpt.save(key(cls_name, pname), counts)
-        results = {cell: [int(v) for v in ckpt.values[k]] for k, cell in cells.items()}
+        payloads = [(c, p, trials, seed, CHUNK) for c in by_name for p in PATTERNS]
+        results = {
+            (cls_name, pname): counts
+            for cls_name, pname, counts in parallel.run_tasks(_coverage_cell, payloads, jobs=jobs)
+        }
     else:
         # Schemes we can't rebuild from a class name don't cross processes.
         results = {
-            (cls_name, pname): _cell_counts(s, pname, trials, seed, chunk_size)
+            (cls_name, pname): _cell_counts(s, pname, trials, seed, CHUNK)
             for cls_name, s in by_name.items()
             for pname in PATTERNS
         }

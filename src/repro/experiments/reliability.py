@@ -45,7 +45,6 @@ def figure8(
     trials: "int | None" = None,
     seed: int = 0,
     jobs: "int | None" = None,
-    use_cache: bool = False,
 ) -> "list[Fig8Row]":
     """EOL fraction of memory protected by materialized correction bits.
 
@@ -53,9 +52,7 @@ def figure8(
     a converged 99.9th percentile - the chunked, vectorized Monte Carlo and
     the per-channel-count process fan-out keep that tractable.
     """
-    results = eol_fraction_by_channels(
-        FIG8_CHANNELS, trials=trials, seed=seed, jobs=jobs, use_cache=use_cache
-    )
+    results = eol_fraction_by_channels(FIG8_CHANNELS, trials=trials, seed=seed, jobs=jobs)
     return [
         Fig8Row(n, r.mean, r.percentile(99.9)) for n, r in sorted(results.items())
     ]
@@ -80,49 +77,31 @@ def figure8_tail(
     seed: int = 0,
     jobs: "int | None" = None,
     mode: str = "off",
-    thresholds: "dict[int, float] | None" = None,
-    use_cache: bool = False,
-    target_rci: "float | None" = None,
 ) -> "list[Fig8TailRow]":
     """Figure 8's 99.9th percentile via the rare-event estimators.
 
     For each channel count, runs a sharded campaign
     (:func:`repro.faults.rareevent.sharded_estimate`) with estimator
     *mode* (``off`` plain MC, ``is`` importance sampling, ``strat`` count
-    stratification) and reports the weighted 99.9th percentile plus a
-    tail probability with analytic CI.  *thresholds* optionally pins the
-    tail threshold per channel count (e.g. a materialization budget) -
-    with a pinned threshold the campaign targets that tail directly.
-    Without one, each row's threshold is the campaign's own estimated
-    p999, so the quoted CI is the resolution of the percentile itself.
+    stratification) and reports the weighted 99.9th percentile plus the
+    tail probability at that percentile with its analytic CI, so the
+    quoted CI is the resolution of the percentile itself.
     """
     rows = []
     for n in FIG8_CHANNELS:
         org = MemoryOrg(channels=n)
-        threshold = None if thresholds is None else thresholds.get(n)
-        campaign = sharded_estimate(
-            org,
-            mode=mode,
-            trials=trials,
-            seed=seed,
-            threshold=threshold,
-            jobs=jobs,
-            use_cache=use_cache,
-            target_rci=target_rci,
-        )
-        est = campaign.estimate
-        if threshold is None:
-            threshold = est.percentile(99.9)
+        est = sharded_estimate(org, mode=mode, trials=trials, seed=seed, jobs=jobs)
+        threshold = est.percentile(99.9)
         rows.append(
             Fig8TailRow(
                 channels=n,
-                p999_fraction=est.percentile(99.9),
+                p999_fraction=threshold,
                 tail_probability=est.tail_probability(threshold),
                 tail_se=est.se_tail(threshold),
                 threshold=threshold,
-                trials=campaign.trials,
-                ess=campaign.ess,
-                mode=campaign.mode,
+                trials=est.trials,
+                ess=est.ess,
+                mode=est.mode,
             )
         )
     return rows

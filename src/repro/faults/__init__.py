@@ -30,7 +30,6 @@ from repro.faults.montecarlo import (
     mean_time_between_channel_faults_mc,
 )
 from repro.faults.rareevent import (
-    CampaignResult,
     StratifiedEstimate,
     WeightedEstimate,
     WeightedTally,
@@ -63,7 +62,6 @@ __all__ = [
     "eol_fraction_by_channels",
     "hpc_stall_mc",
     "mean_time_between_channel_faults_mc",
-    "CampaignResult",
     "StratifiedEstimate",
     "WeightedEstimate",
     "WeightedTally",

@@ -39,7 +39,6 @@ from repro.faults.fit_rates import (
     FaultMode,
     MemoryOrg,
 )
-from repro.util.cachefile import Checkpoint
 from repro.util.envcfg import mc_trials
 from repro.util.rng import make_rng
 from repro.util.units import YEARS
@@ -65,8 +64,7 @@ def resolve_chunk(chunk_size: "int | None" = None) -> int:
     :data:`DEFAULT_CHUNK`.
 
     The chunk size slices the shared draw stream, so two runs agree
-    bit-for-bit only at a matched chunk size; campaign cache keys
-    therefore record the resolved value.
+    bit-for-bit only at a matched chunk size.
     """
     if chunk_size is None:
         return DEFAULT_CHUNK
@@ -408,48 +406,24 @@ def eol_fraction_by_channels(
     channel_counts: "list[int]",
     trials: "int | None" = None,
     seed: int = 0,
-    lifetime_hours: float = 7 * YEARS,
-    chunk_size: "int | None" = None,
     jobs: "int | None" = None,
-    use_cache: bool = False,
 ) -> "dict[int, EolResult]":
     """Figure 8 driver: EOL materialized fraction for several system widths.
 
     *trials* defaults to ``REPRO_MC_TRIALS`` (else 20000).  Cells fan out
     over processes (``jobs``; ``REPRO_JOBS``/cpu count by default, 1 =
-    in-process) and, with ``use_cache=True``, finished cells are stored as
-    exact histograms in the experiment cache directory so interrupted
-    million-trial campaigns resume instead of restarting.  The resilient
-    engine retries crashed/hung/failed cells (its ``retries`` /
-    ``timeout`` defaults); cells that exhaust their budget surface in a
-    :class:`~repro.experiments.parallel.CampaignError` *after* every other
-    cell has completed and checkpointed, so a rerun recomputes only the
-    failed cells.
+    in-process) and come back as exact histograms.  The resilient engine
+    retries crashed/hung/failed cells (its ``retries`` / ``timeout``
+    defaults); cells that exhaust their budget surface in a
+    :class:`~repro.experiments.parallel.CampaignError` *after* every
+    other cell has completed.
     """
-    from repro.experiments import evaluation, parallel
+    from repro.experiments import parallel
 
     trials = mc_trials(trials, 20000)
-    chunk_size = resolve_chunk(chunk_size)
-
-    def key(n: int) -> str:
-        return f"ch={n}:trials={trials}:seed={seed}:life={lifetime_hours}:chunk={chunk_size}"
-
-    ckpt = Checkpoint(
-        evaluation.CACHE_DIR / "mc_fig8.json" if use_cache else None,
-        lambda e: isinstance(e, dict) and "values" in e and "counts" in e,
-    )
-    channels = {key(n): n for n in channel_counts}
-    payloads = [
-        (channels[k], trials, seed, lifetime_hours, chunk_size) for k in ckpt.missing(channels)
-    ]
-    if payloads:
-        with ckpt:
-            for n, values, counts in parallel.run_tasks(_eol_cell, payloads, jobs=jobs):
-                ckpt.save(key(n), {"values": values, "counts": counts})
-    return {
-        n: EolResult.from_histogram(ckpt.values[k]["values"], ckpt.values[k]["counts"])
-        for k, n in channels.items()
-    }
+    payloads = [(n, trials, seed, 7 * YEARS, DEFAULT_CHUNK) for n in channel_counts]
+    cells = {n: (v, c) for n, v, c in parallel.run_tasks(_eol_cell, payloads, jobs=jobs)}
+    return {n: EolResult.from_histogram(*cells[n]) for n in channel_counts}
 
 
 @dataclass

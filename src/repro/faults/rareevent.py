@@ -56,11 +56,9 @@ weighted quantiles under the same ``linear`` interpolation convention as
 ``np.percentile(..., method="linear")``.  Tallies merge associatively and
 round-trip through JSON, which is what makes campaigns shardable: each
 shard of :func:`sharded_estimate` is an independent, deterministically
-seeded run fanned out through :func:`repro.experiments.parallel.run_tasks`,
-checkpointed into the experiment cache for resume, and merged in shard
-order so a parallel campaign is bit-identical to a serial one.  With a
-``target_rci`` argument, runs and campaigns stop early once the 95%
-relative CI of the primary estimator is tight enough.
+seeded run fanned out through :func:`repro.experiments.parallel.run_tasks`
+and merged in shard order, so a parallel campaign is bit-identical to a
+serial one.
 
 Every weighted path retains a reference twin in the spirit of
 ``_run_reference``/``_chunk_reference``: the vectorized likelihood-ratio
@@ -75,14 +73,12 @@ from __future__ import annotations
 
 import heapq
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro import obs
 from repro.obs import trace
-from repro.faults.analysis import LIFETIME_HOURS
 from repro.faults.fit_rates import MemoryOrg
 from repro.faults.montecarlo import (
     _BANKS_MATERIALIZED,
@@ -95,7 +91,6 @@ from repro.faults.montecarlo import (
     _draw_scatter_chunk,
     resolve_chunk,
 )
-from repro.util.cachefile import Checkpoint
 from repro.util.rng import make_rng
 from repro.util.envcfg import mc_trials
 
@@ -115,14 +110,6 @@ def _resolve_tilt(tilt: "float | None") -> float:
     if tilt < 1:
         raise ValueError(f"mc tilt factor must be >= 1, got {tilt}")
     return tilt
-
-
-def _resolve_target_rci(target_rci: "float | None") -> "float | None":
-    """Early-stop relative CI half-width; ``None`` or ``0`` disables it."""
-    target_rci = float(target_rci or 0)
-    if target_rci < 0:
-        raise ValueError(f"mc target rci must be >= 0, got {target_rci}")
-    return target_rci or None
 
 
 #: 95% two-sided normal quantile used by every CI in this module.
@@ -145,7 +132,7 @@ MIN_PER_STRATUM = 32
 #: Monte Carlo, importance sampling, count stratification.
 MODES = ("off", "is", "strat")
 
-#: Default shard count of :func:`sharded_estimate` - fixed rather than
+#: Shard count of :func:`sharded_estimate` - fixed rather than
 #: CPU-derived so shard seeding (and therefore the merged estimate) does
 #: not depend on the machine running the campaign.
 DEFAULT_SHARDS = 8
@@ -218,7 +205,7 @@ class WeightedTally:
     squared weight, which makes post-hoc tail probabilities - and their
     standard errors - exact for any threshold.  Tallies merge
     associatively and round-trip through :meth:`to_dict`/:meth:`from_dict`
-    (the sharded-campaign checkpoint format).
+    (the form a campaign shard returns its estimate in).
     """
 
     __slots__ = ("n", "sum_w", "sum_w_sq", "sum_wv", "sum_wv_sq", "_hist", "compacted")
@@ -572,10 +559,6 @@ class StratifiedEstimate:
     def trials(self) -> int:
         return sum(s.tally.n for s in self.strata)
 
-    @property
-    def sampled_mass(self) -> float:
-        return sum(s.prob for s in self.strata if s.exact is None)
-
     def mixture_tally(self) -> WeightedTally:
         """The weighted mixture view (quantiles, ESS, histogram).
 
@@ -695,7 +678,7 @@ class StratifiedEstimate:
 
 
 def estimate_from_dict(d: dict) -> "WeightedEstimate | StratifiedEstimate":
-    """Rehydrate a checkpointed estimate (shard cache / JSON transport)."""
+    """Rehydrate an estimate from its :meth:`to_dict` form (shard results)."""
     kind = d.get("kind")
     if kind == "weighted":
         return WeightedEstimate.from_dict(d)
@@ -770,19 +753,20 @@ def _is_log_weights_reference(draws, lam: dict, tilts: dict) -> np.ndarray:
     return logw
 
 
-def _emit_progress(mode: str, done: int, trials: int, tally_view, target, rci) -> None:
+def _emit_progress(mode: str, done: int, trials: int, estimate, target) -> None:
     """Per-chunk telemetry (gated on ``REPRO_OBS``): ESS and RCI so far.
 
     The weight spread needs no field of its own: for a plain or IS run
     its squared coefficient of variation is ``done / ess - 1``.
     """
+    rci = estimate.rci(target)
     obs.emit(
         "mc.rareevent",
         mode=mode,
         done=done,
         trials=trials,
-        ess=round(tally_view.ess, 1),
-        rci=None if rci is None or not math.isfinite(rci) else round(rci, 6),
+        ess=round(estimate.ess, 1),
+        rci=round(rci, 6) if math.isfinite(rci) else None,
         target=list(target) if target else None,
     )
 
@@ -792,7 +776,6 @@ def run_plain(
     trials: "int | None" = None,
     chunk_size: "int | None" = None,
     target: "tuple | None" = None,
-    target_rci: "float | None" = None,
 ) -> WeightedEstimate:
     """Plain MC through the weighted pipeline (all weights one).
 
@@ -800,7 +783,7 @@ def run_plain(
     :meth:`EolCapacitySim.run`, aggregated into a :class:`WeightedTally`
     so plain runs, IS runs, and stratified runs are directly comparable.
     """
-    return _run_weighted(sim, trials, chunk_size, target, target_rci, tilt=1.0, mode="off")
+    return _run_weighted(sim, trials, chunk_size, target, tilt=1.0, mode="off")
 
 
 def run_is(
@@ -809,23 +792,20 @@ def run_is(
     tilt: "float | None" = None,
     chunk_size: "int | None" = None,
     target: "tuple | None" = None,
-    target_rci: "float | None" = None,
 ) -> WeightedEstimate:
     """Importance-sampled run: exponential tilt + exact per-trial weights.
 
-    *target* selects the primary estimator for early stopping and
-    telemetry: ``None``/``("mean",)`` for the mean, ``("tail", x)`` for
-    ``P(fraction >= x)``.  With a ``target_rci`` the run stops at the end of the first chunk
-    whose 95% relative CI is below the target.
+    *target* selects the primary estimator the telemetry reports the
+    relative CI of: ``None``/``("mean",)`` for the mean, ``("tail", x)``
+    for ``P(fraction >= x)``.
     """
     tilt = _resolve_tilt(tilt)
-    return _run_weighted(sim, trials, chunk_size, target, target_rci, tilt=tilt, mode="is")
+    return _run_weighted(sim, trials, chunk_size, target, tilt=tilt, mode="is")
 
 
-def _run_weighted(sim, trials, chunk_size, target, target_rci, tilt, mode) -> WeightedEstimate:
+def _run_weighted(sim, trials, chunk_size, target, tilt, mode) -> WeightedEstimate:
     trials = mc_trials(trials, 20000)
     chunk_size = resolve_chunk(chunk_size)
-    target_rci = _resolve_target_rci(target_rci)
     lam = sim._lambdas()
     tilts = _tilt_by_mode(sim.org, tilt)
     lam_q = {m: tilts[m] * lam[m] for m in _SAT_MODES}
@@ -840,11 +820,8 @@ def _run_weighted(sim, trials, chunk_size, target, target_rci, tilt, mode) -> We
         weights = None if tilt == 1.0 else np.exp(_is_log_weights(draws, lam, tilts))
         tally.add(fractions, weights)
         done += n
-        rci = estimate.rci(target) if (target_rci or armed) else None
         if armed:
-            _emit_progress(mode, done, trials, tally, target, rci)
-        if target_rci and rci is not None and rci <= target_rci:
-            break
+            _emit_progress(mode, done, trials, estimate, target)
     return estimate
 
 
@@ -855,8 +832,6 @@ def run_is_coverage(
     tilt: "float | None" = None,
     chunk_size: "int | None" = None,
     seed: int = 0,
-    target: "tuple | None" = None,
-    target_rci: "float | None" = None,
 ) -> WeightedEstimate:
     """Tilted codec campaign: silent-corruption probability under bit scatter.
 
@@ -878,7 +853,6 @@ def run_is_coverage(
     """
     trials = mc_trials(trials, 20000)
     chunk_size = resolve_chunk(chunk_size)
-    target_rci = _resolve_target_rci(target_rci)
     tilt = _resolve_tilt(tilt)
     mode = "off" if tilt == 1.0 else "is"
     rng = make_rng(seed)
@@ -897,11 +871,8 @@ def run_is_coverage(
         )
         tally.add(wrong, weights)
         done += n
-        rci = estimate.rci(target) if (target_rci or armed) else None
         if armed:
-            _emit_progress(f"{mode}_coverage", done, trials, tally, target, rci)
-        if target_rci and rci is not None and rci <= target_rci:
-            break
+            _emit_progress(f"{mode}_coverage", done, trials, estimate, None)
     return estimate
 
 
@@ -914,10 +885,32 @@ def _poisson_pmf(k: int, lam: float) -> float:
     )
 
 
+def _tail_pmf(lam_total: float, kmax: int) -> "list[float]":
+    """The pmf terms ``P(K = k)``, ``k = kmax, kmax + 1, ...``, of the tail.
+
+    Summing these directly is what keeps the tail accurate: ``1 - P(K <
+    kmax)`` cancels at small rates (at fig8's 2-channel rate, ``lam_total
+    ~= 0.0518``, and ``kmax = 6`` it is off by 1.4e-6 relative).  The
+    table stops once past the mode (``k > lam_total``) a term no longer
+    changes the running sum: every later term is smaller still, so the
+    sum and the cumulative table are those of the untruncated series.
+    Rates of ~10,000 and up outgrow the table's hard stop at 10,001 terms.
+    """
+    pmf = []
+    acc = 0.0
+    for k in range(kmax, kmax + 10_001):
+        p = _poisson_pmf(k, lam_total)
+        if k > lam_total and len(pmf) >= 2 and acc + p == acc:
+            break
+        pmf.append(p)
+        acc += p
+    return pmf
+
+
 def _stratum_probs(lam_total: float, kmax: int) -> "list[float]":
     """Analytic probabilities of strata ``K=0..kmax-1`` and the ``>=kmax`` tail."""
-    probs = [_poisson_pmf(k, lam_total) for k in range(kmax)]
-    return probs + [max(0.0, 1.0 - math.fsum(probs))]
+    head = [_poisson_pmf(k, lam_total) for k in range(kmax)]
+    return head + [math.fsum(_tail_pmf(lam_total, kmax))]
 
 
 def _sample_tail_counts(
@@ -925,33 +918,11 @@ def _sample_tail_counts(
 ) -> np.ndarray:
     """Sample *n* counts from ``Poisson(lam_total)`` conditioned on ``K >= kmax``.
 
-    Inverse CDF over the truncated tail: the pmf table is extended until
-    the residual mass is negligible relative to the tail, then uniforms
-    are mapped through ``searchsorted`` (the final cell absorbs the
-    clipped residual, keeping the distribution proper).
-
-    ``tail_mass`` is ``1 - fsum(head)``, which cancels at small rates (at
-    ``lam_total = 0.0518, kmax = 6`` it overstates the tail by ~1.4e-6
-    relative), so the residual test alone may never pass.  The table also
-    stops once past the mode (``k > lam_total``) a term no longer changes
-    the running sum: every later term is smaller still, so the cumulative
-    sums, and hence the draws, are those of the longer table.
+    Inverse CDF over the truncated tail: uniforms are mapped through
+    ``searchsorted`` on the normalized cumulative :func:`_tail_pmf`.
     """
-    tail_mass = 1.0 - math.fsum(_poisson_pmf(k, lam_total) for k in range(kmax))
-    tail_mass = max(tail_mass, 1e-300)
-    pmf = []
-    k = kmax
-    acc = 0.0
-    while acc < tail_mass * (1.0 - 1e-12) or len(pmf) < 2:
-        p = _poisson_pmf(k, lam_total)
-        if k > lam_total and len(pmf) >= 2 and acc + p == acc:
-            break  # converged: the sum can no longer change
-        pmf.append(p)
-        acc += p
-        k += 1
-        if k > kmax + 10_000:  # rates of ~10,000 and up outgrow the table; hard stop
-            break
-    cdf = np.cumsum(pmf) / acc
+    cdf = np.cumsum(_tail_pmf(lam_total, kmax))
+    cdf /= cdf[-1]
     u = rng.random(n)
     return kmax + np.searchsorted(cdf, u, side="left").astype(np.int64)
 
@@ -1001,7 +972,6 @@ def run_stratified(
     strata: "int | None" = None,
     chunk_size: "int | None" = None,
     target: "tuple | None" = None,
-    target_rci: "float | None" = None,
 ) -> StratifiedEstimate:
     """Stratified run over total-fault-count strata.
 
@@ -1011,13 +981,12 @@ def run_stratified(
     allocation (``n_h ~ p_h sigma_h``, with ``sigma_h`` estimated from a
     pilot round of :data:`MIN_PER_STRATUM` samples per stratum; the pilot
     samples count toward the budget).
-    *trials* is the total *sampled* budget.  Early stopping mirrors
-    :func:`run_is`: once the pilot is in, sampling proceeds in chunks and
-    stops when the target relative CI is met.
+    *trials* is the total *sampled* budget.  With a ``("tail", x)``
+    *target*, ``sigma_h`` is that of the tail indicator, so the budget
+    goes where ``P(fraction >= x)`` is uncertain.
     """
     trials = mc_trials(trials, 20000)
     chunk_size = resolve_chunk(chunk_size)
-    target_rci = _resolve_target_rci(target_rci)
     kmax = DEFAULT_STRATA if strata is None else int(strata)
     if kmax < 2:
         raise ValueError(f"strata (kmax) must be >= 2, got {kmax}")
@@ -1053,8 +1022,7 @@ def run_stratified(
 
     plan = _allocate(max(0, trials - done), shares, MIN_PER_STRATUM)
     remaining = {s.k: plan[i] for i, s in enumerate(sampled)}
-    stop = False
-    while not stop and any(remaining.values()):
+    while any(remaining.values()):
         for s in sampled:
             n = min(chunk_size, remaining[s.k])
             if n <= 0:
@@ -1062,12 +1030,8 @@ def run_stratified(
             s.tally.add(_sample_stratum(sim, lam, kmax, s.k, n))
             remaining[s.k] -= n
             done += n
-            rci = estimate.rci(target) if (target_rci or armed) else None
             if armed:
-                _emit_progress("strat", done, trials, estimate.mixture_tally(), target, rci)
-            if target_rci and rci is not None and rci <= target_rci:
-                stop = True
-                break
+                _emit_progress("strat", done, trials, estimate, target)
     return estimate
 
 
@@ -1088,17 +1052,14 @@ def run_estimate(
     *,
     tilt: "float | None" = None,
     strata: "int | None" = None,
-    chunk_size: "int | None" = None,
-    target: "tuple | None" = None,
-    target_rci: "float | None" = None,
 ) -> "WeightedEstimate | StratifiedEstimate":
     """One-process front door: dispatch on the estimator *mode*."""
     mode = _check_mode(mode)
     if mode == "off":
-        return run_plain(sim, trials, chunk_size, target, target_rci)
+        return run_plain(sim, trials)
     if mode == "is":
-        return run_is(sim, trials, tilt, chunk_size, target, target_rci)
-    return run_stratified(sim, trials, strata, chunk_size, target, target_rci)
+        return run_is(sim, trials, tilt)
+    return run_stratified(sim, trials, strata)
 
 
 def _shard_worker(
@@ -1112,13 +1073,11 @@ def _shard_worker(
     shard: int,
     tilt: float,
     strata: int,
-    chunk_size: int,
-    threshold: "float | None",
 ) -> "tuple[int, dict]":
     """One campaign shard from primitives (picklable, pure, self-seeding).
 
     Seeded from ``SeedSequence((seed, shard))`` so a shard's estimate is
-    bit-identical wherever (and whenever, on resume) it runs.
+    bit-identical wherever it runs.
     """
     org = MemoryOrg(
         channels=channels,
@@ -1129,48 +1088,9 @@ def _shard_worker(
     sim = EolCapacitySim(
         org, seed=np.random.default_rng(np.random.SeedSequence((seed, shard)))
     )
-    target = None if threshold is None else ("tail", threshold)
     with trace.span("mc.shard", "mc", shard=shard, mode=mode, trials=trials):
-        est = run_estimate(
-            sim,
-            mode,
-            trials,
-            tilt=tilt,
-            strata=strata,
-            chunk_size=chunk_size,
-            target=target,
-            target_rci=0,  # shards never self-truncate; the driver stops globally
-        )
+        est = run_estimate(sim, mode, trials, tilt=tilt, strata=strata)
     return shard, est.to_dict()
-
-
-@dataclass
-class CampaignResult:
-    """Merged outcome of a sharded rare-event campaign."""
-
-    estimate: "WeightedEstimate | StratifiedEstimate"
-    mode: str
-    shards_total: int
-    shards_used: int  #: shards merged (fewer than total under early stop)
-    early_stopped: bool
-    threshold: "float | None"
-    wall_s: float
-
-    @property
-    def trials(self) -> int:
-        return self.estimate.trials
-
-    @property
-    def ess(self) -> float:
-        return self.estimate.ess
-
-    @property
-    def target(self) -> "tuple | None":
-        return None if self.threshold is None else ("tail", self.threshold)
-
-    @property
-    def rci(self) -> float:
-        return self.estimate.rci(self.target)
 
 
 def sharded_estimate(
@@ -1178,150 +1098,64 @@ def sharded_estimate(
     *,
     mode: str = "off",
     trials: "int | None" = None,
-    shards: int = DEFAULT_SHARDS,
     seed: int = 0,
-    threshold: "float | None" = None,
-    tilt: "float | None" = None,
-    strata: "int | None" = None,
-    chunk_size: "int | None" = None,
     jobs: "int | None" = None,
-    use_cache: bool = False,
-    target_rci: "float | None" = None,
-) -> CampaignResult:
+) -> "WeightedEstimate | StratifiedEstimate":
     """Sharded rare-event campaign through the resilient engine.
 
     *mode* picks the estimator (:data:`MODES`: ``off`` plain MC, ``is``
-    importance sampling, ``strat`` count stratification; anything else
-    raises ``ValueError``).  The trial budget splits over *shards*
+    importance sampling at :data:`DEFAULT_MC_TILT`, ``strat`` count
+    stratification over :data:`DEFAULT_STRATA`; anything else raises
+    ``ValueError``).  The trial budget splits over :data:`DEFAULT_SHARDS`
     independent, deterministically seeded shard runs fanned out via
     :func:`repro.experiments.parallel.run_tasks` (``jobs``;
-    ``REPRO_JOBS``/cpu count by default, 1 = in-process).  With
-    ``use_cache=True`` finished shards checkpoint into
-    ``mc_rareevent.json`` in the experiment cache directory, so an
-    interrupted campaign resumes from the completed shards; the engine's
-    retry/timeout/chaos machinery applies per shard.  With a target
-    relative CI (``target_rci``) the campaign
-    stops consuming shards once the merged estimate is tight enough -
-    pending shards are cancelled, and ``shards_used`` records the cut.
-
-    Completed shards are re-merged in shard order, so serial and parallel
-    campaigns (and resumed ones) agree bit-for-bit when no early stop
-    truncates the shard set.
+    ``REPRO_JOBS``/cpu count by default, 1 = in-process); the engine's
+    retry/timeout/chaos machinery applies per shard.  Completed shards
+    are merged in shard order, so serial and parallel campaigns agree
+    bit-for-bit.
     """
+    from repro.experiments import parallel
+
     org = org or MemoryOrg()
-    threshold_t = None if threshold is None else ("tail", threshold)
     mode = _check_mode(mode)
     trials = mc_trials(trials, 20000)
-    tilt = _resolve_tilt(tilt)
-    chunk_size = resolve_chunk(chunk_size)
-    target_rci = _resolve_target_rci(target_rci)
-    strata_n = DEFAULT_STRATA if strata is None else int(strata)
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-
-    from repro.experiments import evaluation, parallel
-
-    def key(shard: int, shard_trials: int) -> str:
-        parts = [
-            f"org={org.channels}x{org.ranks_per_channel}x{org.chips_per_rank}x{org.banks_per_rank}",
-            f"life={LIFETIME_HOURS}",
-            f"mode={mode}",
-            f"trials={shard_trials}",
-            f"seed={seed}",
-            f"shard={shard}",
-            f"chunk={chunk_size}",
-        ]
-        if mode == "is":
-            parts.append(f"tilt={tilt}")
-        if mode == "strat":
-            parts.append(f"strata={strata_n}")
-            if threshold is not None:
-                parts.append(f"thr={threshold}")
-        return ":".join(parts)
-
+    shards = DEFAULT_SHARDS
     base, extra = divmod(trials, shards)
-    shard_trials = {s: base + (1 if s < extra else 0) for s in range(shards)}
-    shard_trials = {s: n for s, n in shard_trials.items() if n > 0}
-
-    ckpt = Checkpoint(
-        evaluation.CACHE_DIR / "mc_rareevent.json" if use_cache else None,
-        lambda e: isinstance(e, dict) and "kind" in e,
-    )
-    shard_of = {key(s, n): s for s, n in shard_trials.items()}
-    missing = [shard_of[k] for k in ckpt.missing(shard_of)]
-    results = {s: ckpt.values[k] for k, s in shard_of.items() if s not in missing}
-
-    def merged(upto: "set[int]") -> "WeightedEstimate | StratifiedEstimate":
-        est = None
-        for s in sorted(upto):
-            shard_est = estimate_from_dict(results[s])
-            est = shard_est if est is None else est.merge(shard_est)
-        return est
-
-    t0 = time.perf_counter()
-    early = False
+    shard_trials = [base + (1 if s < extra else 0) for s in range(shards)]
+    payloads = [
+        (
+            org.channels,
+            org.ranks_per_channel,
+            org.chips_per_rank,
+            org.banks_per_rank,
+            mode,
+            n,
+            seed,
+            s,
+            DEFAULT_MC_TILT,
+            DEFAULT_STRATA,
+        )
+        for s, n in enumerate(shard_trials)
+        if n > 0
+    ]
     armed = obs.enabled()
-    if target_rci and results:
-        current = merged(set(results))
-        early = current.rci(threshold_t) <= target_rci
-    if missing and not early:
-        payloads = [
-            (
-                org.channels,
-                org.ranks_per_channel,
-                org.chips_per_rank,
-                org.banks_per_rank,
-                mode,
-                shard_trials[s],
-                seed,
-                s,
-                tilt,
-                strata_n,
-                chunk_size,
-                threshold,
-            )
-            for s in missing
-        ]
-        with ckpt:
-            for s, est_dict in parallel.run_tasks(_shard_worker, payloads, jobs=jobs):
-                ckpt.save(key(s, shard_trials[s]), est_dict)
-                results[s] = est_dict
-                if armed:
-                    obs.emit(
-                        "mc.rareevent.shard",
-                        mode=mode,
-                        shard=s,
-                        shards=shards,
-                        done=len(results),
-                    )
-                if target_rci:
-                    current = merged(set(results))
-                    if current.rci(threshold_t) <= target_rci:
-                        early = True
-                        break  # abandoning the generator cancels pending shards
-
-    estimate = merged(set(results))
-    wall = time.perf_counter() - t0
-    out = CampaignResult(
-        estimate=estimate,
-        mode=mode,
-        shards_total=len(shard_trials),
-        shards_used=len(results),
-        early_stopped=early,
-        threshold=threshold,
-        wall_s=wall,
-    )
+    results = {}
+    for s, est_dict in parallel.run_tasks(_shard_worker, payloads, jobs=jobs):
+        results[s] = est_dict
+        if armed:
+            obs.emit("mc.rareevent.shard", mode=mode, shard=s, shards=shards, done=len(results))
+    estimate = None
+    for s in sorted(results):
+        shard_est = estimate_from_dict(results[s])
+        estimate = shard_est if estimate is None else estimate.merge(shard_est)
     if armed:
         obs.emit(
             "mc.rareevent.campaign",
             mode=mode,
-            trials=out.trials,
-            shards_used=out.shards_used,
-            shards_total=out.shards_total,
-            early_stopped=early,
-            ess=round(out.ess, 1),
+            trials=estimate.trials,
+            ess=round(estimate.ess, 1),
         )
-    return out
+    return estimate
 
 
 # -- unbiasedness oracle ---------------------------------------------------------------

@@ -51,10 +51,6 @@ import time
 from repro import obs
 from repro.obs import _current
 
-#: Attribution categories consumed by :mod:`repro.obs.spantree`.  Free-form
-#: strings are allowed; these are the ones the wall-time buckets know.
-CATEGORIES = ("dispatch", "compute", "codec", "retry", "mc", "sim")
-
 #: Kept for callers that re-apply the environment through this module.
 init_from_env = obs.init_from_env
 
@@ -62,20 +58,6 @@ init_from_env = obs.init_from_env
 def new_id() -> str:
     """A fresh 64-bit id as 16 hex chars (collision odds are negligible)."""
     return os.urandom(8).hex()
-
-
-def ctx() -> "tuple[str, str] | None":
-    """The ambient picklable ``(trace_id, span_id)``, or None outside spans."""
-    return _current.get()
-
-
-def adopt(parent_ctx: "tuple[str, str] | None") -> None:
-    """Install a shipped context as the ambient span (workers, resume).
-
-    The tuple is what :func:`ctx` returned on the emitting side; ``None``
-    clears the ambient so new spans become roots again.
-    """
-    _current.set(tuple(parent_ctx) if parent_ctx else None)
 
 
 class _NoopSpan:

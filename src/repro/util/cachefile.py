@@ -2,14 +2,14 @@
 
 A cache is a flat ``{key: value}`` JSON object plus, while a sweep runs,
 a sibling ``<name>.log`` of results appended since the JSON was last
-written.  The evaluation-matrix sweep and the four Monte Carlo drivers
-(fig8, coverage, collision, sharded rare-event) all resume through one
-:class:`Checkpoint`; each keeps only its key format, the ``valid`` test
-for its stored values and its worker payloads.  A finished cell costs
-one append; the JSON file is rewritten atomically (temp file +
-same-directory ``os.replace``) once, when the sweep leaves its
-``with ckpt:`` block, so interrupted or crashed sweeps resume where they
-stopped and a corrupt/truncated cache is recomputed rather than crashing.
+written.  The evaluation-matrix sweep resumes through a
+:class:`Checkpoint`, which owns everything but the sweep's key format,
+the ``valid`` test for its stored values and its worker payloads.  A
+finished cell costs one append; the JSON file is rewritten atomically
+(temp file + same-directory ``os.replace``) once, when the sweep leaves
+its ``with ckpt:`` block, so interrupted or crashed sweeps resume where
+they stopped and a corrupt/truncated cache is recomputed rather than
+crashing.
 
 Hardening layers protecting concurrent and crashing campaigns:
 
@@ -25,10 +25,10 @@ Hardening layers protecting concurrent and crashing campaigns:
   directory entry synced, best-effort) before ``os.replace``, so a machine
   crash immediately after a checkpoint cannot leave a zero-length or
   truncated file where the rename landed.
-* **merge-on-write** — by default the on-disk cache is reloaded and
-  unioned under the new entries before every rewrite, so two concurrent
-  campaigns sharing a cache file don't silently drop each other's finished
-  cells (for identical keys the writer's value wins).
+* **merge-on-write** — the on-disk cache is reloaded and unioned under
+  the new entries before every rewrite, so two concurrent campaigns
+  sharing a cache file don't silently drop each other's finished cells
+  (for identical keys the writer's value wins).
 * **schema stamp + quarantine** — every cache carries a reserved
   ``__meta__`` entry recording :data:`SCHEMA_VERSION`.  A cache whose
   stamp is missing or wrong (written by an incompatible format), or whose
@@ -196,23 +196,19 @@ def load_json_cache(
     return cache
 
 
-def write_json_cache_atomic(
-    path: Path, cache: "dict[str, object]", merge: bool = True
-) -> None:
-    """Replace the cache file atomically; by default merge with the disk copy.
+def write_json_cache_atomic(path: Path, cache: "dict[str, object]") -> None:
+    """Replace the cache file atomically, merged with the disk copy.
 
-    With ``merge=True`` the current file is reloaded and the union (disk
-    entries under *cache* entries) is written, preserving cells finished by
-    a concurrent campaign between our loads; ``merge=False`` restores plain
-    replacement.  The written file always carries the schema stamp.  The
-    caller's *cache* dict is never mutated.
+    The current file is reloaded and the union (disk entries under *cache*
+    entries) is written, preserving cells finished by a concurrent campaign
+    between our loads.  The written file always carries the schema stamp.
+    The caller's *cache* dict is never mutated.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     _sweep_once(path.parent)
-    if merge:
-        on_disk = load_json_cache(path)
-        if on_disk:
-            cache = {**on_disk, **cache}
+    on_disk = load_json_cache(path)
+    if on_disk:
+        cache = {**on_disk, **cache}
     payload = {k: v for k, v in cache.items() if k != META_KEY}
     payload[META_KEY] = {"schema": SCHEMA_VERSION}
     data = json.dumps(payload)
@@ -252,10 +248,10 @@ def write_json_cache_atomic(
 class Checkpoint:
     """One campaign's resumable ``{key: value}`` results.
 
-    Loads the cache at *path* (``None`` keeps results in memory only, the
-    ``use_cache=False`` case), then replays the sibling ``<name>.log`` a
-    killed run left behind; :meth:`missing` names the keys with no stored
-    value or one that fails *valid*.  :meth:`save` appends one
+    Loads the cache at *path* (``None`` keeps results in memory only, as
+    ``evaluation_matrix(use_cache=False)`` does), then replays the sibling
+    ``<name>.log`` a killed run left behind; :meth:`missing` names the
+    keys with no stored value or one that fails *valid*.  :meth:`save` appends one
     :func:`~repro.experiments.resultcodec.frame` record (the JSON text of
     ``[key, value]``) to the log: a single ``os.write`` on an ``O_APPEND``
     descriptor, with no reload, rename or fsync.  Leaving a ``with ckpt:``

@@ -159,7 +159,7 @@ register(
     "REPRO_CACHE_DIR",
     "path",
     "./.repro_cache",
-    "directory of the evaluation-matrix and Monte Carlo checkpoint caches",
+    "directory of the evaluation-matrix checkpoint caches",
     lambda: str(path("REPRO_CACHE_DIR")),
 )
 register(

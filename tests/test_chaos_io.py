@@ -6,8 +6,8 @@ cache-layer recovery contract: an injected ENOSPC/EIO/torn write at
 ``cache.write``/``cache.rename`` must leave the previous cache intact and
 no temp litter behind; stale temps from dead writers are swept; caches
 with missing/alien schema stamps or corrupt bytes quarantine instead of
-half-merging; and a Monte Carlo driver whose checkpoint write fails
-resumes with only the missing entries recomputed.
+half-merging; and a matrix sweep whose checkpoint write fails resumes
+with only the missing cells recomputed.
 """
 
 import errno
@@ -17,11 +17,22 @@ import os
 import pytest
 
 from repro import obs
-from repro.ecc.chipkill import Chipkill36
 from repro.experiments import evaluation, parallel
-from repro.experiments.collision import two_fault_collision_mc
-from repro.experiments.coverage import coverage_study
 from repro.util import cachefile, chaos
+
+TINY = evaluation.Fidelity("tiny", scale=64, access_target=4000)
+
+
+def _sweep(**kw):
+    """Three quad matrix cells at tiny fidelity."""
+    return evaluation.evaluation_matrix(
+        "quad",
+        fidelity=TINY,
+        workloads=["streamcluster"],
+        config_keys=["chipkill18", "lot_ecc5_ep", "chipkill36"],
+        jobs=1,
+        **kw,
+    )
 
 
 @pytest.fixture(autouse=True)
@@ -158,43 +169,28 @@ class TestCacheFaultRecovery:
 
 
 class TestDriverResumeAfterFault:
-    """A campaign whose second checkpoint hits ENOSPC resumes cleanly.
+    """A sweep whose second checkpoint append hits ENOSPC resumes cleanly.
 
-    The error surfaces, the cache keeps exactly the first finished entry,
-    and the rerun computes only the missing keys and matches an uncached
-    run of the same campaign.
+    The error surfaces, the cache keeps exactly the first finished cell,
+    and the rerun computes only the missing cells and matches an uncached
+    sweep.
     """
 
-    @pytest.mark.parametrize(
-        "file, run, entries",
-        [
-            (
-                "mc_collision.json",
-                lambda **kw: two_fault_collision_mc(trials=48, seed=0, jobs=1, **kw),
-                3,
-            ),
-            (
-                "mc_coverage.json",
-                lambda **kw: coverage_study([Chipkill36()], trials=40, seed=2, jobs=1, **kw),
-                3,
-            ),
-        ],
-        ids=["collision", "coverage"],
-    )
-    def test_resume_after_failed_checkpoint(self, tmp_path, monkeypatch, file, run, entries):
+    def test_sweep_resumes_after_failed_checkpoint(self, tmp_path, monkeypatch):
         monkeypatch.setattr(evaluation, "CACHE_DIR", tmp_path)
+        name = evaluation._cache_path("quad", TINY, 0).name
         # With telemetry armed the engine's first run writes the run
         # manifest through the same cache path; write it up front so the
         # armed occurrence counts checkpoints only.
         obs.ensure_manifest()
         chaos.arm_io("enospc@cache.write#2")
         with pytest.raises(OSError) as info:
-            run(use_cache=True)
+            _sweep()
         assert info.value.errno == errno.ENOSPC
         chaos.arm_io(None)
-        partial = cachefile.load_json_cache(tmp_path / file)
+        partial = cachefile.load_json_cache(tmp_path / name)
         assert len(partial) == 1
-        assert os.listdir(tmp_path) == [file]  # no tmp litter
+        assert os.listdir(tmp_path) == [name]  # no tmp litter
 
         ran = []
         original = parallel.run_tasks
@@ -204,12 +200,12 @@ class TestDriverResumeAfterFault:
             return original(fn, payloads, **k)
 
         monkeypatch.setattr(parallel, "run_tasks", counting)
-        resumed = run(use_cache=True)
-        assert len(ran) == entries - 1
-        final = cachefile.load_json_cache(tmp_path / file)
-        assert len(final) == entries
-        assert list(final.items())[0] == next(iter(partial.items()))  # first entry kept as is
-        assert resumed == run(use_cache=False)
+        resumed = _sweep()
+        assert len(ran) == 2
+        final = cachefile.load_json_cache(tmp_path / name)
+        assert len(final) == 3
+        assert list(final.items())[0] == next(iter(partial.items()))  # first cell kept as is
+        assert resumed == _sweep(use_cache=False)
 
 
 class TestStaleTmpSweep:

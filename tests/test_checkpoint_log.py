@@ -20,7 +20,6 @@ import pytest
 
 import repro.experiments.evaluation as ev
 from repro.experiments import parallel
-from repro.experiments.collision import two_fault_collision_mc
 from repro.experiments.evaluation import Fidelity, evaluation_matrix
 from repro.experiments.resultcodec import read_frames
 from repro.util import chaos
@@ -30,8 +29,6 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 TINY = Fidelity("tiny", scale=64, access_target=4000)
 CELLS = dict(workloads=["streamcluster"], config_keys=["chipkill18", "lot_ecc5_ep", "chipkill36"])
 SWEEP = f"evaluation_matrix('quad', fidelity=TINY, jobs=1, **{CELLS!r})"
-COLLISION = "two_fault_collision_mc(trials=48, seed=0, jobs=1, use_cache=True)"
-COLLISION_FILE = "mc_collision.json"
 
 
 @pytest.fixture(autouse=True)
@@ -46,7 +43,6 @@ def _killed(cache_dir: Path, call: str, spec: str) -> None:
     env.update(PYTHONPATH=str(SRC), REPRO_CACHE_DIR=str(cache_dir))
     code = (
         "from repro.util import chaos\n"
-        "from repro.experiments.collision import two_fault_collision_mc\n"
         "from repro.experiments.evaluation import Fidelity, evaluation_matrix\n"
         "TINY = Fidelity('tiny', scale=64, access_target=4000)\n"
         f"chaos.arm_io({spec!r})\n"
@@ -71,6 +67,10 @@ def _counting(monkeypatch) -> list:
 
 def _records(log: Path) -> list:
     return read_frames(log)[0]
+
+
+def _sweep(**kw):
+    return evaluation_matrix("quad", fidelity=TINY, jobs=1, **CELLS, **kw)
 
 
 class TestKillAndResume:
@@ -133,38 +133,40 @@ class TestTornTail:
         resumed.save("c", 2)
         assert self._ckpt(path).values == {"a": 0, "b": 1, "c": 2}
 
-    def test_torn_driver_append_recomputes_lost_block(self, tmp_path, monkeypatch):
+    def test_torn_driver_append_recomputes_lost_cell(self, tmp_path, monkeypatch):
         monkeypatch.setattr(ev, "CACHE_DIR", tmp_path)
+        name = ev._cache_path("quad", TINY, 0).name
         chaos.arm_io("torn=8@cache.write#2")
         with pytest.raises(OSError) as info:
-            two_fault_collision_mc(trials=48, seed=0, jobs=1, use_cache=True)
+            _sweep()
         assert info.value.errno == errno.EIO
         chaos.arm_io(None)
-        assert len(load_json_cache(tmp_path / COLLISION_FILE)) == 1
-        assert os.listdir(tmp_path) == [COLLISION_FILE]
+        assert len(load_json_cache(tmp_path / name)) == 1
+        assert os.listdir(tmp_path) == [name]
 
         ran = _counting(monkeypatch)
-        resumed = two_fault_collision_mc(trials=48, seed=0, jobs=1, use_cache=True)
+        resumed = _sweep()
         assert len(ran) == 2
-        assert resumed == two_fault_collision_mc(trials=48, seed=0, jobs=1, use_cache=False)
+        assert resumed == _sweep(use_cache=False)
 
-    def test_truncated_driver_log_recomputes_lost_block(self, tmp_path, monkeypatch):
-        log = tmp_path / f"{COLLISION_FILE}.log"
-        _killed(tmp_path, COLLISION, "kill@cache.write#3")
+    def test_truncated_driver_log_recomputes_lost_cell(self, tmp_path, monkeypatch):
+        name = ev._cache_path("quad", TINY, 0).name
+        log = tmp_path / f"{name}.log"
+        _killed(tmp_path, SWEEP, "kill@cache.write#3")
         first, _ = _records(log)
         os.truncate(log, log.stat().st_size - 3)  # tear the second record
         # A rerun killed after one append: the record it wrote lands after
         # the clean prefix, not after the torn bytes.
-        _killed(tmp_path, COLLISION, "kill@cache.write#2")
+        _killed(tmp_path, SWEEP, "kill@cache.write#2")
         assert _records(log)[0] == first and len(_records(log)) == 2
         assert not read_frames(log)[2]
 
         monkeypatch.setattr(ev, "CACHE_DIR", tmp_path)
         ran = _counting(monkeypatch)
-        resumed = two_fault_collision_mc(trials=48, seed=0, jobs=1, use_cache=True)
-        assert len(ran) == 1  # the torn block was recomputed by the second run
-        assert os.listdir(tmp_path) == [COLLISION_FILE]
-        assert resumed == two_fault_collision_mc(trials=48, seed=0, jobs=1, use_cache=False)
+        resumed = _sweep()
+        assert len(ran) == 1  # the torn cell was recomputed by the second run
+        assert os.listdir(tmp_path) == [name]
+        assert resumed == _sweep(use_cache=False)
 
 
 class TestByteIdentity:
@@ -230,10 +232,13 @@ class TestByteIdentity:
 class TestNoLitter:
     def test_finished_sweep_leaves_only_the_cache(self, tmp_path, monkeypatch):
         monkeypatch.setattr(ev, "CACHE_DIR", tmp_path)
-        evaluation_matrix("quad", fidelity=TINY, jobs=1, **CELLS)
-        two_fault_collision_mc(trials=48, seed=0, jobs=1, use_cache=True)
-        names = sorted(os.listdir(tmp_path))
-        assert names == [ev._cache_path("quad", TINY, 0).name, COLLISION_FILE]
+        _sweep()
+        # A warm sweep that adds cells to the same cache compacts too.
+        more = dict(workloads=["sjeng"], config_keys=["chipkill18"])
+        evaluation_matrix("quad", fidelity=TINY, jobs=1, **more)
+        path = ev._cache_path("quad", TINY, 0)
+        assert os.listdir(tmp_path) == [path.name]
+        assert len(load_json_cache(path)) == 4
 
     def test_failed_sweep_compacts_what_finished(self, tmp_path, monkeypatch):
         monkeypatch.setattr(ev, "CACHE_DIR", tmp_path)

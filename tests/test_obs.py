@@ -243,7 +243,7 @@ class TestMcEvents:
         for jobs in (1, 2):
             run = obs.configure(tmp_path / f"jobs{jobs}")
             try:
-                eol_fraction_by_channels([2, 4], trials=4000, jobs=jobs, use_cache=False)
+                eol_fraction_by_channels([2, 4], trials=4000, jobs=jobs)
             finally:
                 obs.disarm()
             summary = summarize(run)

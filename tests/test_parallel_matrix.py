@@ -123,7 +123,7 @@ class TestCacheRobustness:
         path = next(tmp_path.glob("matrix-*.json"))
         cache = load_json_cache(path)
         key = "streamcluster|chipkill18"
-        write_json_cache_atomic(path, {**cache, key: malform(cache[key])}, merge=False)
+        write_json_cache_atomic(path, {**cache, key: malform(cache[key])})
         ran = []
         original = parallel.run_tasks
 

@@ -11,13 +11,12 @@ Three layers of guarantees:
   (:func:`oracle_compare`) keeps IS and stratified estimates within
   analytic CI bounds of plain MC.
 * **Campaign semantics** - sharded runs merge bit-identically serial vs
-  parallel, resume from checkpoints recomputing only missing shards,
-  survive an armed chaos storm, and stop early on a target
-  relative CI.
+  parallel and survive an armed chaos storm.
 """
 
 import json
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -45,7 +44,6 @@ from repro.faults.rareevent import (
     weighted_percentile,
 )
 from repro.experiments.reliability import FIG8_CHANNELS, figure8_tail
-from repro.util.cachefile import load_json_cache
 
 ORGS = [
     MemoryOrg(),
@@ -288,23 +286,28 @@ class TestStratified:
 
 
 def _sample_tail_counts_oracle(rng, lam_total, kmax, n):
-    """The tail sampler before its convergence stop: the pmf table grows
-    until the (cancelled) residual test passes or 10,001 terms."""
-    tail_mass = 1.0 - math.fsum(rareevent._poisson_pmf(k, lam_total) for k in range(kmax))
-    tail_mass = max(tail_mass, 1e-300)
-    pmf = []
-    k = kmax
-    acc = 0.0
-    while acc < tail_mass * (1.0 - 1e-12) or len(pmf) < 2:
-        p = rareevent._poisson_pmf(k, lam_total)
-        pmf.append(p)
-        acc += p
-        k += 1
-        if k > kmax + 10_000:
-            break
-    cdf = np.cumsum(pmf) / acc
+    """The tail sampler over the whole 10,001-term table, with no stop."""
+    pmf = [rareevent._poisson_pmf(k, lam_total) for k in range(kmax, kmax + 10_001)]
+    cdf = np.cumsum(pmf)
+    cdf /= cdf[-1]
     u = rng.random(n)
     return kmax + np.searchsorted(cdf, u, side="left").astype(np.int64)
+
+
+def _exact_tail(lam: float, kmax: int) -> Decimal:
+    """``P(K >= kmax)`` for ``K ~ Poisson(lam)`` in 50-digit arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        lam_d = Decimal(lam)
+        term = (-lam_d).exp()
+        for k in range(1, kmax + 1):
+            term = term * lam_d / k
+        total, k = Decimal(0), kmax
+        while term > total * Decimal("1e-40"):
+            total += term
+            k += 1
+            term = term * lam_d / k
+        return total
 
 
 def _fig8_rates():
@@ -317,7 +320,7 @@ def _fig8_rates():
 
 
 class TestTailSampler:
-    """``_sample_tail_counts`` draws exactly what the unbounded table drew."""
+    """``_sample_tail_counts`` draws exactly what the unbounded table draws."""
 
     @staticmethod
     def _assert_same_draws(lam, kmax, n=2000):
@@ -374,8 +377,17 @@ class TestTailSampler:
         for lam in _fig8_rates():
             calls.clear()
             rareevent._sample_tail_counts(np.random.default_rng(0), lam, DEFAULT_STRATA, 10)
-            # The first kmax calls are the head mass, the rest the table.
-            assert len(calls) - DEFAULT_STRATA < 200, lam
+            assert len(calls) < 200, lam
+
+
+class TestTailWeight:
+    """The ``K >= kmax`` stratum weight is the directly summed tail."""
+
+    @pytest.mark.parametrize("lam", [0.0518, 0.414, *_fig8_rates()])
+    def test_matches_direct_sum(self, lam):
+        exact = _exact_tail(lam, DEFAULT_STRATA)
+        got = rareevent._stratum_probs(lam, DEFAULT_STRATA)[-1]
+        assert abs(Decimal(got) - exact) / exact <= Decimal("1e-12")
 
 
 class TestOracle:
@@ -399,114 +411,66 @@ class TestOracle:
 
 
 class TestShardedCampaigns:
-    def test_serial_equals_parallel_bitwise(self):
-        kw = dict(mode="is", trials=6_000, shards=3, seed=4, tilt=4.0)
+    def test_serial_equals_parallel_bitwise(self, monkeypatch):
+        monkeypatch.setattr(rareevent, "DEFAULT_SHARDS", 3)
+        monkeypatch.setattr(rareevent, "DEFAULT_MC_TILT", 4.0)
+        kw = dict(mode="is", trials=6_000, seed=4)
         serial = sharded_estimate(jobs=1, **kw)
         par = sharded_estimate(jobs=2, **kw)
-        assert serial.estimate.to_dict() == par.estimate.to_dict()
-        assert serial.shards_used == par.shards_used == 3
-        assert not serial.early_stopped
+        assert serial.to_dict() == par.to_dict()
+        assert serial.trials == 6_000 and serial.tilt == 4.0
 
-    def test_stratified_shards_merge(self):
-        out = sharded_estimate(mode="strat", trials=3_000, shards=2, jobs=1)
-        assert isinstance(out.estimate, StratifiedEstimate)
-        assert out.estimate.trials > 0
+    def test_stratified_shards_merge(self, monkeypatch):
+        monkeypatch.setattr(rareevent, "DEFAULT_SHARDS", 2)
+        out = sharded_estimate(mode="strat", trials=3_000, jobs=1)
+        assert isinstance(out, StratifiedEstimate)
+        assert out.trials > 0
         assert out.mode == "strat"
 
-    def test_resume_recomputes_only_missing_shards(self, tmp_path, monkeypatch):
-        from repro.experiments import evaluation as ev
-        from repro.experiments import parallel
+    def test_shards_merge_in_shard_order(self, monkeypatch):
+        """The campaign is its shards' estimates merged in shard order."""
+        monkeypatch.setattr(rareevent, "DEFAULT_SHARDS", 3)
+        out = sharded_estimate(mode="is", trials=3_001, seed=5, jobs=1)
+        org = MemoryOrg()
+        dims = (org.channels, org.ranks_per_channel, org.chips_per_rank, org.banks_per_rank)
+        merged = None
+        for shard, trials in enumerate((1_001, 1_000, 1_000)):
+            _, d = rareevent._shard_worker(
+                *dims, "is", trials, 5, shard, DEFAULT_MC_TILT, DEFAULT_STRATA
+            )
+            est = estimate_from_dict(d)
+            merged = est if merged is None else merged.merge(est)
+        assert out.to_dict() == merged.to_dict()
 
-        original = parallel.run_tasks
-        monkeypatch.setattr(ev, "CACHE_DIR", tmp_path)
-        kw = dict(mode="is", trials=4_000, shards=4, seed=1, jobs=1, use_cache=True)
-        first = sharded_estimate(**kw)
-        cache_path = tmp_path / "mc_rareevent.json"
-        assert cache_path.exists()
-        cache = json.loads(cache_path.read_text())
-        cache.pop("__meta__")  # schema stamp, not a shard
-        assert len(cache) == 4
-
-        # Fully cached: the engine must not be consulted at all.
-        def exploding(*a, **k):
-            raise AssertionError("run_tasks called despite a complete cache")
-
-        monkeypatch.setattr(parallel, "run_tasks", exploding)
-        resumed = sharded_estimate(**kw)
-        assert resumed.estimate.to_dict() == first.estimate.to_dict()
-
-        # Evict half the shards: exactly the missing ones are recomputed
-        # and the merged estimate is bit-identical to the original.
-        evicted = dict(list(cache.items())[:2])
-        evicted["__meta__"] = {"schema": 1}  # keep the stamp: evict, don't corrupt
-        cache_path.write_text(json.dumps(evicted))
-        ran = []
-
-        def counting(fn, payloads, **k):
-            ran.extend(payloads)
-            return original(fn, payloads, **k)
-
-        monkeypatch.setattr(parallel, "run_tasks", counting)
-        partial = sharded_estimate(**kw)
-        assert len(ran) == 2
-        assert partial.estimate.to_dict() == first.estimate.to_dict()
-
-    def test_chaos_storm_with_resume(self, tmp_path, monkeypatch):
-        """Armed chaos + checkpointed shards == the serial answer."""
-        from repro.experiments import evaluation as ev
+    def test_chaos_storm_equals_serial(self, monkeypatch):
+        """Armed chaos on the pool == the fault-free serial answer."""
         from repro.experiments import parallel
         from repro.util import chaos
 
-        kw = dict(mode="is", trials=3_000, shards=3, seed=2)
+        monkeypatch.setattr(rareevent, "DEFAULT_SHARDS", 3)
+        kw = dict(mode="is", trials=3_000, seed=2)
         serial = sharded_estimate(jobs=1, **kw)
 
-        monkeypatch.setattr(ev, "CACHE_DIR", tmp_path)
         monkeypatch.setattr(parallel, "DEFAULT_TASK_RETRIES", 2)
         chaos.arm("crash@1,corrupt@0")
         try:
-            stormy = sharded_estimate(jobs=3, use_cache=True, **kw)
+            stormy = sharded_estimate(jobs=3, **kw)
         finally:
             chaos.arm(None)
-        assert stormy.estimate.to_dict() == serial.estimate.to_dict()
-
-        # And the checkpoints written under fire resume cleanly.
-        resumed = sharded_estimate(jobs=1, use_cache=True, **kw)
-        assert resumed.estimate.to_dict() == serial.estimate.to_dict()
-
-    def test_early_stop_on_target_rci(self):
-        out = sharded_estimate(mode="is", trials=8_000, shards=4, jobs=1, target_rci=10.0)
-        assert out.early_stopped
-        assert out.shards_used < out.shards_total
-        # Explicit 0 disables early stopping entirely.
-        full = sharded_estimate(mode="is", trials=8_000, shards=4, jobs=1, target_rci=0)
-        assert not full.early_stopped
-        assert full.shards_used == full.shards_total == 4
-
-    def test_shard_validation(self):
-        with pytest.raises(ValueError):
-            sharded_estimate(trials=100, shards=0)
+        assert stormy.to_dict() == serial.to_dict()
 
 
 class TestKnobs:
-    """Rare-event settings: estimator mode, chunk size, tilt and target
-    RCI are call arguments checked where used."""
+    """Rare-event settings: estimator mode, chunk size and tilt are call
+    arguments checked where used."""
 
-    def test_mc_chunk(self, tmp_path, monkeypatch):
-        from repro.experiments import evaluation as ev
-
+    def test_mc_chunk(self):
         assert montecarlo.resolve_chunk() == montecarlo.DEFAULT_CHUNK
         assert montecarlo.resolve_chunk(123) == 123
         with pytest.raises(ValueError):
             run_plain(_sim(3), trials=10, chunk_size=0)
         with pytest.raises(ValueError):
             EolCapacitySim(MemoryOrg()).run(trials=10, chunk_size=-1)
-        # The resolved chunk keys the cache.
-        monkeypatch.setattr(ev, "CACHE_DIR", tmp_path)
-        sharded_estimate(
-            mode="off", trials=100, shards=1, jobs=1, use_cache=True, chunk_size=777
-        )
-        (key,) = load_json_cache(tmp_path / "mc_rareevent.json")
-        assert "chunk=777" in key
 
     def test_mc_vr(self):
         """The estimator mode is validated where used; the default is off."""
@@ -515,11 +479,11 @@ class TestKnobs:
         with pytest.raises(ValueError):
             run_estimate(_sim(13), "bogus", trials=100)
         with pytest.raises(ValueError):
-            sharded_estimate(mode="bogus", trials=100, shards=1, jobs=1)
+            sharded_estimate(mode="bogus", trials=100, jobs=1)
         with pytest.raises(ValueError):
             figure8_tail(trials=100, mode="bogus", jobs=1)
         assert run_estimate(_sim(13), trials=100).mode == "off"
-        assert sharded_estimate(trials=100, shards=1, jobs=1).mode == "off"
+        assert sharded_estimate(trials=100, jobs=1).mode == "off"
         assert {row.mode for row in figure8_tail(trials=100, jobs=1)} == {"off"}
 
     def test_resolve_mode_auto(self):
@@ -527,7 +491,7 @@ class TestKnobs:
         with pytest.raises(ValueError):
             run_estimate(_sim(13), "auto", trials=100)
         with pytest.raises(ValueError):
-            sharded_estimate(mode="auto", trials=100, shards=1, jobs=1)
+            sharded_estimate(mode="auto", trials=100, jobs=1)
         with pytest.raises(ValueError):
             figure8_tail(trials=100, mode="auto", jobs=1)
 
@@ -544,16 +508,3 @@ class TestKnobs:
         assert run_is(_sim(4), trials=50, tilt=2.0).tilt == 2.0
         with pytest.raises(ValueError):
             run_is(_sim(4), trials=50, tilt=0.5)
-        with pytest.raises(ValueError):
-            sharded_estimate(mode="is", trials=50, shards=1, jobs=1, tilt=0.5)
-
-    def test_mc_target_rci(self):
-        loose = sharded_estimate(mode="is", trials=8_000, shards=4, jobs=1, target_rci=10.0)
-        assert loose.early_stopped
-        for off in (None, 0):
-            full = sharded_estimate(mode="is", trials=8_000, shards=4, jobs=1, target_rci=off)
-            assert not full.early_stopped
-        with pytest.raises(ValueError):
-            run_is(_sim(5), trials=50, target_rci=-1)
-        with pytest.raises(ValueError):
-            sharded_estimate(mode="is", trials=50, shards=1, jobs=1, target_rci=-1)

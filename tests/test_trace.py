@@ -50,7 +50,7 @@ def traced(tmp_path):
     run = tmp_path / "traced"
     obs.configure(run)
     yield run
-    trace.adopt(None)  # drop any ambient context a test installed
+    obs._current.set(None)  # drop any ambient context a test installed
     obs.disarm()
 
 
@@ -80,13 +80,16 @@ class TestSpanPrimitives:
         assert o["foo"] == 1
 
     def test_ambient_context_restored_after_exit(self, traced):
-        assert trace.ctx() is None
+        def ambient():  # the span context the engine ships to workers
+            return obs.worker_config()[1]
+
+        assert ambient() is None
         with trace.span("a"):
-            outer_ctx = trace.ctx()
+            outer_ctx = ambient()
             with trace.span("b"):
-                assert trace.ctx() != outer_ctx
-            assert trace.ctx() == outer_ctx
-        assert trace.ctx() is None
+                assert ambient() != outer_ctx
+            assert ambient() == outer_ctx
+        assert ambient() is None
 
     def test_exception_recorded_and_reraised(self, traced):
         with pytest.raises(RuntimeError):
@@ -97,9 +100,9 @@ class TestSpanPrimitives:
 
     def test_adopt_parents_across_contexts(self, traced):
         with trace.span("parent") as p:
-            shipped = trace.ctx()
+            shipped = obs.worker_config()
         # Simulate a worker process adopting the shipped context.
-        trace.adopt(shipped)
+        obs.ensure_worker(shipped)
         with trace.span("child") as c:
             pass
         recs = {e["name"]: e for e in read_events(traced) if e["kind"] == "trace.span"}
@@ -144,7 +147,7 @@ class TestCampaignForest:
                 )
             )
         finally:
-            trace.adopt(None)
+            obs._current.set(None)
             obs.disarm()
         return results, read_events(run), run
 
