@@ -11,7 +11,8 @@ is decoded here against that scalar baseline:
 * ``dirty_decode``: production ``rs.decode`` (the cffi core wherever it
   builds), acceptance bar >= 10x the scalar loop when the core runs;
 * ``tilted_campaign``: ``run_is_coverage`` end to end, the consumer the
-  core was built for.
+  core was built for; in-process (``jobs=1``) so it times the codec, not
+  a pool of small slice tasks.
 
 Clean-path sections (encode through the compiled core and the NumPy
 ``_encode_reference`` fallback, syndromes, clean-batch decode, cached
@@ -219,7 +220,7 @@ def bench_codec_tilted_campaign(benchmark, results_dir, emit):
     def measure():
         t0 = time.perf_counter()
         est = run_is_coverage(
-            scheme, trials=CAMPAIGN_TRIALS, rate=0.5, tilt=8.0, chunk_size=1000, seed=7
+            scheme, trials=CAMPAIGN_TRIALS, rate=0.5, tilt=8.0, chunk_size=1000, seed=7, jobs=1
         )
         return est, time.perf_counter() - t0
 

@@ -45,5 +45,22 @@ __all__ = [
     "SYSTEM_CLASSES",
     "SystemConfig",
     "pin_count",
+    "rebuild",
+    "rebuildable",
     "total_physical_gbits",
 ]
+
+
+def rebuild(cls_name: str) -> ECCScheme:
+    """A fresh scheme of this package's class *cls_name*, default-constructed.
+
+    Campaign workers rebuild their scheme this way from a picklable class
+    name, so a task's payload stays primitives only.
+    """
+    return globals()[cls_name]()
+
+
+def rebuildable(scheme: ECCScheme) -> bool:
+    """True when :func:`rebuild` of *scheme*'s class name gives its class
+    back; a subclass defined elsewhere must stay in-process."""
+    return globals().get(type(scheme).__name__) is type(scheme)

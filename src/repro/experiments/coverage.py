@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.ecc import rebuild, rebuildable
 from repro.ecc.base import ECCScheme
 from repro.util.envcfg import mc_trials
 from repro.util.rng import make_rng
@@ -152,16 +153,8 @@ def _coverage_cell(
     default-constructible), so the cell pickles cleanly and is
     bit-identical wherever it runs.
     """
-    import repro.ecc as ecc_pkg
-
-    scheme = getattr(ecc_pkg, scheme_cls)()
+    scheme = rebuild(scheme_cls)
     return scheme_cls, pattern, _cell_counts(scheme, pattern, trials, seed, chunk_size)
-
-
-def _worker_compatible(scheme: ECCScheme) -> bool:
-    import repro.ecc as ecc_pkg
-
-    return getattr(ecc_pkg, type(scheme).__name__, None) is type(scheme)
 
 
 def coverage_study(
@@ -181,7 +174,7 @@ def coverage_study(
 
     trials = mc_trials(trials, 200)
     by_name = {type(s).__name__: s for s in schemes}
-    if all(_worker_compatible(s) for s in schemes):
+    if all(rebuildable(s) for s in schemes):
         payloads = [(c, p, trials, seed, CHUNK) for c in by_name for p in PATTERNS]
         results = {
             (cls_name, pname): counts

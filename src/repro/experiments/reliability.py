@@ -10,7 +10,7 @@ from repro.faults.analysis import (
 )
 from repro.faults.fit_rates import MemoryOrg
 from repro.faults.montecarlo import eol_fraction_by_channels
-from repro.faults.rareevent import sharded_estimate
+from repro.faults.rareevent import sharded_estimates
 
 #: X axes used by the paper's figures.
 FIG2_FIT_RANGE = [10, 20, 30, 40, 44, 50, 60, 70, 80, 90, 100]
@@ -80,17 +80,19 @@ def figure8_tail(
 ) -> "list[Fig8TailRow]":
     """Figure 8's 99.9th percentile via the rare-event estimators.
 
-    For each channel count, runs a sharded campaign
-    (:func:`repro.faults.rareevent.sharded_estimate`) with estimator
-    *mode* (``off`` plain MC, ``is`` importance sampling, ``strat`` count
+    For each channel count, runs a sharded campaign with estimator *mode*
+    (``off`` plain MC, ``is`` importance sampling, ``strat`` count
     stratification) and reports the weighted 99.9th percentile plus the
     tail probability at that percentile with its analytic CI, so the
-    quoted CI is the resolution of the percentile itself.
+    quoted CI is the resolution of the percentile itself.  The shards of
+    all channel counts run in one engine campaign
+    (:func:`repro.faults.rareevent.sharded_estimates`), so one pool
+    serves every row.
     """
+    orgs = [MemoryOrg(channels=n) for n in FIG8_CHANNELS]
+    estimates = sharded_estimates(orgs, mode=mode, trials=trials, seed=seed, jobs=jobs)
     rows = []
-    for n in FIG8_CHANNELS:
-        org = MemoryOrg(channels=n)
-        est = sharded_estimate(org, mode=mode, trials=trials, seed=seed, jobs=jobs)
+    for n, est in zip(FIG8_CHANNELS, estimates):
         threshold = est.percentile(99.9)
         rows.append(
             Fig8TailRow(

@@ -36,6 +36,7 @@ from repro.faults.rareevent import (
     oracle_compare,
     run_estimate,
     sharded_estimate,
+    sharded_estimates,
     weighted_percentile,
 )
 
@@ -68,5 +69,6 @@ __all__ = [
     "oracle_compare",
     "run_estimate",
     "sharded_estimate",
+    "sharded_estimates",
     "weighted_percentile",
 ]

@@ -832,6 +832,7 @@ def run_is_coverage(
     tilt: "float | None" = None,
     chunk_size: "int | None" = None,
     seed: int = 0,
+    jobs: "int | None" = None,
 ) -> WeightedEstimate:
     """Tilted codec campaign: silent-corruption probability under bit scatter.
 
@@ -850,30 +851,100 @@ def run_is_coverage(
     both measures and cancel).  ``tilt=1.0`` degrades to plain MC with
     unit weights; estimates are bit-identical across the native and
     scalar-oracle decode paths because the decoders themselves are.
+
+    All chunks come from one generator stream.  With ``jobs > 1``
+    (``REPRO_JOBS``/cpu count by default) and a scheme
+    :func:`repro.ecc.rebuildable` from its class name, the decode fans
+    out through :func:`repro.experiments.parallel.run_tasks`: the parent
+    records the generator state at the start of each chunk and draws the
+    chunk only to advance the stream and keep its flip counts; each of
+    ``jobs`` slices per chunk is one task that redraws the chunk from the
+    recorded state and decodes its own trials.  Chunks are tallied in
+    order, so the estimate is bit-identical to the in-process run at
+    every worker count.
     """
+    from repro import ecc
+    from repro.experiments import parallel
+
     trials = mc_trials(trials, 20000)
     chunk_size = resolve_chunk(chunk_size)
     tilt = _resolve_tilt(tilt)
+    jobs = parallel.default_jobs() if jobs is None else int(jobs)
     mode = "off" if tilt == 1.0 else "is"
     rng = make_rng(seed)
+    sizes = [min(chunk_size, trials - lo) for lo in range(0, trials, chunk_size)]
+    if jobs > 1 and ecc.rebuildable(scheme):
+        chunks = _pooled_coverage_chunks(scheme, rng, tilt * rate, sizes, jobs)
+    else:
+        chunks = _coverage_chunks(scheme, rng, tilt * rate, sizes)
     tally = WeightedTally()
     estimate = WeightedEstimate(mode=mode, tally=tally, tilt=tilt)
     armed = obs.enabled()
     done = 0
-    while done < trials:
-        n = min(chunk_size, trials - done)
-        data, counts, pos, bit = _draw_scatter_chunk(rng, scheme, tilt * rate, n)
-        wrong = _codec_scatter_tally(scheme, data, counts, pos, bit)
+    for counts, wrong in chunks:
         weights = (
             None
             if tilt == 1.0
             else np.exp((tilt - 1.0) * rate - counts * math.log(tilt))
         )
         tally.add(wrong, weights)
-        done += n
+        done += counts.size
         if armed:
             _emit_progress(f"{mode}_coverage", done, trials, estimate, None)
     return estimate
+
+
+def _coverage_chunks(scheme, rng, rate: float, sizes: "list[int]"):
+    """In-process chunks of :func:`run_is_coverage`: ``(counts, wrong)`` each."""
+    for n in sizes:
+        data, counts, pos, bit = _draw_scatter_chunk(rng, scheme, rate, n)
+        yield counts, _codec_scatter_tally(scheme, data, counts, pos, bit)
+
+
+def _pooled_coverage_chunks(scheme, rng, rate: float, sizes: "list[int]", jobs: int):
+    """The chunks of :func:`_coverage_chunks`, decoded by ``jobs`` slice
+    tasks each in one engine campaign and yielded in chunk order."""
+    from repro.experiments import parallel
+
+    name = type(scheme).__name__
+    counts, left, payloads = [], [], []
+    for c, n in enumerate(sizes):
+        state = rng.bit_generator.state
+        counts.append(_draw_scatter_chunk(rng, scheme, rate, n)[1])
+        bounds = [n * j // jobs for j in range(jobs + 1)]
+        slices = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+        left.append(len(slices))
+        payloads += [(name, state, n, rate, c, lo, hi) for lo, hi in slices]
+    wrong = [np.zeros(n) for n in sizes]
+    ready = 0
+    for c, hits in parallel.run_tasks(_coverage_slice, payloads, jobs=jobs):
+        wrong[c][hits] = 1.0
+        left[c] -= 1
+        while ready < len(sizes) and left[ready] == 0:
+            yield counts[ready], wrong[ready]
+            wrong[ready] = None
+            ready += 1
+
+
+def _coverage_slice(
+    scheme_cls: str, state: dict, n: int, rate: float, chunk: int, lo: int, hi: int
+) -> "tuple[int, np.ndarray]":
+    """Worker entry point: trials ``[lo, hi)`` of one :func:`run_is_coverage` chunk.
+
+    Rebuilds the scheme from its class name, redraws the *n*-trial chunk
+    from the recorded generator *state* and decodes only the slice;
+    returns *chunk* and the chunk indices of the wrong trials.
+    """
+    from repro import ecc
+
+    scheme = ecc.rebuild(scheme_cls)
+    rng = np.random.Generator(getattr(np.random, state["bit_generator"])())
+    rng.bit_generator.state = state
+    data, counts, pos, bit = _draw_scatter_chunk(rng, scheme, rate, n)
+    starts = np.concatenate(([0], np.cumsum(counts)))
+    flips = slice(starts[lo], starts[hi])
+    wrong = _codec_scatter_tally(scheme, data[lo:hi], counts[lo:hi], pos[flips], bit[flips])
+    return chunk, lo + np.flatnonzero(wrong)
 
 
 # -- stratified sampling ---------------------------------------------------------------
@@ -1073,24 +1144,20 @@ def _shard_worker(
     shard: int,
     tilt: float,
     strata: int,
-) -> "tuple[int, dict]":
+) -> "tuple[tuple, dict]":
     """One campaign shard from primitives (picklable, pure, self-seeding).
 
     Seeded from ``SeedSequence((seed, shard))`` so a shard's estimate is
-    bit-identical wherever it runs.
+    bit-identical wherever it runs.  Returns ``((org dims, shard), estimate
+    dict)``, the key naming which organization's shard it is.
     """
-    org = MemoryOrg(
-        channels=channels,
-        ranks_per_channel=ranks_per_channel,
-        chips_per_rank=chips_per_rank,
-        banks_per_rank=banks_per_rank,
-    )
+    dims = (channels, ranks_per_channel, chips_per_rank, banks_per_rank)
     sim = EolCapacitySim(
-        org, seed=np.random.default_rng(np.random.SeedSequence((seed, shard)))
+        MemoryOrg(*dims), seed=np.random.default_rng(np.random.SeedSequence((seed, shard)))
     )
     with trace.span("mc.shard", "mc", shard=shard, mode=mode, trials=trials):
         est = run_estimate(sim, mode, trials, tilt=tilt, strata=strata)
-    return shard, est.to_dict()
+    return (dims, shard), est.to_dict()
 
 
 def sharded_estimate(
@@ -1103,59 +1170,78 @@ def sharded_estimate(
 ) -> "WeightedEstimate | StratifiedEstimate":
     """Sharded rare-event campaign through the resilient engine.
 
+    The one-organization case of :func:`sharded_estimates`.
+    """
+    return sharded_estimates([org or MemoryOrg()], mode=mode, trials=trials, seed=seed, jobs=jobs)[0]
+
+
+def sharded_estimates(
+    orgs: "list[MemoryOrg]",
+    *,
+    mode: str = "off",
+    trials: "int | None" = None,
+    seed: int = 0,
+    jobs: "int | None" = None,
+) -> "list[WeightedEstimate | StratifiedEstimate]":
+    """One sharded rare-event campaign per organization in *orgs*, all
+    through one engine campaign.
+
     *mode* picks the estimator (:data:`MODES`: ``off`` plain MC, ``is``
     importance sampling at :data:`DEFAULT_MC_TILT`, ``strat`` count
     stratification over :data:`DEFAULT_STRATA`; anything else raises
-    ``ValueError``).  The trial budget splits over :data:`DEFAULT_SHARDS`
-    independent, deterministically seeded shard runs fanned out via
-    :func:`repro.experiments.parallel.run_tasks` (``jobs``;
-    ``REPRO_JOBS``/cpu count by default, 1 = in-process); the engine's
-    retry/timeout/chaos machinery applies per shard.  Completed shards
-    are merged in shard order, so serial and parallel campaigns agree
-    bit-for-bit.
+    ``ValueError``).  Each organization's trial budget splits over
+    :data:`DEFAULT_SHARDS` independent, deterministically seeded shard
+    runs; the shards of every organization fan out in one
+    :func:`repro.experiments.parallel.run_tasks` call (``jobs``;
+    ``REPRO_JOBS``/cpu count by default, 1 = in-process), so one pool
+    serves them all, and the engine's retry/timeout/chaos machinery
+    applies per shard.  Each organization's completed shards are merged
+    in shard order, so serial and parallel campaigns agree bit-for-bit.
+    Returns the estimates in the order of *orgs*.
     """
     from repro.experiments import parallel
 
-    org = org or MemoryOrg()
     mode = _check_mode(mode)
     trials = mc_trials(trials, 20000)
     shards = DEFAULT_SHARDS
     base, extra = divmod(trials, shards)
     shard_trials = [base + (1 if s < extra else 0) for s in range(shards)]
+    keys = [(o.channels, o.ranks_per_channel, o.chips_per_rank, o.banks_per_rank) for o in orgs]
+    results = {dims: {} for dims in keys}
     payloads = [
-        (
-            org.channels,
-            org.ranks_per_channel,
-            org.chips_per_rank,
-            org.banks_per_rank,
-            mode,
-            n,
-            seed,
-            s,
-            DEFAULT_MC_TILT,
-            DEFAULT_STRATA,
-        )
+        (*dims, mode, n, seed, s, DEFAULT_MC_TILT, DEFAULT_STRATA)
+        for dims in results
         for s, n in enumerate(shard_trials)
         if n > 0
     ]
     armed = obs.enabled()
-    results = {}
-    for s, est_dict in parallel.run_tasks(_shard_worker, payloads, jobs=jobs):
-        results[s] = est_dict
+    for (dims, s), est_dict in parallel.run_tasks(_shard_worker, payloads, jobs=jobs):
+        results[dims][s] = est_dict
         if armed:
-            obs.emit("mc.rareevent.shard", mode=mode, shard=s, shards=shards, done=len(results))
-    estimate = None
-    for s in sorted(results):
-        shard_est = estimate_from_dict(results[s])
-        estimate = shard_est if estimate is None else estimate.merge(shard_est)
-    if armed:
-        obs.emit(
-            "mc.rareevent.campaign",
-            mode=mode,
-            trials=estimate.trials,
-            ess=round(estimate.ess, 1),
-        )
-    return estimate
+            obs.emit(
+                "mc.rareevent.shard",
+                mode=mode,
+                channels=dims[0],
+                shard=s,
+                shards=shards,
+                done=len(results[dims]),
+            )
+    estimates = {}
+    for dims, done in results.items():
+        estimate = None
+        for s in sorted(done):
+            shard_est = estimate_from_dict(done[s])
+            estimate = shard_est if estimate is None else estimate.merge(shard_est)
+        estimates[dims] = estimate
+        if armed:
+            obs.emit(
+                "mc.rareevent.campaign",
+                mode=mode,
+                channels=dims[0],
+                trials=estimate.trials,
+                ess=round(estimate.ess, 1),
+            )
+    return [estimates[dims] for dims in keys]
 
 
 # -- unbiasedness oracle ---------------------------------------------------------------

@@ -316,6 +316,7 @@ def _tables(rs) -> dict:
             "taps": np.ascontiguousarray(rs._gen_taps, dtype=np.uint16),
             "bits": 8 if f.order <= 256 else 16,
             "packed": None,
+            "ctx": None,
         }
         if rs.num_check * tabs["bits"] <= 64:
             # packed[fb] = fb * taps as one word, remainder cell 0 highest.
@@ -327,14 +328,23 @@ def _tables(rs) -> dict:
 
 
 def _ctx(ffi, rs, setup: "dict | None") -> "tuple[object, list]":
-    """Fill an ``rs_ctx`` struct; *hold* keeps owning arrays alive."""
+    """An ``rs_ctx`` struct for *rs*; *hold* keeps owning arrays alive.
+
+    The no-erasure context (``setup=None``), which every encode and
+    syndrome call uses, is built once per codec and cached in its table
+    block; a context with an erasure *setup* is built per call.
+    """
     tabs = _tables(rs)
-    if setup is not None:
-        rho = setup["rho"]
-        gamma = np.ascontiguousarray(setup["gamma"], dtype=np.uint16)
-        e_max = setup["e_max"]
-    else:
-        rho, gamma, e_max = 0, np.ones(1, dtype=np.uint16), rs.num_check // 2
+    if setup is None:
+        if tabs["ctx"] is None:
+            gamma = np.ones(1, dtype=np.uint16)
+            tabs["ctx"] = (_fill_ctx(ffi, rs, tabs, 0, gamma, rs.num_check // 2), [gamma])
+        return tabs["ctx"]
+    gamma = np.ascontiguousarray(setup["gamma"], dtype=np.uint16)
+    return _fill_ctx(ffi, rs, tabs, setup["rho"], gamma, setup["e_max"]), [tabs, gamma]
+
+
+def _fill_ctx(ffi, rs, tabs: dict, rho: int, gamma: np.ndarray, e_max: int):
     ctx = ffi.new("rs_ctx *")
     ctx.n = rs.n
     ctx.two_t = rs.num_check
@@ -345,8 +355,7 @@ def _ctx(ffi, rs, setup: "dict | None") -> "tuple[object, list]":
     ctx.log_t = ffi.cast("const int32_t *", tabs["log"].ctypes.data)
     ctx.synd_log = ffi.cast("const int32_t *", tabs["synd_log"].ctypes.data)
     ctx.gamma = ffi.cast("const uint16_t *", gamma.ctypes.data)
-    hold = [tabs, gamma]
-    return ctx, hold
+    return ctx
 
 
 def check_symbols(field, arr: np.ndarray) -> None:

@@ -6,11 +6,12 @@ declare a C header (``cdef``) and a C source; :class:`NativeCore` turns
 that pair into an importable extension module.  The C toolchain ships in
 the base image; nothing is downloaded.
 
-Build model: the module name carries a hash of the header and source, so
-an edited core never loads a stale build.  A missing build compiles in a
-private ``build-*`` scratch directory beside the published ``.so``, is
-moved into place with one atomic rename (concurrent workers never import
-a half-written extension), and the scratch directory is deleted.  Every
+Build model: the module name carries a hash of the header, the source
+and :data:`COMPILE_FLAGS`, so an edited core or flag never loads a stale
+build.  A missing build compiles in a private ``build-*`` scratch
+directory beside the published ``.so``, is moved into place with one
+atomic rename (concurrent workers never import a half-written
+extension), and the scratch directory is deleted.  Every
 later load - in this process or any other - reuses the published file.
 
 Any failure (no compiler, no ``cffi``, a read-only build directory)
@@ -26,6 +27,9 @@ import os
 import shutil
 import tempfile
 
+#: Compiler flags of every core; part of the build's module name.
+COMPILE_FLAGS = ("-O2",)
+
 
 class NativeCore:
     """One cffi extension: *cdef* + *csrc*, built under *build_dir*."""
@@ -34,7 +38,9 @@ class NativeCore:
         self.cdef = cdef
         self.csrc = csrc
         self.build_dir = build_dir
-        tag = hashlib.sha1((cdef + csrc).encode()).hexdigest()[:12]
+        self.flags = COMPILE_FLAGS
+        key = "\0".join((cdef, csrc, *self.flags))
+        tag = hashlib.sha1(key.encode()).hexdigest()[:12]
         self.modname = f"{prefix}_{tag}"
         self._mod = None
         self._attempted = False
@@ -69,7 +75,7 @@ class NativeCore:
 
         ffi = FFI()
         ffi.cdef(self.cdef)
-        ffi.set_source(self.modname, self.csrc, extra_compile_args=["-O2"])
+        ffi.set_source(self.modname, self.csrc, extra_compile_args=list(self.flags))
         os.makedirs(self.build_dir, exist_ok=True)
         tmpdir = tempfile.mkdtemp(prefix="build-", dir=self.build_dir)
         try:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.util import native
 from repro.util.native import NativeCore
 
 CDEF = "int twice(int x);"
@@ -36,6 +37,14 @@ def test_build_publishes_once_and_reuses_the_so(tmp_path):
 def test_source_edit_changes_the_module_name(tmp_path):
     a = _core(tmp_path)
     b = NativeCore("_looptest", CDEF, a.csrc + "\n", a.build_dir)
+    assert a.modname != b.modname
+
+
+def test_compiler_flags_change_the_module_name(tmp_path, monkeypatch):
+    a = _core(tmp_path)
+    monkeypatch.setattr(native, "COMPILE_FLAGS", ("-O0",))
+    b = _core(tmp_path)
+    assert (a.flags, b.flags) == (("-O2",), ("-O0",))
     assert a.modname != b.modname
 
 

@@ -460,6 +460,71 @@ class TestShardedCampaigns:
         assert stormy.to_dict() == serial.to_dict()
 
 
+def _count_run_tasks(monkeypatch) -> list:
+    """Record the payloads of every ``parallel.run_tasks`` call."""
+    from repro.experiments import parallel
+
+    calls = []
+    original = parallel.run_tasks
+
+    def counting(worker, payloads, *args, **kwargs):
+        calls.append(list(payloads))
+        return original(worker, calls[-1], *args, **kwargs)
+
+    monkeypatch.setattr(parallel, "run_tasks", counting)
+    return calls
+
+
+class TestPooledCampaigns:
+    """The tilted coverage campaign and the fig8 tail fan out through the
+    engine once per call and stay bit-identical to their serial runs."""
+
+    @pytest.mark.parametrize("tilt, rate", [(8.0, 0.5), (1.0, 4.0)], ids=["tilted", "plain"])
+    def test_coverage_equal_at_every_worker_count(self, tilt, rate, monkeypatch):
+        from repro.ecc import Chipkill36
+        from repro.faults.rareevent import run_is_coverage
+
+        # 2,500 trials in chunks of 1,000 leave a short last chunk.
+        kw = dict(trials=2_500, rate=rate, tilt=tilt, chunk_size=1_000, seed=3)
+        serial = run_is_coverage(Chipkill36(), jobs=1, **kw)
+        assert serial.tally.mean > 0  # some trials miscorrect
+        calls = _count_run_tasks(monkeypatch)
+        for jobs in (2, 3):
+            pooled = run_is_coverage(Chipkill36(), jobs=jobs, **kw)
+            assert pooled.to_dict() == serial.to_dict()
+            # One task per slice: *jobs* slices of each of the three chunks.
+            assert len(calls[-1]) == 3 * jobs
+        assert len(calls) == 2
+
+    def test_coverage_unrebuildable_scheme_stays_in_process(self, monkeypatch):
+        from repro.ecc import Chipkill36
+        from repro.faults.rareevent import run_is_coverage
+
+        class LocalChipkill(Chipkill36):
+            pass
+
+        kw = dict(trials=1_500, rate=0.5, tilt=8.0, chunk_size=1_000, seed=3)
+        reference = run_is_coverage(Chipkill36(), jobs=1, **kw)
+        calls = _count_run_tasks(monkeypatch)
+        local = run_is_coverage(LocalChipkill(), jobs=2, **kw)
+        assert calls == []
+        assert local.to_dict() == reference.to_dict()
+
+    def test_figure8_tail_is_one_engine_campaign(self, monkeypatch):
+        calls = _count_run_tasks(monkeypatch)
+        rows = figure8_tail(trials=400, mode="is", seed=1, jobs=1)
+        assert len(calls) == 1
+        assert len(calls[0]) == len(FIG8_CHANNELS) * rareevent.DEFAULT_SHARDS
+        for n, row in zip(FIG8_CHANNELS, rows):
+            alone = sharded_estimate(MemoryOrg(channels=n), mode="is", trials=400, seed=1, jobs=1)
+            assert (row.channels, row.trials, row.ess) == (n, alone.trials, alone.ess)
+            assert row.p999_fraction == alone.percentile(99.9)
+
+    def test_figure8_tail_pooled_equals_serial(self):
+        kw = dict(trials=800, mode="strat", seed=2)
+        assert figure8_tail(jobs=2, **kw) == figure8_tail(jobs=1, **kw)
+
+
 class TestKnobs:
     """Rare-event settings: estimator mode, chunk size and tilt are call
     arguments checked where used."""
