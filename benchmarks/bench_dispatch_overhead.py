@@ -2,8 +2,7 @@
 
 Not a paper figure - this isolates the fixed cost the campaign engine
 adds around each task: submit bookkeeping, payload pickling, and result
-transport (the compact result-codec buffers, or raw pickles on the
-serial path).  The worker itself is a no-op, so the measured wall-clock
+transport (one pickled list of inner results per super-task).  The worker itself is a no-op, so the measured wall-clock
 is almost purely engine overhead, reported as microseconds per task for
 the three dispatch paths:
 
@@ -14,9 +13,9 @@ the three dispatch paths:
 
 Numbers land in ``results/BENCH_dispatch_overhead.json`` (plus a
 rendered table) so CI can archive them per commit.  Batching exists
-precisely to amortize the pooled fixed cost (one spool file and one
-future per submission), so the batched figure must not be slower than
-the pooled one.
+precisely to amortize the pooled fixed cost (one future and one result
+round trip per submission), so the batched figure must not be slower
+than the pooled one.
 
 ``REPRO_BENCH_QUICK=1`` (used by CI) shrinks the task count so the file
 finishes in seconds; the acceptance numbers come from an unloaded run
@@ -39,7 +38,7 @@ BATCH = 16
 
 #: Payload/result shapes roughly matching a Monte Carlo cell: a small
 #: tuple in, a small tuple of scalars out.  Big enough to exercise the
-#: codec, small enough that serialization is not the story.
+#: result transport, small enough that serialization is not the story.
 PAYLOADS = [(i, 61320.0, 1 << 16) for i in range(TASKS)]
 
 

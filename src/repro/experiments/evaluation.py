@@ -146,12 +146,11 @@ def evaluation_matrix(
     the sweep compacts the log into the cache file atomically when it
     ends, on success or error (merge-on-write, so concurrent sweeps
     sharing the file keep each other's cells).
-    Worker crashes, hangs, and exceptions are retried by the resilient
-    engine (its ``retries`` / ``timeout`` defaults); cells that
-    exhaust their budget surface in a
+    Each cell runs once.  A cell that raises, and every unfinished cell
+    of a sweep whose pool worker died, surfaces in a
     :class:`~repro.experiments.parallel.CampaignError` naming each failed
-    ``(workload, config)`` payload, raised only after every other cell has
-    completed and checkpointed.
+    ``(workload, config)`` payload, raised only after every finished cell
+    has been checkpointed; rerunning the sweep computes only those.
     """
     fidelity = fidelity or current_fidelity()
     wl_names = workloads or [w.name for w in ALL_WORKLOADS]

@@ -1,25 +1,18 @@
-"""Compact binary transport for campaign worker results.
+"""Compact binary value codec and the CRC-framed record built on it.
 
-Pooled campaign results historically crossed the process boundary as
-pickled object graphs.  For batched super-tasks that cost matters twice:
-once per inner result on the worker side and once in the parent's decode
-loop, and pickle's memo machinery dwarfs the handful of floats a matrix
-cell or Monte Carlo histogram actually carries.  This codec flattens the
-result shapes the drivers return — tuples/lists/dicts of primitives plus
-NumPy arrays — into a tagged, length-prefixed byte stream decoded with
-``struct`` and ``np.frombuffer`` (arrays come back zero-copy from the
-received buffer).
+The codec flattens the result shapes the campaign drivers return —
+tuples/lists/dicts of primitives plus NumPy arrays — into a tagged,
+length-prefixed byte stream decoded with ``struct`` and
+``np.frombuffer`` (arrays come back zero-copy from the received buffer).
 
 The contract is *type-exact* round-tripping: ``decode(encode(x))`` equals
 ``x`` including container types, ``bool`` vs ``int``, and float bit
-patterns — the serial == parallel bit-identity invariant rides on it.
-Values the fast tags cannot represent exactly (arbitrary objects, huge
-ints, type subclasses) fall back to an embedded pickle frame, so the
-codec never rejects a result, it only stops being fast.
+patterns.  Values the fast tags cannot represent exactly (arbitrary
+objects, huge ints, type subclasses) fall back to an embedded pickle
+frame, so the codec never rejects a value, it only stops being fast.
 
-On top of the value codec sits the one **framed record** both
-recovery logs store — the super-task spool and the result-cache
-checkpoint log (:class:`repro.util.cachefile.Checkpoint`): a
+On top of the value codec sits the **framed record** the result-cache
+checkpoint log stores (:class:`repro.util.cachefile.Checkpoint`): a
 ``<II>`` header (CRC32 of the payload, then its length) followed by one
 codec-encoded tuple.  :func:`frame` builds it; each frame is written
 with a single ``os.write`` on an O_APPEND descriptor, so a reader never
@@ -203,11 +196,7 @@ def decode(data: "bytes | memoryview") -> object:
 
 
 # --------------------------------------------------------------------------
-# Framed records: the one on-disk format of the spool and the checkpoint log
-
-#: Spool record kinds: a codec-encoded result, a pickled worker exception,
-#: or a codec-encoded result that a ``corrupt`` chaos fault wrapped.
-KIND_OK, KIND_EXC, KIND_CORRUPT = 0, 1, 2
+# Framed records: the on-disk format of the checkpoint log
 
 #: Frame header: CRC32 of the payload, then its byte length.
 _FRAME = struct.Struct("<II")

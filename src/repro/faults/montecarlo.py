@@ -412,11 +412,11 @@ def eol_fraction_by_channels(
 
     *trials* defaults to ``REPRO_MC_TRIALS`` (else 20000).  Cells fan out
     over processes (``jobs``; ``REPRO_JOBS``/cpu count by default, 1 =
-    in-process) and come back as exact histograms.  The resilient engine
-    retries crashed/hung/failed cells (its ``retries`` / ``timeout``
-    defaults); cells that exhaust their budget surface in a
-    :class:`~repro.experiments.parallel.CampaignError` *after* every
-    other cell has completed.
+    in-process) and come back as exact histograms.  Each cell runs once;
+    a cell that raises, or that a dying pool worker leaves unfinished,
+    surfaces in a :class:`~repro.experiments.parallel.CampaignError`
+    *after* every other result has arrived.  Nothing is cached, so a
+    failed campaign is simply rerun.
     """
     from repro.experiments import parallel
 

@@ -1168,7 +1168,7 @@ def sharded_estimate(
     seed: int = 0,
     jobs: "int | None" = None,
 ) -> "WeightedEstimate | StratifiedEstimate":
-    """Sharded rare-event campaign through the resilient engine.
+    """Sharded rare-event campaign through the campaign engine.
 
     The one-organization case of :func:`sharded_estimates`.
     """
@@ -1194,8 +1194,9 @@ def sharded_estimates(
     runs; the shards of every organization fan out in one
     :func:`repro.experiments.parallel.run_tasks` call (``jobs``;
     ``REPRO_JOBS``/cpu count by default, 1 = in-process), so one pool
-    serves them all, and the engine's retry/timeout/chaos machinery
-    applies per shard.  Each organization's completed shards are merged
+    serves them all; a shard that fails (or that a dying pool worker
+    leaves unfinished) surfaces in the engine's
+    :class:`~repro.experiments.parallel.CampaignError`.  Each organization's completed shards are merged
     in shard order, so serial and parallel campaigns agree bit-for-bit.
     Returns the estimates in the order of *orgs*.
     """

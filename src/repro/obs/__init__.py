@@ -1,9 +1,9 @@
 """Zero-dependency telemetry plane: structured events, spans, manifests.
 
-The reproduction's campaign stack (resilient engine, Monte Carlo plane,
+The reproduction's campaign stack (campaign engine, Monte Carlo plane,
 timing simulator) runs production-scale workloads but was previously
-blind: retries, pool rebuilds, degradation to serial, and MC convergence
-were invisible except through final results.  This package makes them
+blind: task outcomes, worker deaths and MC convergence were invisible
+except through final results.  This package makes them
 observable without perturbing them:
 
 * **Event bus** - :func:`emit` appends one JSON object per line to

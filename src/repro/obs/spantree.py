@@ -5,8 +5,8 @@ Consumes the flat ``trace.span`` records the span plane
 causal structure of a campaign:
 
 * :func:`build_forest` — parent-link the spans of each trace into trees.
-  A span whose parent never closed (a chaos ``crash`` kills the worker
-  between a child's emit and the parent's) gets a **synthetic** parent
+  A span whose parent never closed (a worker that dies between a
+  child's emit and the parent's) gets a **synthetic** parent
   node spanning its children, attached to the trace's root, so the
   forest stays complete through crashes.
 * :func:`critical_path` — the chain of latest-finishing descendants from
@@ -18,20 +18,16 @@ causal structure of a campaign:
   ========  ==========================================================
   bucket    instants where the highest-precedence active descendant is
   ========  ==========================================================
-  codec     a ``codec`` span (result encode/decode)
   sim       a ``sim`` span (timing-simulator runs and epochs)
   mc        an ``mc`` span (Monte Carlo chunk loops and shards)
   compute   a ``compute`` span (worker task bodies outside sim/mc)
-  retry     a ``retry`` span (backoff sleeps, pool rebuilds)
   dispatch  any other span (queueing, submission, envelope overhead)
   idle      no descendant span at all is active
   ========  ==========================================================
 
-  Precedence (codec > sim > mc > compute > retry > dispatch) charges an
-  instant to the most specific work happening anywhere in the campaign:
-  a spool decode racing a worker's compute charges to codec only for
-  the microseconds it actually takes, and a task body charges to
-  ``compute`` only where no simulator or MC span runs.
+  Precedence (sim > mc > compute > dispatch) charges an instant to the
+  most specific work happening anywhere in the campaign: a task body
+  charges to ``compute`` only where no simulator or MC span runs.
 
 :func:`trace_summary` packages forest + critical path + buckets as the
 ``trace`` section of :func:`repro.obs.summarize.summarize`.
@@ -41,15 +37,13 @@ from __future__ import annotations
 
 #: Category → attribution bucket (anything else falls into ``dispatch``).
 BUCKET_BY_CAT = {
-    "codec": "codec",
     "sim": "sim",
     "mc": "mc",
     "compute": "compute",
-    "retry": "retry",
 }
 
 #: Sweep precedence, most specific first; ``idle`` is the absence of all.
-BUCKET_PRECEDENCE = ("codec", "sim", "mc", "compute", "retry", "dispatch")
+BUCKET_PRECEDENCE = ("sim", "mc", "compute", "dispatch")
 
 BUCKETS = BUCKET_PRECEDENCE + ("idle",)
 

@@ -1,10 +1,9 @@
 """Render a campaign report from a telemetry run directory.
 
 ``python -m repro.obs.summarize <run-dir>`` reads ``manifest.json`` and
-``events.jsonl`` and reconstructs what the campaign did — task outcomes
-per index, retry/timeout/rebuild/degrade totals, a wall-clock throughput
-timeline, and every chaos firing correlated with the recovery that
-followed it — from the telemetry alone, with no access to the campaign's
+``events.jsonl`` and reconstructs what the campaigns did — each task's
+outcome per campaign, ok/failed totals, and a wall-clock throughput
+timeline — from the telemetry alone, with no access to the campaign's
 in-process state.  :func:`summarize` returns the same reconstruction as a
 dict for tests and tooling; ``--json`` prints it instead of the text
 report.
@@ -34,40 +33,41 @@ def read_events(run_dir: "Path | str") -> "list[dict]":
 
 
 def _engine_summary(events: "list[dict]") -> dict:
-    """Per-task outcomes and campaign totals from engine.* events."""
-    tasks: "dict[int, dict]" = {}
+    """Per-task outcomes and totals from engine.* events.
 
-    def task(index):
-        return tasks.setdefault(
-            int(index),
-            {"attempts": 0, "status": "pending", "retries": 0, "timeouts": 0,
-             "requeues": 0, "errors": [], "worker_pids": [], "wall_s": None},
-        )
-
-    totals = {"ok": 0, "failed": 0, "retries": 0, "timeouts": 0,
-              "requeues": 0, "rebuilds": 0, "degrades": 0}
-    start = done = None
+    Several campaigns may share a run dir and reuse task indices, so a
+    task is keyed by ``(campaign, index)``: campaigns are numbered in
+    ``engine.start`` order, and an event belongs to the campaign whose
+    start carried the same ``span`` (the campaign span), else to the
+    latest one started.
+    """
+    tasks: "dict[tuple[int, int], dict]" = {}
+    totals = {"campaigns": 0, "ok": 0, "failed": 0}
+    by_span: "dict[str, int]" = {}
+    starts, dones = [], []
     for e in events:
         kind = e.get("kind", "")
         if not kind.startswith("engine."):
             continue
         if kind == "engine.start":
-            start = e
+            totals["campaigns"] += 1
+            starts.append(e)
+            if e.get("span") is not None:
+                by_span[e["span"]] = len(starts) - 1
             continue
         if kind == "engine.done":
-            done = e
+            dones.append(e)
             continue
-        if kind == "engine.rebuild":
-            totals["rebuilds"] += 1
+        if "index" not in e or not starts:
             continue
-        if kind == "engine.degrade":
-            totals["degrades"] += 1
-            continue
-        if "index" not in e:
-            continue
-        t = task(e["index"])
+        campaign = by_span.get(e.get("span"), len(starts) - 1)
+        t = tasks.setdefault(
+            (campaign, int(e["index"])),
+            {"campaign": campaign, "index": int(e["index"]), "status": "pending",
+             "submits": 0, "errors": [], "worker_pids": [], "wall_s": None},
+        )
         if kind == "engine.submit":
-            t["attempts"] = max(t["attempts"], int(e.get("attempt", 0)) + 1)
+            t["submits"] += 1
         elif kind == "engine.ok":
             t["status"] = "ok"
             t["wall_s"] = e.get("wall_s")
@@ -75,25 +75,15 @@ def _engine_summary(events: "list[dict]") -> dict:
             pid = e.get("worker_pid")
             if pid is not None and pid not in t["worker_pids"]:
                 t["worker_pids"].append(pid)
-        elif kind == "engine.error":
-            t["errors"].append(e.get("error", ""))
-        elif kind == "engine.retry":
-            t["retries"] += 1
-            totals["retries"] += 1
-        elif kind == "engine.timeout":
-            t["timeouts"] += 1
-            totals["timeouts"] += 1
-        elif kind == "engine.requeue":
-            t["requeues"] += 1
-            totals["requeues"] += 1
         elif kind == "engine.fail":
             t["status"] = "failed"
+            t["errors"].append(f"{e.get('reason', '?')}: {e.get('error', '')}")
             totals["failed"] += 1
     return {
-        "tasks": {k: tasks[k] for k in sorted(tasks)},
+        "tasks": [tasks[k] for k in sorted(tasks)],
         "totals": totals,
-        "start": start,
-        "done": done,
+        "start": starts[-1] if starts else None,
+        "done": dones[-1] if dones else None,
     }
 
 
@@ -148,50 +138,6 @@ def _sim_summary(events: "list[dict]") -> "dict | None":
     return {"runs": len(runs), "last": runs[-1]}
 
 
-def _chaos_summary(events: "list[dict]") -> "list[dict]":
-    """Each chaos firing, correlated with the recovery that followed it.
-
-    A firing against task *index* is recovered when a later ``engine.ok``
-    for the same index appears in the stream; the recovery record carries
-    how the engine got there (which attempt succeeded).  When both events
-    carry a ``trace`` id the match stays within the firing's campaign, and
-    an ``engine.fail`` for the index there ends the search unrecovered —
-    another campaign sharing the run dir never lends its success.
-    """
-    out = []
-    for i, e in enumerate(events):
-        if e.get("kind") != "chaos.fire":
-            continue
-        fire = {k: e[k] for k in ("mode", "index", "attempt", "param") if k in e}
-        fire["ts"] = e.get("ts")
-        trace_id = e.get("trace")
-        recovery = None
-        for later in events[i + 1:]:
-            if later.get("index") != e.get("index"):
-                continue
-            other = later.get("trace")
-            if trace_id is not None and other is not None:
-                if other != trace_id:
-                    continue  # another campaign sharing the run dir
-                if later.get("kind") == "engine.fail":
-                    break
-            if later.get("kind") == "engine.ok":
-                recovery = {
-                    "attempt": later.get("attempt"),
-                    "worker_pid": later.get("worker_pid"),
-                    "after_s": (
-                        round(later["ts"] - e["ts"], 6)
-                        if later.get("ts") is not None and e.get("ts") is not None
-                        else None
-                    ),
-                }
-                break
-        fire["recovered"] = recovery is not None
-        fire["recovery"] = recovery
-        out.append(fire)
-    return out
-
-
 def _timeline(events: "list[dict]") -> "list[dict]":
     """Bucketed progress: completions and MC trials per wall-clock slice."""
     marks = [e for e in events if e.get("kind") in ("engine.ok", "mc.chunk") and "ts" in e]
@@ -231,7 +177,6 @@ def summarize(run_dir: "Path | str") -> dict:
         "mc": _mc_summary(events),
         "ecc": _ecc_summary(events),
         "sim": _sim_summary(events),
-        "chaos": _chaos_summary(events),
         "timeline": _timeline(events),
         "trace": trace_summary(events),
     }
@@ -280,18 +225,14 @@ def render(summary: dict) -> str:
     if eng["tasks"]:
         totals = eng["totals"]
         lines.append(
-            "engine: {ok} ok, {failed} failed, {retries} retries, {timeouts} timeouts, "
-            "{requeues} requeues, {rebuilds} rebuilds, {degrades} degrades".format(**totals)
+            "engine: {campaigns} campaign(s), {ok} ok, {failed} failed".format(**totals)
         )
         rows = [
-            [str(i), t["status"], str(t["attempts"]), str(t["retries"]),
-             str(t["timeouts"]), str(t["requeues"]),
+            [str(t["campaign"]), str(t["index"]), t["status"], str(t["submits"]),
              ",".join(str(p) for p in t["worker_pids"]) or "-"]
-            for i, t in eng["tasks"].items()
+            for t in eng["tasks"]
         ]
-        lines += _table(
-            ["task", "status", "attempts", "retries", "timeouts", "requeues", "workers"], rows
-        )
+        lines += _table(["campaign", "task", "status", "submits", "workers"], rows)
         lines.append("")
 
     if summary["mc"]:
@@ -323,21 +264,6 @@ def render(summary: dict) -> str:
             f"llc {last.get('llc_hits')}/{last.get('llc_misses')} hit/miss, "
             f"{last.get('fast_picks')} fast picks / {last.get('issued_requests')} issues"
         )
-        lines.append("")
-
-    if summary["chaos"]:
-        lines.append("chaos firings:")
-        rows = []
-        for c in summary["chaos"]:
-            rec = c["recovery"]
-            rows.append([
-                c.get("mode", "?"),
-                str(c.get("index", "?")),
-                str(c.get("attempt", "?")),
-                ("recovered on attempt "
-                 f"{rec['attempt']} after {rec['after_s']}s") if c["recovered"] else "NOT RECOVERED",
-            ])
-        lines += _table(["mode", "task", "attempt", "outcome"], rows)
         lines.append("")
 
     if summary.get("trace"):

@@ -6,8 +6,8 @@ runs inside a **span** — a ``(trace_id, span_id, parent_id)`` context
 with monotonic start/end stamps and a category tag — emitted as a single
 ``trace.span`` event when the span closes.  Because spans ride the same
 O_APPEND JSONL stream as ordinary events, one campaign reconstructs as a
-single span forest (:mod:`repro.obs.spantree`) even through pool
-rebuilds, worker retries, batched super-tasks, and crash/resume.
+single span forest (:mod:`repro.obs.spantree`) even through batched
+super-tasks, worker deaths, and crash/resume.
 
 Design constraints, in order:
 
@@ -17,9 +17,7 @@ Design constraints, in order:
    both simulator kernels.
 2. **Propagation is explicit and picklable.**  A span context crosses a
    process boundary as a plain ``(trace_id, span_id)`` tuple: the engine
-   threads it through the task envelope (:func:`repro.obs.worker_config`),
-   and super-task spool frames carry the emitting span id
-   (:mod:`repro.experiments.resultcodec`).
+   threads it through the task envelope (:func:`repro.obs.worker_config`).
 3. **Ambient by default, explicit when needed.**  Spans nest through the
    bus's :class:`contextvars.ContextVar` (``repro.obs._current``), which
    :func:`repro.obs.emit` also stamps onto every event; pass ``parent=``
@@ -37,7 +35,7 @@ Span event schema (``kind == "trace.span"``)::
     span    16-hex span id (unique per span)
     parent  16-hex parent span id, or null for a root
     name    operation name, e.g. "engine.task"
-    cat     attribution bucket: dispatch|compute|codec|retry|mc|sim
+    cat     attribution bucket: dispatch|compute|mc|sim
     t0, t1  monotonic start/end seconds (same axis as event ``ts``)
 
 plus any keyword fields given at start, :meth:`Span.annotate`, or end.

@@ -201,14 +201,16 @@ def write_json_cache_atomic(path: Path, cache: "dict[str, object]") -> None:
 
     The current file is reloaded and the union (disk entries under *cache*
     entries) is written, preserving cells finished by a concurrent campaign
-    between our loads.  The written file always carries the schema stamp.
-    The caller's *cache* dict is never mutated.
+    between our loads.  *cache* keeps its key order, disk-only entries
+    follow it, so a resumed sweep writes the bytes of an uninterrupted
+    one.  The written file always carries the schema stamp.  The caller's
+    *cache* dict is never mutated.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     _sweep_once(path.parent)
     on_disk = load_json_cache(path)
     if on_disk:
-        cache = {**on_disk, **cache}
+        cache = {**cache, **{k: v for k, v in on_disk.items() if k not in cache}}
     payload = {k: v for k, v in cache.items() if k != META_KEY}
     payload[META_KEY] = {"schema": SCHEMA_VERSION}
     data = json.dumps(payload)

@@ -1,53 +1,13 @@
-"""Deterministic chaos harness for the campaign engine.
+"""Deterministic host/I-O fault injection for the checkpointed result store.
 
-The resilience layer in :mod:`repro.experiments.parallel` (retries,
-per-task timeouts, pool rebuilds, serial degradation) is only trustworthy
-if its recovery paths are *exercised*, not just written.  This module
-injects worker faults at precisely chosen task indices so tests can drive
-every path deterministically and then assert that the recovered campaign
-is bit-identical to a fault-free serial run.
-
-A chaos spec is a comma-separated list of fault entries::
-
-    mode[=param]@index[#attempt]
-
-* ``mode`` — ``crash`` (the worker process dies via ``os._exit``; the
-  executor surfaces this as ``BrokenProcessPool``), ``hang`` (the worker
-  sleeps *param* seconds — default :data:`DEFAULT_HANG_S` — before doing
-  its work, tripping the engine's per-task timeout), or ``corrupt`` (the
-  result is wrapped in a :class:`Corrupted` marker, which the engine
-  rejects and retries).
-* ``param`` — exit code for ``crash`` (default :data:`DEFAULT_EXIT_CODE`),
-  sleep seconds for ``hang``.
-* ``index`` — the task's position in the campaign's payload list.
-* ``attempt`` — which attempt the fault hits: an integer, or ``*`` for
-  every attempt.  Default ``1``, so a retried task succeeds — the shape
-  chaos tests use to prove recovery converges on the fault-free result.
-  The engine's attempt number counts the runs *charged* to a task: one
-  that raised, returned a corrupt result, timed out, or killed its
-  worker.  A task merely in flight when a sibling broke the pool is
-  requeued under the same number, so a fault pinned to ``#1`` fires
-  again on that rerun.
-
-Example: ``"crash@2,hang=30@5#1,corrupt@0#*"``.
-
-Specs travel to workers as plain strings (via the engine) and are parsed
-on both sides, so nothing unpicklable crosses the process boundary.  The
-engine takes a spec as its ``chaos`` argument; :func:`arm` sets the
-process-wide default for campaigns that do not pass one (tests driving a
-whole campaign driver).  Faults are injected **only into pool workers** —
-the serial in-process path (and the engine's degraded-to-serial recovery
-path) stays the fault-free reference.
-
-Host/I-O chaos plane
---------------------
-
-Worker faults exercise the *engine's* recovery paths; the checkpointed
-result store (:class:`repro.util.cachefile.Checkpoint`) also has to
-survive faults of the *host* — a full disk, a dying filesystem, the
-driver itself being killed.  A second spec, armed via :func:`arm_io`,
-injects those at named I/O sites (every one runs in the driver
-process)::
+The campaign engine (:mod:`repro.experiments.parallel`) recovers from a
+failed campaign by rerunning it: the evaluation matrix resumes from its
+checkpoint log (:class:`repro.util.cachefile.Checkpoint`).  That log is
+only trustworthy if its recovery paths are *exercised*, not just
+written, so it has to survive faults of the *host* — a full disk, a
+dying filesystem, the driver itself being killed.  A spec armed via
+:func:`arm_io` injects those at named I/O sites (every one runs in the
+driver process)::
 
     mode[=param]@op[#n]
 
@@ -82,146 +42,6 @@ from dataclasses import dataclass
 #: Default byte cap for ``torn`` faults — small enough to guarantee the
 #: record/frame being written is visibly truncated.
 DEFAULT_TORN_BYTES = 16.0
-
-#: Default sleep for ``hang`` faults — long enough that any sane per-task
-#: timeout fires first.
-DEFAULT_HANG_S = 300.0
-
-#: Default exit code for ``crash`` faults (arbitrary, recognizably chaotic).
-DEFAULT_EXIT_CODE = 76
-
-_MODES = ("crash", "hang", "corrupt")
-
-
-class Corrupted:
-    """Picklable marker a ``corrupt`` fault wraps a worker's result in.
-
-    The campaign engine treats any :class:`Corrupted` result as a failed
-    attempt (kind ``corrupt``) and retries the task, so the corruption
-    never reaches the caller's merge step.
-    """
-
-    def __init__(self, original):
-        self.original = original
-
-    def __repr__(self):
-        return f"Corrupted({self.original!r})"
-
-
-@dataclass(frozen=True)
-class ChaosFault:
-    """One parsed fault entry."""
-
-    mode: str  #: "crash" | "hang" | "corrupt"
-    index: int  #: task index within the campaign's payload list
-    attempt: "int | None"  #: attempt to hit; None = every attempt
-    param: float  #: exit code (crash) or sleep seconds (hang)
-
-    def matches(self, index: int, attempt: int) -> bool:
-        return self.index == index and self.attempt in (None, attempt)
-
-
-def parse(spec: str) -> "tuple[ChaosFault, ...]":
-    """Parse a chaos spec string; malformed entries raise ``ValueError``."""
-    faults = []
-    for entry in spec.split(","):
-        entry = entry.strip()
-        if not entry:
-            continue
-        head, sep, tail = entry.partition("@")
-        if not sep:
-            raise ValueError(f"chaos entry {entry!r} must look like mode@index")
-        mode, _, param = head.partition("=")
-        mode = mode.strip()
-        if mode not in _MODES:
-            raise ValueError(f"chaos mode must be one of {_MODES}, got {mode!r}")
-        if param and mode == "corrupt":
-            raise ValueError(f"chaos mode 'corrupt' takes no parameter: {entry!r}")
-        idx_s, _, att_s = tail.partition("#")
-        try:
-            index = int(idx_s)
-        except ValueError:
-            raise ValueError(f"chaos task index must be an integer: {entry!r}") from None
-        if index < 0:
-            raise ValueError(f"chaos task index must be >= 0: {entry!r}")
-        att_s = att_s.strip()
-        if att_s == "*":
-            attempt = None
-        else:
-            try:
-                attempt = int(att_s) if att_s else 1
-            except ValueError:
-                raise ValueError(f"chaos attempt must be an integer or '*': {entry!r}") from None
-        if mode == "crash":
-            value = float(param) if param else float(DEFAULT_EXIT_CODE)
-        elif mode == "hang":
-            value = float(param) if param else DEFAULT_HANG_S
-        else:
-            value = 0.0
-        faults.append(ChaosFault(mode, index, attempt, value))
-    return tuple(faults)
-
-
-#: Process-wide default spec of the campaign engine; ``None`` = disarmed.
-_spec: "str | None" = None
-
-
-def arm(spec: "str | None") -> None:
-    """Arm (or, with ``None``/empty, disarm) the engine's default spec.
-
-    Validated eagerly so typos fail here rather than inside a worker;
-    :func:`repro.experiments.parallel.run_tasks` applies it whenever its
-    ``chaos`` argument is ``None``.
-    """
-    global _spec
-    if spec:
-        parse(spec)
-    _spec = spec or None
-
-
-def armed() -> "str | None":
-    """The spec set by :func:`arm`, or ``None`` when disarmed."""
-    return _spec
-
-
-def chaos_call(spec: str, worker, index: int, attempt: int, payload: tuple):
-    """Worker-side wrapper: apply the first matching fault, then run the task.
-
-    ``crash`` never returns; ``hang`` sleeps before doing the (correct)
-    work, so a generous timeout just sees a slow task; ``corrupt`` does the
-    work and wraps the result.  With no matching fault this is exactly
-    ``worker(*payload)`` — the engine's determinism contract depends on
-    that.
-    """
-    for fault in parse(spec):
-        if fault.matches(index, attempt):
-            _emit_fire(fault, index, attempt)
-            if fault.mode == "crash":
-                os._exit(int(fault.param))
-            if fault.mode == "hang":
-                time.sleep(fault.param)
-            elif fault.mode == "corrupt":
-                return Corrupted(worker(*payload))
-            break
-    return worker(*payload)
-
-
-def _emit_fire(fault: ChaosFault, index: int, attempt: int) -> None:
-    """Record a firing on the event bus (mode ``chaos``) before it applies.
-
-    Emitted worker-side *before* the fault takes effect, so even a
-    ``crash`` firing (the worker dies immediately after) reaches the
-    JSONL — tests and ``repro.obs.summarize`` correlate each firing with
-    the recovery that follows it in the stream.
-    """
-    from repro import obs
-
-    obs.emit("chaos.fire", mode=fault.mode, index=index, attempt=attempt, param=fault.param)
-
-
-# --------------------------------------------------------------------------
-# Host/I-O chaos plane
-# --------------------------------------------------------------------------
 
 _IO_MODES = ("enospc", "eio", "torn", "kill")
 

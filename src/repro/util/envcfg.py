@@ -5,9 +5,8 @@ worker count (``REPRO_JOBS``), Monte Carlo trial budget
 (``REPRO_MC_TRIALS``), the simulation kernel (``REPRO_SIM_KERNEL``), the
 result cache (``REPRO_CACHE_DIR``), telemetry (``REPRO_OBS``,
 ``REPRO_OBS_DIR``) and benchmark budgets (``REPRO_BENCH_QUICK``).  Every
-other setting is a call argument at the point of use (``timeout=``,
-``retries=``, ``chaos=``, ``chunk_size=``, ``tilt=``, the rare-event
-estimator ``mode=``, ...).
+other setting is a call argument at the point of use (``batch=``,
+``chunk_size=``, ``tilt=``, the rare-event estimator ``mode=``, ...).
 
 Each knob has one resolver here, named after what it sets (:func:`jobs`,
 :func:`mc_trials`, :func:`sim_kernel`, ...).  The resolvers share a few

@@ -23,7 +23,7 @@ MODULES = sorted(set(re.findall(r"python3? -m (repro(?:\.\w+)*)", WORKFLOW)))
 def test_workflow_names_paths_and_modules():
     # The patterns must match something, or the checks below pass vacuously.
     assert "benchmarks/perf_guard.py" in PATHS
-    assert "tests/test_chaos.py" in PATHS
+    assert "tests/test_resilience.py" in PATHS
     assert "repro.obs.summarize" in MODULES
 
 

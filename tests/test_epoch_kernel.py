@@ -10,7 +10,7 @@ state, IPC windows, event sequence numbers).
 Coverage is a scenario matrix over schemes, channel counts, mapping
 policies, ECC-parity wrap, degraded mode (fault states), scrubbing,
 uncached ECC/XOR lines, bursts and IPC windows, plus a seeded random
-property sweep, the paper's ablation experiments, and a chaos-armed
+property sweep, the paper's ablation experiments, and a pooled
 evaluation-matrix run proving serial == parallel == epoch.  On a host
 without a compiler the epoch kernel is the event loop itself, so these
 tests then compare the oracle with itself; CI asserts the core builds.
@@ -39,7 +39,7 @@ from repro.experiments import runner
 from repro.experiments.ablation import xor_caching_ablation
 from repro.experiments.evaluation import Fidelity, evaluation_matrix
 from repro.experiments.transition import materialization_storm
-from repro.util import chaos, envcfg
+from repro.util import envcfg
 from repro.workloads.generator import make_core_traces
 from repro.workloads.profiles import ALL_WORKLOADS, WORKLOADS_BY_NAME
 
@@ -674,13 +674,11 @@ CELLS = dict(workloads=["streamcluster", "sjeng"],
 
 
 class TestMatrixKernelIdentity:
-    def test_chaos_armed_serial_parallel_epoch_identical(self, tmp_path, monkeypatch):
-        """Event-serial == epoch-serial == epoch-parallel-under-chaos.
+    def test_serial_parallel_epoch_identical(self, tmp_path, monkeypatch):
+        """Event-serial == epoch-serial == epoch-parallel, cache bytes too.
 
-        The parallel sweep runs with an injected worker crash (recovered
-        by the retry engine), so this simultaneously proves kernel
-        identity end-to-end through the evaluation matrix and that chaos
-        recovery does not perturb results.
+        Kernel identity end-to-end through the evaluation matrix, and
+        through the pool's batched dispatch.
         """
         monkeypatch.setattr(ev, "CACHE_DIR", tmp_path / "event")
         monkeypatch.setenv("REPRO_SIM_KERNEL", "event")
@@ -692,11 +690,9 @@ class TestMatrixKernelIdentity:
 
         monkeypatch.setattr(ev, "CACHE_DIR", tmp_path / "par")
         monkeypatch.setenv("REPRO_JOBS", "2")
-        chaos.arm("crash@1")
-        try:
-            parallel_epoch = evaluation_matrix("quad", fidelity=TINY, **CELLS)
-        finally:
-            chaos.arm(None)
+        parallel_epoch = evaluation_matrix("quad", fidelity=TINY, **CELLS)
 
         assert serial_epoch == serial_event
         assert parallel_epoch == serial_event
+        caches = {d: next((tmp_path / d).glob("*.json")).read_bytes() for d in ("event", "epoch", "par")}
+        assert caches["epoch"] == caches["event"] == caches["par"]

@@ -1,9 +1,8 @@
 """Telemetry plane: event bus, manifests, and the summarizer.
 
-The acceptance bar for the observability layer (mirroring the chaos
-suite's bit-identity bar): a chaos-storm campaign must be fully
-reconstructible from its run directory's JSONL alone — every task's
-outcome, every injected fault, and the recovery that followed it.
+The acceptance bar for the observability layer: a campaign whose pool
+worker died must be fully reconstructible from its run directory's JSONL
+alone — every task's outcome, and the worker death that ended it.
 """
 
 import json
@@ -281,95 +280,92 @@ class TestSimEvents:
         assert summarize(run_dir)["sim"]["runs"] == 1
 
 
-class TestSummarizeChaosStorm:
-    """Acceptance: reconstruct a chaos-storm campaign from JSONL alone."""
+def _eol_or_exit(die, *payload):
+    """``_eol_cell``, except that the worker process dies when *die* is set."""
+    if die:
+        os._exit(3)
+    return _eol_cell(*payload)
+
+
+class TestSummarizeWorkerDeath:
+    """Acceptance: reconstruct a campaign whose worker died from JSONL alone."""
+
+    DIES = 4
 
     @pytest.fixture(scope="class")
-    def storm_summary(self, tmp_path_factory):
-        run = tmp_path_factory.mktemp("storm") / "run"
+    def death_summary(self, tmp_path_factory):
+        run = tmp_path_factory.mktemp("death") / "run"
         obs.configure(run)
+        payloads = [(i == self.DIES, *p) for i, p in enumerate(PAYLOADS)]
+        got = []
         try:
-            out = list(
-                parallel.run_tasks(
-                    _eol_cell,
-                    PAYLOADS,
-                    jobs=3,
-                    # The hang fires on *every* attempt (#*) so at least
-                    # one of them is guaranteed to trip the deadline in a
-                    # pool — a single-attempt hang could be requeued by
-                    # the crash's pool break before its timeout expires.
-                    # Recovery then comes from the degraded serial path,
-                    # which injects no chaos.
-                    chaos="crash@1,corrupt@4,hang=30@5#*",
-                    timeout=2.0,
-                    retries=2,
-                    backoff=0,
-                )
-            )
+            with pytest.raises(parallel.CampaignError) as ei:
+                for r in parallel.run_tasks(_eol_or_exit, payloads, jobs=3, batch=1):
+                    got.append(r)
         finally:
             obs.disarm()
-        assert len(out) == len(PAYLOADS)
-        return summarize(run)
+        # The results that arrived are the serial ones.
+        reference = list(parallel.run_tasks(_eol_cell, PAYLOADS, jobs=1))
+        assert all(r in reference for r in got)
+        failed = sorted(f.index for f in ei.value.failures)
+        return summarize(run), len(got), failed
 
-    def test_every_task_outcome_reconstructed(self, storm_summary):
-        eng = storm_summary["engine"]
-        assert set(eng["tasks"]) == set(range(len(PAYLOADS)))
-        assert all(t["status"] == "ok" for t in eng["tasks"].values())
-        assert eng["totals"]["ok"] == len(PAYLOADS)
-        assert eng["totals"]["failed"] == 0
+    def test_every_task_outcome_reconstructed(self, death_summary):
+        summary, ok, failed = death_summary
+        eng = summary["engine"]
+        assert [(t["campaign"], t["index"]) for t in eng["tasks"]] == [
+            (0, i) for i in range(len(PAYLOADS))
+        ]
+        for t in eng["tasks"]:
+            assert t["status"] == ("failed" if t["index"] in failed else "ok")
+            # A task still queued when the pool broke was never submitted.
+            assert t["submits"] == (1 if t["status"] == "ok" else t["submits"]) <= 1
+        assert eng["totals"] == {"campaigns": 1, "ok": ok, "failed": len(failed)}
 
-    def test_every_fault_and_recovery_reconstructed(self, storm_summary):
-        fired = {(c["mode"], c["index"]) for c in storm_summary["chaos"]}
-        assert fired == {("crash", 1), ("corrupt", 4), ("hang", 5)}
-        assert all(c["recovered"] for c in storm_summary["chaos"])
-        for c in storm_summary["chaos"]:
-            assert c["recovery"]["attempt"] >= 2
+    def test_worker_death_in_stream(self, death_summary):
+        summary, ok, failed = death_summary
+        (dead,) = [t for t in summary["engine"]["tasks"] if t["index"] == self.DIES]
+        assert dead["status"] == "failed"
+        assert dead["errors"][0].startswith("worker died: BrokenProcessPool")
+        assert summary["engine"]["start"]["tasks"] == len(PAYLOADS)
+        assert summary["kinds"]["engine.fail"] == len(failed)
+        assert summary["engine"]["done"]["failed"] == len(failed)
 
-    def test_recovery_mechanics_in_stream(self, storm_summary):
-        kinds = storm_summary["kinds"]
-        assert kinds.get("engine.rebuild", 0) >= 1  # crash and/or hang
-        assert kinds.get("engine.timeout", 0) >= 1  # hang tripped the deadline
-        assert kinds.get("engine.retry", 0) >= 1  # corrupt consumed a retry
-        assert storm_summary["engine"]["start"]["tasks"] == len(PAYLOADS)
-        assert storm_summary["engine"]["done"]["ok"] == len(PAYLOADS)
-
-    def test_manifest_captured(self, storm_summary):
-        man = storm_summary["manifest"]
+    def test_manifest_captured(self, death_summary):
+        man = death_summary[0]["manifest"]
         assert man["package"]["name"] == "repro"
         assert set(man["knobs"]) == set(envcfg.KNOBS)
 
-    def test_render_and_cli(self, storm_summary):
-        text = render(storm_summary)
-        assert "recovered on attempt" in text
-        assert "NOT RECOVERED" not in text
+    def test_render_and_cli(self, death_summary):
+        summary, ok, failed = death_summary
+        text = render(summary)
+        assert f"engine: 1 campaign(s), {ok} ok, {len(failed)} failed" in text
+        assert "campaign  task  status  submits  workers" in text
         out = subprocess.run(
-            [sys.executable, "-m", "repro.obs.summarize", storm_summary["run_dir"], "--json"],
+            [sys.executable, "-m", "repro.obs.summarize", summary["run_dir"], "--json"],
             capture_output=True,
             text=True,
             check=True,
             env=_subprocess_env(),
         )
         parsed = json.loads(out.stdout)
-        assert parsed["engine"]["totals"]["ok"] == len(PAYLOADS)
+        assert parsed["engine"]["totals"]["failed"] == len(failed)
 
 
-class TestChaosRecoveryScope:
-    def test_recovery_is_not_borrowed_from_another_campaign(self, run_dir):
-        """A firing whose task failed stays unrecovered even when a later
-        campaign in the same run dir succeeds on the same task index."""
-        payloads = [(1, 2), (3, 4)]
-        with pytest.raises(parallel.CampaignError):
-            list(
-                parallel.run_tasks(
-                    operator.add, payloads, jobs=2, chaos="corrupt@0#*",
-                    retries=0, backoff=0, batch=1,
-                )
-            )
-        clean = parallel.run_tasks(operator.add, payloads, jobs=2, backoff=0, batch=1)
-        assert sorted(clean) == [3, 7]
-        (fire,) = summarize(run_dir)["chaos"]
-        assert (fire["mode"], fire["index"]) == ("corrupt", 0)
-        assert fire["recovered"] is False and fire["recovery"] is None
+class TestSummarizeCampaigns:
+    def test_campaigns_sharing_a_run_dir_keep_their_own_rows(self, run_dir):
+        """Two campaigns reusing task indices in one run dir: one row per
+        (campaign, task), each submitted once."""
+        for payloads in ([(1, 2), (3, 4), (5, 6)], [(7, 8), (9, 10)]):
+            out = parallel.run_tasks(operator.add, payloads, jobs=2, batch=1)
+            assert sorted(out) == sorted(a + b for a, b in payloads)
+        eng = summarize(run_dir)["engine"]
+        assert [(t["campaign"], t["index"]) for t in eng["tasks"]] == [
+            (0, 0), (0, 1), (0, 2), (1, 0), (1, 1)
+        ]
+        assert all(t["submits"] == 1 and t["status"] == "ok" for t in eng["tasks"])
+        assert all(len(t["worker_pids"]) == 1 for t in eng["tasks"])
+        assert eng["totals"] == {"campaigns": 2, "ok": 5, "failed": 0}
 
 
 class TestTornLines:

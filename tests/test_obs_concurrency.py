@@ -104,7 +104,7 @@ def test_disarmed_children_emit_nothing(method, tmp_path):
 def test_engine_workers_self_arm(run_dir):
     """Pool workers of an armed parent report the parent's run dir, armed."""
     payloads = [(str(run_dir),)] * 4
-    out = list(parallel.run_tasks(_obs_state, payloads, jobs=2, backoff=0))
+    out = list(parallel.run_tasks(_obs_state, payloads, jobs=2))
     assert len(out) == 4
     for pid, seen_dir, armed in out:
         assert seen_dir == str(run_dir)

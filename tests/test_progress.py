@@ -91,7 +91,7 @@ class TestTrackerDeterminism:
         run = tmp_path / label
         obs.configure(run)
         try:
-            list(parallel.run_tasks(_square, PAYLOADS, jobs=jobs, backoff=0))
+            list(parallel.run_tasks(_square, PAYLOADS, jobs=jobs))
         finally:
             obs.disarm()
         return run
@@ -167,7 +167,7 @@ class TestLiveFollow:
         )
         obs.configure(run)
         try:
-            list(parallel.run_tasks(_square, PAYLOADS, jobs=2, backoff=0))
+            list(parallel.run_tasks(_square, PAYLOADS, jobs=2))
         finally:
             obs.disarm()
         out, err = follower.communicate(timeout=60)

@@ -11,11 +11,12 @@ Three layers of guarantees:
   (:func:`oracle_compare`) keeps IS and stratified estimates within
   analytic CI bounds of plain MC.
 * **Campaign semantics** - sharded runs merge bit-identically serial vs
-  parallel and survive an armed chaos storm.
+  parallel, and a run whose pool worker died reruns to the serial answer.
 """
 
 import json
 import math
+import os
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -442,22 +443,32 @@ class TestShardedCampaigns:
             merged = est if merged is None else merged.merge(est)
         assert out.to_dict() == merged.to_dict()
 
-    def test_chaos_storm_equals_serial(self, monkeypatch):
-        """Armed chaos on the pool == the fault-free serial answer."""
+    def test_worker_death_then_rerun_equals_serial(self, monkeypatch):
+        """A pooled campaign whose worker dies on shard 1 fails; the
+        rerun equals the serial answer."""
         from repro.experiments import parallel
-        from repro.util import chaos
 
         monkeypatch.setattr(rareevent, "DEFAULT_SHARDS", 3)
         kw = dict(mode="is", trials=3_000, seed=2)
         serial = sharded_estimate(jobs=1, **kw)
 
-        monkeypatch.setattr(parallel, "DEFAULT_TASK_RETRIES", 2)
-        chaos.arm("crash@1,corrupt@0")
-        try:
-            stormy = sharded_estimate(jobs=3, **kw)
-        finally:
-            chaos.arm(None)
-        assert stormy.to_dict() == serial.to_dict()
+        monkeypatch.setattr(rareevent, "_shard_worker", _shard_or_exit)
+        with pytest.raises(parallel.CampaignError) as ei:
+            sharded_estimate(jobs=3, **kw)
+        assert {f.kind for f in ei.value.failures} == {"worker died"}
+        assert 1 in {f.index for f in ei.value.failures}
+        monkeypatch.setattr(rareevent, "_shard_worker", _REAL_SHARD_WORKER)
+        assert sharded_estimate(jobs=3, **kw).to_dict() == serial.to_dict()
+
+
+_REAL_SHARD_WORKER = rareevent._shard_worker
+
+
+def _shard_or_exit(*payload):
+    """A shard worker whose process dies on shard 1."""
+    if payload[-3] == 1:
+        os._exit(3)
+    return _REAL_SHARD_WORKER(*payload)
 
 
 def _count_run_tasks(monkeypatch) -> list:

@@ -1,14 +1,16 @@
-"""Resilience layer of the campaign engine.
+"""Failure contract of the campaign engine.
 
-The contract under test: transient worker failures are retried with a
-bounded budget, exhausted tasks become structured failure records raised
-in one ``CampaignError`` *after* every healthy task completed, per-task
-timeouts reclaim hung workers by rebuilding the pool, cancellation
-(abandoned generator / KeyboardInterrupt) cleans the pool up without
-losing checkpointed work, and an interrupted campaign resumes from its
-cache recomputing only the unfinished cells.
+The contract under test: every task runs once; a task that raises
+becomes a structured failure record, raised in one ``CampaignError``
+*after* every healthy task completed; a dead pool worker ends the
+campaign at once, failing every unfinished task and leaving no worker
+behind; cancellation (abandoned generator / KeyboardInterrupt) cleans
+the pool up without losing checkpointed work; an interrupted campaign
+resumes from its cache recomputing only the unfinished cells; and every
+campaign driver's pooled run is bit-identical to its serial run.
 """
 
+import functools
 import json
 import multiprocessing
 import os
@@ -18,8 +20,13 @@ import time
 import pytest
 
 import repro.experiments.evaluation as ev
+from repro.ecc import Chipkill36, LotEcc5, LotEcc5RS
 from repro.experiments import parallel
+from repro.experiments.collision import two_fault_collision_mc
+from repro.experiments.coverage import coverage_study
 from repro.experiments.evaluation import Fidelity, evaluation_matrix
+from repro.experiments.reliability import figure8, figure8_tail
+from repro.faults.rareevent import run_is_coverage
 from repro.util import envcfg
 from repro.util.cachefile import load_json_cache, write_json_cache_atomic
 
@@ -44,14 +51,18 @@ def _boom_on_three(x):
     return x * x
 
 
-def _flaky(marker_dir, x):
-    """Deterministically fails on its first call per (marker_dir, x)."""
-    marker = os.path.join(marker_dir, f"marker-{x}")
-    if not os.path.exists(marker):
-        with open(marker, "w"):
-            pass
-        raise RuntimeError(f"transient {x}")
-    return x * x
+def _count_then_boom(marker_dir, x):
+    """Appends one byte per execution, then fails."""
+    with open(os.path.join(marker_dir, f"c{x}"), "ab") as fh:
+        fh.write(b"x")
+    raise RuntimeError(f"cell {x} failed")
+
+
+def _exit_on(target, x):
+    """Kills its worker process (as the OOM killer would) on task *target*."""
+    if x == target:
+        os._exit(3)
+    return x
 
 
 def _slow_touch(out_dir, i, delay):
@@ -62,30 +73,16 @@ def _slow_touch(out_dir, i, delay):
     return i
 
 
-class TestRetries:
-    def test_serial_flaky_retried_in_order(self, tmp_path):
-        out = list(
-            parallel.run_tasks(
-                _flaky, [(str(tmp_path), i) for i in range(5)], jobs=1, retries=1, backoff=0
-            )
-        )
-        assert out == [0, 1, 4, 9, 16]
+class TestTaskFailures:
+    """A failing task runs once and is recorded; the others complete."""
 
-    def test_pooled_flaky_retried(self, tmp_path):
-        out = list(
-            parallel.run_tasks(
-                _flaky, [(str(tmp_path), i) for i in range(6)], jobs=3, retries=2, backoff=0
-            )
-        )
-        assert sorted(out) == [0, 1, 4, 9, 16, 25]
-
-    def test_exhausted_budget_collected_as_failures(self):
+    def test_exceptions_collected_as_failures(self):
         with pytest.raises(parallel.CampaignError) as ei:
-            list(parallel.run_tasks(_boom, [(i,) for i in range(3)], jobs=1, retries=1, backoff=0))
+            list(parallel.run_tasks(_boom, [(i,) for i in range(3)], jobs=1))
         err = ei.value
         assert err.total == 3 and len(err.failures) == 3
         for f in err.failures:
-            assert f.kind == "exception" and f.attempts == 2
+            assert f.kind == "exception"
             assert "ValueError: bad cell" in f.error
         assert {f.payload for f in err.failures} == {(0,), (1,), (2,)}
         assert "bad cell" in str(err)
@@ -93,101 +90,71 @@ class TestRetries:
     def test_healthy_tasks_complete_before_campaign_error(self):
         got = []
         with pytest.raises(parallel.CampaignError) as ei:
-            for r in parallel.run_tasks(
-                _boom_on_three, [(i,) for i in range(6)], jobs=2, retries=1, backoff=0
-            ):
+            for r in parallel.run_tasks(_boom_on_three, [(i,) for i in range(6)], jobs=2):
                 got.append(r)
         assert sorted(got) == [0, 1, 4, 16, 25]
         (f,) = ei.value.failures
         assert f.payload == (3,) and f.index == 3 and f.kind == "exception"
 
-    def test_zero_retries_single_attempt(self):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failing_task_runs_once(self, tmp_path, jobs):
         with pytest.raises(parallel.CampaignError) as ei:
-            list(parallel.run_tasks(_boom, [(0,), (1,)], jobs=1, retries=0, backoff=0))
-        assert all(f.attempts == 1 for f in ei.value.failures)
+            list(parallel.run_tasks(_count_then_boom, [(str(tmp_path), i) for i in range(4)], jobs=jobs))
+        assert len(ei.value.failures) == 4
+        assert {p.name: p.stat().st_size for p in tmp_path.iterdir()} == {
+            f"c{i}": 1 for i in range(4)
+        }
 
 
-class TestTimeout:
-    def test_hung_task_fails_others_complete(self, tmp_path):
-        payloads = [(str(tmp_path), i, 20.0 if i == 1 else 0.0) for i in range(5)]
-        t0 = time.monotonic()
+class TestWorkerDeath:
+    """A dead worker ends the campaign; the rerun is the recovery."""
+
+    @pytest.mark.parametrize("batch", [1, 3, "auto"])
+    def test_worker_death_fails_every_unfinished_task(self, batch):
+        tasks = 12
         got = []
+        t0 = time.monotonic()
         with pytest.raises(parallel.CampaignError) as ei:
-            for r in parallel.run_tasks(
-                _slow_touch, payloads, jobs=2, timeout=0.5, retries=1, backoff=0
-            ):
+            for r in parallel.run_tasks(_exit_on, [(5, i) for i in range(tasks)], jobs=2, batch=batch):
                 got.append(r)
-        assert sorted(got) == [0, 2, 3, 4]
-        (f,) = ei.value.failures
-        assert f.kind == "timeout" and f.index == 1 and f.attempts == 2
-        assert "0.5" in f.error
-        # Two timeout windows plus rebuilds, nowhere near the 20s sleep.
-        assert time.monotonic() - t0 < 15.0
+        elapsed = time.monotonic() - t0
+        err = ei.value
+        failed = [f.index for f in err.failures]
+        # The dying task and every task not yet yielded fail, once each;
+        # every yielded result is a real one.
+        assert 5 in failed
+        assert sorted(got + failed) == list(range(tasks))
+        assert all(f.kind == "worker died" for f in err.failures)
+        assert "BrokenProcessPool" in err.failures[0].error
+        assert "task #5 (5, 5): worker died" in str(err)
+        assert elapsed < 30.0
+        assert multiprocessing.active_children() == []
 
-    def test_timeout_disabled_by_default(self, tmp_path):
-        # a 0.7s task survives with no timeout configured
-        out = list(parallel.run_tasks(_slow_touch, [(str(tmp_path), 0, 0.7), (str(tmp_path), 1, 0.0)], jobs=2))
-        assert sorted(out) == [0, 1]
+    def test_serial_path_has_no_worker_to_lose(self):
+        # jobs=1 is the reference path: tasks run in the driver, in order.
+        assert list(parallel.run_tasks(_exit_on, [(-1, i) for i in range(4)], jobs=1)) == [0, 1, 2, 3]
 
 
 class TestHungWorkerTeardown:
-    def test_hung_worker_is_killed_under_flag_only_sigterm_handler(self):
+    def test_hung_worker_is_killed_under_flag_only_sigterm_handler(self, tmp_path):
         """A driver's flag-only SIGTERM handler must not reach the pool
-        workers it forks: a hung worker has to die on terminate()."""
+        workers it forks: abandoning a campaign must kill a busy worker."""
         previous = signal.signal(signal.SIGTERM, lambda signum, frame: None)
         try:
+            payloads = [(str(tmp_path), 0, 60.0)] + [(str(tmp_path), i, 0.0) for i in (1, 2)]
             t0 = time.monotonic()
-            res = list(
-                parallel.run_tasks(
-                    _square, [(i,) for i in range(4)], jobs=2, chaos="hang=60@1",
-                    timeout=0.5, retries=2, backoff=0, batch=1,
-                )
-            )
+            gen = parallel.run_tasks(_slow_touch, payloads, jobs=2, batch=1)
+            assert next(gen) in (1, 2)
+            gen.close()
             elapsed = time.monotonic() - t0
         finally:
             signal.signal(signal.SIGTERM, previous)
-        assert sorted(res) == [0, 1, 4, 9]
         assert multiprocessing.active_children() == []
-        assert elapsed < 5.0  # the teardown join never timed out
+        assert elapsed < 10.0  # the 60 s task was killed, not waited for
+        assert not (tmp_path / "task-0").exists()
 
 
 class TestEnvKnobs:
-    """Timeout and retry budgets are ``run_tasks`` arguments.  Its module
-    defaults are the only other source (tests of whole drivers patch
-    them); the environment reaches neither."""
-
-    def test_task_timeout_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TASK_TIMEOUT", "2.5")  # a deleted knob: inert
-        assert parallel._budget(None, None)[0] is None
-        monkeypatch.setattr(parallel, "DEFAULT_TASK_TIMEOUT", 2.5)
-        assert parallel._budget(None, None)[0] == 2.5
-        monkeypatch.setattr(parallel, "DEFAULT_TASK_TIMEOUT", 0)
-        assert parallel._budget(None, None)[0] is None
-
-    def test_task_timeout_explicit_wins(self, monkeypatch):
-        monkeypatch.setattr(parallel, "DEFAULT_TASK_TIMEOUT", 2.5)
-        assert parallel._budget(7, None)[0] == 7.0
-        assert parallel._budget(0, None)[0] is None  # explicit 0 disables
-
-    @pytest.mark.parametrize("bad", ["soon", "-1"])
-    def test_task_timeout_invalid(self, bad):
-        with pytest.raises(ValueError):
-            list(parallel.run_tasks(_square, [(1,)], jobs=1, timeout=bad))
-
-    def test_task_retries_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TASK_RETRIES", "0")  # a deleted knob: inert
-        assert parallel._budget(None, None)[1] == parallel.DEFAULT_TASK_RETRIES == 2
-        assert parallel._budget(None, 5)[1] == 5
-        monkeypatch.setattr(parallel, "DEFAULT_TASK_RETRIES", 0)
-        with pytest.raises(parallel.CampaignError) as ei:
-            list(parallel.run_tasks(_boom, [(1,)], jobs=1, backoff=0))
-        assert ei.value.failures[0].attempts == 1
-
-    @pytest.mark.parametrize("bad", ["-1", "lots"])
-    def test_task_retries_invalid(self, bad):
-        with pytest.raises(ValueError):
-            list(parallel.run_tasks(_square, [(1,)], jobs=1, retries=bad))
-
     def test_shared_parser_reaches_jobs_and_trials(self, monkeypatch):
         """REPRO_JOBS and REPRO_MC_TRIALS route through the same helper."""
         monkeypatch.setenv("REPRO_JOBS", "6")
@@ -198,7 +165,7 @@ class TestEnvKnobs:
 
 
 class TestCancellation:
-    """The pre-existing cancellation path (satellite: previously untested)."""
+    """Abandoned and interrupted campaigns."""
 
     def test_abandoned_generator_cancels_pending_work(self, tmp_path):
         payloads = [(str(tmp_path), i, 0.2) for i in range(12)]
@@ -264,6 +231,53 @@ class TestCancellation:
         monkeypatch.setattr(ev, "CACHE_DIR", tmp_path / "fresh")
         fresh = evaluation_matrix("quad", fidelity=TINY, jobs=1, **CELLS)
         assert resumed == fresh
+
+
+@pytest.fixture(params=["auto", 1])
+def batch(request, monkeypatch):
+    """Pin the batch size of every engine campaign the drivers start."""
+    monkeypatch.setattr(parallel, "run_tasks", functools.partial(parallel.run_tasks, batch=request.param))
+    monkeypatch.setattr(parallel, "run_cells", functools.partial(parallel.run_cells, batch=request.param))
+    return request.param
+
+
+class TestDriverBitIdentity:
+    """Every campaign driver: pooled (``jobs=2``) == serial, bit for bit,
+    under both the calibrated and the one-task-per-submission dispatch."""
+
+    def test_fig8_driver(self, batch):
+        assert figure8(trials=800, seed=0, jobs=2) == figure8(trials=800, seed=0, jobs=1)
+
+    @pytest.mark.parametrize("mode", ["is", "strat"])
+    def test_fig8_tail_driver(self, batch, mode):
+        kw = dict(trials=400, seed=1, mode=mode)
+        assert figure8_tail(jobs=2, **kw) == figure8_tail(jobs=1, **kw)
+
+    def test_coverage_driver(self, batch):
+        schemes = [Chipkill36(), LotEcc5()]
+        assert coverage_study(schemes, trials=40, seed=2, jobs=2) == coverage_study(
+            schemes, trials=40, seed=2, jobs=1
+        )
+
+    def test_collision_driver(self, batch):
+        par = two_fault_collision_mc(trials=48, seed=0, jobs=2)
+        serial = two_fault_collision_mc(trials=48, seed=0, jobs=1)
+        assert (par.collisions, par.trials) == (serial.collisions, serial.trials)
+
+    @pytest.mark.parametrize("scheme", [Chipkill36, LotEcc5RS], ids=lambda c: c.__name__)
+    def test_is_coverage_driver(self, batch, scheme):
+        kw = dict(trials=1_500, rate=0.5, tilt=8.0, chunk_size=1_000, seed=3)
+        pooled = run_is_coverage(scheme(), jobs=2, **kw)
+        assert pooled.to_dict() == run_is_coverage(scheme(), jobs=1, **kw).to_dict()
+
+    def test_evaluation_matrix_driver(self, batch, tmp_path, monkeypatch):
+        monkeypatch.setattr(ev, "CACHE_DIR", tmp_path / "par")
+        par = evaluation_matrix("quad", fidelity=TINY, jobs=2, **CELLS)
+        monkeypatch.setattr(ev, "CACHE_DIR", tmp_path / "serial")
+        serial = evaluation_matrix("quad", fidelity=TINY, jobs=1, **CELLS)
+        assert par == serial
+        par_bytes = next((tmp_path / "par").glob("*.json")).read_bytes()
+        assert par_bytes == next((tmp_path / "serial").glob("*.json")).read_bytes()
 
 
 class TestCacheMerge:

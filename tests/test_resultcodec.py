@@ -1,7 +1,7 @@
 """The framed-record layer of :mod:`repro.experiments.resultcodec`.
 
-The super-task spool and the checkpoint log both store CRC-framed
-records written with one append each and read back by
+The checkpoint log stores CRC-framed records written with one append
+each and read back by
 :func:`~repro.experiments.resultcodec.read_frames`.  The contract under
 test: a torn or bit-flipped tail ends the readable prefix and is never
 decoded as a record, offset-resumed reads concatenate to one whole read,
@@ -51,12 +51,11 @@ class TestGoldenFrames:
 
 
 class TestRecordLog:
-    """Properties of the one framed-record log the spool and checkpoint
-    log share."""
+    """Properties of the framed-record log the checkpoint uses."""
 
     RECORDS = [
         ('["cell|a", {"ipc": 1.25}]',),  # a checkpoint-log record
-        (0, 0.125, 4242, "00112233445566ff", 0, b"\x00payload\xff"),  # a spool record
+        (0, 0.125, 4242, "00112233445566ff", 0, b"\x00payload\xff"),  # mixed scalar types
         ("x" * 40, 7, {"k": [1.5, -2, True]}, None),
         ("done", 1),
     ]

@@ -1,17 +1,16 @@
-"""Granularity-aware dispatch: super-task batching, spooled results, warmth.
+"""Granularity-aware dispatch: super-task batching and warmth.
 
-The contract under test (ISSUE 6 tentpole): coalescing small campaign
-tasks into batched super-tasks must be *invisible* to every caller —
-the ``batch`` argument in any mode yields bit-identical campaign results,
-per-inner-task retry/timeout/chaos attribution matches the unbatched
-engine, a crash mid-batch recovers without recomputing the inner tasks
-whose results already reached the spool, and checkpointed caches written
-by batched runs resume interchangeably with serial ones.
+The contract under test: coalescing small campaign tasks into batched
+super-tasks must be *invisible* to every caller — the ``batch`` argument
+in any mode yields bit-identical campaign results, an inner task's
+exception is charged to that inner task alone, a worker dying mid-batch
+fails the campaign and its rerun matches the serial run, and
+checkpointed caches written by batched runs resume interchangeably with
+serial ones.
 """
 
 import functools
 import json
-import multiprocessing
 import os
 
 import pytest
@@ -22,7 +21,7 @@ from repro.experiments import parallel, resultcodec
 from repro.experiments.evaluation import Fidelity, evaluation_matrix
 from repro.faults.montecarlo import _eol_cell
 from repro.obs.summarize import read_events
-from repro.util import chaos, envcfg
+from repro.util import envcfg
 
 PAYLOADS = [(2, 400, s, 61320.0, 1 << 16) for s in range(8)]
 
@@ -41,18 +40,21 @@ def _raise_on_three(x):
     return x * x
 
 
-def _traced_square(dirpath, x):
-    """Appends one byte per execution so tests can count recomputations."""
-    with open(os.path.join(dirpath, f"c{x}"), "ab") as fh:
-        fh.write(b"x")
-    return x * x
+def _eol_or_exit(die, *payload):
+    """``_eol_cell``, except that the worker process dies when *die* is set."""
+    if die:
+        os._exit(3)
+    return _eol_cell(*payload)
 
 
-def _exec_counts(dirpath):
-    return {
-        name: os.path.getsize(os.path.join(dirpath, name))
-        for name in sorted(os.listdir(dirpath))
-    }
+_REAL_RUN_CELL = parallel._run_cell
+
+
+def _run_cell_or_exit(*payload):
+    """A matrix cell whose worker dies on the (sjeng, lot_ecc5_ep) cell."""
+    if payload[1:3] == ("sjeng", "lot_ecc5_ep"):
+        os._exit(3)
+    return _REAL_RUN_CELL(*payload)
 
 
 @pytest.fixture
@@ -90,7 +92,7 @@ class TestBatchKnob:
 
 
 class TestBatchedBitIdentity:
-    """1 == auto == fixed == serial, with and without chaos."""
+    """1 == auto == fixed == serial, and a worker death mid-batch."""
 
     @pytest.fixture(scope="class")
     def reference(self):
@@ -102,12 +104,19 @@ class TestBatchedBitIdentity:
         assert sorted(out) == reference
 
     @pytest.mark.parametrize("batch", ["auto", 4])
-    def test_chaos_storm_inside_batches(self, batch, reference):
-        out = parallel.run_tasks(
-            _eol_cell, PAYLOADS, jobs=3, batch=batch,
-            chaos="crash@1,corrupt@4,corrupt@0#1", retries=2, backoff=0, timeout=10,
-        )
-        assert sorted(out) == reference
+    def test_worker_death_inside_batches(self, batch, reference):
+        """A worker dying inside a batch fails the campaign; every result
+        that did arrive is the serial one, and the rerun is the serial run."""
+        dying = [(i == 5, *p) for i, p in enumerate(PAYLOADS)]
+        got = []
+        with pytest.raises(parallel.CampaignError) as ei:
+            for r in parallel.run_tasks(_eol_or_exit, dying, jobs=3, batch=batch):
+                got.append(r)
+        failed = {f.index for f in ei.value.failures}
+        assert 5 in failed and len(got) + len(failed) == len(PAYLOADS)
+        assert all(r in reference for r in got)
+        rerun = parallel.run_tasks(_eol_cell, PAYLOADS, jobs=3, batch=batch)
+        assert sorted(rerun) == reference
 
     def test_batch_events_and_paths(self, armed):
         out = list(parallel.run_tasks(_square, [(i,) for i in range(24)], jobs=2, batch=4))
@@ -134,157 +143,26 @@ class TestBatchedBitIdentity:
 
 
 class TestInnerTaskAttribution:
-    """Retries, timeouts, and failures attach to inner tasks, not batches."""
+    """Failures attach to inner tasks, not batches."""
 
-    def test_corrupt_inner_charged_individually(self, armed):
+    def test_inner_exception_charged_individually(self, armed):
         with pytest.raises(parallel.CampaignError) as ei:
-            list(
-                parallel.run_tasks(
-                    _eol_cell, PAYLOADS, jobs=2, batch=4,
-                    chaos="corrupt@2#*", retries=1, backoff=0,
-                )
-            )
+            list(parallel.run_tasks(_raise_on_three, [(i,) for i in range(8)], jobs=2, batch=4))
         (f,) = ei.value.failures
-        assert f.index == 2 and f.kind == "corrupt" and f.attempts == 2
+        assert f.index == 3 and f.kind == "exception"
         events = read_events(armed)
-        retried = [e for e in events if e["kind"] == "engine.retry"]
-        assert [(e["index"], e["reason"]) for e in retried] == [(2, "corrupt")]
+        assert [e["index"] for e in events if e["kind"] == "engine.fail"] == [3]
         # The other seven inner tasks completed exactly once.
         oks = sorted(e["index"] for e in events if e["kind"] == "engine.ok")
-        assert oks == [0, 1, 3, 4, 5, 6, 7]
+        assert oks == [0, 1, 2, 4, 5, 6, 7]
 
     def test_worker_traceback_chained_as_cause(self):
         with pytest.raises(parallel.CampaignError) as ei:
-            list(
-                parallel.run_tasks(
-                    _raise_on_three, [(i,) for i in range(8)], jobs=2, batch=4,
-                    retries=0, backoff=0,
-                )
-            )
+            list(parallel.run_tasks(_raise_on_three, [(i,) for i in range(8)], jobs=2, batch=4))
         (f,) = ei.value.failures
         assert isinstance(f.cause, ValueError) and f.index == 3
         # The worker's formatted traceback, as concurrent.futures chains it.
         assert "_raise_on_three" in str(f.cause.__cause__)
-
-    def test_hang_inside_batch_charges_hung_inner_only(self, armed):
-        out = list(
-            parallel.run_tasks(
-                _eol_cell, PAYLOADS, jobs=2, batch=4,
-                chaos="hang=30@1", retries=2, backoff=0, timeout=1.5,
-            )
-        )
-        assert sorted(out) == sorted(parallel.run_tasks(_eol_cell, PAYLOADS, jobs=1))
-        events = read_events(armed)
-        timeouts = [e["index"] for e in events if e["kind"] == "engine.timeout"]
-        assert timeouts == [1]
-        # Batch-mates of the hung task were requeued, not timed out.
-        assert any(e["kind"] == "engine.requeue" for e in events)
-
-    def test_finished_sibling_settles_while_inner_hangs(self, armed):
-        """A spooled result must not wait out a sibling's hang.
-
-        Regression guard: settling batch-mates only at deadline expiry
-        delays their retries past the hung task's rebuilds, resetting the
-        consecutive-rebuild counter and blocking the degrade-to-serial
-        recovery a persistent hang depends on.  The parent drains the
-        spool live, so the pre-hang inner's ``engine.ok`` must land well
-        before the hang releases its super-task.
-        """
-        list(
-            parallel.run_tasks(
-                _square, [(i,) for i in range(4)], jobs=2, batch=2,
-                chaos="hang=1.5@1", retries=0, backoff=0,
-            )
-        )
-        events = read_events(armed)
-        ok_ts = {e["index"]: e["ts"] for e in events if e["kind"] == "engine.ok"}
-        assert sorted(ok_ts) == [0, 1, 2, 3]
-        # Index 0 shares a batch with the 1.5 s hang at index 1; it must
-        # settle on drain, not when the batch future finally completes.
-        assert ok_ts[1] - ok_ts[0] > 1.0
-
-    def test_retried_tasks_travel_alone(self, armed):
-        list(
-            parallel.run_tasks(
-                _eol_cell, PAYLOADS, jobs=2, batch=4,
-                chaos="corrupt@5#1", retries=2, backoff=0,
-            )
-        )
-        events = read_events(armed)
-        retried = {e["index"] for e in events if e["kind"] == "engine.submit" and e["attempt"] > 1}
-        assert retried
-        for index in retried:
-            sizes = [e["size"] for e in events if e["kind"] == "engine.batch" and index in e["indices"]]
-            # The first submission may share a batch; every retry goes alone.
-            assert len(sizes) > 1 and all(size == 1 for size in sizes[1:])
-
-
-class TestCrashRecovery:
-    def test_finished_inners_not_recomputed_after_crash(self, tmp_path, armed):
-        """A crash mid-batch recovers from the spool, not by re-execution."""
-        counts = tmp_path / "exec"
-        counts.mkdir()
-        payloads = [(str(counts), i) for i in range(16)]
-        out = list(
-            parallel.run_tasks(
-                _traced_square, payloads, jobs=2, batch=4,
-                chaos="crash@6", retries=2, backoff=0,
-            )
-        )
-        assert sorted(out) == sorted(i * i for i in range(16))
-        # Every inner task ran exactly once: the crashed batch's finished
-        # inners were settled from the spool, the unfinished rest requeued.
-        assert _exec_counts(counts) == {f"c{i}": 1 for i in range(16)}
-        events = read_events(armed)
-        assert any(e["kind"] == "engine.rebuild" for e in events)
-        crashed_batch = next(
-            e for e in events if e["kind"] == "engine.batch" and 6 in e["indices"]
-        )
-        finished_before_crash = [i for i in crashed_batch["indices"] if i < 6]
-        oks = {e["index"]: e for e in events if e["kind"] == "engine.ok"}
-        for i in finished_before_crash:
-            assert oks[i]["attempt"] == 1
-
-
-    def test_flipped_spool_bit_is_recomputed_not_settled(self, tmp_path, armed, monkeypatch):
-        """A spool record that fails its CRC is never settled live.
-
-        Pool workers are forked from this process, so they inherit the
-        patched frame builder: it flips one payload bit of inner 2's record
-        exactly once (an O_EXCL marker file arbitrates between workers).
-        """
-        if multiprocessing.get_start_method() != "fork":
-            pytest.skip("workers must inherit the patched frame builder")
-        counts = tmp_path / "exec"
-        counts.mkdir()
-        marker = str(tmp_path / "flipped")
-        real_frame = resultcodec.frame
-
-        def flipping_frame(record):
-            data = real_frame(record)
-            if record[0] != 2:
-                return data
-            try:
-                os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
-            except FileExistsError:
-                return data
-            # Lowest byte of the encoded int 4: would settle as 5 unchecked.
-            return data[:-8] + bytes([data[-8] ^ 0x01]) + data[-7:]
-
-        monkeypatch.setattr(resultcodec, "frame", flipping_frame)
-        payloads = [(str(counts), i) for i in range(8)]
-        out = list(parallel.run_tasks(_traced_square, payloads, jobs=2, batch=4, backoff=0))
-        assert os.path.exists(marker)
-        assert sorted(out) == sorted(i * i for i in range(8))
-        # Reading stops at the damaged record: inner 2 and the batch-mate
-        # spooled after it are recomputed, everything else ran once.  No
-        # worker crashed, so the requeues keep their attempt number.
-        assert _exec_counts(counts) == {f"c{i}": 2 if i in (2, 3) else 1 for i in range(8)}
-        events = read_events(armed)
-        oks = {e["index"]: e["attempt"] for e in events if e["kind"] == "engine.ok"}
-        assert oks[2] == 1 and oks[3] == 1
-        requeued = {e["index"] for e in events if e["kind"] == "engine.requeue"}
-        assert requeued == {2, 3}
 
 
 def _batch_cells(monkeypatch, batch):
@@ -312,20 +190,37 @@ class TestMatrixBatching:
             serial_cache, sort_keys=True
         )
 
-    def test_chaos_armed_batched_matrix_matches_serial(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(parallel, "DEFAULT_TASK_RETRIES", 2)
-        monkeypatch.setenv("REPRO_JOBS", "4")
-        _batch_cells(monkeypatch, 2)
+    def test_worker_death_batched_matrix_resumes_to_serial(self, tmp_path, monkeypatch):
+        """A pooled sweep whose worker dies on one cell fails; its rerun
+        computes only the cells the checkpoint lacks, and the compacted
+        cache bytes equal a serial sweep's."""
+        keys = {f"{w}|{k}" for w in CELLS["workloads"] for k in CELLS["config_keys"]}
         monkeypatch.setattr(ev, "CACHE_DIR", tmp_path / "batched")
-        chaos.arm("crash@1,corrupt@2")
-        try:
-            par = evaluation_matrix("quad", fidelity=TINY, **CELLS)
-        finally:
-            chaos.arm(None)
+        _batch_cells(monkeypatch, 2)
+        monkeypatch.setattr(parallel, "_run_cell", _run_cell_or_exit)
+        with pytest.raises(parallel.CampaignError) as ei:
+            evaluation_matrix("quad", fidelity=TINY, jobs=2, **CELLS)
+        failed = {f"{f.payload[1]}|{f.payload[2]}" for f in ei.value.failures}
+        assert "sjeng|lot_ecc5_ep" in failed
+        cache_path = next((tmp_path / "batched").glob("*.json"))
+        checkpointed = set(json.loads(cache_path.read_text())) - {"__meta__"}
+        assert checkpointed | failed == keys and not checkpointed & failed
 
+        simulated = []
+
+        def counting(*args):
+            simulated.append(f"{args[1]}|{args[2]}")
+            return _REAL_RUN_CELL(*args)
+
+        monkeypatch.setattr(parallel, "_run_cell", counting)
+        resumed = evaluation_matrix("quad", fidelity=TINY, jobs=1, **CELLS)
+        assert set(simulated) == failed and len(simulated) == len(failed)
+
+        monkeypatch.setattr(parallel, "_run_cell", _REAL_RUN_CELL)
         monkeypatch.setattr(ev, "CACHE_DIR", tmp_path / "serial")
         serial = evaluation_matrix("quad", fidelity=TINY, jobs=1, **CELLS)
-        assert par == serial
+        assert resumed == serial
+        assert cache_path.read_bytes() == next((tmp_path / "serial").glob("*.json")).read_bytes()
 
     def test_batched_cache_resumes_serial_checkpoint(self, tmp_path, monkeypatch):
         """Cells checkpointed by a serial run are honoured by a batched one."""

@@ -189,8 +189,7 @@ def _boom(*payload):
 def test_failed_sweep_drops_the_memo(monkeypatch):
     monkeypatch.setattr(parallel, "_run_cell", _boom)
     with pytest.raises(parallel.CampaignError):
-        list(parallel.run_cells("quad", [("mcf", "chipkill18")], TINY, seed=0,
-                                jobs=1, retries=0, backoff=0))
+        list(parallel.run_cells("quad", [("mcf", "chipkill18")], TINY, seed=0, jobs=1))
     assert generator._SHARED is None
 
 
