@@ -69,7 +69,7 @@ def bench_rareevent_effective_throughput(benchmark, results_dir, emit):
         target = ("tail", threshold)
 
         t0 = time.perf_counter()
-        is_est = run_is(_sim(2), VR_TRIALS, target=target)
+        is_est = run_is(_sim(2), VR_TRIALS)
         is_wall = time.perf_counter() - t0
         t0 = time.perf_counter()
         strat = run_stratified(_sim(3), VR_TRIALS, target=target)

@@ -193,9 +193,9 @@ def _warm_cells(system_class, config_keys, scale) -> None:
         runner._pooled_llc(runner.llc_size_bytes(scale), scheme.line_size)
 
 
-def _fail(failures, index, payload, kind, exc) -> None:
+def _fail(cid, failures, index, payload, kind, exc) -> None:
     error = f"{type(exc).__name__}: {exc}"
-    obs.emit("engine.fail", index=index, reason=kind, error=error)
+    obs.emit("engine.fail", campaign=cid, index=index, reason=kind, error=error)
     failures.append(TaskFailure(index, payload, kind, error, cause=exc))
 
 
@@ -227,23 +227,23 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
         manager.join(timeout=5.0)
 
 
-def _run_serial(worker, payloads, failures):
+def _run_serial(cid, worker, payloads, failures):
     """In-process execution, in payload order: the reference path."""
     for index, payload in enumerate(payloads):
-        obs.emit("engine.submit", index=index, path="serial")
+        obs.emit("engine.submit", campaign=cid, index=index, path="serial")
         t0 = time.perf_counter()
         try:
             with trace.span("engine.task", "compute", index=index):
                 result = worker(*payload)
         except Exception as exc:
-            _fail(failures, index, payload, "exception", exc)
+            _fail(cid, failures, index, payload, "exception", exc)
             continue
         wall = round(time.perf_counter() - t0, 6)
-        obs.emit("engine.ok", index=index, worker_pid=os.getpid(), wall_s=wall)
+        obs.emit("engine.ok", campaign=cid, index=index, worker_pid=os.getpid(), wall_s=wall)
         yield result
 
 
-def _run_pooled(worker, payloads, jobs, batch, warm, failures):
+def _run_pooled(cid, worker, payloads, jobs, batch, warm, failures):
     """The pooled engine: batching, windowed submission, one pool.
 
     At most *jobs* super-tasks are in flight, so calibrated batch sizes
@@ -295,9 +295,9 @@ def _run_pooled(worker, payloads, jobs, batch, warm, failures):
                     pending.extend(indices)
                     broken = exc
                     break
-                obs.emit("engine.batch", size=len(indices), indices=indices)
+                obs.emit("engine.batch", campaign=cid, size=len(indices), indices=indices)
                 for i in indices:
-                    obs.emit("engine.submit", index=i, path="pooled")
+                    obs.emit("engine.submit", campaign=cid, index=i, path="pooled")
                 inflight[fut] = indices
             done = wait(inflight, return_when=FIRST_COMPLETED)[0] if inflight else ()
             for fut in done:
@@ -310,20 +310,20 @@ def _run_pooled(worker, payloads, jobs, batch, warm, failures):
                     # The super-task envelope itself failed (e.g. a result
                     # that does not pickle): none of its inners arrived.
                     for i in indices:
-                        _fail(failures, i, payloads[i], "exception", exc)
+                        _fail(cid, failures, i, payloads[i], "exception", exc)
                     continue
                 for index, wall, pid, ok, value in fut.result():
                     if not ok:
-                        _fail(failures, index, payloads[index], "exception", value)
+                        _fail(cid, failures, index, payloads[index], "exception", value)
                         continue
                     samples.append(wall)
-                    obs.emit("engine.ok", index=index, worker_pid=pid, wall_s=wall)
+                    obs.emit("engine.ok", campaign=cid, index=index, worker_pid=pid, wall_s=wall)
                     yield value
             if broken is not None:
                 _kill_pool(pool)
                 unfinished = sorted([i for ix in inflight.values() for i in ix] + list(pending))
                 for i in unfinished:
-                    _fail(failures, i, payloads[i], "worker died", broken)
+                    _fail(cid, failures, i, payloads[i], "worker died", broken)
                 return
     except BaseException:
         # Ctrl-C or an abandoned generator: drop pending work and return
@@ -378,12 +378,17 @@ def run_tasks(
     campaign_span = trace.span(
         "engine.campaign", "dispatch", tasks=len(payloads), jobs=jobs, path=path
     )
-    obs.emit("engine.start", tasks=len(payloads), jobs=jobs, batch=batch, path=path)
+    # Every engine event carries the campaign span's id, so a reader
+    # (repro.obs.progress.Tracker) tells nested and interleaved campaigns apart.
+    cid = campaign_span.span_id
+    obs.emit(
+        "engine.start", campaign=cid, tasks=len(payloads), jobs=jobs, batch=batch, path=path
+    )
     t0 = time.perf_counter()
     if path == "serial":
-        inner = _run_serial(worker, payloads, failures)
+        inner = _run_serial(cid, worker, payloads, failures)
     else:
-        inner = _run_pooled(worker, payloads, jobs, batch, warm, failures)
+        inner = _run_pooled(cid, worker, payloads, jobs, batch, warm, failures)
     ok = 0
     try:
         for result in inner:
@@ -391,6 +396,7 @@ def run_tasks(
             yield result
         obs.emit(
             "engine.done",
+            campaign=cid,
             tasks=len(payloads),
             ok=ok,
             failed=len(failures),

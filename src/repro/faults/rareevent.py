@@ -77,7 +77,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro import obs
 from repro.obs import trace
 from repro.faults.fit_rates import MemoryOrg
 from repro.faults.montecarlo import (
@@ -112,7 +111,7 @@ def _resolve_tilt(tilt: "float | None") -> float:
     return tilt
 
 
-#: 95% two-sided normal quantile used by every CI in this module.
+#: 95% two-sided normal quantile, for confidence intervals on these estimates.
 Z95 = 1.959963984540054
 
 #: Distinct values a tally tracks exactly before nearest-merge compaction.
@@ -438,13 +437,6 @@ class WeightedTally:
         return out
 
 
-def _rci(se: float, value: float) -> float:
-    """95% relative CI half-width; infinite when the estimate is zero."""
-    if value == 0.0:
-        return float("inf")
-    return Z95 * se / abs(value)
-
-
 # -- estimates (plain / importance-sampled / stratified) -------------------------------
 
 
@@ -480,13 +472,6 @@ class WeightedEstimate:
 
     def percentile(self, q: float = 99.9) -> float:
         return self.tally.percentile(q)
-
-    def rci(self, target: "tuple | None" = None) -> float:
-        """Relative CI of the primary estimator (mean, or a tail target)."""
-        if target is not None and target[0] == "tail":
-            t = target[1]
-            return _rci(self.se_tail(t), self.tail_probability(t))
-        return _rci(self.se_mean, self.mean)
 
     def merge(self, other: "WeightedEstimate") -> "WeightedEstimate":
         if (self.mode, self.tilt) != (other.mode, other.tilt):
@@ -646,13 +631,6 @@ class StratifiedEstimate:
     def percentile(self, q: float = 99.9) -> float:
         return self.mixture_tally().percentile(q)
 
-    def rci(self, target: "tuple | None" = None) -> float:
-        if target is not None and target[0] == "tail":
-            p, se = self._tail_se(target[1])
-            return _rci(se, p)
-        mean, se = self._mean_se()
-        return _rci(se, mean)
-
     def merge(self, other: "StratifiedEstimate") -> "StratifiedEstimate":
         if [s.k for s in self.strata] != [s.k for s in other.strata]:
             raise ValueError("cannot merge stratified estimates with different strata")
@@ -753,29 +731,10 @@ def _is_log_weights_reference(draws, lam: dict, tilts: dict) -> np.ndarray:
     return logw
 
 
-def _emit_progress(mode: str, done: int, trials: int, estimate, target) -> None:
-    """Per-chunk telemetry (gated on ``REPRO_OBS``): ESS and RCI so far.
-
-    The weight spread needs no field of its own: for a plain or IS run
-    its squared coefficient of variation is ``done / ess - 1``.
-    """
-    rci = estimate.rci(target)
-    obs.emit(
-        "mc.rareevent",
-        mode=mode,
-        done=done,
-        trials=trials,
-        ess=round(estimate.ess, 1),
-        rci=round(rci, 6) if math.isfinite(rci) else None,
-        target=list(target) if target else None,
-    )
-
-
 def run_plain(
     sim: EolCapacitySim,
     trials: "int | None" = None,
     chunk_size: "int | None" = None,
-    target: "tuple | None" = None,
 ) -> WeightedEstimate:
     """Plain MC through the weighted pipeline (all weights one).
 
@@ -783,7 +742,7 @@ def run_plain(
     :meth:`EolCapacitySim.run`, aggregated into a :class:`WeightedTally`
     so plain runs, IS runs, and stratified runs are directly comparable.
     """
-    return _run_weighted(sim, trials, chunk_size, target, tilt=1.0, mode="off")
+    return _run_weighted(sim, trials, chunk_size, tilt=1.0, mode="off")
 
 
 def run_is(
@@ -791,27 +750,19 @@ def run_is(
     trials: "int | None" = None,
     tilt: "float | None" = None,
     chunk_size: "int | None" = None,
-    target: "tuple | None" = None,
 ) -> WeightedEstimate:
-    """Importance-sampled run: exponential tilt + exact per-trial weights.
-
-    *target* selects the primary estimator the telemetry reports the
-    relative CI of: ``None``/``("mean",)`` for the mean, ``("tail", x)``
-    for ``P(fraction >= x)``.
-    """
+    """Importance-sampled run: exponential tilt + exact per-trial weights."""
     tilt = _resolve_tilt(tilt)
-    return _run_weighted(sim, trials, chunk_size, target, tilt=tilt, mode="is")
+    return _run_weighted(sim, trials, chunk_size, tilt=tilt, mode="is")
 
 
-def _run_weighted(sim, trials, chunk_size, target, tilt, mode) -> WeightedEstimate:
+def _run_weighted(sim, trials, chunk_size, tilt, mode) -> WeightedEstimate:
     trials = mc_trials(trials, 20000)
     chunk_size = resolve_chunk(chunk_size)
     lam = sim._lambdas()
     tilts = _tilt_by_mode(sim.org, tilt)
     lam_q = {m: tilts[m] * lam[m] for m in _SAT_MODES}
     tally = WeightedTally()
-    estimate = WeightedEstimate(mode=mode, tally=tally, tilt=tilt)
-    armed = obs.enabled()
     done = 0
     while done < trials:
         n = min(chunk_size, trials - done)
@@ -820,9 +771,7 @@ def _run_weighted(sim, trials, chunk_size, target, tilt, mode) -> WeightedEstima
         weights = None if tilt == 1.0 else np.exp(_is_log_weights(draws, lam, tilts))
         tally.add(fractions, weights)
         done += n
-        if armed:
-            _emit_progress(mode, done, trials, estimate, target)
-    return estimate
+    return WeightedEstimate(mode=mode, tally=tally, tilt=tilt)
 
 
 def run_is_coverage(
@@ -878,9 +827,6 @@ def run_is_coverage(
     else:
         chunks = _coverage_chunks(scheme, rng, tilt * rate, sizes)
     tally = WeightedTally()
-    estimate = WeightedEstimate(mode=mode, tally=tally, tilt=tilt)
-    armed = obs.enabled()
-    done = 0
     for counts, wrong in chunks:
         weights = (
             None
@@ -888,10 +834,7 @@ def run_is_coverage(
             else np.exp((tilt - 1.0) * rate - counts * math.log(tilt))
         )
         tally.add(wrong, weights)
-        done += counts.size
-        if armed:
-            _emit_progress(f"{mode}_coverage", done, trials, estimate, None)
-    return estimate
+    return WeightedEstimate(mode=mode, tally=tally, tilt=tilt)
 
 
 def _coverage_chunks(scheme, rng, rate: float, sizes: "list[int]"):
@@ -1066,9 +1009,7 @@ def run_stratified(
     probs = _stratum_probs(lam_total, kmax)
     states = [StratumState(k=0, prob=probs[0], exact=0.0)]
     states += [StratumState(k=k, prob=probs[k]) for k in range(1, kmax + 1)]
-    estimate = StratifiedEstimate(mode="strat", strata=states)
     sampled = [s for s in states if s.exact is None and s.prob > 0]
-    armed = obs.enabled()
 
     # Pilot round: the variance source for Neyman shares, and the bias
     # guard that every positive-probability stratum is represented.
@@ -1100,10 +1041,7 @@ def run_stratified(
                 continue
             s.tally.add(_sample_stratum(sim, lam, kmax, s.k, n))
             remaining[s.k] -= n
-            done += n
-            if armed:
-                _emit_progress("strat", done, trials, estimate, target)
-    return estimate
+    return StratifiedEstimate(mode="strat", strata=states)
 
 
 # -- front door + sharded campaigns ----------------------------------------------------
@@ -1215,18 +1153,8 @@ def sharded_estimates(
         for s, n in enumerate(shard_trials)
         if n > 0
     ]
-    armed = obs.enabled()
     for (dims, s), est_dict in parallel.run_tasks(_shard_worker, payloads, jobs=jobs):
         results[dims][s] = est_dict
-        if armed:
-            obs.emit(
-                "mc.rareevent.shard",
-                mode=mode,
-                channels=dims[0],
-                shard=s,
-                shards=shards,
-                done=len(results[dims]),
-            )
     estimates = {}
     for dims, done in results.items():
         estimate = None
@@ -1234,14 +1162,6 @@ def sharded_estimates(
             shard_est = estimate_from_dict(done[s])
             estimate = shard_est if estimate is None else estimate.merge(shard_est)
         estimates[dims] = estimate
-        if armed:
-            obs.emit(
-                "mc.rareevent.campaign",
-                mode=mode,
-                channels=dims[0],
-                trials=estimate.trials,
-                ess=round(estimate.ess, 1),
-            )
     return [estimates[dims] for dims in keys]
 
 
@@ -1275,7 +1195,7 @@ def oracle_compare(
     target = None if threshold is None else ("tail", threshold)
     runs = {
         "plain": run_plain(sim(1), trials),
-        "is": run_is(sim(2), trials, tilt=tilt, target=target),
+        "is": run_is(sim(2), trials, tilt=tilt),
         "strat": run_stratified(sim(3), trials, strata=strata, target=target),
     }
     report = {"trials": trials, "estimates": {}, "zscores": {}, "ok": True}

@@ -20,10 +20,13 @@ observable without perturbing them:
   envelope (every registered ``REPRO_*`` knob via
   :mod:`repro.util.envcfg`, package version, hostname, interpreter,
   argv) into ``<run-dir>/manifest.json``.
-* **Summaries** - ``python -m repro.obs.summarize <run-dir>`` renders a
-  human-readable campaign report from the JSONL + manifest alone.  It is
-  the one reader that turns events into totals: pool workers append to
-  the same stream, so their counts add up where an in-process aggregate
+* **Reading it back** - :class:`Follower` is the one parser of the
+  stream, and :class:`repro.obs.progress.Tracker` the one rule that
+  assigns engine events to campaigns.  ``python -m repro.obs.summarize
+  <run-dir>`` renders a campaign report from the JSONL + manifest alone,
+  ``repro.obs.progress`` tails per-campaign progress and
+  ``repro.obs.export`` writes a Chrome trace.  Pool workers append to the
+  same stream, so their counts add up where an in-process aggregate
   would only see the parent's.
 
 Arming
@@ -85,34 +88,55 @@ class _JsonlSink:
             self._fd = None
 
 
-def decode_line(line: bytes, path, lineno: int):
-    """One raw JSONL line as its object; ``None`` when blank or torn.
+class Follower:
+    """The one ``events.jsonl`` parser: incremental and torn-line tolerant.
 
-    A torn line — not UTF-8, or not JSON: the half-written append of a
-    killed writer (ENOSPC, SIGKILL, power loss) or a record straddling an
-    I/O fault — is skipped with a one-line warning on stderr naming the
-    file and line number; one bad record must never cost the rest of the
-    stream.  Both JSONL readers (:mod:`~repro.obs.summarize` and
-    :mod:`~repro.obs.progress`) decode through this.
+    A line that is not UTF-8 JSON — the half-written append of a killed
+    writer (ENOSPC, SIGKILL, power loss) or a record straddling an I/O
+    fault — is skipped with a one-line warning on stderr naming the file
+    and line number; one bad record must never cost the rest of the
+    stream.
     """
-    if not line.strip():
-        return None
-    try:
-        return json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        print(f"warning: {path}:{lineno}: skipping torn JSONL record", file=sys.stderr)
-        return None
 
+    def __init__(self, run_dir: "Path | str"):
+        self.path = Path(run_dir) / EVENTS_FILE
+        self._fh = None
+        self._buf = b""
+        self._lineno = 0  #: lines consumed so far
 
-def read_jsonl(path: "Path | str") -> list:
-    """Every intact line of a JSONL file in order; ``[]`` when it is missing."""
-    try:
-        fh = open(path, "rb")
-    except FileNotFoundError:
-        return []
-    with fh:
-        lines = [decode_line(line, path, n) for n, line in enumerate(fh, 1)]
-    return [obj for obj in lines if obj is not None]
+    def poll(self, final: bool = False) -> "list[dict]":
+        """Every event appended since the last poll.
+
+        A partial last line is a write in flight and waits for the next
+        poll, unless *final* says the file is finished: then it is torn.
+        """
+        if self._fh is None:
+            try:
+                self._fh = open(self.path, "rb")
+            except OSError:
+                return []
+        *lines, self._buf = (self._buf + self._fh.read()).split(b"\n")
+        if final and self._buf:
+            lines.append(self._buf)
+            self._buf = b""
+        events = []
+        for line in lines:
+            self._lineno += 1
+            if not line.strip():
+                continue
+            try:
+                events.append(json.loads(line.decode("utf-8")))
+            except (UnicodeDecodeError, json.JSONDecodeError):
+                print(
+                    f"warning: {self.path}:{self._lineno}: skipping torn JSONL record",
+                    file=sys.stderr,
+                )
+        return events
+
+    def close(self) -> None:
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
 
 
 #: The active sink; ``None`` is the no-op default (the whole off path).

@@ -1,14 +1,13 @@
-"""Live campaign progress from a telemetry run directory.
+"""Live campaign progress, and the one campaign reducer of the event stream.
 
-``python -m repro.obs.progress <run-dir>`` tails ``events.jsonl`` — safely
-against a writer appending concurrently — and tracks per-campaign
-completion.  Two output modes:
+``python -m repro.obs.progress <run-dir>`` tails ``events.jsonl`` through
+:class:`repro.obs.Follower` — safely against a writer appending
+concurrently — and tracks per-campaign completion.  Two output modes:
 
 * **TTY view** (default): one progress bar per campaign with completion,
   throughput (from event timestamps), and a rate-based ETA, re-rendered
   in place on every poll.
-* **``--json``**: one machine-readable line per settlement, the contract
-  the future campaign service streams to clients::
+* **``--json``**: one machine-readable line per settlement::
 
       {"campaign":"campaign-1","done":3,"failed":0,"total":24}
 
@@ -20,9 +19,8 @@ completion.  Two output modes:
   finish in different orders — throughput and ETA, which are not
   deterministic, appear only in the TTY view.
 
-The follower tolerates torn lines anywhere in the stream (a concurrent
-writer's in-flight append, a killed writer's half line) by buffering the
-trailing partial line and warning-and-skipping undecodable interior ones.
+:class:`Tracker` is also what :mod:`repro.obs.summarize` reduces its
+per-task rows with, so both readers count every campaign alike.
 """
 
 from __future__ import annotations
@@ -30,72 +28,33 @@ from __future__ import annotations
 import json
 import sys
 import time
-from pathlib import Path
 
-from repro.obs import EVENTS_FILE, decode_line
-
-
-class Follower:
-    """Incremental, torn-line-tolerant events.jsonl tailer."""
-
-    def __init__(self, run_dir: "Path | str"):
-        self.path = Path(run_dir) / EVENTS_FILE
-        self._fh = None
-        self._buf = b""
-        self._lineno = 0  #: complete lines consumed so far
-
-    def poll(self) -> "list[dict]":
-        """Every complete event appended since the last poll."""
-        if self._fh is None:
-            try:
-                self._fh = open(self.path, "rb")
-            except OSError:
-                return []
-        data = self._fh.read()
-        if not data:
-            return []
-        self._buf += data
-        events = []
-        while True:
-            nl = self._buf.find(b"\n")
-            if nl < 0:
-                break  # partial trailing line: a write in flight, keep it
-            line, self._buf = self._buf[:nl], self._buf[nl + 1 :]
-            self._lineno += 1
-            event = decode_line(line, self.path, self._lineno)
-            if event is not None:
-                events.append(event)
-        return events
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+from repro.obs import Follower
 
 
 class Tracker:
-    """Reduce an event stream into per-campaign progress snapshots.
+    """Reduce an event stream, one event at a time, into campaigns.
 
-    :meth:`feed` returns one deterministic progress line (dict) per
-    settlement-changing event; :attr:`campaigns` holds the running state
-    (with first/last timestamps for the TTY view's rate estimates).
+    :func:`~repro.experiments.parallel.run_tasks` stamps each of its
+    ``engine.*`` events with ``campaign``, the id of its campaign span.
+    An event belongs to the campaign whose ``engine.start`` carried the
+    same stamp, so nested and interleaved campaigns keep their own
+    counts.  Campaigns are numbered in ``engine.start`` order.
+
+    :meth:`feed` returns the deterministic progress line (dict) of a
+    settlement, else ``None``; :attr:`campaigns` holds the running state:
+    counters, first/last timestamps for the TTY view's rate estimates,
+    the start and done events, and one row per task.
     """
 
     def __init__(self):
         self.campaigns: "list[dict]" = []
-        self._by_trace: "dict[str, dict]" = {}
+        self._by_stamp: "dict[str | None, dict]" = {}
 
-    def _campaign_for(self, event: "dict") -> "dict | None":
-        trace = event.get("trace")
-        if trace is not None and trace in self._by_trace:
-            return self._by_trace[trace]
-        for c in reversed(self.campaigns):
-            if c["open"]:
-                return c
-        return None
-
-    def feed(self, event: dict) -> "list[dict]":
+    def feed(self, event: dict) -> "dict | None":
         kind = event.get("kind", "")
+        if not kind.startswith("engine."):
+            return None
         ts = event.get("ts")
         if kind == "engine.start":
             c = {
@@ -103,45 +62,58 @@ class Tracker:
                 "total": int(event.get("tasks", 0)),
                 "done": 0,
                 "failed": 0,
-                "open": True,
                 "first_ts": ts,
                 "last_ts": ts,
+                "start": event,
+                "end": None,
+                "tasks": {},
             }
             self.campaigns.append(c)
-            trace = event.get("trace")
-            if trace is not None:
-                self._by_trace[trace] = c
-            return []
-        if kind in ("engine.ok", "engine.fail"):
-            c = self._campaign_for(event)
-            if c is None:
-                return []
-            c["done" if kind == "engine.ok" else "failed"] += 1
-            if ts is not None:
-                c["last_ts"] = ts
-            return [
-                {
-                    "campaign": c["campaign"],
-                    "done": c["done"],
-                    "failed": c["failed"],
-                    "total": c["total"],
-                }
-            ]
+            self._by_stamp[event.get("campaign")] = c
+            return None
+        c = self._by_stamp.get(event.get("campaign"))
+        if c is None:
+            return None
         if kind == "engine.done":
-            c = self._campaign_for(event)
-            if c is not None:
-                c["open"] = False
-        return []
+            c["end"] = event
+            return None
+        if "index" not in event:
+            return None
+        index = int(event["index"])
+        task = c["tasks"].setdefault(
+            index,
+            {"index": index, "status": "pending", "submits": 0, "errors": [],
+             "worker_pids": [], "wall_s": None},
+        )
+        if kind == "engine.submit":
+            task["submits"] += 1
+            return None
+        if kind == "engine.ok":
+            c["done"] += 1
+            task["status"] = "ok"
+            task["wall_s"] = event.get("wall_s")
+            pid = event.get("worker_pid")
+            if pid is not None and pid not in task["worker_pids"]:
+                task["worker_pids"].append(pid)
+        elif kind == "engine.fail":
+            c["failed"] += 1
+            task["status"] = "failed"
+            task["errors"].append(f"{event.get('reason', '?')}: {event.get('error', '')}")
+        else:
+            return None
+        if ts is not None:
+            c["last_ts"] = ts
+        return {k: c[k] for k in ("campaign", "done", "failed", "total")}
+
+
+def _dumps(line: dict) -> str:
+    return json.dumps(line, separators=(",", ":"), sort_keys=True)
 
 
 def json_lines(events: "list[dict]") -> "list[str]":
     """The full deterministic ``--json`` stream for an event list."""
     tracker = Tracker()
-    out = []
-    for e in events:
-        for line in tracker.feed(e):
-            out.append(json.dumps(line, separators=(",", ":"), sort_keys=True))
-    return out
+    return [_dumps(line) for line in map(tracker.feed, events) if line]
 
 
 def _render(campaigns: "list[dict]", width: int = 28) -> "list[str]":
@@ -156,9 +128,9 @@ def _render(campaigns: "list[dict]", width: int = 28) -> "list[str]":
             span = c["last_ts"] - c["first_ts"]
             if span > 0:
                 rate = c["done"] / span
-                if rate > 0 and c["open"]:
+                if rate > 0 and c["end"] is None:
                     eta = max(0.0, (c["total"] - settled) / rate)
-        state = "done" if not c["open"] else (f"eta {eta:.1f}s" if eta is not None else "...")
+        state = "done" if c["end"] else (f"eta {eta:.1f}s" if eta is not None else "...")
         rate_s = f"{rate:.1f}/s" if rate is not None else "-"
         failed = f"  {c['failed']} failed" if c["failed"] else ""
         lines.append(
@@ -198,18 +170,15 @@ def main(argv: "list[str] | None" = None) -> int:
     rendered = 0
     last_event = time.monotonic()
 
-    def consume() -> bool:
+    def consume(final: bool = False) -> None:
         nonlocal rendered, last_event
-        events = follower.poll()
+        events = follower.poll(final)
         if events:
             last_event = time.monotonic()
-        progressed = False
-        for e in events:
-            for line in tracker.feed(e):
-                progressed = True
-                if args.json:
-                    print(json.dumps(line, separators=(",", ":"), sort_keys=True), flush=True)
-        if not args.json and (progressed or events):
+        for line in map(tracker.feed, events):
+            if line and args.json:
+                print(_dumps(line), flush=True)
+        if not args.json and events:
             lines = _render(tracker.campaigns)
             if sys.stdout.isatty() and rendered:
                 sys.stdout.write(f"\x1b[{rendered}A")
@@ -217,9 +186,8 @@ def main(argv: "list[str] | None" = None) -> int:
                 sys.stdout.write("\x1b[2K" + text + "\n" if sys.stdout.isatty() else text + "\n")
             sys.stdout.flush()
             rendered = len(lines)
-        return progressed
 
-    consume()
+    consume(final=not args.follow)
     if args.follow:
         try:
             while True:

@@ -2,9 +2,9 @@
 
 ``python -m repro.obs.summarize <run-dir>`` reads ``manifest.json`` and
 ``events.jsonl`` and reconstructs what the campaigns did — each task's
-outcome per campaign, ok/failed totals, and a wall-clock throughput
-timeline — from the telemetry alone, with no access to the campaign's
-in-process state.  :func:`summarize` returns the same reconstruction as a
+outcome per campaign, ok/failed totals, and where the wall time went —
+from the telemetry alone, with no access to the campaign's in-process
+state.  :func:`summarize` returns the same reconstruction as a
 dict for tests and tooling; ``--json`` prints it instead of the text
 report.
 """
@@ -12,22 +12,23 @@ report.
 from __future__ import annotations
 
 import json
+from contextlib import closing
 from pathlib import Path
 
-from repro.obs import EVENTS_FILE, read_jsonl
+from repro.obs import Follower
 from repro.obs.manifest import load_manifest
-
-#: Throughput-timeline resolution (equal wall-clock buckets over the run).
-TIMELINE_BUCKETS = 10
+from repro.obs.progress import Tracker
 
 
 def read_events(run_dir: "Path | str") -> "list[dict]":
-    """Parse ``events.jsonl``, ordered by timestamp.
+    """Every intact event of ``events.jsonl``, ordered by timestamp.
 
-    A torn line *anywhere* is skipped with a warning
-    (:func:`repro.obs.decode_line`).
+    One :class:`repro.obs.Follower` poll to the end of the file: a torn
+    line *anywhere*, a partial last line included, is skipped with a
+    warning.
     """
-    events = read_jsonl(Path(run_dir) / EVENTS_FILE)
+    with closing(Follower(run_dir)) as follower:
+        events = follower.poll(final=True)
     events.sort(key=lambda e: e.get("ts", 0.0))
     return events
 
@@ -36,54 +37,28 @@ def _engine_summary(events: "list[dict]") -> dict:
     """Per-task outcomes and totals from engine.* events.
 
     Several campaigns may share a run dir and reuse task indices, so a
-    task is keyed by ``(campaign, index)``: campaigns are numbered in
-    ``engine.start`` order, and an event belongs to the campaign whose
-    start carried the same ``span`` (the campaign span), else to the
-    latest one started.
+    task row is keyed by ``(campaign, index)``, the campaign numbered
+    from 0 in ``engine.start`` order; :class:`repro.obs.progress.Tracker`
+    assigns each event to its campaign.
     """
-    tasks: "dict[tuple[int, int], dict]" = {}
-    totals = {"campaigns": 0, "ok": 0, "failed": 0}
-    by_span: "dict[str, int]" = {}
-    starts, dones = [], []
+    tracker = Tracker()
     for e in events:
-        kind = e.get("kind", "")
-        if not kind.startswith("engine."):
-            continue
-        if kind == "engine.start":
-            totals["campaigns"] += 1
-            starts.append(e)
-            if e.get("span") is not None:
-                by_span[e["span"]] = len(starts) - 1
-            continue
-        if kind == "engine.done":
-            dones.append(e)
-            continue
-        if "index" not in e or not starts:
-            continue
-        campaign = by_span.get(e.get("span"), len(starts) - 1)
-        t = tasks.setdefault(
-            (campaign, int(e["index"])),
-            {"campaign": campaign, "index": int(e["index"]), "status": "pending",
-             "submits": 0, "errors": [], "worker_pids": [], "wall_s": None},
-        )
-        if kind == "engine.submit":
-            t["submits"] += 1
-        elif kind == "engine.ok":
-            t["status"] = "ok"
-            t["wall_s"] = e.get("wall_s")
-            totals["ok"] += 1
-            pid = e.get("worker_pid")
-            if pid is not None and pid not in t["worker_pids"]:
-                t["worker_pids"].append(pid)
-        elif kind == "engine.fail":
-            t["status"] = "failed"
-            t["errors"].append(f"{e.get('reason', '?')}: {e.get('error', '')}")
-            totals["failed"] += 1
+        tracker.feed(e)
+    campaigns = tracker.campaigns
+    tasks = [
+        {"campaign": n, **c["tasks"][i]}
+        for n, c in enumerate(campaigns)
+        for i in sorted(c["tasks"])
+    ]
     return {
-        "tasks": [tasks[k] for k in sorted(tasks)],
-        "totals": totals,
-        "start": starts[-1] if starts else None,
-        "done": dones[-1] if dones else None,
+        "tasks": tasks,
+        "totals": {
+            "campaigns": len(campaigns),
+            "ok": sum(c["done"] for c in campaigns),
+            "failed": sum(c["failed"] for c in campaigns),
+        },
+        "start": campaigns[-1]["start"] if campaigns else None,
+        "done": campaigns[-1]["end"] if campaigns else None,
     }
 
 
@@ -138,26 +113,6 @@ def _sim_summary(events: "list[dict]") -> "dict | None":
     return {"runs": len(runs), "last": runs[-1]}
 
 
-def _timeline(events: "list[dict]") -> "list[dict]":
-    """Bucketed progress: completions and MC trials per wall-clock slice."""
-    marks = [e for e in events if e.get("kind") in ("engine.ok", "mc.chunk") and "ts" in e]
-    if len(marks) < 2:
-        return []
-    t0, t1 = marks[0]["ts"], marks[-1]["ts"]
-    span = max(t1 - t0, 1e-9)
-    buckets = [
-        {"t_s": round(span * b / TIMELINE_BUCKETS, 3), "ok": 0, "mc_trials": 0}
-        for b in range(TIMELINE_BUCKETS)
-    ]
-    for e in marks:
-        b = min(int((e["ts"] - t0) / span * TIMELINE_BUCKETS), TIMELINE_BUCKETS - 1)
-        if e["kind"] == "engine.ok":
-            buckets[b]["ok"] += 1
-        else:
-            buckets[b]["mc_trials"] += int(e.get("n", 0))
-    return buckets
-
-
 def summarize(run_dir: "Path | str") -> dict:
     """Reconstruct the campaign from a run directory's telemetry alone."""
     from repro.obs.spantree import trace_summary
@@ -177,7 +132,6 @@ def summarize(run_dir: "Path | str") -> dict:
         "mc": _mc_summary(events),
         "ecc": _ecc_summary(events),
         "sim": _sim_summary(events),
-        "timeline": _timeline(events),
         "trace": trace_summary(events),
     }
 
@@ -293,12 +247,6 @@ def render(summary: dict) -> str:
                 "  critical path: "
                 + " > ".join(n["name"] for n in tr["critical_path"])
             )
-        lines.append("")
-
-    if summary["timeline"]:
-        lines.append("throughput timeline (bucket start, completions, mc trials):")
-        for b in summary["timeline"]:
-            lines.append(f"  +{b['t_s']:>9.3f}s  ok={b['ok']:<4d}  mc={b['mc_trials']}")
         lines.append("")
 
     return "\n".join(lines).rstrip() + "\n"

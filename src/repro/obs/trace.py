@@ -78,9 +78,6 @@ class _NoopSpan:
     def end(self, **extra) -> None:
         pass
 
-    def ctx(self) -> None:
-        return None
-
 
 NOOP = _NoopSpan()
 
@@ -123,10 +120,6 @@ class Span:
         self._ended = False
         self.t0 = time.monotonic()
         self._token = _current.set((self.trace_id, self.span_id))
-
-    def ctx(self) -> "tuple[str, str]":
-        """This span's picklable ``(trace_id, span_id)`` for propagation."""
-        return (self.trace_id, self.span_id)
 
     def annotate(self, **fields) -> None:
         """Attach fields to be emitted with the closing event."""

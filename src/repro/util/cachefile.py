@@ -14,11 +14,10 @@ crashing.
 Hardening layers protecting concurrent and crashing campaigns:
 
 * **CRC-framed log instead of per-result fsync** — each log record is
-  one :func:`repro.experiments.resultcodec.frame` written by a single
-  ``os.write`` on an ``O_APPEND`` descriptor, and
-  :func:`~repro.experiments.resultcodec.read_frames` trusts a record only
-  once its CRC checks.  A machine crash can lose tail records but never
-  serve a wrong one; a killed process loses nothing (its writes already
+  one :func:`frame` written by a single ``os.write`` on an ``O_APPEND``
+  descriptor, and :func:`read_frames` trusts a record only once its CRC
+  checks.  A machine crash can lose tail records but never serve a
+  wrong one; a killed process loses nothing (its writes already
   sit in the page cache).  Rewriting and fsyncing the whole file after
   every result instead would make a sweep quadratic in its cell count.
 * **fsync before rename** — the temp file is flushed and fsynced (and the
@@ -56,7 +55,9 @@ import itertools
 import json
 import os
 import re
+import struct
 import warnings
+import zlib
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -74,12 +75,50 @@ _swept_dirs: "set[str]" = set()
 _quarantine_seq = itertools.count()
 
 
-def _codec():
-    # Deferred: importing repro.experiments at module load would cycle
-    # back into this module through the drivers.
-    from repro.experiments import resultcodec
+#: Frame header of a log record: CRC32 of the payload, then its byte length.
+_FRAME = struct.Struct("<II")
 
-    return resultcodec
+
+def frame(record) -> bytes:
+    """*record* as one CRC-framed blob, ready for a single append write.
+
+    The payload is the record's UTF-8 JSON text.
+    """
+    blob = json.dumps(record).encode("utf-8")
+    return _FRAME.pack(zlib.crc32(blob), len(blob)) + blob
+
+
+def read_frames(path, offset: int = 0) -> "tuple[list, int, bool]":
+    """Decode the framed records of *path* from byte *offset* on.
+
+    Returns ``(records, clean_end, torn)``: *clean_end* is the byte after
+    the last good record — where the next read resumes, or where a writer
+    truncates before appending — and *torn* says bytes follow it.  Reading
+    stops at the first short, CRC-mismatched or non-JSON frame: each
+    frame is one append write, so damage is a write still in flight or
+    the last write of a killed writer, and nothing after it is trusted.
+    A missing or unreadable file reads as empty.
+    """
+    try:
+        with open(path, "rb") as fh:
+            fh.seek(offset)
+            data = fh.read()
+    except OSError:
+        return [], offset, False
+    records = []
+    pos, end = 0, len(data)
+    while pos + _FRAME.size <= end:
+        crc, size = _FRAME.unpack_from(data, pos)
+        start = pos + _FRAME.size
+        blob = data[start : start + size]
+        if len(blob) < size or zlib.crc32(blob) != crc:
+            break
+        try:
+            records.append(json.loads(blob.decode("utf-8")))
+        except ValueError:
+            break
+        pos = start + size
+    return records, offset + pos, pos < end
 
 
 def _pid_alive(pid: int) -> bool:
@@ -253,11 +292,11 @@ class Checkpoint:
     Loads the cache at *path* (``None`` keeps results in memory only, as
     ``evaluation_matrix(use_cache=False)`` does), then replays the sibling
     ``<name>.log`` a killed run left behind; :meth:`missing` names the
-    keys with no stored value or one that fails *valid*.  :meth:`save` appends one
-    :func:`~repro.experiments.resultcodec.frame` record (the JSON text of
-    ``[key, value]``) to the log: a single ``os.write`` on an ``O_APPEND``
-    descriptor, with no reload, rename or fsync.  Leaving a ``with ckpt:``
-    block, on success or error, compacts: one
+    keys with no stored value or one that fails *valid*.  :meth:`save`
+    appends one :func:`frame` record (``[key, value]``) to the log: a
+    single ``os.write`` on an ``O_APPEND`` descriptor, with no reload,
+    rename or fsync.  Leaving a ``with ckpt:`` block, on success or
+    error, compacts: one
     :func:`write_json_cache_atomic` (merge-on-write, fsync before rename)
     of every value, then the log is unlinked.  Compaction writes new
     values in the key order last passed to :meth:`missing` (task order),
@@ -285,9 +324,7 @@ class Checkpoint:
         if path is not None:
             self.log = path.with_name(f"{path.name}.log")
             self.values = load_json_cache(path)
-            records, _, _ = _codec().read_frames(self.log)
-            for (text,) in records:
-                key, value = json.loads(text)
+            for key, value in read_frames(self.log)[0]:
                 self.values[key] = value
 
     def missing(self, keys: "Iterable[str]") -> "list[str]":
@@ -298,7 +335,7 @@ class Checkpoint:
 
     def save(self, key: str, value: object) -> None:
         if self.path is not None:
-            self._append(_codec().frame((json.dumps([key, value]),)))
+            self._append(frame([key, value]))
         self.values[key] = value
 
     def _append(self, data: bytes) -> None:
@@ -306,7 +343,7 @@ class Checkpoint:
         if not self._tail_cut:
             # A torn tail (a killed writer, a failed append) ends what
             # read_frames trusts: cut it, or every later record is lost.
-            _, clean_end, torn = _codec().read_frames(self.log)
+            _, clean_end, torn = read_frames(self.log)
             if torn:
                 os.truncate(self.log, clean_end)
             self.log.parent.mkdir(parents=True, exist_ok=True)

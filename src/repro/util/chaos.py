@@ -143,7 +143,6 @@ def io_fire(op: str, size: "int | None" = None) -> "int | None":
     _io_counts[op] = count
     for fault in faults:
         if fault.matches(op, count):
-            _emit_io_fire(fault, op, count)
             if fault.mode == "enospc":
                 raise OSError(errno.ENOSPC, f"chaos: no space left on device [{op}]")
             if fault.mode == "eio":
@@ -156,14 +155,3 @@ def io_fire(op: str, size: "int | None" = None) -> "int | None":
                 return cap if size is None else min(cap, size)
     return None
 
-
-def _emit_io_fire(fault: IOFault, op: str, count: int) -> None:
-    """Record an I/O firing on the event bus (mode ``chaos``) before it applies.
-
-    The bus appends with a single ``O_APPEND`` write, so even a ``kill``
-    firing reaches the JSONL before the process dies — resume tests
-    correlate each firing with the recovery that follows.
-    """
-    from repro import obs
-
-    obs.emit("chaos.io_fire", mode=fault.mode, op=op, occurrence=count, param=fault.param)

@@ -21,9 +21,8 @@ import pytest
 import repro.experiments.evaluation as ev
 from repro.experiments import parallel
 from repro.experiments.evaluation import Fidelity, evaluation_matrix
-from repro.experiments.resultcodec import read_frames
 from repro.util import chaos
-from repro.util.cachefile import Checkpoint, load_json_cache, write_json_cache_atomic
+from repro.util.cachefile import Checkpoint, load_json_cache, read_frames, write_json_cache_atomic
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 TINY = Fidelity("tiny", scale=64, access_target=4000)
@@ -148,6 +147,24 @@ class TestTornTail:
         resumed = _sweep()
         assert len(ran) == 2
         assert resumed == _sweep(use_cache=False)
+
+    #: One record of the earlier log format, which framed a typed-codec
+    #: ``(text,)`` tuple around the JSON text ``["a", 9.0]``.
+    TYPED_FRAME = bytes.fromhex("c2b35df1140000007401000000730a0000005b2261222c20392e305d")
+
+    def test_log_of_the_typed_format_recomputes(self, tmp_path):
+        """A log of the earlier format is no clean prefix: its cells recompute
+        and its values are never served."""
+        path = tmp_path / "c.json"
+        log = tmp_path / "c.json.log"
+        log.write_bytes(self.TYPED_FRAME)
+        assert read_frames(log) == ([], 0, True)
+        ckpt = Checkpoint(path, lambda v: isinstance(v, float))
+        assert ckpt.values == {}
+        assert ckpt.missing(["a"]) == ["a"]
+        ckpt.save("a", 1.5)  # cuts the old record before appending
+        assert read_frames(log) == ([["a", 1.5]], log.stat().st_size, False)
+        assert Checkpoint(path, lambda v: True).values == {"a": 1.5}
 
     def test_truncated_driver_log_recomputes_lost_cell(self, tmp_path, monkeypatch):
         name = ev._cache_path("quad", TINY, 0).name

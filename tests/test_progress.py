@@ -1,9 +1,10 @@
-"""Live progress follower: tailing, torn lines, determinism.
+"""Live progress follower: tailing, torn lines, determinism, campaigns.
 
 The ``--json`` stream is a contract: one line per settlement carrying
 only deterministic fields, so a serial and a parallel run of the same
 campaign produce *byte-identical* streams even though tasks finish in
-different orders.
+different orders.  Its per-campaign counts are the ones ``summarize``
+reports, nested campaigns included.
 """
 
 import json
@@ -16,12 +17,23 @@ import pytest
 
 from repro import obs
 from repro.experiments import parallel
-from repro.obs.progress import Follower, Tracker, json_lines
-from repro.obs.summarize import read_events
+from repro.obs.progress import Follower, json_lines
+from repro.obs.summarize import read_events, summarize
 
 
 def _square(x):
     return x * x
+
+
+def _inner(x):
+    if x == 5:
+        raise ValueError("inner task fails")
+    return x * x
+
+
+def _outer(base):
+    """A campaign task that runs a 3-task campaign of its own."""
+    return sum(parallel.run_tasks(_inner, [(base + i,) for i in range(3)], jobs=1))
 
 
 PAYLOADS = [(i,) for i in range(8)]
@@ -131,16 +143,41 @@ class TestTrackerDeterminism:
             {"campaign": "campaign-1", "done": 1, "failed": 1, "total": 2},
         ]
 
-    def test_two_campaigns_by_trace_stamp(self):
+    def test_two_campaigns_in_one_trace_by_campaign_stamp(self):
+        """Nested campaigns share a trace; the campaign stamp tells them apart."""
         events = [
-            {"kind": "engine.start", "ts": 1.0, "tasks": 1, "trace": "aa"},
-            {"kind": "engine.start", "ts": 1.1, "tasks": 1, "trace": "bb"},
-            {"kind": "engine.ok", "ts": 2.0, "index": 0, "trace": "aa"},
-            {"kind": "engine.ok", "ts": 2.1, "index": 0, "trace": "bb"},
+            {"kind": "engine.start", "ts": 1.0, "tasks": 1, "trace": "t", "campaign": "aa"},
+            {"kind": "engine.start", "ts": 1.1, "tasks": 2, "trace": "t", "campaign": "bb"},
+            {"kind": "engine.ok", "ts": 2.0, "index": 0, "trace": "t", "campaign": "bb"},
+            {"kind": "engine.ok", "ts": 2.1, "index": 0, "trace": "t", "campaign": "aa"},
         ]
         lines = [json.loads(l) for l in json_lines(events)]
-        assert lines[0]["campaign"] == "campaign-1"
-        assert lines[1]["campaign"] == "campaign-2"
+        assert lines == [
+            {"campaign": "campaign-2", "done": 1, "failed": 0, "total": 2},
+            {"campaign": "campaign-1", "done": 1, "failed": 0, "total": 1},
+        ]
+
+
+class TestNestedCampaigns:
+    def test_progress_and_summarize_agree(self, armed):
+        """A serial campaign whose tasks each run a 3-task campaign: the last
+        progress line of every campaign carries summarize's ok/failed counts."""
+        with pytest.raises(parallel.CampaignError):
+            list(parallel.run_tasks(_outer, [(0,), (3,)], jobs=1))
+        progress = {}
+        for line in json_lines(read_events(armed)):
+            c = json.loads(line)
+            progress[c["campaign"]] = (c["done"], c["failed"])
+        rows = {}
+        for t in summarize(armed)["engine"]["tasks"]:
+            ok, failed = rows.get(f"campaign-{t['campaign'] + 1}", (0, 0))
+            rows[f"campaign-{t['campaign'] + 1}"] = (
+                ok + (t["status"] == "ok"), failed + (t["status"] == "failed")
+            )
+        # The outer campaign, then one inner campaign per outer task.
+        assert progress == rows == {
+            "campaign-1": (1, 1), "campaign-2": (3, 0), "campaign-3": (2, 1)
+        }
 
 
 class TestLiveFollow:

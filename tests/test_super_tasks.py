@@ -17,7 +17,7 @@ import pytest
 
 import repro.experiments.evaluation as ev
 from repro import obs
-from repro.experiments import parallel, resultcodec
+from repro.experiments import parallel
 from repro.experiments.evaluation import Fidelity, evaluation_matrix
 from repro.faults.montecarlo import _eol_cell
 from repro.obs.summarize import read_events
@@ -257,31 +257,3 @@ class TestDecodeGuards:
         events = read_events(armed)
         starts = [e for e in events if e["kind"] == "engine.start"]
         assert starts[0]["path"] == "serial"
-
-    def test_codec_rejects_empty_buffer(self):
-        with pytest.raises(ValueError):
-            resultcodec.decode(b"")
-
-    def test_codec_rejects_trailing_garbage(self):
-        with pytest.raises(ValueError):
-            resultcodec.decode(resultcodec.encode((1, 2)) + b"x")
-
-    def test_codec_roundtrip_is_type_exact(self):
-        import numpy as np
-
-        values = [
-            None, True, False, 0, -1, 1 << 62, -(1 << 62), 1 << 80,
-            0.0, -0.0, 2.5, float("inf"), "", "héllo", b"\x00\xff",
-            (), [], {}, (1, [2.0, "3"], {"k": (True, None)}),
-            {"a": 1, 2: "b"}, np.arange(6, dtype=np.int32).reshape(2, 3),
-            np.zeros((0, 4)), frozenset({1, 2}),
-        ]
-        for v in values:
-            got = resultcodec.decode(resultcodec.encode(v))
-            if isinstance(v, np.ndarray):
-                assert got.dtype == v.dtype and got.shape == v.shape
-                assert (got == v).all()
-            else:
-                assert got == v and type(got) is type(v)
-        assert resultcodec.decode(resultcodec.encode(True)) is True
-        assert type(resultcodec.decode(resultcodec.encode(1))) is int
