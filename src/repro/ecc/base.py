@@ -96,6 +96,12 @@ class ECCScheme(abc.ABC):
     traffic = EccTraffic.INLINE
     #: Data lines covered by one ECC/XOR cacheline (when traffic is not INLINE).
     ecc_line_coverage: int = 0
+    #: True when the stored line (data, detection and correction payloads)
+    #: is a linear code over XOR: the decoder's verdict on a corrupted line
+    #: then depends only on the error pattern, not on the payload, so
+    #: :meth:`correct_errors` decodes the error alone.  The one's-complement
+    #: checksums of LOT-ECC and Multi-ECC are not linear.
+    linear: bool = False
 
     # -- capacity ---------------------------------------------------------------
 
@@ -230,6 +236,41 @@ class ECCScheme(abc.ABC):
             corrected[i] = res.corrected
             detected[i] = res.detected
         return BatchCorrectResult(data=data, ok=ok, corrected=corrected, detected=detected)
+
+    def correct_errors(
+        self, data: np.ndarray, error: np.ndarray
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """Store lines *data*, XOR *error* into their chip matrices, correct.
+
+        *data* is ``(T, line_size)`` and *error* ``(T, data_chips,
+        chip_bytes)``.  Returns per-line ``(ok, right)``: ``ok`` where the
+        scheme claimed recovery, ``right`` where it also gave the stored line
+        back.  Only lines with a nonzero error reach :meth:`correct_lines`;
+        a clean line is ok and right under every scheme.  A :attr:`linear`
+        scheme stores the zero line (zero detection and correction payloads,
+        nothing to encode) and reads the verdict off the decoded error;
+        every other scheme encodes *data*.
+        """
+        total = error.shape[0]
+        ok = np.ones(total, dtype=bool)
+        right = np.ones(total, dtype=bool)
+        dirty = np.flatnonzero(error.reshape(total, -1).any(axis=1))
+        if not dirty.size:
+            return ok, right
+        err = error[dirty]
+        if self.linear:
+            base = np.zeros((dirty.size, self.line_size), dtype=np.uint8)
+            chips = err
+            det = np.zeros((dirty.size, self.detection_bytes_per_line), dtype=np.uint8)
+            cor = np.zeros((dirty.size, self.correction_bytes_per_line), dtype=np.uint8)
+        else:
+            base = data[dirty]
+            chips, det, cor = self.encode_line(base)
+            chips = chips ^ err
+        res = self.correct_lines(chips, det, cor)
+        ok[dirty] = res.ok
+        right[dirty] = res.ok & np.all(res.data == base, axis=1)
+        return ok, right
 
     # -- convenience --------------------------------------------------------------
 

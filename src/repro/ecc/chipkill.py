@@ -32,11 +32,18 @@ from repro.ecc.base import (
 from repro.gf import GF256, ReedSolomon
 
 
+def _flat(checks: np.ndarray) -> np.ndarray:
+    """Check symbols ``(..., words, k)`` as a ``(..., words * k)`` payload."""
+    return checks.reshape(*checks.shape[:-2], -1).copy()
+
+
 class _RsChipkill(ECCScheme):
     """Shared machinery for symbol-per-chip RS chipkill codes."""
 
     traffic = EccTraffic.INLINE
     chip_width = 4
+    #: Data and check symbols form one RS codeword per word: linear over XOR.
+    linear = True
     #: Check symbols per word reserved for detection (stored in ECC chips).
     detect_symbols: int = 0
     #: Check symbols per word reserved for correction.
@@ -74,12 +81,20 @@ class _RsChipkill(ECCScheme):
         return self._rs.encode(words)[..., self.data_chips :]
 
     def compute_detection(self, data: np.ndarray) -> np.ndarray:
-        checks = self._check_symbols(data)[..., : self.detect_symbols]
-        return checks.reshape(*checks.shape[:-2], -1).copy()
+        return _flat(self._check_symbols(data)[..., : self.detect_symbols])
 
     def compute_correction(self, data: np.ndarray) -> np.ndarray:
-        checks = self._check_symbols(data)[..., self.detect_symbols :]
-        return checks.reshape(*checks.shape[:-2], -1).copy()
+        return _flat(self._check_symbols(data)[..., self.detect_symbols :])
+
+    def encode_line(self, data: np.ndarray) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+        """One RS encode for both payloads."""
+        data = np.asarray(data, dtype=np.uint8)
+        checks = self._check_symbols(data)
+        return (
+            self.split_to_chips(data),
+            _flat(checks[..., : self.detect_symbols]),
+            _flat(checks[..., self.detect_symbols :]),
+        )
 
     def _assemble(self, chips: np.ndarray, detection: np.ndarray, correction: np.ndarray) -> np.ndarray:
         """Rebuild full RS codewords from the stored pieces: ``(words, n)``."""

@@ -118,11 +118,24 @@ class LotEcc5RS(ECCScheme):
         checks = self._check_symbols(data)[..., 0]  # (..., WORDS)
         return _symbols_to_bytes(checks)
 
-    def compute_correction(self, data: np.ndarray) -> np.ndarray:
-        checks = _symbols_to_bytes(self._check_symbols(data)[..., 1])
+    def _correction(self, data: np.ndarray, checks: np.ndarray) -> np.ndarray:
+        """Correction payload from the line(s) and their check symbols."""
         csums = ones_complement_checksum16(self.split_to_chips(data))
         csums = csums.reshape(*csums.shape[:-2], -1)
-        return np.concatenate([checks, csums], axis=-1)
+        return np.concatenate([_symbols_to_bytes(checks[..., 1]), csums], axis=-1)
+
+    def compute_correction(self, data: np.ndarray) -> np.ndarray:
+        return self._correction(data, self._check_symbols(data))
+
+    def encode_line(self, data: np.ndarray) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+        """One RS encode for both payloads."""
+        data = np.asarray(data, dtype=np.uint8)
+        checks = self._check_symbols(data)
+        return (
+            self.split_to_chips(data),
+            _symbols_to_bytes(checks[..., 0]),
+            self._correction(data, checks),
+        )
 
     # -- detection (inter-chip: catches address errors) -------------------------------------
 

@@ -14,11 +14,16 @@ coverage": with both check symbols consumed by correction, a double-chip
 corruption can alias to a valid single-symbol correction and silently
 miscorrect, where the 36-device code's spare symbols flag it.
 
-Trials are drawn and decoded in chunked batches (one
-:meth:`~repro.ecc.base.ECCScheme.correct_lines` call per chunk); the
-per-trial loop survives as :func:`_tally_reference`, which consumes the
-same draws and is held equal to the batched path by
-``tests/test_mc_batched.py``.  Cells fan out over processes via
+Trials are drawn in chunked batches, and each chunk's corruption becomes
+an XOR error pattern decoded by one
+:meth:`~repro.ecc.base.ECCScheme.correct_errors` call: error-free trials
+never reach the decoder, and a linear scheme decodes the error alone
+(the zero line is its codeword, so no payload is encoded).  The draws
+still include every payload, so the tallies are those of encoding and
+corrupting the drawn lines.  The per-trial encode-corrupt-decode loop
+survives as :func:`_tally_reference`, which consumes the same draws and
+is held equal to the batched path by ``tests/test_mc_batched.py``.
+Cells fan out over processes via
 :func:`repro.experiments.parallel.run_tasks`.
 """
 
@@ -94,16 +99,29 @@ def _corrupt(scheme: ECCScheme, chips: np.ndarray, spec) -> np.ndarray:
     return bad
 
 
+def _error(scheme: ECCScheme, chips: np.ndarray, spec) -> np.ndarray:
+    """A chunk's corruption spec as an XOR error on its ``(n, chips,
+    chip_bytes)`` batch: a killed chip's error is its replacement bytes XOR
+    its data bytes, a scattered flip's is its bit."""
+    kind, a, b = spec
+    n = chips.shape[0]
+    err = np.zeros(chips.shape, dtype=np.uint8)  # C order: ``flat`` is a view
+    if kind == "chips":
+        rows = np.arange(n)[:, None]
+        err[rows, a] = b ^ chips[rows, a]
+        return err
+    flat = err.reshape(n, -1)
+    for i in range(a.shape[1]):  # a few vector ops; duplicates self-cancel
+        flat[np.arange(n), a[:, i]] ^= (1 << b[:, i]).astype(np.uint8)
+    return err
+
+
 def _tally_batched(scheme: ECCScheme, data: np.ndarray, spec) -> np.ndarray:
     """Chunk outcome counts ``[corrected, detected_uncorrectable, silent]``."""
-    chips = scheme.split_to_chips(data)
-    det = scheme.compute_detection(data)
-    cor = scheme.compute_correction(data)
-    bad = _corrupt(scheme, chips, spec)
-    res = scheme.correct_lines(bad, det, cor)
-    right = res.ok & np.all(res.data == data, axis=1)
+    error = _error(scheme, scheme.split_to_chips(data), spec)
+    ok, right = scheme.correct_errors(data, error)
     return np.array(
-        [int(right.sum()), int((~res.ok).sum()), int((res.ok & ~right).sum())], dtype=np.int64
+        [int(right.sum()), int((~ok).sum()), int((ok & ~right).sum())], dtype=np.int64
     )
 
 

@@ -293,21 +293,20 @@ def _codec_scatter_tally(
 ) -> np.ndarray:
     """Per-trial silent-or-wrong indicator for one scatter chunk.
 
-    Encodes every payload, applies the drawn flips to the chip matrices,
-    pushes the whole chunk through ``scheme.correct_lines`` (one batched
-    codec call - the RS decode kernel sees every dirty word at once), and
-    returns 1.0 where the scheme claimed recovery but the payload is wrong
-    - the same miscorrection/silent-corruption bucket
-    ``experiments.coverage`` counts.
+    Builds the drawn flips as an XOR error on the chip matrices and hands
+    the whole chunk to ``scheme.correct_errors`` (one batched codec call -
+    the RS decode kernel sees every dirty word at once): trials without a
+    flip never reach the decoder, and a linear scheme decodes the error
+    alone, with no payload encoded.  Returns 1.0 where the scheme claimed
+    recovery but the line is wrong - the same miscorrection/silent-
+    corruption bucket ``experiments.coverage`` counts.
     """
     n = data.shape[0]
-    chips, det, corr = scheme.encode_line(data)
-    flat = np.ascontiguousarray(chips).reshape(n, -1)
+    error = np.zeros((n, scheme.data_chips * scheme.chip_bytes), dtype=np.uint8)
     trial = np.repeat(np.arange(n), counts)
-    np.bitwise_xor.at(flat, (trial, pos), (np.uint8(1) << bit).astype(np.uint8))
-    res = scheme.correct_lines(flat.reshape(chips.shape), det, corr)
-    wrong = res.ok & ~np.all(res.data == data, axis=1)
-    return wrong.astype(np.float64)
+    np.bitwise_xor.at(error, (trial, pos), (np.uint8(1) << bit).astype(np.uint8))
+    ok, right = scheme.correct_errors(data, error.reshape(n, scheme.data_chips, scheme.chip_bytes))
+    return (ok & ~right).astype(np.float64)
 
 
 class EolCapacitySim:

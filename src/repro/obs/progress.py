@@ -44,7 +44,11 @@ class Tracker:
     :meth:`feed` returns the deterministic progress line (dict) of a
     settlement, else ``None``; :attr:`campaigns` holds the running state:
     counters, first/last timestamps for the TTY view's rate estimates,
-    the start and done events, and one row per task.
+    the start and done events, and one row per task.  The engine runs
+    each task once, so a row carries one ``status`` (``pending``,
+    ``running`` once submitted, then ``ok`` or ``failed``), the
+    ``worker_pid`` and ``wall_s`` of its success or the ``error`` of its
+    failure.
     """
 
     def __init__(self):
@@ -82,23 +86,21 @@ class Tracker:
         index = int(event["index"])
         task = c["tasks"].setdefault(
             index,
-            {"index": index, "status": "pending", "submits": 0, "errors": [],
-             "worker_pids": [], "wall_s": None},
+            {"index": index, "status": "pending", "worker_pid": None, "error": None,
+             "wall_s": None},
         )
         if kind == "engine.submit":
-            task["submits"] += 1
+            task["status"] = "running"
             return None
         if kind == "engine.ok":
             c["done"] += 1
             task["status"] = "ok"
             task["wall_s"] = event.get("wall_s")
-            pid = event.get("worker_pid")
-            if pid is not None and pid not in task["worker_pids"]:
-                task["worker_pids"].append(pid)
+            task["worker_pid"] = event.get("worker_pid")
         elif kind == "engine.fail":
             c["failed"] += 1
             task["status"] = "failed"
-            task["errors"].append(f"{event.get('reason', '?')}: {event.get('error', '')}")
+            task["error"] = f"{event.get('reason', '?')}: {event.get('error', '')}"
         else:
             return None
         if ts is not None:

@@ -39,12 +39,15 @@ def _engine_summary(events: "list[dict]") -> dict:
     Several campaigns may share a run dir and reuse task indices, so a
     task row is keyed by ``(campaign, index)``, the campaign numbered
     from 0 in ``engine.start`` order; :class:`repro.obs.progress.Tracker`
-    assigns each event to its campaign.
+    assigns each event to its campaign.  ``start`` and ``done`` describe
+    the run: the first campaign's start and the done event of the
+    campaign that ended last (``None`` while any campaign is open).
     """
     tracker = Tracker()
     for e in events:
         tracker.feed(e)
     campaigns = tracker.campaigns
+    ends = [c["end"] for c in campaigns if c["end"] is not None]
     tasks = [
         {"campaign": n, **c["tasks"][i]}
         for n, c in enumerate(campaigns)
@@ -57,8 +60,10 @@ def _engine_summary(events: "list[dict]") -> dict:
             "ok": sum(c["done"] for c in campaigns),
             "failed": sum(c["failed"] for c in campaigns),
         },
-        "start": campaigns[-1]["start"] if campaigns else None,
-        "done": campaigns[-1]["end"] if campaigns else None,
+        "start": campaigns[0]["start"] if campaigns else None,
+        "done": max(ends, key=lambda e: e.get("ts", 0.0))
+        if ends and len(ends) == len(campaigns)
+        else None,
     }
 
 
@@ -182,11 +187,11 @@ def render(summary: dict) -> str:
             "engine: {campaigns} campaign(s), {ok} ok, {failed} failed".format(**totals)
         )
         rows = [
-            [str(t["campaign"]), str(t["index"]), t["status"], str(t["submits"]),
-             ",".join(str(p) for p in t["worker_pids"]) or "-"]
+            [str(t["campaign"]), str(t["index"]), t["status"],
+             str(t["worker_pid"] or "-"), t["error"] or ""]
             for t in eng["tasks"]
         ]
-        lines += _table(["campaign", "task", "status", "submits", "workers"], rows)
+        lines += _table(["campaign", "task", "status", "worker", "error"], rows)
         lines.append("")
 
     if summary["mc"]:

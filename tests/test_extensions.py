@@ -1,13 +1,17 @@
 """Tests for the extension experiments: mixed ranks (VI-A), HPC stall MC
 (VI-B), address-error campaign (VI-D), RAID5 strawman, and the CLI."""
 
+import numpy as np
 import pytest
 
+from repro.ecc import LotEcc5, LotEcc5RS
 from repro.ecc.catalog import QUAD_EQUIVALENT
+from repro.experiments import detection
 from repro.experiments.capacity import raid5_data_overhead
 from repro.experiments.detection import address_error_campaign
 from repro.experiments.mixed_ranks import mixed_rank_frontier
 from repro.faults import hpc_stall_fraction, hpc_stall_mc
+from repro.util.rng import make_rng
 from repro.workloads import WORKLOADS_BY_NAME
 
 
@@ -69,6 +73,26 @@ class TestAddressErrorCampaign:
         assert rs.detection_rate == 1.0
         assert rs.correction_rate >= 0.95
 
+    @pytest.mark.parametrize("seed", [0, 4, 11])
+    def test_batch_equals_per_trial_oracle(self, seed):
+        """The batched campaign's per-trial flags and counts are those of
+        the per-trial functions on the same stream."""
+        trials = 40
+        results = address_error_campaign(trials=trials, seed=seed)
+        for (scheme, chip_local, trial), row in zip(
+            (
+                (LotEcc5(), True, detection._address_error_trial_plain),
+                (LotEcc5RS(), False, detection._address_error_trial_rs),
+            ),
+            results,
+        ):
+            rng = make_rng(seed)
+            oracle = np.array([trial(scheme, rng) for _ in range(trials)]).T
+            draws = detection._draw_trials(scheme, trials, make_rng(seed))
+            batch = detection._address_error_batch(scheme, *draws, chip_local)
+            assert np.array_equal(np.stack(batch), oracle)
+            assert (row.detected, row.corrected) == tuple(int(v) for v in oracle.sum(axis=1))
+
 
 class TestRaid5Strawman:
     def test_quad_channel_is_half(self):
@@ -77,7 +101,6 @@ class TestRaid5Strawman:
 
     def test_worse_than_ecc_parity(self):
         from repro.core import ECCParityScheme
-        from repro.ecc import LotEcc5
 
         for n in (4, 8):
             assert raid5_data_overhead(n) > ECCParityScheme(LotEcc5(), n).capacity_overhead

@@ -179,11 +179,11 @@ class TestCoverageBatchedEqualsReference:
     def test_identical_tallies(self, scheme_cls, pattern):
         scheme = scheme_cls()
         rng = make_rng(np.random.SeedSequence((31, 1)))
-        data, spec = coverage._draw_chunk(scheme, pattern, 64, rng)
+        data, spec = coverage._draw_chunk(scheme, pattern, 1024, rng)
         batched = coverage._tally_batched(scheme, data, spec)
         reference = coverage._tally_reference(scheme, data, spec)
         assert np.array_equal(batched, reference)
-        assert int(batched.sum()) == 64
+        assert int(batched.sum()) == 1024
 
 
 class TestHpcStallMc:

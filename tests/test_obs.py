@@ -318,15 +318,18 @@ class TestSummarizeWorkerDeath:
         ]
         for t in eng["tasks"]:
             assert t["status"] == ("failed" if t["index"] in failed else "ok")
-            # A task still queued when the pool broke was never submitted.
-            assert t["submits"] == (1 if t["status"] == "ok" else t["submits"]) <= 1
+            # One-shot: an ok task names its worker, a failed one its error.
+            if t["status"] == "ok":
+                assert t["worker_pid"] is not None and t["error"] is None
+            else:
+                assert t["worker_pid"] is None and t["error"]
         assert eng["totals"] == {"campaigns": 1, "ok": ok, "failed": len(failed)}
 
     def test_worker_death_in_stream(self, death_summary):
         summary, ok, failed = death_summary
         (dead,) = [t for t in summary["engine"]["tasks"] if t["index"] == self.DIES]
         assert dead["status"] == "failed"
-        assert dead["errors"][0].startswith("worker died: BrokenProcessPool")
+        assert dead["error"].startswith("worker died: BrokenProcessPool")
         assert summary["engine"]["start"]["tasks"] == len(PAYLOADS)
         assert summary["kinds"]["engine.fail"] == len(failed)
         assert summary["engine"]["done"]["failed"] == len(failed)
@@ -340,7 +343,7 @@ class TestSummarizeWorkerDeath:
         summary, ok, failed = death_summary
         text = render(summary)
         assert f"engine: 1 campaign(s), {ok} ok, {len(failed)} failed" in text
-        assert "campaign  task  status  submits  workers" in text
+        assert "campaign  task  status  worker" in text
         out = subprocess.run(
             [sys.executable, "-m", "repro.obs.summarize", summary["run_dir"], "--json"],
             capture_output=True,
@@ -363,8 +366,11 @@ class TestSummarizeCampaigns:
         assert [(t["campaign"], t["index"]) for t in eng["tasks"]] == [
             (0, 0), (0, 1), (0, 2), (1, 0), (1, 1)
         ]
-        assert all(t["submits"] == 1 and t["status"] == "ok" for t in eng["tasks"])
-        assert all(len(t["worker_pids"]) == 1 for t in eng["tasks"])
+        assert all(t["status"] == "ok" and t["error"] is None for t in eng["tasks"])
+        assert all(isinstance(t["worker_pid"], int) for t in eng["tasks"])
+        # start and done describe the run: the first campaign's start, the
+        # second (last to end) campaign's done.
+        assert (eng["start"]["tasks"], eng["done"]["tasks"]) == (3, 2)
         assert eng["totals"] == {"campaigns": 2, "ok": 5, "failed": 0}
 
 

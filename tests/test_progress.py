@@ -178,6 +178,10 @@ class TestNestedCampaigns:
         assert progress == rows == {
             "campaign-1": (1, 1), "campaign-2": (3, 0), "campaign-3": (2, 1)
         }
+        # The run starts and ends with the outer campaign.
+        eng = summarize(armed)["engine"]
+        assert eng["start"]["tasks"] == 2
+        assert eng["done"]["campaign"] == eng["start"]["campaign"]
 
 
 class TestLiveFollow:
