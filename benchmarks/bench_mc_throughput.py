@@ -1,10 +1,10 @@
 """Reliability-plane throughput benchmarks.
 
 Not a paper figure - this guards the performance claims of the batched
-reliability plane: the vectorized Figure 8 Monte Carlo against its retained
-per-event reference loop, and the batched scrub pass against the per-line
-one, plus (outside quick mode) a 1M-trial Figure 8 convergence check
-against the default 20k-trial run.  Numbers land in
+reliability plane: the vectorized Figure 8 Monte Carlo (``run_plain``)
+against its retained per-event reference kernel, and the batched scrub
+pass against the per-line one, plus (outside quick mode) a 1M-trial
+Figure 8 convergence check against the default 20k-trial run.  Numbers land in
 ``results/BENCH_mc_throughput.json`` (plus a rendered table) so CI can
 archive them per commit.
 
@@ -23,8 +23,13 @@ from repro.ecc.lot_ecc import LotEcc5
 from repro.experiments.report import format_table
 from repro.faults.fit_rates import FaultMode
 from repro.faults.injector import FaultInjector
-from repro.faults.montecarlo import EolCapacitySim, eol_fraction_by_channels
-from repro.faults.rareevent import Z95
+from repro.faults.montecarlo import (
+    EolCapacitySim,
+    _chunk_reference,
+    _draw_chunk,
+    eol_fraction_by_channels,
+)
+from repro.faults.rareevent import Z95, run_plain
 from repro.util import envcfg
 
 QUICK_MODE = envcfg.flag("REPRO_BENCH_QUICK")
@@ -47,14 +52,18 @@ def _merge_results(results_dir, **fields):
 
 
 def bench_fig8_mc_throughput(benchmark, results_dir, emit):
-    """Vectorized EOL Monte Carlo vs the per-event reference loop."""
+    """Vectorized EOL Monte Carlo vs the per-event reference kernel."""
 
     def measure():
         t0 = time.perf_counter()
-        result = EolCapacitySim(seed=0).run(trials=BATCHED_TRIALS)
+        result = run_plain(EolCapacitySim(seed=0), trials=BATCHED_TRIALS)
         batched_wall = time.perf_counter() - t0
+        # The reference leg: one chunk of the same draw contract, walked
+        # event by event (REFERENCE_TRIALS fits in one default chunk).
         t0 = time.perf_counter()
-        EolCapacitySim(seed=0)._run_reference(trials=REFERENCE_TRIALS)
+        sim = EolCapacitySim(seed=0)
+        draws = _draw_chunk(sim.rng, sim.org, sim._lambdas(), REFERENCE_TRIALS)
+        _chunk_reference(sim.org, draws, REFERENCE_TRIALS)
         reference_wall = time.perf_counter() - t0
         return batched_wall, reference_wall, result
 
@@ -66,7 +75,7 @@ def bench_fig8_mc_throughput(benchmark, results_dir, emit):
     # half-width this run actually achieved on the mean, and the plain-MC
     # effective trials/sec (for plain MC the two rates coincide; the
     # rare-event bench reports how far variance reduction lifts it).
-    ci_halfwidth = Z95 * float(result.fractions.std()) / BATCHED_TRIALS**0.5
+    ci_halfwidth = Z95 * result.se_mean
     _merge_results(
         results_dir,
         fig8_mc={

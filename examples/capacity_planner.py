@@ -13,6 +13,7 @@ from repro.core import ECCParityScheme
 from repro.ecc import Chipkill36, LotEcc5, LotEcc9, Raim18EP
 from repro.experiments import format_table
 from repro.faults import EolCapacitySim, MemoryOrg
+from repro.faults.rareevent import run_plain
 
 CHANNELS = [2, 3, 4, 6, 8, 12, 16]
 
@@ -22,7 +23,7 @@ def main() -> None:
         rows = []
         for n in CHANNELS:
             ep = ECCParityScheme(base, n)
-            frac = EolCapacitySim(MemoryOrg(channels=n), seed=n).run(4000).mean
+            frac = run_plain(EolCapacitySim(MemoryOrg(channels=n), seed=n), 4000).mean
             rows.append(
                 [
                     n,

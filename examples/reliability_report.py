@@ -23,13 +23,14 @@ from repro.faults import (
     multi_channel_window_probability,
     undetectable_error_interval_years,
 )
+from repro.faults.rareevent import run_plain
 
 
 def main(channels: int = 8, fit: float = 44.0) -> None:
     org = MemoryOrg(channels=channels)
     base = LotEcc5()
     ep = ECCParityScheme(base, channels)
-    eol = EolCapacitySim(org, seed=0).run(10000)
+    eol = run_plain(EolCapacitySim(org, seed=0), 10000)
 
     print(f"=== ECC Parity deployment report: {base.name}, N={channels}, {fit:g} FIT/chip ===\n")
     print(format_table(
@@ -52,7 +53,7 @@ def main(channels: int = 8, fit: float = 44.0) -> None:
             ["P(multi-channel, 8h window, 7yr)", f"{multi_channel_window_probability(8.0, fit, org):.2e}"],
             ["added UE interval (8h scrub)", f"{added_uncorrectable_interval_years(8.0, fit, org):,.0f} yr"],
             ["undetectable-error interval", f"{undetectable_error_interval_years(org, fit):,.0f} yr"],
-            ["systems w/ any materialization", f"{eol.any_fault_fraction:.1%}"],
+            ["systems w/ any materialization", f"{eol.tail_probability(2 / org.total_banks):.1%}"],
             ["HPC stall fraction (2PB system)", f"{hpc_stall_fraction():.2%}"],
         ],
         title="Reliability",

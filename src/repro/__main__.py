@@ -102,9 +102,10 @@ def _report(args) -> str:
         added_uncorrectable_interval_years,
         mean_time_between_channel_faults_days,
     )
+    from repro.faults.rareevent import run_plain
 
     ep = ECCParityScheme(LotEcc5(), args.channels)
-    eol = EolCapacitySim(MemoryOrg(channels=args.channels), seed=0).run(args.trials)
+    eol = run_plain(EolCapacitySim(MemoryOrg(channels=args.channels), seed=0), args.trials)
     return format_table(
         ["metric", "value"],
         [

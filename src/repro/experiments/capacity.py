@@ -16,6 +16,7 @@ from repro.ecc.multi_ecc import MultiEcc
 from repro.ecc.raim import Raim18EP, Raim45
 from repro.faults.fit_rates import MemoryOrg
 from repro.faults.montecarlo import EolCapacitySim
+from repro.faults.rareevent import run_plain
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,7 @@ def figure1_breakdown() -> "list[CapacityRow]":
 
 def _eol_fraction(channels: int, trials: int, seed: int) -> float:
     sim = EolCapacitySim(MemoryOrg(channels=channels), seed=seed)
-    return sim.run(trials).mean
+    return run_plain(sim, trials).mean
 
 
 def table3(trials: int = 5000, seed: int = 0) -> "list[CapacityRow]":

@@ -22,7 +22,6 @@ from repro.faults.injector import FaultInjector, InjectedFault
 from repro.faults.montecarlo import (
     ChannelGapStats,
     EolCapacitySim,
-    EolResult,
     HpcStallResult,
     channel_fault_gap_stats,
     eol_fraction_by_channels,
@@ -35,7 +34,6 @@ from repro.faults.rareevent import (
     WeightedTally,
     oracle_compare,
     run_estimate,
-    sharded_estimate,
     sharded_estimates,
     weighted_percentile,
 )
@@ -57,7 +55,6 @@ __all__ = [
     "InjectedFault",
     "ChannelGapStats",
     "EolCapacitySim",
-    "EolResult",
     "HpcStallResult",
     "channel_fault_gap_stats",
     "eol_fraction_by_channels",
@@ -68,7 +65,6 @@ __all__ = [
     "WeightedTally",
     "oracle_compare",
     "run_estimate",
-    "sharded_estimate",
     "sharded_estimates",
     "weighted_percentile",
 ]

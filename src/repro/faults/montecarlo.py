@@ -11,13 +11,13 @@ Table III's end-of-life capacity overheads.
 
 The simulation is a whole-array program: trials are processed in fixed
 chunks (so memory stays bounded at millions of trials), and within a chunk
-every random draw is an array draw.  Both implementations - the vectorized
-one behind :meth:`EolCapacitySim.run` and the retained per-event loop
-behind :meth:`EolCapacitySim._run_reference` - consume the *same* draw
-stream produced by :func:`_draw_chunk`, so at a matched seed and chunk
-size they see identical event placements and must produce identical
-per-trial fractions.  The property tests in ``tests/test_mc_batched.py``
-assert exactly that.
+every random draw is an array draw.  The vectorized :func:`_chunk_batched`
+and the retained per-event loop :func:`_chunk_reference` consume the *same*
+draws from :func:`_draw_chunk` and must produce identical per-trial
+fractions (``tests/test_mc_batched.py``).  The chunk loop is
+:func:`repro.faults.rareevent.run_plain`, which tallies every plain run -
+Figure 8 and Table III included - into a
+:class:`~repro.faults.rareevent.WeightedTally`.
 
 The vectorized path dedupes faulty bank pairs without any per-trial set:
 each (trial, channel, pair) is packed into one integer key and the whole
@@ -26,13 +26,10 @@ chunk is deduped with a single ``np.unique`` + ``np.bincount``.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro import obs
-from repro.obs import trace
 from repro.faults.fit_rates import (
     FIT_BY_MODE,
     SATURATING_MODES,
@@ -72,47 +69,6 @@ def resolve_chunk(chunk_size: "int | None" = None) -> int:
     if chunk_size < 1:
         raise ValueError(f"mc chunk size must be >= 1, got {chunk_size}")
     return chunk_size
-
-
-@dataclass
-class EolResult:
-    """Distribution of end-of-life materialized-memory fraction."""
-
-    fractions: np.ndarray  #: per-trial fraction of memory with stored ECC bits
-
-    @property
-    def mean(self) -> float:
-        return float(self.fractions.mean())
-
-    def percentile(self, q: float = 99.9) -> float:
-        """Percentile under the repo-wide ``linear`` interpolation convention.
-
-        Pinned explicitly so the unweighted path, the histogram round-trip,
-        and the weighted rare-event estimators
-        (:func:`repro.faults.rareevent.weighted_percentile`) all interpolate
-        identically; plain-MC equality is asserted in the tests.
-        """
-        return float(np.percentile(self.fractions, q, method="linear"))
-
-    @property
-    def any_fault_fraction(self) -> float:
-        """Fraction of simulated systems with at least one materialization."""
-        return float((self.fractions > 0).mean())
-
-    def histogram(self) -> "tuple[list[float], list[int]]":
-        """Compact exact encoding: distinct fractions and their counts.
-
-        The distribution has very few distinct values (multiples of
-        ``2/total_banks``), so this is the JSON-cacheable form; every
-        statistic above is order-insensitive, so a result rebuilt with
-        :meth:`from_histogram` reports identical numbers.
-        """
-        values, counts = np.unique(self.fractions, return_counts=True)
-        return [float(v) for v in values], [int(c) for c in counts]
-
-    @classmethod
-    def from_histogram(cls, values: "list[float]", counts: "list[int]") -> "EolResult":
-        return cls(fractions=np.repeat(np.asarray(values, dtype=float), counts))
 
 
 def _draw_chunk(
@@ -330,56 +286,6 @@ class EolCapacitySim:
             for m in _SAT_MODES
         }
 
-    def _run(self, trials: int, chunk_size: "int | None", chunk_fn) -> EolResult:
-        chunk_size = resolve_chunk(chunk_size)
-        lam = self._lambdas()
-        fractions = np.empty(trials)
-        done = 0
-        # Telemetry is gated once per *chunk* (tens of thousands of trials),
-        # so the instrumented loop stays bit-identical and all-but-free.
-        # The running mean keeps an incremental sum - an O(done) prefix
-        # mean per chunk would dominate the vectorized kernel itself.
-        armed = obs.enabled()
-        running_total = 0.0
-        with trace.span("mc.run", "mc", trials=trials, channels=self.org.channels):
-            while done < trials:
-                t0 = time.perf_counter() if armed else 0.0
-                n = min(chunk_size, trials - done)
-                draws = _draw_chunk(self.rng, self.org, lam, n)
-                fractions[done : done + n] = chunk_fn(self.org, draws, n)
-                done += n
-                if armed:
-                    wall = time.perf_counter() - t0
-                    rate = round(n / wall, 1) if wall > 0 else None
-                    running_total += float(fractions[done - n : done].sum())
-                    running_mean = round(running_total / done, 9)
-                    obs.emit(
-                        "mc.chunk",
-                        done=done,
-                        trials=trials,
-                        n=n,
-                        channels=self.org.channels,
-                        trials_per_sec=rate,
-                        running_mean=running_mean,
-                    )
-        return EolResult(fractions=fractions)
-
-    def run(self, trials: int = 20000, chunk_size: "int | None" = None) -> EolResult:
-        """Vectorized simulation (chunked so memory stays bounded).
-
-        *chunk_size* defaults as in :func:`resolve_chunk`; it slices the
-        shared draw stream, so results are bit-reproducible only at a
-        matched chunk size.
-        """
-        return self._run(trials, chunk_size, _chunk_batched)
-
-    def _run_reference(
-        self, trials: int = 20000, chunk_size: "int | None" = None
-    ) -> EolResult:
-        """Per-event reference loop; identical results to :meth:`run` at a
-        matched seed and chunk size (property-tested)."""
-        return self._run(trials, chunk_size, _chunk_reference)
-
 
 def _eol_cell(
     channels: int,
@@ -387,18 +293,19 @@ def _eol_cell(
     seed: int,
     lifetime_hours: float,
     chunk_size: int,
-) -> "tuple[int, list[float], list[int]]":
+) -> "tuple[int, rareevent.WeightedEstimate]":
     """Worker entry point: one Figure 8 cell from primitives.
 
     Module-level (picklable) and pure - the sim seeds itself from the
     arguments - so a cell computed in a worker process is bit-identical to
-    the same cell computed serially.  Returns the cell's exact histogram.
+    the same cell computed serially.  Returns ``(channels, estimate)``.
     """
+    from repro.faults.rareevent import run_plain
+
     sim = EolCapacitySim(
         MemoryOrg(channels=channels), lifetime_hours=lifetime_hours, seed=seed + channels
     )
-    values, counts = sim.run(trials, chunk_size=chunk_size).histogram()
-    return channels, values, counts
+    return channels, run_plain(sim, trials, chunk_size)
 
 
 def eol_fraction_by_channels(
@@ -406,12 +313,12 @@ def eol_fraction_by_channels(
     trials: "int | None" = None,
     seed: int = 0,
     jobs: "int | None" = None,
-) -> "dict[int, EolResult]":
+) -> "dict[int, rareevent.WeightedEstimate]":
     """Figure 8 driver: EOL materialized fraction for several system widths.
 
     *trials* defaults to ``REPRO_MC_TRIALS`` (else 20000).  Cells fan out
     over processes (``jobs``; ``REPRO_JOBS``/cpu count by default, 1 =
-    in-process) and come back as exact histograms.  Each cell runs once;
+    in-process) and come back as plain-MC estimates.  Each cell runs once;
     a cell that raises, or that a dying pool worker leaves unfinished,
     surfaces in a :class:`~repro.experiments.parallel.CampaignError`
     *after* every other result has arrived.  Nothing is cached, so a
@@ -421,8 +328,8 @@ def eol_fraction_by_channels(
 
     trials = mc_trials(trials, 20000)
     payloads = [(n, trials, seed, 7 * YEARS, DEFAULT_CHUNK) for n in channel_counts]
-    cells = {n: (v, c) for n, v, c in parallel.run_tasks(_eol_cell, payloads, jobs=jobs)}
-    return {n: EolResult.from_histogram(*cells[n]) for n in channel_counts}
+    cells = dict(parallel.run_tasks(_eol_cell, payloads, jobs=jobs))
+    return {n: cells[n] for n in channel_counts}
 
 
 @dataclass

@@ -50,18 +50,18 @@ type, :class:`WeightedTally`: a streaming weighted mean, an exact
 value->weight histogram (the EOL fraction distribution has few distinct
 values; a nearest-merge compaction bounds it for continuous observables),
 effective-sample-size tracking (``ESS = (sum w)^2 / sum w^2``), and
-weighted quantiles under the same ``linear`` interpolation convention as
-:meth:`EolResult.percentile <repro.faults.montecarlo.EolResult.percentile>`
-- with uniform weights, :func:`weighted_percentile` *is*
-``np.percentile(..., method="linear")``.  Tallies merge associatively and
-round-trip through JSON, which is what makes campaigns shardable: each
-shard of :func:`sharded_estimate` is an independent, deterministically
-seeded run fanned out through :func:`repro.experiments.parallel.run_tasks`
-and merged in shard order, so a parallel campaign is bit-identical to a
-serial one.
+weighted quantiles under numpy's ``linear`` interpolation convention -
+with uniform weights, :func:`weighted_percentile` *is*
+``np.percentile(..., method="linear")``.  Plain MC (:func:`run_plain`,
+behind Figure 8 and Table III) is the unit-weight case of the IS loop.
+Tallies merge associatively, which is what makes campaigns shardable:
+each shard of :func:`sharded_estimates` is an independent,
+deterministically seeded run fanned out through
+:func:`repro.experiments.parallel.run_tasks` and merged in shard order,
+so a parallel campaign is bit-identical to a serial one.
 
 Every weighted path retains a reference twin in the spirit of
-``_run_reference``/``_chunk_reference``: the vectorized likelihood-ratio
+``_chunk_reference``: the vectorized likelihood-ratio
 computation (:func:`_is_log_weights`) is mirrored by a per-trial
 log-pmf-difference loop (:func:`_is_log_weights_reference`), and the
 unbiasedness oracle (:func:`oracle_compare`, exercised by
@@ -73,10 +73,12 @@ from __future__ import annotations
 
 import heapq
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro import obs
 from repro.obs import trace
 from repro.faults.fit_rates import MemoryOrg
 from repro.faults.montecarlo import (
@@ -127,11 +129,11 @@ DEFAULT_STRATA = 6
 #: probability is left unestimated (which would bias the estimator).
 MIN_PER_STRATUM = 32
 
-#: Estimators of :func:`run_estimate` and :func:`sharded_estimate`: plain
+#: Estimators of :func:`run_estimate` and :func:`sharded_estimates`: plain
 #: Monte Carlo, importance sampling, count stratification.
 MODES = ("off", "is", "strat")
 
-#: Shard count of :func:`sharded_estimate` - fixed rather than
+#: Shard count of :func:`sharded_estimates` - fixed rather than
 #: CPU-derived so shard seeding (and therefore the merged estimate) does
 #: not depend on the machine running the campaign.
 DEFAULT_SHARDS = 8
@@ -153,10 +155,9 @@ def weighted_percentile(values, weights=None, q: float = 50.0, samples: "int | N
     *integer* weights with ``samples = sum(weights)`` the result equals
     ``np.percentile(np.repeat(values, weights), q, method="linear")``
     exactly - duplicated samples produce the same flat quantile segments
-    - which is what pins the weighted estimators to
-    :meth:`EolResult.percentile <repro.faults.montecarlo.EolResult.percentile>`
-    on the plain-MC special case.  Zero-weight points are dropped (they
-    must not anchor interpolation).
+    - which is what pins a plain run's :meth:`WeightedTally.percentile`
+    to ``np.percentile`` over its per-trial fractions.  Zero-weight points
+    are dropped (they must not anchor interpolation).
     """
     values = np.asarray(values, dtype=float)
     if values.size == 0:
@@ -203,8 +204,7 @@ class WeightedTally:
     histogram maps each distinct value to its total weight *and* total
     squared weight, which makes post-hoc tail probabilities - and their
     standard errors - exact for any threshold.  Tallies merge
-    associatively and round-trip through :meth:`to_dict`/:meth:`from_dict`
-    (the form a campaign shard returns its estimate in).
+    associatively; :meth:`to_dict` is their canonical plain-data form.
     """
 
     __slots__ = ("n", "sum_w", "sum_w_sq", "sum_wv", "sum_wv_sq", "_hist", "compacted")
@@ -236,7 +236,11 @@ class WeightedTally:
         self.sum_w_sq += float(w_sq.sum())
         self.sum_wv += float(wv.sum())
         self.sum_wv_sq += float((wv * wv).sum())
-        uniq, inverse = np.unique(values, return_inverse=True)
+        # Sort + neighbour diff, not np.unique (whose plain call imports
+        # numpy.ma, ~11 ms a process); searchsorted beats return_inverse.
+        uniq = np.sort(values)
+        uniq = uniq[np.concatenate(([True], uniq[1:] != uniq[:-1]))]
+        inverse = np.searchsorted(uniq, values)
         w_tot = np.bincount(inverse, weights=weights)
         w2_tot = np.bincount(inverse, weights=w_sq)
         hist = self._hist
@@ -424,18 +428,6 @@ class WeightedTally:
             "compacted": self.compacted,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "WeightedTally":
-        out = cls()
-        out.n = int(d["n"])
-        out.sum_w = float(d["sum_w"])
-        out.sum_w_sq = float(d["sum_w_sq"])
-        out.sum_wv = float(d["sum_wv"])
-        out.sum_wv_sq = float(d["sum_wv_sq"])
-        out._hist = {float(v): [float(a), float(b)] for v, a, b in d["hist"]}
-        out.compacted = int(d.get("compacted", 0))
-        return out
-
 
 # -- estimates (plain / importance-sampled / stratified) -------------------------------
 
@@ -490,14 +482,6 @@ class WeightedEstimate:
             "tally": self.tally.to_dict(),
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "WeightedEstimate":
-        return cls(
-            mode=str(d["mode"]),
-            tally=WeightedTally.from_dict(d["tally"]),
-            tilt=float(d["tilt"]),
-        )
-
 
 @dataclass
 class StratumState:
@@ -515,15 +499,6 @@ class StratumState:
             "tally": self.tally.to_dict(),
             "exact": self.exact,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "StratumState":
-        return cls(
-            k=int(d["k"]),
-            prob=float(d["prob"]),
-            tally=WeightedTally.from_dict(d["tally"]),
-            exact=None if d.get("exact") is None else float(d["exact"]),
-        )
 
 
 @dataclass
@@ -647,23 +622,6 @@ class StratifiedEstimate:
             "strata": [s.to_dict() for s in self.strata],
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "StratifiedEstimate":
-        return cls(
-            mode=str(d["mode"]),
-            strata=[StratumState.from_dict(s) for s in d["strata"]],
-        )
-
-
-def estimate_from_dict(d: dict) -> "WeightedEstimate | StratifiedEstimate":
-    """Rehydrate an estimate from its :meth:`to_dict` form (shard results)."""
-    kind = d.get("kind")
-    if kind == "weighted":
-        return WeightedEstimate.from_dict(d)
-    if kind == "stratified":
-        return StratifiedEstimate.from_dict(d)
-    raise ValueError(f"unknown estimate kind {kind!r}")
-
 
 # -- importance sampling ---------------------------------------------------------------
 
@@ -738,9 +696,10 @@ def run_plain(
 ) -> WeightedEstimate:
     """Plain MC through the weighted pipeline (all weights one).
 
-    The ``mode="off"`` leg of every campaign: identical draws to
-    :meth:`EolCapacitySim.run`, aggregated into a :class:`WeightedTally`
-    so plain runs, IS runs, and stratified runs are directly comparable.
+    The ``mode="off"`` leg of every campaign and the Figure 8 / Table III
+    Monte Carlo: the chunks of :func:`_draw_chunk` through
+    :func:`_chunk_batched`, aggregated into a :class:`WeightedTally` so
+    plain runs, IS runs, and stratified runs are directly comparable.
     """
     return _run_weighted(sim, trials, chunk_size, tilt=1.0, mode="off")
 
@@ -757,6 +716,7 @@ def run_is(
 
 
 def _run_weighted(sim, trials, chunk_size, tilt, mode) -> WeightedEstimate:
+    """The chunk loop of every plain and importance-sampled run."""
     trials = mc_trials(trials, 20000)
     chunk_size = resolve_chunk(chunk_size)
     lam = sim._lambdas()
@@ -764,13 +724,29 @@ def _run_weighted(sim, trials, chunk_size, tilt, mode) -> WeightedEstimate:
     lam_q = {m: tilts[m] * lam[m] for m in _SAT_MODES}
     tally = WeightedTally()
     done = 0
-    while done < trials:
-        n = min(chunk_size, trials - done)
-        draws = _draw_chunk(sim.rng, sim.org, lam_q, n)
-        fractions = _chunk_batched(sim.org, draws, n)
-        weights = None if tilt == 1.0 else np.exp(_is_log_weights(draws, lam, tilts))
-        tally.add(fractions, weights)
-        done += n
+    # Telemetry is gated once per *chunk* (tens of thousands of trials),
+    # so the instrumented loop stays bit-identical and all-but-free.
+    armed = obs.enabled()
+    with trace.span("mc.run", "mc", trials=trials, channels=sim.org.channels):
+        while done < trials:
+            t0 = time.perf_counter() if armed else 0.0
+            n = min(chunk_size, trials - done)
+            draws = _draw_chunk(sim.rng, sim.org, lam_q, n)
+            fractions = _chunk_batched(sim.org, draws, n)
+            weights = None if tilt == 1.0 else np.exp(_is_log_weights(draws, lam, tilts))
+            tally.add(fractions, weights)
+            done += n
+            if armed:
+                wall = time.perf_counter() - t0
+                obs.emit(
+                    "mc.chunk",
+                    done=done,
+                    trials=trials,
+                    n=n,
+                    channels=sim.org.channels,
+                    trials_per_sec=round(n / wall, 1) if wall > 0 else None,
+                    running_mean=round(tally.mean, 9),
+                )
     return WeightedEstimate(mode=mode, tally=tally, tilt=tilt)
 
 
@@ -1082,12 +1058,12 @@ def _shard_worker(
     shard: int,
     tilt: float,
     strata: int,
-) -> "tuple[tuple, dict]":
+) -> "tuple[tuple, WeightedEstimate | StratifiedEstimate]":
     """One campaign shard from primitives (picklable, pure, self-seeding).
 
     Seeded from ``SeedSequence((seed, shard))`` so a shard's estimate is
-    bit-identical wherever it runs.  Returns ``((org dims, shard), estimate
-    dict)``, the key naming which organization's shard it is.
+    bit-identical wherever it runs.  Returns ``((org dims, shard),
+    estimate)``, the key naming which organization's shard it is.
     """
     dims = (channels, ranks_per_channel, chips_per_rank, banks_per_rank)
     sim = EolCapacitySim(
@@ -1095,22 +1071,7 @@ def _shard_worker(
     )
     with trace.span("mc.shard", "mc", shard=shard, mode=mode, trials=trials):
         est = run_estimate(sim, mode, trials, tilt=tilt, strata=strata)
-    return (dims, shard), est.to_dict()
-
-
-def sharded_estimate(
-    org: "MemoryOrg | None" = None,
-    *,
-    mode: str = "off",
-    trials: "int | None" = None,
-    seed: int = 0,
-    jobs: "int | None" = None,
-) -> "WeightedEstimate | StratifiedEstimate":
-    """Sharded rare-event campaign through the campaign engine.
-
-    The one-organization case of :func:`sharded_estimates`.
-    """
-    return sharded_estimates([org or MemoryOrg()], mode=mode, trials=trials, seed=seed, jobs=jobs)[0]
+    return (dims, shard), est
 
 
 def sharded_estimates(
@@ -1153,14 +1114,13 @@ def sharded_estimates(
         for s, n in enumerate(shard_trials)
         if n > 0
     ]
-    for (dims, s), est_dict in parallel.run_tasks(_shard_worker, payloads, jobs=jobs):
-        results[dims][s] = est_dict
+    for (dims, s), est in parallel.run_tasks(_shard_worker, payloads, jobs=jobs):
+        results[dims][s] = est
     estimates = {}
     for dims, done in results.items():
         estimate = None
         for s in sorted(done):
-            shard_est = estimate_from_dict(done[s])
-            estimate = shard_est if estimate is None else estimate.merge(shard_est)
+            estimate = done[s] if estimate is None else estimate.merge(done[s])
         estimates[dims] = estimate
     return [estimates[dims] for dims in keys]
 

@@ -68,18 +68,28 @@ def _engine_summary(events: "list[dict]") -> dict:
 
 
 def _mc_summary(events: "list[dict]") -> "dict | None":
+    """Monte Carlo totals and one row per chunk loop from ``mc.chunk`` events.
+
+    Chunks from concurrent cells interleave, so each chunk is charged to
+    its run by the ``span`` that ``emit`` stamps from the enclosing
+    ``mc.run``; a run's final running mean is that of its own last chunk.
+    """
     chunks = [e for e in events if e.get("kind") == "mc.chunk"]
     if not chunks:
         return None
     rates = [c["trials_per_sec"] for c in chunks if c.get("trials_per_sec")]
-    last = chunks[-1]
+    runs: "dict[object, dict]" = {}
+    for c in chunks:
+        run = runs.setdefault(
+            c.get("span"), {"span": c.get("span"), "channels": c.get("channels"), "trials": 0}
+        )
+        run["trials"] += int(c.get("n", 0))
+        run["final_running_mean"] = c.get("running_mean")
     return {
         "chunks": len(chunks),
-        # Chunks from concurrent cells interleave, so total work is the sum
-        # of per-chunk sizes, not any one sim's ``done`` cursor.
-        "trials": sum(int(c.get("n", 0)) for c in chunks),
+        "trials": sum(r["trials"] for r in runs.values()),
         "mean_trials_per_sec": round(sum(rates) / len(rates), 1) if rates else None,
-        "final_running_mean": last.get("running_mean"),
+        "runs": list(runs.values()),
     }
 
 
@@ -197,10 +207,14 @@ def render(summary: dict) -> str:
     if summary["mc"]:
         mc = summary["mc"]
         lines.append(
-            f"monte carlo: {mc['trials']} trials over {mc['chunks']} chunks, "
-            f"mean {mc['mean_trials_per_sec']} trials/s, "
-            f"final running mean {mc['final_running_mean']}"
+            f"monte carlo: {mc['trials']} trials over {mc['chunks']} chunks "
+            f"in {len(mc['runs'])} run(s), mean {mc['mean_trials_per_sec']} trials/s"
         )
+        for run in mc["runs"]:
+            lines.append(
+                f"  mc.run {run['span'] or '-'}: {run['channels']} channels, "
+                f"{run['trials']} trials, final running mean {run['final_running_mean']}"
+            )
         lines.append("")
 
     if summary.get("ecc"):

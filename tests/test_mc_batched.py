@@ -20,14 +20,16 @@ from repro.faults.analysis import (
 from repro.faults.fit_rates import FaultMode, MemoryOrg
 from repro.faults.montecarlo import (
     _SAT_MODES,
+    DEFAULT_CHUNK,
     EolCapacitySim,
-    EolResult,
     _chunk_batched,
     _chunk_reference,
+    _draw_chunk,
     channel_fault_gap_stats,
     hpc_stall_mc,
     mean_time_between_channel_faults_mc,
 )
+from repro.faults.rareevent import run_plain
 from repro.util.rng import make_rng
 
 ORGS = [
@@ -37,25 +39,35 @@ ORGS = [
 ]
 
 
+def _both_kernels(org, seed, trials, chunk_size=DEFAULT_CHUNK):
+    """Per-trial fractions of the batched and the reference chunk kernel,
+    each fed the same :func:`_draw_chunk` draws chunk by chunk."""
+    sim = EolCapacitySim(org, seed=seed)
+    lam = sim._lambdas()
+    batched, reference = [], []
+    for lo in range(0, trials, chunk_size):
+        n = min(chunk_size, trials - lo)
+        draws = _draw_chunk(sim.rng, org, lam, n)
+        batched.append(_chunk_batched(org, draws, n))
+        reference.append(_chunk_reference(org, draws, n))
+    return np.concatenate(batched), np.concatenate(reference)
+
+
 class TestEolBatchedEqualsReference:
     @pytest.mark.parametrize("org", ORGS, ids=["default", "tiny", "wide"])
     @pytest.mark.parametrize("seed", [0, 5, 123])
     def test_identical_fractions(self, org, seed):
-        trials = 4000
-        batched = EolCapacitySim(org, seed=seed).run(trials)
-        reference = EolCapacitySim(org, seed=seed)._run_reference(trials)
-        assert np.array_equal(batched.fractions, reference.fractions)
+        batched, reference = _both_kernels(org, seed, 4000)
+        assert np.array_equal(batched, reference)
 
     def test_identical_across_chunks(self):
         # Chunk boundaries change only how the stream is sliced; batched and
         # reference consume it identically within every chunk.
-        trials = 3000
-        batched = EolCapacitySim(seed=9).run(trials, chunk_size=1024)
-        reference = EolCapacitySim(seed=9)._run_reference(trials, chunk_size=1024)
-        assert np.array_equal(batched.fractions, reference.fractions)
+        batched, reference = _both_kernels(MemoryOrg(), 9, 3000, chunk_size=1024)
+        assert np.array_equal(batched, reference)
 
     def test_magnitude_matches_paper(self):
-        res = EolCapacitySim(seed=0).run(8000)
+        res = run_plain(EolCapacitySim(seed=0), 8000)
         assert 0.0005 < res.mean < 0.01
 
 
@@ -160,15 +172,6 @@ class TestChannelGapStats:
         assert mean_time_between_channel_faults_mc(44.0, trials=500, seed=3) == (
             channel_fault_gap_stats(44.0, trials=500, seed=3).mean_days
         )
-
-
-class TestEolHistogram:
-    def test_round_trip_preserves_statistics(self):
-        res = EolCapacitySim(seed=2).run(5000)
-        rebuilt = EolResult.from_histogram(*res.histogram())
-        assert rebuilt.mean == res.mean
-        assert rebuilt.percentile(99.9) == res.percentile(99.9)
-        assert rebuilt.any_fault_fraction == res.any_fault_fraction
 
 
 class TestCoverageBatchedEqualsReference:

@@ -23,6 +23,7 @@ from repro.ecc import Chipkill18
 from repro.experiments import parallel
 from repro.faults.fit_rates import MemoryOrg
 from repro.faults.montecarlo import EolCapacitySim, _eol_cell, eol_fraction_by_channels
+from repro.faults.rareevent import run_is, run_plain
 from repro.obs.manifest import load_manifest, manifest_dict, write_manifest
 from repro.obs.progress import Follower
 from repro.obs.summarize import read_events, render, summarize
@@ -227,14 +228,28 @@ class TestEnvcfgIntrospection:
 class TestMcEvents:
     def test_chunk_events_and_bit_identity(self, run_dir):
         org = MemoryOrg(channels=2)
-        armed = EolCapacitySim(org, seed=5).run(trials=600, chunk_size=256)
+        armed = run_plain(EolCapacitySim(org, seed=5), trials=600, chunk_size=256)
         obs.disarm()
-        quiet = EolCapacitySim(MemoryOrg(channels=2), seed=5).run(trials=600, chunk_size=256)
-        assert (armed.fractions == quiet.fractions).all()
+        quiet = run_plain(EolCapacitySim(MemoryOrg(channels=2), seed=5), trials=600, chunk_size=256)
+        assert armed.to_dict() == quiet.to_dict()
         chunks = [e for e in read_events(run_dir) if e["kind"] == "mc.chunk"]
         assert [c["n"] for c in chunks] == [256, 256, 88]
         assert chunks[-1]["done"] == 600
-        assert chunks[-1]["running_mean"] == pytest.approx(armed.fractions.mean())
+        # A prefix run draws the same leading chunks: its mean is the
+        # running mean after that many trials.
+        prefix = [run_plain(EolCapacitySim(org, seed=5), t, 256).mean for t in (256, 512, 600)]
+        assert [c["running_mean"] for c in chunks] == [round(m, 9) for m in prefix]
+
+    def test_armed_is_run_reports_chunks(self, run_dir):
+        """Importance-sampled runs share the chunk loop, telemetry included."""
+        kw = dict(trials=600, tilt=4.0, chunk_size=256)
+        armed = run_is(EolCapacitySim(MemoryOrg(channels=2), seed=5), **kw)
+        obs.disarm()
+        quiet = run_is(EolCapacitySim(MemoryOrg(channels=2), seed=5), **kw)
+        assert armed.to_dict() == quiet.to_dict()
+        chunks = [e for e in read_events(run_dir) if e["kind"] == "mc.chunk"]
+        assert [c["n"] for c in chunks] == [256, 256, 88]
+        assert chunks[-1]["running_mean"] == round(armed.mean, 9)
 
     def test_pooled_totals_match_serial(self, tmp_path):
         """Pool workers' chunks reach the stream: totals do not depend on jobs."""
@@ -248,6 +263,23 @@ class TestMcEvents:
             summary = summarize(run)
             totals[jobs] = (summary["mc"]["trials"], summary["kinds"]["engine.ok"])
         assert totals[1] == totals[2] == (8000, 2)
+
+    def test_pooled_cells_keep_their_own_runs(self, tmp_path):
+        """Chunks of concurrent cells interleave; the summary keys them by
+        the ``mc.run`` span that encloses each cell's chunk loop."""
+        run = obs.configure(tmp_path / "pooled")
+        try:
+            cells = eol_fraction_by_channels([2, 4], trials=4000, jobs=2)
+        finally:
+            obs.disarm()
+        summary = summarize(run)
+        runs = summary["mc"]["runs"]
+        assert sorted(r["channels"] for r in runs) == [2, 4]
+        for r in runs:
+            assert r["trials"] == 4000
+            assert r["final_running_mean"] == round(cells[r["channels"]].mean, 9)
+        report = render(summary)
+        assert sum(line.startswith("  mc.run ") for line in report.splitlines()) == 2
 
 
 class TestSimEvents:
@@ -280,11 +312,18 @@ class TestSimEvents:
         assert summarize(run_dir)["sim"]["runs"] == 1
 
 
+def _eol_digest(*payload):
+    """``_eol_cell`` as a comparable, sortable value: the cell's channel
+    count and the JSON of its tally."""
+    channels, est = _eol_cell(*payload)
+    return channels, json.dumps(est.to_dict())
+
+
 def _eol_or_exit(die, *payload):
-    """``_eol_cell``, except that the worker process dies when *die* is set."""
+    """``_eol_digest``, except that the worker process dies when *die* is set."""
     if die:
         os._exit(3)
-    return _eol_cell(*payload)
+    return _eol_digest(*payload)
 
 
 class TestSummarizeWorkerDeath:
@@ -305,7 +344,7 @@ class TestSummarizeWorkerDeath:
         finally:
             obs.disarm()
         # The results that arrived are the serial ones.
-        reference = list(parallel.run_tasks(_eol_cell, PAYLOADS, jobs=1))
+        reference = list(parallel.run_tasks(_eol_digest, PAYLOADS, jobs=1))
         assert all(r in reference for r in got)
         failed = sorted(f.index for f in ei.value.failures)
         return summarize(run), len(got), failed

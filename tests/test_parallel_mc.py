@@ -6,7 +6,6 @@ merges with the disk copy, and ``REPRO_MC_TRIALS`` must reach every
 driver.
 """
 
-import numpy as np
 import pytest
 
 import repro.experiments.evaluation as evaluation
@@ -43,13 +42,9 @@ class TestFig8Parallel:
     def test_parallel_equals_serial(self):
         serial = eol_fraction_by_channels([2, 4, 8], trials=2000, seed=0, jobs=1)
         par = eol_fraction_by_channels([2, 4, 8], trials=2000, seed=0, jobs=3)
-        assert sorted(serial) == sorted(par)
+        assert list(serial) == list(par) == [2, 4, 8]
         for n in serial:
-            assert np.array_equal(
-                np.sort(serial[n].fractions), np.sort(par[n].fractions)
-            )
-            assert serial[n].mean == par[n].mean
-            assert serial[n].percentile(99.9) == par[n].percentile(99.9)
+            assert serial[n].to_dict() == par[n].to_dict()
 
     def test_figure8_driver(self):
         rows = figure8(trials=1000, seed=0, jobs=1)
@@ -134,7 +129,7 @@ class TestMcTrialsEnv:
     def test_env_reaches_drivers(self, monkeypatch):
         monkeypatch.setenv("REPRO_MC_TRIALS", "300")
         eol = eol_fraction_by_channels([2], seed=0, jobs=1)
-        assert eol[2].fractions.size == 300
+        assert eol[2].trials == 300
         res = two_fault_collision_mc(seed=0, jobs=1)
         assert res.trials == 300
         cov = coverage_study([Chipkill36()], seed=0, jobs=1)

@@ -4,8 +4,8 @@ Three layers of guarantees:
 
 * **Conventions** - :func:`weighted_percentile` reproduces numpy's
   ``linear`` (type-7) interpolation exactly on unit weights and on
-  integer-count histograms, which pins the weighted estimators to
-  :meth:`EolResult.percentile` on the plain-MC special case.
+  integer-count histograms, which pins a plain run's percentiles to
+  ``np.percentile`` over its per-trial fractions.
 * **Unbiasedness** - the vectorized likelihood ratios match the per-trial
   log-pmf reference, importance weights average to one, and the oracle
   (:func:`oracle_compare`) keeps IS and stratified estimates within
@@ -14,7 +14,6 @@ Three layers of guarantees:
   parallel, and a run whose pool worker died reruns to the serial answer.
 """
 
-import json
 import math
 import os
 from decimal import Decimal, localcontext
@@ -24,7 +23,14 @@ import pytest
 
 from repro.faults.fit_rates import MemoryOrg
 from repro.faults import montecarlo, rareevent
-from repro.faults.montecarlo import _SAT_MODES, EolCapacitySim, _draw_chunk
+from repro.faults.montecarlo import (
+    _SAT_MODES,
+    DEFAULT_CHUNK,
+    EolCapacitySim,
+    _chunk_reference,
+    _draw_chunk,
+    _eol_cell,
+)
 from repro.faults.rareevent import (
     DEFAULT_MC_TILT,
     DEFAULT_STRATA,
@@ -35,16 +41,16 @@ from repro.faults.rareevent import (
     _is_log_weights,
     _is_log_weights_reference,
     _tilt_by_mode,
-    estimate_from_dict,
     oracle_compare,
     run_estimate,
     run_is,
     run_plain,
     run_stratified,
-    sharded_estimate,
+    sharded_estimates,
     weighted_percentile,
 )
 from repro.experiments.reliability import FIG8_CHANNELS, figure8_tail
+from repro.util.units import YEARS
 
 ORGS = [
     MemoryOrg(),
@@ -163,17 +169,26 @@ class TestPlainSpecialCase:
     """Satellite: the weighted pipeline with unit weights IS plain MC."""
 
     def test_plain_run_matches_eol_result(self):
-        trials = 30_000
-        result = EolCapacitySim(seed=0).run(trials)
-        est = run_plain(EolCapacitySim(seed=0), trials)
-        assert est.mean == pytest.approx(result.mean, rel=0, abs=1e-15)
-        for q in (50.0, 99.0, 99.9):
-            assert est.percentile(q) == result.percentile(q)
-        assert est.tail_probability(est.percentile(99.9)) == pytest.approx(
-            float((result.fractions >= result.percentile(99.9)).mean())
-        )
-        assert est.ess == pytest.approx(trials)
-        assert est.tally.weight_cv_sq == pytest.approx(0.0, abs=1e-12)
+        """A Figure 8 cell's statistics equal numpy's over the per-trial
+        reference fractions of the same draws: the plain-MC contract."""
+        channels, trials = 8, 100_000  # two chunks: 65,536 + 34,464
+        for seed in (0, 3):
+            n, est = _eol_cell(channels, trials, seed, 7 * YEARS, DEFAULT_CHUNK)
+            sim = EolCapacitySim(MemoryOrg(channels=channels), seed=seed + channels)
+            lam = sim._lambdas()
+            fractions = np.concatenate([
+                _chunk_reference(sim.org, _draw_chunk(sim.rng, sim.org, lam, k), k)
+                for k in (DEFAULT_CHUNK, trials - DEFAULT_CHUNK)
+            ])
+            assert n == channels and est.trials == trials
+            assert est.mean == np.mean(fractions)
+            for q in (50.0, 99.0, 99.9):
+                assert est.percentile(q) == np.percentile(fractions, q, method="linear")
+            p999 = est.percentile(99.9)
+            assert est.tail_probability(p999) == np.mean(fractions >= p999)
+            assert est.tail_probability(2 / sim.org.total_banks) == np.mean(fractions > 0)
+            assert est.ess == trials
+            assert est.tally.weight_cv_sq == pytest.approx(0.0, abs=1e-12)
 
 
 class TestWeightedTally:
@@ -192,16 +207,6 @@ class TestWeightedTally:
         assert split.mean == pytest.approx(bulk.mean, rel=1e-12)
         assert split.ess == pytest.approx(bulk.ess, rel=1e-12)
         assert split.percentile(99.0) == pytest.approx(bulk.percentile(99.0), rel=1e-12)
-
-    def test_round_trips_through_json(self, rng):
-        tally = WeightedTally()
-        tally.add(rng.random(500), rng.random(500))
-        back = WeightedTally.from_dict(json.loads(json.dumps(tally.to_dict())))
-        assert back.n == tally.n
-        assert back.mean == tally.mean
-        assert back.se_mean == tally.se_mean
-        assert back.ess == tally.ess
-        assert back.percentile(99.9) == tally.percentile(99.9)
 
     def test_compaction_bounds_histogram(self, rng):
         tally = WeightedTally()
@@ -275,15 +280,6 @@ class TestStratified:
         b = run_stratified(_sim(2), trials=500, strata=5)
         with pytest.raises(ValueError):
             a.merge(b)
-
-    def test_round_trips_through_json(self):
-        est = run_stratified(_sim(9), trials=1_000)
-        back = estimate_from_dict(json.loads(json.dumps(est.to_dict())))
-        assert isinstance(back, StratifiedEstimate)
-        assert back.mean == est.mean
-        assert back.se_mean == est.se_mean
-        assert back.trials == est.trials
-        assert back.percentile(99.9) == est.percentile(99.9)
 
 
 def _sample_tail_counts_oracle(rng, lam_total, kmax, n):
@@ -416,14 +412,14 @@ class TestShardedCampaigns:
         monkeypatch.setattr(rareevent, "DEFAULT_SHARDS", 3)
         monkeypatch.setattr(rareevent, "DEFAULT_MC_TILT", 4.0)
         kw = dict(mode="is", trials=6_000, seed=4)
-        serial = sharded_estimate(jobs=1, **kw)
-        par = sharded_estimate(jobs=2, **kw)
+        serial = sharded_estimates([MemoryOrg()], jobs=1, **kw)[0]
+        par = sharded_estimates([MemoryOrg()], jobs=2, **kw)[0]
         assert serial.to_dict() == par.to_dict()
         assert serial.trials == 6_000 and serial.tilt == 4.0
 
     def test_stratified_shards_merge(self, monkeypatch):
         monkeypatch.setattr(rareevent, "DEFAULT_SHARDS", 2)
-        out = sharded_estimate(mode="strat", trials=3_000, jobs=1)
+        out = sharded_estimates([MemoryOrg()], mode="strat", trials=3_000, jobs=1)[0]
         assert isinstance(out, StratifiedEstimate)
         assert out.trials > 0
         assert out.mode == "strat"
@@ -431,15 +427,14 @@ class TestShardedCampaigns:
     def test_shards_merge_in_shard_order(self, monkeypatch):
         """The campaign is its shards' estimates merged in shard order."""
         monkeypatch.setattr(rareevent, "DEFAULT_SHARDS", 3)
-        out = sharded_estimate(mode="is", trials=3_001, seed=5, jobs=1)
+        out = sharded_estimates([MemoryOrg()], mode="is", trials=3_001, seed=5, jobs=1)[0]
         org = MemoryOrg()
         dims = (org.channels, org.ranks_per_channel, org.chips_per_rank, org.banks_per_rank)
         merged = None
         for shard, trials in enumerate((1_001, 1_000, 1_000)):
-            _, d = rareevent._shard_worker(
+            _, est = rareevent._shard_worker(
                 *dims, "is", trials, 5, shard, DEFAULT_MC_TILT, DEFAULT_STRATA
             )
-            est = estimate_from_dict(d)
             merged = est if merged is None else merged.merge(est)
         assert out.to_dict() == merged.to_dict()
 
@@ -450,15 +445,15 @@ class TestShardedCampaigns:
 
         monkeypatch.setattr(rareevent, "DEFAULT_SHARDS", 3)
         kw = dict(mode="is", trials=3_000, seed=2)
-        serial = sharded_estimate(jobs=1, **kw)
+        serial = sharded_estimates([MemoryOrg()], jobs=1, **kw)[0]
 
         monkeypatch.setattr(rareevent, "_shard_worker", _shard_or_exit)
         with pytest.raises(parallel.CampaignError) as ei:
-            sharded_estimate(jobs=3, **kw)
+            sharded_estimates([MemoryOrg()], jobs=3, **kw)[0]
         assert {f.kind for f in ei.value.failures} == {"worker died"}
         assert 1 in {f.index for f in ei.value.failures}
         monkeypatch.setattr(rareevent, "_shard_worker", _REAL_SHARD_WORKER)
-        assert sharded_estimate(jobs=3, **kw).to_dict() == serial.to_dict()
+        assert sharded_estimates([MemoryOrg()], jobs=3, **kw)[0].to_dict() == serial.to_dict()
 
 
 _REAL_SHARD_WORKER = rareevent._shard_worker
@@ -527,7 +522,8 @@ class TestPooledCampaigns:
         assert len(calls) == 1
         assert len(calls[0]) == len(FIG8_CHANNELS) * rareevent.DEFAULT_SHARDS
         for n, row in zip(FIG8_CHANNELS, rows):
-            alone = sharded_estimate(MemoryOrg(channels=n), mode="is", trials=400, seed=1, jobs=1)
+            orgs = [MemoryOrg(channels=n)]
+            (alone,) = sharded_estimates(orgs, mode="is", trials=400, seed=1, jobs=1)
             assert (row.channels, row.trials, row.ess) == (n, alone.trials, alone.ess)
             assert row.p999_fraction == alone.percentile(99.9)
 
@@ -546,7 +542,7 @@ class TestKnobs:
         with pytest.raises(ValueError):
             run_plain(_sim(3), trials=10, chunk_size=0)
         with pytest.raises(ValueError):
-            EolCapacitySim(MemoryOrg()).run(trials=10, chunk_size=-1)
+            run_plain(_sim(3), trials=10, chunk_size=-1)
 
     def test_mc_vr(self):
         """The estimator mode is validated where used; the default is off."""
@@ -555,11 +551,11 @@ class TestKnobs:
         with pytest.raises(ValueError):
             run_estimate(_sim(13), "bogus", trials=100)
         with pytest.raises(ValueError):
-            sharded_estimate(mode="bogus", trials=100, jobs=1)
+            sharded_estimates([MemoryOrg()], mode="bogus", trials=100, jobs=1)[0]
         with pytest.raises(ValueError):
             figure8_tail(trials=100, mode="bogus", jobs=1)
         assert run_estimate(_sim(13), trials=100).mode == "off"
-        assert sharded_estimate(trials=100, jobs=1).mode == "off"
+        assert sharded_estimates([MemoryOrg()], trials=100, jobs=1)[0].mode == "off"
         assert {row.mode for row in figure8_tail(trials=100, jobs=1)} == {"off"}
 
     def test_resolve_mode_auto(self):
@@ -567,7 +563,7 @@ class TestKnobs:
         with pytest.raises(ValueError):
             run_estimate(_sim(13), "auto", trials=100)
         with pytest.raises(ValueError):
-            sharded_estimate(mode="auto", trials=100, jobs=1)
+            sharded_estimates([MemoryOrg()], mode="auto", trials=100, jobs=1)[0]
         with pytest.raises(ValueError):
             figure8_tail(trials=100, mode="auto", jobs=1)
 

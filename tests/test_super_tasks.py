@@ -40,11 +40,18 @@ def _raise_on_three(x):
     return x * x
 
 
+def _eol_digest(*payload):
+    """``_eol_cell`` as a comparable, sortable value: the cell's channel
+    count and the JSON of its tally."""
+    channels, est = _eol_cell(*payload)
+    return channels, json.dumps(est.to_dict())
+
+
 def _eol_or_exit(die, *payload):
-    """``_eol_cell``, except that the worker process dies when *die* is set."""
+    """``_eol_digest``, except that the worker process dies when *die* is set."""
     if die:
         os._exit(3)
-    return _eol_cell(*payload)
+    return _eol_digest(*payload)
 
 
 _REAL_RUN_CELL = parallel._run_cell
@@ -96,11 +103,11 @@ class TestBatchedBitIdentity:
 
     @pytest.fixture(scope="class")
     def reference(self):
-        return sorted(parallel.run_tasks(_eol_cell, PAYLOADS, jobs=1))
+        return sorted(parallel.run_tasks(_eol_digest, PAYLOADS, jobs=1))
 
     @pytest.mark.parametrize("batch", [1, "auto", 3, len(PAYLOADS)])
     def test_modes_match_serial(self, batch, reference):
-        out = parallel.run_tasks(_eol_cell, PAYLOADS, jobs=3, batch=batch)
+        out = parallel.run_tasks(_eol_digest, PAYLOADS, jobs=3, batch=batch)
         assert sorted(out) == reference
 
     @pytest.mark.parametrize("batch", ["auto", 4])
@@ -115,7 +122,7 @@ class TestBatchedBitIdentity:
         failed = {f.index for f in ei.value.failures}
         assert 5 in failed and len(got) + len(failed) == len(PAYLOADS)
         assert all(r in reference for r in got)
-        rerun = parallel.run_tasks(_eol_cell, PAYLOADS, jobs=3, batch=batch)
+        rerun = parallel.run_tasks(_eol_digest, PAYLOADS, jobs=3, batch=batch)
         assert sorted(rerun) == reference
 
     def test_batch_events_and_paths(self, armed):

@@ -119,11 +119,18 @@ class TestSpanPrimitives:
         assert probe[0]["trace"] == s.trace_id
 
 
+def _eol_digest(*payload):
+    """``_eol_cell`` as a comparable, sortable value: the cell's channel
+    count and the JSON of its tally."""
+    channels, est = _eol_cell(*payload)
+    return channels, json.dumps(est.to_dict())
+
+
 def _eol_or_exit(die, *payload):
-    """``_eol_cell``, except that the worker process dies when *die* is set."""
+    """``_eol_digest``, except that the worker process dies when *die* is set."""
     if die:
         os._exit(3)
-    return _eol_cell(*payload)
+    return _eol_digest(*payload)
 
 
 class TestCampaignForest:
@@ -156,11 +163,11 @@ class TestCampaignForest:
 
     def test_results_match_fault_free_serial(self, campaign):
         results, _, _ = campaign
-        reference = list(parallel.run_tasks(_eol_cell, PAYLOADS, jobs=1))
+        reference = list(parallel.run_tasks(_eol_digest, PAYLOADS, jobs=1))
         # Pooled results arrive in completion order; every cell's seed
         # gives a distinct output, so membership pins each one.
         assert all(r in reference for r in results)
-        rerun = parallel.run_tasks(_eol_cell, PAYLOADS, jobs=3, batch=2)
+        rerun = parallel.run_tasks(_eol_digest, PAYLOADS, jobs=3, batch=2)
         assert sorted(rerun) == sorted(reference)
 
     def test_every_stamped_event_resolves_to_campaign_root(self, campaign):
