@@ -22,12 +22,14 @@ from repro.dram.system import MemorySystem, MemorySystemConfig
 from repro.ecc import Chipkill18
 from repro.experiments import parallel
 from repro.faults.fit_rates import MemoryOrg
-from repro.faults.montecarlo import EolCapacitySim, _eol_cell, eol_fraction_by_channels
+from repro.faults.montecarlo import EolCapacitySim, eol_fraction_by_channels
 from repro.faults.rareevent import run_is, run_plain
 from repro.obs.manifest import load_manifest, manifest_dict, write_manifest
 from repro.obs.progress import Follower
 from repro.obs.summarize import read_events, render, summarize
 from repro.util import envcfg
+
+from tests.eol_workers import eol_digest, eol_or_exit
 
 PAYLOADS = [(2, 400, s, 61320.0, 1 << 14) for s in range(6)]
 
@@ -312,20 +314,6 @@ class TestSimEvents:
         assert summarize(run_dir)["sim"]["runs"] == 1
 
 
-def _eol_digest(*payload):
-    """``_eol_cell`` as a comparable, sortable value: the cell's channel
-    count and the JSON of its tally."""
-    channels, est = _eol_cell(*payload)
-    return channels, json.dumps(est.to_dict())
-
-
-def _eol_or_exit(die, *payload):
-    """``_eol_digest``, except that the worker process dies when *die* is set."""
-    if die:
-        os._exit(3)
-    return _eol_digest(*payload)
-
-
 class TestSummarizeWorkerDeath:
     """Acceptance: reconstruct a campaign whose worker died from JSONL alone."""
 
@@ -339,12 +327,12 @@ class TestSummarizeWorkerDeath:
         got = []
         try:
             with pytest.raises(parallel.CampaignError) as ei:
-                for r in parallel.run_tasks(_eol_or_exit, payloads, jobs=3, batch=1):
+                for r in parallel.run_tasks(eol_or_exit, payloads, jobs=3, batch=1):
                     got.append(r)
         finally:
             obs.disarm()
         # The results that arrived are the serial ones.
-        reference = list(parallel.run_tasks(_eol_digest, PAYLOADS, jobs=1))
+        reference = list(parallel.run_tasks(eol_digest, PAYLOADS, jobs=1))
         assert all(r in reference for r in got)
         failed = sorted(f.index for f in ei.value.failures)
         return summarize(run), len(got), failed

@@ -208,6 +208,20 @@ class TestWeightedTally:
         assert split.ess == pytest.approx(bulk.ess, rel=1e-12)
         assert split.percentile(99.0) == pytest.approx(bulk.percentile(99.0), rel=1e-12)
 
+    def test_unit_weights_equal_explicit_ones(self, rng):
+        """``weights=None`` skips the all-ones array, bit for bit."""
+        unit, ones = WeightedTally(), WeightedTally()
+        for n in (1, 700, 65536):
+            values = rng.integers(0, 9, size=n) / 64.0
+            unit.add(values)
+            ones.add(values, np.ones(n))
+        values = rng.normal(size=2 * MAX_TALLY_POINTS)  # compacts
+        unit.add(values)
+        ones.add(values, np.ones_like(values))
+        assert unit.compacted == ones.compacted > 0
+        assert unit.to_dict() == ones.to_dict()
+        assert all(type(w) is float for cell in unit._hist.values() for w in cell)
+
     def test_compaction_bounds_histogram(self, rng):
         tally = WeightedTally()
         tally.add(rng.normal(size=3 * MAX_TALLY_POINTS))

@@ -19,9 +19,10 @@ import repro.experiments.evaluation as ev
 from repro import obs
 from repro.experiments import parallel
 from repro.experiments.evaluation import Fidelity, evaluation_matrix
-from repro.faults.montecarlo import _eol_cell
 from repro.obs.summarize import read_events
 from repro.util import envcfg
+
+from tests.eol_workers import eol_digest, eol_or_exit
 
 PAYLOADS = [(2, 400, s, 61320.0, 1 << 16) for s in range(8)]
 
@@ -38,20 +39,6 @@ def _raise_on_three(x):
     if x == 3:
         raise ValueError(f"bad cell {x}")
     return x * x
-
-
-def _eol_digest(*payload):
-    """``_eol_cell`` as a comparable, sortable value: the cell's channel
-    count and the JSON of its tally."""
-    channels, est = _eol_cell(*payload)
-    return channels, json.dumps(est.to_dict())
-
-
-def _eol_or_exit(die, *payload):
-    """``_eol_digest``, except that the worker process dies when *die* is set."""
-    if die:
-        os._exit(3)
-    return _eol_digest(*payload)
 
 
 _REAL_RUN_CELL = parallel._run_cell
@@ -103,11 +90,11 @@ class TestBatchedBitIdentity:
 
     @pytest.fixture(scope="class")
     def reference(self):
-        return sorted(parallel.run_tasks(_eol_digest, PAYLOADS, jobs=1))
+        return sorted(parallel.run_tasks(eol_digest, PAYLOADS, jobs=1))
 
     @pytest.mark.parametrize("batch", [1, "auto", 3, len(PAYLOADS)])
     def test_modes_match_serial(self, batch, reference):
-        out = parallel.run_tasks(_eol_digest, PAYLOADS, jobs=3, batch=batch)
+        out = parallel.run_tasks(eol_digest, PAYLOADS, jobs=3, batch=batch)
         assert sorted(out) == reference
 
     @pytest.mark.parametrize("batch", ["auto", 4])
@@ -117,12 +104,12 @@ class TestBatchedBitIdentity:
         dying = [(i == 5, *p) for i, p in enumerate(PAYLOADS)]
         got = []
         with pytest.raises(parallel.CampaignError) as ei:
-            for r in parallel.run_tasks(_eol_or_exit, dying, jobs=3, batch=batch):
+            for r in parallel.run_tasks(eol_or_exit, dying, jobs=3, batch=batch):
                 got.append(r)
         failed = {f.index for f in ei.value.failures}
         assert 5 in failed and len(got) + len(failed) == len(PAYLOADS)
         assert all(r in reference for r in got)
-        rerun = parallel.run_tasks(_eol_digest, PAYLOADS, jobs=3, batch=batch)
+        rerun = parallel.run_tasks(eol_digest, PAYLOADS, jobs=3, batch=batch)
         assert sorted(rerun) == reference
 
     def test_batch_events_and_paths(self, armed):

@@ -33,6 +33,8 @@ from repro.obs.spantree import (
 )
 from repro.obs.summarize import read_events, summarize
 
+from tests.eol_workers import eol_digest, eol_or_exit
+
 PAYLOADS = [(2, 400, s, 61320.0, 1 << 16) for s in range(6)]
 
 
@@ -119,20 +121,6 @@ class TestSpanPrimitives:
         assert probe[0]["trace"] == s.trace_id
 
 
-def _eol_digest(*payload):
-    """``_eol_cell`` as a comparable, sortable value: the cell's channel
-    count and the JSON of its tally."""
-    channels, est = _eol_cell(*payload)
-    return channels, json.dumps(est.to_dict())
-
-
-def _eol_or_exit(die, *payload):
-    """``_eol_digest``, except that the worker process dies when *die* is set."""
-    if die:
-        os._exit(3)
-    return _eol_digest(*payload)
-
-
 class TestCampaignForest:
     """The tentpole acceptance: one forest through a worker death."""
 
@@ -153,7 +141,7 @@ class TestCampaignForest:
         results = []
         try:
             with pytest.raises(parallel.CampaignError) as ei:
-                for r in parallel.run_tasks(_eol_or_exit, payloads, jobs=3, batch=2):
+                for r in parallel.run_tasks(eol_or_exit, payloads, jobs=3, batch=2):
                     results.append(r)
         finally:
             obs._current.set(None)
@@ -163,11 +151,11 @@ class TestCampaignForest:
 
     def test_results_match_fault_free_serial(self, campaign):
         results, _, _ = campaign
-        reference = list(parallel.run_tasks(_eol_digest, PAYLOADS, jobs=1))
+        reference = list(parallel.run_tasks(eol_digest, PAYLOADS, jobs=1))
         # Pooled results arrive in completion order; every cell's seed
         # gives a distinct output, so membership pins each one.
         assert all(r in reference for r in results)
-        rerun = parallel.run_tasks(_eol_digest, PAYLOADS, jobs=3, batch=2)
+        rerun = parallel.run_tasks(eol_digest, PAYLOADS, jobs=3, batch=2)
         assert sorted(rerun) == sorted(reference)
 
     def test_every_stamped_event_resolves_to_campaign_root(self, campaign):
