@@ -37,6 +37,10 @@ Identity-critical conventions shared with the reference loop:
   ticks, bursts).  An overflow event moves into its bucket as soon as the
   wheel reaches it, before any handler at the new cycle runs, so every
   bucket fills in push order and FIFO order within a cycle is seq order;
+* the LLC keeps no address map: an access scans the filled ways of the
+  line's set for its tag and, in the same pass, keeps the first way with
+  the smallest LRU stamp as the victim - the oracle's rule.  The oracle's
+  address -> slot dict is rebuilt from the slot arrays by :func:`readback`;
 * DRAM decode is recomputed arithmetically per address (positive int64
   division matches Python floor division);
 * pending-request counts are recounted from the queue at pick time,
@@ -102,8 +106,6 @@ typedef struct {
     int64_t *l_tags; int64_t *l_lru; uint8_t *l_dirty; uint8_t *l_kind;
     int64_t *l_fill;
     int64_t clock, hits, misses, evictions_dirty;
-    /* llc address -> slot open-addressing map */
-    int64_t *wh_keys; int64_t *wh_vals; int64_t wh_mask, wh_used, wh_tomb;
     /* per global-rank state */
     int64_t *bank_ready, *busy_until, *accounted_to, *next_refresh, *refreshes;
     int64_t *c_act, *c_rd, *c_wr, *c_active, *c_standby, *c_pdown;
@@ -151,7 +153,6 @@ typedef struct {
 
 _CDEF = _STRUCT + """
 void push_event(KS *k, int64_t t, int64_t kind, int64_t payload);
-void wh_bulk(KS *k, int64_t *keys, int64_t *vals, int64_t n);
 void ks_reset(KS *k);
 void ks_finish(KS *k, int64_t reached);
 int64_t epoch_run(KS *k);
@@ -318,79 +319,6 @@ void push_event(KS *k, int64_t t, int64_t kind, int64_t payload) {
     hpush(k, t, kind, payload);
 }
 
-/* -- LLC address -> slot map (open addressing, -1 empty / -2 tombstone) ---- */
-
-static inline uint64_t wh_hash(int64_t key) {
-    return (uint64_t)key * 0x9E3779B97F4A7C15ull;
-}
-
-static int64_t wh_get(KS *k, int64_t key) {
-    int64_t mask = k->wh_mask;
-    uint64_t i = wh_hash(key) & (uint64_t)mask;
-    for (;;) {
-        int64_t kk = k->wh_keys[i];
-        if (kk == key) return k->wh_vals[i];
-        if (kk == -1) return -1;
-        i = (i + 1) & (uint64_t)mask;
-    }
-}
-
-/* Rebuild the map from the slot arrays (every live key is a cached line
-   tag), dropping all tombstones. */
-static void wh_rehash(KS *k) {
-    int64_t cap = k->wh_mask + 1;
-    int64_t *keys = k->wh_keys, *vals = k->wh_vals;
-    for (int64_t i = 0; i < cap; i++) keys[i] = -1;
-    k->wh_used = 0; k->wh_tomb = 0;
-    for (int64_t s = 0; s < k->n_sets; s++) {
-        int64_t fill = k->l_fill[s];
-        for (int64_t w = 0; w < fill; w++) {
-            int64_t slot = s * k->assoc + w;
-            int64_t key = k->l_tags[slot];
-            uint64_t i = wh_hash(key) & (uint64_t)k->wh_mask;
-            while (keys[i] != -1) i = (i + 1) & (uint64_t)k->wh_mask;
-            keys[i] = key; vals[i] = slot;
-            k->wh_used++;
-        }
-    }
-}
-
-static void wh_put(KS *k, int64_t key, int64_t val) {
-    if ((k->wh_used + k->wh_tomb) * 2 >= k->wh_mask + 1) wh_rehash(k);
-    int64_t mask = k->wh_mask;
-    uint64_t i = wh_hash(key) & (uint64_t)mask;
-    for (;;) {
-        int64_t kk = k->wh_keys[i];
-        if (kk == key) { k->wh_vals[i] = val; return; }
-        if (kk < 0) {  /* empty or tombstone */
-            if (kk == -2) k->wh_tomb--;
-            k->wh_keys[i] = key; k->wh_vals[i] = val;
-            k->wh_used++;
-            return;
-        }
-        i = (i + 1) & (uint64_t)mask;
-    }
-}
-
-static void wh_del(KS *k, int64_t key) {
-    int64_t mask = k->wh_mask;
-    uint64_t i = wh_hash(key) & (uint64_t)mask;
-    for (;;) {
-        int64_t kk = k->wh_keys[i];
-        if (kk == key) {
-            k->wh_keys[i] = -2;
-            k->wh_used--; k->wh_tomb++;
-            return;
-        }
-        if (kk == -1) return;
-        i = (i + 1) & (uint64_t)mask;
-    }
-}
-
-void wh_bulk(KS *k, int64_t *keys, int64_t *vals, int64_t n) {
-    for (int64_t i = 0; i < n; i++) wh_put(k, keys[i], vals[i]);
-}
-
 /* -- DRAM decode (AddressMapping._decode, positive arithmetic) ------------- */
 
 static inline void decode(KS *k, int64_t addr, int64_t *ci, int64_t *gr,
@@ -494,42 +422,43 @@ static void enqueue(KS *k, int64_t addr, int64_t is_write, int64_t tag,
 }
 
 /* -- LLC access (LLC.access, flat state) ----------------------------------- */
-/* returns 1 hit, 0 miss without victim, -1 miss with victim (filled) */
+/* One pass over the set's filled ways finds the line and, on a miss, the
+   LRU victim: the first way with the smallest stamp, as in the oracle.
+   Returns 1 hit, 0 miss without victim, -1 miss with victim (filled). */
 
 static int64_t llc_access(KS *k, int64_t addr, int64_t kind, int64_t make_dirty,
                           int64_t *ev_addr, int64_t *ev_kind, int64_t *ev_dirty) {
-    int64_t slot = wh_get(k, addr);
+    int64_t s = addr & k->set_mask, base = s * k->assoc;
+    int64_t filled = k->l_fill[s];
+    int64_t *tags = k->l_tags + base, *lru = k->l_lru + base;
+    uint8_t *dirty = k->l_dirty + base, *kinds = k->l_kind + base;
+    int64_t victim = 0, best = INT64_MAX;
     k->clock++;
-    if (slot >= 0) {
-        k->l_lru[slot] = k->clock;
-        if (make_dirty) k->l_dirty[slot] = 1;
-        k->hits++;
-        return 1;
+    for (int64_t w = 0; w < filled; w++) {
+        if (tags[w] == addr) {
+            lru[w] = k->clock;
+            if (make_dirty) dirty[w] = 1;
+            k->hits++;
+            return 1;
+        }
+        if (lru[w] < best) { best = lru[w]; victim = w; }
     }
     k->misses++;
-    int64_t s = addr & k->set_mask, base = s * k->assoc;
-    int64_t victim, has_ev = 0;
-    int64_t filled = k->l_fill[s];
+    int64_t has_ev = 0;
     if (filled < k->assoc) {
-        victim = base + filled;
+        victim = filled;
         k->l_fill[s] = filled + 1;
     } else {
-        victim = base;
-        int64_t best = k->l_lru[base];
-        for (int64_t i = base + 1; i < base + k->assoc; i++)
-            if (k->l_lru[i] < best) { best = k->l_lru[i]; victim = i; }
-        *ev_addr = k->l_tags[victim];
-        *ev_kind = k->l_kind[victim];
-        *ev_dirty = k->l_dirty[victim];
+        *ev_addr = tags[victim];
+        *ev_kind = kinds[victim];
+        *ev_dirty = dirty[victim];
         if (*ev_dirty) k->evictions_dirty++;
-        wh_del(k, *ev_addr);
         has_ev = 1;
     }
-    k->l_tags[victim] = addr;
-    k->l_lru[victim] = k->clock;
-    k->l_dirty[victim] = (uint8_t)make_dirty;
-    k->l_kind[victim] = (uint8_t)kind;
-    wh_put(k, addr, victim);
+    tags[victim] = addr;
+    lru[victim] = k->clock;
+    dirty[victim] = (uint8_t)make_dirty;
+    kinds[victim] = (uint8_t)kind;
     return has_ev ? -1 : 0;
 }
 
@@ -849,8 +778,6 @@ void ks_reset(KS *k) {
     memset(k->l_dirty, 0, slots);
     memset(k->l_kind, 0, slots);
     memset(k->l_fill, 0, k->n_sets * sizeof(int64_t));
-    for (int64_t i = 0; i <= k->wh_mask; i++) k->wh_keys[i] = -1;
-    k->wh_used = k->wh_tomb = 0;
     k->clock = k->hits = k->misses = k->evictions_dirty = 0;
     memset(k->bank_ready, 0, n * k->B * sizeof(int64_t));
     memset(k->faulty, 0, n * k->B + k->MB + 1);
@@ -1008,7 +935,8 @@ class _Resident:
     Built once per process per :func:`_resident` key, with its pointers
     cast once, and reused by every run of that shape: ``ks_reset`` puts
     the arrays into a fresh system's state and :func:`_stage` copies in
-    whatever Python-side state is not fresh.  ``gen`` counts the runs
+    whatever Python-side state is not fresh.  The LLC is the five slot
+    arrays alone; the core finds a line by scanning its set.  ``gen`` counts the runs
     staged here; a run's full state stays readable (:func:`readback`)
     until the next run of the same geometry.
     """
@@ -1017,7 +945,6 @@ class _Resident:
         C, R, B, MB, n_sets, assoc, n_cores, depth, cap = key
         n_ranks = C * R
         slots = n_sets * assoc
-        wh_cap = 1 << max(6, (4 * slots - 1).bit_length())
         self.ffi = ffi
         self.gen = 0
         self.ks = ks = ffi.new("KS *")
@@ -1025,15 +952,12 @@ class _Resident:
         ks.n_ranks, ks.n_cores = n_ranks, n_cores
         ks.QUEUE_DEPTH = depth
         ks.n_sets, ks.assoc, ks.set_mask = n_sets, assoc, n_sets - 1
-        ks.wh_mask = wh_cap - 1
         ks.h_cap = cap
         self.l_tags = np.zeros(slots, np.int64)
         self.l_lru = np.zeros(slots, np.int64)
         self.l_dirty = np.zeros(slots, np.uint8)
         self.l_kind = np.zeros(slots, np.uint8)
         self.l_fill = np.zeros(n_sets, np.int64)
-        self.wh_keys = np.zeros(wh_cap, np.int64)
-        self.wh_vals = np.zeros(wh_cap, np.int64)
         self.bank_ready = np.zeros(n_ranks * B, np.int64)
         self.act_ring = np.zeros(n_ranks * 4, np.int64)
         self.rank = np.zeros((len(_RANK_ROWS), n_ranks), np.int64)
@@ -1052,9 +976,8 @@ class _Resident:
         self.no_bursts_ptr = self.ptr(self.no_bursts)
         self.bursts = None  # this run's burst table, alive while it runs
         self.win = np.zeros(64, np.int64)
-        for name in ("l_tags", "l_lru", "l_dirty", "l_kind", "l_fill", "wh_keys",
-                     "wh_vals", "bank_ready", "act_ring", "snap_cnt", "faulty", "qes",
-                     "h", "w_node"):
+        for name in ("l_tags", "l_lru", "l_dirty", "l_kind", "l_fill", "bank_ready",
+                     "act_ring", "snap_cnt", "faulty", "qes", "h", "w_node"):
             setattr(ks, name, self.ptr(getattr(self, name)))
         for block, rows in ((self.rank, _RANK_ROWS), (self.chan, _CHAN_ROWS),
                             (self.core, _CORE_ROWS), (self.flags, _FLAG_ROWS)):
@@ -1228,10 +1151,6 @@ def _stage(lib, res, sim, warmup_instructions: int, measure_instructions: int) -
         res.l_dirty[:] = llc._dirty
         res.l_kind[:] = llc._kind
         res.l_fill[:] = llc._fill
-        n = len(llc._where)
-        keys = np.fromiter(llc._where.keys(), dtype=np.int64, count=n)
-        vals = np.fromiter(llc._where.values(), dtype=np.int64, count=n)
-        lib.wh_bulk(ks, res.ptr(keys), res.ptr(vals), n)
 
     # -- ranks and channels (queues start empty: see eligible()) ------------------------
     nr0 = [(i + 1) * t.trefi // max(1, R) for i in range(R)]
@@ -1447,8 +1366,8 @@ def readback(sim) -> None:
         llc._kind[:] = [_KINDS[v] for v in res.l_kind.tolist()]
         llc._fill[:] = res.l_fill.tolist()
         llc._where.clear()
-        occupied = res.wh_keys >= 0
-        llc._where.update(zip(res.wh_keys[occupied].tolist(), res.wh_vals[occupied].tolist()))
+        filled = np.flatnonzero(np.arange(llc.assoc) < res.l_fill[:, None])
+        llc._where.update(zip(res.l_tags[filled].tolist(), filled.tolist()))
         llc._native = None
     if mem._native is run:
         B = ks.B

@@ -7,13 +7,16 @@ III-D).  ECC-related lines share the insertion and replacement policy with
 data lines, exactly as the paper models them (Section IV-C); what differs is
 their fill/eviction traffic, which the simulation layer charges per kind.
 
-Implementation note (profiled per the HPC guide): the timing plane performs
-tens of millions of single-line accesses, so lookups use a flat dict
-(address -> flat slot index) with flat Python lists for tag/LRU/dirty/kind
-state - an order of magnitude faster here than per-set NumPy compares,
-whose per-call overhead dwarfs 16-element work.  The dominant case by far
-is a hit, so ``access`` resolves it from the single dict probe alone
-(no set arithmetic, no victim scan, no allocation).
+Implementation note: this class is the oracle the compiled epoch core
+(:mod:`repro.cpu.epochnative`) is held to, and the model every Python run
+uses.  In the interpreter a flat dict (address -> flat slot index) with
+flat Python lists for tag/LRU/dirty/kind state is an order of magnitude
+faster than per-set NumPy compares, whose per-call overhead dwarfs
+16-element work, so ``access`` resolves the dominant case, a hit, from
+one dict probe (no set arithmetic, no victim scan, no allocation).  The
+dict is this model's choice, not part of the semantics: the compiled core
+keeps no map and scans the set's filled ways for the tag, keeping the
+first least-recently-used way as the victim in the same pass.
 """
 
 from __future__ import annotations

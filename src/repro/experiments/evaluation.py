@@ -10,10 +10,10 @@ whose cache files also live in :data:`CACHE_DIR`.
 Two fidelity presets:
 
 * ``quick`` (default): scale 32, ~20k LLC references per phase - about
-  6 s cold for both system classes' 256 cells, serial, on a 2-vCPU host;
-  adequate for shapes and rankings.
-* ``full`` (``REPRO_FULL=1``): scale 16, ~40k references - about 8 s on
-  2 workers on the same host; the setting the committed EXPERIMENTS.md
+  3.1-3.4 s cold for both system classes' 256 cells, serial, on a 2-vCPU
+  Intel Xeon host; adequate for shapes and rankings.
+* ``full`` (``REPRO_FULL=1``): scale 16, ~40k references - about 3.0-3.2 s
+  on 2 workers on the same host; the setting the committed EXPERIMENTS.md
   numbers were produced with.
 """
 

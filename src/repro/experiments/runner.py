@@ -73,10 +73,11 @@ class RunSpec:
 #: matrix runs one cell at a time per worker, so consecutive cells with the
 #: same cache geometry recycle one LLC via :meth:`LLC.reset` instead of
 #: reallocating its slot lists (4,096 slots at quick fidelity and 8,192 at
-#: full for 64 B lines) per config.  A compiled-core run leaves those lists
-#: untouched, so its reset only zeroes counters.  Address-mapping decode
-#: tables are likewise shared across ``SimSystem`` instances (see
-#: ``repro.dram.mapping._SHARED_TABLES``).
+#: full for 64 B lines) per config.  A compiled-core run works on its own
+#: resident slot arrays, scanning a set to find a line, and leaves these
+#: lists and the address dict untouched, so its reset only zeroes
+#: counters.  Address-mapping decode tables are likewise shared across
+#: ``SimSystem`` instances (see ``repro.dram.mapping._SHARED_TABLES``).
 _LLC_POOL: "dict[tuple[int, int], LLC]" = {}
 
 

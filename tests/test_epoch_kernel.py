@@ -209,6 +209,22 @@ class TestKernelIdentityScenarios:
                           cache_ecc_lines=False, llc_bytes=4096),
             1000, 8000, monkeypatch)
 
+    # A one-set LLC (16 ways of one line each): every access scans a full
+    # set and, once it fills, every miss evicts the least recently used way.
+
+    @pytest.mark.parametrize("scheme_cls, kw", [
+        (LotEcc5, {}),                                 # cached ECC lines
+        (LotEcc5, {"channels": 4, "ecc_parity": 4}),   # cached XOR lines
+        (Chipkill18, {}),                              # 64 B lines
+        (Chipkill36, {}),                              # 128 B lines
+    ], ids=["ecc-lines", "xor-lines", "ck18-64B", "ck36-128B"])
+    def test_one_set_llc(self, scheme_cls, kw, monkeypatch):
+        scheme = scheme_cls()
+        assert_identical(
+            lambda: build(scheme, wl_traces("mcf", 14, line=scheme.line_size),
+                          llc_bytes=16 * scheme.line_size, **kw),
+            1000, 5000, monkeypatch)
+
     def test_degraded_mode_fault_state(self, monkeypatch):
         deg = DegradedMode(frozenset({(0, 0, 0), (1, 0, 3)}), ecc_line_coverage=2)
         assert_identical(
@@ -307,6 +323,7 @@ class TestKernelIdentityProperty:
         cores = rng.choice([1, 2, 4])
         warmup = rng.choice([0, 500, 2000])
         measure = rng.choice([2000, 5000])
+        kw["llc_bytes"] = rng.choice([16 * scheme.line_size, 4096, 64 * 1024])
         assert_identical(
             lambda: build(scheme, wl_traces(profile, seed, cores=cores,
                                             line=scheme.line_size), **kw),
