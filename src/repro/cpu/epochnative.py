@@ -1324,6 +1324,7 @@ def run_native(sim, warmup_instructions: int, measure_instructions: int) -> SimR
         [RankEnergyCounters(*snap[ci * R + ri]) for ri in range(R)]
         for ci in range(len(chans))
     ]
+    sim.energy_baseline = baseline
     energy = mem.energy_since(baseline)
     if obs_armed:
         sim._emit_run_telemetry(perf_counter() - wall0, sim._seq - seq0)

@@ -197,6 +197,11 @@ class SimSystem:
         self._native = None
         #: Set by :meth:`run`, which refuses a second call.
         self._ran = False
+        #: Rank energy counters at the start of the measured phase, set by
+        #: :meth:`run` (``[channel][rank]``, as ``MemorySystem.energy_since``
+        #: takes them): with the final counters, what a configuration that
+        #: differs only in chips needs to integrate its own energy.
+        self.energy_baseline: "list | None" = None
 
     def schedule_burst(self, cycle: int, reads: int, writes: int, base_addr: int = 0) -> None:
         """Inject a one-shot background traffic burst at *cycle*.
@@ -485,6 +490,7 @@ class SimSystem:
             end_state = self._state_snapshot()
 
         self.mem.finalize(self.now)
+        self.energy_baseline = snap
         energy = self.mem.energy_since(snap)
         if obs_armed:
             self._emit_run_telemetry(perf_counter() - wall0, self._seq - seq0)

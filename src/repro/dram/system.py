@@ -65,17 +65,7 @@ class MemorySystem:
             hot_arena_base_line=config.hot_arena_base_line,
             hot_ranks=config.hot_ranks,
         )
-        if config.rank_chip_widths is not None:
-            if len(config.rank_chip_widths) != config.ranks_per_channel:
-                raise ValueError("rank_chip_widths must list one entry per rank")
-            self._power_models = [
-                RankPowerModel(w, config.timing, config.line_size)
-                for w in config.rank_chip_widths
-            ]
-        else:
-            self._power_models = [
-                RankPowerModel(config.chip_widths, config.timing, config.line_size)
-            ] * config.ranks_per_channel
+        self._power_models = rank_power_models(config)
         #: 64B-granularity access counter (Fig. 16's metric: a 128B line
         #: transfer counts as two accesses).
         self.accesses_64b = 0
@@ -120,30 +110,66 @@ class MemorySystem:
         for ch in self.channels:
             ch.finalize(end_cycle)
 
+    def energy_counters(self) -> "list[list[RankEnergyCounters]]":
+        """The live rank counters, channel by channel (not copies)."""
+        return [ch.energy_counters() for ch in self.channels]
+
     def snapshot_counters(self, now: int) -> "list[list[RankEnergyCounters]]":
         """Deep copy of all rank counters as of *now* (for warm-up subtraction)."""
         import copy
 
         self.finalize(now)
-        return [copy.deepcopy(ch.energy_counters()) for ch in self.channels]
+        return copy.deepcopy(self.energy_counters())
 
     def energy_since(
         self, baseline: "list[list[RankEnergyCounters]] | None" = None
     ) -> EnergyBreakdown:
         """Integrate energy, optionally net of a warm-up *baseline* snapshot."""
-        total = EnergyBreakdown()
-        for ci, ch in enumerate(self.channels):
-            for ri, counters in enumerate(ch.energy_counters()):
-                if baseline is not None:
-                    b = baseline[ci][ri]
-                    counters = RankEnergyCounters(
-                        activates=counters.activates - b.activates,
-                        read_bursts=counters.read_bursts - b.read_bursts,
-                        write_bursts=counters.write_bursts - b.write_bursts,
-                        cycles_active=counters.cycles_active - b.cycles_active,
-                        cycles_precharge_standby=counters.cycles_precharge_standby
-                        - b.cycles_precharge_standby,
-                        cycles_powerdown=counters.cycles_powerdown - b.cycles_powerdown,
-                    )
-                total = total + self._power_models[ri].integrate(counters)
-        return total
+        return integrate_energy(self._power_models, self.energy_counters(), baseline)
+
+
+def rank_power_models(config: MemorySystemConfig) -> "list[RankPowerModel]":
+    """One power model per rank position of a channel.
+
+    The only consumer of the chip widths: a system's timing never reads
+    them, so two configurations that differ only in chips share one run
+    and integrate its counters with their own models.
+    """
+    if config.rank_chip_widths is not None:
+        if len(config.rank_chip_widths) != config.ranks_per_channel:
+            raise ValueError("rank_chip_widths must list one entry per rank")
+        return [
+            RankPowerModel(w, config.timing, config.line_size) for w in config.rank_chip_widths
+        ]
+    return [RankPowerModel(config.chip_widths, config.timing, config.line_size)] * (
+        config.ranks_per_channel
+    )
+
+
+def integrate_energy(
+    power_models: "list[RankPowerModel]",
+    counters: "list[list[RankEnergyCounters]]",
+    baseline: "list[list[RankEnergyCounters]] | None" = None,
+) -> EnergyBreakdown:
+    """Sum rank energy channel by channel, rank by rank, net of *baseline*.
+
+    *counters* and *baseline* are indexed ``[channel][rank]``; rank ``ri``
+    of every channel integrates with ``power_models[ri]``.  The summation
+    order is fixed, so equal counters give bit-equal energy.
+    """
+    total = EnergyBreakdown()
+    for ci, channel in enumerate(counters):
+        for ri, c in enumerate(channel):
+            if baseline is not None:
+                b = baseline[ci][ri]
+                c = RankEnergyCounters(
+                    activates=c.activates - b.activates,
+                    read_bursts=c.read_bursts - b.read_bursts,
+                    write_bursts=c.write_bursts - b.write_bursts,
+                    cycles_active=c.cycles_active - b.cycles_active,
+                    cycles_precharge_standby=c.cycles_precharge_standby
+                    - b.cycles_precharge_standby,
+                    cycles_powerdown=c.cycles_powerdown - b.cycles_powerdown,
+                )
+            total = total + power_models[ri].integrate(c)
+    return total

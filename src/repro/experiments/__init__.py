@@ -12,7 +12,6 @@ from repro.experiments.evaluation import (
     bins,
     current_fidelity,
     evaluation_matrix,
-    instruction_budget,
     workload_order,
 )
 from repro.experiments.parallel import default_jobs, run_cells
@@ -25,7 +24,8 @@ from repro.experiments.runner import (
     adaptive_instructions,
     build_system,
     run,
-    run_matrix,
+    run_group,
+    timing_key,
 )
 from repro.experiments.traffic import (
     BandwidthReport,
@@ -52,7 +52,6 @@ __all__ = [
     "bins",
     "current_fidelity",
     "evaluation_matrix",
-    "instruction_budget",
     "workload_order",
     "default_jobs",
     "run_cells",
@@ -70,7 +69,8 @@ __all__ = [
     "adaptive_instructions",
     "build_system",
     "run",
-    "run_matrix",
+    "run_group",
+    "timing_key",
     "BandwidthReport",
     "TrafficReport",
     "bandwidth_report",

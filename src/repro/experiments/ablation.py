@@ -14,34 +14,17 @@ import dataclasses
 from dataclasses import dataclass
 
 from repro.cpu.ecc_traffic import EccTrafficModel
-from repro.cpu.llc import LLC
-from repro.cpu.system import SimResult, SimSystem
+from repro.cpu.system import SimResult
 from repro.core.scheme import ECCParityScheme
-from repro.dram.system import MemorySystem, MemorySystemConfig
 from repro.ecc.catalog import SystemConfig
 from repro.ecc.lot_ecc import LotEcc5
 from repro.experiments.runner import RunSpec, build_system
-from repro.workloads.generator import make_core_traces
 from repro.workloads.profiles import WorkloadProfile
 
 
 def _run_with_model(spec: RunSpec, model: EccTrafficModel) -> SimResult:
     """Like runner.run but with an explicit ECC-traffic model."""
-    scheme = spec.config.make_scheme()
-    mem = MemorySystem(
-        MemorySystemConfig(
-            channels=spec.config.channels,
-            ranks_per_channel=spec.config.ranks_per_channel,
-            chip_widths=scheme.chip_widths(),
-            line_size=scheme.line_size,
-        )
-    )
-    traces = make_core_traces(
-        spec.workload, cores=8, llc_block_bytes=scheme.line_size,
-        seed=spec.seed, footprint_scale=spec.scale,
-    )
-    llc = LLC(size_bytes=(8 << 20) // spec.scale, line_size=scheme.line_size)
-    system = SimSystem(mem, traces, model, llc=llc)
+    system = build_system(spec, ecc_model=model)
     return system.run(spec.resolved_warmup, spec.resolved_measure)
 
 

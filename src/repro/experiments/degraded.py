@@ -12,13 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cpu.degraded import DegradedMode
-from repro.cpu.ecc_traffic import EccTrafficModel
-from repro.cpu.llc import LLC
-from repro.cpu.system import SimResult, SimSystem
-from repro.dram.system import MemorySystem, MemorySystemConfig
+from repro.cpu.system import SimResult
 from repro.ecc.catalog import SystemConfig
-from repro.experiments.runner import RunSpec
-from repro.workloads.generator import make_core_traces
+from repro.experiments.runner import RunSpec, build_system
 from repro.workloads.profiles import WorkloadProfile
 
 
@@ -55,31 +51,14 @@ def degraded_sweep(
 ) -> "list[DegradedPoint]":
     """Run the workload with increasing shares of faulty bank pairs."""
     out = []
+    spec = RunSpec(workload, config, seed=seed, scale=scale)
     for frac in fractions:
-        scheme = config.make_scheme()
-        mem = MemorySystem(
-            MemorySystemConfig(
-                channels=config.channels,
-                ranks_per_channel=config.ranks_per_channel,
-                chip_widths=scheme.chip_widths(),
-                line_size=scheme.line_size,
-            )
-        )
-        model = EccTrafficModel.for_scheme(
-            scheme, ecc_parity_channels=config.channels if config.ecc_parity else None
-        )
         degraded = (
-            DegradedMode.for_scheme(scheme, _faulty_bank_set(config, frac))
+            DegradedMode.for_scheme(config.make_scheme(), _faulty_bank_set(config, frac))
             if frac > 0
             else None
         )
-        traces = make_core_traces(
-            workload, cores=8, llc_block_bytes=scheme.line_size,
-            seed=seed, footprint_scale=scale,
-        )
-        llc = LLC(size_bytes=(8 << 20) // scale, line_size=scheme.line_size)
-        system = SimSystem(mem, traces, model, llc=llc, degraded=degraded)
-        spec = RunSpec(workload, config, seed=seed, scale=scale)
+        system = build_system(spec, degraded=degraded)
         res = system.run(spec.resolved_warmup, spec.resolved_measure)
         out.append(DegradedPoint(frac, res))
     return out

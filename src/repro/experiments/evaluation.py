@@ -10,9 +10,9 @@ whose cache files also live in :data:`CACHE_DIR`.
 Two fidelity presets:
 
 * ``quick`` (default): scale 32, ~20k LLC references per phase - about
-  3.1-3.4 s cold for both system classes' 256 cells, serial, on a 2-vCPU
-  Intel Xeon host; adequate for shapes and rankings.
-* ``full`` (``REPRO_FULL=1``): scale 16, ~40k references - about 3.0-3.2 s
+  2.6-3.2 s cold for both system classes' 256 cells (224 simulations),
+  serial, on a 2-vCPU Intel Xeon host; adequate for shapes and rankings.
+* ``full`` (``REPRO_FULL=1``): scale 16, ~40k references - about 2.2-2.5 s
   on 2 workers on the same host; the setting the committed EXPERIMENTS.md
   numbers were produced with.
 """
@@ -116,15 +116,6 @@ def _cache_path(system_class: str, fidelity: Fidelity, seed: int) -> Path:
     )
 
 
-def instruction_budget(access_target: int, wl) -> int:
-    """Instructions per phase sized to hit roughly *access_target* LLC refs.
-
-    Shared by the serial and parallel paths so a cell's RunSpec is identical
-    no matter which of them built it.
-    """
-    return int(access_target * 1000 / wl.apki)
-
-
 def evaluation_matrix(
     system_class: str = "quad",
     fidelity: "Fidelity | None" = None,
@@ -146,11 +137,15 @@ def evaluation_matrix(
     the sweep compacts the log into the cache file atomically when it
     ends, on success or error (merge-on-write, so concurrent sweeps
     sharing the file keep each other's cells).
-    Each cell runs once.  A cell that raises, and every unfinished cell
-    of a sweep whose pool worker died, surfaces in a
-    :class:`~repro.experiments.parallel.CampaignError` naming each failed
-    ``(workload, config)`` payload, raised only after every finished cell
-    has been checkpointed; rerunning the sweep computes only those.
+    Each distinct timing system runs once: configurations that differ
+    only in their chips (RAIM and 36-device chipkill) share one
+    simulation and get their own energy (see
+    :func:`~repro.experiments.runner.run_group`).  A group that raises,
+    and every unfinished group of a sweep whose pool worker died,
+    surfaces in a :class:`~repro.experiments.parallel.CampaignError`
+    naming each failed ``(workload, config_keys)`` payload, raised only
+    after every finished cell has been checkpointed; rerunning the sweep
+    computes only those.
     """
     fidelity = fidelity or current_fidelity()
     wl_names = workloads or [w.name for w in ALL_WORKLOADS]
@@ -179,6 +174,9 @@ def evaluation_matrix(
                     "workloads": wl_names,
                     "config_keys": keys,
                     "missing_cells": len(missing),
+                    "simulations": len(
+                        parallel.cell_groups(system_class, missing, fidelity, seed)
+                    ),
                 }
             )
         with ckpt:

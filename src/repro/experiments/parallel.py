@@ -6,7 +6,7 @@ receive only primitives, rebuild their inputs, and seed themselves, so a
 task's result never depends on which process ran it and a parallel
 campaign is bit-identical to a serial one.  :func:`run_tasks` is the
 generic engine under every driver; :func:`run_cells` adapts it to the
-evaluation matrix.
+evaluation matrix, one task per distinct timing system.
 
 Fault model
 -----------
@@ -60,7 +60,7 @@ from repro import obs
 from repro.obs import trace
 from repro.ecc.catalog import SYSTEM_CLASSES
 from repro.experiments import evaluation
-from repro.experiments.runner import RunSpec, run
+from repro.experiments.runner import RunSpec, adaptive_instructions, run_group, timing_key
 from repro.util import envcfg
 from repro.workloads import generator
 from repro.workloads.profiles import WORKLOADS_BY_NAME
@@ -410,23 +410,13 @@ def run_tasks(
         raise CampaignError(failures, len(payloads)) from failures[0].cause
 
 
-def _run_cell(
-    system_class: str,
-    wl_name: str,
-    config_key: str,
-    scale: int,
-    access_target: int,
-    seed: int,
-) -> "tuple[str, str, dict]":
-    """Worker entry point: simulate one cell rebuilt from primitives.
-
-    Module-level (picklable) and pure: the RunSpec is reconstructed from the
-    same formula the serial path uses, and the simulation seeds itself from
-    *seed*, so results do not depend on which process ran the cell.
-    """
+def _cell_spec(
+    system_class: str, wl_name: str, config_key: str, scale: int, access_target: int, seed: int
+) -> RunSpec:
+    """The RunSpec of one matrix cell, rebuilt from primitives."""
     wl = WORKLOADS_BY_NAME[wl_name]
-    instructions = evaluation.instruction_budget(access_target, wl)
-    spec = RunSpec(
+    instructions = adaptive_instructions(wl, access_target)
+    return RunSpec(
         wl,
         SYSTEM_CLASSES[system_class][config_key],
         warmup_instructions=instructions,
@@ -434,7 +424,48 @@ def _run_cell(
         seed=seed,
         scale=scale,
     )
-    return wl_name, config_key, asdict(evaluation._cell_from_result(run(spec)))
+
+
+def cell_groups(
+    system_class: str,
+    cells: "Iterable[tuple[str, str]]",
+    fidelity: "evaluation.Fidelity",
+    seed: int,
+) -> "list[tuple[str, tuple[str, ...]]]":
+    """*cells* grouped by timing system: ``(workload, config_keys)`` each.
+
+    Cells with one :func:`~repro.experiments.runner.timing_key` share a
+    simulation.  Groups and their keys keep the order in which *cells*
+    first name them.
+    """
+    groups: "dict[tuple, tuple[str, list[str]]]" = {}
+    for wl_name, key in cells:
+        spec = _cell_spec(system_class, wl_name, key, fidelity.scale, fidelity.access_target, seed)
+        groups.setdefault(timing_key(spec), (wl_name, []))[1].append(key)
+    return [(wl_name, tuple(keys)) for wl_name, keys in groups.values()]
+
+
+def _run_group(
+    system_class: str,
+    wl_name: str,
+    config_keys: "tuple[str, ...]",
+    scale: int,
+    access_target: int,
+    seed: int,
+) -> "list[tuple[str, str, dict]]":
+    """Worker entry point: simulate one group of cells rebuilt from primitives.
+
+    Module-level (picklable) and pure: each RunSpec is rebuilt by
+    :func:`_cell_spec`, as :func:`cell_groups` built it to group the
+    cells, and the simulation seeds itself from *seed*, so results do not
+    depend on which process ran the group.
+    Returns one ``(workload, config_key, cell_dict)`` per key.
+    """
+    specs = [_cell_spec(system_class, wl_name, k, scale, access_target, seed) for k in config_keys]
+    return [
+        (wl_name, key, asdict(evaluation._cell_from_result(res)))
+        for key, res in zip(config_keys, run_group(specs))
+    ]
 
 
 def run_cells(
@@ -448,35 +479,41 @@ def run_cells(
     """Simulate *cells* and yield ``(workload, config_key, cell_dict)``.
 
     A thin adapter over :func:`run_tasks` (which owns pooling, batching
-    and failure records).  Results stream back in completion order;
-    callers key by name, so order does not matter for correctness, and
-    with ``jobs == 1`` or a single cell everything runs in-process,
+    and failure records).  A task is one group of :func:`cell_groups`:
+    each distinct timing system runs once, and each of its cells gets
+    its own energy.  Results stream back in completion order; callers key
+    by name, so order does not matter for correctness, and with
+    ``jobs == 1`` or a single group everything runs in-process,
     byte-for-byte the reference behaviour.  Pooled workers get a warm hint
     that pre-imports the sim stack, pre-compiles the native core, and
     primes the LLC pool for every cache geometry in the sweep.  A failing
-    cell surfaces in :class:`CampaignError` with its ``(system_class,
-    workload, config_key, ...)`` payload attached, so it is identifiable
-    without rerunning the sweep.
+    group surfaces in :class:`CampaignError` with its ``(system_class,
+    workload, config_keys, ...)`` payload attached, naming every cell it
+    held, so it is identifiable without rerunning the sweep.
 
     The sweep shares each workload's drawn trace blocks across its
     configs (see :mod:`repro.workloads.generator`): the memo is dropped
-    before the first cell and after the last (errors included), and pool
+    before the first group and after the last (errors included), and pool
     workers die with the pool, so no sweep reads blocks drawn before it.
     Each pool worker keeps its own memo, so ``batch="auto"`` (the
-    default) submits one workload's cells per super-task: cells arrive
+    default) submits one workload's groups per super-task: groups arrive
     workload-major, and a worker then replays one set of blocks across
     the configs, as the serial path does.
     """
     cells = list(cells)
+    groups = cell_groups(system_class, cells, fidelity, seed)
     payloads = [
-        (system_class, wl_name, key, fidelity.scale, fidelity.access_target, seed)
-        for wl_name, key in cells
+        (system_class, wl_name, keys, fidelity.scale, fidelity.access_target, seed)
+        for wl_name, keys in groups
     ]
     warm = (_warm_cells, (system_class, tuple(sorted({key for _, key in cells})), fidelity.scale))
     if batch == "auto":
-        batch = max(Counter(wl for wl, _ in cells).values(), default=1)
+        batch = max(Counter(wl for wl, _ in groups).values(), default=1)
     generator.drop_shared_blocks()
+    tasks = run_tasks(_run_group, payloads, jobs=jobs, batch=batch, warm=warm)
     try:
-        yield from run_tasks(_run_cell, payloads, jobs=jobs, batch=batch, warm=warm)
+        for group in tasks:
+            yield from group
     finally:
+        tasks.close()  # an abandoned sweep stops its campaign first
         generator.drop_shared_blocks()

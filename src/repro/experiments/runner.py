@@ -5,17 +5,30 @@ the memory system from a Table II configuration, builds the scheme's
 ECC-traffic model (wrapping it in ECC Parity where the configuration says
 so), spins up the 8-core trace-driven system, and returns the measured-phase
 :class:`~repro.cpu.system.SimResult`.
+
+Configurations that differ only in their chips are one timing system:
+chip widths reach nothing but the rank power models.  :func:`timing_key`
+names that system, and :func:`run_group` simulates it once for all of
+them, integrating energy per configuration.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
+from repro.cpu.degraded import DegradedMode
 from repro.cpu.ecc_traffic import EccTrafficModel
 from repro.cpu.llc import LLC
-from repro.cpu.system import SimResult, SimSystem
-from repro.dram.system import MemorySystem, MemorySystemConfig
-from repro.ecc.catalog import SYSTEM_CLASSES, SystemConfig
+from repro.cpu.system import ScrubConfig, SimResult, SimSystem
+from repro.dram.system import (
+    MemorySystem,
+    MemorySystemConfig,
+    integrate_energy,
+    rank_power_models,
+)
+from repro.ecc.base import ECCScheme
+from repro.ecc.catalog import SystemConfig
 from repro.workloads.generator import make_core_traces
 from repro.workloads.profiles import WorkloadProfile
 
@@ -70,14 +83,15 @@ class RunSpec:
 
 
 #: Per-process LLC pool keyed by (size_bytes, line_size): an evaluation
-#: matrix runs one cell at a time per worker, so consecutive cells with the
-#: same cache geometry recycle one LLC via :meth:`LLC.reset` instead of
-#: reallocating its slot lists (4,096 slots at quick fidelity and 8,192 at
-#: full for 64 B lines) per config.  A compiled-core run works on its own
-#: resident slot arrays, scanning a set to find a line, and leaves these
-#: lists and the address dict untouched, so its reset only zeroes
-#: counters.  Address-mapping decode tables are likewise shared across
-#: ``SimSystem`` instances (see ``repro.dram.mapping._SHARED_TABLES``).
+#: matrix runs one group of cells at a time per worker, so consecutive
+#: groups with the same cache geometry recycle one LLC via
+#: :meth:`LLC.reset` instead of reallocating its slot lists (4,096 slots at
+#: quick fidelity and 8,192 at full for 64 B lines) per config.  A
+#: compiled-core run works on its own resident slot arrays, scanning a set
+#: to find a line, and leaves these lists and the address dict untouched,
+#: so its reset only zeroes counters.  Address-mapping decode tables are
+#: likewise shared across ``SimSystem`` instances (see
+#: ``repro.dram.mapping._SHARED_TABLES``).
 _LLC_POOL: "dict[tuple[int, int], LLC]" = {}
 
 
@@ -96,26 +110,75 @@ def _pooled_llc(size_bytes: int, line_size: int) -> LLC:
     return llc
 
 
-def build_system(spec: RunSpec, reuse_llc: bool = False) -> SimSystem:
+def _memory_config(config: SystemConfig, scheme: ECCScheme) -> MemorySystemConfig:
+    return MemorySystemConfig(
+        channels=config.channels,
+        ranks_per_channel=config.ranks_per_channel,
+        chip_widths=scheme.chip_widths(),
+        line_size=scheme.line_size,
+    )
+
+
+def _ecc_model(config: SystemConfig, scheme: ECCScheme) -> EccTrafficModel:
+    return EccTrafficModel.for_scheme(
+        scheme, ecc_parity_channels=config.channels if config.ecc_parity else None
+    )
+
+
+#: ``MemorySystemConfig`` fields that only the rank power models read.
+_POWER_ONLY_FIELDS = frozenset({"chip_widths", "rank_chip_widths"})
+
+
+def timing_key(spec: RunSpec) -> tuple:
+    """The timing system :func:`build_system` makes of *spec*.
+
+    Built from the same inputs: the memory geometry (every
+    ``MemorySystemConfig`` field but the chip widths), the ECC-traffic
+    model, the trace inputs (workload, seed, scale; the line size is in
+    the geometry), the LLC size and both instruction budgets.  Specs with
+    equal keys run cycle for cycle alike and differ only in energy, so
+    :func:`run_group` simulates them once; a model change that reaches
+    any of these inputs splits them on its own.
+    """
+    scheme = spec.config.make_scheme()
+    mem = _memory_config(spec.config, scheme)
+    geometry = tuple(
+        getattr(mem, f.name) for f in dataclasses.fields(mem) if f.name not in _POWER_ONLY_FIELDS
+    )
+    return (
+        geometry,
+        _ecc_model(spec.config, scheme),
+        spec.workload,
+        spec.seed,
+        spec.scale,
+        llc_size_bytes(spec.scale),
+        spec.resolved_warmup,
+        spec.resolved_measure,
+    )
+
+
+def build_system(
+    spec: RunSpec,
+    reuse_llc: bool = False,
+    *,
+    ecc_model: "EccTrafficModel | None" = None,
+    degraded: "DegradedMode | None" = None,
+    scrub: "ScrubConfig | None" = None,
+) -> SimSystem:
     """Construct the full simulated system for a run specification.
 
     With *reuse_llc* the LLC comes from the per-process pool (reset, not
     reallocated) - only safe when at most one system built this way is
-    live at a time, which holds for the sequential :func:`run` path.
+    live at a time, which holds for the sequential :func:`run_group` path.
+    *ecc_model* replaces the configuration's ECC-traffic model, and
+    *degraded* / *scrub* add faulty bank pairs or a patrol scrubber, for
+    the experiments that vary them; :func:`timing_key` covers none of the
+    three, so :func:`run_group` never passes them.
     """
     scheme = spec.config.make_scheme()
-    mem = MemorySystem(
-        MemorySystemConfig(
-            channels=spec.config.channels,
-            ranks_per_channel=spec.config.ranks_per_channel,
-            chip_widths=scheme.chip_widths(),
-            line_size=scheme.line_size,
-        )
-    )
-    ecc_model = EccTrafficModel.for_scheme(
-        scheme,
-        ecc_parity_channels=spec.config.channels if spec.config.ecc_parity else None,
-    )
+    mem = MemorySystem(_memory_config(spec.config, scheme))
+    if ecc_model is None:
+        ecc_model = _ecc_model(spec.config, scheme)
     traces = make_core_traces(
         spec.workload,
         cores=8,
@@ -128,34 +191,39 @@ def build_system(spec: RunSpec, reuse_llc: bool = False) -> SimSystem:
         llc = _pooled_llc(size_bytes, scheme.line_size)
     else:
         llc = LLC(size_bytes=size_bytes, line_size=scheme.line_size)
-    return SimSystem(mem, traces, ecc_model, llc=llc)
+    return SimSystem(mem, traces, ecc_model, llc=llc, degraded=degraded, scrub=scrub)
 
 
-def run(spec: RunSpec) -> SimResult:
-    """Execute one simulation and return the measured-phase result.
+def run_group(specs: "list[RunSpec]") -> "list[SimResult]":
+    """Simulate specs that share one :func:`timing_key` once; one result each.
+
+    The first spec's system runs.  Every other spec integrates the same
+    measured-phase rank counters (the run's ``energy_baseline`` and final
+    counters) with its own power models, in ``MemorySystem.energy_since``'s
+    order, so each result is bit-identical to that spec's solo run.  Only
+    the counters outlive the run; the system is dropped with the group.
 
     The timing kernel (epoch-batched vs event-driven reference) follows
     ``REPRO_SIM_KERNEL``; results are bit-identical either way, so the
     evaluation-matrix cache needs no kernel key.
     """
-    system = build_system(spec, reuse_llc=True)
-    return system.run(spec.resolved_warmup, spec.resolved_measure)
+    lead = specs[0]
+    key = timing_key(lead) if len(specs) > 1 else None
+    for spec in specs[1:]:
+        if timing_key(spec) != key:
+            names = f"{lead.config.scheme_key} and {spec.config.scheme_key}"
+            raise ValueError(f"{names} are different timing systems")
+    system = build_system(lead, reuse_llc=True)
+    result = system.run(lead.resolved_warmup, lead.resolved_measure)
+    results = [result]
+    for spec in specs[1:]:
+        models = rank_power_models(_memory_config(spec.config, spec.config.make_scheme()))
+        energy = integrate_energy(models, system.mem.energy_counters(), system.energy_baseline)
+        counters = dataclasses.replace(result.counters)
+        results.append(dataclasses.replace(result, energy=energy, counters=counters))
+    return results
 
 
-def run_matrix(
-    workloads: "list[WorkloadProfile]",
-    config_keys: "list[str]",
-    system_class: str = "quad",
-    warmup: "int | None" = None,
-    measure: "int | None" = None,
-    seed: int = 0,
-    scale: int = DEFAULT_SCALE,
-) -> "dict[tuple[str, str], SimResult]":
-    """Run a workload x configuration sweep; keys are (workload, config)."""
-    configs = SYSTEM_CLASSES[system_class]
-    out = {}
-    for wl in workloads:
-        for key in config_keys:
-            spec = RunSpec(wl, configs[key], warmup, measure, seed, scale)
-            out[(wl.name, key)] = run(spec)
-    return out
+def run(spec: RunSpec) -> SimResult:
+    """Execute one simulation and return the measured-phase result."""
+    return run_group([spec])[0]

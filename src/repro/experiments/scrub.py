@@ -16,14 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cpu.ecc_traffic import EccTrafficModel
-from repro.cpu.llc import LLC
-from repro.cpu.system import ScrubConfig, SimResult, SimSystem
-from repro.dram.system import MemorySystem, MemorySystemConfig
+from repro.cpu.system import ScrubConfig, SimResult
 from repro.ecc.catalog import SystemConfig
-from repro.experiments.runner import RunSpec
+from repro.experiments.runner import RunSpec, build_system
 from repro.util.units import GIB
-from repro.workloads.generator import make_core_traces
 from repro.workloads.profiles import WorkloadProfile
 
 
@@ -62,31 +58,14 @@ def scrub_sweep(
     ``None`` in *intervals* means no scrubber (the baseline).
     """
     out = []
+    spec = RunSpec(workload, config, seed=seed, scale=scale)
     for interval in intervals:
-        scheme = config.make_scheme()
-        mem = MemorySystem(
-            MemorySystemConfig(
-                channels=config.channels,
-                ranks_per_channel=config.ranks_per_channel,
-                chip_widths=scheme.chip_widths(),
-                line_size=scheme.line_size,
-            )
-        )
-        model = EccTrafficModel.for_scheme(
-            scheme, ecc_parity_channels=config.channels if config.ecc_parity else None
-        )
-        traces = make_core_traces(
-            workload, cores=8, llc_block_bytes=scheme.line_size,
-            seed=seed, footprint_scale=scale,
-        )
-        llc = LLC(size_bytes=(8 << 20) // scale, line_size=scheme.line_size)
         scrub = (
             ScrubConfig(interval_cycles=interval, region_lines=1 << 20)
             if interval is not None
             else None
         )
-        system = SimSystem(mem, traces, model, llc=llc, scrub=scrub)
-        spec = RunSpec(workload, config, seed=seed, scale=scale)
+        system = build_system(spec, scrub=scrub)
         res = system.run(spec.resolved_warmup, spec.resolved_measure)
         out.append(ScrubPoint(interval or 0, res, system.scrub_reads))
     return out

@@ -16,13 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cpu.ecc_traffic import EccTrafficModel
-from repro.cpu.llc import LLC
-from repro.cpu.system import SimSystem
-from repro.dram.system import MemorySystem, MemorySystemConfig
 from repro.ecc.catalog import SystemConfig
-from repro.experiments.runner import RunSpec
-from repro.workloads.generator import make_core_traces
+from repro.experiments.runner import RunSpec, build_system
 from repro.workloads.profiles import WorkloadProfile
 
 
@@ -68,23 +63,8 @@ def materialization_storm(
 ) -> TransitionResult:
     """Run a workload and inject one bank-pair materialization mid-flight."""
     scheme = config.make_scheme()
-    mem = MemorySystem(
-        MemorySystemConfig(
-            channels=config.channels,
-            ranks_per_channel=config.ranks_per_channel,
-            chip_widths=scheme.chip_widths(),
-            line_size=scheme.line_size,
-        )
-    )
-    model = EccTrafficModel.for_scheme(
-        scheme, ecc_parity_channels=config.channels if config.ecc_parity else None
-    )
-    traces = make_core_traces(
-        workload, cores=8, llc_block_bytes=scheme.line_size,
-        seed=seed, footprint_scale=scale,
-    )
-    llc = LLC(size_bytes=(8 << 20) // scale, line_size=scheme.line_size)
-    system = SimSystem(mem, traces, model, llc=llc)
+    spec = RunSpec(workload, config, seed=seed, scale=scale)
+    system = build_system(spec)
     system.ipc_window = window_cycles
 
     # Storm volume: two banks' worth of lines read, 2R of that written back
@@ -95,7 +75,6 @@ def materialization_storm(
     r = scheme.correction_ratio
     storm_writes = int(2 * lines_per_bank * 2 * r + 2 * lines_per_bank * r / max(1, config.channels - 1))
 
-    spec = RunSpec(workload, config, seed=seed, scale=scale)
     warm = spec.resolved_warmup
     measure = spec.resolved_measure
     # Place the storm mid-measurement: estimate cycles/instr ~ 1/ (8*IPC).

@@ -83,18 +83,18 @@ class TestKillAndResume:
 
         monkeypatch.setattr(ev, "CACHE_DIR", cache)
         simulated = []
-        real_cell = parallel._run_cell
+        real_group = parallel._run_group
 
         def counting(*args):
-            simulated.append(f"{args[1]}|{args[2]}")
-            return real_cell(*args)
+            simulated.extend(f"{args[1]}|{k}" for k in args[2])
+            return real_group(*args)
 
-        monkeypatch.setattr(parallel, "_run_cell", counting)
+        monkeypatch.setattr(parallel, "_run_group", counting)
         resumed = evaluation_matrix("quad", fidelity=TINY, jobs=1, **CELLS)
         assert simulated == ["streamcluster|chipkill36"]  # only the missing cell
         assert [p.name for p in cache.iterdir()] == [log.name[: -len(".log")]]
 
-        monkeypatch.setattr(parallel, "_run_cell", real_cell)
+        monkeypatch.setattr(parallel, "_run_group", real_group)
         monkeypatch.setattr(ev, "CACHE_DIR", tmp_path / "cold")
         assert resumed == evaluation_matrix("quad", fidelity=TINY, jobs=1, **CELLS)
 

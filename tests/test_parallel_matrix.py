@@ -59,10 +59,10 @@ class TestParallelDeterminism:
         """One cell never pays executor overhead, whatever the job count."""
         calls = []
         monkeypatch.setattr(
-            parallel, "_run_cell", lambda *a: calls.append(a) or ("w", "k", {})
+            parallel, "_run_group", lambda *a: calls.append(a) or [("mcf", "raim", {})]
         )
-        out = list(parallel.run_cells("quad", [("w", "k")], TINY, seed=0, jobs=8))
-        assert out == [("w", "k", {})]
+        out = list(parallel.run_cells("quad", [("mcf", "raim")], TINY, seed=0, jobs=8))
+        assert out == [("mcf", "raim", {})]
         assert len(calls) == 1
 
 
@@ -133,5 +133,5 @@ class TestCacheRobustness:
 
         monkeypatch.setattr(parallel, "run_tasks", counting)
         assert evaluation_matrix("quad", **kw) == first
-        assert [p[1:3] for p in ran] == [("streamcluster", "chipkill18")]
+        assert [p[1:3] for p in ran] == [("streamcluster", ("chipkill18",))]
         assert load_json_cache(path) == cache

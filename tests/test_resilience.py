@@ -213,13 +213,13 @@ class TestCancellation:
         # Resume: only the three unfinished cells are simulated.
         monkeypatch.setattr(parallel, "run_cells", real_run_cells)
         simulated = []
-        real_cell = parallel._run_cell
+        real_group = parallel._run_group
 
         def counting(*args):
-            simulated.append(f"{args[1]}|{args[2]}")
-            return real_cell(*args)
+            simulated.extend(f"{args[1]}|{k}" for k in args[2])
+            return real_group(*args)
 
-        monkeypatch.setattr(parallel, "_run_cell", counting)
+        monkeypatch.setattr(parallel, "_run_group", counting)
         resumed = evaluation_matrix("quad", fidelity=TINY, jobs=1, **CELLS)
         assert len(simulated) == 3
         all_keys = {f"{w}|{k}" for w in CELLS["workloads"] for k in CELLS["config_keys"]}
@@ -227,7 +227,7 @@ class TestCancellation:
         assert not (set(simulated) & set(checkpointed))
 
         # And the resumed matrix equals an uninterrupted serial run.
-        monkeypatch.setattr(parallel, "_run_cell", real_cell)
+        monkeypatch.setattr(parallel, "_run_group", real_group)
         monkeypatch.setattr(ev, "CACHE_DIR", tmp_path / "fresh")
         fresh = evaluation_matrix("quad", fidelity=TINY, jobs=1, **CELLS)
         assert resumed == fresh

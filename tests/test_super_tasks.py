@@ -41,14 +41,14 @@ def _raise_on_three(x):
     return x * x
 
 
-_REAL_RUN_CELL = parallel._run_cell
+_REAL_RUN_GROUP = parallel._run_group
 
 
-def _run_cell_or_exit(*payload):
-    """A matrix cell whose worker dies on the (sjeng, lot_ecc5_ep) cell."""
-    if payload[1:3] == ("sjeng", "lot_ecc5_ep"):
+def _run_group_or_exit(*payload):
+    """A matrix group whose worker dies on the (sjeng, lot_ecc5_ep) cell."""
+    if payload[1] == "sjeng" and "lot_ecc5_ep" in payload[2]:
         os._exit(3)
-    return _REAL_RUN_CELL(*payload)
+    return _REAL_RUN_GROUP(*payload)
 
 
 @pytest.fixture
@@ -191,10 +191,10 @@ class TestMatrixBatching:
         keys = {f"{w}|{k}" for w in CELLS["workloads"] for k in CELLS["config_keys"]}
         monkeypatch.setattr(ev, "CACHE_DIR", tmp_path / "batched")
         _batch_cells(monkeypatch, 2)
-        monkeypatch.setattr(parallel, "_run_cell", _run_cell_or_exit)
+        monkeypatch.setattr(parallel, "_run_group", _run_group_or_exit)
         with pytest.raises(parallel.CampaignError) as ei:
             evaluation_matrix("quad", fidelity=TINY, jobs=2, **CELLS)
-        failed = {f"{f.payload[1]}|{f.payload[2]}" for f in ei.value.failures}
+        failed = {f"{f.payload[1]}|{k}" for f in ei.value.failures for k in f.payload[2]}
         assert "sjeng|lot_ecc5_ep" in failed
         cache_path = next((tmp_path / "batched").glob("*.json"))
         checkpointed = set(json.loads(cache_path.read_text())) - {"__meta__"}
@@ -203,14 +203,14 @@ class TestMatrixBatching:
         simulated = []
 
         def counting(*args):
-            simulated.append(f"{args[1]}|{args[2]}")
-            return _REAL_RUN_CELL(*args)
+            simulated.extend(f"{args[1]}|{k}" for k in args[2])
+            return _REAL_RUN_GROUP(*args)
 
-        monkeypatch.setattr(parallel, "_run_cell", counting)
+        monkeypatch.setattr(parallel, "_run_group", counting)
         resumed = evaluation_matrix("quad", fidelity=TINY, jobs=1, **CELLS)
         assert set(simulated) == failed and len(simulated) == len(failed)
 
-        monkeypatch.setattr(parallel, "_run_cell", _REAL_RUN_CELL)
+        monkeypatch.setattr(parallel, "_run_group", _REAL_RUN_GROUP)
         monkeypatch.setattr(ev, "CACHE_DIR", tmp_path / "serial")
         serial = evaluation_matrix("quad", fidelity=TINY, jobs=1, **CELLS)
         assert resumed == serial

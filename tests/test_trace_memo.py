@@ -187,7 +187,7 @@ def _boom(*payload):
 
 
 def test_failed_sweep_drops_the_memo(monkeypatch):
-    monkeypatch.setattr(parallel, "_run_cell", _boom)
+    monkeypatch.setattr(parallel, "_run_group", _boom)
     with pytest.raises(parallel.CampaignError):
         list(parallel.run_cells("quad", [("mcf", "chipkill18")], TINY, seed=0, jobs=1))
     assert generator._SHARED is None
@@ -201,7 +201,7 @@ def test_auto_batches_hold_one_workload(given, want, monkeypatch):
 
     def fake_run_tasks(worker, payloads, jobs=None, **options):
         seen.update(options)
-        return iter(())
+        yield from ()  # a generator, as run_tasks is
 
     monkeypatch.setattr(parallel, "run_tasks", fake_run_tasks)
     cells = [(wl, key) for wl in ("mcf", "lbm") for key in ("chipkill18", "raim", "lot_ecc9")]
